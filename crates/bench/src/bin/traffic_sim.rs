@@ -6,7 +6,8 @@
 //! 1. **Streaming acceptance** — encodes a ≥256 MiB input (default; see
 //!    `--mib`) through [`StreamEncoder`] into a discarding sink and
 //!    compares against the one-shot `arc_engine_encode_sharded` wall
-//!    time at the same thread count. A process-global counting allocator
+//!    time at the same thread count (the same encoder, one push into an
+//!    exactly-sized `Vec`). A process-global counting allocator
 //!    (peak *live* bytes, not cumulative) proves the streaming path's
 //!    footprint stays below 25% of the input — the O(ring × shard)
 //!    contract — while throughput stays within 10% of one-shot

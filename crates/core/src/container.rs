@@ -40,10 +40,10 @@
 //! its own, which is what makes `decode_range` trustworthy without
 //! touching the rest of the container.
 
-use arc_ecc::crc::crc32;
-use arc_ecc::{EccScheme, ParallelCodec, RsCodeword};
+use std::sync::Arc;
 
-use arc_ecc::EccConfig;
+use arc_ecc::crc::crc32;
+use arc_ecc::{EccConfig, EccScheme, ParallelCodec, RsCodeword};
 
 use crate::error::ArcError;
 
@@ -352,6 +352,24 @@ pub(crate) fn rs_index_encode(raw: &[u8]) -> Result<Vec<u8>, ArcError> {
     Ok(out)
 }
 
+/// Length of ONE RS-encoded index copy describing `shards` shards, as
+/// [`rs_index_encode`] produces it. Decoders hold a header's `index_len` to
+/// it before buffering; the one-shot encoders size their sink with it.
+pub(crate) fn index_encoded_len(shards: usize) -> Result<usize, ArcError> {
+    let raw_len = shards
+        .checked_mul(INDEX_ENTRY_BYTES)
+        .and_then(|n| n.checked_add(12))
+        .ok_or_else(|| ArcError::Corrupted("shard count overflows".into()))?;
+    let Ok(rs) = RsCodeword::new(INDEX_NSYM) else {
+        return Err(ArcError::Corrupted("index RS codeword unavailable".into()));
+    };
+    raw_len
+        .div_ceil(rs.max_message_len())
+        .checked_mul(INDEX_NSYM)
+        .and_then(|p| p.checked_add(raw_len))
+        .ok_or_else(|| ArcError::Corrupted("index length overflows".into()))
+}
+
 /// Attempt to RS-decode one copy of the index. Returns the raw bytes and
 /// the number of symbols repaired, or `None` when any codeword is beyond
 /// repair (the caller falls through to the next copy / the majority vote).
@@ -432,14 +450,21 @@ fn parse_index(raw: &[u8], meta: &ContainerMeta) -> Result<ShardIndex, ArcError>
     Ok(ShardIndex { entries })
 }
 
-/// Recover the shard index from its three copies: first copy whose RS
-/// codewords decode *and* whose contents validate wins; if none does, a
-/// bitwise 2-of-3 majority vote across the copies gets one final attempt.
+/// Recover the shard index from `trailer`, its three copies back to back:
+/// first copy whose RS codewords decode *and* whose contents validate wins;
+/// if none does, a bitwise 2-of-3 majority vote across the copies gets one
+/// final attempt.
 pub(crate) fn recover_index(
-    copies: [&[u8]; 3],
+    trailer: &[u8],
     meta: &ContainerMeta,
 ) -> Result<(ShardIndex, IndexRepair), ArcError> {
-    for (copy_used, copy) in copies.iter().enumerate() {
+    let index_len = meta.sharding.map_or(0, |sh| sh.index_len);
+    if index_len.checked_mul(3) != Some(trailer.len()) {
+        return Err(ArcError::Corrupted("index trailer mis-sized".into()));
+    }
+    let (first, rest) = trailer.split_at(index_len);
+    let (second, third) = rest.split_at(index_len);
+    for (copy_used, copy) in [first, second, third].into_iter().enumerate() {
         if let Some((raw, symbols_corrected)) = rs_index_decode(copy) {
             if let Ok(index) = parse_index(&raw, meta) {
                 if copy_used > 0 {
@@ -459,12 +484,11 @@ pub(crate) fn recover_index(
     // Bitwise triple-modular-redundancy vote: each output bit is the
     // majority of the three copies' bits, which repairs any damage that
     // never hits the same bit in two copies.
-    let voted: Vec<u8> = (0..copies[0].len())
-        .map(|i| {
-            (copies[0][i] & copies[1][i])
-                | (copies[0][i] & copies[2][i])
-                | (copies[1][i] & copies[2][i])
-        })
+    let voted: Vec<u8> = first
+        .iter()
+        .zip(second)
+        .zip(third)
+        .map(|((a, b), c)| (a & b) | (a & c) | (b & c))
         .collect();
     if let Some((raw, symbols_corrected)) = rs_index_decode(&voted) {
         if let Ok(index) = parse_index(&raw, meta) {
@@ -478,74 +502,42 @@ pub(crate) fn recover_index(
     Err(ArcError::Corrupted("shard index unrecoverable in all three copies".into()))
 }
 
-/// Assemble a container around an encoded payload.
-///
-/// Convenience wrapper over [`header_len`] + [`write_header`]; the zero-copy
-/// encode paths skip it and scatter-write the payload directly after the
-/// reserved header prefix. Produces monolithic (v1) containers only — the
-/// sharded path is [`encode_sharded`].
-pub fn pack(meta: &ContainerMeta, payload: &[u8]) -> Result<Vec<u8>, ArcError> {
-    debug_assert_eq!(meta.payload_len, payload.len());
-    let hlen = header_len(meta);
-    let mut out = vec![0u8; hlen + payload.len()];
-    write_header(meta, &mut out[..hlen])?;
-    out[hlen..].copy_from_slice(payload);
-    Ok(out)
-}
-
-/// Encode `data` into a v2 sharded container: every `shard_size`-byte
-/// slice of the input becomes an independently ECC'd, independently
-/// decodable shard, described by an RS-protected, triplicated index.
-///
-/// Allocates the whole container once and scatter-writes header, shard
-/// payloads (via [`ParallelCodec::encode_sharded_into`], one pool pass
-/// over all shards' chunks), and all three index copies in place.
-pub fn encode_sharded<S: EccScheme>(
+/// Reserve one monolithic (v1) container for `data`: a single allocation
+/// of header prefix plus encoded payload, header already written. Returns
+/// the buffer and the offset of the (still unwritten) payload region, which
+/// [`encode_mono`] fills itself and `stream::encode_batch` fills for many
+/// frames in one flat pool pass.
+pub(crate) fn mono_frame(
     data: &[u8],
-    codec: &ParallelCodec<S>,
+    codec: &ParallelCodec<Arc<dyn EccScheme>>,
     scheme_id: &str,
-    shard_size: usize,
-) -> Result<Vec<u8>, ArcError> {
-    if shard_size == 0 {
-        return Err(ArcError::InvalidRequest("shard size must be >= 1".into()));
-    }
-    let mut entries = Vec::with_capacity(data.len().div_ceil(shard_size.max(1)));
-    let mut offset = 0usize;
-    for shard in data.chunks(shard_size) {
-        let encoded_len = codec.encoded_len(shard.len());
-        if encoded_len > u32::MAX as usize || shard.len() > u32::MAX as usize {
-            return Err(ArcError::InvalidRequest(format!(
-                "shard of {} bytes overflows the index's u32 length fields",
-                shard.len()
-            )));
-        }
-        entries.push(ShardEntry {
-            offset,
-            encoded_len,
-            decoded_len: shard.len(),
-            crc: crc32(shard),
-        });
-        offset = offset
-            .checked_add(encoded_len)
-            .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
-    }
-    let payload_len = offset;
-    let index = rs_index_encode(&serialize_index(&entries))?;
+) -> Result<(Vec<u8>, usize), ArcError> {
     let meta = ContainerMeta {
         scheme_id: scheme_id.to_string(),
         chunk_size: codec.chunk_size(),
         data_len: data.len(),
-        payload_len,
+        payload_len: codec.encoded_len(data.len()),
         data_crc: crc32(data),
-        sharding: Some(ShardingMeta { shard_size, index_len: index.len() }),
+        sharding: None,
     };
     let hlen = header_len(&meta);
-    let mut out = vec![0u8; hlen + payload_len + 3 * index.len()];
+    // arc-lint: bounded(encode path; sized from the caller's own payload, not decoded input)
+    let mut out = vec![0u8; hlen + meta.payload_len];
     write_header(&meta, &mut out[..hlen])?;
-    codec.encode_sharded_into(data, shard_size, &mut out[hlen..hlen + payload_len])?;
-    for copy in out[hlen + payload_len..].chunks_mut(index.len()) {
-        copy.copy_from_slice(&index);
-    }
+    Ok((out, hlen))
+}
+
+/// The v1 writer: `data` as one chunk-parallel ECC encoding under `codec`'s
+/// scheme, tagged `scheme_id`, allocated once and scatter-written in place.
+/// Every public v1 encode entry point wraps this function; the v2 writer is
+/// [`crate::stream::StreamEncoder`].
+pub fn encode_mono(
+    data: &[u8],
+    codec: &ParallelCodec<Arc<dyn EccScheme>>,
+    scheme_id: &str,
+) -> Result<Vec<u8>, ArcError> {
+    let (mut out, hlen) = mono_frame(data, codec, scheme_id)?;
+    codec.encode_into(data, &mut out[hlen..]);
     Ok(out)
 }
 
@@ -572,13 +564,29 @@ pub struct Unpacked<'a> {
     pub index_repair: IndexRepair,
 }
 
-/// Parse and repair a container produced by [`pack`] or [`encode_sharded`].
-pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
+/// What [`recover_header`] made of the bytes it was shown.
+pub(crate) enum HeaderScan<'a> {
+    /// A header copy decoded and parsed. `payload` is everything after the
+    /// framing (for v2 still including the index copies) and `index` is
+    /// unset; [`unpack`] digests both.
+    Found(Unpacked<'a>),
+    /// No verdict yet: the next length candidate needs this many container
+    /// bytes in total.
+    NeedBytes(usize),
+}
+
+/// Recover the header from a prefix of a container (at least its six-byte
+/// length prefix) — the one routine behind [`unpack`] and
+/// `stream::StreamDecoder`. Majority-votes the triplicated length, then
+/// RS-decodes the primary and backup codeword of each length candidate: the
+/// 2-of-3 winner alone, or with no majority every distinct plausible value,
+/// shortest first, so a streaming caller does O(1) work per byte between
+/// the at-most-three attempts.
+pub(crate) fn recover_header(bytes: &[u8]) -> Result<HeaderScan<'_>, ArcError> {
     if bytes.len() < 6 {
         return Err(ArcError::Corrupted("container shorter than its length prefix".into()));
     }
-    // Majority-vote the triplicated length field.
-    let lens: [u16; 3] = [le_u16(bytes, 0), le_u16(bytes, 2), le_u16(bytes, 4)];
+    let lens = [le_u16(bytes, 0), le_u16(bytes, 2), le_u16(bytes, 4)].map(usize::from);
     let voted = if lens[0] == lens[1] || lens[0] == lens[2] {
         lens[0]
     } else if lens[1] == lens[2] {
@@ -587,86 +595,87 @@ pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
         // No majority: try each in turn below.
         0
     };
+    let mut candidates = if voted != 0 { vec![voted] } else { lens.to_vec() };
+    candidates.retain(|l| *l > HEADER_NSYM);
+    candidates.sort_unstable();
+    candidates.dedup();
     let Ok(rs) = RsCodeword::new(HEADER_NSYM) else {
         return Err(ArcError::Corrupted("header RS codeword unavailable".into()));
     };
-    let try_len = |len: u16| -> Option<Unpacked<'_>> {
-        let len = len as usize;
-        if len <= HEADER_NSYM || bytes.len() < 6 + 2 * len {
-            return None;
-        }
-        let primary = &bytes[6..6 + len];
-        let backup = &bytes[6 + len..6 + 2 * len];
-        let payload = &bytes[6 + 2 * len..];
-        for (copy, used_backup) in [(primary, false), (backup, true)] {
-            if let Ok((header_bytes, fixed)) = rs.decode(copy) {
-                if let Ok(meta) = parse_header(&header_bytes) {
-                    return Some(Unpacked {
-                        meta,
-                        payload,
-                        payload_offset: 6 + 2 * len,
-                        used_backup_header: used_backup,
-                        header_symbols_corrected: fixed,
-                        index: None,
-                        index_repair: IndexRepair::default(),
-                    });
-                }
-            }
-        }
-        None
-    };
-    let candidates: Vec<u16> = if voted != 0 { vec![voted] } else { lens.to_vec() };
     for len in candidates {
-        if let Some(mut u) = try_len(len) {
-            match u.meta.sharding {
-                None => {
-                    // Final consistency check against the buffer we have.
-                    if u.payload.len() != u.meta.payload_len {
-                        return Err(ArcError::Corrupted(format!(
-                            "payload region {} bytes but header declares {}",
-                            u.payload.len(),
-                            u.meta.payload_len
-                        )));
-                    }
-                }
-                Some(sh) => {
-                    // v2: the region after the header is payload plus three
-                    // index copies, and the total must match *exactly* —
-                    // checked arithmetic so hostile header values (already
-                    // RS-verified, but belt and braces) cannot wrap, and
-                    // checked *before* any index-sized allocation so a
-                    // corrupt length cannot demand memory.
-                    let expect =
-                        sh.index_len.checked_mul(3).and_then(|i| u.meta.payload_len.checked_add(i));
-                    let Some(expect) = expect else {
-                        return Err(ArcError::Corrupted(
-                            "header: payload/index lengths overflow".into(),
-                        ));
-                    };
-                    if u.payload.len() != expect {
-                        return Err(ArcError::Corrupted(format!(
-                            "sharded region {} bytes but header declares {} payload + 3×{} index",
-                            u.payload.len(),
-                            u.meta.payload_len,
-                            sh.index_len
-                        )));
-                    }
-                    let istart = u.payload_offset + u.meta.payload_len;
-                    let copies = [
-                        &bytes[istart..istart + sh.index_len],
-                        &bytes[istart + sh.index_len..istart + 2 * sh.index_len],
-                        &bytes[istart + 2 * sh.index_len..istart + 3 * sh.index_len],
-                    ];
-                    let (index, repair) = recover_index(copies, &u.meta)?;
-                    u.payload = &bytes[u.payload_offset..u.payload_offset + u.meta.payload_len];
-                    u.index = Some(index);
-                    u.index_repair = repair;
-                }
+        let payload_offset = 6 + 2 * len;
+        let Some(payload) = bytes.get(payload_offset..) else {
+            return Ok(HeaderScan::NeedBytes(payload_offset));
+        };
+        for (copy, used_backup_header) in [(6..6 + len, false), (6 + len..payload_offset, true)] {
+            let Some(Ok((header_bytes, header_symbols_corrected))) =
+                bytes.get(copy).map(|codeword| rs.decode(codeword))
+            else {
+                continue;
+            };
+            if let Ok(meta) = parse_header(&header_bytes) {
+                return Ok(HeaderScan::Found(Unpacked {
+                    meta,
+                    payload,
+                    payload_offset,
+                    used_backup_header,
+                    header_symbols_corrected,
+                    index: None,
+                    index_repair: IndexRepair::default(),
+                }));
             }
-            return Ok(u);
         }
     }
     Err(ArcError::Corrupted("header unrecoverable in both copies".into()))
+}
+
+/// Parse and repair a container produced by [`encode_mono`] or
+/// [`crate::stream::StreamEncoder`].
+pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
+    let HeaderScan::Found(mut u) = recover_header(bytes)? else {
+        // The whole container is here, so a candidate that needs more
+        // bytes than it holds can never decode.
+        return Err(ArcError::Corrupted("header unrecoverable in both copies".into()));
+    };
+    match u.meta.sharding {
+        None => {
+            // Final consistency check against the buffer we have.
+            if u.payload.len() != u.meta.payload_len {
+                return Err(ArcError::Corrupted(format!(
+                    "payload region {} bytes but header declares {}",
+                    u.payload.len(),
+                    u.meta.payload_len
+                )));
+            }
+        }
+        Some(sh) => {
+            // v2: the region after the header is payload plus three index
+            // copies, and the total must match *exactly* — checked
+            // arithmetic so hostile header values (already RS-verified,
+            // but belt and braces) cannot wrap, and checked *before* any
+            // index-sized allocation so a corrupt length cannot demand
+            // memory.
+            let expect =
+                sh.index_len.checked_mul(3).and_then(|i| u.meta.payload_len.checked_add(i));
+            let Some(expect) = expect else {
+                return Err(ArcError::Corrupted("header: payload/index lengths overflow".into()));
+            };
+            if u.payload.len() != expect {
+                return Err(ArcError::Corrupted(format!(
+                    "sharded region {} bytes but header declares {} payload + 3×{} index",
+                    u.payload.len(),
+                    u.meta.payload_len,
+                    sh.index_len
+                )));
+            }
+            let (payload, trailer) = u.payload.split_at(u.meta.payload_len);
+            let (index, repair) = recover_index(trailer, &u.meta)?;
+            u.payload = payload;
+            u.index = Some(index);
+            u.index_repair = repair;
+        }
+    }
+    Ok(u)
 }
 
 /// Convenience: the container's end-to-end CRC of original data.
@@ -677,6 +686,16 @@ pub fn data_crc(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A v1 container around an arbitrary (not necessarily ECC-encoded)
+    /// payload, so header tests control every field.
+    fn pack(meta: &ContainerMeta, payload: &[u8]) -> Result<Vec<u8>, ArcError> {
+        let hlen = header_len(meta);
+        let mut out = vec![0u8; hlen + payload.len()];
+        write_header(meta, &mut out[..hlen])?;
+        out[hlen..].copy_from_slice(payload);
+        Ok(out)
+    }
 
     fn meta() -> ContainerMeta {
         ContainerMeta {
@@ -825,8 +844,8 @@ mod tests {
     }
 
     fn v2_container(data: &[u8], shard_size: usize) -> Vec<u8> {
-        let codec = ParallelCodec::with_chunk_size(EccConfig::secded(true), 1, 4 << 10).unwrap();
-        encode_sharded(data, &codec, &EccConfig::secded(true).id(), shard_size).unwrap()
+        crate::engine::arc_engine_encode_sharded(data, EccConfig::secded(true), 1, shard_size)
+            .unwrap()
     }
 
     #[test]
@@ -918,15 +937,6 @@ mod tests {
         let u = unpack(&packed).unwrap();
         assert_eq!(u.meta.data_len, 0);
         assert_eq!(u.index.unwrap().shard_count(), 0);
-    }
-
-    #[test]
-    fn sharded_zero_shard_size_rejected() {
-        let codec = ParallelCodec::new(EccConfig::secded(true), 1).unwrap();
-        assert!(matches!(
-            encode_sharded(&[1, 2, 3], &codec, "secded:64", 0),
-            Err(ArcError::InvalidRequest(_))
-        ));
     }
 
     #[test]

@@ -11,34 +11,27 @@
 use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
 use arc_ecc::{EccConfig, EccMethod, ParallelCodec};
 
-use crate::container::{self, ContainerMeta};
+use crate::container;
 use crate::error::ArcError;
+use crate::extension::builtin_scheme;
 use crate::interface::{decode_with_threads, ArcDecodeReport};
+use crate::stream;
 
 /// Encode with an explicit configuration (the general engine entry point).
 ///
 /// `threads` accepts [`arc_ecc::parallel::ANY_THREADS`] (0) for "all
-/// available cores". Allocates the whole container — header prefix plus
-/// encoded payload — once and scatter-writes both regions in place.
+/// available cores". A wrapper over the v1 writer
+/// ([`container::encode_mono`]), which allocates the whole container —
+/// header prefix plus encoded payload — once and scatter-writes both
+/// regions in place.
 pub fn arc_engine_encode(
     data: &[u8],
     config: EccConfig,
     threads: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    let codec = ParallelCodec::with_chunk_size(config, threads, DEFAULT_CHUNK_SIZE)?;
-    let meta = ContainerMeta {
-        scheme_id: config.id(),
-        chunk_size: DEFAULT_CHUNK_SIZE,
-        data_len: data.len(),
-        payload_len: codec.encoded_len(data.len()),
-        data_crc: container::data_crc(data),
-        sharding: None,
-    };
-    let hlen = container::header_len(&meta);
-    let mut out = vec![0u8; hlen + meta.payload_len];
-    container::write_header(&meta, &mut out[..hlen])?;
-    codec.encode_into(data, &mut out[hlen..]);
-    Ok(out)
+    let (scheme_id, scheme) = builtin_scheme(config);
+    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
+    container::encode_mono(data, &codec, &scheme_id)
 }
 
 /// Decode any engine-encoded container.
@@ -51,31 +44,20 @@ pub fn arc_engine_decode(
 
 /// Encode into a v2 **sharded** container: each `shard_size`-byte slice of
 /// `data` is independently ECC'd and independently decodable, enabling
-/// [`arc_engine_decode_range`] / [`crate::reader::ArcReader`] to serve a
-/// byte range at per-shard cost. `arc_engine_encode` keeps producing
-/// monolithic v1 containers; both decode through the same entry points.
+/// [`crate::reader::ArcReader`] to serve a byte range at per-shard cost.
+/// `arc_engine_encode` keeps producing monolithic v1 containers; both
+/// decode through the same entry points.
+///
+/// A wrapper over the v2 writer: one push through a
+/// [`crate::stream::StreamEncoder`] into an exactly-sized `Vec`, with as
+/// many ring workers as `threads` resolves to.
 pub fn arc_engine_encode_sharded(
     data: &[u8],
     config: EccConfig,
     threads: usize,
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    let codec = ParallelCodec::with_chunk_size(config, threads, DEFAULT_CHUNK_SIZE)?;
-    container::encode_sharded(data, &codec, &config.id(), shard_size)
-}
-
-/// Random-access decode: return `offset..offset + len` of the original
-/// data, touching only the shards that cover the range (v1 containers
-/// fall back to a single-shard full decode). Opens a fresh
-/// [`crate::reader::ArcReader`] per call; hold a reader for repeat reads.
-pub fn arc_engine_decode_range(
-    bytes: &[u8],
-    offset: usize,
-    len: usize,
-    threads: usize,
-) -> Result<(Vec<u8>, crate::reader::RangeReport), ArcError> {
-    let mut reader = crate::reader::ArcReader::open(bytes, threads)?;
-    reader.decode_range(offset, len)
+    stream::encode_oneshot(data, builtin_scheme(config), threads, DEFAULT_CHUNK_SIZE, shard_size)
 }
 
 fn decode_expecting(
@@ -237,6 +219,10 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(arc_parity_encode(&[1, 2, 3], 0, 1).is_err());
         assert!(arc_reed_solomon_encode(&[1, 2, 3], 200, 100, 1).is_err());
+        assert!(matches!(
+            arc_engine_encode_sharded(&[1, 2, 3], EccConfig::secded(true), 1, 0),
+            Err(ArcError::InvalidRequest(_))
+        ));
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! methods. Custom *constraints* are expressed as arbitrary predicates via
 //! [`crate::optimizer::joint_optimizer_with`].
 //!
+//! This module is also the crate's one scheme dispatch. Built-in
+//! configurations and registry entries alike run as `Arc<dyn EccScheme>`:
+//! `resolve_scheme` turns a container's scheme id into one on the decode
+//! side, `builtin_scheme` / `ExtensionRegistry::named_scheme` pair the
+//! scheme a caller chose with the id its containers carry on the encode
+//! side, and every writer and decoder takes what they return.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use arc_core::extension::{decode_with_registry, encode_with_scheme, ExtensionRegistry};
@@ -31,9 +38,10 @@ use arc_ecc::parallel::{timed_decode, timed_encode, DEFAULT_CHUNK_SIZE};
 use arc_ecc::uep::{uep_sz, uep_zfp};
 use arc_ecc::{Bch, Capability, EccConfig, EccScheme, Interleaved, ParallelCodec, RsBlock};
 
-use crate::container::{self, ContainerMeta};
+use crate::container;
 use crate::error::ArcError;
-use crate::interface::ArcDecodeReport;
+use crate::interface::{decode_container, ArcDecodeReport, Input};
+use crate::stream;
 
 /// Prefix distinguishing extension scheme ids from built-in ones in the
 /// container header.
@@ -92,6 +100,15 @@ impl ExtensionRegistry {
         scheme_id.strip_prefix(CUSTOM_PREFIX).and_then(|n| self.get(n))
     }
 
+    /// Encode-side dispatch for extensions: the scheme registered under
+    /// bare `name`, with the `x:<name>` id its containers carry.
+    pub(crate) fn named_scheme(&self, name: &str) -> Result<Resolved, ArcError> {
+        let scheme = self.get(name).ok_or_else(|| {
+            ArcError::InvalidRequest(format!("no extension scheme named {name:?} registered"))
+        })?;
+        Ok((format!("{CUSTOM_PREFIX}{name}"), scheme))
+    }
+
     /// Registered names, sorted.
     pub fn ids(&self) -> Vec<String> {
         let mut v: Vec<String> = self.schemes.keys().cloned().collect();
@@ -117,6 +134,15 @@ pub fn standard_extensions() -> Result<ExtensionRegistry, ArcError> {
     r.register("uep-sz", Arc::new(uep_sz()?))?;
     r.register("uep-zfp", Arc::new(uep_zfp()?))?;
     Ok(r)
+}
+
+/// A scheme ready to run: the id its containers carry and the code behind
+/// it. Built-ins and extensions are indistinguishable from here on.
+pub(crate) type Resolved = (String, Arc<dyn EccScheme>);
+
+/// Encode-side dispatch for built-ins: `config` under its own id.
+pub(crate) fn builtin_scheme(config: EccConfig) -> Resolved {
+    (config.id(), Arc::new(config))
 }
 
 /// Resolve a container scheme id to a runnable scheme: built-in ids parse
@@ -148,8 +174,9 @@ pub(crate) fn resolve_scheme(
 /// ARC container tagged `x:<name>`.
 ///
 /// `threads` accepts `arc_ecc::parallel::ANY_THREADS` (0) for "all
-/// available cores". Allocates the whole container once; the scheme's
-/// parity is scatter-written in place (via the scheme's
+/// available cores". A wrapper over the v1 writer
+/// ([`container::encode_mono`]): the whole container is allocated once and
+/// the scheme's parity is scatter-written in place (via the scheme's
 /// `encode_parity_into`, or its `encode_parity` fallback for schemes that
 /// only implement the allocating form).
 pub fn encode_with_scheme(
@@ -158,31 +185,16 @@ pub fn encode_with_scheme(
     name: &str,
     threads: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    let scheme = registry.get(name).ok_or_else(|| {
-        ArcError::InvalidRequest(format!("no extension scheme named {name:?} registered"))
-    })?;
+    let (scheme_id, scheme) = registry.named_scheme(name)?;
     let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
-    let meta = ContainerMeta {
-        scheme_id: format!("{CUSTOM_PREFIX}{name}"),
-        chunk_size: DEFAULT_CHUNK_SIZE,
-        data_len: data.len(),
-        payload_len: codec.encoded_len(data.len()),
-        data_crc: container::data_crc(data),
-        sharding: None,
-    };
-    let hlen = container::header_len(&meta);
-    let mut out = vec![0u8; hlen + meta.payload_len];
-    container::write_header(&meta, &mut out[..hlen])?;
-    codec.encode_into(data, &mut out[hlen..]);
-    Ok(out)
+    container::encode_mono(data, &codec, &scheme_id)
 }
 
 /// Encode `data` with the registered scheme `name` into a v2 **sharded**
 /// container tagged `x:<name>` — the random-access layout that
-/// [`crate::reader::ArcReader`] serves `decode_range` from and
-/// [`crate::stream::StreamEncoder`] produces incrementally. Byte-identical
-/// to streaming the same data through `StreamEncoder` with the same scheme
-/// and shard size.
+/// [`crate::reader::ArcReader`] serves `decode_range` from. A wrapper over
+/// the v2 writer: one push through a [`crate::stream::StreamEncoder`] into
+/// an exactly-sized `Vec`.
 pub fn encode_sharded_with_scheme(
     data: &[u8],
     registry: &ExtensionRegistry,
@@ -190,76 +202,20 @@ pub fn encode_sharded_with_scheme(
     threads: usize,
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    let scheme = registry.get(name).ok_or_else(|| {
-        ArcError::InvalidRequest(format!("no extension scheme named {name:?} registered"))
-    })?;
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
-    container::encode_sharded(data, &codec, &format!("{CUSTOM_PREFIX}{name}"), shard_size)
+    let scheme = registry.named_scheme(name)?;
+    stream::encode_oneshot(data, scheme, threads, DEFAULT_CHUNK_SIZE, shard_size)
 }
 
 /// Decode any ARC container, resolving extension ids against `registry`
-/// (built-in ids decode as usual).
+/// (built-in ids decode as usual) — the same decode body as
+/// [`crate::interface::decode_with_threads`], with a registry to look in.
 pub fn decode_with_registry(
     bytes: &[u8],
     threads: usize,
     registry: &ExtensionRegistry,
 ) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-    let unpacked = container::unpack(bytes)?;
-    let meta = &unpacked.meta;
-    if let Some(config) = meta.builtin_config() {
-        let _ = config;
-        return crate::interface::decode_with_threads(bytes, threads);
-    }
-    let scheme = registry.resolve_id(&meta.scheme_id).ok_or_else(|| {
-        ArcError::InvalidRequest(format!(
-            "container scheme {:?} is not registered in this registry",
-            meta.scheme_id
-        ))
-    })?;
-    // Bound data_len by the real payload before any codec length
-    // arithmetic can see it (see interface::decode_with_threads).
-    if meta.data_len > unpacked.payload.len() {
-        return Err(ArcError::Corrupted(format!(
-            "declared data length {} exceeds payload length {}",
-            meta.data_len,
-            unpacked.payload.len()
-        )));
-    }
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, meta.chunk_size)?;
-    // v2 sharded extension containers decode through the exact same
-    // shard-walk as built-ins (geometry check, per-shard decode, per-shard
-    // CRC); v1 containers take the mono path.
-    let (data, correction) = match &unpacked.index {
-        Some(index) => crate::interface::decode_sharded_payload(
-            &codec,
-            unpacked.payload,
-            index,
-            meta.data_len,
-        )?,
-        None => {
-            let mut data = unpacked.payload.to_vec();
-            let correction = codec.decode_in_place(&mut data, meta.data_len)?;
-            data.truncate(meta.data_len);
-            (data, correction)
-        }
-    };
-    if container::data_crc(&data) != meta.data_crc {
-        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: "custom",
-            detail: "end-to-end CRC mismatch after ECC decode".into(),
-        }));
-    }
-    Ok((
-        data,
-        ArcDecodeReport {
-            scheme_id: meta.scheme_id.clone(),
-            config: None,
-            correction,
-            used_backup_header: unpacked.used_backup_header,
-            header_symbols_corrected: unpacked.header_symbols_corrected,
-            index_repair: unpacked.index.as_ref().map(|_| unpacked.index_repair),
-        },
-    ))
+    let (data, _, report) = decode_container(Input::Borrowed(bytes), threads, Some(registry))?;
+    Ok((data, report))
 }
 
 /// One measured point for the storage/resiliency/throughput study: a
@@ -280,9 +236,8 @@ pub struct ExtensionCandidate {
     pub decode_mb_s: f64,
 }
 
-fn calibrate_one<S: EccScheme>(
-    id: String,
-    scheme: S,
+fn calibrate_one(
+    (id, scheme): Resolved,
     probe: &[u8],
     threads: usize,
 ) -> Result<ExtensionCandidate, ArcError> {
@@ -314,13 +269,11 @@ pub fn calibrate_registry(
     probe: &[u8],
     threads: usize,
 ) -> Result<Vec<ExtensionCandidate>, ArcError> {
-    let mut out = Vec::new();
-    for name in registry.ids() {
-        if let Some(scheme) = registry.get(&name) {
-            out.push(calibrate_one(format!("{CUSTOM_PREFIX}{name}"), scheme, probe, threads)?);
-        }
-    }
-    Ok(out)
+    registry
+        .ids()
+        .iter()
+        .map(|name| calibrate_one(registry.named_scheme(name)?, probe, threads))
+        .collect()
 }
 
 /// The built-in comparison points for the Pareto study, measured the same
@@ -331,7 +284,7 @@ pub fn calibrate_builtins(
 ) -> Result<Vec<ExtensionCandidate>, ArcError> {
     EccConfig::standard_space()
         .into_iter()
-        .map(|config| calibrate_one(config.id(), config, probe, threads))
+        .map(|config| calibrate_one(builtin_scheme(config), probe, threads))
         .collect()
 }
 
@@ -415,46 +368,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_registration_is_reported() {
-        let r = registry();
-        let data = vec![1u8; 1000];
-        let enc = encode_with_scheme(&data, &r, "tmr", 1).unwrap();
-        let empty = ExtensionRegistry::new();
-        assert!(matches!(decode_with_registry(&enc, 1, &empty), Err(ArcError::InvalidRequest(_))));
-        // The registry-less decode path refuses custom containers politely.
-        assert!(matches!(
-            crate::interface::decode_with_threads(&enc, 1),
-            Err(ArcError::InvalidRequest(_))
-        ));
-    }
-
-    #[test]
-    fn builtin_containers_decode_through_the_registry_path() {
-        let r = registry();
-        let data = vec![9u8; 5_000];
-        let enc = crate::engine::arc_secded_encode(&data, true, 1).unwrap();
-        let (out, report) = decode_with_registry(&enc, 1, &r).unwrap();
-        assert_eq!(out, data);
-        assert!(report.config.is_some());
-    }
-
-    #[test]
     fn standard_extensions_ship_the_advertised_families() {
         let r = standard_extensions().unwrap();
         assert_eq!(r.ids(), vec!["bch", "ileave-rs", "uep-sz", "uep-zfp"]);
-    }
-
-    #[test]
-    fn extension_v2_sharded_round_trips() {
-        let r = standard_extensions().unwrap();
-        let data: Vec<u8> = (0..200_000).map(|i| ((i * 31) ^ (i >> 8)) as u8).collect();
-        for name in r.ids() {
-            let enc = encode_sharded_with_scheme(&data, &r, &name, 2, 64 * 1024).unwrap();
-            let (out, report) = decode_with_registry(&enc, 2, &r).unwrap();
-            assert_eq!(out, data, "{name}");
-            assert_eq!(report.scheme_id, format!("x:{name}"));
-            assert!(report.index_repair.is_some(), "{name} container should be sharded");
-        }
     }
 
     #[test]

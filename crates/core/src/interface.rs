@@ -11,7 +11,9 @@
 //! estimates. Dropping the context saves too, so forgetting `close` costs
 //! nothing but determinism of the save timing.
 
+use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -20,9 +22,11 @@ use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
 use arc_ecc::{EccConfig, EccScheme, ParallelCodec};
 
 use crate::constraints::EncodeRequest;
-use crate::container::{self, ContainerMeta};
+use crate::container::{self, Unpacked};
 use crate::error::ArcError;
+use crate::extension::{builtin_scheme, resolve_scheme, ExtensionRegistry};
 use crate::optimizer::{joint_optimizer, Selection};
+use crate::stream;
 use crate::training::{train, TrainingOptions, TrainingStats, TrainingTable};
 
 /// Pass as `max_threads` (or any `threads` argument) to let ARC use every
@@ -167,14 +171,25 @@ impl ArcContext {
         Ok((out, selection))
     }
 
+    /// [`ANY_THREADS`] (0) means "up to the context's thread cap"; explicit
+    /// counts are likewise capped at `max_threads`.
+    fn capped(&self, threads: usize) -> usize {
+        let cap = self.max_threads.max(1);
+        if threads == ANY_THREADS {
+            cap
+        } else {
+            threads.min(cap)
+        }
+    }
+
     /// Engine-level encode with an explicit configuration and thread count
-    /// (§5.2: "the user can ignore these suggestions").
+    /// (§5.2: "the user can ignore these suggestions"); `threads` is capped
+    /// at the context's `max_threads`, which [`ANY_THREADS`] (0) selects.
     ///
-    /// `threads` accepts [`ANY_THREADS`] (0), which here means "up to the
-    /// context's thread cap"; explicit counts are likewise capped at
-    /// `max_threads`. The whole container is allocated once and the payload
-    /// is scatter-written in place after the header prefix; the timing fed
-    /// back into the training table measures that real encode path.
+    /// The container comes from the v1 writer's single allocation
+    /// (`container::mono_frame`); the ECC pass into it is timed on its
+    /// own so the throughput fed back into the training table measures what
+    /// training itself measures.
     pub fn encode_with(
         &self,
         data: &[u8],
@@ -182,22 +197,12 @@ impl ArcContext {
         threads: usize,
     ) -> Result<Vec<u8>, ArcError> {
         let _span = arc_telemetry::span("core.encode");
-        let cap = self.max_threads.max(1);
-        let threads = if threads == ANY_THREADS { cap } else { threads.min(cap) };
-        let codec = ParallelCodec::with_chunk_size(config, threads, self.chunk_size)?;
-        let meta = ContainerMeta {
-            scheme_id: config.id(),
-            chunk_size: self.chunk_size,
-            data_len: data.len(),
-            payload_len: codec.encoded_len(data.len()),
-            data_crc: container::data_crc(data),
-            sharding: None,
-        };
-        let hlen = container::header_len(&meta);
-        // arc-lint: bounded(encode path; sized from the caller's own payload, not decoded input)
-        let mut out = vec![0u8; hlen + meta.payload_len];
-        container::write_header(&meta, &mut out[..hlen])?;
+        let threads = self.capped(threads);
+        let (scheme_id, scheme) = builtin_scheme(config);
+        let codec = ParallelCodec::with_chunk_size(scheme, threads, self.chunk_size)?;
+        let (mut out, hlen) = container::mono_frame(data, &codec, &scheme_id)?;
         let t0 = std::time::Instant::now();
+        // arc-lint: bounded(hlen is the header length of the frame mono_frame just allocated)
         codec.encode_into(data, &mut out[hlen..]);
         let seconds = t0.elapsed().as_secs_f64();
         // Fold the observed throughput back into the table so estimates
@@ -214,28 +219,10 @@ impl ArcContext {
         Ok(out)
     }
 
-    /// As [`ArcContext::encode`], but producing a v2 **sharded** container
-    /// at [`container::DEFAULT_SHARD_SIZE`]: the optimizer picks the
-    /// scheme, and the result supports random access via
-    /// [`ArcContext::decode_range`] / [`crate::reader::ArcReader`].
-    pub fn encode_sharded(
-        &self,
-        data: &[u8],
-        request: &EncodeRequest,
-    ) -> Result<(Vec<u8>, Selection), ArcError> {
-        let selection = self.select(request)?;
-        let out = self.encode_sharded_with(
-            data,
-            selection.config,
-            selection.threads,
-            container::DEFAULT_SHARD_SIZE,
-        )?;
-        Ok((out, selection))
-    }
-
     /// Engine-level sharded encode with an explicit configuration, thread
-    /// count, and shard size. `threads` follows the same cap rules as
-    /// [`ArcContext::encode_with`].
+    /// count, and shard size, producing a v2 container that supports random
+    /// access via [`crate::reader::ArcReader`]. `threads` follows the same
+    /// cap rules as [`ArcContext::encode_with`].
     pub fn encode_sharded_with(
         &self,
         data: &[u8],
@@ -244,10 +231,8 @@ impl ArcContext {
         shard_size: usize,
     ) -> Result<Vec<u8>, ArcError> {
         let _span = arc_telemetry::span("core.encode");
-        let cap = self.max_threads.max(1);
-        let threads = if threads == ANY_THREADS { cap } else { threads.min(cap) };
-        let codec = ParallelCodec::with_chunk_size(config, threads, self.chunk_size)?;
-        container::encode_sharded(data, &codec, &config.id(), shard_size)
+        let threads = self.capped(threads);
+        stream::encode_oneshot(data, builtin_scheme(config), threads, self.chunk_size, shard_size)
     }
 
     /// `arc_decode()`: verify, repair if needed, and return the original
@@ -256,31 +241,13 @@ impl ArcContext {
         decode_with_threads(bytes, self.max_threads)
     }
 
-    /// Random-access `arc_decode()`: decode only `offset..offset + len` of
-    /// the original data, touching (and ECC-verifying) exactly the shards
-    /// that cover the range. Works on v2 sharded containers at per-shard
-    /// cost and on v1 containers as a single-shard full decode.
-    ///
-    /// Each call opens a fresh [`crate::reader::ArcReader`]; callers
-    /// issuing many reads against one container should hold their own
-    /// reader, whose LRU shard cache makes repeat reads cheap.
-    pub fn decode_range(
-        &self,
-        bytes: &[u8],
-        offset: usize,
-        len: usize,
-    ) -> Result<(Vec<u8>, crate::reader::RangeReport), ArcError> {
-        let mut reader = crate::reader::ArcReader::open(bytes, self.max_threads)?;
-        reader.decode_range(offset, len)
-    }
-
     /// Zero-copy `arc_decode()`: repair the container's payload where it
     /// lies inside `bytes` and return the range holding the original data.
     /// See [`decode_in_place_with_threads`].
     pub fn decode_in_place(
         &self,
         bytes: &mut [u8],
-    ) -> Result<(std::ops::Range<usize>, ArcDecodeReport), ArcError> {
+    ) -> Result<(Range<usize>, ArcDecodeReport), ArcError> {
         decode_in_place_with_threads(bytes, self.max_threads)
     }
 
@@ -311,27 +278,21 @@ impl Drop for ArcContext {
     }
 }
 
-/// Standalone decode (the container is self-describing, so decoding needs
-/// no trained context — only a thread budget; [`ANY_THREADS`] uses every
-/// core).
-///
-/// Copies the payload out of the borrowed container exactly once and
-/// repairs it in place; use [`decode_in_place_with_threads`] to skip even
-/// that copy when the container buffer is owned and expendable.
-pub fn decode_with_threads(
-    bytes: &[u8],
+/// A chunk-parallel codec over a resolved scheme — the only codec type the
+/// container paths run.
+pub(crate) type Codec = ParallelCodec<Arc<dyn EccScheme>>;
+
+/// The front half every whole-container reader shares: recover header and
+/// index, resolve the scheme id (against `registry` for `x:` ids), bound the
+/// declared data length, and build the codec the header describes.
+pub(crate) fn open_container<'a>(
+    bytes: &'a [u8],
     threads: usize,
-) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-    let _span = arc_telemetry::span("core.decode");
+    registry: Option<&ExtensionRegistry>,
+) -> Result<(Unpacked<'a>, Codec), ArcError> {
     let unpacked = container::unpack(bytes)?;
     let meta = &unpacked.meta;
-    let config = meta.builtin_config().ok_or_else(|| {
-        ArcError::InvalidRequest(format!(
-            "container uses extension scheme {:?}; decode it with \
-             arc_core::extension::decode_with_registry",
-            meta.scheme_id
-        ))
-    })?;
+    let scheme = resolve_scheme(&meta.scheme_id, registry)?;
     // The original data is a subset of the ECC-encoded payload; a corrupt
     // data_len that slipped past the header codeword must not reach the
     // codec's length arithmetic.
@@ -342,75 +303,153 @@ pub fn decode_with_threads(
             unpacked.payload.len()
         )));
     }
-    let codec = ParallelCodec::with_chunk_size(config, threads, meta.chunk_size)?;
-    let (data, correction) = match &unpacked.index {
-        Some(index) => decode_sharded_payload(&codec, unpacked.payload, index, meta.data_len)?,
-        None => {
-            let mut data = unpacked.payload.to_vec();
-            let correction = codec.decode_in_place(&mut data, meta.data_len)?;
-            data.truncate(meta.data_len);
-            (data, correction)
+    let codec = ParallelCodec::with_chunk_size(scheme, threads, meta.chunk_size)?;
+    Ok((unpacked, codec))
+}
+
+/// Container bytes as a one-shot decode entry point received them.
+pub(crate) enum Input<'a> {
+    /// Leave the container untouched; the repaired data comes back in a
+    /// fresh buffer, each payload byte copied exactly once.
+    Borrowed(&'a [u8]),
+    /// Repair the payload where it lies; the data ends up contiguous right
+    /// after the header.
+    InPlace(&'a mut [u8]),
+}
+
+/// Bring payload bytes `src` — one shard's `data ‖ parity`, or a whole v1
+/// payload — to offset `at` of the work area and hand them out for repair.
+/// With a separate `payload` they are copied in; without one the work area
+/// *is* the payload and they move left over spent parity (`at ≤ src.start`
+/// since decoded ≤ encoded bytes, cumulatively, so a move never touches a
+/// shard not yet repaired). `None` when a range falls outside its buffer.
+fn stage<'w>(
+    work: &'w mut [u8],
+    payload: Option<&[u8]>,
+    src: Range<usize>,
+    at: usize,
+) -> Option<&'w mut [u8]> {
+    let staged = at..at.checked_add(src.len())?;
+    match payload {
+        Some(payload) => work.get_mut(staged.clone())?.copy_from_slice(payload.get(src)?),
+        None if at > src.start || src.end > work.len() => return None,
+        None if at < src.start => work.copy_within(src, at),
+        // Already in place (a v1 payload, a first shard): nothing moves.
+        None => {}
+    }
+    work.get_mut(staged)
+}
+
+/// The one decode body; every one-shot entry point — borrowing, in-place,
+/// registry-aware, batched — wraps it: [`open_container`], then the shard
+/// walk (geometry cross-check, ECC repair, per-shard CRC) or the single v1
+/// payload, then the end-to-end CRC of the reassembled data, then the report.
+///
+/// Decoded data is built up from offset 0 of a work area: each shard is
+/// staged at the current end of the decoded data, repaired there, and its
+/// parity overwritten by the next. For [`Input::InPlace`] the work area is
+/// the container's own payload region and the returned range says where the
+/// data now lies (the buffer comes back empty); for [`Input::Borrowed`] it
+/// is the returned buffer.
+pub(crate) fn decode_container(
+    input: Input<'_>,
+    threads: usize,
+    registry: Option<&ExtensionRegistry>,
+) -> Result<(Vec<u8>, Range<usize>, ArcDecodeReport), ArcError> {
+    let _span = arc_telemetry::span("core.decode");
+    let bytes: &[u8] = match &input {
+        Input::Borrowed(bytes) => bytes,
+        Input::InPlace(bytes) => bytes,
+    };
+    let (unpacked, codec) = open_container(bytes, threads, registry)?;
+    let Unpacked {
+        meta,
+        payload_offset,
+        used_backup_header,
+        header_symbols_corrected,
+        index,
+        index_repair,
+        ..
+    } = unpacked;
+    let outside = |what: &str| ArcError::Corrupted(format!("{what}: region exceeds payload"));
+    let mut copy = Vec::new();
+    let (work, payload): (&mut [u8], Option<&[u8]>) = match input {
+        Input::InPlace(bytes) => {
+            (bytes.get_mut(payload_offset..).ok_or_else(|| outside("payload"))?, None)
+        }
+        Input::Borrowed(bytes) => {
+            // The most the work area ever holds: a whole v1 payload, or
+            // the decoded data plus the parity of the shard under repair
+            // at its end.
+            let room = match &index {
+                Some(index) => {
+                    let parity =
+                        |e: &container::ShardEntry| e.encoded_len.saturating_sub(e.decoded_len);
+                    meta.data_len + index.entries.iter().map(parity).max().unwrap_or(0)
+                }
+                None => meta.payload_len,
+            };
+            // arc-lint: bounded(at most payload_len, which unpack held to the bytes actually present)
+            copy = vec![0u8; room.min(meta.payload_len)];
+            let payload = bytes.get(payload_offset..).ok_or_else(|| outside("payload"))?;
+            (copy.as_mut_slice(), Some(payload))
         }
     };
-    if container::data_crc(&data) != meta.data_crc {
+    let correction = match &index {
+        Some(index) => {
+            // The index has been RS-verified, but each entry's geometry is
+            // still cross-checked against the codec so a forged index can
+            // never drive out-of-contract length arithmetic.
+            let mut merged = CorrectionReport::default();
+            let mut at = 0usize;
+            for (i, e) in index.entries.iter().enumerate() {
+                check_shard_geometry(&codec, e, i)?;
+                let region = stage(work, payload, e.offset..e.offset + e.encoded_len, at)
+                    .ok_or_else(|| outside(&format!("shard {i}")))?;
+                merged.merge(&codec.decode_shard_in_place(region, e.decoded_len)?);
+                let decoded =
+                    region.get(..e.decoded_len).ok_or_else(|| outside(&format!("shard {i}")))?;
+                verify_shard_crc(&codec, decoded, e.crc, i)?;
+                at += e.decoded_len;
+            }
+            merged
+        }
+        None => {
+            let region =
+                stage(work, payload, 0..meta.payload_len, 0).ok_or_else(|| outside("payload"))?;
+            codec.decode_in_place(region, meta.data_len)?
+        }
+    };
+    let data = work.get(..meta.data_len).ok_or_else(|| outside("decoded data"))?;
+    if container::data_crc(data) != meta.data_crc {
         return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: config.name(),
+            scheme: codec.config().name(),
             detail: "end-to-end CRC mismatch after ECC decode".into(),
         }));
     }
-    Ok((
-        data,
-        ArcDecodeReport {
-            scheme_id: meta.scheme_id.clone(),
-            config: Some(config),
-            correction,
-            used_backup_header: unpacked.used_backup_header,
-            header_symbols_corrected: unpacked.header_symbols_corrected,
-            index_repair: unpacked.index.as_ref().map(|_| unpacked.index_repair),
-        },
-    ))
-}
-
-/// Decode every shard of a v2 payload into a fresh buffer, verifying each
-/// shard's own CRC as it lands. The index has already been RS-verified,
-/// but the per-shard geometry is still cross-checked against the codec so
-/// a forged index can never drive out-of-contract length arithmetic.
-///
-/// Generic over the scheme so extension registries
-/// ([`crate::extension::decode_with_registry`]) share the exact same
-/// sharded-decode semantics as built-ins.
-pub(crate) fn decode_sharded_payload<S: EccScheme>(
-    codec: &ParallelCodec<S>,
-    payload: &[u8],
-    index: &container::ShardIndex,
-    data_len: usize,
-) -> Result<(Vec<u8>, CorrectionReport), ArcError> {
-    // arc-lint: bounded(data_len <= unpacked.payload.len() checked by both callers)
-    let mut data = vec![0u8; data_len];
-    let mut merged = CorrectionReport::default();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut out_pos = 0usize;
-    for (i, e) in index.entries.iter().enumerate() {
-        check_shard_geometry(codec, e, i)?;
-        let region = payload
-            .get(e.offset..e.offset + e.encoded_len)
-            .ok_or_else(|| ArcError::Corrupted(format!("shard {i}: region exceeds payload")))?;
-        scratch.clear();
-        scratch.extend_from_slice(region);
-        let report = codec.decode_shard_in_place(&mut scratch, e.decoded_len)?;
-        verify_shard_crc(codec, &scratch[..e.decoded_len], e.crc, i)?;
-        data[out_pos..out_pos + e.decoded_len].copy_from_slice(&scratch[..e.decoded_len]);
-        out_pos += e.decoded_len;
-        merged.merge(&report);
+    copy.truncate(meta.data_len);
+    if index.is_some() {
+        // Hand back the data alone, without the last shard's parity room.
+        // A v1 buffer keeps its slack: that decode is held to one
+        // payload-sized allocation and nothing else (tests/alloc_count.rs).
+        copy.shrink_to_fit();
     }
-    Ok((data, merged))
+    let report = ArcDecodeReport {
+        config: EccConfig::parse_id(&meta.scheme_id).ok(),
+        scheme_id: meta.scheme_id,
+        correction,
+        used_backup_header,
+        header_symbols_corrected,
+        index_repair: index.map(|_| index_repair),
+    };
+    Ok((copy, payload_offset..payload_offset + meta.data_len, report))
 }
 
 /// A shard entry whose encoded length disagrees with the scheme's own
 /// arithmetic is corrupt (the index is CRC+RS protected, so this is
 /// defense in depth, not a hot path).
-pub(crate) fn check_shard_geometry<S: EccScheme>(
-    codec: &ParallelCodec<S>,
+pub(crate) fn check_shard_geometry(
+    codec: &Codec,
     e: &container::ShardEntry,
     shard: usize,
 ) -> Result<(), ArcError> {
@@ -425,8 +464,8 @@ pub(crate) fn check_shard_geometry<S: EccScheme>(
 }
 
 /// Per-shard end-to-end check, the sharded analogue of the whole-data CRC.
-pub(crate) fn verify_shard_crc<S: EccScheme>(
-    codec: &ParallelCodec<S>,
+pub(crate) fn verify_shard_crc(
+    codec: &Codec,
     decoded: &[u8],
     expect: u32,
     shard: usize,
@@ -440,90 +479,36 @@ pub(crate) fn verify_shard_crc<S: EccScheme>(
     Ok(())
 }
 
+/// Standalone decode (the container is self-describing, so decoding needs
+/// no trained context — only a thread budget; [`ANY_THREADS`] uses every
+/// core). Extension-tagged containers need
+/// [`crate::extension::decode_with_registry`].
+///
+/// Copies each payload byte out of the borrowed container exactly once; use
+/// [`decode_in_place_with_threads`] to skip even that copy when the
+/// container buffer is owned and expendable.
+pub fn decode_with_threads(
+    bytes: &[u8],
+    threads: usize,
+) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
+    let (data, _, report) = decode_container(Input::Borrowed(bytes), threads, None)?;
+    Ok((data, report))
+}
+
 /// Zero-copy standalone decode: verify and repair the container's payload
 /// where it lies inside `bytes`, returning the range of `bytes` that holds
 /// the repaired original data alongside the usual report.
 ///
-/// On the clean path nothing is copied or moved — the data bytes are
-/// exactly where the encoder scatter-wrote them. On error the payload
-/// region's contents are unspecified.
+/// On a v1 container nothing is copied or moved — the data bytes are
+/// exactly where the encoder scatter-wrote them; v2 shards are compacted
+/// left over their predecessors' parity so the data ends up contiguous. On
+/// error the payload region's contents are unspecified.
 pub fn decode_in_place_with_threads(
     bytes: &mut [u8],
     threads: usize,
-) -> Result<(std::ops::Range<usize>, ArcDecodeReport), ArcError> {
-    let _span = arc_telemetry::span("core.decode");
-    let (meta, payload_offset, used_backup_header, header_symbols_corrected, index, index_repair) = {
-        let unpacked = container::unpack(bytes)?;
-        (
-            unpacked.meta,
-            unpacked.payload_offset,
-            unpacked.used_backup_header,
-            unpacked.header_symbols_corrected,
-            unpacked.index,
-            unpacked.index_repair,
-        )
-    };
-    let config = meta.builtin_config().ok_or_else(|| {
-        ArcError::InvalidRequest(format!(
-            "container uses extension scheme {:?}; decode it with \
-             arc_core::extension::decode_with_registry",
-            meta.scheme_id
-        ))
-    })?;
-    // See decode_with_threads: bound data_len by the real payload before
-    // any codec length arithmetic can see it.
-    if meta.data_len > bytes.len() - payload_offset {
-        return Err(ArcError::Corrupted(format!(
-            "declared data length {} exceeds payload length {}",
-            meta.data_len,
-            bytes.len() - payload_offset
-        )));
-    }
-    let codec = ParallelCodec::with_chunk_size(config, threads, meta.chunk_size)?;
-    let correction = match &index {
-        Some(index) => {
-            // v2: repair every shard where it lies, then compact the
-            // decoded prefixes left so the original data ends up
-            // contiguous right after the header. Each destination start
-            // never exceeds its source start (decoded ≤ encoded bytes,
-            // cumulatively), so the overlapping copies are forward-safe.
-            let payload = &mut bytes[payload_offset..payload_offset + meta.payload_len];
-            let mut merged = CorrectionReport::default();
-            let mut out_pos = 0usize;
-            for (i, e) in index.entries.iter().enumerate() {
-                check_shard_geometry(&codec, e, i)?;
-                let region = &mut payload[e.offset..e.offset + e.encoded_len];
-                let report = codec.decode_shard_in_place(region, e.decoded_len)?;
-                verify_shard_crc(&codec, &region[..e.decoded_len], e.crc, i)?;
-                payload.copy_within(e.offset..e.offset + e.decoded_len, out_pos);
-                out_pos += e.decoded_len;
-                merged.merge(&report);
-            }
-            merged
-        }
-        None => {
-            let payload = &mut bytes[payload_offset..];
-            codec.decode_in_place(payload, meta.data_len)?
-        }
-    };
-    let data = &bytes[payload_offset..payload_offset + meta.data_len];
-    if container::data_crc(data) != meta.data_crc {
-        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: config.name(),
-            detail: "end-to-end CRC mismatch after ECC decode".into(),
-        }));
-    }
-    Ok((
-        payload_offset..payload_offset + meta.data_len,
-        ArcDecodeReport {
-            scheme_id: meta.scheme_id,
-            config: Some(config),
-            correction,
-            used_backup_header,
-            header_symbols_corrected,
-            index_repair: index.as_ref().map(|_| index_repair),
-        },
-    ))
+) -> Result<(Range<usize>, ArcDecodeReport), ArcError> {
+    let (_, range, report) = decode_container(Input::InPlace(bytes), threads, None)?;
+    Ok((range, report))
 }
 
 #[cfg(test)]

@@ -67,10 +67,9 @@ pub use container::{
     VERSION_SHARDED,
 };
 pub use engine::{
-    arc_engine_decode, arc_engine_decode_range, arc_engine_encode, arc_engine_encode_sharded,
-    arc_hamming_decode, arc_hamming_encode, arc_parity_decode, arc_parity_encode,
-    arc_reed_solomon_decode, arc_reed_solomon_encode, arc_secded_decode, arc_secded_encode,
-    ENGINE_FUNCTIONS,
+    arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, arc_hamming_decode,
+    arc_hamming_encode, arc_parity_decode, arc_parity_encode, arc_reed_solomon_decode,
+    arc_reed_solomon_encode, arc_secded_decode, arc_secded_encode, ENGINE_FUNCTIONS,
 };
 pub use error::{ArcError, DecodeError};
 pub use extension::{

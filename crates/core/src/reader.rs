@@ -3,7 +3,7 @@
 //! only the shards that cover the range.
 //!
 //! Every shard a read touches is copied out of the borrowed container,
-//! ECC-verified/corrected by the same [`ParallelCodec`] machinery the full
+//! ECC-verified/corrected by the same [`arc_ecc::ParallelCodec`] machinery the full
 //! decode uses, and checked against its per-shard CRC-32 before a single
 //! byte is returned — a range read gives the same end-to-end guarantee as
 //! a full `arc_decode()`, just scoped to the shards it needed. Decoded
@@ -17,15 +17,13 @@
 //! the cache).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use arc_ecc::codec::CorrectionReport;
-use arc_ecc::{EccScheme, ParallelCodec};
 
-use crate::container::{self, ContainerMeta, IndexRepair, ShardEntry};
+use crate::container::{ContainerMeta, IndexRepair, ShardEntry};
 use crate::error::ArcError;
-use crate::extension::{self, ExtensionRegistry};
-use crate::interface::{check_shard_geometry, verify_shard_crc};
+use crate::extension::ExtensionRegistry;
+use crate::interface::{check_shard_geometry, open_container, verify_shard_crc, Codec};
 
 /// Default shard-cache capacity (64 MiB of decoded shards).
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 << 20;
@@ -163,7 +161,7 @@ pub struct ArcReader<'a> {
     entries: Vec<ShardEntry>,
     starts: Vec<usize>,
     payload_offset: usize,
-    codec: ParallelCodec<Arc<dyn EccScheme>>,
+    codec: Codec,
     cache: ShardCache,
     index_repair: IndexRepair,
     sharded: bool,
@@ -218,17 +216,8 @@ impl<'a> ArcReader<'a> {
         capacity: usize,
         registry: Option<&ExtensionRegistry>,
     ) -> Result<ArcReader<'a>, ArcError> {
-        let unpacked = container::unpack(bytes)?;
+        let (unpacked, codec) = open_container(bytes, threads, registry)?;
         let meta = unpacked.meta;
-        let scheme = extension::resolve_scheme(&meta.scheme_id, registry)?;
-        if meta.data_len > unpacked.payload.len() {
-            return Err(ArcError::Corrupted(format!(
-                "declared data length {} exceeds payload length {}",
-                meta.data_len,
-                unpacked.payload.len()
-            )));
-        }
-        let codec = ParallelCodec::with_chunk_size(scheme, threads, meta.chunk_size)?;
         let (entries, sharded) = match unpacked.index {
             Some(index) => (index.entries, true),
             None => {

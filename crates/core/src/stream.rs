@@ -4,17 +4,17 @@
 //! container) must be resident at once. This module adds the bounded-memory
 //! service layer (DESIGN.md §14):
 //!
-//! * [`StreamEncoder`] — accepts data in arbitrary-size pushes, encodes
-//!   full shards on a bounded ring of in-flight jobs (back-pressure when
-//!   the ring is full, so peak memory is O(ring × shard) regardless of
-//!   input size), and emits v2 container bytes to a [`StreamSink`]. The
-//!   finished container is **byte-identical** to
-//!   [`container::encode_sharded`] with the same configuration: shard
-//!   payloads are per-shard [`ParallelCodec::encode_into`] regions (the
-//!   invariant `encode_sharded_into` already guarantees), and the header
-//!   and triplicated index are produced by the same serializers.
+//! * [`StreamEncoder`] — **the v2 writer**: accepts data in arbitrary-size
+//!   pushes, encodes full shards on a bounded ring of in-flight jobs
+//!   (back-pressure when the ring is full, so peak memory is O(ring ×
+//!   shard) regardless of input size), and emits v2 container bytes to a
+//!   [`StreamSink`]. Shard payloads are per-shard
+//!   [`ParallelCodec::encode_into`] regions. The one-shot sharded encoders
+//!   are one push through this encoder into an exactly-sized `Vec`
+//!   (`encode_oneshot`), so no second writer exists to keep in step.
 //! * [`StreamDecoder`] — a push-based state machine over the same wire
-//!   format: length-prefix vote → RS-protected header → per-shard decode
+//!   format: length-prefix vote → RS-protected header (both through
+//!   `container::recover_header`, shared with `unpack`) → per-shard decode
 //!   (emitting plaintext as each shard completes, without waiting for the
 //!   trailing index) → index recovery, which is cross-checked against the
 //!   geometry actually decoded. Total over hostile bytes: every failure is
@@ -30,16 +30,16 @@ use std::thread;
 
 use arc_ecc::crc::{crc32, Crc32};
 use arc_ecc::parallel::{resolve_threads, DEFAULT_CHUNK_SIZE};
-use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec, RsCodeword};
+use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec};
 use rayon::prelude::*;
 
 use crate::container::{
-    self, ContainerMeta, IndexRepair, ShardEntry, ShardingMeta, DEFAULT_SHARD_SIZE, HEADER_NSYM,
-    INDEX_ENTRY_BYTES, INDEX_NSYM,
+    self, ContainerMeta, HeaderScan, IndexRepair, ShardEntry, ShardingMeta, Unpacked,
+    DEFAULT_SHARD_SIZE,
 };
 use crate::error::ArcError;
-use crate::extension::{self, ExtensionRegistry};
-use crate::interface::{decode_with_threads, ArcDecodeReport};
+use crate::extension::{builtin_scheme, resolve_scheme, ExtensionRegistry, Resolved};
+use crate::interface::{decode_with_threads, ArcDecodeReport, Codec};
 
 /// Positional byte sink for streaming encode output.
 ///
@@ -76,8 +76,8 @@ pub struct StreamOptions {
     pub threads: usize,
     /// Decoded bytes per shard (the v2 random-access granule).
     pub shard_size: usize,
-    /// ECC chunk size within a shard; must match the one-shot path's
-    /// [`DEFAULT_CHUNK_SIZE`] for byte-identical output.
+    /// ECC chunk size within a shard ([`DEFAULT_CHUNK_SIZE`] unless a
+    /// caller has a reason; it is recorded in the header either way).
     pub chunk_size: usize,
     /// Maximum in-flight shard jobs. Peak buffering is O(`ring` ×
     /// encoded-shard); a full ring back-pressures `push`.
@@ -231,9 +231,8 @@ pub struct StreamEncoder<S: StreamSink> {
     sink: S,
     scheme_id: String,
     /// Sequential codec for geometry (and inline encode when `workers`
-    /// is 0). Runs the scheme behind an `Arc` so built-ins and extension
-    /// schemes share one code path.
-    codec: ParallelCodec<Arc<dyn EccScheme>>,
+    /// is 0).
+    codec: Codec,
     shard_size: usize,
     ring_cap: usize,
     workers: usize,
@@ -254,32 +253,23 @@ pub struct StreamEncoder<S: StreamSink> {
 impl<S: StreamSink> StreamEncoder<S> {
     /// Start a streaming encode into `sink` with a built-in scheme.
     pub fn new(sink: S, config: EccConfig, opts: StreamOptions) -> Result<Self, ArcError> {
-        let scheme_id = config.id();
-        Self::with_scheme(sink, Arc::new(config), scheme_id, opts)
+        Self::with_scheme(sink, builtin_scheme(config), opts)
     }
 
     /// Start a streaming encode with the extension scheme registered under
-    /// `name`. The finished container is tagged `x:<name>` and is
-    /// byte-identical to
-    /// [`crate::extension::encode_sharded_with_scheme`] over the
-    /// concatenated pushes.
+    /// `name`. The finished container is tagged `x:<name>`.
     pub fn with_registry_scheme(
         sink: S,
         registry: &ExtensionRegistry,
         name: &str,
         opts: StreamOptions,
     ) -> Result<Self, ArcError> {
-        let scheme = registry.get(name).ok_or_else(|| {
-            ArcError::InvalidRequest(format!("no extension scheme named {name:?} registered"))
-        })?;
-        let scheme_id = format!("{}{name}", extension::CUSTOM_PREFIX);
-        Self::with_scheme(sink, scheme, scheme_id, opts)
+        Self::with_scheme(sink, registry.named_scheme(name)?, opts)
     }
 
     fn with_scheme(
         sink: S,
-        scheme: Arc<dyn EccScheme>,
-        scheme_id: String,
+        (scheme_id, scheme): Resolved,
         opts: StreamOptions,
     ) -> Result<Self, ArcError> {
         if opts.shard_size == 0 {
@@ -492,10 +482,10 @@ impl<S: StreamSink> StreamEncoder<S> {
     }
 
     /// Flush the partial tail shard, drain the ring, write the triplicated
-    /// index, back-patch the header, and return the sink.
-    ///
-    /// The result is byte-identical to [`container::encode_sharded`] over
-    /// the concatenation of every pushed slice.
+    /// index, back-patch the header, and return the sink. The container
+    /// depends only on the concatenation of every pushed slice and on the
+    /// scheme, shard size and chunk size — never on how the input was cut
+    /// into pushes, on `threads`, or on `ring`.
     pub fn finish(mut self) -> Result<(S, StreamEncodeStats), ArcError> {
         if !self.staging.is_empty() {
             self.submit_shard()?;
@@ -541,6 +531,27 @@ impl<S: StreamSink> StreamEncoder<S> {
     }
 }
 
+/// One-shot v2 encode, the body of every `encode_sharded*` entry point:
+/// the whole input pushed once through a [`StreamEncoder`] whose sink is a
+/// `Vec` reserved to the container's exact length, on as many ring workers
+/// as `threads` resolves to.
+pub(crate) fn encode_oneshot(
+    data: &[u8],
+    scheme: Resolved,
+    threads: usize,
+    chunk_size: usize,
+    shard_size: usize,
+) -> Result<Vec<u8>, ArcError> {
+    let threads = resolve_threads(threads);
+    let opts = StreamOptions { threads, shard_size, chunk_size, ring: threads };
+    let mut enc = StreamEncoder::with_scheme(Vec::new(), scheme, opts)?;
+    let index_len = container::index_encoded_len(data.len().div_ceil(shard_size))?;
+    let payload_len = enc.codec.sharded_encoded_len(data.len(), shard_size);
+    enc.sink.reserve_exact(enc.hlen + payload_len + 3 * index_len);
+    enc.push(data)?;
+    Ok(enc.finish()?.0)
+}
+
 /// What a finished streaming decode saw.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamDecodeStats {
@@ -561,10 +572,9 @@ pub struct StreamDecodeStats {
 }
 
 enum Phase {
-    /// Waiting for the 6-byte triplicated length prefix.
-    Prefix,
-    /// Buffering header codewords; `candidates` holds plausible lengths,
-    /// smallest first.
+    /// Buffering the length prefix and header codewords until
+    /// [`container::recover_header`] has the `header_need` bytes its next
+    /// length candidate asks for.
     Header,
     /// Buffering the current shard's encoded region.
     Shards,
@@ -611,9 +621,9 @@ pub struct StreamDecoder {
     registry: Option<ExtensionRegistry>,
     phase: Phase,
     buf: Vec<u8>,
-    candidates: Vec<usize>,
+    header_need: usize,
     meta: Option<ContainerMeta>,
-    codec: Option<ParallelCodec<Arc<dyn EccScheme>>>,
+    codec: Option<Codec>,
     used_backup_header: bool,
     header_symbols_corrected: usize,
     computed: Vec<ShardEntry>,
@@ -643,9 +653,9 @@ impl StreamDecoder {
         StreamDecoder {
             threads,
             registry: None,
-            phase: Phase::Prefix,
+            phase: Phase::Header,
             buf: Vec::new(),
-            candidates: Vec::new(),
+            header_need: 6,
             meta: None,
             codec: None,
             used_backup_header: false,
@@ -712,13 +722,7 @@ impl StreamDecoder {
     fn consume(&mut self, mut bytes: &[u8], out: &mut Vec<u8>) -> Result<(), ArcError> {
         while !bytes.is_empty() {
             let need = match self.phase {
-                Phase::Prefix => 6,
-                Phase::Header => {
-                    let len = self.candidates.first().copied().ok_or_else(|| {
-                        ArcError::Corrupted("header unrecoverable in both copies".into())
-                    })?;
-                    6 + 2 * len
-                }
+                Phase::Header => self.header_need,
                 Phase::Shards => self.cur_shard_geometry()?.1,
                 Phase::Trailer => {
                     let sh = self.sharding()?;
@@ -736,8 +740,7 @@ impl StreamDecoder {
                 continue;
             }
             match self.phase {
-                Phase::Prefix => self.begin_header()?,
-                Phase::Header => self.try_header(out)?,
+                Phase::Header => self.scan_header(out)?,
                 Phase::Shards => {
                     let (dlen, elen) = self.cur_shard_geometry()?;
                     self.complete_shard(dlen, elen, out)?;
@@ -764,7 +767,7 @@ impl StreamDecoder {
             .ok_or_else(|| ArcError::Corrupted("stream decoder lost its shard geometry".into()))
     }
 
-    fn codec_ref(&self) -> Result<&ParallelCodec<Arc<dyn EccScheme>>, ArcError> {
+    fn codec_ref(&self) -> Result<&Codec, ArcError> {
         self.codec
             .as_ref()
             .ok_or_else(|| ArcError::Corrupted("stream decoder lost its codec".into()))
@@ -782,71 +785,24 @@ impl StreamDecoder {
         Ok((dlen, self.codec_ref()?.encoded_len(dlen)))
     }
 
-    /// Majority-vote the 6-byte length prefix into an ordered candidate
-    /// list, exactly mirroring [`container::unpack`]: a 2-of-3 winner is
-    /// the only candidate; with no majority every distinct value gets a
-    /// chance, cheapest (shortest) first so a 1-byte drip does O(1) work
-    /// per byte between the at-most-three parse attempts.
-    fn begin_header(&mut self) -> Result<(), ArcError> {
-        let lens = [
-            container::le_u16(&self.buf, 0) as usize,
-            container::le_u16(&self.buf, 2) as usize,
-            container::le_u16(&self.buf, 4) as usize,
-        ];
-        let voted = if lens[0] == lens[1] || lens[0] == lens[2] {
-            lens[0]
-        } else if lens[1] == lens[2] {
-            lens[1]
-        } else {
-            0
-        };
-        let mut candidates = if voted != 0 { vec![voted] } else { lens.to_vec() };
-        candidates.retain(|l| *l > HEADER_NSYM);
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            return Err(ArcError::Corrupted("no plausible header length".into()));
-        }
-        self.candidates = candidates;
-        self.phase = Phase::Header;
-        Ok(())
-    }
-
-    /// The buffer holds both codeword copies for the current length
-    /// candidate: attempt primary then backup. Failure discards this
-    /// candidate and keeps buffering toward the next (longer) one.
-    fn try_header(&mut self, out: &mut Vec<u8>) -> Result<(), ArcError> {
-        let len = self
-            .candidates
-            .first()
-            .copied()
-            .ok_or_else(|| ArcError::Corrupted("header unrecoverable in both copies".into()))?;
-        let Ok(rs) = RsCodeword::new(HEADER_NSYM) else {
-            return Err(ArcError::Corrupted("header RS codeword unavailable".into()));
-        };
-        let primary = &self.buf[6..6 + len];
-        let backup = &self.buf[6 + len..6 + 2 * len];
-        let mut accepted = None;
-        for (copy, used_backup) in [(primary, false), (backup, true)] {
-            if let Ok((header_bytes, fixed)) = rs.decode(copy) {
-                if let Ok(meta) = container::parse_header(&header_bytes) {
-                    accepted = Some((meta, used_backup, fixed));
-                    break;
-                }
-            }
-        }
-        match accepted {
-            Some((meta, used_backup, fixed)) => {
-                self.used_backup_header = used_backup;
-                self.header_symbols_corrected = fixed;
-                self.accept_header(meta, out)
-            }
-            None => {
-                self.candidates.remove(0);
-                if self.candidates.is_empty() {
-                    return Err(ArcError::Corrupted("header unrecoverable in both copies".into()));
-                }
+    /// The buffer holds what the last scan asked for: run the shared header
+    /// recovery over it. A header copy decodes, or the scan names the
+    /// (strictly larger) byte count its next candidate needs, or it fails.
+    fn scan_header(&mut self, out: &mut Vec<u8>) -> Result<(), ArcError> {
+        match container::recover_header(&self.buf)? {
+            HeaderScan::NeedBytes(need) => {
+                self.header_need = need;
                 Ok(())
+            }
+            HeaderScan::Found(Unpacked {
+                meta,
+                used_backup_header,
+                header_symbols_corrected,
+                ..
+            }) => {
+                self.used_backup_header = used_backup_header;
+                self.header_symbols_corrected = header_symbols_corrected;
+                self.accept_header(meta, out)
             }
         }
     }
@@ -856,7 +812,7 @@ impl StreamDecoder {
     /// of (`data_len`, `shard_size`, `chunk_size`) the encoder computes,
     /// so a corrupt-but-decodable header cannot demand unbounded memory.
     fn accept_header(&mut self, meta: ContainerMeta, out: &mut Vec<u8>) -> Result<(), ArcError> {
-        let scheme = extension::resolve_scheme(&meta.scheme_id, self.registry.as_ref())?;
+        let scheme = resolve_scheme(&meta.scheme_id, self.registry.as_ref())?;
         let codec = ParallelCodec::with_chunk_size(scheme, self.threads, meta.chunk_size)?;
         match meta.sharding {
             Some(sh) => {
@@ -866,19 +822,7 @@ impl StreamDecoder {
                     ));
                 }
                 let shards = meta.data_len.div_ceil(sh.shard_size);
-                let raw_len = shards
-                    .checked_mul(INDEX_ENTRY_BYTES)
-                    .and_then(|n| n.checked_add(12))
-                    .ok_or_else(|| ArcError::Corrupted("shard count overflows".into()))?;
-                let Ok(rs) = RsCodeword::new(INDEX_NSYM) else {
-                    return Err(ArcError::Corrupted("index RS codeword unavailable".into()));
-                };
-                let expect_index = raw_len
-                    .div_ceil(rs.max_message_len())
-                    .checked_mul(INDEX_NSYM)
-                    .and_then(|p| p.checked_add(raw_len))
-                    .ok_or_else(|| ArcError::Corrupted("index length overflows".into()))?;
-                if expect_index != sh.index_len {
+                if container::index_encoded_len(shards)? != sh.index_len {
                     return Err(ArcError::Corrupted(
                         "index length disagrees with shard count".into(),
                     ));
@@ -941,21 +885,12 @@ impl StreamDecoder {
         Ok(())
     }
 
-    /// All three index copies are buffered: recover the index exactly as
-    /// the one-shot path does, then require it to equal the geometry and
+    /// All three index copies are buffered: recover the index through the
+    /// routine `unpack` uses, then require it to equal the geometry and
     /// CRCs of the shards actually streamed — the late end-to-end check
     /// that backs the early plaintext emission.
     fn complete_trailer(&mut self) -> Result<(), ArcError> {
-        let sh = self.sharding()?;
-        let ilen = sh.index_len;
-        if self.buf.len() != 3 * ilen {
-            return Err(ArcError::Corrupted("index trailer mis-sized".into()));
-        }
-        let (index, repair) = {
-            let copies =
-                [&self.buf[..ilen], &self.buf[ilen..2 * ilen], &self.buf[2 * ilen..3 * ilen]];
-            container::recover_index(copies, self.meta_ref()?)?
-        };
+        let (index, repair) = container::recover_index(&self.buf, self.meta_ref()?)?;
         if index.entries != self.computed {
             return Err(ArcError::Corrupted(
                 "recovered index disagrees with streamed shards".into(),
@@ -991,68 +926,56 @@ impl StreamDecoder {
 /// same bytes-per-thread floor [`ParallelCodec::effective_workers`]
 /// applies, but over the batch's *aggregate* size, which is the point of
 /// coalescing: many below-floor requests still fill a pool.
-fn batch_workers(config: &EccConfig, threads: usize, total: usize) -> usize {
+fn batch_workers(scheme: &dyn EccScheme, threads: usize, total: usize) -> usize {
     let threads = resolve_threads(threads);
     if threads <= 1 {
         return 1;
     }
-    let floor = config.min_bytes_per_thread().max(1);
+    let floor = scheme.min_bytes_per_thread().max(1);
     threads.min(total / floor).max(1)
 }
 
 /// Encode many independent requests as one flat pool pass.
 ///
 /// Each element of the result is byte-identical to
-/// [`crate::arc_engine_encode`] of the corresponding request: the batching
-/// changes scheduling, never bytes. Chunk jobs from *all* requests land in
-/// one list driven by a single pool, so requests individually below the
-/// scheme's bytes-per-thread floor still parallelize in aggregate.
+/// [`crate::arc_engine_encode`] of the corresponding request — every
+/// container is a `container::mono_frame` of the v1 writer — and only the
+/// scheduling differs: chunk jobs from *all* requests land in one list
+/// driven by a single pool, so requests individually below the scheme's
+/// bytes-per-thread floor still parallelize in aggregate.
 pub fn encode_batch(
     requests: &[&[u8]],
     config: EccConfig,
     threads: usize,
 ) -> Result<Vec<Vec<u8>>, ArcError> {
     let _span = arc_telemetry::span("stream.encode_batch");
-    let codec = ParallelCodec::with_chunk_size(config, 1, DEFAULT_CHUNK_SIZE)?;
+    let (scheme_id, scheme) = builtin_scheme(config);
+    let codec = ParallelCodec::with_chunk_size(scheme, 1, DEFAULT_CHUNK_SIZE)?;
+    let scheme = codec.config().as_ref();
     let total: usize = requests.iter().map(|d| d.len()).sum();
     arc_telemetry::counter_add("stream.batch.requests", requests.len() as u64);
     arc_telemetry::counter_add("stream.batch.bytes", total as u64);
-    let mut outs = Vec::with_capacity(requests.len());
-    let mut hlens = Vec::with_capacity(requests.len());
-    for data in requests {
-        let meta = ContainerMeta {
-            scheme_id: config.id(),
-            chunk_size: codec.chunk_size(),
-            data_len: data.len(),
-            payload_len: codec.encoded_len(data.len()),
-            data_crc: container::data_crc(data),
-            sharding: None,
-        };
-        let hlen = container::header_len(&meta);
-        let mut out = vec![0u8; hlen + meta.payload_len];
-        container::write_header(&meta, &mut out[..hlen])?;
-        hlens.push(hlen);
-        outs.push(out);
-    }
-    // One flat chunk-job list across every request, same shape as
-    // `ParallelCodec::encode_sharded_into`'s shard flattening.
+    let frames: Result<Vec<_>, _> =
+        requests.iter().map(|data| container::mono_frame(data, &codec, &scheme_id)).collect();
+    let mut frames = frames?;
+    // One flat chunk-job list across every request.
     let mut jobs: Vec<(&[u8], &mut [u8], &mut [u8])> = Vec::new();
-    for ((data, out), hlen) in requests.iter().zip(outs.iter_mut()).zip(&hlens) {
+    for (data, (out, hlen)) in requests.iter().zip(frames.iter_mut()) {
         let region = &mut out[*hlen..];
         let (mut data_rest, mut parity_rest) = region.split_at_mut(data.len());
         for chunk in data.chunks(codec.chunk_size()) {
             let (d, rest) = data_rest.split_at_mut(chunk.len());
             data_rest = rest;
-            let (p, rest) = parity_rest.split_at_mut(config.parity_len(chunk.len()));
+            let (p, rest) = parity_rest.split_at_mut(scheme.parity_len(chunk.len()));
             parity_rest = rest;
             jobs.push((chunk, d, p));
         }
     }
     let run = |(src, dst, parity): &mut (&[u8], &mut [u8], &mut [u8])| {
         dst.copy_from_slice(src);
-        config.encode_parity_into(src, parity);
+        scheme.encode_parity_into(src, parity);
     };
-    let workers = batch_workers(&config, threads, total);
+    let workers = batch_workers(scheme, threads, total);
     if workers > 1 && jobs.len() > 1 {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(workers)
@@ -1063,7 +986,7 @@ pub fn encode_batch(
     } else {
         jobs.iter_mut().for_each(run);
     }
-    Ok(outs)
+    Ok(frames.into_iter().map(|(out, _)| out).collect())
 }
 
 /// Per-container outcome of [`decode_batch`]: the decoded bytes and report,
@@ -1119,44 +1042,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_one_shot() {
-        let data = sample(50_000);
-        let opts = StreamOptions { shard_size: 8 << 10, ..StreamOptions::default() };
-        let mut enc = StreamEncoder::new(Vec::new(), EccConfig::secded(true), opts).unwrap();
-        for piece in data.chunks(1234) {
-            enc.push(piece).unwrap();
-        }
-        let (got, stats) = enc.finish().unwrap();
-        assert_eq!(got, one_shot(&data, 8 << 10));
-        assert_eq!(stats.shards, data.len().div_ceil(8 << 10));
-        assert_eq!(stats.container_len, got.len());
-        assert_eq!(stats.workers, 0);
-    }
-
-    #[test]
-    fn threaded_ring_matches_inline() {
-        let data = sample(70_000);
-        let base = StreamOptions { shard_size: 4 << 10, ..StreamOptions::default() };
-        let reference = one_shot(&data, 4 << 10);
-        for (threads, ring) in [(2, 1), (2, 2), (4, 3)] {
-            let opts = StreamOptions { threads, ring, ..base };
-            let mut enc = StreamEncoder::new(Vec::new(), EccConfig::secded(true), opts).unwrap();
-            for piece in data.chunks(999) {
-                enc.push(piece).unwrap();
-            }
-            let (got, stats) = enc.finish().unwrap();
-            assert_eq!(got, reference, "threads={threads} ring={ring}");
-            assert!(stats.workers >= 1, "ring should have spawned workers");
-        }
-    }
-
-    #[test]
     fn empty_input_round_trips() {
         let opts = StreamOptions::default();
         let enc = StreamEncoder::new(Vec::new(), EccConfig::secded(true), opts).unwrap();
         let (got, stats) = enc.finish().unwrap();
-        assert_eq!(got, one_shot(&[], DEFAULT_SHARD_SIZE));
         assert_eq!(stats.shards, 0);
+        assert_eq!(stats.container_len, got.len());
+        assert!(crate::engine::arc_engine_decode(&got, 1).unwrap().0.is_empty());
         let mut dec = StreamDecoder::new();
         let mut out = Vec::new();
         dec.push(&got, &mut out).unwrap();
@@ -1223,67 +1115,6 @@ mod tests {
         assert!(dec.push(&junk, &mut out).is_err());
         assert!(dec.push(b"more", &mut out).is_err());
         assert!(dec.finish().is_err());
-    }
-
-    #[test]
-    fn extension_scheme_streams_like_builtins() {
-        let r = crate::extension::standard_extensions().unwrap();
-        let data = sample(60_000);
-        let opts = StreamOptions { shard_size: 16 << 10, ..StreamOptions::default() };
-        let mut enc = StreamEncoder::with_registry_scheme(Vec::new(), &r, "ileave-rs", opts)
-            .expect("registry encoder");
-        for piece in data.chunks(1234) {
-            enc.push(piece).unwrap();
-        }
-        let (got, stats) = enc.finish().unwrap();
-        let one_shot =
-            crate::extension::encode_sharded_with_scheme(&data, &r, "ileave-rs", 1, 16 << 10)
-                .unwrap();
-        assert_eq!(got, one_shot, "streamed container must match the one-shot bytes");
-        assert_eq!(stats.shards, data.len().div_ceil(16 << 10));
-
-        // The threaded ring runs the same scheme behind its `Arc` and must
-        // produce the same bytes.
-        let threaded = StreamOptions { threads: 2, ring: 2, ..opts };
-        let mut enc = StreamEncoder::with_registry_scheme(Vec::new(), &r, "ileave-rs", threaded)
-            .expect("threaded registry encoder");
-        enc.push(&data).unwrap();
-        let (got_threaded, _) = enc.finish().unwrap();
-        assert_eq!(got_threaded, one_shot);
-
-        // A registry-less decoder refuses the extension header politely…
-        let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
-        assert!(matches!(dec.push(&got, &mut out), Err(ArcError::InvalidRequest(_))));
-        // …and a registry-backed one streams it exactly like a built-in.
-        let mut dec = StreamDecoder::with_registry(1, r);
-        let mut out = Vec::new();
-        for piece in got.chunks(997) {
-            dec.push(piece, &mut out).unwrap();
-        }
-        let stats = dec.finish().unwrap();
-        assert_eq!(out, data);
-        assert_eq!(stats.scheme_id, "x:ileave-rs");
-        assert!(stats.correction.is_clean());
-    }
-
-    #[test]
-    fn batch_encode_matches_singletons() {
-        let reqs: Vec<Vec<u8>> = vec![sample(100), sample(5_000), Vec::new(), sample(77)];
-        let refs: Vec<&[u8]> = reqs.iter().map(|r| r.as_slice()).collect();
-        let config = EccConfig::secded(true);
-        let batch = encode_batch(&refs, config, 2).unwrap();
-        for (req, got) in reqs.iter().zip(&batch) {
-            let single = crate::engine::arc_engine_encode(req, config, 1).unwrap();
-            assert_eq!(got, &single);
-        }
-        let containers: Vec<&[u8]> = batch.iter().map(|b| b.as_slice()).collect();
-        let decoded = decode_batch(&containers, 2);
-        for (req, item) in reqs.iter().zip(decoded) {
-            let (data, report) = item.unwrap();
-            assert_eq!(&data, req);
-            assert!(report.correction.is_clean());
-        }
     }
 
     #[test]

@@ -6,7 +6,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use arc_core::engine::{arc_engine_decode, arc_engine_encode};
+use arc_core::container::unpack;
+use arc_core::engine::{arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded};
 use arc_core::interface::decode_in_place_with_threads;
 use arc_ecc::EccConfig;
 
@@ -128,4 +129,25 @@ fn engine_container_path_allocation_bounds() {
         "borrowing decode allocated {bytes} bytes for a {} byte container",
         encoded.len()
     );
+
+    // The one-shot v2 wrapper is one push through the streaming encoder
+    // into an exactly-sized sink: the container, the encoder's staging and
+    // output buffers ((ring + 1) encoded shards covers both at ring = 1),
+    // the index, header scratch. A sink that grew would allocate twice that.
+    let shard_size = 256 << 10;
+    drop(arc_engine_encode_sharded(&data[..4096], cfg, 1, shard_size).unwrap());
+    let (sharded, _, bytes) =
+        counted(|| arc_engine_encode_sharded(&data, cfg, 1, shard_size).unwrap());
+    let (encoded_shard, index_len) = {
+        let u = unpack(&sharded).unwrap();
+        (u.index.unwrap().entries[0].encoded_len, u.meta.sharding.unwrap().index_len)
+    };
+    let ring = 1;
+    assert!(
+        bytes < sharded.len() + (ring + 1) * encoded_shard + index_len + 8192,
+        "one-shot v2 encode allocated {bytes} bytes for a {} byte container",
+        sharded.len()
+    );
+    assert_eq!(sharded.capacity(), sharded.len(), "sink was not reserved to the exact length");
+    assert_eq!(arc_engine_decode(&sharded, 1).unwrap().0, data);
 }

@@ -1,0 +1,190 @@
+//! Every public decode surface wraps one scheme dispatch (`resolve_scheme`)
+//! and, for the one-shot surfaces, one decode body. This table holds them to
+//! it: for a built-in container, an extension container with its registry
+//! and one without, every surface returns the same bytes and correction
+//! counts, or refuses with the same typed `InvalidRequest` (naming the
+//! registry entry points where the surface takes none). Clean input and one
+//! correctable flip per shard, v1 and v2. Below it: the two small defects
+//! the shared body removed.
+
+use arc_core::container::{header_len, unpack, write_header};
+use arc_core::interface::decode_in_place_with_threads;
+use arc_core::{
+    arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, decode_batch,
+    decode_with_registry, encode_sharded_with_scheme, encode_with_scheme, standard_extensions,
+    ArcError, ArcReader, ExtensionRegistry, StreamDecoder,
+};
+use arc_ecc::{CorrectionReport, EccConfig, EccError, EccScheme};
+
+type Outcome = Result<(Vec<u8>, CorrectionReport), ArcError>;
+type Surface = fn(&[u8], Option<&ExtensionRegistry>) -> Outcome;
+
+fn reader_outcome(reader: Result<ArcReader<'_>, ArcError>) -> Outcome {
+    let mut reader = reader?;
+    let len = reader.data_len();
+    reader.decode_range(0, len).map(|(data, report)| (data, report.correction))
+}
+
+fn stream_outcome(mut dec: StreamDecoder, bytes: &[u8]) -> Outcome {
+    let mut out = Vec::new();
+    for piece in bytes.chunks(4099) {
+        dec.push(piece, &mut out)?;
+    }
+    Ok((out, dec.finish()?.correction))
+}
+
+/// (name, takes a registry, the call). Surfaces that take no registry
+/// ignore the one they are offered — that is the point of the third case.
+const SURFACES: [(&str, bool, Surface); 8] = [
+    ("arc_engine_decode", false, |b, _| arc_engine_decode(b, 1).map(|(d, r)| (d, r.correction))),
+    ("decode_in_place_with_threads", false, |b, _| {
+        let mut owned = b.to_vec();
+        let (range, report) = decode_in_place_with_threads(&mut owned, 1)?;
+        Ok((owned[range].to_vec(), report.correction))
+    }),
+    ("decode_with_registry", true, |b, r| {
+        let r = r.expect("surface takes a registry");
+        decode_with_registry(b, 1, r).map(|(d, rep)| (d, rep.correction))
+    }),
+    ("decode_batch", false, |b, _| {
+        let mut results = decode_batch(&[b, b], 2);
+        assert_eq!(results.len(), 2);
+        results.swap_remove(1).map(|(d, r)| (d, r.correction))
+    }),
+    ("ArcReader::open", false, |b, _| reader_outcome(ArcReader::open(b, 1))),
+    ("ArcReader::open_with_registry", true, |b, r| {
+        reader_outcome(ArcReader::open_with_registry(b, 1, r.expect("surface takes a registry")))
+    }),
+    ("StreamDecoder::new", false, |b, _| stream_outcome(StreamDecoder::new(), b)),
+    ("StreamDecoder::with_registry", true, |b, r| {
+        let r = r.expect("surface takes a registry").clone();
+        stream_outcome(StreamDecoder::with_registry(1, r), b)
+    }),
+];
+
+const REGISTRY_ENTRY_POINTS: [&str; 3] =
+    ["decode_with_registry", "StreamDecoder::with_registry", "ArcReader::open_with_registry"];
+
+fn sample(n: usize) -> Vec<u8> {
+    (0..n).map(|i| ((i * 149) ^ (i >> 6) ^ 0x3C) as u8).collect()
+}
+
+const SHARD: usize = 16 << 10;
+
+/// Flip one bit in the data bytes of every shard (or of the one v1 payload).
+fn flip_each_shard(container: &mut [u8]) -> u64 {
+    let u = unpack(container).unwrap();
+    let base = u.payload_offset;
+    let offsets: Vec<usize> = match &u.index {
+        Some(index) => index.entries.iter().map(|e| e.offset + e.decoded_len / 2).collect(),
+        None => vec![u.meta.data_len / 2],
+    };
+    for off in &offsets {
+        container[base + off] ^= 0x10;
+    }
+    offsets.len() as u64
+}
+
+#[test]
+fn every_surface_agrees_on_bytes_corrections_and_refusals() {
+    let standard = standard_extensions().unwrap();
+    let empty = ExtensionRegistry::new();
+    let data = sample(100_000);
+    let config = EccConfig::secded(true);
+    let x_v1 = encode_with_scheme(&data, &standard, "bch", 1).unwrap();
+    let x_v2 = encode_sharded_with_scheme(&data, &standard, "bch", 1, SHARD).unwrap();
+    // (label, container, registry on offer, does that registry resolve the id?)
+    let cases: Vec<(&str, Vec<u8>, &ExtensionRegistry, bool)> = vec![
+        ("builtin v1", arc_engine_encode(&data, config, 1).unwrap(), &standard, true),
+        ("builtin v2", arc_engine_encode_sharded(&data, config, 1, SHARD).unwrap(), &empty, true),
+        ("x: v1 +registry", x_v1.clone(), &standard, true),
+        ("x: v2 +registry", x_v2.clone(), &standard, true),
+        ("x: v1 -registry", x_v1, &empty, false),
+        ("x: v2 -registry", x_v2, &empty, false),
+    ];
+    for (label, clean, registry, registry_resolves) in cases {
+        let builtin = label.starts_with("builtin");
+        let mut damaged = clean.clone();
+        let flips = flip_each_shard(&mut damaged);
+        for (input, expect_corrected) in [(&clean, 0u64), (&damaged, flips)] {
+            let mut agreed: Option<CorrectionReport> = None;
+            for (name, takes_registry, surface) in SURFACES {
+                let what = format!("{label} / {name} / {expect_corrected} flips");
+                let outcome = surface(input, Some(registry));
+                if builtin || (takes_registry && registry_resolves) {
+                    let (bytes, correction) = outcome.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(bytes, data, "{what}");
+                    assert_eq!(correction.corrected_bits, expect_corrected, "{what}");
+                    assert_eq!(*agreed.get_or_insert(correction), correction, "{what}");
+                } else {
+                    let Err(ArcError::InvalidRequest(msg)) = outcome else {
+                        panic!("{what}: expected InvalidRequest, got {outcome:?}");
+                    };
+                    assert!(msg.contains("x:bch"), "{what}: {msg}");
+                    if !takes_registry {
+                        for entry in REGISTRY_ENTRY_POINTS {
+                            assert!(msg.contains(entry), "{what}: {msg:?} does not name {entry}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An end-to-end CRC failure names the scheme that ran. The registry path
+/// used to report the literal `"custom"` for every extension.
+#[test]
+fn end_to_end_crc_failure_names_the_extension_scheme() {
+    let registry = standard_extensions().unwrap();
+    let data = sample(20_000);
+    let mut container = encode_with_scheme(&data, &registry, "bch", 1).unwrap();
+    // Re-issue the header with a wrong whole-data CRC: ECC finds nothing to
+    // repair, and only the end-to-end check can notice.
+    let mut meta = unpack(&container).unwrap().meta;
+    meta.data_crc ^= 1;
+    let hlen = header_len(&meta);
+    write_header(&meta, &mut container[..hlen]).unwrap();
+    let real_name = registry.get("bch").unwrap().name();
+    match decode_with_registry(&container, 1, &registry) {
+        Err(ArcError::Ecc(EccError::Uncorrectable { scheme, detail })) => {
+            assert_eq!(scheme, real_name);
+            assert_ne!(scheme, "custom");
+            assert!(detail.contains("end-to-end CRC"), "{detail}");
+        }
+        other => panic!("expected an end-to-end CRC failure, got {other:?}"),
+    }
+}
+
+/// `decode_with_registry` on a built-in container is `arc_engine_decode`:
+/// one header recovery, one index vote, one report (it used to unpack twice).
+#[test]
+fn registry_decode_of_a_damaged_builtin_container_reports_like_engine_decode() {
+    let registry = standard_extensions().unwrap();
+    let data = sample(80_000);
+    let mut container =
+        arc_engine_encode_sharded(&data, EccConfig::secded(true), 1, SHARD).unwrap();
+    flip_each_shard(&mut container);
+    let (payload_offset, payload_len, index_len) = {
+        let u = unpack(&container).unwrap();
+        (u.payload_offset, u.meta.payload_len, u.meta.sharding.unwrap().index_len)
+    };
+    // Destroy the primary header codeword and the first index copy, and
+    // nick the second so its RS codewords have something to repair.
+    let header_cw = (payload_offset - 6) / 2;
+    container[6..6 + header_cw].fill(0xAA);
+    let istart = payload_offset + payload_len;
+    container[istart..istart + index_len].fill(0x55);
+    container[istart + index_len + 3] ^= 0xFF;
+
+    let (engine_data, engine_report) = arc_engine_decode(&container, 1).unwrap();
+    let (registry_data, registry_report) = decode_with_registry(&container, 1, &registry).unwrap();
+    assert_eq!(engine_data, data);
+    assert_eq!(registry_data, data);
+    assert_eq!(registry_report, engine_report);
+    assert!(engine_report.used_backup_header);
+    let repair = engine_report.index_repair.expect("v2 container reports its index repair");
+    assert_eq!((repair.copy_used, repair.majority_voted), (1, false));
+    assert!(repair.symbols_corrected >= 1);
+    assert_eq!(engine_report.config, Some(EccConfig::secded(true)));
+}

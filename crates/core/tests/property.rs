@@ -3,12 +3,22 @@
 
 use proptest::prelude::*;
 
-use arc_core::container::{pack, unpack, ContainerMeta};
+use arc_core::container::{header_len, unpack, write_header, ContainerMeta};
 use arc_core::{
     joint_optimizer, thread_ladder, EncodeRequest, MemoryConstraint, ResiliencyConstraint,
     ThroughputConstraint, TrainingTable,
 };
 use arc_ecc::{EccConfig, EccMethod, EccScheme};
+
+/// A v1 container around an arbitrary (not ECC-encoded) payload, so the
+/// header properties control every field.
+fn pack(meta: &ContainerMeta, payload: &[u8]) -> Result<Vec<u8>, arc_core::ArcError> {
+    let hlen = header_len(meta);
+    let mut out = vec![0u8; hlen + payload.len()];
+    write_header(meta, &mut out[..hlen])?;
+    out[hlen..].copy_from_slice(payload);
+    Ok(out)
+}
 
 fn arb_config() -> impl Strategy<Value = EccConfig> {
     prop_oneof![

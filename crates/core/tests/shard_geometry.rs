@@ -25,7 +25,7 @@ fn payload(len: usize) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The shard index written by `encode_sharded` always describes a
+    /// The shard index the v2 writer emits always describes a
     /// contiguous, exhaustive, geometry-consistent partition of the data.
     #[test]
     fn shard_index_geometry_is_consistent(

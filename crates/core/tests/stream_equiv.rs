@@ -1,13 +1,16 @@
-//! The streaming equivalence invariant that guards the wire format
-//! (DESIGN.md §14): for ANY push-size partition of ANY input,
-//! `StreamEncoder` output is byte-identical to the one-shot
-//! `encode_sharded` container, and `StreamDecoder` over ANY chunking of
-//! that container reproduces the input — across every built-in ECC family.
+//! The streaming invariants that guard the wire format (DESIGN.md §14):
+//! `StreamEncoder` is the only v2 writer, so its output must depend on
+//! nothing but the input bytes, the scheme, the shard size and the chunk
+//! size. For ANY push-size partition of ANY input, ANY thread count and
+//! ANY ring size the container is byte-identical to the single-push inline
+//! one (the committed `GOLDEN_V2` snapshots in `golden_container.rs` pin
+//! what those bytes are), and `StreamDecoder` over ANY chunking of it
+//! reproduces the input — across every built-in ECC family.
 
 use proptest::prelude::*;
 
 use arc_core::stream::{StreamDecoder, StreamEncoder, StreamOptions};
-use arc_core::{arc_engine_encode, arc_engine_encode_sharded, decode_batch, encode_batch};
+use arc_core::{arc_engine_decode, arc_engine_encode, decode_batch, encode_batch};
 use arc_ecc::EccConfig;
 
 fn arb_config() -> impl Strategy<Value = EccConfig> {
@@ -44,28 +47,43 @@ fn push_partitioned(
     Ok(())
 }
 
+/// The reference container: one push, inline (no workers), default ring.
+fn single_push(data: &[u8], config: EccConfig, shard_size: usize) -> Vec<u8> {
+    let opts = StreamOptions { shard_size, ..StreamOptions::default() };
+    let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
+    enc.push(data).unwrap();
+    enc.finish().unwrap().0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Streaming encode ≡ one-shot sharded encode, for any partition of
-    /// the input into pushes, any scheme, any shard size.
+    /// The container is a function of the input alone: any partition of
+    /// the input into pushes, any thread count and any ring size give the
+    /// single-push inline bytes, which decode to the input.
     #[test]
-    fn stream_encode_matches_one_shot(
+    fn stream_encode_is_independent_of_partition_threads_and_ring(
         config in arb_config(),
         data_len in 0usize..20_000,
         shard_size in 1usize..6_000,
         sizes in proptest::collection::vec(1usize..4096, 0..12),
+        threads in 1usize..4,
+        ring in 1usize..5,
     ) {
         let data = payload(data_len);
-        let reference = arc_engine_encode_sharded(&data, config, 1, shard_size).unwrap();
-        let opts = StreamOptions { shard_size, ..StreamOptions::default() };
+        let reference = single_push(&data, config, shard_size);
+        let opts = StreamOptions { shard_size, threads, ring, ..StreamOptions::default() };
         let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
         push_partitioned(&mut enc, &data, &sizes).unwrap();
         let (got, stats) = enc.finish().unwrap();
         prop_assert_eq!(&got, &reference);
         prop_assert_eq!(stats.data_len, data_len);
         prop_assert_eq!(stats.container_len, reference.len());
-        prop_assert_eq!(stats.shards, data_len.div_ceil(shard_size.max(1)));
+        prop_assert_eq!(stats.shards, data_len.div_ceil(shard_size));
+
+        let (decoded, report) = arc_engine_decode(&reference, 1).unwrap();
+        prop_assert_eq!(&decoded, &data);
+        prop_assert!(report.correction.is_clean());
     }
 
     /// Streaming decode over any chunking of a v2 container reproduces
@@ -78,7 +96,7 @@ proptest! {
         chunk in 1usize..8192,
     ) {
         let data = payload(data_len);
-        let container = arc_engine_encode_sharded(&data, config, 1, shard_size).unwrap();
+        let container = single_push(&data, config, shard_size);
         let mut dec = StreamDecoder::new();
         let mut out = Vec::new();
         for piece in container.chunks(chunk) {
@@ -144,8 +162,8 @@ fn every_builtin_scheme_streams_identically() {
     let data = payload(10_240);
     for config in EccConfig::standard_space() {
         let shard_size = 3 << 10;
-        let reference = arc_engine_encode_sharded(&data, config, 1, shard_size).unwrap();
-        let opts = StreamOptions { shard_size, ..StreamOptions::default() };
+        let reference = single_push(&data, config, shard_size);
+        let opts = StreamOptions { shard_size, threads: 2, ring: 2, ..StreamOptions::default() };
         let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
         push_partitioned(&mut enc, &data, &[1, 977, 4096]).unwrap();
         let (got, _) = enc.finish().unwrap();

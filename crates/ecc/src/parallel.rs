@@ -238,8 +238,10 @@ impl<S: EccScheme> ParallelCodec<S> {
 
     /// Total encoded length when `data_len` input bytes are split into
     /// independently encoded `shard_size`-byte shards: the sum of
-    /// [`ParallelCodec::encoded_len`] over every shard. A `shard_size` of
-    /// 0 yields 0 (the sharded encode entry points reject it properly).
+    /// [`ParallelCodec::encoded_len`] over every shard, each shard being
+    /// encoded exactly as [`ParallelCodec::encode_into`] would encode it
+    /// alone. A `shard_size` of 0 yields 0 (the sharded encode entry points
+    /// reject it properly).
     pub fn sharded_encoded_len(&self, data_len: usize, shard_size: usize) -> usize {
         if shard_size == 0 {
             return 0;
@@ -253,72 +255,11 @@ impl<S: EccScheme> ParallelCodec<S> {
         total
     }
 
-    /// Scatter-write the sharded encoding `shard₀ ‖ shard₁ ‖ …` into
-    /// `out`, where each shard region is that shard's own
-    /// `data ‖ parity regions` layout — i.e. each `shard_size`-byte slice
-    /// of `data` is encoded exactly as [`ParallelCodec::encode_into`]
-    /// would encode it alone, making every shard independently decodable
-    /// via [`ParallelCodec::decode_shard_in_place`].
-    ///
-    /// `out` must be exactly [`ParallelCodec::sharded_encoded_len`] bytes.
-    /// Chunk jobs are flattened across *all* shards into one pool pass,
-    /// so small shards don't serialize the workers.
-    pub fn encode_sharded_into(
-        &self,
-        data: &[u8],
-        shard_size: usize,
-        out: &mut [u8],
-    ) -> Result<(), EccError> {
-        let _span = arc_telemetry::span("ecc.encode_sharded");
-        if shard_size == 0 {
-            return Err(EccError::InvalidConfig("shard size must be >= 1".into()));
-        }
-        let expected = self.sharded_encoded_len(data.len(), shard_size);
-        if out.len() != expected {
-            return Err(EccError::Malformed {
-                detail: format!(
-                    "encode_sharded_into: output buffer {} bytes != expected {expected}",
-                    out.len()
-                ),
-            });
-        }
-        arc_telemetry::counter_add("ecc.encode.bytes", data.len() as u64);
-        arc_telemetry::counter_add("ecc.encode.shards", data.len().div_ceil(shard_size) as u64);
-        // Carve per-shard regions, then per-chunk jobs within each shard;
-        // all jobs land in one flat list driven by a single pool pass.
-        let mut jobs: Vec<(&[u8], &mut [u8], &mut [u8])> = Vec::new();
-        let mut out_rest = out;
-        for shard in data.chunks(shard_size) {
-            let (region, rest) = out_rest.split_at_mut(self.encoded_len(shard.len()));
-            out_rest = rest;
-            let (mut data_rest, mut parity_rest) = region.split_at_mut(shard.len());
-            for chunk in shard.chunks(self.chunk_size) {
-                let (d, rest) = data_rest.split_at_mut(chunk.len());
-                data_rest = rest;
-                let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                parity_rest = rest;
-                jobs.push((chunk, d, p));
-            }
-        }
-        let run = |(src, dst, parity): &mut (&[u8], &mut [u8], &mut [u8])| {
-            let t = arc_telemetry::Stopwatch::start();
-            dst.copy_from_slice(src);
-            self.config.encode_parity_into(src, parity);
-            arc_telemetry::histogram_record("ecc.encode.chunk_ns", t.elapsed_ns());
-            arc_telemetry::counter_add("ecc.encode.chunks_done", 1);
-        };
-        match self.pool_for(data.len()) {
-            Some(pool) => pool.install(|| jobs.par_iter_mut().for_each(run)),
-            None => jobs.iter_mut().for_each(run),
-        }
-        Ok(())
-    }
-
     /// Verify and repair ONE shard's encoded region in place.
     ///
-    /// `shard` is exactly the region [`ParallelCodec::encode_sharded_into`]
-    /// wrote for this shard (`data ‖ parity`), and `decoded_len` its
-    /// original length; on success the first `decoded_len` bytes are the
+    /// `shard` is exactly what [`ParallelCodec::encode_into`] wrote for
+    /// this shard alone (`data ‖ parity`), and `decoded_len` its original
+    /// length; on success the first `decoded_len` bytes are the
     /// repaired data. This is the random-access primitive: the cost is
     /// proportional to the shard, never the container.
     pub fn decode_shard_in_place(
@@ -645,37 +586,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_encode_matches_per_shard_encode() {
-        let data = sample(100_000);
-        for cfg in
-            [EccConfig::parity(4).unwrap(), EccConfig::secded(true), EccConfig::rs(16, 4).unwrap()]
-        {
-            for threads in [1usize, 4] {
-                let codec = ParallelCodec::with_chunk_size(cfg, threads, 8 * 1024).unwrap();
-                let shard_size = 24 * 1024;
-                let total = codec.sharded_encoded_len(data.len(), shard_size);
-                let mut out = vec![0x5Au8; total];
-                codec.encode_sharded_into(&data, shard_size, &mut out).unwrap();
-                // Every shard region equals the standalone encode of its slice.
-                let mut pos = 0;
-                for shard in data.chunks(shard_size) {
-                    let elen = codec.encoded_len(shard.len());
-                    assert_eq!(&out[pos..pos + elen], &codec.encode(shard)[..], "{cfg}");
-                    pos += elen;
-                }
-                assert_eq!(pos, total);
-            }
-        }
-    }
-
-    #[test]
     fn decode_shard_in_place_repairs_one_shard() {
         let cfg = EccConfig::secded(true);
         let codec = ParallelCodec::with_chunk_size(cfg, 1, 4 * 1024).unwrap();
         let data = sample(40_000);
         let shard_size = 10_000;
-        let mut enc = vec![0u8; codec.sharded_encoded_len(data.len(), shard_size)];
-        codec.encode_sharded_into(&data, shard_size, &mut enc).unwrap();
+        // A sharded payload is each shard's own encoding, back to back.
+        let mut enc: Vec<u8> = data.chunks(shard_size).flat_map(|s| codec.encode(s)).collect();
+        assert_eq!(enc.len(), codec.sharded_encoded_len(data.len(), shard_size));
         // Corrupt and repair shard 2 only.
         let elen = codec.encoded_len(shard_size);
         let region = &mut enc[2 * elen..3 * elen];
@@ -686,27 +604,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_encode_rejects_bad_arguments() {
-        let codec = ParallelCodec::new(EccConfig::hamming(true), 1).unwrap();
-        let data = sample(1000);
-        let mut out = vec![0u8; codec.sharded_encoded_len(data.len(), 100)];
-        assert!(matches!(
-            codec.encode_sharded_into(&data, 0, &mut out),
-            Err(EccError::InvalidConfig(_))
-        ));
-        let mut short = vec![0u8; out.len() - 1];
-        assert!(matches!(
-            codec.encode_sharded_into(&data, 100, &mut short),
-            Err(EccError::Malformed { .. })
-        ));
-    }
-
-    #[test]
-    fn sharded_empty_input_is_empty() {
+    fn sharded_encoded_len_of_empty_or_unsharded_input_is_zero() {
         let codec = ParallelCodec::new(EccConfig::secded(true), 1).unwrap();
         assert_eq!(codec.sharded_encoded_len(0, 4096), 0);
-        let mut out = vec![];
-        codec.encode_sharded_into(&[], 4096, &mut out).unwrap();
+        assert_eq!(codec.sharded_encoded_len(1000, 0), 0);
     }
 
     #[test]

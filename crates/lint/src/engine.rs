@@ -26,7 +26,8 @@ use crate::syntax::parse_items;
 
 /// Directory names never descended into. `fixtures` holds the lint crate's
 /// own corpus of *intentional* violations; `vendor` is third-party shim
-/// code; the rest is build/VCS output.
+/// code; the rest is build/VCS output. A sub-directory that is a cargo
+/// workspace of its own is skipped too — see [`is_workspace_root`].
 const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "results"];
 
 /// Pseudo-rule key reported when a file cannot be lexed. It participates in
@@ -99,7 +100,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name) {
+            if SKIP_DIRS.contains(&name) || is_workspace_root(&path) {
                 continue;
             }
             walk(&path, out)?;
@@ -108,6 +109,17 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// True when `dir` holds a `Cargo.toml` with a `[workspace]` table: the root
+/// of another cargo workspace nested in this tree (a standalone benchmark
+/// package, say), whose code is outside the graph, the baseline and the
+/// gate. Member crates only *refer* to a workspace (`version.workspace =
+/// true`), which is not a table header and does not match.
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {
+        manifest.lines().map(str::trim).any(|l| l == "[workspace]" || l.starts_with("[workspace."))
+    })
 }
 
 /// Workspace-relative path with forward slashes.

@@ -53,6 +53,21 @@ fn suppression_comments_waive_findings_but_stay_reported() {
     assert_eq!(waived.len(), 1, "the allow() comment in good.rs waives exactly one site");
 }
 
+/// A sub-directory that is itself a cargo workspace root is another
+/// project's code: the walk leaves it alone. A member crate, whose manifest
+/// only refers to its workspace, is walked as before.
+#[test]
+fn a_nested_cargo_workspace_is_not_walked() {
+    let dir = crate_dir().join("fixtures/nested_workspace");
+    let files = arc_lint::engine::collect_files(&dir).expect("fixture walk succeeds");
+    assert_eq!(files, vec![dir.join("member/src/lib.rs")]);
+
+    let result = run_rule("unsafe-needs-safety", &dir);
+    assert_eq!(result.files_scanned, 1);
+    let flagged: Vec<_> = result.findings.iter().map(|f| f.file.as_str()).collect();
+    assert_eq!(flagged, ["member/src/lib.rs"], "only the member crate's site is in scope");
+}
+
 #[test]
 fn workspace_self_lint_is_clean_against_committed_baseline() {
     let root = workspace_root();

@@ -1,37 +1,37 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, and the tier-1 build + test suite.
+# Repo gate. Runs from the repo root regardless of the caller's cwd.
 #
-# Usage: scripts/check.sh
-# Runs from the repo root regardless of the caller's cwd.
+# Usage: scripts/check.sh          fast gate, for every change:
+#                                    fmt, clippy -D warnings, tier-1 build +
+#                                    tests, workspace tests, arc-lint
+#        scripts/check.sh --full   the fast gate, then everything slower:
+#                                    hostile-input sweep, traffic_sim smoke,
+#                                    the `telemetry` feature build + tests,
+#                                    arcbench at smoke scale
 #
-# Optional: set ARC_CHECK_BENCH=1 to also run scripts/bench_ecc.sh, which
-# fails if Reed-Solomon encode throughput regresses >20% against the
-# committed BENCH_ecc.json. Off by default — wall-clock throughput is too
-# noisy for shared CI machines, so run it locally before perf-sensitive
-# changes land.
-#
-# Optional: set ARC_CHECK_TELEMETRY=1 to also build and test with the
-# `telemetry` feature on. The golden container/stream suites run in both
-# modes, proving instrumentation never changes any encoded byte.
-#
-# Optional: set ARC_SKIP_LINT=1 to skip the arc-lint gate (on by default).
-# The gate fails on any violation beyond lint-baseline.json and on stale
+# arc-lint fails on any violation beyond lint-baseline.json and on stale
 # baseline entries; regenerate with scripts/lint_baseline.sh after paying
-# debt down.
+# debt down. The hostile sweep (DESIGN.md §11) fails on any decode panic,
+# hang, or over-budget allocation; the traffic smoke keeps traffic_sim's
+# sanity assertions at a fraction of its size; the telemetry pass re-runs
+# the golden suites with instrumentation on, proving it changes no byte.
 #
-# Optional: set ARC_SKIP_HOSTILE=1 to skip the hostile-input sweep (on by
-# default). The sweep mutates every golden stream (bit flips, truncations,
-# length inflation, header/garbage splices) and fails on any decode panic,
-# hang, or over-budget allocation; see DESIGN.md §11.
-#
-# Optional: set ARC_SKIP_TRAFFIC=1 to skip the traffic_sim smoke run (on
-# by default). The smoke shrinks every phase of the streaming/traffic
-# harness but keeps its sanity assertions (peak-memory fraction, per-class
-# latency ordering); absolute throughput gates live in
-# scripts/bench_traffic.sh, which is not run here.
+# Wall-clock throughput gates are in neither mode (too noisy for shared
+# machines): scripts/bench_ecc.sh, scripts/bench_traffic.sh and
+# `arcbench/run.sh --pairs` are run by hand before perf-sensitive changes.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+full=0
+case "${1:-}" in
+"") ;;
+--full) full=1 ;;
+*)
+    echo "usage: scripts/check.sh [--full]" >&2
+    exit 2
+    ;;
+esac
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -48,41 +48,26 @@ cargo test -q
 echo "==> workspace tests: cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> shard-geometry properties: cargo test -q -p arc-core --test shard_geometry"
-cargo test -q -p arc-core --test shard_geometry
+echo "==> arc-lint: arc-lint --deny --strict-baseline (10 s budget)"
+# Build outside the timed region: the budget is for the analysis —
+# lexing, call-graph construction, cone rules — not the compiler.
+cargo build -q -p arc-lint
+lint_start_ns=$(date +%s%N)
+./target/debug/arc-lint --deny --strict-baseline
+lint_ms=$(( ($(date +%s%N) - lint_start_ns) / 1000000 ))
+echo "    arc-lint wall clock: ${lint_ms} ms"
+if (( lint_ms >= 10000 )); then
+    echo "error: arc-lint took ${lint_ms} ms; the interprocedural gate must stay under 10 s" >&2
+    exit 1
+fi
 
-echo "==> streaming equivalence properties: cargo test -q -p arc-core --test stream_equiv"
-cargo test -q -p arc-core --test stream_equiv
-
-echo "==> streaming determinism + memory bound: cargo test -q -p arc-core --test stream_memory"
-cargo test -q -p arc-core --test stream_memory
-
-if [[ "${ARC_SKIP_HOSTILE:-0}" != "1" ]]; then
+if (( full )); then
     echo "==> hostile-input sweep: cargo run --release -q -p arc-bench --bin hostile_corpus"
     cargo run --release -q -p arc-bench --bin hostile_corpus
-fi
 
-if [[ "${ARC_SKIP_TRAFFIC:-0}" != "1" ]]; then
     echo "==> traffic smoke: cargo run --release -q -p arc-bench --features telemetry --bin traffic_sim -- --smoke"
     cargo run --release -q -p arc-bench --features telemetry --bin traffic_sim -- --smoke > /dev/null
-fi
 
-if [[ "${ARC_SKIP_LINT:-0}" != "1" ]]; then
-    echo "==> arc-lint: arc-lint --deny --strict-baseline (10 s budget)"
-    # Build outside the timed region: the budget is for the analysis —
-    # lexing, call-graph construction, cone rules — not the compiler.
-    cargo build -q -p arc-lint
-    lint_start_ns=$(date +%s%N)
-    ./target/debug/arc-lint --deny --strict-baseline
-    lint_ms=$(( ($(date +%s%N) - lint_start_ns) / 1000000 ))
-    echo "    arc-lint wall clock: ${lint_ms} ms"
-    if (( lint_ms >= 10000 )); then
-        echo "error: arc-lint took ${lint_ms} ms; the interprocedural gate must stay under 10 s" >&2
-        exit 1
-    fi
-fi
-
-if [[ "${ARC_CHECK_TELEMETRY:-0}" == "1" ]]; then
     echo "==> telemetry: cargo build --release --features telemetry"
     cargo build --release --features telemetry
     echo "==> telemetry: cargo test -q --features telemetry"
@@ -91,11 +76,9 @@ if [[ "${ARC_CHECK_TELEMETRY:-0}" == "1" ]]; then
     cargo test -q -p arc-core --features telemetry
     echo "==> telemetry: cargo test -q -p arc-ecc --features telemetry"
     cargo test -q -p arc-ecc --features telemetry
-fi
 
-if [[ "${ARC_CHECK_BENCH:-0}" == "1" ]]; then
-    echo "==> throughput gate: scripts/bench_ecc.sh"
-    scripts/bench_ecc.sh
+    echo "==> arcbench smoke: bash arcbench/run.sh --all --smoke"
+    bash arcbench/run.sh --all --smoke
 fi
 
 echo "All checks passed."

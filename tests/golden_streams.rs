@@ -1,8 +1,8 @@
 //! Golden compressed-stream regression tests: the SZ and ZFP encoders must
 //! produce byte-for-byte stable output for a fixed input, with the
 //! `telemetry` feature on or off. The FNV-1a checksums below were captured
-//! with telemetry off; `scripts/check.sh` reruns this file under
-//! `--features telemetry` (`ARC_CHECK_TELEMETRY=1`), so a checksum match in
+//! with telemetry off; `scripts/check.sh --full` reruns this file under
+//! `--features telemetry`, so a checksum match in
 //! both builds proves instrumentation never perturbs the streams.
 //!
 //! To regenerate after an *intentional* stream-format change, run:
