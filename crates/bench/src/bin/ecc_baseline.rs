@@ -11,11 +11,6 @@
 //! pool) and `scaling_efficiency` (encode MiB/s at `threads` divided by
 //! `threads` × the scheme's 1-thread MiB/s; 1.0 is perfect scaling).
 //!
-//! A `"schedule"` section reports the compiled XOR-schedule statistics for
-//! the Reed-Solomon probe configuration plus the backend the dispatcher
-//! resolves on this machine — measured directly off the schedule cache,
-//! not through the optional telemetry feature.
-//!
 //! A `"range"` section times random access over a v2 sharded container:
 //! `decode_range` of one shard-sized slice against a full decode of the
 //! same container, through a cold reader each rep so the shard cache never
@@ -228,31 +223,6 @@ fn main() {
     let shard_size = PROBE_BYTES / 16;
     let (full_s, range_s) = range_probe(&range_data, shard_size);
 
-    // Compiled XOR-schedule statistics for the RS probe configuration
-    // (DESIGN.md §13), read off the schedule cache directly so the numbers
-    // are valid without the telemetry feature.
-    let schedule_field = scaling_schemes()
-        .into_iter()
-        .find_map(|(_, config)| match config {
-            arc_ecc::EccConfig::Rs(rs) => Some(rs),
-            _ => None,
-        })
-        .map(|rs| {
-            let s = rs.schedule_stats();
-            let backend = match arc_ecc::rs::resolved_rs_backend() {
-                arc_ecc::rs::RsBackend::Scheduled => "scheduled",
-                _ => "table",
-            };
-            format!(
-                concat!(
-                    "{{\"k\": {}, \"m\": {}, \"naive_xors\": {}, \"scheduled_xors\": {}, ",
-                    "\"cse_saved\": {}, \"temps\": {}, \"resolved_backend\": \"{}\"}}"
-                ),
-                rs.k, rs.m, s.naive_xors, s.scheduled_xors, s.cse_saved, s.temps, backend
-            )
-        })
-        .unwrap_or_else(|| "null".to_string());
-
     println!("{{");
     println!("  \"bench\": \"ecc_throughput\",");
     println!("  \"unit\": \"MiB/s\",");
@@ -262,7 +232,6 @@ fn main() {
     // compare scaling points recorded on different hardware.
     println!("  \"recorded_cores\": {max_threads},");
     println!("  \"inject_errors\": {INJECT_ERRORS},");
-    println!("  \"schedule\": {schedule_field},");
     println!(
         concat!(
             "  \"range\": {{\"bytes\": {}, \"shard_size\": {}, \"slice_len\": {}, ",

@@ -45,7 +45,7 @@ pub struct TrainingTable {
 }
 
 /// Cache file header line. The version is part of the cost-model contract:
-/// v2 coincides with the XOR-scheduled / GFNI / slice-by-16-CRC ECC kernels
+/// v2 coincides with the GFNI / slice-by-16-CRC ECC kernels
 /// (DESIGN.md §13), whose throughput differs from v1-era measurements by
 /// integer factors — loading a v1 cache would feed the §4 optimizer a stale
 /// cost model, so caches with any other version line are discarded and the
@@ -381,7 +381,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("arc-cache-stale-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("training.tsv");
-        // A v1-era cache measured the pre-scheduled kernels; its numbers
+        // A v1-era cache measured the pre-GFNI kernels; its numbers
         // would poison the optimizer's cost model, so nothing loads.
         std::fs::write(
             &path,

@@ -403,12 +403,6 @@ impl EccScheme for Bch {
         self.pbytes as f64 / BCH_BLOCK as f64
     }
 
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        let mut parity = vec![0u8; self.parity_len(data.len())];
-        self.encode_parity_into(data, &mut parity);
-        parity
-    }
-
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         for (block, slot) in data.chunks(BCH_BLOCK).zip(parity.chunks_mut(self.pbytes)) {

@@ -127,22 +127,23 @@ pub trait EccScheme: Send + Sync {
     /// Asymptotic storage overhead (parity bytes per data byte).
     fn storage_overhead(&self) -> f64;
 
-    /// Compute the parity region for `data`.
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8>;
-
-    /// Scatter-write form of [`EccScheme::encode_parity`]: write the parity
-    /// for `data` directly into the caller-provided slice.
+    /// Write the parity for `data` into the caller-provided slice — the one
+    /// encode method a scheme implements.
     ///
     /// `parity` must be exactly `parity_len(data.len())` bytes and may hold
     /// arbitrary garbage on entry — implementations overwrite every byte.
     /// This is the hot path of the zero-copy pipeline: [`crate::ParallelCodec`]
     /// carves one pre-allocated container into disjoint chunk regions and
-    /// calls this method from its workers, so native implementations must not
-    /// allocate. The default falls back to [`EccScheme::encode_parity`] plus
-    /// a copy so extension schemes that only implement the `Vec` form keep
-    /// working.
-    fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        parity.copy_from_slice(&self.encode_parity(data));
+    /// calls this method from its workers, so the built-in implementations
+    /// do not allocate.
+    fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]);
+
+    /// Convenience: the parity region for `data` as a fresh `Vec`
+    /// ([`EccScheme::encode_parity_into`] over a zeroed allocation).
+    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
+        let mut parity = vec![0u8; self.parity_len(data.len())];
+        self.encode_parity_into(data, &mut parity);
+        parity
     }
 
     /// Verify `data` against `parity`, repairing both in place when possible.
@@ -235,9 +236,6 @@ impl EccScheme for std::sync::Arc<dyn EccScheme> {
     }
     fn storage_overhead(&self) -> f64 {
         (**self).storage_overhead()
-    }
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        (**self).encode_parity(data)
     }
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         (**self).encode_parity_into(data, parity)

@@ -193,10 +193,6 @@ impl EccScheme for EccConfig {
         self.as_scheme().storage_overhead()
     }
 
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        self.as_scheme().encode_parity(data)
-    }
-
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         self.as_scheme().encode_parity_into(data, parity)
     }

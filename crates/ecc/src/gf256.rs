@@ -197,12 +197,10 @@ fn mul_tables() -> &'static MulTables {
 /// Hot paths touch the tables through `OnceLock`s; calling this once up
 /// front (e.g. when a [`crate::parallel::ParallelCodec`] is constructed)
 /// keeps the one-time build out of the timed/parallel region and off the
-/// allocation budget of steady-state encode/decode. Compiled XOR schedules
-/// are *not* warmed here — they are per-(k, m) and compile lazily on the
-/// first encode that selects the scheduled backend.
+/// allocation budget of steady-state encode/decode.
 pub fn warm_tables() {
     let _ = mul_tables();
-    let _ = crate::bitmatrix::gfni_matrices();
+    let _ = gfni_matrices();
     crate::crc::warm_crc_tables();
     #[cfg(target_arch = "x86_64")]
     let _ = simd_level();
@@ -214,14 +212,60 @@ pub(crate) fn row_table(c: Gf) -> &'static [u8; 256] {
     &mul_tables().row[c.0 as usize]
 }
 
-/// Which SIMD kernel the slice operations dispatch to, resolved once.
+/// The 8×8 GF(2) matrix of "multiply by `c`", row-major: bit `b` of
+/// `rows[r]` is `M[r][b]`, i.e. bit `r` of the product `c·2^b`.
+///
+/// Multiplication by a constant is linear over GF(2): writing an input byte
+/// as bits `x = Σ_b x_b·2^b`, the product is `c·x = Σ_b x_b·(c·2^b)`, so the
+/// eight products `c·2^b` are the columns of a bit matrix `M_c` with
+/// `c·x = M_c·x`. For any byte `x`: bit `r` of `c·x` equals
+/// `parity(rows[r] & x)`.
+fn mul_matrix(c: Gf) -> [u8; 8] {
+    let mut rows = [0u8; 8];
+    for b in 0..8u32 {
+        let col = c.mul(Gf(1 << b)).0;
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row |= ((col >> r) & 1) << b;
+        }
+    }
+    rows
+}
+
+/// The qword operand `GF2P8AFFINEQB` expects for "multiply by `c`".
+///
+/// The instruction computes output bit `r` of each byte as
+/// `parity(qword_byte[7 - r] & input_byte)`, so the matrix rows are packed
+/// most-significant-row-first into the little-endian qword.
+fn gfni_matrix(c: Gf) -> u64 {
+    let mut bytes = mul_matrix(c);
+    bytes.reverse();
+    u64::from_le_bytes(bytes)
+}
+
+/// All 256 GFNI matrix operands, indexed by coefficient value.
+///
+/// Built once behind a `OnceLock`; [`warm_tables`] forces the build so
+/// steady-state encode never pays it.
+fn gfni_matrices() -> &'static [u64; 256] {
+    static MATRICES: std::sync::OnceLock<[u64; 256]> = std::sync::OnceLock::new();
+    MATRICES.get_or_init(|| {
+        let mut out = [0u64; 256];
+        for (c, slot) in (0..=255u8).zip(out.iter_mut()) {
+            *slot = gfni_matrix(Gf(c));
+        }
+        out
+    })
+}
+
+/// Which SIMD kernel the slice operations dispatch to, resolved once from
+/// the CPU's feature flags — the only kernel selection in the crate.
 ///
 /// The two GFNI tiers use `GF2P8AFFINEQB`, which applies the coefficient's
-/// 8×8 bitmatrix ([`crate::bitmatrix::gfni_matrix`]) to every byte of a
-/// vector in a single instruction — one op per 64/32 bytes versus the four
-/// shuffle/xor ops of the PSHUFB split-nibble kernel.
+/// 8×8 bit matrix ([`gfni_matrix`]) to every byte of a vector in a single
+/// instruction — one op per 64/32 bytes versus the four shuffle/xor ops of
+/// the PSHUFB split-nibble kernel.
 #[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum SimdLevel {
     Gfni512,
     Gfni256,
@@ -253,19 +297,6 @@ fn simd_level() -> SimdLevel {
     })
 }
 
-/// True when any SIMD multiply kernel (GFNI or PSHUFB-class) is available.
-/// Without one, the scheduled-XOR program is the faster RS encode backend.
-pub(crate) fn has_simd() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        simd_level() != SimdLevel::None
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Little-endian u64 load from a `chunks_exact(8)` chunk. The clamped copy
 /// keeps the conversion infallible — no abort path even if a caller ever
 /// hands a short slice.
@@ -277,10 +308,9 @@ fn le_word(b: &[u8]) -> u64 {
     u64::from_le_bytes(w)
 }
 
-/// `dst[i] ^= src[i]` — the c = 1 case, folded over u64 lanes. Also the
-/// inner kernel of the scheduled-XOR executor in [`crate::schedule`].
+/// `dst[i] ^= src[i]` — the c = 1 case, folded over u64 lanes.
 #[inline]
-pub(crate) fn xor_slice(dst: &mut [u8], src: &[u8]) {
+fn xor_slice(dst: &mut [u8], src: &[u8]) {
     let mut d8 = dst.chunks_exact_mut(8);
     let mut s8 = src.chunks_exact(8);
     for (d, s) in (&mut d8).zip(&mut s8) {
@@ -339,8 +369,7 @@ mod x86 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    use super::{mul_acc_words, mul_tables, row_table, scale_words, Gf};
-    use crate::bitmatrix::gfni_matrices;
+    use super::{gfni_matrices, mul_acc_words, mul_tables, row_table, scale_words, Gf};
 
     /// # Safety
     /// Caller must ensure GFNI + AVX-512F/BW are available.
@@ -858,6 +887,36 @@ mod tests {
                 assert_eq!(composed, Gf(c).mul(Gf(b)).0, "c={c} b={b}");
                 assert_eq!(t.row[c as usize][b as usize], composed, "c={c} b={b}");
             }
+        }
+    }
+
+    #[test]
+    fn mul_matrix_matches_field_multiply_exhaustively() {
+        for c in 0..=255u8 {
+            let rows = mul_matrix(Gf(c));
+            for x in 0..=255u8 {
+                let mut product = 0u8;
+                for (r, &row) in rows.iter().enumerate() {
+                    let parity = (row & x).count_ones() & 1;
+                    product |= u8::try_from(parity).unwrap() << r;
+                }
+                assert_eq!(product, Gf(c).mul(Gf(x)).0, "c={c} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn gfni_matrix_identity_is_reversed_unit_rows() {
+        // Multiply-by-one must be the identity map: row r = 1 << r, packed
+        // most-significant-row-first.
+        assert_eq!(gfni_matrix(Gf::ONE), 0x0102_0408_1020_4080);
+    }
+
+    #[test]
+    fn gfni_matrix_table_matches_builder() {
+        let t = gfni_matrices();
+        for c in 0..=255u8 {
+            assert_eq!(t[c as usize], gfni_matrix(Gf(c)), "c={c}");
         }
     }
 

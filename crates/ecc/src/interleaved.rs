@@ -1,16 +1,19 @@
 //! Byte-lane interleaving wrapper: burst protection for any inner scheme.
 //!
-//! [`crate::interleave::InterleavedSecDed`] hard-wires bit interleaving to
-//! SEC-DED(72,64). This module generalizes the idea to *any*
-//! [`EccScheme`]: the data region is split round-robin into `depth` byte
-//! lanes (lane `j` holds bytes `j, j+depth, j+2·depth, …`), the inner
-//! scheme encodes each lane independently, and the parity region is the
-//! concatenation of the per-lane parities in lane order.
+//! The crate's one interleaver, generic over the inner [`EccScheme`]: the
+//! data region is split round-robin into `depth` byte lanes (lane `j` holds
+//! bytes `j, j+depth, j+2·depth, …`), the inner scheme encodes each lane
+//! independently, and the parity region is the concatenation of the
+//! per-lane parities in lane order.
 //!
 //! A contiguous run of `b ≤ depth` corrupted bytes in the *data region*
 //! touches each lane at most once, so a burst that would overwhelm one
-//! inner codeword is diluted into `b` single-byte errors in `b` different
-//! codewords. Wrapped around [`crate::rsblock::RsBlock`] this turns a
+//! inner codeword is diluted into `b` single-**byte** errors in `b`
+//! different codewords. That helps an inner code that corrects whole
+//! symbols; a bit-correcting inner code (SEC-DED, Hamming, BCH) still sees
+//! up to eight flipped bits in one codeword and gains nothing, which is why
+//! [`EccScheme::capability`] here passes the inner code's burst flag
+//! through unchanged. Wrapped around [`crate::rsblock::RsBlock`] this turns a
 //! `t`-byte-per-codeword code into one that absorbs data bursts of up to
 //! `depth · t` bytes — at *identical* parity overhead to the bare inner
 //! code. The parity region itself stays lane-contiguous, so a burst there
@@ -19,7 +22,7 @@
 
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 
-/// Maximum interleave depth (matches `InterleavedSecDed`).
+/// Maximum interleave depth (byte lanes per buffer).
 pub const MAX_INTERLEAVE_DEPTH: usize = 4096;
 
 /// Round-robin byte-lane interleaver over an inner [`EccScheme`].
@@ -68,12 +71,6 @@ impl<S: EccScheme> EccScheme for Interleaved<S> {
     fn storage_overhead(&self) -> f64 {
         // Interleaving permutes bytes; it adds no parity of its own.
         self.inner.storage_overhead()
-    }
-
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        let mut parity = vec![0u8; self.parity_len(data.len())];
-        self.encode_parity_into(data, &mut parity);
-        parity
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
@@ -136,9 +133,11 @@ impl<S: EccScheme> EccScheme for Interleaved<S> {
         Capability {
             detects_sparse: inner.detects_sparse,
             corrects_sparse: inner.corrects_sparse,
-            // A burst of ≤ depth bytes lands at most one byte per lane, so
-            // any sparse-correcting inner absorbs it.
-            corrects_burst: inner.corrects_sparse || inner.corrects_burst,
+            // A burst of ≤ depth bytes lands as one whole corrupted byte per
+            // lane. Only an inner code that already corrects dense damage
+            // (symbols, not bits) absorbs that; lanes widen its reach, they
+            // do not create it.
+            corrects_burst: inner.corrects_burst,
             correctable_per_mb: inner.correctable_per_mb,
         }
     }
@@ -152,6 +151,7 @@ impl<S: EccScheme> EccScheme for Interleaved<S> {
 mod tests {
     use super::*;
     use crate::rsblock::RsBlock;
+    use crate::secded::SecDed;
 
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 131) ^ (i >> 5)) as u8).collect()
@@ -239,11 +239,33 @@ mod tests {
     }
 
     #[test]
-    fn capability_reports_burst() {
+    fn capability_reports_burst_only_when_the_inner_code_corrects_bursts() {
         let cap = scheme(16).capability();
         assert!(cap.corrects_burst && cap.corrects_sparse);
         let inner_cap = RsBlock::new(32).unwrap().capability();
         assert_eq!(cap.correctable_per_mb, inner_cap.correctable_per_mb);
+
+        // Symbol-correcting inner: a depth × t byte run is t bytes per lane.
+        let (depth, t) = (16usize, 16usize);
+        let s = scheme(depth);
+        let data = sample(depth * 223 * 2);
+        let mut enc = s.encode(&data);
+        for b in &mut enc[500..500 + depth * t] {
+            *b = !*b;
+        }
+        assert_eq!(s.decode(&enc, data.len()).unwrap().0, data);
+
+        // Bit-correcting inner: byte lanes hand SEC-DED a whole inverted
+        // byte, so no burst claim and a typed error — never wrong bytes.
+        let s = Interleaved::new(SecDed::w64(), 64).unwrap();
+        let cap = s.capability();
+        assert!(cap.corrects_sparse && !cap.corrects_burst);
+        let data = sample(4096);
+        let mut enc = s.encode(&data);
+        for b in &mut enc[1000..1002] {
+            *b = !*b;
+        }
+        assert!(matches!(s.decode(&enc, data.len()), Err(EccError::Uncorrectable { .. })));
     }
 
     #[test]

@@ -43,14 +43,12 @@
 #![warn(missing_docs)]
 
 pub mod bch;
-pub mod bitmatrix;
 pub mod bits;
 pub mod codec;
 pub mod config;
 pub mod crc;
 pub mod gf256;
 pub mod hamming;
-pub mod interleave;
 pub mod interleaved;
 pub mod parallel;
 pub mod parity;
@@ -58,7 +56,6 @@ pub mod replication;
 pub mod rs;
 pub mod rsblock;
 pub mod rscode;
-pub mod schedule;
 pub mod secded;
 pub mod uep;
 
@@ -68,7 +65,6 @@ pub mod prelude {
     pub use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
     pub use crate::config::{EccConfig, EccMethod};
     pub use crate::hamming::{BlockWidth, Hamming};
-    pub use crate::interleave::InterleavedSecDed;
     pub use crate::interleaved::Interleaved;
     pub use crate::parallel::{ParallelCodec, ThroughputSample, ANY_THREADS, DEFAULT_CHUNK_SIZE};
     pub use crate::parity::Parity;

@@ -64,12 +64,6 @@ impl EccScheme for Parity {
         1.0 / (8.0 * self.bytes_per_parity_bit as f64)
     }
 
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        let mut parity = vec![0u8; self.parity_len(data.len())];
-        self.encode_parity_into(data, &mut parity);
-        parity
-    }
-
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         // One bit per block, accumulated and flushed as whole words; the

@@ -21,68 +21,17 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 use crate::crc::{crc32, crc32_zero_padded, CRC_LEN};
-use crate::gf256::{mul_acc_slice, xor_slice, Gf};
-use crate::schedule::{schedule_for, ScheduleStats};
+use crate::gf256::{mul_acc_slice, Gf};
 
 /// Maximum total device count (`k + m`) representable in GF(2^8) with the
 /// Cauchy construction used here.
 pub const MAX_DEVICES: usize = 255;
 
-/// Which kernel family the Reed-Solomon encode/syndrome paths run on.
-///
-/// Both backends produce byte-identical parity (the equivalence tests pin
-/// this); the choice is purely a throughput policy, resolved once per call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RsBackend {
-    /// Pick automatically: table-driven when a byte-shuffle/GFNI SIMD kernel
-    /// exists (it beats plane transposition there), scheduled-XOR otherwise
-    /// (the u64 XOR program beats the scalar table loop).
-    Auto,
-    /// Byte-wise GF(2^8) multiply-accumulate through the `gf256` kernels.
-    Table,
-    /// Compiled bit-plane XOR program from [`crate::schedule`].
-    Scheduled,
-}
-
-/// Process-wide backend override: 0 = auto, 1 = table, 2 = scheduled.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Force a specific Reed-Solomon backend (tests, benches, and the hostile
-/// harness use this to pin coverage of both kernel families).
-pub fn set_rs_backend(b: RsBackend) {
-    let v = match b {
-        RsBackend::Auto => 0,
-        RsBackend::Table => 1,
-        RsBackend::Scheduled => 2,
-    };
-    BACKEND.store(v, Ordering::Relaxed);
-}
-
-/// The backend encode/syndromes will actually run on (never `Auto`).
-pub fn resolved_rs_backend() -> RsBackend {
-    match BACKEND.load(Ordering::Relaxed) {
-        1 => RsBackend::Table,
-        2 => RsBackend::Scheduled,
-        _ => {
-            if crate::gf256::has_simd() {
-                RsBackend::Table
-            } else {
-                RsBackend::Scheduled
-            }
-        }
-    }
-}
-
 thread_local! {
-    /// Reusable bit-plane scratch for the scheduled executor: steady-state
-    /// encode stays allocation-free once a worker has seen its (k, m).
-    static PLANE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-
     /// Last coefficient matrix this thread fetched. Pool workers encode many
     /// chunks of one configuration back to back; this memo keeps them off
     /// the global `Mutex` after the first fetch.
@@ -92,18 +41,6 @@ thread_local! {
 /// `(k, m)` plus the coefficient matrix it maps to, for the thread-local
 /// last-used slot.
 type CoeffMemo = Option<((usize, usize), Arc<[Gf]>)>;
-
-/// Run `f` over this thread's scratch buffer, grown to at least `len`.
-fn with_plane_scratch<R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-    PLANE_SCRATCH.with(|s| {
-        let mut buf = s.borrow_mut();
-        if buf.len() < len {
-            // arc-lint: bounded(scratch for MAX_TEMPS-capped schedules over planes of an in-memory buffer)
-            buf.resize(len, 0);
-        }
-        f(&mut buf[..len])
-    })
-}
 
 /// Per-(k,m) cache of the row-major m×k Cauchy coefficient matrix.
 ///
@@ -177,12 +114,6 @@ impl ReedSolomon {
         coeffs
     }
 
-    /// Compile (memoized) and return the XOR-schedule statistics for this
-    /// configuration. `ecc_baseline` surfaces these into `BENCH_ecc.json`.
-    pub fn schedule_stats(&self) -> ScheduleStats {
-        schedule_for(&self.coeff_matrix(), self.k, self.m).stats
-    }
-
     /// Cauchy generator coefficient for code device `j`, data device `i`.
     ///
     /// `x_j = j` (code rows) and `y_i = m + i` (data columns) are disjoint for
@@ -210,6 +141,20 @@ impl ReedSolomon {
     /// Number of CRC table bytes.
     fn crc_table_len(&self) -> usize {
         (self.k + self.m) * CRC_LEN
+    }
+
+    /// `acc ^= Σ_i C[j][i]·data_i` over every data device `i` not listed in
+    /// `skip` — row `j` of the generator applied to the buffer. Devices
+    /// shorter than `acc` (the ragged tail) count as zero-padded.
+    fn accumulate_row(&self, coeffs: &[Gf], j: usize, data: &[u8], skip: &[usize], acc: &mut [u8]) {
+        let row = &coeffs[j * self.k..(j + 1) * self.k];
+        for (i, &c) in row.iter().enumerate() {
+            if skip.contains(&i) {
+                continue;
+            }
+            let range = self.data_device_range(data.len(), i);
+            mul_acc_slice(&mut acc[..range.len()], &data[range], c);
+        }
     }
 
     /// Rebuild the erased data devices listed in `bad_data` from the good
@@ -241,34 +186,10 @@ impl ReedSolomon {
         // rhs_r = parity[rows[r]] − Σ_{good i} C[rows[r]][i]·data_i
         // arc-lint: bounded(t <= m <= 255 erasure rows)
         let mut rhs: Vec<Vec<u8>> = Vec::with_capacity(t);
-        if resolved_rs_backend() == RsBackend::Scheduled {
-            // Syndromes through the scheduled kernel: recompute the full
-            // parity with the erased devices read as zero, then each rhs row
-            // is stored ⊕ recomputed. Same XOR program as encode.
-            let sched = schedule_for(&coeffs, self.k, self.m);
-            // arc-lint: bounded(m <= 255 planes of a payload already held in memory)
-            let mut recomputed = vec![0u8; self.m * d];
-            with_plane_scratch(sched.scratch_len(), |scratch| {
-                sched.encode_into(data, d, &mut recomputed, bad_data, scratch);
-            });
-            for &j in rows {
-                let mut acc = parity_devs[j * d..(j + 1) * d].to_vec();
-                xor_slice(&mut acc, &recomputed[j * d..(j + 1) * d]);
-                rhs.push(acc);
-            }
-        } else {
-            for &j in rows {
-                let mut acc = parity_devs[j * d..(j + 1) * d].to_vec();
-                let row = &coeffs[j * self.k..(j + 1) * self.k];
-                for (i, &c) in row.iter().enumerate() {
-                    if bad_data.contains(&i) {
-                        continue;
-                    }
-                    let range = self.data_device_range(data.len(), i);
-                    mul_acc_slice(&mut acc[..range.len()], &data[range], c);
-                }
-                rhs.push(acc);
-            }
+        for &j in rows {
+            let mut acc = parity_devs[j * d..(j + 1) * d].to_vec();
+            self.accumulate_row(&coeffs, j, data, bad_data, &mut acc);
+            rhs.push(acc);
         }
         // Dense t×t system: A[r][c] = C[rows[r]][bad_data[c]].
         // arc-lint: bounded(t <= m <= 255 so the system is at most 255x255)
@@ -337,12 +258,6 @@ impl EccScheme for ReedSolomon {
         self.m as f64 / self.k as f64
     }
 
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        let mut parity = vec![0u8; self.parity_len(data.len())];
-        self.encode_parity_into(data, &mut parity);
-        parity
-    }
-
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         if data.is_empty() {
@@ -352,20 +267,8 @@ impl EccScheme for ReedSolomon {
         let d = self.device_size(data.len());
         let coeffs = self.coeff_matrix();
         let (parity_devs, crc_table) = parity.split_at_mut(self.m * d);
-        if resolved_rs_backend() == RsBackend::Scheduled {
-            let sched = schedule_for(&coeffs, self.k, self.m);
-            with_plane_scratch(sched.scratch_len(), |scratch| {
-                sched.encode_into(data, d, parity_devs, &[], scratch);
-            });
-        } else {
-            for j in 0..self.m {
-                let dev = &mut parity_devs[j * d..(j + 1) * d];
-                let row = &coeffs[j * self.k..(j + 1) * self.k];
-                for (i, &c) in row.iter().enumerate() {
-                    let range = self.data_device_range(data.len(), i);
-                    mul_acc_slice(&mut dev[..range.len()], &data[range], c);
-                }
-            }
+        for j in 0..self.m {
+            self.accumulate_row(&coeffs, j, data, &[], &mut parity_devs[j * d..(j + 1) * d]);
         }
         for i in 0..self.k {
             let range = self.data_device_range(data.len(), i);
@@ -453,11 +356,7 @@ impl EccScheme for ReedSolomon {
         for &j in &bad_parity {
             let dev = &mut parity_devs[j * d..(j + 1) * d];
             dev.fill(0);
-            let row = &coeffs[j * self.k..(j + 1) * self.k];
-            for (i, &c) in row.iter().enumerate() {
-                let range = self.data_device_range(data.len(), i);
-                mul_acc_slice(&mut dev[..range.len()], &data[range], c);
-            }
+            self.accumulate_row(&coeffs, j, data, &[], dev);
             let c = crc32(dev);
             let idx = self.k + j;
             crc_table[idx * CRC_LEN..(idx + 1) * CRC_LEN].copy_from_slice(&c.to_le_bytes());
@@ -687,47 +586,5 @@ mod tests {
         let rs = ReedSolomon::new(4, 2).unwrap();
         let len = rs.parity_len(100);
         assert_eq!(len, 2 * 25 + 6 * 4);
-    }
-
-    /// Restores the auto backend even if the test panics, so a failure here
-    /// cannot poison concurrently running tests.
-    struct BackendGuard;
-    impl Drop for BackendGuard {
-        fn drop(&mut self) {
-            set_rs_backend(RsBackend::Auto);
-        }
-    }
-
-    #[test]
-    fn scheduled_backend_produces_identical_parity() {
-        let _guard = BackendGuard;
-        for (k, m, len) in [(4usize, 2usize, 4096usize), (10, 4, 3001), (16, 4, 16 * 1024 + 7)] {
-            let rs = ReedSolomon::new(k, m).unwrap();
-            let data = sample(len);
-            set_rs_backend(RsBackend::Table);
-            let table = rs.encode_parity(&data);
-            set_rs_backend(RsBackend::Scheduled);
-            let scheduled = rs.encode_parity(&data);
-            assert_eq!(table, scheduled, "k={k} m={m} len={len}");
-        }
-    }
-
-    #[test]
-    fn scheduled_backend_repairs_erasures() {
-        let _guard = BackendGuard;
-        set_rs_backend(RsBackend::Scheduled);
-        let rs = ReedSolomon::new(6, 3).unwrap();
-        let data = sample(6 * 100 + 31);
-        let enc = rs.encode(&data);
-        let d = rs.device_size(data.len());
-        let mut bad = enc.clone();
-        for dev in [0usize, 2, 5] {
-            for b in &mut bad[dev * d..((dev + 1) * d).min(data.len())] {
-                *b = !*b;
-            }
-        }
-        let (out, report) = rs.decode(&bad, data.len()).unwrap();
-        assert_eq!(out, data);
-        assert!(report.corrected_devices >= 3);
     }
 }

@@ -69,12 +69,6 @@ impl EccScheme for RsBlock {
         self.nsym() as f64 / self.message_len() as f64
     }
 
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        let mut parity = vec![0u8; self.parity_len(data.len())];
-        self.encode_parity_into(data, &mut parity);
-        parity
-    }
-
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         for (msg, slot) in data.chunks(self.message_len()).zip(parity.chunks_mut(self.nsym())) {

@@ -61,12 +61,6 @@ impl EccScheme for SecDed {
         self.parity_bits() as f64 / self.width.data_bits() as f64
     }
 
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        let mut parity = vec![0u8; self.parity_len(data.len())];
-        self.encode_parity_into(data, &mut parity);
-        parity
-    }
-
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         let lay = layout(self.width);

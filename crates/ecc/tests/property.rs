@@ -70,6 +70,48 @@ proptest! {
     }
 }
 
+/// The rs(k, m) parity region of `data` straight from the definition, one
+/// byte at a time: devices zero-padded to `d = ⌈len / k⌉`, parity byte
+/// `u` of code device `j` = `Σ_i C[j][i]·data_i[u]` with scalar `Gf::mul`
+/// and `C[j][i] = 1 / (j ⊕ (m + i))`, then one CRC-32 per padded device.
+/// Shares nothing with the slice kernels `ReedSolomon` encodes through.
+fn rs_reference_parity(data: &[u8], k: usize, m: usize) -> Vec<u8> {
+    let d = data.len().div_ceil(k);
+    let mut devices: Vec<Vec<u8>> = (0..k)
+        .map(|i| (0..d).map(|u| data.get(i * d + u).copied().unwrap_or(0)).collect())
+        .collect();
+    for j in 0..m {
+        let dev = (0..d)
+            .map(|u| {
+                (0..k).fold(Gf::ZERO, |acc, i| {
+                    acc.add(Gf((j ^ (m + i)) as u8).inv().mul(Gf(devices[i][u])))
+                })
+            })
+            .map(|g| g.0)
+            .collect();
+        devices.push(dev);
+    }
+    let mut parity = devices[k..].concat();
+    for dev in &devices {
+        parity.extend_from_slice(&arc_ecc::crc::crc32(dev).to_le_bytes());
+    }
+    parity
+}
+
+/// Invert every byte of device `dev` (data devices first, then code
+/// devices) inside an rs(k, m) `data ‖ parity` buffer.
+fn trash_rs_device(enc: &mut [u8], data_len: usize, k: usize, dev: usize) {
+    let d = data_len.div_ceil(k);
+    let range = if dev < k {
+        (dev * d).min(data_len)..((dev + 1) * d).min(data_len)
+    } else {
+        data_len + (dev - k) * d..data_len + (dev - k + 1) * d
+    };
+    for b in &mut enc[range] {
+        *b = !*b;
+    }
+}
+
 fn arb_scheme() -> impl Strategy<Value = EccConfig> {
     prop_oneof![
         (1usize..64).prop_map(|b| EccConfig::parity(b).unwrap()),
@@ -168,6 +210,50 @@ proptest! {
         }
         let (out, _) = scheme.decode(&enc, data.len()).unwrap();
         prop_assert_eq!(out, data);
+    }
+
+    #[test]
+    fn rs_matches_scalar_reference_and_repairs_exactly_m_devices(
+        k in 1usize..=40,
+        m in 1usize..=12,
+        data in proptest::collection::vec(any::<u8>(), 1..=6000),
+        trash in any::<proptest::sample::Index>(),
+        seed: u64,
+    ) {
+        let rs = ReedSolomon::new(k, m).unwrap();
+        prop_assert_eq!(rs.encode_parity(&data), rs_reference_parity(&data, k, m));
+
+        // Non-empty devices in a seeded order: the (possibly ragged) last
+        // data device leads on odd seeds, so it is hit whenever anything is.
+        let d = rs.device_size(data.len());
+        let last_data = data.len().div_ceil(d) - 1;
+        let mut victims: Vec<usize> = (0..=last_data).chain(k..k + m).collect();
+        let mut state = seed;
+        for i in (1..victims.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            victims.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        if seed & 1 == 1 {
+            let at = victims.iter().position(|&v| v == last_data).unwrap();
+            victims.swap(0, at);
+        }
+
+        let enc = rs.encode(&data);
+        let n = trash.index(m + 1);
+        let mut bad = enc.clone();
+        for &dev in &victims[..n] {
+            trash_rs_device(&mut bad, data.len(), k, dev);
+        }
+        let (out, report) = rs.decode(&bad, data.len()).unwrap();
+        prop_assert_eq!(out, &data[..]);
+        prop_assert_eq!(report.corrected_devices, n as u64);
+
+        let mut bad = enc;
+        for &dev in &victims[..m + 1] {
+            trash_rs_device(&mut bad, data.len(), k, dev);
+        }
+        let overloaded = rs.decode(&bad, data.len());
+        prop_assert!(matches!(overloaded, Err(EccError::Uncorrectable { .. })), "m + 1 devices");
     }
 
     #[test]

@@ -672,43 +672,6 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
         }),
     });
 
-    // The same RS container decoded with the scheduled-XOR backend forced
-    // (DESIGN.md §13): hostile input must be rejected or repaired
-    // identically no matter which GF(2^8) kernel computes the syndromes.
-    // The guard restores the automatic backend even when the decode
-    // panics; a timed-out (leaked) worker can at worst leave the
-    // scheduled backend active, which is byte-identical to the table
-    // backend and therefore harmless to later cases.
-    struct ScheduledGuard;
-    impl Drop for ScheduledGuard {
-        fn drop(&mut self) {
-            arc_ecc::rs::set_rs_backend(arc_ecc::rs::RsBackend::Auto);
-        }
-    }
-    if let Ok(config) = arc_ecc::EccConfig::rs(16, 4) {
-        if let Ok(bytes) = arc_core::arc_engine_encode(&payload, config, 1) {
-            let header_len = arc_core::container::unpack(&bytes)
-                .map(|u| bytes.len() - u.payload.len())
-                .unwrap_or(128);
-            targets.push(DecodeTarget {
-                name: "container-rs-scheduled".to_string(),
-                streams: vec![GoldenStream {
-                    name: "ecc-rs-scheduled".to_string(),
-                    bytes,
-                    header_len,
-                    trailer_len: 0,
-                }],
-                decode: Arc::new(|b, _budget| {
-                    arc_ecc::rs::set_rs_backend(arc_ecc::rs::RsBackend::Scheduled);
-                    let _guard = ScheduledGuard;
-                    arc_core::decode_with_threads(b, 1)
-                        .map(|(data, _report)| data.len() as u64)
-                        .map_err(|e| e.to_string())
-                }),
-            });
-        }
-    }
-
     // Extension-registry containers: one v2 sharded golden stream per
     // stock extension family, attacked through all three registry-aware
     // decode surfaces — the one-shot `decode_with_registry`, the
@@ -803,7 +766,6 @@ mod tests {
                 "container",
                 "container-range",
                 "stream-v2",
-                "container-rs-scheduled",
                 "ext-bch",
                 "ext-ileave-rs",
                 "ext-uep-sz",

@@ -9,8 +9,8 @@
 //!   a *detected* loss (lost productivity, no SDC), exactly the paper's
 //!   argument for why burst-prone machines need more than SEC-DED;
 //! * the Reed-Solomon grade turns the same storms into clean recoveries;
-//! * the extension API's interleaved SEC-DED covers moderate bursts at
-//!   SEC-DED's 12.5% storage price.
+//! * the stock `ileave-rs` extension (64-lane interleaved RS(223|32)) rides
+//!   the same storm through the registry at 14.3% storage overhead.
 //!
 //! Run with `cargo run --release --example checkpoint_storm`.
 
@@ -19,7 +19,6 @@ use arc::{
     ArcContext, ArcOptions, EncodeRequest, MemoryConstraint, ResiliencyConstraint, SystemProfile,
     ThroughputConstraint, TrainingOptions,
 };
-use arc_ecc::EccConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let checkpoint: Vec<u8> =
@@ -77,12 +76,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // A custom scheme through the extension API joins the same experiment.
-    let mut registry = arc::core::ExtensionRegistry::new();
-    registry.register("ilsecded", std::sync::Arc::new(arc_ecc::InterleavedSecDed::new(512)?))?;
-    let _ = EccConfig::secded(true); // (built-ins remain available alongside)
+    // A stock extension scheme joins the same experiment through the registry.
+    let registry = arc::core::standard_extensions()?;
     let encoded =
-        arc::core::encode_with_scheme(&checkpoint, &registry, "ilsecded", ctx.max_threads())?;
+        arc::core::encode_with_scheme(&checkpoint, &registry, "ileave-rs", ctx.max_threads())?;
     let mut struck = encoded.clone();
     let summary = storm(&mut struck, 40, &FaultMix::hopper_like(), 0xF00D);
     let outcome = match arc::core::decode_with_registry(&struck, ctx.max_threads(), &registry) {
@@ -91,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(e) => format!("LOST: {e}"),
     };
     println!(
-        "\nextension scheme interleaved-secded(512) at 12.5% overhead vs Hopper weather \
+        "\nextension scheme ileave-rs (64-lane RS(223|32)) at 14.3% overhead vs Hopper weather \
          ({} events, {} bits) -> {outcome}",
         summary.single_bit_events + summary.burst_events,
         summary.bits_flipped

@@ -28,7 +28,7 @@
 # A fourth gate pins the DESIGN.md §13 fast-path win in absolute terms:
 # fresh RS threads=1 encode must be at least MIN_RS_SPEEDUP (default 2)
 # times the pre-optimization floor of LEGACY_RS_MIB_S (203.3 MiB/s, the
-# committed figure before the slice-by-16 CRC + GFNI/XOR-schedule work).
+# committed figure before the slice-by-16 CRC + GFNI kernel work).
 # Relative gates drift with every re-record; this one cannot.
 #
 # Usage: scripts/bench_ecc.sh
