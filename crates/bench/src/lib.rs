@@ -1,10 +1,11 @@
 //! # arc-bench — evaluation harness
 //!
 //! One binary per table and figure of the paper's evaluation (see
-//! DESIGN.md §4 for the index), plus Criterion benches. This library holds
-//! the shared plumbing: run-scale flags, table printing, dataset
-//! preparation, and scheme-aware *correctable* error injection for the
-//! Fig 10 study.
+//! DESIGN.md §4 for the index), plus `ablations` and the `hostile_corpus`
+//! sweep. Throughput claims are `arcbench`'s (`BENCHMARK.json`), not this
+//! crate's. This library holds the shared plumbing: run-scale flags, table
+//! printing, dataset preparation, and scheme-aware *correctable* error
+//! injection for the Fig 10 study.
 
 #![warn(missing_docs)]
 

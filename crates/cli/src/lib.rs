@@ -13,6 +13,7 @@
 
 use std::path::PathBuf;
 
+use arc_core::container::Unpacked;
 use arc_core::{
     decode_with_threads, ArcContext, ArcOptions, EncodeRequest, ErrorResponse, MemoryConstraint,
     ResiliencyConstraint, SystemProfile, ThroughputConstraint, TrainingOptions, ANY_THREADS,
@@ -349,7 +350,6 @@ fn execute(cmd: Command) -> Result<(), String> {
         }
         Command::Recover { input, output, threads } => {
             let bytes = std::fs::read(&input).map_err(|e| format!("read {input:?}: {e}"))?;
-            let threads = resolve_threads(threads);
             let (data, report) = decode_with_threads(&bytes, threads).map_err(|e| e.to_string())?;
             std::fs::write(&output, &data).map_err(|e| format!("write {output:?}: {e}"))?;
             println!(
@@ -364,7 +364,6 @@ fn execute(cmd: Command) -> Result<(), String> {
         }
         Command::Verify { input, threads } => {
             let bytes = std::fs::read(&input).map_err(|e| format!("read {input:?}: {e}"))?;
-            let threads = resolve_threads(threads);
             match decode_with_threads(&bytes, threads) {
                 Ok((data, report)) => {
                     if report.correction.is_clean() {
@@ -383,20 +382,7 @@ fn execute(cmd: Command) -> Result<(), String> {
         Command::Inspect { input } => {
             let bytes = std::fs::read(&input).map_err(|e| format!("read {input:?}: {e}"))?;
             let u = arc_core::container::unpack(&bytes).map_err(|e| e.to_string())?;
-            println!("scheme:        {}", u.meta.scheme_id);
-            println!("chunk size:    {} bytes", u.meta.chunk_size);
-            println!("data length:   {} bytes", u.meta.data_len);
-            println!("payload:       {} bytes", u.meta.payload_len);
-            println!("data CRC-32:   {:08x}", u.meta.data_crc);
-            println!(
-                "header health: {}{}",
-                if u.header_symbols_corrected == 0 {
-                    "clean".to_string()
-                } else {
-                    format!("{} symbol(s) repaired", u.header_symbols_corrected)
-                },
-                if u.used_backup_header { ", backup copy used" } else { "" }
-            );
+            print!("{}", render_inspect(&u));
             Ok(())
         }
         Command::Train { threads, cache, quick_train } => {
@@ -426,12 +412,48 @@ fn execute(cmd: Command) -> Result<(), String> {
     }
 }
 
-fn resolve_threads(threads: usize) -> usize {
-    if threads == ANY_THREADS {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
+/// What `inspect` prints for an unpacked container: the header fields,
+/// then for a v2 container the shard geometry and how the index was
+/// recovered.
+fn render_inspect(u: &Unpacked<'_>) -> String {
+    let repaired = |symbols: usize| match symbols {
+        0 => "clean".to_string(),
+        n => format!("{n} symbol(s) repaired"),
+    };
+    let meta = &u.meta;
+    let mut out = format!(
+        "format:        {}\n\
+         scheme:        {}\n\
+         chunk size:    {} bytes\n\
+         data length:   {} bytes\n\
+         payload:       {} bytes\n\
+         data CRC-32:   {:08x}\n\
+         header health: {}{}\n",
+        if meta.sharding.is_some() { "v2 (sharded)" } else { "v1 (monolithic)" },
+        meta.scheme_id,
+        meta.chunk_size,
+        meta.data_len,
+        meta.payload_len,
+        meta.data_crc,
+        repaired(u.header_symbols_corrected),
+        if u.used_backup_header { ", backup copy used" } else { "" }
+    );
+    if let (Some(sharding), Some(index)) = (&meta.sharding, &u.index) {
+        let repair = &u.index_repair;
+        out.push_str(&format!(
+            "shards:        {} of {} bytes\n\
+             index health:  {}, {}\n",
+            index.shard_count(),
+            sharding.shard_size,
+            if repair.majority_voted {
+                "majority vote of the 3 copies".to_string()
+            } else {
+                format!("copy {} of 3", repair.copy_used + 1)
+            },
+            repaired(repair.symbols_corrected)
+        ));
     }
+    out
 }
 
 #[cfg(test)]
@@ -556,6 +578,52 @@ mod tests {
         assert_eq!(run_invocation(inv), 0);
         assert!(prom.exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn inspect_tells_v1_from_v2_and_reports_index_health() {
+        use arc_core::{arc_engine_encode, arc_engine_encode_sharded, container::unpack};
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let config = arc_ecc::EccConfig::secded(true);
+
+        let v1 = arc_engine_encode(&data, config, 1).unwrap();
+        assert_eq!(
+            render_inspect(&unpack(&v1).unwrap()),
+            "format:        v1 (monolithic)\n\
+             scheme:        secded:64\n\
+             chunk size:    1048576 bytes\n\
+             data length:   100000 bytes\n\
+             payload:       112500 bytes\n\
+             data CRC-32:   b353b8fa\n\
+             header health: clean\n"
+        );
+
+        let mut v2 = arc_engine_encode_sharded(&data, config, 1, 32 << 10).unwrap();
+        assert_eq!(
+            render_inspect(&unpack(&v2).unwrap()),
+            "format:        v2 (sharded)\n\
+             scheme:        secded:64\n\
+             chunk size:    1048576 bytes\n\
+             data length:   100000 bytes\n\
+             payload:       112500 bytes\n\
+             data CRC-32:   b353b8fa\n\
+             header health: clean\n\
+             shards:        4 of 32768 bytes\n\
+             index health:  copy 1 of 3, clean\n"
+        );
+
+        // One flipped byte in the first index copy: that copy still decodes,
+        // with one symbol repaired. The copies follow the shard payloads.
+        let u = unpack(&v2).unwrap();
+        let (copy0, index_len) =
+            (u.payload_offset + u.payload.len(), u.meta.sharding.unwrap().index_len);
+        v2[copy0 + 5] ^= 0xFF;
+        let text = render_inspect(&unpack(&v2).unwrap());
+        assert!(text.ends_with("index health:  copy 1 of 3, 1 symbol(s) repaired\n"), "{text}");
+        // The whole first copy gone: the second one answers, clean.
+        v2[copy0..copy0 + index_len].fill(0xA5);
+        let text = render_inspect(&unpack(&v2).unwrap());
+        assert!(text.ends_with("index health:  copy 2 of 3, clean\n"), "{text}");
     }
 
     #[test]

@@ -5,20 +5,19 @@
 #                                    fmt, clippy -D warnings, tier-1 build +
 #                                    tests, workspace tests, arc-lint
 #        scripts/check.sh --full   the fast gate, then everything slower:
-#                                    hostile-input sweep, traffic_sim smoke,
-#                                    the `telemetry` feature build + tests,
-#                                    arcbench at smoke scale
+#                                    hostile-input sweep, the `telemetry`
+#                                    feature build + tests, arcbench at
+#                                    smoke scale
 #
 # arc-lint fails on any violation beyond lint-baseline.json and on stale
 # baseline entries; regenerate with scripts/lint_baseline.sh after paying
 # debt down. The hostile sweep (DESIGN.md §11) fails on any decode panic,
-# hang, or over-budget allocation; the traffic smoke keeps traffic_sim's
-# sanity assertions at a fraction of its size; the telemetry pass re-runs
-# the golden suites with instrumentation on, proving it changes no byte.
+# hang, or over-budget allocation; the telemetry pass re-runs the golden
+# suites with instrumentation on, proving it changes no byte.
 #
 # Wall-clock throughput gates are in neither mode (too noisy for shared
-# machines): scripts/bench_ecc.sh, scripts/bench_traffic.sh and
-# `arcbench/run.sh --pairs` are run by hand before perf-sensitive changes.
+# machines): `arcbench/run.sh --pairs N OTHER_CHECKOUT` is run by hand
+# before perf-sensitive changes.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,9 +63,6 @@ fi
 if (( full )); then
     echo "==> hostile-input sweep: cargo run --release -q -p arc-bench --bin hostile_corpus"
     cargo run --release -q -p arc-bench --bin hostile_corpus
-
-    echo "==> traffic smoke: cargo run --release -q -p arc-bench --features telemetry --bin traffic_sim -- --smoke"
-    cargo run --release -q -p arc-bench --features telemetry --bin traffic_sim -- --smoke > /dev/null
 
     echo "==> telemetry: cargo build --release --features telemetry"
     cargo build --release --features telemetry
