@@ -13,10 +13,11 @@
 
 use std::path::PathBuf;
 
-use arc_core::container::Unpacked;
+use arc_core::container::{IndexRepair, Unpacked};
 use arc_core::{
-    decode_with_threads, ArcContext, ArcOptions, EncodeRequest, ErrorResponse, MemoryConstraint,
-    ResiliencyConstraint, SystemProfile, ThroughputConstraint, TrainingOptions, ANY_THREADS,
+    decode_with_threads, ArcContext, ArcDecodeReport, ArcOptions, EncodeRequest, ErrorResponse,
+    MemoryConstraint, ResiliencyConstraint, SystemProfile, ThroughputConstraint, TrainingOptions,
+    ANY_THREADS,
 };
 use arc_ecc::EccMethod;
 
@@ -94,11 +95,6 @@ USAGE:
   arc-cli failure-model <cielo|hopper> [--days D]
   arc-cli help
 
-GLOBAL FLAGS:
-  --metrics[=PATH]   after the command, dump telemetry (Prometheus text,
-                     or JSON when PATH ends in .json) to stdout or PATH;
-                     needs a build with --features telemetry
-
 CONSTRAINTS (protect):
   --mem F            storage cap as a fraction of the input (e.g. 0.25)
   --bw MBPS          encoding-throughput floor in MB/s
@@ -107,70 +103,6 @@ CONSTRAINTS (protect):
   --burst            require burst correction (ARC_COR_BURST)
   --sparse           require sparse correction (ARC_COR_SPARSE)
 ";
-
-/// A full command-line invocation: the command plus global flags that
-/// apply to every command (currently only `--metrics`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Invocation {
-    /// The parsed command.
-    pub command: Command,
-    /// Telemetry export destination: `None` = not requested, `Some("")` =
-    /// stdout, `Some(path)` = file (JSON when the path ends in `.json`,
-    /// Prometheus text otherwise).
-    pub metrics: Option<String>,
-}
-
-/// Parse an argument vector (without the program name), splitting off the
-/// global `--metrics[=PATH]` flag before command parsing.
-pub fn parse_invocation(args: &[String]) -> Result<Invocation, String> {
-    let mut metrics = None;
-    let mut rest: Vec<String> = Vec::with_capacity(args.len());
-    for a in args {
-        if a == "--metrics" {
-            metrics = Some(String::new());
-        } else if let Some(path) = a.strip_prefix("--metrics=") {
-            if path.is_empty() {
-                return Err("--metrics= needs a path (or omit `=` for stdout)".into());
-            }
-            metrics = Some(path.to_string());
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok(Invocation { command: parse(&rest)?, metrics })
-}
-
-/// Execute a parsed invocation: run the command, then export telemetry if
-/// `--metrics` was given. Returns the process exit code.
-pub fn run_invocation(inv: Invocation) -> i32 {
-    let code = run(inv.command);
-    if let Some(dest) = &inv.metrics {
-        if let Err(e) = emit_metrics(dest) {
-            eprintln!("arc-cli: --metrics: {e}");
-            return if code == 0 { 1 } else { code };
-        }
-    }
-    code
-}
-
-/// Render the telemetry snapshot to `dest` ("" = stdout; a path ending in
-/// `.json` gets JSON, anything else Prometheus text exposition).
-fn emit_metrics(dest: &str) -> Result<(), String> {
-    if !arc_telemetry::enabled() {
-        eprintln!(
-            "arc-cli: note: built without the `telemetry` feature; \
-             metrics output will be empty"
-        );
-    }
-    let snap = arc_telemetry::snapshot();
-    let text = if dest.ends_with(".json") { snap.to_json() } else { snap.to_prometheus_text() };
-    if dest.is_empty() {
-        print!("{text}");
-        Ok(())
-    } else {
-        std::fs::write(dest, text).map_err(|e| format!("write {dest:?}: {e}"))
-    }
-}
 
 fn parse_method(s: &str) -> Result<EccMethod, String> {
     match s {
@@ -352,32 +284,16 @@ fn execute(cmd: Command) -> Result<(), String> {
             let bytes = std::fs::read(&input).map_err(|e| format!("read {input:?}: {e}"))?;
             let (data, report) = decode_with_threads(&bytes, threads).map_err(|e| e.to_string())?;
             std::fs::write(&output, &data).map_err(|e| format!("write {output:?}: {e}"))?;
-            println!(
-                "recovered {} bytes via {}; {} bit(s) and {} device(s) repaired{}",
-                data.len(),
-                report.scheme_id,
-                report.correction.corrected_bits,
-                report.correction.corrected_devices,
-                if report.used_backup_header { " (backup header used)" } else { "" }
-            );
+            println!("recovered {} -> {}", input.display(), output.display());
+            print!("{}", render_report(&report));
             Ok(())
         }
         Command::Verify { input, threads } => {
             let bytes = std::fs::read(&input).map_err(|e| format!("read {input:?}: {e}"))?;
-            match decode_with_threads(&bytes, threads) {
-                Ok((data, report)) => {
-                    if report.correction.is_clean() {
-                        println!("OK: {} bytes verified clean ({})", data.len(), report.scheme_id);
-                    } else {
-                        println!(
-                            "REPAIRABLE: {} bit(s), {} device(s) damaged but correctable",
-                            report.correction.corrected_bits, report.correction.corrected_devices
-                        );
-                    }
-                    Ok(())
-                }
-                Err(e) => Err(format!("verification failed: {e}")),
-            }
+            let (_, report) = decode_with_threads(&bytes, threads)
+                .map_err(|e| format!("verification failed: {e}"))?;
+            print!("{}", render_report(&report));
+            Ok(())
         }
         Command::Inspect { input } => {
             let bytes = std::fs::read(&input).map_err(|e| format!("read {input:?}: {e}"))?;
@@ -412,14 +328,63 @@ fn execute(cmd: Command) -> Result<(), String> {
     }
 }
 
+/// RS symbols a header or index codeword repaired, as the health lines
+/// print them.
+fn repaired(symbols: usize) -> String {
+    match symbols {
+        0 => "clean".to_string(),
+        n => format!("{n} symbol(s) repaired"),
+    }
+}
+
+/// Which index copy answered (or that the vote did) and what it repaired.
+fn index_health(repair: &IndexRepair) -> String {
+    let source = if repair.majority_voted {
+        "majority vote of the 3 copies".to_string()
+    } else {
+        format!("copy {} of 3", repair.copy_used + 1)
+    };
+    format!("{source}, {}", repaired(repair.symbols_corrected))
+}
+
+/// What `verify` and `recover` print for a decode that succeeded: the
+/// verdict over every layer ([`ArcDecodeReport::is_clean`]), then each
+/// layer's own repairs, so damage to a header or index copy is named even
+/// when the payload itself was untouched.
+fn render_report(r: &ArcDecodeReport) -> String {
+    let c = &r.correction;
+    let mut out = format!(
+        "status:        {}\n\
+         scheme:        {}\n\
+         data length:   {} bytes\n\
+         payload:       {}\n\
+         header health: {} copy, {}\n",
+        if r.is_clean() { "clean" } else { "repaired (all damage found was correctable)" },
+        r.scheme_id,
+        r.data_len,
+        if c.is_clean() {
+            "clean".to_string()
+        } else {
+            format!("{} bit(s), {} device(s) repaired", c.corrected_bits, c.corrected_devices)
+        },
+        if r.used_backup_header { "backup" } else { "primary" },
+        repaired(r.header_symbols_corrected)
+    );
+    if let Some(repair) = &r.index_repair {
+        out.push_str(&format!(
+            "shards:        {}\n\
+             index health:  {}\n",
+            r.shards,
+            index_health(repair)
+        ));
+    }
+    out
+}
+
 /// What `inspect` prints for an unpacked container: the header fields,
 /// then for a v2 container the shard geometry and how the index was
 /// recovered.
 fn render_inspect(u: &Unpacked<'_>) -> String {
-    let repaired = |symbols: usize| match symbols {
-        0 => "clean".to_string(),
-        n => format!("{n} symbol(s) repaired"),
-    };
     let meta = &u.meta;
     let mut out = format!(
         "format:        {}\n\
@@ -439,18 +404,12 @@ fn render_inspect(u: &Unpacked<'_>) -> String {
         if u.used_backup_header { ", backup copy used" } else { "" }
     );
     if let (Some(sharding), Some(index)) = (&meta.sharding, &u.index) {
-        let repair = &u.index_repair;
         out.push_str(&format!(
             "shards:        {} of {} bytes\n\
-             index health:  {}, {}\n",
+             index health:  {}\n",
             index.shard_count(),
             sharding.shard_size,
-            if repair.majority_voted {
-                "majority vote of the 3 copies".to_string()
-            } else {
-                format!("copy {} of 3", repair.copy_used + 1)
-            },
-            repaired(repair.symbols_corrected)
+            index_health(&u.index_repair)
         ));
     }
     out
@@ -541,43 +500,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_invocation_strips_metrics_flag() {
-        // Bare --metrics → stdout sentinel; command parses as if absent.
-        let inv = parse_invocation(&args("verify f.arc --metrics")).unwrap();
-        assert_eq!(inv.metrics, Some(String::new()));
-        assert_eq!(inv.command, parse(&args("verify f.arc")).unwrap());
-        // --metrics=PATH anywhere in the line, .json or not.
-        let inv = parse_invocation(&args("--metrics=out.json inspect f.arc")).unwrap();
-        assert_eq!(inv.metrics, Some("out.json".to_string()));
-        assert!(matches!(inv.command, Command::Inspect { .. }));
-        // No flag → None.
-        assert_eq!(parse_invocation(&args("help")).unwrap().metrics, None);
-        // Empty path is rejected; other parse errors still surface.
-        assert!(parse_invocation(&args("verify f.arc --metrics=")).is_err());
-        assert!(parse_invocation(&args("frobnicate --metrics")).is_err());
-    }
-
-    #[test]
-    fn metrics_file_export_writes_document() {
-        let dir = std::env::temp_dir().join(format!("arc-cli-metrics-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("m.json");
-        let prom = dir.join("m.prom");
-        let inv = Invocation {
-            command: Command::FailureModel { system: "cielo".into(), days: 1.0 },
-            metrics: Some(json.display().to_string()),
-        };
-        assert_eq!(run_invocation(inv), 0);
-        let body = std::fs::read_to_string(&json).unwrap();
-        // Valid JSON skeleton whether or not the feature is compiled in.
-        assert!(body.starts_with('{') && body.contains("\"spans\""));
-        let inv = Invocation {
-            command: Command::FailureModel { system: "hopper".into(), days: 1.0 },
-            metrics: Some(prom.display().to_string()),
-        };
-        assert_eq!(run_invocation(inv), 0);
-        assert!(prom.exists());
-        std::fs::remove_dir_all(&dir).ok();
+    fn metrics_is_an_unknown_flag_like_any_other() {
+        assert_eq!(parse(&args("verify f.arc --metrics")), Err("unknown flag --metrics".into()));
+        assert_eq!(
+            parse(&args("inspect f.arc --metrics=out.json")),
+            Err("unknown flag --metrics=out.json".into())
+        );
+        assert!(!USAGE.contains("--metrics"));
     }
 
     #[test]
@@ -624,6 +553,89 @@ mod tests {
         v2[copy0..copy0 + index_len].fill(0xA5);
         let text = render_inspect(&unpack(&v2).unwrap());
         assert!(text.ends_with("index health:  copy 2 of 3, clean\n"), "{text}");
+    }
+
+    #[test]
+    fn report_names_every_repaired_layer() {
+        use arc_core::{arc_engine_encode, arc_engine_encode_sharded, container::unpack};
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let config = arc_ecc::EccConfig::secded(true);
+        let report = |bytes: &[u8]| {
+            let (out, report) = decode_with_threads(bytes, 1).unwrap();
+            assert_eq!(out, data);
+            render_report(&report)
+        };
+
+        let v1 = arc_engine_encode(&data, config, 1).unwrap();
+        assert_eq!(
+            report(&v1),
+            "status:        clean\n\
+             scheme:        secded:64\n\
+             data length:   100000 bytes\n\
+             payload:       clean\n\
+             header health: primary copy, clean\n"
+        );
+
+        let v2 = arc_engine_encode_sharded(&data, config, 1, 32 << 10).unwrap();
+        assert_eq!(
+            report(&v2),
+            "status:        clean\n\
+             scheme:        secded:64\n\
+             data length:   100000 bytes\n\
+             payload:       clean\n\
+             header health: primary copy, clean\n\
+             shards:        4\n\
+             index health:  copy 1 of 3, clean\n"
+        );
+
+        let u = unpack(&v2).unwrap();
+        let (payload_offset, payload_len) = (u.payload_offset, u.payload.len());
+        let index_len = u.meta.sharding.unwrap().index_len;
+
+        // One flipped payload bit.
+        let mut flipped = v2.clone();
+        flipped[payload_offset + 1000] ^= 0x04;
+        assert_eq!(
+            report(&flipped),
+            "status:        repaired (all damage found was correctable)\n\
+             scheme:        secded:64\n\
+             data length:   100000 bytes\n\
+             payload:       1 bit(s), 0 device(s) repaired\n\
+             header health: primary copy, clean\n\
+             shards:        4\n\
+             index health:  copy 1 of 3, clean\n"
+        );
+
+        // Primary header copy wiped (it follows the 6-byte length prefix and
+        // is half of what precedes the payload); the payload is untouched,
+        // and the container is still not "clean".
+        let mut no_primary = v2.clone();
+        no_primary[6..6 + (payload_offset - 6) / 2].fill(0xA5);
+        assert_eq!(
+            report(&no_primary),
+            "status:        repaired (all damage found was correctable)\n\
+             scheme:        secded:64\n\
+             data length:   100000 bytes\n\
+             payload:       clean\n\
+             header health: backup copy, clean\n\
+             shards:        4\n\
+             index health:  copy 1 of 3, clean\n"
+        );
+
+        // First index copy wiped: the second answers.
+        let mut no_index0 = v2.clone();
+        let copy0 = payload_offset + payload_len;
+        no_index0[copy0..copy0 + index_len].fill(0xA5);
+        assert_eq!(
+            report(&no_index0),
+            "status:        repaired (all damage found was correctable)\n\
+             scheme:        secded:64\n\
+             data length:   100000 bytes\n\
+             payload:       clean\n\
+             header health: primary copy, clean\n\
+             shards:        4\n\
+             index health:  copy 2 of 3, clean\n"
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match arc_cli::parse_invocation(&args) {
-        Ok(inv) => arc_cli::run_invocation(inv),
+    let code = match arc_cli::parse(&args) {
+        Ok(cmd) => arc_cli::run(cmd),
         Err(e) => {
             eprintln!("arc-cli: {e}");
             eprintln!("{}", arc_cli::USAGE);

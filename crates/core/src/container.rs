@@ -467,13 +467,6 @@ pub(crate) fn recover_index(
     for (copy_used, copy) in [first, second, third].into_iter().enumerate() {
         if let Some((raw, symbols_corrected)) = rs_index_decode(copy) {
             if let Ok(index) = parse_index(&raw, meta) {
-                if copy_used > 0 {
-                    arc_telemetry::counter_add("core.index.copy_fallback", 1);
-                }
-                arc_telemetry::counter_add(
-                    "core.index.symbols_corrected",
-                    symbols_corrected as u64,
-                );
                 return Ok((
                     index,
                     IndexRepair { symbols_corrected, copy_used, majority_voted: false },
@@ -492,7 +485,6 @@ pub(crate) fn recover_index(
         .collect();
     if let Some((raw, symbols_corrected)) = rs_index_decode(&voted) {
         if let Ok(index) = parse_index(&raw, meta) {
-            arc_telemetry::counter_add("core.index.majority_voted", 1);
             return Ok((
                 index,
                 IndexRepair { symbols_corrected, copy_used: 0, majority_voted: true },

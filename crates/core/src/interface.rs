@@ -70,7 +70,9 @@ pub fn default_cache_path() -> Option<PathBuf> {
         .map(|home| PathBuf::from(home).join(".cache").join("arc-rs").join("training.tsv"))
 }
 
-/// What [`ArcContext::decode`] reports alongside the repaired data.
+/// What every whole-container decode — [`ArcContext::decode`], the engine
+/// and registry entry points, [`crate::stream::StreamDecoder::finish`] —
+/// reports alongside the repaired data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArcDecodeReport {
     /// Identifier of the scheme that had protected the data.
@@ -78,6 +80,10 @@ pub struct ArcDecodeReport {
     /// The built-in configuration, when the id names one (None for custom
     /// extension schemes).
     pub config: Option<EccConfig>,
+    /// Original data length reproduced.
+    pub data_len: usize,
+    /// Shards decoded (0 for monolithic v1 containers).
+    pub shards: usize,
     /// Repairs performed on the payload.
     pub correction: CorrectionReport,
     /// True when the primary header copy was unusable.
@@ -86,6 +92,18 @@ pub struct ArcDecodeReport {
     pub header_symbols_corrected: usize,
     /// How the shard index was recovered (v2 sharded containers only).
     pub index_repair: Option<container::IndexRepair>,
+}
+
+impl ArcDecodeReport {
+    /// True when nothing anywhere in the container needed repair: no payload
+    /// bit or device, the primary header copy with no symbol corrected, and
+    /// (v2) the first index copy with no symbol corrected and no vote.
+    pub fn is_clean(&self) -> bool {
+        self.correction.is_clean()
+            && !self.used_backup_header
+            && self.header_symbols_corrected == 0
+            && self.index_repair.is_none_or(|r| r == container::IndexRepair::default())
+    }
 }
 
 /// An initialized ARC instance.
@@ -196,7 +214,6 @@ impl ArcContext {
         config: EccConfig,
         threads: usize,
     ) -> Result<Vec<u8>, ArcError> {
-        let _span = arc_telemetry::span("core.encode");
         let threads = self.capped(threads);
         let (scheme_id, scheme) = builtin_scheme(config);
         let codec = ParallelCodec::with_chunk_size(scheme, threads, self.chunk_size)?;
@@ -230,7 +247,6 @@ impl ArcContext {
         threads: usize,
         shard_size: usize,
     ) -> Result<Vec<u8>, ArcError> {
-        let _span = arc_telemetry::span("core.encode");
         let threads = self.capped(threads);
         stream::encode_oneshot(data, builtin_scheme(config), threads, self.chunk_size, shard_size)
     }
@@ -356,7 +372,6 @@ pub(crate) fn decode_container(
     threads: usize,
     registry: Option<&ExtensionRegistry>,
 ) -> Result<(Vec<u8>, Range<usize>, ArcDecodeReport), ArcError> {
-    let _span = arc_telemetry::span("core.decode");
     let bytes: &[u8] = match &input {
         Input::Borrowed(bytes) => bytes,
         Input::InPlace(bytes) => bytes,
@@ -406,7 +421,7 @@ pub(crate) fn decode_container(
                 check_shard_geometry(&codec, e, i)?;
                 let region = stage(work, payload, e.offset..e.offset + e.encoded_len, at)
                     .ok_or_else(|| outside(&format!("shard {i}")))?;
-                merged.merge(&codec.decode_shard_in_place(region, e.decoded_len)?);
+                merged.merge(&codec.decode_in_place(region, e.decoded_len)?);
                 let decoded =
                     region.get(..e.decoded_len).ok_or_else(|| outside(&format!("shard {i}")))?;
                 verify_shard_crc(&codec, decoded, e.crc, i)?;
@@ -437,6 +452,8 @@ pub(crate) fn decode_container(
     let report = ArcDecodeReport {
         config: EccConfig::parse_id(&meta.scheme_id).ok(),
         scheme_id: meta.scheme_id,
+        data_len: meta.data_len,
+        shards: index.as_ref().map_or(0, container::ShardIndex::shard_count),
         correction,
         used_backup_header,
         header_symbols_corrected,

@@ -86,8 +86,8 @@ pub use optimizer::{
 };
 pub use reader::{ArcReader, CacheStats, RangeReport, DEFAULT_CACHE_CAPACITY};
 pub use stream::{
-    decode_batch, encode_batch, StreamDecodeStats, StreamDecoder, StreamEncodeStats, StreamEncoder,
-    StreamOptions, StreamSink,
+    decode_batch, encode_batch, StreamDecoder, StreamEncodeStats, StreamEncoder, StreamOptions,
+    StreamSink,
 };
 pub use training::{
     probe_buffer, thread_ladder, train, Measurement, TrainingOptions, TrainingStats, TrainingTable,

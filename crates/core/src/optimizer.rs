@@ -246,17 +246,6 @@ pub fn joint_optimizer_with(
         ThroughputConstraint::MbPerS(floor) => chosen.encode_mb_s < floor,
         ThroughputConstraint::Any => false,
     };
-    arc_telemetry::counter_add("core.optimizer.decisions", 1);
-    arc_telemetry::event("core.optimizer.select", || {
-        format!(
-            "config={} threads={} predicted_encode_mb_s={:.1} overhead={:.4} \
-             over_budget={over_budget} under_throughput={under_throughput}",
-            chosen.config.id(),
-            chosen.threads,
-            chosen.encode_mb_s,
-            chosen.overhead,
-        )
-    });
     Ok(Selection {
         config: chosen.config,
         threads: chosen.threads,

@@ -96,12 +96,10 @@ impl ShardCache {
                 *tick = self.tick;
                 out.extend_from_slice(&data[lo.min(data.len())..hi.min(data.len())]);
                 self.hits += 1;
-                arc_telemetry::counter_add("core.shard_cache.hits", 1);
                 true
             }
             None => {
                 self.misses += 1;
-                arc_telemetry::counter_add("core.shard_cache.misses", 1);
                 false
             }
         }
@@ -133,7 +131,6 @@ impl ShardCache {
             if let Some((_, evicted)) = self.slots.remove(&victim) {
                 self.resident -= evicted.len();
                 self.evictions += 1;
-                arc_telemetry::counter_add("core.shard_cache.evictions", 1);
             }
         }
     }
@@ -295,9 +292,6 @@ impl<'a> ArcReader<'a> {
         offset: usize,
         len: usize,
     ) -> Result<(Vec<u8>, RangeReport), ArcError> {
-        let _span = arc_telemetry::span("core.decode_range");
-        arc_telemetry::counter_add("core.range.requests", 1);
-        arc_telemetry::counter_add("core.range.bytes_requested", len as u64);
         let end = offset
             .checked_add(len)
             .ok_or_else(|| ArcError::InvalidRequest("range end overflows".into()))?;
@@ -333,11 +327,6 @@ impl<'a> ArcReader<'a> {
             }
             i += 1;
         }
-        arc_telemetry::counter_add("core.range.shards_touched", report.shards_touched as u64);
-        arc_telemetry::counter_add(
-            "core.range.encoded_bytes_decoded",
-            report.encoded_bytes_decoded as u64,
-        );
         Ok((out, report))
     }
 
@@ -356,7 +345,7 @@ impl<'a> ArcReader<'a> {
             .get(e.offset..e.offset + e.encoded_len)
             .ok_or_else(|| ArcError::Corrupted(format!("shard {i}: region exceeds payload")))?;
         let mut buf = region.to_vec();
-        let correction = self.codec.decode_shard_in_place(&mut buf, e.decoded_len)?;
+        let correction = self.codec.decode_in_place(&mut buf, e.decoded_len)?;
         buf.truncate(e.decoded_len);
         verify_shard_crc(&self.codec, &buf, e.crc, i)?;
         Ok((buf, correction))

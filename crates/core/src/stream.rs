@@ -329,7 +329,6 @@ impl<S: StreamSink> StreamEncoder<S> {
     /// large pushes skip the staging memcpy entirely. Output bytes are
     /// identical either way.
     pub fn push(&mut self, mut bytes: &[u8]) -> Result<(), ArcError> {
-        arc_telemetry::counter_add("stream.encode.bytes", bytes.len() as u64);
         while !bytes.is_empty() {
             if self.staging.is_empty() && bytes.len() >= self.shard_size {
                 let (shard, rest) = bytes.split_at(self.shard_size);
@@ -397,7 +396,6 @@ impl<S: StreamSink> StreamEncoder<S> {
             .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
         // The CRC slot is filled when the shard's encode completes.
         self.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc: 0 });
-        arc_telemetry::counter_add("stream.encode.shards", 1);
         Ok((offset, encoded_len))
     }
 
@@ -405,7 +403,6 @@ impl<S: StreamSink> StreamEncoder<S> {
     fn wait_for_slot(&mut self) -> Result<(), ArcError> {
         while self.outstanding >= self.ring_cap {
             self.backpressure_waits += 1;
-            arc_telemetry::counter_add("stream.encode.backpressure_waits", 1);
             self.reap_one()?;
         }
         Ok(())
@@ -552,25 +549,6 @@ pub(crate) fn encode_oneshot(
     Ok(enc.finish()?.0)
 }
 
-/// What a finished streaming decode saw.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamDecodeStats {
-    /// Identifier of the scheme that protected the data.
-    pub scheme_id: String,
-    /// Original data length reproduced.
-    pub data_len: usize,
-    /// Shards decoded (0 for monolithic v1 containers).
-    pub shards: usize,
-    /// Repairs performed on the payload.
-    pub correction: CorrectionReport,
-    /// True when the primary header copy was unusable.
-    pub used_backup_header: bool,
-    /// Header bytes the RS codeword repaired.
-    pub header_symbols_corrected: usize,
-    /// How the trailing shard index was recovered (v2 only).
-    pub index_repair: IndexRepair,
-}
-
 enum Phase {
     /// Buffering the length prefix and header codewords until
     /// [`container::recover_header`] has the `header_need` bytes its next
@@ -608,9 +586,9 @@ enum Phase {
 /// for piece in container.chunks(997) {
 ///     dec.push(piece, &mut out).unwrap();
 /// }
-/// let stats = dec.finish().unwrap();
+/// let report = dec.finish().unwrap();
 /// assert_eq!(out, data);
-/// assert_eq!(stats.shards, 5);
+/// assert_eq!(report.shards, 5);
 /// ```
 pub struct StreamDecoder {
     threads: usize,
@@ -631,7 +609,7 @@ pub struct StreamDecoder {
     payload_pos: usize,
     out_crc: Crc32,
     correction: CorrectionReport,
-    index_repair: IndexRepair,
+    index_repair: Option<IndexRepair>,
     failed: bool,
 }
 
@@ -665,7 +643,7 @@ impl StreamDecoder {
             payload_pos: 0,
             out_crc: Crc32::new(),
             correction: CorrectionReport::default(),
-            index_repair: IndexRepair::default(),
+            index_repair: None,
             failed: false,
         }
     }
@@ -694,8 +672,9 @@ impl StreamDecoder {
         }
     }
 
-    /// Declare the stream complete and return the summary.
-    pub fn finish(self) -> Result<StreamDecodeStats, ArcError> {
+    /// Declare the stream complete and return the report — field for field
+    /// what the one-shot decoders return for the same bytes.
+    pub fn finish(self) -> Result<ArcDecodeReport, ArcError> {
         if self.failed {
             return Err(ArcError::Corrupted("stream decoder previously failed".into()));
         }
@@ -708,7 +687,8 @@ impl StreamDecoder {
         if meta.sharding.is_some() && self.out_crc.finalize() != meta.data_crc {
             return Err(ArcError::Corrupted("data CRC mismatch after repair".into()));
         }
-        Ok(StreamDecodeStats {
+        Ok(ArcDecodeReport {
+            config: EccConfig::parse_id(&meta.scheme_id).ok(),
             scheme_id: meta.scheme_id,
             data_len: meta.data_len,
             shards: self.computed.len(),
@@ -859,14 +839,12 @@ impl StreamDecoder {
             .codec
             .as_ref()
             .ok_or_else(|| ArcError::Corrupted("stream decoder lost its codec".into()))?;
-        let report = codec.decode_shard_in_place(&mut self.buf, dlen)?;
+        let report = codec.decode_in_place(&mut self.buf, dlen)?;
         self.correction.merge(&report);
         let shard = &self.buf[..dlen];
         let crc = crc32(shard);
         self.out_crc.update(shard);
         out.extend_from_slice(shard);
-        arc_telemetry::counter_add("stream.decode.shards", 1);
-        arc_telemetry::counter_add("stream.decode.bytes", dlen as u64);
         self.computed.push(ShardEntry {
             offset: self.payload_pos,
             encoded_len: elen,
@@ -896,7 +874,7 @@ impl StreamDecoder {
                 "recovered index disagrees with streamed shards".into(),
             ));
         }
-        self.index_repair = repair;
+        self.index_repair = Some(repair);
         self.buf.clear();
         self.phase = Phase::Done;
         Ok(())
@@ -915,7 +893,6 @@ impl StreamDecoder {
             return Err(ArcError::Corrupted("data CRC mismatch after repair".into()));
         }
         out.extend_from_slice(data);
-        arc_telemetry::counter_add("stream.decode.bytes", data_len as u64);
         self.buf.clear();
         self.phase = Phase::Done;
         Ok(())
@@ -948,13 +925,10 @@ pub fn encode_batch(
     config: EccConfig,
     threads: usize,
 ) -> Result<Vec<Vec<u8>>, ArcError> {
-    let _span = arc_telemetry::span("stream.encode_batch");
     let (scheme_id, scheme) = builtin_scheme(config);
     let codec = ParallelCodec::with_chunk_size(scheme, 1, DEFAULT_CHUNK_SIZE)?;
     let scheme = codec.config().as_ref();
     let total: usize = requests.iter().map(|d| d.len()).sum();
-    arc_telemetry::counter_add("stream.batch.requests", requests.len() as u64);
-    arc_telemetry::counter_add("stream.batch.bytes", total as u64);
     let frames: Result<Vec<_>, _> =
         requests.iter().map(|data| container::mono_frame(data, &codec, &scheme_id)).collect();
     let mut frames = frames?;
@@ -999,8 +973,6 @@ type DecodeOutcome = Result<(Vec<u8>, ArcDecodeReport), ArcError>;
 /// [`crate::decode_with_threads`] returns for that container. Failures are
 /// per-item — one corrupt container never poisons its batch.
 pub fn decode_batch(containers: &[&[u8]], threads: usize) -> Vec<DecodeOutcome> {
-    let _span = arc_telemetry::span("stream.decode_batch");
-    arc_telemetry::counter_add("stream.batch.requests", containers.len() as u64);
     let workers = resolve_threads(threads).min(containers.len()).max(1);
     let mut slots: Vec<Option<DecodeOutcome>> = Vec::new();
     slots.resize_with(containers.len(), || None);

@@ -256,10 +256,8 @@ pub fn train(
     max_threads: usize,
     opts: &TrainingOptions,
 ) -> Result<TrainingStats, ArcError> {
-    let _span = arc_telemetry::span("core.train");
     let ladder = thread_ladder(max_threads);
     let missing = table.missing(&opts.space, &ladder);
-    arc_telemetry::counter_add("core.train.points_measured", missing.len() as u64);
     let t0 = std::time::Instant::now();
     let big = probe_buffer(opts.sample_bytes);
     let small = probe_buffer(opts.rs_sample_bytes);
@@ -269,15 +267,6 @@ pub fn train(
         let (encoded, enc_sample) = timed_encode(&codec, data);
         let (_, _, dec_sample) =
             timed_decode(&codec, &encoded, data.len()).map_err(ArcError::Ecc)?;
-        arc_telemetry::event("core.train.measure", || {
-            format!(
-                "config={} threads={} encode_mb_s={:.1} decode_mb_s={:.1}",
-                config.id(),
-                threads,
-                enc_sample.mb_per_s(),
-                dec_sample.mb_per_s()
-            )
-        });
         table.record(config, *threads, enc_sample.mb_per_s(), dec_sample.mb_per_s());
     }
     Ok(TrainingStats {

@@ -2,27 +2,36 @@
 //! and, for the one-shot surfaces, one decode body. This table holds them to
 //! it: for a built-in container, an extension container with its registry
 //! and one without, every surface returns the same bytes and correction
-//! counts, or refuses with the same typed `InvalidRequest` (naming the
-//! registry entry points where the surface takes none). Clean input and one
-//! correctable flip per shard, v1 and v2. Below it: the two small defects
-//! the shared body removed.
+//! counts — and every whole-container surface, `StreamDecoder::finish`
+//! included, the same `ArcDecodeReport` field for field — or refuses with the
+//! same typed `InvalidRequest` (naming the registry entry points where the
+//! surface takes none). Clean input, one correctable flip per shard, a wiped
+//! primary header copy and a wiped first index copy, v1 and v2. Below it:
+//! the two small defects the shared body removed.
 
 use arc_core::container::{header_len, unpack, write_header};
 use arc_core::interface::decode_in_place_with_threads;
 use arc_core::{
     arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, decode_batch,
     decode_with_registry, encode_sharded_with_scheme, encode_with_scheme, standard_extensions,
-    ArcError, ArcReader, ExtensionRegistry, StreamDecoder,
+    ArcDecodeReport, ArcError, ArcReader, ExtensionRegistry, StreamDecoder,
 };
 use arc_ecc::{CorrectionReport, EccConfig, EccError, EccScheme};
 
-type Outcome = Result<(Vec<u8>, CorrectionReport), ArcError>;
+/// Decoded bytes, payload corrections, and — from every surface but the
+/// range reader, whose report is per read — the whole-container report.
+type Decoded = (Vec<u8>, CorrectionReport, Option<ArcDecodeReport>);
+type Outcome = Result<Decoded, ArcError>;
 type Surface = fn(&[u8], Option<&ExtensionRegistry>) -> Outcome;
 
 fn reader_outcome(reader: Result<ArcReader<'_>, ArcError>) -> Outcome {
     let mut reader = reader?;
     let len = reader.data_len();
-    reader.decode_range(0, len).map(|(data, report)| (data, report.correction))
+    reader.decode_range(0, len).map(|(data, report)| (data, report.correction, None))
+}
+
+fn whole((data, report): (Vec<u8>, ArcDecodeReport)) -> Decoded {
+    (data, report.correction, Some(report))
 }
 
 fn stream_outcome(mut dec: StreamDecoder, bytes: &[u8]) -> Outcome {
@@ -30,26 +39,26 @@ fn stream_outcome(mut dec: StreamDecoder, bytes: &[u8]) -> Outcome {
     for piece in bytes.chunks(4099) {
         dec.push(piece, &mut out)?;
     }
-    Ok((out, dec.finish()?.correction))
+    Ok(whole((out, dec.finish()?)))
 }
 
 /// (name, takes a registry, the call). Surfaces that take no registry
 /// ignore the one they are offered — that is the point of the third case.
 const SURFACES: [(&str, bool, Surface); 8] = [
-    ("arc_engine_decode", false, |b, _| arc_engine_decode(b, 1).map(|(d, r)| (d, r.correction))),
+    // `arc_engine_decode` is the engine's name for `decode_with_threads`.
+    ("arc_engine_decode", false, |b, _| arc_engine_decode(b, 1).map(whole)),
     ("decode_in_place_with_threads", false, |b, _| {
         let mut owned = b.to_vec();
         let (range, report) = decode_in_place_with_threads(&mut owned, 1)?;
-        Ok((owned[range].to_vec(), report.correction))
+        Ok(whole((owned[range].to_vec(), report)))
     }),
     ("decode_with_registry", true, |b, r| {
-        let r = r.expect("surface takes a registry");
-        decode_with_registry(b, 1, r).map(|(d, rep)| (d, rep.correction))
+        decode_with_registry(b, 1, r.expect("surface takes a registry")).map(whole)
     }),
     ("decode_batch", false, |b, _| {
         let mut results = decode_batch(&[b, b], 2);
         assert_eq!(results.len(), 2);
-        results.swap_remove(1).map(|(d, r)| (d, r.correction))
+        results.swap_remove(1).map(whole)
     }),
     ("ArcReader::open", false, |b, _| reader_outcome(ArcReader::open(b, 1))),
     ("ArcReader::open_with_registry", true, |b, r| {
@@ -85,6 +94,23 @@ fn flip_each_shard(container: &mut [u8]) -> u64 {
     offsets.len() as u64
 }
 
+/// Overwrite the primary header codeword: it follows the 6-byte length
+/// prefix and is half of what precedes the payload.
+fn wipe_primary_header(container: &mut [u8]) {
+    let payload_offset = unpack(container).unwrap().payload_offset;
+    container[6..6 + (payload_offset - 6) / 2].fill(0xA5);
+}
+
+/// Overwrite the first of the three index copies (v2 only; a v1 container
+/// has none and comes back untouched).
+fn wipe_first_index_copy(container: &mut [u8]) {
+    let u = unpack(container).unwrap();
+    if let Some(sharding) = u.meta.sharding {
+        let start = u.payload_offset + u.meta.payload_len;
+        container[start..start + sharding.index_len].fill(0xA5);
+    }
+}
+
 #[test]
 fn every_surface_agrees_on_bytes_corrections_and_refusals() {
     let standard = standard_extensions().unwrap();
@@ -104,18 +130,44 @@ fn every_surface_agrees_on_bytes_corrections_and_refusals() {
     ];
     for (label, clean, registry, registry_resolves) in cases {
         let builtin = label.starts_with("builtin");
+        let v2 = unpack(&clean).unwrap().index.is_some();
         let mut damaged = clean.clone();
         let flips = flip_each_shard(&mut damaged);
-        for (input, expect_corrected) in [(&clean, 0u64), (&damaged, flips)] {
+        let mut no_primary_header = clean.clone();
+        wipe_primary_header(&mut no_primary_header);
+        let mut no_first_index = clean.clone();
+        wipe_first_index_copy(&mut no_first_index);
+        // (damage, container, payload flips, backup header used?, index copy
+        // that answers on v2)
+        let inputs = [
+            ("clean", &clean, 0u64, false, 0usize),
+            ("one flip per shard", &damaged, flips, false, 0),
+            ("primary header wiped", &no_primary_header, 0, true, 0),
+            ("first index copy wiped", &no_first_index, 0, false, 1),
+        ];
+        for (damage, input, expect_corrected, expect_backup, expect_copy) in inputs {
+            let expect_clean = expect_corrected == 0 && !expect_backup && !(v2 && expect_copy > 0);
             let mut agreed: Option<CorrectionReport> = None;
+            let mut agreed_report: Option<ArcDecodeReport> = None;
             for (name, takes_registry, surface) in SURFACES {
-                let what = format!("{label} / {name} / {expect_corrected} flips");
+                let what = format!("{label} / {name} / {damage}");
                 let outcome = surface(input, Some(registry));
                 if builtin || (takes_registry && registry_resolves) {
-                    let (bytes, correction) = outcome.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let (bytes, correction, report) =
+                        outcome.unwrap_or_else(|e| panic!("{what}: {e}"));
                     assert_eq!(bytes, data, "{what}");
                     assert_eq!(correction.corrected_bits, expect_corrected, "{what}");
                     assert_eq!(*agreed.get_or_insert(correction), correction, "{what}");
+                    let Some(report) = report else { continue };
+                    assert_eq!(report.is_clean(), expect_clean, "{what}: {report:?}");
+                    assert_eq!(report.data_len, data.len(), "{what}");
+                    assert_eq!(report.shards, if v2 { data.len().div_ceil(SHARD) } else { 0 });
+                    assert_eq!(report.used_backup_header, expect_backup, "{what}");
+                    // A v1 container has no index, so reports no index repair.
+                    let index_copy = report.index_repair.map(|r| (r.copy_used, r.majority_voted));
+                    assert_eq!(index_copy, v2.then_some((expect_copy, false)), "{what}");
+                    let agreed_report = agreed_report.get_or_insert_with(|| report.clone());
+                    assert_eq!(*agreed_report, report, "{what}");
                 } else {
                     let Err(ArcError::InvalidRequest(msg)) = outcome else {
                         panic!("{what}: expected InvalidRequest, got {outcome:?}");

@@ -92,8 +92,6 @@ impl<S: EccScheme> ParallelCodec<S> {
         if chunk_size == 0 {
             return Err(EccError::InvalidConfig("chunk size must be >= 1".into()));
         }
-        // Thread fan-out distribution: one sample per codec construction.
-        arc_telemetry::histogram_record("ecc.codec.threads", threads as u64);
         // Build the lazily-initialized GF lookup tables before any worker
         // touches them: keeps the one-time build out of the timed hot loops
         // and out of the per-chunk allocation budget.
@@ -144,14 +142,9 @@ impl<S: EccScheme> ParallelCodec<S> {
 
     /// The pool to dispatch on, if parallelism is worth it for this length.
     fn pool_for(&self, data_len: usize) -> Option<&rayon::ThreadPool> {
-        let workers = self.effective_workers(data_len);
-        arc_telemetry::histogram_record("ecc.codec.effective_workers", workers as u64);
-        if workers > 1 {
+        if self.effective_workers(data_len) > 1 {
             self.pool.as_ref()
         } else {
-            if self.pool.is_some() {
-                arc_telemetry::counter_add("ecc.codec.pool_bypassed", 1);
-            }
             None
         }
     }
@@ -179,12 +172,6 @@ impl<S: EccScheme> ParallelCodec<S> {
     /// with a pool, workers write their disjoint regions concurrently and
     /// only the job list itself is allocated.
     pub fn encode_into(&self, data: &[u8], out: &mut [u8]) {
-        let _span = arc_telemetry::span("ecc.encode");
-        arc_telemetry::counter_add("ecc.encode.bytes", data.len() as u64);
-        arc_telemetry::counter_add(
-            "ecc.encode.chunks_submitted",
-            data.len().div_ceil(self.chunk_size) as u64,
-        );
         let expected = self.encoded_len(data.len());
         assert_eq!(out.len(), expected, "encode_into: output buffer size mismatch");
         let (data_out, parity_all) = out.split_at_mut(data.len());
@@ -203,11 +190,8 @@ impl<S: EccScheme> ParallelCodec<S> {
                 }
                 pool.install(|| {
                     jobs.par_iter_mut().for_each(|(src, dst, parity)| {
-                        let t = arc_telemetry::Stopwatch::start();
                         dst.copy_from_slice(src);
                         self.config.encode_parity_into(src, parity);
-                        arc_telemetry::histogram_record("ecc.encode.chunk_ns", t.elapsed_ns());
-                        arc_telemetry::counter_add("ecc.encode.chunks_done", 1);
                     });
                 });
             }
@@ -217,10 +201,7 @@ impl<S: EccScheme> ParallelCodec<S> {
                 for chunk in data.chunks(self.chunk_size) {
                     let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
                     parity_rest = rest;
-                    let t = arc_telemetry::Stopwatch::start();
                     self.config.encode_parity_into(chunk, p);
-                    arc_telemetry::histogram_record("ecc.encode.chunk_ns", t.elapsed_ns());
-                    arc_telemetry::counter_add("ecc.encode.chunks_done", 1);
                 }
             }
         }
@@ -255,22 +236,6 @@ impl<S: EccScheme> ParallelCodec<S> {
         total
     }
 
-    /// Verify and repair ONE shard's encoded region in place.
-    ///
-    /// `shard` is exactly what [`ParallelCodec::encode_into`] wrote for
-    /// this shard alone (`data ‖ parity`), and `decoded_len` its original
-    /// length; on success the first `decoded_len` bytes are the
-    /// repaired data. This is the random-access primitive: the cost is
-    /// proportional to the shard, never the container.
-    pub fn decode_shard_in_place(
-        &self,
-        shard: &mut [u8],
-        decoded_len: usize,
-    ) -> Result<CorrectionReport, EccError> {
-        arc_telemetry::counter_add("ecc.decode.shards", 1);
-        self.decode_in_place(shard, decoded_len)
-    }
-
     /// Verify and repair an encoded buffer in place.
     ///
     /// `data_len` is the original input length (persisted by ARC's
@@ -281,17 +246,15 @@ impl<S: EccScheme> ParallelCodec<S> {
     ///
     /// On error the buffer contents are unspecified (chunks preceding the
     /// failed one may already have been repaired).
+    ///
+    /// This is also the random-access primitive: handed ONE shard's region
+    /// (exactly what [`ParallelCodec::encode_into`] wrote for that shard
+    /// alone), the cost is proportional to the shard, never the container.
     pub fn decode_in_place(
         &self,
         encoded: &mut [u8],
         data_len: usize,
     ) -> Result<CorrectionReport, EccError> {
-        let _span = arc_telemetry::span("ecc.decode");
-        arc_telemetry::counter_add("ecc.decode.bytes", data_len as u64);
-        arc_telemetry::counter_add(
-            "ecc.decode.chunks_submitted",
-            data_len.div_ceil(self.chunk_size) as u64,
-        );
         let expected = self.encoded_len(data_len);
         if encoded.len() != expected {
             return Err(EccError::Malformed {
@@ -302,7 +265,7 @@ impl<S: EccScheme> ParallelCodec<S> {
             });
         }
         let (data_all, parity_all) = encoded.split_at_mut(data_len);
-        let merged = match self.pool_for(data_len) {
+        Ok(match self.pool_for(data_len) {
             Some(pool) => {
                 let mut jobs: Vec<(&mut [u8], &mut [u8])> =
                     // arc-lint: bounded(chunk count of a buffer already held in memory)
@@ -315,13 +278,7 @@ impl<S: EccScheme> ParallelCodec<S> {
                 }
                 let results: Vec<Result<CorrectionReport, EccError>> = pool.install(|| {
                     jobs.par_iter_mut()
-                        .map(|(chunk, parity)| {
-                            let t = arc_telemetry::Stopwatch::start();
-                            let r = self.config.verify_and_correct(chunk, parity);
-                            arc_telemetry::histogram_record("ecc.decode.chunk_ns", t.elapsed_ns());
-                            arc_telemetry::counter_add("ecc.decode.chunks_done", 1);
-                            r
-                        })
+                        .map(|(chunk, parity)| self.config.verify_and_correct(chunk, parity))
                         .collect()
                 });
                 let mut merged = CorrectionReport::default();
@@ -336,18 +293,11 @@ impl<S: EccScheme> ParallelCodec<S> {
                 for chunk in data_all.chunks_mut(self.chunk_size) {
                     let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
                     parity_rest = rest;
-                    let t = arc_telemetry::Stopwatch::start();
-                    let r = self.config.verify_and_correct(chunk, p);
-                    arc_telemetry::histogram_record("ecc.decode.chunk_ns", t.elapsed_ns());
-                    arc_telemetry::counter_add("ecc.decode.chunks_done", 1);
-                    merged.merge(&r?);
+                    merged.merge(&self.config.verify_and_correct(chunk, p)?);
                 }
                 merged
             }
-        };
-        arc_telemetry::counter_add("ecc.decode.corrected_bits", merged.corrected_bits);
-        arc_telemetry::counter_add("ecc.decode.corrected_devices", merged.corrected_devices);
-        Ok(merged)
+        })
     }
 
     /// Decode an encoded buffer, verifying and repairing every chunk.
@@ -586,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_shard_in_place_repairs_one_shard() {
+    fn decode_in_place_repairs_one_shard() {
         let cfg = EccConfig::secded(true);
         let codec = ParallelCodec::with_chunk_size(cfg, 1, 4 * 1024).unwrap();
         let data = sample(40_000);
@@ -598,7 +548,7 @@ mod tests {
         let elen = codec.encoded_len(shard_size);
         let region = &mut enc[2 * elen..3 * elen];
         flip_bit(region, 999);
-        let report = codec.decode_shard_in_place(region, shard_size).unwrap();
+        let report = codec.decode_in_place(region, shard_size).unwrap();
         assert_eq!(report.corrected_bits, 1);
         assert_eq!(&region[..shard_size], &data[2 * shard_size..3 * shard_size]);
     }

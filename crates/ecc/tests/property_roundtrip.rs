@@ -7,7 +7,10 @@
 use std::sync::Arc;
 
 use arc_ecc::bits::flip_bit;
-use arc_ecc::{EccConfig, EccScheme, Interleaved, ParallelCodec, Replication, RsBlock};
+use arc_ecc::{
+    Capability, CorrectionReport, EccConfig, EccError, EccScheme, Interleaved, ParallelCodec,
+    Replication, RsBlock,
+};
 use proptest::prelude::*;
 
 /// The three chunk granularities the issue calls out.
@@ -162,5 +165,68 @@ proptest! {
         let (out, report) = codec.decode(&encoded, data.len()).unwrap();
         prop_assert_eq!(out, data);
         prop_assert!(!report.is_clean());
+    }
+}
+
+/// `EccConfig` with the thread floor removed, so a 100 KB buffer really is
+/// split across every pool worker instead of collapsing to the in-line path.
+struct NoFloor(EccConfig);
+
+impl EccScheme for NoFloor {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn parity_len(&self, data_len: usize) -> usize {
+        self.0.parity_len(data_len)
+    }
+    fn storage_overhead(&self) -> f64 {
+        self.0.storage_overhead()
+    }
+    fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
+        self.0.encode_parity_into(data, parity)
+    }
+    fn verify_and_correct(
+        &self,
+        data: &mut [u8],
+        parity: &mut [u8],
+    ) -> Result<CorrectionReport, EccError> {
+        self.0.verify_and_correct(data, parity)
+    }
+    fn capability(&self) -> Capability {
+        self.0.capability()
+    }
+    fn min_bytes_per_thread(&self) -> usize {
+        1
+    }
+}
+
+/// A pool of 4× the machine's cores loses no chunk and merges none twice,
+/// however the workers interleave: every pass returns the input bytes and a
+/// `blocks_checked` equal to the exact per-chunk sum.
+#[test]
+fn oversubscribed_pool_reports_every_chunk_exactly_once() {
+    const CHUNK: usize = 4096;
+    const DATA_LEN: usize = 100_000;
+    let config = EccConfig::secded(true);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = cores * 4;
+    let codec = ParallelCodec::with_chunk_size(NoFloor(config), threads, CHUNK).unwrap();
+    assert_eq!(codec.threads(), threads);
+    assert_eq!(codec.effective_workers(DATA_LEN), threads, "the pool must not be bypassed");
+
+    let data: Vec<u8> = (0..DATA_LEN).map(|i| (i * 31 % 251) as u8).collect();
+    let expected_blocks: u64 = data
+        .chunks(CHUNK)
+        .map(|chunk| config.decode(&config.encode(chunk), chunk.len()).unwrap().1.blocks_checked)
+        .sum();
+    for pass in 0..3 {
+        let mut encoded = codec.encode(&data);
+        let report = codec.decode_in_place(&mut encoded, data.len()).unwrap();
+        assert_eq!(&encoded[..data.len()], &data[..], "pass {pass}");
+        assert_eq!(
+            report.blocks_checked, expected_blocks,
+            "pass {pass}: chunk lost or merged twice"
+        );
+        assert_eq!(report.corrected_bits, 0, "pass {pass}: clean decode corrected something");
     }
 }

@@ -117,32 +117,11 @@ pub fn run_campaign_with_bound(
     bits: &[u64],
     eval_bound: Option<BoundSpec>,
 ) -> CampaignReport {
-    let _span = arc_telemetry::span("faultsim.campaign");
-    arc_telemetry::counter_add("faultsim.campaigns", 1);
     let mut ctx = TrialContext::new(compressor, original, compressed);
     ctx.eval_bound = eval_bound;
     let control = ctx.run_control();
-    let trials: Vec<TrialOutcome> = bits
-        .par_iter()
-        .map(|&b| {
-            let out = ctx.run_flip(b);
-            arc_telemetry::counter_add("faultsim.trials", 1);
-            arc_telemetry::counter_add(status_counter_name(out.status), 1);
-            out
-        })
-        .collect();
+    let trials: Vec<TrialOutcome> = bits.par_iter().map(|&b| ctx.run_flip(b)).collect();
     CampaignReport { trials, control, total_bits: compressed.len() as u64 * 8 }
-}
-
-/// Per-status telemetry counter for one trial outcome (§4's four-way
-/// return-status taxonomy).
-fn status_counter_name(status: ReturnStatus) -> &'static str {
-    match status {
-        ReturnStatus::Completed => "faultsim.status.completed",
-        ReturnStatus::CompressorException => "faultsim.status.compressor_exception",
-        ReturnStatus::Terminated => "faultsim.status.terminated",
-        ReturnStatus::Timeout => "faultsim.status.timeout",
-    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,6 @@
 //! | `unsafe-needs-safety`    | every `unsafe` site carries a `// SAFETY:` proof |
 //! | `no-panic-in-lib`        | no `.unwrap()`/`panic!`-family aborts in library code |
 //! | `no-lossy-cast`          | no narrowing `as` casts in the ecc/zfp hot paths |
-//! | `atomic-ordering-audit`  | `Ordering::Relaxed` in telemetry is justified in-line |
-//! | `feature-gate-hygiene`   | telemetry is gated through the facade, never ad-hoc cfg |
 //!
 //! Transitive rules ([`cone`]), checked over the workspace call graph
 //! ([`syntax`] parses items, [`callgraph`] resolves calls) on every

@@ -64,13 +64,7 @@ pub trait Rule {
 
 /// The default registry, in stable report order.
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(UnsafeNeedsSafety),
-        Box::new(NoPanicInLib),
-        Box::new(NoLossyCast),
-        Box::new(AtomicOrderingAudit),
-        Box::new(FeatureGateHygiene),
-    ]
+    vec![Box::new(UnsafeNeedsSafety), Box::new(NoPanicInLib), Box::new(NoLossyCast)]
 }
 
 fn finding(rule: &dyn Rule, ctx: &FileCtx, line: usize, message: String) -> Finding {
@@ -273,120 +267,6 @@ impl Rule for NoLossyCast {
                     ctx,
                     t.line,
                     format!("narrowing `as {}` cast can silently truncate", target.text),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// atomic-ordering-audit
-// ---------------------------------------------------------------------------
-
-/// `Ordering::Relaxed` on the telemetry crate's cross-thread counters is
-/// usually correct (monotonic, no inter-variable ordering), but each site
-/// must say *why* with a `// relaxed: <reason>` comment on the same line or
-/// within the three lines above, so a reviewer can audit the claim.
-pub struct AtomicOrderingAudit;
-
-impl Rule for AtomicOrderingAudit {
-    fn key(&self) -> &'static str {
-        "atomic-ordering-audit"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-
-    fn describe(&self) -> &'static str {
-        "`Ordering::Relaxed` in arc-telemetry needs a nearby `// relaxed:` justification"
-    }
-
-    fn applies(&self, rel: &str) -> bool {
-        rel.starts_with("crates/telemetry/src/")
-    }
-
-    fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
-        let toks: Vec<&Token> = ctx
-            .tokens
-            .iter()
-            .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-            .collect();
-        for (i, t) in toks.iter().enumerate() {
-            if !(t.kind == TokKind::Ident && t.text == "Relaxed") {
-                continue;
-            }
-            // Require the `Ordering::Relaxed` form (the crate never imports
-            // `Relaxed` bare, and this keeps idents in other roles out).
-            let qualified = i >= 3
-                && toks[i - 1].text == ":"
-                && toks[i - 2].text == ":"
-                && toks[i - 3].kind == TokKind::Ident
-                && toks[i - 3].text == "Ordering";
-            if !qualified || ctx.in_test_code(t.line) {
-                continue;
-            }
-            let justified = (t.line.saturating_sub(3)..=t.line)
-                .any(|l| ctx.comment_on(l).to_lowercase().contains("relaxed:"));
-            if !justified {
-                out.push(finding(
-                    self,
-                    ctx,
-                    t.line,
-                    "`Ordering::Relaxed` without a nearby `// relaxed:` justification".into(),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// feature-gate-hygiene
-// ---------------------------------------------------------------------------
-
-/// Telemetry call sites must go through the always-compiled `arc-telemetry`
-/// facade (which no-ops without the feature), never through ad-hoc
-/// `#[cfg(feature = "telemetry")]` gates sprinkled over other crates — those
-/// bit-rot in the untested configuration. Only the telemetry crate itself
-/// may mention the feature.
-pub struct FeatureGateHygiene;
-
-impl Rule for FeatureGateHygiene {
-    fn key(&self) -> &'static str {
-        "feature-gate-hygiene"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn describe(&self) -> &'static str {
-        "no ad-hoc `cfg(feature = \"telemetry\")` outside the arc-telemetry facade"
-    }
-
-    fn applies(&self, rel: &str) -> bool {
-        is_library_source(rel) && !rel.starts_with("crates/telemetry/")
-    }
-
-    fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
-        let toks: Vec<&Token> = ctx
-            .tokens
-            .iter()
-            .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-            .collect();
-        for (i, t) in toks.iter().enumerate() {
-            if !(t.kind == TokKind::Ident && t.text == "feature") {
-                continue;
-            }
-            let eq = toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Punct && n.text == "=");
-            let telemetry =
-                toks.get(i + 2).is_some_and(|n| n.kind == TokKind::StrLit && n.text == "telemetry");
-            if eq && telemetry {
-                out.push(finding(
-                    self,
-                    ctx,
-                    t.line,
-                    "gate telemetry through the arc-telemetry facade, not ad-hoc cfg".into(),
                 ));
             }
         }

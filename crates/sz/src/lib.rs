@@ -101,8 +101,6 @@ const CODE_LITERAL: u32 = 0;
 
 /// Compress `data` (row-major, `dims` slowest-first) under `cfg`.
 pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>, SzError> {
-    let _span = arc_telemetry::span("sz.compress");
-    arc_telemetry::counter_add("sz.compress.elements", data.len() as u64);
     let shape =
         GridShape::new(dims).ok_or_else(|| SzError::Malformed(format!("invalid dims {dims:?}")))?;
     if shape.len() != data.len() {
@@ -144,9 +142,7 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>,
     let mut sign_mask = vec![0u8; if plan.log_domain { n.div_ceil(8) } else { 0 }];
 
     // The prediction/quantization stage is one serial loop: each element's
-    // quantization depends on the reconstructed neighborhood, so the two
-    // sub-steps cannot be timed apart without breaking the data flow.
-    let stage = arc_telemetry::span("predict_quantize");
+    // quantization depends on the reconstructed neighborhood.
     for idx in 0..n {
         let x = data[idx];
         let pred = predictor.predict(&recon, idx);
@@ -214,16 +210,10 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>,
         }
     }
 
-    drop(stage);
-    arc_telemetry::counter_add("sz.compress.literals", literals.len() as u64);
-
     // Assemble the body, then run the ZStd-like final pass over it (§2.1.1's
     // third step).
     let mut body = Vec::new();
-    let code_block = {
-        let _stage = arc_telemetry::span("huffman");
-        huffman_encode_block(&codes, cfg.quant_bins + 1).map_err(SzError::Lossless)?
-    };
+    let code_block = huffman_encode_block(&codes, cfg.quant_bins + 1).map_err(SzError::Lossless)?;
     write_varint(&mut body, code_block.len() as u64);
     body.extend_from_slice(&code_block);
     write_varint(&mut body, literals.len() as u64);
@@ -234,12 +224,8 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>,
         body.extend_from_slice(&zero_mask);
         body.extend_from_slice(&sign_mask);
     }
-    let packed_body = if cfg.final_lossless {
-        let _stage = arc_telemetry::span("zstd");
-        arc_lossless::zstd_like::compress(&body)
-    } else {
-        body
-    };
+    let packed_body =
+        if cfg.final_lossless { arc_lossless::zstd_like::compress(&body) } else { body };
 
     let header = Header {
         bound: cfg.bound,
@@ -264,7 +250,6 @@ pub fn decompress(bytes: &[u8]) -> Result<SzDecoded, SzError> {
 
 /// Decompress with explicit resource limits.
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzDecoded, SzError> {
-    let _span = arc_telemetry::span("sz.decompress");
     let mut pos = 0usize;
     let header = Header::read(bytes, &mut pos)?;
     let n64 = header.element_count();
@@ -278,7 +263,6 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzD
         .filter(|&e| e <= bytes.len())
         .ok_or_else(|| SzError::Malformed("body length out of range".into()))?;
     let body = if header.final_lossless {
-        let _stage = arc_telemetry::span("zstd");
         // A legitimate body holds at most ~8 bytes per element (4 code-block
         // + 4 literal) plus masks and table framing; budget generously so a
         // corrupt inner length field cannot demand an unbounded allocation.
@@ -302,10 +286,7 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzD
     let mut cpos = bpos;
     // A corrupt Huffman payload decodes to however many symbols it can;
     // missing codes fall back to the zero-quantum bin below.
-    let mut codes = {
-        let _stage = arc_telemetry::span("huffman");
-        huffman_decode_block(&body, &mut cpos).unwrap_or_default()
-    };
+    let mut codes = huffman_decode_block(&body, &mut cpos).unwrap_or_default();
     bpos = code_end;
     let mid = (header.quant_bins / 2) as i64;
     let zero_quantum_code = (mid + 1) as u32;
@@ -358,7 +339,6 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzD
     // arc-lint: bounded(n <= limits.max_elements checked at header parse)
     let mut out = vec![0.0f32; n];
     let mut lit_cursor = 0usize;
-    let _stage = arc_telemetry::span("reconstruct");
     for idx in 0..n {
         let pred = predictor.predict(&recon, idx);
         let code = codes[idx];

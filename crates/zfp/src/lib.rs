@@ -115,23 +115,8 @@ const EMAX_BITS: u32 = 9;
 const EMAX_BIAS: i32 = 256;
 const KFIELD_BITS: u32 = 6;
 
-/// Per-call stage accumulators for the block encode loop: local adds per
-/// block, one registry flush per `compress` call (see `arc-telemetry`).
-struct EncodeStages {
-    transform: arc_telemetry::StageAccumulator,
-    embed: arc_telemetry::StageAccumulator,
-}
-
-/// Per-call stage accumulators for the block decode loop.
-struct DecodeStages {
-    embed: arc_telemetry::StageAccumulator,
-    transform: arc_telemetry::StageAccumulator,
-}
-
 /// Compress `data` (row-major, `dims` slowest-first) under `mode`.
 pub fn compress(data: &[f32], dims: &[usize], mode: ZfpMode) -> Result<Vec<u8>, ZfpError> {
-    let _span = arc_telemetry::span("zfp.compress");
-    arc_telemetry::counter_add("zfp.compress.elements", data.len() as u64);
     mode.validate()?;
     let grid =
         Grid::new(dims).ok_or_else(|| ZfpError::Malformed(format!("invalid dims {dims:?}")))?;
@@ -172,16 +157,10 @@ pub fn compress(data: &[f32], dims: &[usize], mode: ZfpMode) -> Result<Vec<u8>, 
     let mut w = BitWriter::new();
     let mut blk = vec![0.0f32; bl];
     let mut decoded = vec![0.0f32; bl];
-    let mut decompose = arc_telemetry::StageAccumulator::new("zfp.compress.decompose");
-    let mut stages = EncodeStages {
-        transform: arc_telemetry::StageAccumulator::new("zfp.compress.transform"),
-        embed: arc_telemetry::StageAccumulator::new("zfp.compress.embed"),
-    };
-    arc_telemetry::counter_add("zfp.compress.blocks", grid.num_blocks() as u64);
     for b in 0..grid.num_blocks() {
-        decompose.time(|| grid.gather(data, b, &mut blk));
+        grid.gather(data, b, &mut blk);
         let start_bits = w.bit_len();
-        encode_one_block(&blk, d, mode, rate_budget, &mut w, &mut decoded, &mut stages)?;
+        encode_one_block(&blk, d, mode, rate_budget, &mut w, &mut decoded)?;
         if let Some(budget) = rate_budget {
             // Pad to the exact per-block budget (fixed rate ⇒ random access).
             let used = w.bit_len() - start_bits;
@@ -211,7 +190,6 @@ fn encode_one_block(
     rate_budget: Option<u64>,
     w: &mut BitWriter,
     scratch: &mut [f32],
-    stages: &mut EncodeStages,
 ) -> Result<(), ZfpError> {
     let bl = blk.len();
     let max_abs = blk.iter().fold(0.0f64, |m, &x| m.max((x as f64).abs()));
@@ -231,7 +209,7 @@ fn encode_one_block(
         return Ok(());
     }
     let emax = exponent_of(max_abs);
-    let coeffs = stages.transform.time(|| forward_block(blk, emax, d));
+    let coeffs = forward_block(blk, emax, d);
     match mode {
         ZfpMode::FixedRate(_) => {
             let Some(budget) = rate_budget else {
@@ -243,15 +221,10 @@ fn encode_one_block(
             w.write_bits(coeffs.kmax as u64, KFIELD_BITS);
             // A rate low enough that the block header exhausts the budget
             // leaves zero plane bits; saturate rather than underflow.
-            stages.embed.time(|| {
-                encode_planes(&coeffs.nb, coeffs.kmax, 0, budget.saturating_sub(header), w)
-            });
+            encode_planes(&coeffs.nb, coeffs.kmax, 0, budget.saturating_sub(header), w);
             Ok(())
         }
         ZfpMode::FixedAccuracy(tol) => {
-            // The whole plane-depth search (trial encode + verify decode)
-            // is the embed stage; multiple exits force a manual stopwatch.
-            let sw = arc_telemetry::Stopwatch::start();
             // Initial guess: the plane whose weight (after transform-gain
             // amplification) drops below the tolerance.
             let scale_log = (codec::PRECISION - 2 - emax) as f64;
@@ -276,7 +249,6 @@ fn encode_one_block(
                     w.write_bits(coeffs.kmax as u64, KFIELD_BITS);
                     w.write_bits(kmin as u64, KFIELD_BITS);
                     encode_planes(&coeffs.nb, coeffs.kmax, kmin, u64::MAX / 2, w);
-                    stages.embed.add_ns(sw.elapsed_ns());
                     return Ok(());
                 }
                 if kmin == 0 {
@@ -286,7 +258,6 @@ fn encode_one_block(
                     for &x in blk {
                         w.write_bits(x.to_bits() as u64, 32);
                     }
-                    stages.embed.add_ns(sw.elapsed_ns());
                     return Ok(());
                 }
                 kmin = kmin.saturating_sub(2);
@@ -302,7 +273,6 @@ pub fn decompress(bytes: &[u8]) -> Result<ZfpDecoded, ZfpError> {
 
 /// Decompress with explicit limits.
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<ZfpDecoded, ZfpError> {
-    let _span = arc_telemetry::span("zfp.decompress");
     let need = |n: usize, pos: usize| -> Result<(), ZfpError> {
         if pos + n > bytes.len() {
             Err(ZfpError::Truncated("header".into()))
@@ -369,20 +339,15 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<Zfp
     let mut out = vec![0.0f32; grid.len()];
     // arc-lint: bounded(bl = block_len <= 64)
     let mut blk = vec![0.0f32; bl];
-    let mut scatter = arc_telemetry::StageAccumulator::new("zfp.decompress.scatter");
-    let mut stages = DecodeStages {
-        embed: arc_telemetry::StageAccumulator::new("zfp.decompress.embed"),
-        transform: arc_telemetry::StageAccumulator::new("zfp.decompress.transform"),
-    };
     for b in 0..grid.num_blocks() {
         let start_bits = r.bit_pos();
-        decode_one_block(&mut r, d, bl, mode, rate_budget, &mut blk, &mut stages)?;
+        decode_one_block(&mut r, d, bl, mode, rate_budget, &mut blk)?;
         if let Some(budget) = rate_budget {
             // Jump to the next block boundary regardless of payload shape.
             let target = start_bits + budget;
             skip_to(&mut r, target)?;
         }
-        scatter.time(|| grid.scatter(&mut out, b, &blk));
+        grid.scatter(&mut out, b, &blk);
     }
     Ok(ZfpDecoded { data: out, dims })
 }
@@ -414,7 +379,6 @@ fn decode_one_block(
     mode: ZfpMode,
     rate_budget: Option<u64>,
     blk: &mut [f32],
-    stages: &mut DecodeStages,
 ) -> Result<(), ZfpError> {
     // Field reads are permissive: like the real ZFP decoder, a corrupted or
     // exhausted stream produces garbage blocks rather than exceptions (the
@@ -435,7 +399,6 @@ fn decode_one_block(
             let kmax = (r.read_bits(KFIELD_BITS).unwrap_or(0) as u32).min(K_TOP);
             // arc-lint: bounded(bl = block_len <= 64)
             let mut nb = vec![0u64; bl];
-            let sw = arc_telemetry::Stopwatch::start();
             match mode {
                 ZfpMode::FixedRate(_) => {
                     let header = 2 + EMAX_BITS as u64 + KFIELD_BITS as u64;
@@ -450,8 +413,7 @@ fn decode_one_block(
                     decode_planes(&mut nb, kmax, kmin, u64::MAX / 2, r)?;
                 }
             }
-            stages.embed.add_ns(sw.elapsed_ns());
-            stages.transform.time(|| inverse_block(&nb, emax, d, blk));
+            inverse_block(&nb, emax, d, blk);
             Ok(())
         }
         // FLAG_ZERO and the reserved value both clear the block.

@@ -9,9 +9,8 @@
 //! shards covering the tile, and the reader's LRU shard cache absorbs the
 //! locality of a panning client.
 //!
-//! Run with `cargo run --release --example tile_server`. Pass `--metrics`
-//! (with `--features telemetry`) to dump the per-stage counter/span
-//! snapshot — including `core.shard_cache.*` — after the workload.
+//! Run with `cargo run --release --example tile_server`; the workload ends
+//! by printing what the calls returned (`RangeReport` sums, `CacheStats`).
 
 use arc::{ArcReader, EccConfig};
 
@@ -21,8 +20,6 @@ const RATE: f64 = 8.0; // bits per value
 const REQUESTS: usize = 400;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let metrics = std::env::args().any(|a| a == "--metrics");
-
     // A smooth synthetic field, compressed at a fixed rate.
     let field: Vec<f32> = (0..DIM * DIM)
         .map(|i| {
@@ -118,13 +115,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "after a mid-container bit flip: tile read corrected {} bit(s) in-line",
         report.correction.corrected_bits
     );
-
-    if metrics {
-        if arc::telemetry::enabled() {
-            println!("\n--- telemetry ---\n{}", arc::telemetry::snapshot().to_prometheus_text());
-        } else {
-            println!("\n--metrics: built without the `telemetry` feature; nothing recorded");
-        }
-    }
     Ok(())
 }

@@ -5,15 +5,13 @@
 #                                    fmt, clippy -D warnings, tier-1 build +
 #                                    tests, workspace tests, arc-lint
 #        scripts/check.sh --full   the fast gate, then everything slower:
-#                                    hostile-input sweep, the `telemetry`
-#                                    feature build + tests, arcbench at
-#                                    smoke scale
+#                                    hostile-input sweep, arcbench at smoke
+#                                    scale
 #
 # arc-lint fails on any violation beyond lint-baseline.json and on stale
 # baseline entries; regenerate with scripts/lint_baseline.sh after paying
 # debt down. The hostile sweep (DESIGN.md §11) fails on any decode panic,
-# hang, or over-budget allocation; the telemetry pass re-runs the golden
-# suites with instrumentation on, proving it changes no byte.
+# hang, or over-budget allocation.
 #
 # Wall-clock throughput gates are in neither mode (too noisy for shared
 # machines): `arcbench/run.sh --pairs N OTHER_CHECKOUT` is run by hand
@@ -63,15 +61,6 @@ fi
 if (( full )); then
     echo "==> hostile-input sweep: cargo run --release -q -p arc-bench --bin hostile_corpus"
     cargo run --release -q -p arc-bench --bin hostile_corpus
-
-    echo "==> telemetry: cargo build --release --features telemetry"
-    cargo build --release --features telemetry
-    echo "==> telemetry: cargo test -q --features telemetry"
-    cargo test -q --features telemetry
-    echo "==> telemetry: cargo test -q -p arc-core --features telemetry"
-    cargo test -q -p arc-core --features telemetry
-    echo "==> telemetry: cargo test -q -p arc-ecc --features telemetry"
-    cargo test -q -p arc-ecc --features telemetry
 
     echo "==> arcbench smoke: bash arcbench/run.sh --all --smoke"
     bash arcbench/run.sh --all --smoke

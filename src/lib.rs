@@ -53,9 +53,6 @@ pub use arc_lossless as lossless;
 pub use arc_pressio as pressio;
 /// SZ-like lossy compressor.
 pub use arc_sz as sz;
-/// Instrumentation facade (spans/counters/histograms/events; no-ops
-/// unless built with `--features telemetry`).
-pub use arc_telemetry as telemetry;
 /// ZFP-like lossy compressor.
 pub use arc_zfp as zfp;
 

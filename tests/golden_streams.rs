@@ -1,9 +1,6 @@
 //! Golden compressed-stream regression tests: the SZ and ZFP encoders must
-//! produce byte-for-byte stable output for a fixed input, with the
-//! `telemetry` feature on or off. The FNV-1a checksums below were captured
-//! with telemetry off; `scripts/check.sh --full` reruns this file under
-//! `--features telemetry`, so a checksum match in
-//! both builds proves instrumentation never perturbs the streams.
+//! produce byte-for-byte stable output for a fixed input (FNV-1a checksums
+//! below).
 //!
 //! To regenerate after an *intentional* stream-format change, run:
 //! `ARC_REGENERATE_GOLDEN=1 cargo test --test golden_streams -- --nocapture`
