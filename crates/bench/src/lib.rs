@@ -10,7 +10,7 @@
 #![warn(missing_docs)]
 
 use arc_datasets::{Field, SdrDataset};
-use arc_ecc::{EccConfig, EccMethod};
+use arc_ecc::{EccConfig, EccMethod, EccScheme};
 use arc_pressio::{Compressor, CompressorSpec, Dataset};
 
 /// How big a run to do.
@@ -246,10 +246,31 @@ pub fn ecc_probe_bytes(scale: RunScale) -> Vec<u8> {
     field.data.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
+/// Length of the Figs 8–10 probe for `config` on a thread ladder topping
+/// out at `max_threads`: at least one bytes-per-thread floor
+/// ([`EccScheme::min_bytes_per_thread`]) per thread, so that
+/// `effective_workers` equals the thread count in every column and the
+/// figure can show scaling at every run scale.
+pub fn scaling_probe_len(base_len: usize, config: &EccConfig, max_threads: usize) -> usize {
+    base_len.max(max_threads * config.min_bytes_per_thread())
+}
+
+/// The Figs 8–10 probe: `base` (the CESM bytes of [`ecc_probe_bytes`])
+/// tiled out to [`scaling_probe_len`].
+pub fn scaling_probe(base: &[u8], config: &EccConfig, max_threads: usize) -> Vec<u8> {
+    let len = scaling_probe_len(base.len(), config, max_threads);
+    base.iter().copied().cycle().take(len).collect()
+}
+
+/// One cell of a thread column: throughput, and the workers that ran it.
+pub fn thread_cell(mb_s: f64, workers: usize) -> String {
+    format!("{} ({workers}w)", fmt(mb_s))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arc_ecc::{EccScheme, ParallelCodec};
+    use arc_ecc::ParallelCodec;
 
     #[test]
     fn scale_trials_pick_by_variant() {
@@ -282,6 +303,23 @@ mod tests {
             assert_eq!(out, data, "{name}");
             assert!(!report.is_clean(), "{name} should have repaired something");
         }
+    }
+
+    /// Every (scheme, thread count) Figs 8–10 run gets the workers it asks
+    /// for, whatever the host's core count and the run scale's field size.
+    #[test]
+    fn scaling_probe_clears_the_floor_in_every_thread_column() {
+        let quick_cesm_bytes = 4 * SdrDataset::CesmCldlow.test_dims().iter().product::<usize>();
+        for max_threads in [1usize, 2, 6, 40] {
+            for (name, config) in scaling_schemes() {
+                let len = scaling_probe_len(quick_cesm_bytes, &config, max_threads);
+                for t in arc_core::thread_ladder(max_threads) {
+                    let codec = ParallelCodec::new(config, t).unwrap();
+                    assert_eq!(codec.effective_workers(len), t, "{name} at {t}/{max_threads}");
+                }
+            }
+        }
+        assert_eq!(scaling_probe(&[1, 2, 3], &EccConfig::secded(true), 1).len(), 4 << 20);
     }
 
     #[test]

@@ -498,7 +498,7 @@ pub(crate) fn recover_index(
 /// of header prefix plus encoded payload, header already written. Returns
 /// the buffer and the offset of the (still unwritten) payload region, which
 /// [`encode_mono`] fills itself and `stream::encode_batch` fills for many
-/// frames in one flat pool pass.
+/// frames in one flat `par_map` pass.
 pub(crate) fn mono_frame(
     data: &[u8],
     codec: &ParallelCodec<Arc<dyn EccScheme>>,

@@ -50,7 +50,7 @@ pub fn arc_engine_decode(
 ///
 /// A wrapper over the v2 writer: one push through a
 /// [`crate::stream::StreamEncoder`] into an exactly-sized `Vec`, with as
-/// many ring workers as `threads` resolves to.
+/// many threads per shard group as `threads` resolves to.
 pub fn arc_engine_encode_sharded(
     data: &[u8],
     config: EccConfig,

@@ -13,9 +13,7 @@
 
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use arc_ecc::codec::CorrectionReport;
 use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
@@ -123,7 +121,7 @@ impl std::fmt::Debug for ArcContext {
             .field("max_threads", &self.max_threads)
             .field("chunk_size", &self.chunk_size)
             .field("configs", &self.space.len())
-            .field("trained_points", &self.table.read().len())
+            .field("trained_points", &self.table().len())
             .finish()
     }
 }
@@ -163,7 +161,7 @@ impl ArcContext {
 
     /// A snapshot of the trained throughput table.
     pub fn training_table(&self) -> TrainingTable {
-        self.table.read().clone()
+        self.table().clone()
     }
 
     /// The configuration space in use.
@@ -174,7 +172,7 @@ impl ArcContext {
     /// Run the optimizer without encoding (`arc_joint_optimizer()` and
     /// friends; "the user can ignore these suggestions for any reason").
     pub fn select(&self, request: &EncodeRequest) -> Result<Selection, ArcError> {
-        joint_optimizer(&self.table.read(), &self.space, request, self.max_threads)
+        joint_optimizer(&self.table(), &self.space, request, self.max_threads)
     }
 
     /// `arc_encode()`: choose a configuration under the constraints and
@@ -228,9 +226,9 @@ impl ArcContext {
         // ARC operations"). Skip degenerate timings.
         if seconds > 1e-4 && !data.is_empty() {
             let mbs = data.len() as f64 / 1e6 / seconds;
-            let dec = self.table.read().get(&config, threads).map(|m| m.decode_mb_s);
+            let dec = self.table().get(&config, threads).map(|m| m.decode_mb_s);
             if let Some(dec) = dec {
-                self.table.write().record(&config, threads, mbs, dec);
+                self.table_mut().record(&config, threads, mbs, dec);
             }
         }
         Ok(out)
@@ -267,9 +265,19 @@ impl ArcContext {
         decode_in_place_with_threads(bytes, self.max_threads)
     }
 
+    // A poisoned lock is recovered, not propagated: the table is a map of
+    // independent throughput measurements, valid after any partial update.
+    fn table(&self) -> RwLockReadGuard<'_, TrainingTable> {
+        self.table.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn table_mut(&self) -> RwLockWriteGuard<'_, TrainingTable> {
+        self.table.write().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn save_cache(&self) -> Result<(), ArcError> {
         if let Some(path) = &self.cache_path {
-            self.table.read().save(path)?;
+            self.table().save(path)?;
         }
         Ok(())
     }
@@ -277,19 +285,14 @@ impl ArcContext {
     /// `arc_close()`: persist refreshed estimates and consume the context.
     pub fn close(mut self) -> Result<(), ArcError> {
         self.closed = true;
-        if let Some(path) = &self.cache_path {
-            self.table.read().save(path)?;
-        }
-        Ok(())
+        self.save_cache()
     }
 }
 
 impl Drop for ArcContext {
     fn drop(&mut self) {
         if !self.closed {
-            if let Some(path) = &self.cache_path {
-                let _ = self.table.read().save(path);
-            }
+            let _ = self.save_cache();
         }
     }
 }

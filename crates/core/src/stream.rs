@@ -5,13 +5,14 @@
 //! service layer (DESIGN.md §14):
 //!
 //! * [`StreamEncoder`] — **the v2 writer**: accepts data in arbitrary-size
-//!   pushes, encodes full shards on a bounded ring of in-flight jobs
-//!   (back-pressure when the ring is full, so peak memory is O(ring ×
-//!   shard) regardless of input size), and emits v2 container bytes to a
-//!   [`StreamSink`]. Shard payloads are per-shard
-//!   [`ParallelCodec::encode_into`] regions. The one-shot sharded encoders
-//!   are one push through this encoder into an exactly-sized `Vec`
-//!   (`encode_oneshot`), so no second writer exists to keep in step.
+//!   pushes, encodes full shards in groups of up to `threads` through
+//!   [`par_map`] (a group is encoded and written before the next one
+//!   starts, so peak memory is O(threads × shard) regardless of input
+//!   size), and emits v2 container bytes to a [`StreamSink`]. Shard
+//!   payloads are per-shard [`ParallelCodec::encode_into`] regions. The
+//!   one-shot sharded encoders are one push through this encoder into an
+//!   exactly-sized `Vec` (`encode_oneshot`), so no second writer exists to
+//!   keep in step.
 //! * [`StreamDecoder`] — a push-based state machine over the same wire
 //!   format: length-prefix vote → RS-protected header (both through
 //!   `container::recover_header`, shared with `unpack`) → per-shard decode
@@ -21,17 +22,12 @@
 //!   an [`ArcError`], never a panic, and buffering is proportional to the
 //!   bytes actually pushed, never to a length a corrupt header claims.
 //! * [`encode_batch`] / [`decode_batch`] — coalesce many small independent
-//!   requests into one flat pool pass so requests below the per-scheme
+//!   requests into one [`par_map`] pass so requests below the per-scheme
 //!   bytes-per-thread floor still fill all workers in aggregate.
 
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
-
 use arc_ecc::crc::{crc32, Crc32};
-use arc_ecc::parallel::{resolve_threads, DEFAULT_CHUNK_SIZE};
-use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec};
-use rayon::prelude::*;
+use arc_ecc::parallel::{par_map, resolve_threads, DEFAULT_CHUNK_SIZE};
+use arc_ecc::{CorrectionReport, EccConfig, ParallelCodec};
 
 use crate::container::{
     self, ContainerMeta, HeaderScan, IndexRepair, ShardEntry, ShardingMeta, Unpacked,
@@ -43,7 +39,7 @@ use crate::interface::{decode_with_threads, ArcDecodeReport, Codec};
 
 /// Positional byte sink for streaming encode output.
 ///
-/// The encoder emits shard payloads as they complete and back-patches the
+/// The encoder emits shard payloads group by group and back-patches the
 /// header (whose length fields are only known at [`StreamEncoder::finish`])
 /// at offset 0, so the sink must support positional writes rather than
 /// append-only ones. Offsets are contiguous in aggregate: every byte of
@@ -70,28 +66,20 @@ impl StreamSink for Vec<u8> {
 /// Tuning knobs for [`StreamEncoder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamOptions {
-    /// Worker threads for shard ECC (`0` = all available cores, as
+    /// Threads for shard ECC (`0` = all available cores, as
     /// [`arc_ecc::ANY_THREADS`]; `1` = encode inline on the pushing
-    /// thread, no workers spawned).
+    /// thread, nothing spawned). Peak buffering is O(`threads` × shard).
     pub threads: usize,
     /// Decoded bytes per shard (the v2 random-access granule).
     pub shard_size: usize,
     /// ECC chunk size within a shard ([`DEFAULT_CHUNK_SIZE`] unless a
     /// caller has a reason; it is recorded in the header either way).
     pub chunk_size: usize,
-    /// Maximum in-flight shard jobs. Peak buffering is O(`ring` ×
-    /// encoded-shard); a full ring back-pressures `push`.
-    pub ring: usize,
 }
 
 impl Default for StreamOptions {
     fn default() -> Self {
-        StreamOptions {
-            threads: 1,
-            shard_size: DEFAULT_SHARD_SIZE,
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            ring: 4,
-        }
+        StreamOptions { threads: 1, shard_size: DEFAULT_SHARD_SIZE, chunk_size: DEFAULT_CHUNK_SIZE }
     }
 }
 
@@ -104,111 +92,9 @@ pub struct StreamEncodeStats {
     pub container_len: usize,
     /// Shards emitted.
     pub shards: usize,
-    /// Worker threads the ring ran (0 = inline encoding, no workers).
+    /// Threads shard groups were encoded on (always ≥ 1; `0` has been
+    /// resolved, as [`ParallelCodec::threads`]).
     pub workers: usize,
-    /// Ring capacity the encoder ran with.
-    pub ring: usize,
-    /// Times `push`/`finish` blocked because the ring was full — the
-    /// back-pressure events that bound peak memory.
-    pub backpressure_waits: u64,
-}
-
-/// One shard handed to the ring: the staged plaintext and a pre-sized
-/// output buffer. Buffers are allocated by the pushing thread and recycled
-/// through the free lists, so worker threads allocate nothing.
-struct Job {
-    seq: usize,
-    data: Vec<u8>,
-    out: Vec<u8>,
-}
-
-/// A finished shard coming back from the ring.
-struct Done {
-    seq: usize,
-    data: Vec<u8>,
-    out: Vec<u8>,
-    crc: u32,
-}
-
-/// The worker side of the bounded ring: a shared job queue, a completion
-/// queue, and the thread handles. Dropping the ring closes the job queue,
-/// drains completions, and joins every worker.
-struct Ring {
-    jobs_tx: Option<mpsc::Sender<Job>>,
-    done_rx: mpsc::Receiver<Done>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl Drop for Ring {
-    fn drop(&mut self) {
-        // Closing the job channel lets idle workers exit; draining the
-        // completion channel lets busy ones finish their send.
-        self.jobs_tx = None;
-        while self.done_rx.recv().is_ok() {}
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(
-    jobs: &Mutex<mpsc::Receiver<Job>>,
-    done: &mpsc::Sender<Done>,
-    scheme: Arc<dyn EccScheme>,
-    chunk_size: usize,
-) {
-    // One sequential codec per worker: shard-level parallelism comes from
-    // the ring, so per-shard encode stays single-threaded and allocation
-    // free. Construction was already validated by the encoder's own codec;
-    // if it fails here anyway, exiting turns into a clean `ArcError::Io`
-    // on the encoder side.
-    let Ok(codec) = ParallelCodec::with_chunk_size(scheme, 1, chunk_size) else {
-        return;
-    };
-    loop {
-        let job = {
-            let rx = match jobs.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            match rx.recv() {
-                Ok(j) => j,
-                Err(_) => return,
-            }
-        };
-        let Job { seq, data, mut out } = job;
-        codec.encode_into(&data, &mut out);
-        let crc = crc32(&data);
-        if done.send(Done { seq, data, out, crc }).is_err() {
-            return;
-        }
-    }
-}
-
-impl Ring {
-    fn start(
-        scheme: Arc<dyn EccScheme>,
-        chunk_size: usize,
-        workers: usize,
-    ) -> Result<Ring, ArcError> {
-        let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-        let mut ring = Ring { jobs_tx: Some(jobs_tx), done_rx, handles: Vec::new() };
-        for i in 0..workers {
-            let rx = Arc::clone(&jobs_rx);
-            let tx = done_tx.clone();
-            let scheme = Arc::clone(&scheme);
-            let handle = thread::Builder::new()
-                .name(format!("arc-stream-{i}"))
-                .spawn(move || worker_loop(&rx, &tx, scheme, chunk_size))
-                .map_err(|e| ArcError::Io(format!("stream worker spawn: {e}")))?;
-            ring.handles.push(handle);
-        }
-        // `done_tx` clones live in the workers; dropping the original here
-        // makes `done_rx` disconnect exactly when the last worker exits.
-        Ok(ring)
-    }
 }
 
 /// Incremental v2 container writer with bounded memory.
@@ -230,24 +116,25 @@ impl Ring {
 pub struct StreamEncoder<S: StreamSink> {
     sink: S,
     scheme_id: String,
-    /// Sequential codec for geometry (and inline encode when `workers`
-    /// is 0).
+    /// Sequential codec: shard geometry, and the per-shard encode each
+    /// group member runs (parallelism is across the group's shards).
     codec: Codec,
     shard_size: usize,
-    ring_cap: usize,
     workers: usize,
     hlen: usize,
+    /// The shard being filled from pushes smaller than a shard.
     staging: Vec<u8>,
+    /// Full staged shards waiting for their group (always < `workers`: the
+    /// shard that completes a group is encoded from `staging` itself), and
+    /// cleared buffers to stage into next.
+    parked: Vec<Vec<u8>>,
+    spare: Vec<Vec<u8>>,
+    /// One encoded-shard buffer per group member, reused across groups.
+    outs: Vec<Vec<u8>>,
     crc: Crc32,
     data_len: usize,
     payload_pos: usize,
     entries: Vec<ShardEntry>,
-    next_seq: usize,
-    outstanding: usize,
-    free_data: Vec<Vec<u8>>,
-    free_out: Vec<Vec<u8>>,
-    ring: Option<Ring>,
-    backpressure_waits: u64,
 }
 
 impl<S: StreamSink> StreamEncoder<S> {
@@ -275,10 +162,7 @@ impl<S: StreamSink> StreamEncoder<S> {
         if opts.shard_size == 0 {
             return Err(ArcError::InvalidRequest("shard size must be >= 1".into()));
         }
-        if opts.ring == 0 {
-            return Err(ArcError::InvalidRequest("ring capacity must be >= 1".into()));
-        }
-        let codec = ParallelCodec::with_chunk_size(Arc::clone(&scheme), 1, opts.chunk_size)?;
+        let codec = ParallelCodec::with_chunk_size(scheme, 1, opts.chunk_size)?;
         // The header length is a pure function of the scheme id and the
         // sharded flag, so the payload region can start before any length
         // field is known; `finish` back-patches the real header at 0.
@@ -290,209 +174,128 @@ impl<S: StreamSink> StreamEncoder<S> {
             data_crc: 0,
             sharding: Some(ShardingMeta { shard_size: opts.shard_size, index_len: 1 }),
         };
-        let hlen = container::header_len(&meta);
-        let workers = resolve_threads(opts.threads);
-        let ring = if workers > 1 {
-            Some(Ring::start(scheme, opts.chunk_size, workers.min(opts.ring))?)
-        } else {
-            None
-        };
-        let workers = ring.as_ref().map(|r| r.handles.len()).unwrap_or(0);
         Ok(StreamEncoder {
             sink,
             scheme_id,
             codec,
             shard_size: opts.shard_size,
-            ring_cap: opts.ring,
-            workers,
-            hlen,
+            workers: resolve_threads(opts.threads),
+            hlen: container::header_len(&meta),
             staging: Vec::with_capacity(opts.shard_size),
+            parked: Vec::new(),
+            spare: Vec::new(),
+            outs: Vec::new(),
             crc: Crc32::new(),
             data_len: 0,
             payload_pos: 0,
             entries: Vec::new(),
-            next_seq: 0,
-            outstanding: 0,
-            free_data: Vec::new(),
-            free_out: Vec::new(),
-            ring,
-            backpressure_waits: 0,
         })
     }
 
-    /// Append `bytes` to the stream. Blocks only when the ring is full
-    /// (back-pressure), never on the sink.
+    /// Append `bytes` to the stream. Returns once every shard group the
+    /// push completed has been encoded and handed to the sink.
     ///
     /// Full shards that are entirely contained in `bytes` take a
-    /// zero-copy fast path: with nothing staged, the shard is encoded
-    /// (or handed to a worker) straight from the caller's buffer, so
-    /// large pushes skip the staging memcpy entirely. Output bytes are
-    /// identical either way.
+    /// zero-copy fast path: with no partial shard staged, they are encoded
+    /// straight from the caller's buffer, so large pushes skip the staging
+    /// memcpy entirely. Output bytes are identical either way.
     pub fn push(&mut self, mut bytes: &[u8]) -> Result<(), ArcError> {
+        self.data_len += bytes.len();
         while !bytes.is_empty() {
             if self.staging.is_empty() && bytes.len() >= self.shard_size {
-                let (shard, rest) = bytes.split_at(self.shard_size);
-                self.crc.update(shard);
-                self.data_len += shard.len();
-                self.submit_slice(shard)?;
+                // Parked shards come first in stream order, so they share
+                // the group and the caller's slice only tops it up.
+                let n = (bytes.len() / self.shard_size).min(self.workers - self.parked.len());
+                let (whole, rest) = bytes.split_at(n * self.shard_size);
+                self.crc.update(whole);
+                self.encode_group(whole)?;
                 bytes = rest;
                 continue;
             }
             let room = self.shard_size - self.staging.len();
-            let take = room.min(bytes.len());
-            self.staging.extend_from_slice(&bytes[..take]);
-            self.crc.update(&bytes[..take]);
-            self.data_len += take;
-            bytes = &bytes[take..];
-            if self.staging.len() == self.shard_size {
-                self.submit_shard()?;
+            let (head, rest) = bytes.split_at(room.min(bytes.len()));
+            self.staging.extend_from_slice(head);
+            self.crc.update(head);
+            bytes = rest;
+            if self.staging.len() < self.shard_size {
+                continue;
+            }
+            if self.parked.len() + 1 == self.workers {
+                self.encode_group(&[])?;
+            } else {
+                // arc-lint: bounded(encoder-side staging; one shard of the caller's chosen size)
+                let next = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(self.shard_size));
+                self.parked.push(std::mem::replace(&mut self.staging, next));
             }
         }
         Ok(())
     }
 
-    /// Receive one finished shard, write it at its (pre-computed) payload
-    /// offset, and recycle its buffers. Completion order is arbitrary;
-    /// output bytes are not, because every write is positional.
-    fn reap_one(&mut self) -> Result<(), ArcError> {
-        let done = match &self.ring {
-            Some(r) => {
-                r.done_rx.recv().map_err(|_| ArcError::Io("stream worker terminated".into()))?
+    /// Encode one group — the parked shards, the staged shard if there is
+    /// one, then the shards of `whole` — on up to `workers` threads, then
+    /// write the group to the sink in stream order. At most `workers`
+    /// shards per call.
+    fn encode_group(&mut self, whole: &[u8]) -> Result<(), ArcError> {
+        let first = self.entries.len();
+        let staged = Some(&self.staging).filter(|shard| !shard.is_empty());
+        let sources = self
+            .parked
+            .iter()
+            .chain(staged)
+            .map(Vec::as_slice)
+            .chain(whole.chunks(self.shard_size));
+        let members = sources.clone().count();
+        if self.outs.len() < members {
+            // arc-lint: bounded(a group never exceeds `workers` shards)
+            self.outs.resize_with(members, Vec::new);
+        }
+        // Assign every shard its payload offset up front: the offsets are
+        // what make the container independent of how the input was grouped.
+        for (shard, out) in sources.clone().zip(&mut self.outs) {
+            let (decoded_len, encoded_len) = (shard.len(), self.codec.encoded_len(shard.len()));
+            if encoded_len > u32::MAX as usize || decoded_len > u32::MAX as usize {
+                return Err(ArcError::InvalidRequest(format!(
+                    "shard of {decoded_len} bytes overflows the index's u32 length fields"
+                )));
             }
-            None => return Err(ArcError::Io("stream ring is not running".into())),
+            let offset = self.payload_pos;
+            self.payload_pos = offset
+                .checked_add(encoded_len)
+                .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
+            self.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc: 0 });
+            // arc-lint: bounded(encoded_len computed by the codec from the caller's shard, not decoded input)
+            out.resize(encoded_len, 0);
+        }
+        let codec = &self.codec;
+        let encode_shard = |shard: &[u8], out: &mut [u8], entry: &mut ShardEntry| {
+            codec.encode_into(shard, out);
+            entry.crc = crc32(shard);
         };
-        let offset = self
-            .entries
-            .get(done.seq)
-            .map(|e| e.offset)
-            .ok_or_else(|| ArcError::Io("stream completion out of range".into()))?;
-        self.sink.write_at(self.hlen + offset, &done.out)?;
-        if let Some(e) = self.entries.get_mut(done.seq) {
-            e.crc = done.crc;
-        }
-        self.outstanding -= 1;
-        if self.free_data.len() <= self.ring_cap {
-            self.free_data.push(done.data);
-        }
-        if self.free_out.len() <= self.ring_cap {
-            self.free_out.push(done.out);
-        }
-        Ok(())
-    }
-
-    /// Validate a shard's lengths against the index's u32 fields, assign
-    /// its payload offset, and push its (CRC-pending) index entry.
-    /// Returns `(offset, encoded_len)`.
-    fn reserve_entry(&mut self, decoded_len: usize) -> Result<(usize, usize), ArcError> {
-        let encoded_len = self.codec.encoded_len(decoded_len);
-        if encoded_len > u32::MAX as usize || decoded_len > u32::MAX as usize {
-            return Err(ArcError::InvalidRequest(format!(
-                "shard of {decoded_len} bytes overflows the index's u32 length fields"
-            )));
-        }
-        let offset = self.payload_pos;
-        self.payload_pos = offset
-            .checked_add(encoded_len)
-            .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
-        // The CRC slot is filled when the shard's encode completes.
-        self.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc: 0 });
-        Ok((offset, encoded_len))
-    }
-
-    /// Back-pressure: reap completed shards until the ring has a free slot.
-    fn wait_for_slot(&mut self) -> Result<(), ArcError> {
-        while self.outstanding >= self.ring_cap {
-            self.backpressure_waits += 1;
-            self.reap_one()?;
-        }
-        Ok(())
-    }
-
-    /// Hand one prepared `(data, out)` pair to the workers.
-    fn send_job(&mut self, data: Vec<u8>, out: Vec<u8>) -> Result<(), ArcError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let tx = self
-            .ring
-            .as_ref()
-            .and_then(|r| r.jobs_tx.as_ref())
-            .ok_or_else(|| ArcError::Io("stream ring is not running".into()))?;
-        tx.send(Job { seq, data, out })
-            .map_err(|_| ArcError::Io("stream worker terminated".into()))?;
-        self.outstanding += 1;
-        Ok(())
-    }
-
-    /// Submit the staged (full or tail) shard.
-    fn submit_shard(&mut self) -> Result<(), ArcError> {
-        if self.ring.is_none() {
-            // Inline mode: route through the slice path so the encode
-            // reads the staged bytes directly; `take` + restore keeps the
-            // staging capacity across shards.
-            let staged = std::mem::take(&mut self.staging);
-            let result = self.submit_slice(&staged);
-            self.staging = staged;
-            self.staging.clear();
-            return result;
-        }
-        let (_, encoded_len) = self.reserve_entry(self.staging.len())?;
-        self.wait_for_slot()?;
-        let mut out = self.free_out.pop().unwrap_or_default();
-        // arc-lint: bounded(encoded_len computed by the codec from the caller's shard, not decoded input)
-        out.resize(encoded_len, 0);
-        let mut data = self.free_data.pop().unwrap_or_default();
-        data.clear();
-        // Swap, don't copy: the staged buffer becomes the job's and a
-        // recycled one becomes the next staging area.
-        std::mem::swap(&mut data, &mut self.staging);
-        self.send_job(data, out)
-    }
-
-    /// Submit one full shard straight from the caller's buffer. Inline
-    /// mode encodes from the slice with no staging copy; ring mode copies
-    /// it into a recycled job buffer — the one copy a hand-off to another
-    /// thread requires, and the same copy the staging path would have made.
-    fn submit_slice(&mut self, shard: &[u8]) -> Result<(), ArcError> {
-        let (offset, encoded_len) = self.reserve_entry(shard.len())?;
-        if self.ring.is_some() {
-            self.wait_for_slot()?;
-            let mut out = self.free_out.pop().unwrap_or_default();
-            // arc-lint: bounded(encoded_len computed by the codec from the caller's slice, not decoded input)
-            out.resize(encoded_len, 0);
-            let mut data = self.free_data.pop().unwrap_or_default();
-            data.clear();
-            data.extend_from_slice(shard);
-            self.send_job(data, out)
+        let jobs = sources.zip(&mut self.outs).zip(self.entries.iter_mut().skip(first));
+        if self.workers > 1 {
+            let mut jobs: Vec<_> = jobs.collect();
+            par_map(self.workers, &mut jobs, |((shard, out), entry)| {
+                encode_shard(shard, out, entry)
+            });
         } else {
-            let mut out = self.free_out.pop().unwrap_or_default();
-            // arc-lint: bounded(encoded_len computed by the codec from the caller's slice, not decoded input)
-            out.resize(encoded_len, 0);
-            self.codec.encode_into(shard, &mut out);
-            if let Some(e) = self.entries.last_mut() {
-                e.crc = crc32(shard);
-            }
-            self.next_seq += 1;
-            self.sink.write_at(self.hlen + offset, &out)?;
-            self.free_out.push(out);
-            Ok(())
+            jobs.for_each(|((shard, out), entry)| encode_shard(shard, out, entry));
         }
+        for (out, entry) in self.outs.iter().zip(self.entries.iter().skip(first)) {
+            self.sink.write_at(self.hlen + entry.offset, out)?;
+        }
+        self.staging.clear();
+        self.parked.iter_mut().for_each(Vec::clear);
+        self.spare.append(&mut self.parked);
+        Ok(())
     }
 
-    /// Flush the partial tail shard, drain the ring, write the triplicated
-    /// index, back-patch the header, and return the sink. The container
-    /// depends only on the concatenation of every pushed slice and on the
-    /// scheme, shard size and chunk size — never on how the input was cut
-    /// into pushes, on `threads`, or on `ring`.
+    /// Flush the partial tail shard with the last group, write the
+    /// triplicated index, back-patch the header, and return the sink. The
+    /// container depends only on the concatenation of every pushed slice
+    /// and on the scheme, shard size and chunk size — never on how the
+    /// input was cut into pushes or on `threads`.
     pub fn finish(mut self) -> Result<(S, StreamEncodeStats), ArcError> {
-        if !self.staging.is_empty() {
-            self.submit_shard()?;
-        }
-        while self.outstanding > 0 {
-            self.reap_one()?;
-        }
-        // Join the workers before sealing the container so a worker that
-        // died mid-shard can't leave a silently unwritten region.
-        self.ring = None;
+        self.encode_group(&[])?;
         let index = container::rs_index_encode(&container::serialize_index(&self.entries))?;
         let meta = ContainerMeta {
             scheme_id: self.scheme_id.clone(),
@@ -521,8 +324,6 @@ impl<S: StreamSink> StreamEncoder<S> {
             container_len: istart + 3 * index.len(),
             shards: self.entries.len(),
             workers: self.workers,
-            ring: self.ring_cap,
-            backpressure_waits: self.backpressure_waits,
         };
         Ok((self.sink, stats))
     }
@@ -530,8 +331,7 @@ impl<S: StreamSink> StreamEncoder<S> {
 
 /// One-shot v2 encode, the body of every `encode_sharded*` entry point:
 /// the whole input pushed once through a [`StreamEncoder`] whose sink is a
-/// `Vec` reserved to the container's exact length, on as many ring workers
-/// as `threads` resolves to.
+/// `Vec` reserved to the container's exact length.
 pub(crate) fn encode_oneshot(
     data: &[u8],
     scheme: Resolved,
@@ -539,8 +339,7 @@ pub(crate) fn encode_oneshot(
     chunk_size: usize,
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    let threads = resolve_threads(threads);
-    let opts = StreamOptions { threads, shard_size, chunk_size, ring: threads };
+    let opts = StreamOptions { threads, shard_size, chunk_size };
     let mut enc = StreamEncoder::with_scheme(Vec::new(), scheme, opts)?;
     let index_len = container::index_encoded_len(data.len().div_ceil(shard_size))?;
     let payload_len = enc.codec.sharded_encoded_len(data.len(), shard_size);
@@ -899,67 +698,30 @@ impl StreamDecoder {
     }
 }
 
-/// Workers worth dispatching for a batch totalling `total` bytes — the
-/// same bytes-per-thread floor [`ParallelCodec::effective_workers`]
-/// applies, but over the batch's *aggregate* size, which is the point of
-/// coalescing: many below-floor requests still fill a pool.
-fn batch_workers(scheme: &dyn EccScheme, threads: usize, total: usize) -> usize {
-    let threads = resolve_threads(threads);
-    if threads <= 1 {
-        return 1;
-    }
-    let floor = scheme.min_bytes_per_thread().max(1);
-    threads.min(total / floor).max(1)
-}
-
-/// Encode many independent requests as one flat pool pass.
+/// Encode many independent requests as one flat chunk pass.
 ///
 /// Each element of the result is byte-identical to
 /// [`crate::arc_engine_encode`] of the corresponding request — every
 /// container is a `container::mono_frame` of the v1 writer — and only the
 /// scheduling differs: chunk jobs from *all* requests land in one list
-/// driven by a single pool, so requests individually below the scheme's
-/// bytes-per-thread floor still parallelize in aggregate.
+/// ([`ParallelCodec::encode_many_into`]), so requests individually below
+/// the scheme's bytes-per-thread floor still parallelize in aggregate.
 pub fn encode_batch(
     requests: &[&[u8]],
     config: EccConfig,
     threads: usize,
 ) -> Result<Vec<Vec<u8>>, ArcError> {
     let (scheme_id, scheme) = builtin_scheme(config);
-    let codec = ParallelCodec::with_chunk_size(scheme, 1, DEFAULT_CHUNK_SIZE)?;
-    let scheme = codec.config().as_ref();
-    let total: usize = requests.iter().map(|d| d.len()).sum();
+    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
     let frames: Result<Vec<_>, _> =
         requests.iter().map(|data| container::mono_frame(data, &codec, &scheme_id)).collect();
     let mut frames = frames?;
-    // One flat chunk-job list across every request.
-    let mut jobs: Vec<(&[u8], &mut [u8], &mut [u8])> = Vec::new();
-    for (data, (out, hlen)) in requests.iter().zip(frames.iter_mut()) {
-        let region = &mut out[*hlen..];
-        let (mut data_rest, mut parity_rest) = region.split_at_mut(data.len());
-        for chunk in data.chunks(codec.chunk_size()) {
-            let (d, rest) = data_rest.split_at_mut(chunk.len());
-            data_rest = rest;
-            let (p, rest) = parity_rest.split_at_mut(scheme.parity_len(chunk.len()));
-            parity_rest = rest;
-            jobs.push((chunk, d, p));
-        }
-    }
-    let run = |(src, dst, parity): &mut (&[u8], &mut [u8], &mut [u8])| {
-        dst.copy_from_slice(src);
-        scheme.encode_parity_into(src, parity);
-    };
-    let workers = batch_workers(scheme, threads, total);
-    if workers > 1 && jobs.len() > 1 {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .thread_name(|i| format!("arc-batch-{i}"))
-            .build()
-            .map_err(|e| ArcError::Io(format!("thread pool: {e}")))?;
-        pool.install(|| jobs.par_iter_mut().for_each(run));
-    } else {
-        jobs.iter_mut().for_each(run);
-    }
+    let mut pairs: Vec<(&[u8], &mut [u8])> = requests
+        .iter()
+        .zip(&mut frames)
+        .map(|(data, (out, hlen))| (*data, &mut out[*hlen..]))
+        .collect();
+    codec.encode_many_into(&mut pairs);
     Ok(frames.into_iter().map(|(out, _)| out).collect())
 }
 
@@ -967,37 +729,14 @@ pub fn encode_batch(
 /// or the first error hit while decoding that container.
 type DecodeOutcome = Result<(Vec<u8>, ArcDecodeReport), ArcError>;
 
-/// Decode many independent containers as one flat pool pass.
+/// Decode many independent containers as one [`par_map`] pass.
 ///
 /// Order-preserving; each element equals what
 /// [`crate::decode_with_threads`] returns for that container. Failures are
 /// per-item — one corrupt container never poisons its batch.
 pub fn decode_batch(containers: &[&[u8]], threads: usize) -> Vec<DecodeOutcome> {
-    let workers = resolve_threads(threads).min(containers.len()).max(1);
-    let mut slots: Vec<Option<DecodeOutcome>> = Vec::new();
-    slots.resize_with(containers.len(), || None);
-    let mut jobs: Vec<(&[u8], &mut Option<DecodeOutcome>)> =
-        containers.iter().copied().zip(slots.iter_mut()).collect();
-    let run = |(bytes, slot): &mut (&[u8], &mut Option<_>)| {
-        **slot = Some(decode_with_threads(bytes, 1));
-    };
-    let pool = if workers > 1 {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .thread_name(|i| format!("arc-batch-{i}"))
-            .build()
-            .ok()
-    } else {
-        None
-    };
-    match pool {
-        Some(pool) => pool.install(|| jobs.par_iter_mut().for_each(run)),
-        None => jobs.iter_mut().for_each(run),
-    }
-    slots
-        .into_iter()
-        .map(|s| s.unwrap_or_else(|| Err(ArcError::Io("batch slot unfilled".into()))))
-        .collect()
+    let mut jobs = containers.to_vec();
+    par_map(resolve_threads(threads), &mut jobs, |bytes| decode_with_threads(bytes, 1))
 }
 
 #[cfg(test)]

@@ -132,8 +132,9 @@ fn engine_container_path_allocation_bounds() {
 
     // The one-shot v2 wrapper is one push through the streaming encoder
     // into an exactly-sized sink: the container, the encoder's staging and
-    // output buffers ((ring + 1) encoded shards covers both at ring = 1),
-    // the index, header scratch. A sink that grew would allocate twice that.
+    // output buffers ((threads + 1) encoded shards covers both at one
+    // thread), the index, header scratch. A sink that grew would allocate
+    // twice that.
     let shard_size = 256 << 10;
     drop(arc_engine_encode_sharded(&data[..4096], cfg, 1, shard_size).unwrap());
     let (sharded, _, bytes) =
@@ -142,9 +143,9 @@ fn engine_container_path_allocation_bounds() {
         let u = unpack(&sharded).unwrap();
         (u.index.unwrap().entries[0].encoded_len, u.meta.sharding.unwrap().index_len)
     };
-    let ring = 1;
+    let threads = 1;
     assert!(
-        bytes < sharded.len() + (ring + 1) * encoded_shard + index_len + 8192,
+        bytes < sharded.len() + (threads + 1) * encoded_shard + index_len + 8192,
         "one-shot v2 encode allocated {bytes} bytes for a {} byte container",
         sharded.len()
     );

@@ -2,7 +2,7 @@
 //! v2 container. For every stock extension family the same data must
 //!
 //! 1. stream through `StreamEncoder::with_registry_scheme` into the same
-//!    bytes whatever the push partition, thread count and ring size (the
+//!    bytes whatever the push partition and thread count (the
 //!    one-shot `encode_sharded_with_scheme` is one such push),
 //! 2. stream-decode through `StreamDecoder::with_registry`,
 //! 3. serve `ArcReader::decode_range` slices through
@@ -28,7 +28,7 @@ fn every_extension_family_streams_and_range_decodes_byte_identically() {
     let data = sample(200_000);
     for name in registry.ids() {
         // (1) One container, however it is produced: inline in odd pushes,
-        // on a threaded ring in one push, or through the one-shot wrapper.
+        // on two threads in one push, or through the one-shot wrapper.
         let opts = StreamOptions { shard_size: SHARD, ..StreamOptions::default() };
         let mut enc = StreamEncoder::with_registry_scheme(Vec::new(), &registry, &name, opts)
             .expect("stream encoder");
@@ -38,11 +38,11 @@ fn every_extension_family_streams_and_range_decodes_byte_identically() {
         let (streamed, stats) = enc.finish().expect("finish");
         assert_eq!(stats.shards, data.len().div_ceil(SHARD), "{name}");
         assert_eq!(stats.container_len, streamed.len(), "{name}");
-        let threaded = StreamOptions { threads: 2, ring: 3, ..opts };
+        let threaded = StreamOptions { threads: 2, ..opts };
         let mut enc = StreamEncoder::with_registry_scheme(Vec::new(), &registry, &name, threaded)
             .expect("threaded stream encoder");
         enc.push(&data).expect("push");
-        assert_eq!(enc.finish().expect("finish").0, streamed, "{name}: ring changed the bytes");
+        assert_eq!(enc.finish().expect("finish").0, streamed, "{name}: threads changed the bytes");
         let one_shot = encode_sharded_with_scheme(&data, &registry, &name, 2, SHARD)
             .expect("one-shot sharded encode");
         assert_eq!(one_shot, streamed, "{name}: one-shot wrapper changed the bytes");

@@ -1,9 +1,9 @@
 //! The streaming invariants that guard the wire format (DESIGN.md §14):
 //! `StreamEncoder` is the only v2 writer, so its output must depend on
 //! nothing but the input bytes, the scheme, the shard size and the chunk
-//! size. For ANY push-size partition of ANY input, ANY thread count and
-//! ANY ring size the container is byte-identical to the single-push inline
-//! one (the committed `GOLDEN_V2` snapshots in `golden_container.rs` pin
+//! size. For ANY push-size partition of ANY input and ANY thread count
+//! the container is byte-identical to the single-push inline one (the
+//! committed `GOLDEN_V2` snapshots in `golden_container.rs` pin
 //! what those bytes are), and `StreamDecoder` over ANY chunking of it
 //! reproduces the input — across every built-in ECC family.
 
@@ -47,7 +47,7 @@ fn push_partitioned(
     Ok(())
 }
 
-/// The reference container: one push, inline (no workers), default ring.
+/// The reference container: one push, inline (one thread).
 fn single_push(data: &[u8], config: EccConfig, shard_size: usize) -> Vec<u8> {
     let opts = StreamOptions { shard_size, ..StreamOptions::default() };
     let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
@@ -59,20 +59,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The container is a function of the input alone: any partition of
-    /// the input into pushes, any thread count and any ring size give the
-    /// single-push inline bytes, which decode to the input.
+    /// the input into pushes and any thread count give the single-push
+    /// inline bytes, which decode to the input.
     #[test]
-    fn stream_encode_is_independent_of_partition_threads_and_ring(
+    fn stream_encode_is_independent_of_partition_and_threads(
         config in arb_config(),
         data_len in 0usize..20_000,
         shard_size in 1usize..6_000,
         sizes in proptest::collection::vec(1usize..4096, 0..12),
-        threads in 1usize..4,
-        ring in 1usize..5,
+        threads in 1usize..5,
     ) {
         let data = payload(data_len);
         let reference = single_push(&data, config, shard_size);
-        let opts = StreamOptions { shard_size, threads, ring, ..StreamOptions::default() };
+        let opts = StreamOptions { shard_size, threads, ..StreamOptions::default() };
         let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
         push_partitioned(&mut enc, &data, &sizes).unwrap();
         let (got, stats) = enc.finish().unwrap();
@@ -163,7 +162,7 @@ fn every_builtin_scheme_streams_identically() {
     for config in EccConfig::standard_space() {
         let shard_size = 3 << 10;
         let reference = single_push(&data, config, shard_size);
-        let opts = StreamOptions { shard_size, threads: 2, ring: 2, ..StreamOptions::default() };
+        let opts = StreamOptions { shard_size, threads: 2, ..StreamOptions::default() };
         let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
         push_partitioned(&mut enc, &data, &[1, 977, 4096]).unwrap();
         let (got, _) = enc.finish().unwrap();
@@ -177,4 +176,27 @@ fn every_builtin_scheme_streams_identically() {
         dec.finish().unwrap();
         assert_eq!(out, data, "{}", config.id());
     }
+}
+
+/// The one ordering hazard of group-of-`threads` encoding: shards parked
+/// in staging buffers precede, in stream order, whole shards that a later
+/// push offers straight from the caller's slice. Two half-shard pushes park
+/// one staged shard (threads = 3, so the group is not yet full); the next
+/// slice holds 2½ shards and must top that group up *behind* the parked
+/// shard, not overtake it.
+#[test]
+fn parked_shards_are_flushed_before_whole_shards_from_a_later_push() {
+    // Not a divisor of `payload`'s 2048-byte period: every shard differs.
+    let shard_size = 3_000;
+    let data = payload(shard_size * 7 / 2);
+    let config = EccConfig::rs(8, 2).unwrap();
+    let reference = single_push(&data, config, shard_size);
+    let opts = StreamOptions { shard_size, threads: 3, ..StreamOptions::default() };
+    let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
+    push_partitioned(&mut enc, &data, &[shard_size / 2, shard_size / 2, shard_size * 5 / 2])
+        .unwrap();
+    let (got, stats) = enc.finish().unwrap();
+    assert_eq!(got, reference);
+    assert_eq!((stats.shards, stats.workers), (4, 3));
+    assert_eq!(arc_engine_decode(&got, 1).unwrap().0, data);
 }

@@ -1,8 +1,7 @@
 //! Streaming-encoder scheduling guarantees: output bytes are a pure
-//! function of the input (identical across thread counts and ring sizes),
-//! back-pressure actually engages when the ring fills, and — via a
+//! function of the input (identical across thread counts) and — via a
 //! peak-live-bytes counting allocator — peak memory during a streaming
-//! encode is O(ring × shard), independent of input size.
+//! encode is O(threads × shard), independent of input size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -14,8 +13,8 @@ use arc_ecc::EccConfig;
 
 /// Live heap bytes across the whole process (alloc adds, dealloc
 /// subtracts) and the high-water mark. A process-global count is the
-/// honest RSS proxy here: the encoder's worker threads and channels are
-/// part of its footprint, so they must not be exempt.
+/// honest RSS proxy here: the encoder's scoped worker threads are part of
+/// its footprint, so they must not be exempt.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 static PEAK: AtomicIsize = AtomicIsize::new(0);
 
@@ -112,12 +111,10 @@ fn payload(len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Streaming output is byte-identical across 1/2/8-thread pools and ring
-/// sizes {1, 2, 8}, and back-pressure engages whenever there are more
-/// shards than ring slots (the waits counter is how the O(ring × shard)
-/// bound is enforced, so prove it fires).
+/// Streaming output is byte-identical across 1, 2 and 8 threads, and the
+/// stats report the resolved thread count.
 #[test]
-fn output_is_deterministic_across_threads_and_rings() {
+fn output_is_deterministic_across_threads() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let data = payload(6 << 20);
     let shard_size = 512 << 10;
@@ -125,46 +122,29 @@ fn output_is_deterministic_across_threads_and_rings() {
     let config = EccConfig::secded(true);
     let reference = arc_engine_encode_sharded(&data, config, 1, shard_size).unwrap();
     for threads in [1usize, 2, 8] {
-        for ring in [1usize, 2, 8] {
-            let opts = StreamOptions { threads, shard_size, ring, ..StreamOptions::default() };
-            let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
-            for piece in data.chunks(100_003) {
-                enc.push(piece).unwrap();
-            }
-            let (got, stats) = enc.finish().unwrap();
-            assert_eq!(got, reference, "threads={threads} ring={ring}");
-            assert_eq!(stats.shards, shards);
-            if threads == 1 {
-                assert_eq!(stats.workers, 0, "1-thread encode must stay inline");
-                assert_eq!(stats.backpressure_waits, 0);
-            } else {
-                assert!(stats.workers >= 1);
-                assert!(
-                    stats.backpressure_waits >= (shards - ring) as u64,
-                    "threads={threads} ring={ring}: expected back-pressure \
-                     ({} shards through {} slots), saw {} waits",
-                    shards,
-                    ring,
-                    stats.backpressure_waits
-                );
-            }
+        let opts = StreamOptions { threads, shard_size, ..StreamOptions::default() };
+        let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
+        for piece in data.chunks(100_003) {
+            enc.push(piece).unwrap();
         }
+        let (got, stats) = enc.finish().unwrap();
+        assert_eq!(got, reference, "threads={threads}");
+        assert_eq!((stats.shards, stats.workers), (shards, threads));
     }
 }
 
 /// Peak allocation during a streaming encode of a 64 MiB input is bounded
-/// by the ring geometry — a small multiple of (ring × encoded shard) —
+/// by the group geometry — a small multiple of (threads × encoded shard) —
 /// and nowhere near the input (or container) size the one-shot path
 /// needs. This is the bounded-memory contract of DESIGN.md §14.
 #[test]
-fn peak_memory_is_ring_by_shard_not_input_sized() {
+fn peak_memory_is_threads_by_shard_not_input_sized() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let input_len = 64 << 20;
     let shard_size = 4 << 20;
-    let ring = 2usize;
     let config = EccConfig::secded(true);
     let data = payload(input_len);
-    let opts = StreamOptions { threads: 2, shard_size, ring, ..StreamOptions::default() };
+    let opts = StreamOptions { threads: 2, shard_size, ..StreamOptions::default() };
 
     // Warm lazily-initialized code tables so they don't count.
     drop(arc_engine_encode_sharded(&data[..1 << 20], config, 1, shard_size).unwrap());
@@ -180,17 +160,18 @@ fn peak_memory_is_ring_by_shard_not_input_sized() {
     let (sink, stats) = result.unwrap();
     assert_eq!(stats.data_len, input_len);
     assert_eq!(sink.high_water, stats.container_len, "container fully written");
-    assert!(stats.backpressure_waits > 0, "64 MiB through a 2-slot ring must back-pressure");
+    let workers = stats.workers;
+    assert_eq!(workers, 2);
 
-    // Budget: staging + (ring in flight + recycled spares) × (plaintext +
-    // encoded) shard buffers, plus slack for the index/entries/channels.
-    // For ring=2, shard=4 MiB, SEC-DED(64) encoded ≈ 4.5 MiB this is
-    // ~40 MiB vs the 64 MiB input and ~72 MiB container.
+    // Budget: staging + (one group + spares) × (plaintext + encoded) shard
+    // buffers, plus slack for the index/entries/job lists. For 2 threads,
+    // shard=4 MiB, SEC-DED(64) encoded ≈ 4.5 MiB this is ~40 MiB vs the
+    // 64 MiB input and ~72 MiB container.
     let encoded_shard = shard_size + shard_size / 8;
-    let budget = shard_size + (ring + 2) * (shard_size + encoded_shard) + (1 << 20);
+    let budget = shard_size + (workers + 2) * (shard_size + encoded_shard) + (1 << 20);
     assert!(
         peak <= budget,
-        "peak live bytes {peak} exceed ring budget {budget} (ring={ring}, shard={shard_size})"
+        "peak live bytes {peak} exceed group budget {budget} (threads={workers}, shard={shard_size})"
     );
     assert!(
         peak < input_len / 2,

@@ -1,10 +1,13 @@
 //! Chunk-parallel ECC encoding/decoding with explicit thread counts.
 //!
-//! The paper parallelizes every ECC method with OpenMP and caps resource use
-//! at the thread count given to `arc_init()` (§5.1). This module is the Rust
-//! equivalent: input is split into fixed-size chunks, each chunk is encoded
-//! or verified independently on a dedicated rayon thread pool whose size the
-//! caller controls, and per-chunk correction reports are merged.
+//! The paper parallelizes every ECC method with an OpenMP `parallel for`
+//! over chunks and caps resource use at the thread count given to
+//! `arc_init()` (§5.1). [`par_map`] is the Rust equivalent and the
+//! workspace's one way to run work on N threads: a fork-join over
+//! `std::thread::scope` with a static contiguous split, no pool and no
+//! state between calls. [`ParallelCodec`] splits its input into fixed-size
+//! chunks, encodes or verifies each chunk independently through it, and
+//! merges the per-chunk correction reports.
 //!
 //! Encoded layout: `data ‖ parity₀ ‖ parity₁ ‖ …` — chunk parity regions
 //! follow the (unmodified) data in order. Because every scheme's parity
@@ -20,8 +23,6 @@
 //! wrapper that makes exactly one heap allocation for the whole container.
 //! On the read side [`ParallelCodec::decode_in_place`] verifies and repairs
 //! the payload where it lies; a clean decode copies nothing.
-
-use rayon::prelude::*;
 
 use crate::codec::{CorrectionReport, EccError, EccScheme};
 use crate::config::EccConfig;
@@ -48,31 +49,62 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// Apply `f` to every item on up to `workers` threads; results come back in
+/// input order.
+///
+/// Each worker takes one contiguous run of `items`; the first run executes on
+/// the calling thread, so `n` workers cost `n - 1` scoped spawns. One worker
+/// (or at most one item) runs in-line with no spawn at all. A panic in `f`
+/// propagates to the caller when the scope joins.
+pub fn par_map<T, R, F>(workers: usize, items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut T) -> R + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter_mut().map(f).collect();
+    }
+    let run_len = items.len().div_ceil(workers);
+    let mut results: Vec<Option<R>> = Vec::new();
+    // arc-lint: bounded(one slot per item of a slice already held in memory)
+    results.resize_with(items.len(), || None);
+    let fill = |(run, slots): (&mut [T], &mut [Option<R>])| {
+        for (item, slot) in run.iter_mut().zip(slots) {
+            *slot = Some(f(item));
+        }
+    };
+    let mut runs = items.chunks_mut(run_len).zip(results.chunks_mut(run_len));
+    let first = runs.next();
+    std::thread::scope(|s| {
+        for r in runs {
+            s.spawn(|| fill(r));
+        }
+        if let Some(r) = first {
+            fill(r);
+        }
+    });
+    // Every slot is filled: the scope joined every worker, and a worker
+    // that panicked has re-raised here already.
+    results.into_iter().flatten().collect()
+}
+
 /// A chunk-parallel codec for one ECC scheme at a fixed thread count.
 ///
 /// Generic over the scheme so both the built-in [`EccConfig`] space and
 /// custom schemes registered through ARC's extension API (boxed
 /// `Arc<dyn EccScheme>`) get identical chunking and thread semantics.
+#[derive(Debug)]
 pub struct ParallelCodec<S: EccScheme = EccConfig> {
     config: S,
     chunk_size: usize,
     threads: usize,
-    pool: Option<rayon::ThreadPool>,
-}
-
-impl<S: EccScheme + std::fmt::Debug> std::fmt::Debug for ParallelCodec<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelCodec")
-            .field("config", &self.config)
-            .field("chunk_size", &self.chunk_size)
-            .field("threads", &self.threads)
-            .finish()
-    }
 }
 
 impl<S: EccScheme> ParallelCodec<S> {
     /// Create a codec running on `threads` worker threads (1 = in-line
-    /// sequential execution, no pool is spawned; [`ANY_THREADS`] = all
+    /// sequential execution, nothing is ever spawned; [`ANY_THREADS`] = all
     /// available hardware threads).
     pub fn new(config: S, threads: usize) -> Result<ParallelCodec<S>, EccError> {
         Self::with_chunk_size(config, threads, DEFAULT_CHUNK_SIZE)
@@ -96,18 +128,7 @@ impl<S: EccScheme> ParallelCodec<S> {
         // touches them: keeps the one-time build out of the timed hot loops
         // and out of the per-chunk allocation budget.
         crate::gf256::warm_tables();
-        let pool = if threads > 1 {
-            Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .thread_name(|i| format!("arc-ecc-{i}"))
-                    .build()
-                    .map_err(|e| EccError::InvalidConfig(format!("thread pool: {e}")))?,
-            )
-        } else {
-            None
-        };
-        Ok(ParallelCodec { config, chunk_size, threads, pool })
+        Ok(ParallelCodec { config, chunk_size, threads })
     }
 
     /// The configuration this codec runs.
@@ -129,9 +150,9 @@ impl<S: EccScheme> ParallelCodec<S> {
     ///
     /// The minimum-bytes-per-thread floor ([`EccScheme::min_bytes_per_thread`])
     /// clamps the configured thread count so each worker gets enough work to
-    /// amortize thread dispatch; small jobs collapse to 1 and bypass the pool
-    /// entirely. This is what fixed the measured 2-thread throughput
-    /// *regression* for the fast schemes (see DESIGN.md §13).
+    /// amortize its scoped spawn; small jobs collapse to 1 and run in-line.
+    /// This is what fixed the measured 2-thread throughput *regression* for
+    /// the fast schemes (see DESIGN.md §13).
     pub fn effective_workers(&self, data_len: usize) -> usize {
         if self.threads <= 1 {
             return 1;
@@ -140,13 +161,21 @@ impl<S: EccScheme> ParallelCodec<S> {
         self.threads.min(data_len / floor).max(1)
     }
 
-    /// The pool to dispatch on, if parallelism is worth it for this length.
-    fn pool_for(&self, data_len: usize) -> Option<&rayon::ThreadPool> {
-        if self.effective_workers(data_len) > 1 {
-            self.pool.as_ref()
-        } else {
-            None
-        }
+    /// Carve an encoded region — `data ‖ parity₀ ‖ parity₁ ‖ …`, already
+    /// checked to be [`ParallelCodec::encoded_len`]`(data_len)` bytes — into
+    /// one disjoint `(data chunk, parity region)` pair per chunk.
+    fn carve<'a>(
+        &'a self,
+        encoded: &'a mut [u8],
+        data_len: usize,
+    ) -> impl Iterator<Item = (&'a mut [u8], &'a mut [u8])> {
+        let (data, mut parity_rest) = encoded.split_at_mut(data_len);
+        data.chunks_mut(self.chunk_size).map(move |chunk| {
+            let (parity, rest) =
+                std::mem::take(&mut parity_rest).split_at_mut(self.config.parity_len(chunk.len()));
+            parity_rest = rest;
+            (chunk, parity)
+        })
     }
 
     /// Total encoded length for `data_len` input bytes.
@@ -168,42 +197,34 @@ impl<S: EccScheme> ParallelCodec<S> {
     /// exactly [`ParallelCodec::encoded_len`] bytes. `out` may hold
     /// arbitrary garbage; every byte is overwritten.
     ///
-    /// On the sequential path (1 thread) this performs no heap allocation;
-    /// with a pool, workers write their disjoint regions concurrently and
-    /// only the job list itself is allocated.
+    /// On the sequential path (1 effective worker) this performs no heap
+    /// allocation; otherwise workers write their disjoint regions
+    /// concurrently and only the job list itself is allocated.
     pub fn encode_into(&self, data: &[u8], out: &mut [u8]) {
-        let expected = self.encoded_len(data.len());
-        assert_eq!(out.len(), expected, "encode_into: output buffer size mismatch");
-        let (data_out, parity_all) = out.split_at_mut(data.len());
-        match self.pool_for(data.len()) {
-            Some(pool) => {
-                let mut jobs: Vec<(&[u8], &mut [u8], &mut [u8])> =
-                    Vec::with_capacity(data.len().div_ceil(self.chunk_size));
-                let mut data_rest = data_out;
-                let mut parity_rest = parity_all;
-                for chunk in data.chunks(self.chunk_size) {
-                    let (d, rest) = data_rest.split_at_mut(chunk.len());
-                    data_rest = rest;
-                    let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                    parity_rest = rest;
-                    jobs.push((chunk, d, p));
-                }
-                pool.install(|| {
-                    jobs.par_iter_mut().for_each(|(src, dst, parity)| {
-                        dst.copy_from_slice(src);
-                        self.config.encode_parity_into(src, parity);
-                    });
-                });
-            }
-            None => {
-                data_out.copy_from_slice(data);
-                let mut parity_rest = parity_all;
-                for chunk in data.chunks(self.chunk_size) {
-                    let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                    parity_rest = rest;
-                    self.config.encode_parity_into(chunk, p);
-                }
-            }
+        self.encode_many_into(&mut [(data, out)]);
+    }
+
+    /// [`ParallelCodec::encode_into`] for every `(data, out)` pair, as one
+    /// flat chunk list: the worker count comes from the pairs' *aggregate*
+    /// size, so requests individually below the scheme's bytes-per-thread
+    /// floor still fill every worker together.
+    pub fn encode_many_into(&self, pairs: &mut [(&[u8], &mut [u8])]) {
+        let total: usize = pairs.iter().map(|(data, _)| data.len()).sum();
+        let jobs = pairs.iter_mut().flat_map(|(data, out)| {
+            let expected = self.encoded_len(data.len());
+            assert_eq!(out.len(), expected, "encode_into: output buffer size mismatch");
+            data.chunks(self.chunk_size).zip(self.carve(out, data.len()))
+        });
+        let encode_chunk = |src: &[u8], dst: &mut [u8], parity: &mut [u8]| {
+            dst.copy_from_slice(src);
+            self.config.encode_parity_into(src, parity);
+        };
+        let workers = self.effective_workers(total);
+        if workers > 1 {
+            let mut jobs: Vec<_> = jobs.collect();
+            par_map(workers, &mut jobs, |(src, (dst, parity))| encode_chunk(src, dst, parity));
+        } else {
+            jobs.for_each(|(src, (dst, parity))| encode_chunk(src, dst, parity));
         }
     }
 
@@ -264,40 +285,23 @@ impl<S: EccScheme> ParallelCodec<S> {
                 ),
             });
         }
-        let (data_all, parity_all) = encoded.split_at_mut(data_len);
-        Ok(match self.pool_for(data_len) {
-            Some(pool) => {
-                let mut jobs: Vec<(&mut [u8], &mut [u8])> =
-                    // arc-lint: bounded(chunk count of a buffer already held in memory)
-                    Vec::with_capacity(data_len.div_ceil(self.chunk_size));
-                let mut parity_rest = parity_all;
-                for chunk in data_all.chunks_mut(self.chunk_size) {
-                    let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                    parity_rest = rest;
-                    jobs.push((chunk, p));
-                }
-                let results: Vec<Result<CorrectionReport, EccError>> = pool.install(|| {
-                    jobs.par_iter_mut()
-                        .map(|(chunk, parity)| self.config.verify_and_correct(chunk, parity))
-                        .collect()
-                });
-                let mut merged = CorrectionReport::default();
-                for r in results {
-                    merged.merge(&r?);
-                }
-                merged
+        let mut jobs = self.carve(encoded, data_len);
+        let mut merged = CorrectionReport::default();
+        let workers = self.effective_workers(data_len);
+        if workers > 1 {
+            let mut jobs: Vec<_> = jobs.collect();
+            for r in par_map(workers, &mut jobs, |(chunk, parity)| {
+                self.config.verify_and_correct(chunk, parity)
+            }) {
+                merged.merge(&r?);
             }
-            None => {
-                let mut merged = CorrectionReport::default();
-                let mut parity_rest = parity_all;
-                for chunk in data_all.chunks_mut(self.chunk_size) {
-                    let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                    parity_rest = rest;
-                    merged.merge(&self.config.verify_and_correct(chunk, p)?);
-                }
-                merged
-            }
-        })
+        } else {
+            jobs.try_for_each(|(chunk, parity)| {
+                merged.merge(&self.config.verify_and_correct(chunk, parity)?);
+                Ok::<(), EccError>(())
+            })?;
+        }
+        Ok(merged)
     }
 
     /// Decode an encoded buffer, verifying and repairing every chunk.
@@ -371,6 +375,42 @@ mod tests {
 
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 31 + i / 7) % 256) as u8).collect()
+    }
+
+    #[test]
+    fn par_map_visits_every_item_once_in_order() {
+        for len in [0usize, 1, 2, 7, 64] {
+            for workers in [1usize, 2, 3, 8, len + 5] {
+                let mut items: Vec<(usize, u32)> = (0..len).map(|i| (i, 0)).collect();
+                let out = par_map(workers, &mut items, |(i, visits)| {
+                    *visits += 1;
+                    *i * 3
+                });
+                assert_eq!(out, (0..len).map(|i| i * 3).collect::<Vec<_>>(), "{workers}/{len}");
+                assert!(items.iter().all(|&(_, visits)| visits == 1), "{workers}/{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_with_one_worker_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = par_map(1, &mut [(); 4], |_| std::thread::current().id());
+        assert_eq!(ids, [caller; 4]);
+        // More workers: the first run still belongs to the caller, the
+        // second to a spawned thread.
+        let ids = par_map(2, &mut [(); 4], |_| std::thread::current().id());
+        assert_eq!(ids[..2], [caller; 2]);
+        assert!(ids[2] != caller && ids[2] == ids[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn par_map_propagates_a_worker_panic() {
+        // Item 5 of 8 over 4 workers lands on a spawned thread; the scope
+        // re-raises its panic on the caller.
+        let mut items: Vec<usize> = (0..8).collect();
+        par_map(4, &mut items, |&mut i| assert!(i != 5, "item {i} failed"));
     }
 
     #[test]
@@ -577,10 +617,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_path_round_trips_above_the_floor() {
-        // Large enough that the pool is genuinely used (3 MiB / 1 MiB floor
-        // = 3 workers for RS): the parallel output must match sequential
-        // and repairs must still work chunk-locally.
+    fn threaded_path_round_trips_above_the_floor() {
+        // Large enough that threads are genuinely spawned (3 MiB / 1 MiB
+        // floor = 3 workers for RS): the parallel output must match
+        // sequential and repairs must still work chunk-locally.
         let cfg = EccConfig::rs(16, 4).unwrap();
         let par = ParallelCodec::with_chunk_size(cfg, 4, 256 * 1024).unwrap();
         assert_eq!(par.effective_workers(3 << 20), 3);

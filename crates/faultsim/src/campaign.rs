@@ -1,8 +1,7 @@
 //! Fault-injection campaigns: many trials, run in parallel, aggregated the
 //! way the paper's figures need them.
 
-use rayon::prelude::*;
-
+use arc_ecc::parallel::{par_map, resolve_threads, ANY_THREADS};
 use arc_pressio::{BoundSpec, Compressor, RunningStats};
 
 use crate::trial::{ReturnStatus, TrialContext, TrialOutcome};
@@ -97,8 +96,8 @@ impl CampaignReport {
     }
 }
 
-/// Run one trial per bit in `bits`, in parallel over the available rayon
-/// threads.
+/// Run one trial per bit in `bits`, in parallel over every available
+/// hardware thread.
 pub fn run_campaign(
     compressor: &dyn Compressor,
     original: &[f32],
@@ -120,7 +119,8 @@ pub fn run_campaign_with_bound(
     let mut ctx = TrialContext::new(compressor, original, compressed);
     ctx.eval_bound = eval_bound;
     let control = ctx.run_control();
-    let trials: Vec<TrialOutcome> = bits.par_iter().map(|&b| ctx.run_flip(b)).collect();
+    let trials =
+        par_map(resolve_threads(ANY_THREADS), &mut bits.to_vec(), |&mut b| ctx.run_flip(b));
     CampaignReport { trials, control, total_bits: compressed.len() as u64 * 8 }
 }
 

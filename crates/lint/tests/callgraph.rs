@@ -155,3 +155,39 @@ fn every_hostile_decode_target_is_a_declared_root() {
     assert!(roots_toml.contains("\"hostile::run_case\""));
     assert!(dump.contains("\"fn\": \"arc_faultsim::hostile::run_case\""));
 }
+
+/// The thread driver under every multi-threaded decode is workspace code
+/// (`arc_ecc::parallel::par_map`), not a vendored crate the lint skips: it
+/// must be reachable, edge by edge, from the one-shot decode body and from
+/// the random-access reader, so the panic and allocation rules see it.
+#[test]
+fn the_thread_driver_is_inside_the_decode_cone() {
+    let opts = Options { graph: Some(GraphFormat::Json), ..Options::default() };
+    let dump = run(&workspace_root(), &opts)
+        .expect("graph run succeeds")
+        .graph_dump
+        .expect("graph dump produced");
+    let edges: Vec<(&str, &str)> = dump
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("{\"from\": \"")?.split_once("\", \"to\": \""))
+        .map(|(from, to)| (from, to.trim_end_matches(['"', '}', ','])))
+        .collect();
+    for root in
+        ["arc_core::interface::decode_container", "arc_core::reader::ArcReader::decode_range"]
+    {
+        let mut seen = vec![root];
+        let mut next = 0;
+        while let Some(&node) = seen.get(next) {
+            next += 1;
+            for &(from, to) in &edges {
+                if from == node && !seen.contains(&to) {
+                    seen.push(to);
+                }
+            }
+        }
+        assert!(
+            seen.contains(&"arc_ecc::parallel::par_map"),
+            "`par_map` is not reachable from decode root `{root}`"
+        );
+    }
+}

@@ -3,10 +3,11 @@
 //! One-shot `arc_encode` needs the whole input in memory. A long-running
 //! ingest service (sensor telemetry, checkpoint streams) cannot afford
 //! that, so this example pushes an "endless" feed of odd-sized packets
-//! through [`arc::StreamEncoder`]: bytes are sharded as they arrive, each
-//! full shard is ECC-encoded through a bounded ring of in-flight jobs
-//! (back-pressure caps peak memory at O(ring × shard) however long the
-//! feed runs), and v2 container bytes are emitted incrementally. The
+//! through [`arc::StreamEncoder`]: bytes are sharded as they arrive, full
+//! shards are ECC-encoded `threads` at a time (each group is written out
+//! before the next starts, which caps peak memory at O(threads × shard)
+//! however long the feed runs), and v2 container bytes are emitted
+//! incrementally. The
 //! bytes depend on the input alone: the one-shot sharded encode is a single
 //! push through this same encoder, so every golden snapshot and reader
 //! applies to both.
@@ -14,7 +15,7 @@
 //! The container is then consumed the same way — [`arc::StreamDecoder`]
 //! over network-sized chunks — and finally the batch front-end
 //! ([`arc::encode_batch`]) shows how many *small* requests coalesce into
-//! one flat pool pass. Run with:
+//! one flat parallel pass. Run with:
 //!
 //! ```text
 //! cargo run --release --example stream_ingest
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Packets arrive in irregular sizes; the encoder neither knows nor
     // cares about the total length in advance.
     let config = EccConfig::secded(true);
-    let opts = StreamOptions { shard_size: SHARD, ring: 4, ..StreamOptions::default() };
+    let opts = StreamOptions { shard_size: SHARD, threads: 2, ..StreamOptions::default() };
     let mut encoder = StreamEncoder::new(Vec::new(), config, opts)?;
 
     let mut feed = Vec::with_capacity(FEED_BYTES); // kept only to verify below
@@ -48,13 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (container, stats) = encoder.finish()?;
     println!(
         "ingested {} B in shards of {} B -> container {} B \
-         ({} shards, {} ring workers, {} back-pressure waits)",
-        stats.data_len,
-        SHARD,
-        stats.container_len,
-        stats.shards,
-        stats.workers,
-        stats.backpressure_waits
+         ({} shards, {} threads)",
+        stats.data_len, SHARD, stats.container_len, stats.shards, stats.workers
     );
 
     // However the feed was cut into packets, the bytes are those of one
@@ -82,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- 3. Batch front-end -------------------------------------------
     // A thousand tiny requests would each fall below the bytes-per-thread
-    // floor; the batch API coalesces them into one flat pool pass (the
+    // floor; the batch API coalesces them into one flat parallel pass (the
     // floor applies to the aggregate) while returning per-request
     // containers identical to singleton encodes.
     let requests: Vec<Vec<u8>> =
