@@ -250,60 +250,124 @@ impl HuffmanCode {
     /// Build a decoder for this code.
     pub fn decoder(&self) -> HuffmanDecoder {
         let max_len = self.lengths.iter().copied().max().unwrap_or(0) as u32;
-        // first_code[l], first_index[l]: canonical decoding tables.
+        let primary_bits = max_len.min(PRIMARY_BITS);
+        let mut symbols_by_len: Vec<u32> =
+            (0..self.lengths.len() as u32).filter(|&s| self.length_of(s) > 0).collect();
+        symbols_by_len.sort_by_key(|&s| (self.length_of(s), s));
         // arc-lint: bounded(max_len <= MAX_CODE_LEN enforced by from_lengths)
-        let mut count = vec![0u64; (max_len + 1) as usize];
-        for &l in &self.lengths {
-            if l > 0 {
-                count[l as usize] += 1;
+        let mut rows = vec![LengthRow::default(); (max_len + 1) as usize];
+        // arc-lint: bounded(primary_bits <= PRIMARY_BITS = 11, so at most 2048 entries)
+        let mut primary = vec![PrimaryEntry::default(); 1usize << primary_bits];
+        // Symbols arrive in canonical order, so the codes of one length are
+        // consecutive and the first code seen under a primary index is the
+        // shortest one there.
+        for (index, &symbol) in symbols_by_len.iter().enumerate() {
+            let len = self.length_of(symbol) as u32;
+            let code = self.codes.get(symbol as usize).copied().unwrap_or(0);
+            if let Some(row) = rows.get_mut(len as usize) {
+                if row.limit == row.first_code {
+                    *row = LengthRow { first_code: code, limit: code, first_index: index as u64 };
+                }
+                row.limit += 1;
+            }
+            if len <= primary_bits {
+                let lo = (code << (primary_bits - len)) as usize;
+                let span = 1usize << (primary_bits - len);
+                if let Some(slots) = primary.get_mut(lo..lo + span) {
+                    slots.fill(PrimaryEntry { symbol, len: len as u8 });
+                }
+            } else if let Some(slot) = primary.get_mut((code >> (len - primary_bits)) as usize) {
+                if slot.len == 0 {
+                    slot.len = len as u8;
+                }
             }
         }
-        let mut symbols_by_len: Vec<u32> =
-            (0..self.lengths.len() as u32).filter(|&s| self.lengths[s as usize] > 0).collect();
-        symbols_by_len.sort_by_key(|&s| (self.lengths[s as usize], s));
-        // arc-lint: bounded(max_len <= MAX_CODE_LEN enforced by from_lengths)
-        let mut first_code = vec![0u64; (max_len + 2) as usize];
-        // arc-lint: bounded(max_len <= MAX_CODE_LEN enforced by from_lengths)
-        let mut first_index = vec![0u64; (max_len + 2) as usize];
-        let mut code = 0u64;
-        let mut index = 0u64;
-        for l in 1..=max_len {
-            first_code[l as usize] = code;
-            first_index[l as usize] = index;
-            code = (code + count[l as usize]) << 1;
-            index += count[l as usize];
-        }
-        HuffmanDecoder { max_len, count, first_code, first_index, symbols_by_len }
+        HuffmanDecoder { max_len, primary_bits, primary, rows, symbols_by_len }
     }
 }
 
-/// Canonical Huffman decoder (per-length first-code tables).
+/// Width of the primary decode table: codes up to this long resolve in one
+/// lookup of a table that, at 2^11 eight-byte entries, stays in L1.
+const PRIMARY_BITS: u32 = 11;
+
+/// What the next `primary_bits` bits of the stream select.
+#[derive(Debug, Clone, Copy, Default)]
+struct PrimaryEntry {
+    /// The decoded symbol, when `len <= primary_bits`.
+    symbol: u32,
+    /// `1..=primary_bits`: a code this long is a prefix of the index, and
+    /// `symbol` is its symbol. Longer: the index is a prefix only of longer
+    /// codes, the shortest of which has this length. 0: no code starts this
+    /// way (the upper half of the single-symbol code).
+    len: u8,
+}
+
+/// The canonical codes of one length: `first_code..limit`, whose symbols
+/// start at `first_index` in `symbols_by_len`.
+#[derive(Debug, Clone, Copy, Default)]
+struct LengthRow {
+    first_code: u64,
+    limit: u64,
+    first_index: u64,
+}
+
+/// Canonical Huffman decoder: a primary table for short codes, and for the
+/// longer ones a per-length limit compare on the same peeked window.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
     max_len: u32,
-    count: Vec<u64>,
-    first_code: Vec<u64>,
-    first_index: Vec<u64>,
+    primary_bits: u32,
+    primary: Vec<PrimaryEntry>,
+    /// Indexed by code length, `0..=max_len`.
+    rows: Vec<LengthRow>,
     symbols_by_len: Vec<u32>,
 }
 
 impl HuffmanDecoder {
     /// Decode one symbol from the reader.
+    ///
+    /// On an error the cursor is where reading the code one bit at a time
+    /// would have left it, because the permissive callers carry on: at the
+    /// end of the stream when it ran out mid-code, past the whole window
+    /// when no code matched.
+    #[inline]
     pub fn decode_symbol(&self, r: &mut BitReader<'_>) -> Result<u32, LosslessError> {
         if self.max_len == 0 {
             return Err(LosslessError::malformed("decode from empty huffman code"));
         }
-        let mut code = 0u64;
-        for l in 1..=self.max_len {
-            code = (code << 1) | r.read_bit()? as u64;
-            let c = self.count[l as usize];
-            if c > 0 && code < self.first_code[l as usize] + c {
-                let offset = code - self.first_code[l as usize];
-                let idx = self.first_index[l as usize] + offset;
-                return Ok(self.symbols_by_len[idx as usize]);
+        let window = r.peek_bits(self.max_len);
+        let index = (window >> (self.max_len - self.primary_bits)) as usize;
+        let entry = self.primary.get(index).copied().unwrap_or_default();
+        let hit = match entry.len as u32 {
+            0 => None,
+            len if len <= self.primary_bits => Some((entry.symbol, len)),
+            len => self.decode_long(window, len as usize),
+        };
+        let Some((symbol, len)) = hit else {
+            r.consume(self.max_len as u64);
+            return Err(LosslessError::malformed("invalid huffman codeword"));
+        };
+        // A code that ends in the zero fill means the stream ran out.
+        let whole = r.remaining() >= len as u64;
+        r.consume(len as u64);
+        if whole {
+            Ok(symbol)
+        } else {
+            Err(LosslessError::truncated("bit stream exhausted"))
+        }
+    }
+
+    /// Resolve a code longer than the primary table: the first length, from
+    /// `start` up, whose limit exceeds that many bits of the window.
+    fn decode_long(&self, window: u64, start: usize) -> Option<(u32, u32)> {
+        for (len, row) in self.rows.iter().enumerate().skip(start) {
+            let code = window >> (self.max_len - len as u32);
+            if code < row.limit {
+                let index = row.first_index + code.checked_sub(row.first_code)?;
+                return Some((*self.symbols_by_len.get(index as usize)?, len as u32));
             }
         }
-        Err(LosslessError::malformed("invalid huffman codeword"))
+        None
     }
 }
 
@@ -355,6 +419,7 @@ pub fn huffman_decode_block(bytes: &[u8], pos: &mut usize) -> Result<Vec<u32>, L
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::reference;
 
     fn round_trip(symbols: &[u32], alphabet: usize) {
         let enc = huffman_encode_block(symbols, alphabet).unwrap();
@@ -529,5 +594,200 @@ mod tests {
         let code = HuffmanCode::from_frequencies(&[10, 90]).unwrap();
         assert_eq!(code.length_of(0), 1);
         assert_eq!(code.length_of(1), 1);
+    }
+
+    /// The decoder this module used before the primary table: per-length
+    /// first-code tables walked one `read_bit()` per code length, over the
+    /// bit-at-a-time reader.
+    struct WalkDecoder {
+        max_len: u32,
+        count: Vec<u64>,
+        first_code: Vec<u64>,
+        first_index: Vec<u64>,
+        symbols_by_len: Vec<u32>,
+    }
+
+    impl WalkDecoder {
+        fn new(code: &HuffmanCode) -> WalkDecoder {
+            let max_len = code.lengths.iter().copied().max().unwrap_or(0) as u32;
+            let mut count = vec![0u64; (max_len + 1) as usize];
+            for &l in code.lengths.iter().filter(|&&l| l > 0) {
+                count[l as usize] += 1;
+            }
+            let mut symbols_by_len: Vec<u32> =
+                (0..code.lengths.len() as u32).filter(|&s| code.lengths[s as usize] > 0).collect();
+            symbols_by_len.sort_by_key(|&s| (code.lengths[s as usize], s));
+            let mut first_code = vec![0u64; (max_len + 2) as usize];
+            let mut first_index = vec![0u64; (max_len + 2) as usize];
+            let (mut next_code, mut index) = (0u64, 0u64);
+            for l in 1..=max_len as usize {
+                first_code[l] = next_code;
+                first_index[l] = index;
+                next_code = (next_code + count[l]) << 1;
+                index += count[l];
+            }
+            WalkDecoder { max_len, count, first_code, first_index, symbols_by_len }
+        }
+
+        fn decode_symbol(&self, r: &mut reference::BitReader<'_>) -> Result<u32, LosslessError> {
+            if self.max_len == 0 {
+                return Err(LosslessError::malformed("decode from empty huffman code"));
+            }
+            let mut code = 0u64;
+            for l in 1..=self.max_len as usize {
+                code = (code << 1) | r.read_bit()? as u64;
+                let c = self.count[l];
+                if c > 0 && code < self.first_code[l] + c {
+                    let idx = self.first_index[l] + code - self.first_code[l];
+                    return Ok(self.symbols_by_len[idx as usize]);
+                }
+            }
+            Err(LosslessError::malformed("invalid huffman codeword"))
+        }
+    }
+
+    fn both_decoders(code: &HuffmanCode) -> (HuffmanDecoder, WalkDecoder) {
+        (code.decoder(), WalkDecoder::new(code))
+    }
+
+    /// Decode `steps` symbols from `payload` with both decoders, carrying on
+    /// past errors as the permissive callers do: same `Ok(symbol)`/`Err` and
+    /// same cursor after every step.
+    fn decoders_agree(
+        (fast, walk): &(HuffmanDecoder, WalkDecoder),
+        payload: &[u8],
+        steps: usize,
+    ) -> Result<(), String> {
+        let mut r = BitReader::new(payload);
+        let mut slow = reference::BitReader::new(payload);
+        for step in 0..steps {
+            let (got, want) = (fast.decode_symbol(&mut r), walk.decode_symbol(&mut slow));
+            if got != want || r.bit_pos() != slow.bit_pos() {
+                return Err(format!(
+                    "step {step}: table {got:?} at bit {}, walk {want:?} at bit {}",
+                    r.bit_pos(),
+                    slow.bit_pos()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every single-bit flip and every byte truncation of an encoding of
+    /// `symbols` decodes the same through both decoders.
+    fn agree_on_every_damage(code: &HuffmanCode, symbols: &[u32]) -> Result<(), String> {
+        let mut bits = BitWriter::new();
+        for &s in symbols {
+            code.encode_symbol(s, &mut bits);
+        }
+        let payload = bits.into_bytes();
+        let steps = symbols.len() + 2;
+        let pair = both_decoders(code);
+        decoders_agree(&pair, &payload, steps)?;
+        for bit in 0..payload.len() * 8 {
+            let mut bad = payload.clone();
+            bad[bit / 8] ^= 0x80 >> (bit % 8);
+            decoders_agree(&pair, &bad, steps).map_err(|e| format!("flip {bit}: {e}"))?;
+        }
+        for cut in 0..payload.len() {
+            decoders_agree(&pair, &payload[..cut], steps).map_err(|e| format!("cut {cut}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// A Kraft-complete length table with `coded` codes scattered over an
+    /// alphabet of `alphabet` symbols: split a leaf `coded − 1` times, the
+    /// deepest one with probability `skew`/256 (so `skew` near 256 gives the
+    /// one-code-per-length shape whose depth passes the primary width).
+    fn complete_lengths(alphabet: usize, coded: usize, skew: u64, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut leaves = vec![0u8];
+        let mut deepest = 0;
+        while leaves.len() < coded {
+            let mut pick =
+                if next() % 256 < skew { deepest } else { next() as usize % leaves.len() };
+            while leaves[pick] as u32 >= MAX_CODE_LEN {
+                pick = next() as usize % leaves.len();
+            }
+            leaves[pick] += 1;
+            leaves.push(leaves[pick]);
+            if leaves[pick] > leaves[deepest] {
+                deepest = pick;
+            }
+        }
+        let mut lengths = vec![0u8; alphabet];
+        let stride = alphabet / coded;
+        for (i, &l) in leaves.iter().enumerate() {
+            lengths[i * stride + next() as usize % stride] = l;
+        }
+        lengths
+    }
+
+    fn random_table_agrees(coded: usize, skew: u64, seed: u64) -> Result<(), String> {
+        let lengths = complete_lengths(coded * 3, coded, skew, seed);
+        let code = HuffmanCode::from_lengths(lengths.clone()).map_err(|e| e.to_string())?;
+        let used: Vec<u32> =
+            (0..lengths.len() as u32).filter(|&s| lengths[s as usize] > 0).collect();
+        let symbols: Vec<u32> = (0..24u64)
+            .map(|i| used[(seed.rotate_left(i as u32 * 5) % used.len() as u64) as usize])
+            .collect();
+        agree_on_every_damage(&code, &symbols)
+    }
+
+    #[test]
+    fn table_decoder_matches_walk_on_the_edge_tables() {
+        // The single-symbol length-1 code: half the code space is invalid.
+        let single = HuffmanCode::from_lengths(vec![0, 0, 1, 0]).unwrap();
+        agree_on_every_damage(&single, &[2; 19]).unwrap();
+        // No code at all: every decode is an error and nothing moves.
+        let empty = HuffmanCode::from_lengths(vec![0; 4]).unwrap();
+        decoders_agree(&both_decoders(&empty), &[0xFF, 0x00], 3).unwrap();
+        // One code per length down to MAX_CODE_LEN: far past the primary
+        // width, and a 48-bit window that straddles eight bytes.
+        let mut ladder: Vec<u8> = (1..=MAX_CODE_LEN as u8).collect();
+        ladder.push(MAX_CODE_LEN as u8);
+        let deep = HuffmanCode::from_lengths(ladder).unwrap();
+        let symbols: Vec<u32> = (0..=MAX_CODE_LEN).rev().step_by(5).collect();
+        agree_on_every_damage(&deep, &symbols).unwrap();
+    }
+
+    #[test]
+    fn table_decoder_matches_walk_on_sz_sized_alphabet() {
+        // 65 537 coded symbols, the alphabet SZ codes its bins with: almost
+        // every code is longer than the primary table is wide.
+        let lengths = complete_lengths(65_537, 65_537, 8, 0x5EED);
+        let code = HuffmanCode::from_lengths(lengths).unwrap();
+        let symbols: Vec<u32> = (0..40u32).map(|i| i.wrapping_mul(1_640_531) % 65_537).collect();
+        agree_on_every_damage(&code, &symbols).unwrap();
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn decoder_differential(coded in 2usize..200, skew in 0u64..=256, seed: u64) {
+            let outcome = random_table_agrees(coded, skew, seed);
+            prop_assert!(outcome.is_ok(), "{:?}", outcome);
+        }
+    }
+
+    // Run by `scripts/check.sh --full`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        #[ignore = "deep variant"]
+        fn decoder_differential_deep(coded in 2usize..200, skew in 0u64..=256, seed: u64) {
+            let outcome = random_table_agrees(coded, skew, seed);
+            prop_assert!(outcome.is_ok(), "{:?}", outcome);
+        }
     }
 }

@@ -30,17 +30,32 @@ proptest! {
     }
 
     #[test]
-    fn bitio_round_trip(fields in proptest::collection::vec((any::<u64>(), 1u32..=64), 0..64)) {
+    fn bitio_round_trip(
+        fields in proptest::collection::vec((any::<u64>(), 0u32..=64, any::<bool>()), 0..64),
+    ) {
+        // Each field is optionally followed by an `align_byte` on both sides.
         let mut w = BitWriter::new();
-        for &(v, n) in &fields {
+        let mut bits = 0u64;
+        for &(v, n, align) in &fields {
             w.write_bits(v, n);
+            bits += n as u64;
+            if align {
+                w.align_byte();
+                bits = bits.div_ceil(8) * 8;
+            }
+            prop_assert_eq!(w.bit_len(), bits);
         }
         let bytes = w.into_bytes();
+        prop_assert_eq!(bytes.len() as u64, bits.div_ceil(8));
         let mut r = BitReader::new(&bytes);
-        for &(v, n) in &fields {
+        for &(v, n, align) in &fields {
             let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
             prop_assert_eq!(r.read_bits(n).unwrap(), v & mask);
+            if align {
+                r.align_byte();
+            }
         }
+        prop_assert!(r.remaining() < 8);
     }
 
     #[test]

@@ -47,20 +47,31 @@ impl Grid {
 
     /// Number of blocks along each axis.
     pub fn block_counts(&self) -> Vec<usize> {
-        self.dims.iter().map(|&d| d.div_ceil(BLOCK_EDGE)).collect()
+        self.counts().into_iter().take(self.d()).collect()
+    }
+
+    /// [`Grid::block_counts`] without the allocation: the first `d()` slots,
+    /// the rest 1.
+    fn counts(&self) -> [usize; 3] {
+        let mut counts = [1usize; 3];
+        for (count, &dim) in counts.iter_mut().zip(&self.dims) {
+            *count = dim.div_ceil(BLOCK_EDGE);
+        }
+        counts
     }
 
     /// Total number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.block_counts().iter().product()
+        self.counts().iter().product()
     }
 
-    /// The block origin (per-axis start indices) of block `b`.
-    fn block_origin(&self, b: usize) -> Vec<usize> {
-        let counts = self.block_counts();
+    /// The block origin (per-axis start indices) of block `b`, in the first
+    /// `d()` slots.
+    fn block_origin(&self, b: usize) -> [usize; 3] {
+        let counts = self.counts();
         let mut rem = b;
-        let mut origin = vec![0usize; counts.len()];
-        for ax in (0..counts.len()).rev() {
+        let mut origin = [0usize; 3];
+        for ax in (0..self.d()).rev() {
             origin[ax] = (rem % counts[ax]) * BLOCK_EDGE;
             rem /= counts[ax];
         }

@@ -24,6 +24,9 @@ pub const PRECISION: i32 = 40;
 /// negabinary expansion bit).
 pub const K_TOP: u32 = 50;
 
+/// Coefficients in the largest (3-D) block; per-block scratch is this long.
+pub(crate) const MAX_BLOCK_LEN: usize = 64;
+
 const NBMASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
 /// Two's-complement → negabinary.
@@ -63,63 +66,91 @@ pub fn from_fixed_point(q: &[i64], emax: i32, out: &mut [f32]) {
     }
 }
 
+/// A bit count no wider than a word, as the `u32` the bit I/O calls take.
+#[inline]
+fn width(bits: u64) -> u32 {
+    u32::try_from(bits.min(64)).unwrap_or(64)
+}
+
+/// `x >> by`, with every bit gone at `by == 64` (a fully active 3-D block
+/// moves all 64 at once).
+#[inline]
+fn shift_out(x: u64, by: u64) -> u64 {
+    x.checked_shr(width(by)).unwrap_or(0)
+}
+
 /// Encode bit planes `kmax ..= kmin` (MSB first) of negabinary coefficients
 /// already permuted into sequency order. Stops when `budget` bits have been
 /// written; returns bits actually written.
 pub fn encode_planes(coeffs: &[u64], kmax: u32, kmin: u32, budget: u64, w: &mut BitWriter) -> u64 {
-    let size = coeffs.len();
-    debug_assert!(size <= 64);
+    debug_assert!(coeffs.len() <= MAX_BLOCK_LEN);
+    let size = coeffs.len() as u64;
     let mut left = budget;
-    let mut n = 0usize;
+    // Coefficients `0..n` are active: a higher plane has shown a set bit.
+    let mut n = 0u64;
     let mut k = kmax as i64;
     while k >= kmin as i64 && left > 0 {
+        // Bit `i` of `x` is plane `k` of coefficient `i`.
         let mut x: u64 = 0;
         for (i, &c) in coeffs.iter().enumerate() {
             x |= ((c >> k) & 1) << i;
         }
-        // Verbatim value bits of the active prefix.
-        let mut i = 0usize;
-        while i < n && left > 0 {
-            w.write_bit(x & 1 == 1);
-            left -= 1;
-            x >>= 1;
-            i += 1;
+        // Verbatim value bits of the active prefix, coefficient 0 first.
+        let take = n.min(left);
+        if take > 0 {
+            w.write_bits(x.reverse_bits() >> (64 - take), width(take));
+            left -= take;
+            x = shift_out(x, take);
         }
-        if i < n {
+        if take < n {
             break;
         }
-        // Group-tested unary coding of the inactive suffix.
-        'outer: while n < size && left > 0 {
+        // Group-tested unary coding of the inactive suffix: one bit says
+        // whether any of it is set, then come the zeros up to the next set
+        // coefficient and its one. A budget that ends inside the run cuts it
+        // short, and `left == 0` then ends both loops.
+        while n < size && left > 0 {
             let any = x != 0;
             w.write_bit(any);
             left -= 1;
             if !any {
                 break;
             }
-            loop {
-                if n == size - 1 {
-                    // Only one coefficient remains and the group bit said it
-                    // is set — implicit, no bit spent.
-                    x >>= 1;
-                    n += 1;
-                    break;
-                }
-                if left == 0 {
-                    break 'outer;
-                }
-                let b = x & 1 == 1;
-                w.write_bit(b);
-                left -= 1;
-                x >>= 1;
-                n += 1;
-                if b {
-                    break;
-                }
+            let zeros = u64::from(x.trailing_zeros());
+            // When only the last coefficient is left to be the set one, the
+            // group bit has said so already — implicit, no bit spent.
+            let one = u64::from(n + zeros != size - 1);
+            let run = zeros + one;
+            if run > left {
+                w.write_bits(0, width(left));
+                n += left;
+                left = 0;
+            } else {
+                w.write_bits(one, width(run));
+                left -= run;
+                n += zeros + 1;
+                x = shift_out(x, zeros + 1);
             }
         }
         k -= 1;
     }
     budget - left
+}
+
+/// Permissive read: the next `n` bits, zeros where the stream has ended.
+#[inline]
+fn read_or_zeros(r: &mut BitReader<'_>, n: u64) -> u64 {
+    let v = r.peek_bits(width(n));
+    r.consume(n);
+    v
+}
+
+/// Set plane `k` of coefficient `i`.
+#[inline]
+fn set_plane(coeffs: &mut [u64], i: u64, k: i64) {
+    if let Some(c) = coeffs.get_mut(i as usize) {
+        *c |= 1u64 << k;
+    }
 }
 
 /// Decode bit planes written by [`encode_planes`]; mirrors its control flow
@@ -137,44 +168,49 @@ pub fn decode_planes(
     budget: u64,
     r: &mut BitReader<'_>,
 ) -> Result<u64, ZfpError> {
-    let size = coeffs.len();
+    let size = coeffs.len().min(MAX_BLOCK_LEN) as u64;
     let mut left = budget;
-    let mut n = 0usize;
+    let mut n = 0u64;
     let mut k = kmax as i64;
-    let read = |left: &mut u64, r: &mut BitReader<'_>| -> bool {
-        *left -= 1;
-        r.read_bit().unwrap_or(false)
-    };
     while k >= kmin as i64 && left > 0 {
-        let mut i = 0usize;
-        while i < n && left > 0 {
-            if read(&mut left, r) {
-                coeffs[i] |= 1u64 << k;
+        let take = n.min(left);
+        if take > 0 {
+            // The first bit read is coefficient 0: reverse it into bit 0.
+            let mut x = read_or_zeros(r, take).reverse_bits() >> (64 - take);
+            left -= take;
+            while x != 0 {
+                set_plane(coeffs, u64::from(x.trailing_zeros()), k);
+                x &= x - 1;
             }
-            i += 1;
         }
-        if i < n {
+        if take < n {
             break;
         }
-        'outer: while n < size && left > 0 {
-            let any = read(&mut left, r);
+        while n < size && left > 0 {
+            let any = read_or_zeros(r, 1) == 1;
+            left -= 1;
             if !any {
                 break;
             }
-            loop {
-                if n == size - 1 {
-                    coeffs[n] |= 1u64 << k;
+            // At most `room` bits come before the last coefficient, whose
+            // one is implicit; the budget may end the run sooner.
+            let room = size - 1 - n;
+            let span = room.min(left);
+            let bits = r.peek_bits(width(span));
+            if bits == 0 {
+                r.consume(span);
+                left -= span;
+                n += span;
+                if span == room {
+                    set_plane(coeffs, n, k);
                     n += 1;
-                    break;
                 }
-                if left == 0 {
-                    break 'outer;
-                }
-                if read(&mut left, r) {
-                    coeffs[n] |= 1u64 << k;
-                    n += 1;
-                    break;
-                }
+            } else {
+                let zeros = u64::from(bits.leading_zeros()) - (64 - span);
+                r.consume(zeros + 1);
+                left -= zeros + 1;
+                n += zeros;
+                set_plane(coeffs, n, k);
                 n += 1;
             }
         }
@@ -193,38 +229,49 @@ pub struct BlockCoefficients {
     pub kmax: u32,
 }
 
-/// Run the forward pipeline on a padded float block: fixed point →
-/// transform → sequency reorder → negabinary.
-pub fn forward_block(block: &[f32], emax: i32, d: usize) -> BlockCoefficients {
-    let n = block.len();
-    let mut q = vec![0i64; n];
-    to_fixed_point(block, emax, &mut q);
-    fwd_transform(&mut q, d);
-    let order = sequency_order(d);
-    let mut nb = vec![0u64; n];
+/// [`forward_block`] into the caller's storage: fills the first
+/// `block.len()` entries of `nb` and returns `kmax`.
+pub(crate) fn forward_into(
+    block: &[f32],
+    emax: i32,
+    d: usize,
+    nb: &mut [u64; MAX_BLOCK_LEN],
+) -> u32 {
+    let mut q = [0i64; MAX_BLOCK_LEN];
+    let n = block.len().min(MAX_BLOCK_LEN);
+    to_fixed_point(block, emax, &mut q[..n]);
+    fwd_transform(&mut q[..n], d);
     let mut all = 0u64;
-    for (slot, &src) in order.iter().enumerate() {
+    for (slot, &src) in nb.iter_mut().zip(sequency_order(d)) {
         let v = to_negabinary(q[src]);
-        nb[slot] = v;
+        *slot = v;
         all |= v;
     }
     let kmax = if all == 0 { 0 } else { 63 - all.leading_zeros() };
     debug_assert!(kmax <= K_TOP, "kmax {kmax} exceeds K_TOP");
-    BlockCoefficients { nb, kmax }
+    kmax
+}
+
+/// Run the forward pipeline on a padded float block: fixed point →
+/// transform → sequency reorder → negabinary.
+pub fn forward_block(block: &[f32], emax: i32, d: usize) -> BlockCoefficients {
+    let mut nb = [0u64; MAX_BLOCK_LEN];
+    let kmax = forward_into(block, emax, d, &mut nb);
+    BlockCoefficients { nb: nb[..block.len().min(MAX_BLOCK_LEN)].to_vec(), kmax }
 }
 
 /// Run the inverse pipeline: negabinary (sequency order) → transform⁻¹ →
 /// floats.
 pub fn inverse_block(nb: &[u64], emax: i32, d: usize, out: &mut [f32]) {
-    let n = nb.len();
-    let order = sequency_order(d);
-    // arc-lint: bounded(one ZFP block: nb.len() <= 64)
-    let mut q = vec![0i64; n];
-    for (slot, &dst) in order.iter().enumerate() {
-        q[dst] = from_negabinary(nb[slot]);
+    let mut q = [0i64; MAX_BLOCK_LEN];
+    for (&v, &dst) in nb.iter().zip(sequency_order(d)) {
+        if let Some(slot) = q.get_mut(dst) {
+            *slot = from_negabinary(v);
+        }
     }
-    inv_transform(&mut q, d);
-    from_fixed_point(&q, emax, out);
+    let Some(q) = q.get_mut(..nb.len()) else { return };
+    inv_transform(q, d);
+    from_fixed_point(q, emax, out);
 }
 
 #[cfg(test)]
@@ -360,6 +407,215 @@ mod tests {
             for (a, b) in block.iter().zip(&out) {
                 assert!((*a as f64 - *b as f64).abs() <= res, "d={d}: {a} vs {b}");
             }
+        }
+    }
+
+    /// The plane coder as it was before it moved whole prefixes and runs:
+    /// one `write_bit` per bit.
+    fn encode_planes_bitwise(
+        coeffs: &[u64],
+        kmax: u32,
+        kmin: u32,
+        budget: u64,
+        w: &mut BitWriter,
+    ) -> u64 {
+        let size = coeffs.len();
+        let mut left = budget;
+        let mut n = 0usize;
+        let mut k = kmax as i64;
+        while k >= kmin as i64 && left > 0 {
+            let mut x: u64 = 0;
+            for (i, &c) in coeffs.iter().enumerate() {
+                x |= ((c >> k) & 1) << i;
+            }
+            let mut i = 0usize;
+            while i < n && left > 0 {
+                w.write_bit(x & 1 == 1);
+                left -= 1;
+                x >>= 1;
+                i += 1;
+            }
+            if i < n {
+                break;
+            }
+            'outer: while n < size && left > 0 {
+                let any = x != 0;
+                w.write_bit(any);
+                left -= 1;
+                if !any {
+                    break;
+                }
+                loop {
+                    if n == size - 1 {
+                        x >>= 1;
+                        n += 1;
+                        break;
+                    }
+                    if left == 0 {
+                        break 'outer;
+                    }
+                    let b = x & 1 == 1;
+                    w.write_bit(b);
+                    left -= 1;
+                    x >>= 1;
+                    n += 1;
+                    if b {
+                        break;
+                    }
+                }
+            }
+            k -= 1;
+        }
+        budget - left
+    }
+
+    /// Its decoder: one `read_bit().unwrap_or(false)` per bit.
+    fn decode_planes_bitwise(
+        coeffs: &mut [u64],
+        kmax: u32,
+        kmin: u32,
+        budget: u64,
+        r: &mut BitReader<'_>,
+    ) -> u64 {
+        let size = coeffs.len();
+        let mut left = budget;
+        let mut n = 0usize;
+        let mut k = kmax as i64;
+        let read = |left: &mut u64, r: &mut BitReader<'_>| -> bool {
+            *left -= 1;
+            r.read_bit().unwrap_or(false)
+        };
+        while k >= kmin as i64 && left > 0 {
+            let mut i = 0usize;
+            while i < n && left > 0 {
+                if read(&mut left, r) {
+                    coeffs[i] |= 1u64 << k;
+                }
+                i += 1;
+            }
+            if i < n {
+                break;
+            }
+            'outer: while n < size && left > 0 {
+                let any = read(&mut left, r);
+                if !any {
+                    break;
+                }
+                loop {
+                    if n == size - 1 {
+                        coeffs[n] |= 1u64 << k;
+                        n += 1;
+                        break;
+                    }
+                    if left == 0 {
+                        break 'outer;
+                    }
+                    if read(&mut left, r) {
+                        coeffs[n] |= 1u64 << k;
+                        n += 1;
+                        break;
+                    }
+                    n += 1;
+                }
+            }
+            k -= 1;
+        }
+        budget - left
+    }
+
+    const UNLIMITED: u64 = u64::MAX / 2;
+
+    /// Same bytes and bit count as the bitwise encoder, and the same
+    /// coefficients, bit count and cursor as the bitwise decoder — on the
+    /// encoder's own output and on `noise` standing in for a corrupted one.
+    fn coders_match_bitwise(nb: &[u64], kmax: u32, kmin: u32, budget: u64, noise: &[u8]) {
+        let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+        let written = encode_planes(nb, kmax, kmin, budget, &mut fast);
+        assert_eq!(written, encode_planes_bitwise(nb, kmax, kmin, budget, &mut slow));
+        assert_eq!(fast.bit_len(), slow.bit_len());
+        let bytes = fast.into_bytes();
+        assert_eq!(bytes, slow.into_bytes(), "kmax {kmax} kmin {kmin} budget {budget}");
+        for stream in [&bytes[..], &bytes[..bytes.len() / 2], noise] {
+            let (mut got, mut want) = (vec![0u64; nb.len()], vec![0u64; nb.len()]);
+            let (mut r, mut r_slow) = (BitReader::new(stream), BitReader::new(stream));
+            let consumed = decode_planes(&mut got, kmax, kmin, budget, &mut r).unwrap();
+            assert_eq!(consumed, decode_planes_bitwise(&mut want, kmax, kmin, budget, &mut r_slow));
+            assert_eq!(got, want, "kmax {kmax} kmin {kmin} budget {budget}");
+            assert_eq!(r.bit_pos(), r_slow.bit_pos());
+        }
+    }
+
+    /// The fact the accuracy-mode trial rests on: with no bit budget the
+    /// decoder gets back exactly planes `kmin..=kmax`.
+    fn unlimited_decode_is_a_mask(nb: &[u64], kmax: u32) {
+        for kmin in 0..=kmax {
+            let out = plane_round_trip(nb, kmax, kmin, UNLIMITED);
+            let want: Vec<u64> = nb.iter().map(|&c| c & !((1u64 << kmin) - 1)).collect();
+            assert_eq!(out, want, "kmin {kmin} kmax {kmax}");
+        }
+    }
+
+    #[test]
+    fn fully_active_3d_block_round_trips_at_every_budget() {
+        // Every coefficient set in the top plane: from the second plane on
+        // the verbatim prefix is all 64 bits, moved by one 64-bit write.
+        let nb: Vec<u64> = (0..64u64).map(|i| (1 << 12) | (i * 0x9D) & 0xFFF).collect();
+        let full = encode_planes(&nb, 12, 0, UNLIMITED, &mut BitWriter::new());
+        assert!(full > 12 * 64);
+        for budget in 0..=full + 2 {
+            coders_match_bitwise(&nb, 12, 0, budget, &[0xFF; 128]);
+            let out = plane_round_trip(&nb, 12, 0, budget);
+            for (a, b) in nb.iter().zip(&out) {
+                assert_eq!(b & !a, 0, "budget {budget}: decoder invented bit");
+            }
+        }
+        assert_eq!(plane_round_trip(&nb, 12, 0, full), nb);
+        unlimited_decode_is_a_mask(&nb, 12);
+    }
+
+    use proptest::prelude::*;
+
+    fn arb_block() -> impl Strategy<Value = (Vec<u64>, Vec<u8>)> {
+        let coeffs = (1u32..=3, 0u32..=K_TOP).prop_flat_map(|(d, bits)| {
+            // Sparse high planes, dense low ones — the shape transform
+            // output has — by masking each coefficient to a random width.
+            let n = 4usize.pow(d);
+            proptest::collection::vec((any::<u64>(), 0..=bits), n..=n).prop_map(|pairs| {
+                pairs.into_iter().map(|(v, w)| v & ((1u64 << w) - 1)).collect::<Vec<u64>>()
+            })
+        });
+        (coeffs, proptest::collection::vec(any::<u8>(), 0..200))
+    }
+
+    fn block_agrees(nb: &[u64], noise: &[u8], budget_seed: u64) {
+        let all = nb.iter().fold(0, |a, &c| a | c);
+        let kmax = if all == 0 { 0 } else { 63 - all.leading_zeros() };
+        unlimited_decode_is_a_mask(nb, kmax);
+        let full = encode_planes(nb, kmax, 0, UNLIMITED, &mut BitWriter::new());
+        for kmin in [0, kmax / 2, kmax] {
+            for budget in [UNLIMITED, full, budget_seed % (full + 2), 1, 0] {
+                coders_match_bitwise(nb, kmax, kmin, budget, noise);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn plane_coder_differential((nb, noise) in arb_block(), budget_seed: u64) {
+            block_agrees(&nb, &noise, budget_seed);
+        }
+    }
+
+    // Run by `scripts/check.sh --full`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        #[ignore = "deep variant"]
+        fn plane_coder_differential_deep((nb, noise) in arb_block(), budget_seed: u64) {
+            block_agrees(&nb, &noise, budget_seed);
         }
     }
 }

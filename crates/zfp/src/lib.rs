@@ -34,7 +34,9 @@ pub use error::ZfpError;
 pub use shard::{aligned_shard_size, recommended_shard_size, stream_info};
 
 use arc_lossless::bitio::{read_varint, write_varint, BitReader, BitWriter};
-use codec::{decode_planes, encode_planes, exponent_of, forward_block, inverse_block, K_TOP};
+use codec::{
+    decode_planes, encode_planes, exponent_of, forward_into, inverse_block, K_TOP, MAX_BLOCK_LEN,
+};
 
 /// Stream magic.
 pub const MAGIC: &[u8; 4] = b"AZFP";
@@ -155,12 +157,12 @@ pub fn compress(data: &[f32], dims: &[usize], mode: ZfpMode) -> Result<Vec<u8>, 
     }
 
     let mut w = BitWriter::new();
-    let mut blk = vec![0.0f32; bl];
-    let mut decoded = vec![0.0f32; bl];
+    let mut blk = [0.0f32; MAX_BLOCK_LEN];
+    let blk = &mut blk[..bl];
     for b in 0..grid.num_blocks() {
-        grid.gather(data, b, &mut blk);
+        grid.gather(data, b, blk);
         let start_bits = w.bit_len();
-        encode_one_block(&blk, d, mode, rate_budget, &mut w, &mut decoded)?;
+        encode_one_block(blk, d, mode, rate_budget, &mut w)?;
         if let Some(budget) = rate_budget {
             // Pad to the exact per-block budget (fixed rate ⇒ random access).
             let used = w.bit_len() - start_bits;
@@ -189,9 +191,7 @@ fn encode_one_block(
     mode: ZfpMode,
     rate_budget: Option<u64>,
     w: &mut BitWriter,
-    scratch: &mut [f32],
 ) -> Result<(), ZfpError> {
-    let bl = blk.len();
     let max_abs = blk.iter().fold(0.0f64, |m, &x| m.max((x as f64).abs()));
     if max_abs == 0.0 {
         w.write_bits(FLAG_ZERO, 2);
@@ -209,7 +209,9 @@ fn encode_one_block(
         return Ok(());
     }
     let emax = exponent_of(max_abs);
-    let coeffs = forward_block(blk, emax, d);
+    let mut nb = [0u64; MAX_BLOCK_LEN];
+    let kmax = forward_into(blk, emax, d, &mut nb);
+    let nb = &nb[..blk.len()];
     match mode {
         ZfpMode::FixedRate(_) => {
             let Some(budget) = rate_budget else {
@@ -218,10 +220,10 @@ fn encode_one_block(
             let header = 2 + EMAX_BITS as u64 + KFIELD_BITS as u64;
             w.write_bits(FLAG_NORMAL, 2);
             w.write_bits((emax + EMAX_BIAS) as u64, EMAX_BITS);
-            w.write_bits(coeffs.kmax as u64, KFIELD_BITS);
+            w.write_bits(kmax as u64, KFIELD_BITS);
             // A rate low enough that the block header exhausts the budget
             // leaves zero plane bits; saturate rather than underflow.
-            encode_planes(&coeffs.nb, coeffs.kmax, 0, budget.saturating_sub(header), w);
+            encode_planes(nb, kmax, 0, budget.saturating_sub(header), w);
             Ok(())
         }
         ZfpMode::FixedAccuracy(tol) => {
@@ -229,26 +231,27 @@ fn encode_one_block(
             // amplification) drops below the tolerance.
             let scale_log = (codec::PRECISION - 2 - emax) as f64;
             let guess = (tol.log2() + scale_log).floor() as i64 - 2 * d as i64 - 1;
-            let mut kmin = guess.clamp(0, coeffs.kmax as i64) as u32;
+            let mut kmin = guess.clamp(0, kmax as i64) as u32;
+            let mut kept = [0u64; MAX_BLOCK_LEN];
+            let mut decoded = [0.0f32; MAX_BLOCK_LEN];
+            let (kept, decoded) = (&mut kept[..blk.len()], &mut decoded[..blk.len()]);
             loop {
-                // Trial-decode and verify the bound.
-                let mut trial = BitWriter::new();
-                encode_planes(&coeffs.nb, coeffs.kmax, kmin, u64::MAX / 2, &mut trial);
-                let bytes = trial.into_bytes();
-                let mut nb = vec![0u64; bl];
-                let mut r = BitReader::new(&bytes);
-                decode_planes(&mut nb, coeffs.kmax, kmin, u64::MAX / 2, &mut r)?;
-                inverse_block(&nb, emax, d, scratch);
+                // Verify the bound on what the decoder will see: with no bit
+                // budget it gets back exactly planes `kmin..=kmax`.
+                for (kept, &c) in kept.iter_mut().zip(nb) {
+                    *kept = c & !((1u64 << kmin) - 1);
+                }
+                inverse_block(kept, emax, d, decoded);
                 let ok = blk
                     .iter()
-                    .zip(scratch.iter())
+                    .zip(decoded.iter())
                     .all(|(a, b)| (*a as f64 - *b as f64).abs() <= tol);
                 if ok {
                     w.write_bits(FLAG_NORMAL, 2);
                     w.write_bits((emax + EMAX_BIAS) as u64, EMAX_BITS);
-                    w.write_bits(coeffs.kmax as u64, KFIELD_BITS);
+                    w.write_bits(kmax as u64, KFIELD_BITS);
                     w.write_bits(kmin as u64, KFIELD_BITS);
-                    encode_planes(&coeffs.nb, coeffs.kmax, kmin, u64::MAX / 2, w);
+                    encode_planes(nb, kmax, kmin, u64::MAX / 2, w);
                     return Ok(());
                 }
                 if kmin == 0 {
@@ -337,29 +340,22 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<Zfp
     };
     let mut r = BitReader::new(payload);
     let mut out = vec![0.0f32; grid.len()];
-    // arc-lint: bounded(bl = block_len <= 64)
-    let mut blk = vec![0.0f32; bl];
+    let mut blk = [0.0f32; MAX_BLOCK_LEN];
+    let Some(blk) = blk.get_mut(..bl) else {
+        return Err(ZfpError::Malformed("block length exceeds 4^3".into()));
+    };
     for b in 0..grid.num_blocks() {
         let start_bits = r.bit_pos();
-        decode_one_block(&mut r, d, bl, mode, rate_budget, &mut blk)?;
+        decode_one_block(&mut r, d, mode, rate_budget, blk)?;
         if let Some(budget) = rate_budget {
-            // Jump to the next block boundary regardless of payload shape.
+            // Jump to the next block boundary regardless of payload shape;
+            // past the end of the stream the remaining blocks decode as zeros.
             let target = start_bits + budget;
-            skip_to(&mut r, target)?;
+            r.consume(target.saturating_sub(r.bit_pos()));
         }
-        grid.scatter(&mut out, b, &blk);
+        grid.scatter(&mut out, b, blk);
     }
     Ok(ZfpDecoded { data: out, dims })
-}
-
-fn skip_to(r: &mut BitReader<'_>, target: u64) -> Result<(), ZfpError> {
-    while r.bit_pos() < target {
-        let step = (target - r.bit_pos()).min(64).min(r.remaining()) as u32;
-        if step == 0 || r.read_bits(step).is_err() {
-            break; // exhausted: remaining blocks decode as zeros
-        }
-    }
-    Ok(())
 }
 
 /// Clamped little-endian `f64` load: bytes past the end read as zero.
@@ -375,7 +371,6 @@ fn le_f64(bytes: &[u8], pos: usize) -> f64 {
 fn decode_one_block(
     r: &mut BitReader<'_>,
     d: usize,
-    bl: usize,
     mode: ZfpMode,
     rate_budget: Option<u64>,
     blk: &mut [f32],
@@ -397,8 +392,10 @@ fn decode_one_block(
         FLAG_NORMAL => {
             let emax = r.read_bits(EMAX_BITS).unwrap_or(0) as i32 - EMAX_BIAS;
             let kmax = (r.read_bits(KFIELD_BITS).unwrap_or(0) as u32).min(K_TOP);
-            // arc-lint: bounded(bl = block_len <= 64)
-            let mut nb = vec![0u64; bl];
+            let mut nb = [0u64; MAX_BLOCK_LEN];
+            let Some(nb) = nb.get_mut(..blk.len()) else {
+                return Err(ZfpError::Malformed("block length exceeds 4^3".into()));
+            };
             match mode {
                 ZfpMode::FixedRate(_) => {
                     let header = 2 + EMAX_BITS as u64 + KFIELD_BITS as u64;
@@ -406,14 +403,14 @@ fn decode_one_block(
                     // than the header it just read; saturate to zero plane
                     // bits instead of underflowing.
                     let budget = rate_budget.unwrap_or(0).saturating_sub(header);
-                    decode_planes(&mut nb, kmax, 0, budget, r)?;
+                    decode_planes(nb, kmax, 0, budget, r)?;
                 }
                 ZfpMode::FixedAccuracy(_) => {
                     let kmin = (r.read_bits(KFIELD_BITS).unwrap_or(0) as u32).min(kmax);
-                    decode_planes(&mut nb, kmax, kmin, u64::MAX / 2, r)?;
+                    decode_planes(nb, kmax, kmin, u64::MAX / 2, r)?;
                 }
             }
-            inverse_block(&nb, emax, d, blk);
+            inverse_block(nb, emax, d, blk);
             Ok(())
         }
         // FLAG_ZERO and the reserved value both clear the block.

@@ -143,22 +143,49 @@ pub fn inv_transform(block: &mut [i64], d: usize) {
     }
 }
 
+/// Sum of the per-axis frequency indices of coefficient `i` in a `d`-D block.
+const fn sequency(i: usize, d: usize) -> usize {
+    match d {
+        1 => i,
+        2 => (i / 4) + (i % 4),
+        _ => (i / 16) + ((i / 4) % 4) + (i % 4),
+    }
+}
+
+/// The `N = 4^d` coefficient indices sorted by `(sequency, index)`.
+const fn sequency_table<const N: usize>(d: usize) -> [usize; N] {
+    let mut order = [0usize; N];
+    let mut slot = 0;
+    let mut key = 0;
+    while slot < N {
+        let mut i = 0;
+        while i < N {
+            if sequency(i, d) == key {
+                order[slot] = i;
+                slot += 1;
+            }
+            i += 1;
+        }
+        key += 1;
+    }
+    order
+}
+
+static ORDER_1D: [usize; 4] = sequency_table(1);
+static ORDER_2D: [usize; 16] = sequency_table(2);
+static ORDER_3D: [usize; 64] = sequency_table(3);
+
 /// Total-sequency coefficient ordering: low-frequency coefficients first
 /// (sorted by the sum of per-axis indices, ties broken by linear index).
 /// This is the order bit planes serialize coefficients in, so fixed-rate
-/// truncation drops the highest frequencies first.
-pub fn sequency_order(d: usize) -> Vec<usize> {
-    let n = BLOCK_EDGE.pow(d as u32);
-    let mut idx: Vec<usize> = (0..n).collect();
-    let key = |i: usize| -> usize {
-        match d {
-            1 => i,
-            2 => (i / 4) + (i % 4),
-            _ => (i / 16) + ((i / 4) % 4) + (i % 4),
-        }
-    };
-    idx.sort_by_key(|&i| (key(i), i));
-    idx
+/// truncation drops the highest frequencies first. One table per
+/// dimensionality, built at compile time.
+pub fn sequency_order(d: usize) -> &'static [usize] {
+    match d {
+        1 => &ORDER_1D,
+        2 => &ORDER_2D,
+        _ => &ORDER_3D,
+    }
 }
 
 #[cfg(test)]
@@ -256,11 +283,16 @@ mod tests {
             let order = sequency_order(d);
             assert_eq!(order.len(), n);
             let mut seen = vec![false; n];
-            for &i in &order {
+            for &i in order {
                 assert!(!seen[i]);
                 seen[i] = true;
             }
             assert_eq!(order[0], 0, "DC coefficient first");
+            // The definition the tables are built from: a stable sort by
+            // total sequency.
+            let mut sorted: Vec<usize> = (0..n).collect();
+            sorted.sort_by_key(|&i| (sequency(i, d), i));
+            assert_eq!(order, sorted);
         }
     }
 }
