@@ -10,7 +10,7 @@
 #![warn(missing_docs)]
 
 use arc_datasets::{Field, SdrDataset};
-use arc_ecc::{EccConfig, EccMethod, EccScheme};
+use arc_ecc::{EccConfig, EccScheme};
 use arc_pressio::{Compressor, CompressorSpec, Dataset};
 
 /// How big a run to do.
@@ -233,11 +233,6 @@ pub fn inject_correctable(
         }
         EccConfig::Parity(_) => 0, // detection-only: nothing is correctable
     }
-}
-
-/// Convenience: does this config belong to `method`?
-pub fn is_method(config: &EccConfig, method: EccMethod) -> bool {
-    config.method() == method
 }
 
 /// Probe bytes reused by throughput binaries (CESM-sized by default).

@@ -136,35 +136,6 @@ impl ResiliencyConstraint {
     pub fn filter(&self, space: &[EccConfig]) -> Vec<EccConfig> {
         space.iter().filter(|c| self.admits(c)).copied().collect()
     }
-
-    /// Capability-level [`ResiliencyConstraint::admits`] for extension
-    /// schemes, which advertise a [`arc_ecc::Capability`] but belong to no
-    /// built-in [`EccMethod`] family.
-    ///
-    /// [`ResiliencyConstraint::Methods`] names built-in families by
-    /// definition, so it never admits an extension. The rate rule maps the
-    /// paper's method names onto what they meant operationally: above
-    /// [`BURST_RATE_THRESHOLD`] §5.1 trusts only Reed-Solomon *because*
-    /// error clustering makes bursts likely, so an extension clears that
-    /// bar only by correcting bursts.
-    pub fn admits_capability(&self, cap: &arc_ecc::Capability) -> bool {
-        match self {
-            ResiliencyConstraint::Any => true,
-            ResiliencyConstraint::Methods(_) => false,
-            ResiliencyConstraint::Responses(responses) => responses.iter().all(|r| match r {
-                ErrorResponse::DetectSparse => cap.detects_sparse,
-                ErrorResponse::CorrectSparse => cap.corrects_sparse,
-                ErrorResponse::CorrectBurst => cap.corrects_burst,
-            }),
-            ResiliencyConstraint::ErrorsPerMb(rate) => {
-                if *rate == 0.0 {
-                    return true;
-                }
-                let burst_ok = *rate <= BURST_RATE_THRESHOLD || cap.corrects_burst;
-                burst_ok && cap.corrects_sparse && cap.correctable_per_mb >= *rate
-            }
-        }
-    }
 }
 
 /// Bundle of the three constraints, as passed to `arc_encode()`.

@@ -34,9 +34,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use arc_ecc::parallel::{timed_decode, timed_encode, DEFAULT_CHUNK_SIZE};
-use arc_ecc::uep::{uep_sz, uep_zfp};
-use arc_ecc::{Bch, Capability, EccConfig, EccScheme, Interleaved, ParallelCodec, RsBlock};
+use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
+use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec, RsBlock};
 
 use crate::container;
 use crate::error::ArcError;
@@ -122,17 +121,15 @@ impl ExtensionRegistry {
 /// * `ileave-rs` — [`Interleaved`] RS(223|32) across 64 byte lanes: data
 ///   bursts up to 64·16 bytes at bare-RS parity cost;
 /// * `bch` — [`Bch`] with t = 2: any two bit flips per 1000-byte block at
-///   0.4 % overhead (bit-rot insurance an order cheaper than SEC-DED);
-/// * `uep-sz` — [`arc_ecc::uep::Uep`] preset for SZ streams: heavy RS over
-///   the Huffman-table head, light RS over bit-plane tails;
-/// * `uep-zfp` — the ZFP analogue: strong head for the stream header and
-///   leading block metadata.
+///   0.4 % overhead (bit-rot insurance an order cheaper than SEC-DED).
+///
+/// Both are named by hand (`encode_sharded_with_scheme`,
+/// `StreamEncoder::with_registry_scheme`); the optimizer searches the
+/// built-in `EccConfig` space only.
 pub fn standard_extensions() -> Result<ExtensionRegistry, ArcError> {
     let mut r = ExtensionRegistry::new();
     r.register("ileave-rs", Arc::new(Interleaved::new(RsBlock::new(32)?, 64)?))?;
     r.register("bch", Arc::new(Bch::new(2)?))?;
-    r.register("uep-sz", Arc::new(uep_sz()?))?;
-    r.register("uep-zfp", Arc::new(uep_zfp()?))?;
     Ok(r)
 }
 
@@ -176,9 +173,7 @@ pub(crate) fn resolve_scheme(
 /// `threads` accepts `arc_ecc::parallel::ANY_THREADS` (0) for "all
 /// available cores". A wrapper over the v1 writer
 /// ([`container::encode_mono`]): the whole container is allocated once and
-/// the scheme's parity is scatter-written in place (via the scheme's
-/// `encode_parity_into`, or its `encode_parity` fallback for schemes that
-/// only implement the allocating form).
+/// the scheme's `encode_parity_into` scatter-writes its parity in place.
 pub fn encode_with_scheme(
     data: &[u8],
     registry: &ExtensionRegistry,
@@ -216,105 +211,6 @@ pub fn decode_with_registry(
 ) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
     let (data, _, report) = decode_container(Input::Borrowed(bytes), threads, Some(registry))?;
     Ok((data, report))
-}
-
-/// One measured point for the storage/resiliency/throughput study: a
-/// scheme — built-in or extension — with its advertised capability and
-/// throughput calibrated on a real probe.
-#[derive(Debug, Clone)]
-pub struct ExtensionCandidate {
-    /// Scheme id as it appears in a container header (`rs:223:32`,
-    /// `x:bch`, …).
-    pub id: String,
-    /// Asymptotic storage overhead.
-    pub overhead: f64,
-    /// Advertised error response.
-    pub capability: Capability,
-    /// Measured encode throughput in MB/s.
-    pub encode_mb_s: f64,
-    /// Measured decode throughput in MB/s.
-    pub decode_mb_s: f64,
-}
-
-fn calibrate_one(
-    (id, scheme): Resolved,
-    probe: &[u8],
-    threads: usize,
-) -> Result<ExtensionCandidate, ArcError> {
-    let overhead = scheme.storage_overhead();
-    let capability = scheme.capability();
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
-    let (encoded, enc) = timed_encode(&codec, probe);
-    let (decoded, _, dec) = timed_decode(&codec, &encoded, probe.len())?;
-    if decoded != probe {
-        return Err(ArcError::Corrupted(format!(
-            "scheme {id:?} failed its calibration round-trip"
-        )));
-    }
-    Ok(ExtensionCandidate {
-        id,
-        overhead,
-        capability,
-        encode_mb_s: enc.mb_per_s(),
-        decode_mb_s: dec.mb_per_s(),
-    })
-}
-
-/// Calibrate every scheme in `registry` on `probe`: measure encode/decode
-/// throughput and verify a clean round-trip, yielding candidates that slot
-/// into the same study as [`calibrate_builtins`]. Candidates come back in
-/// registry-id order.
-pub fn calibrate_registry(
-    registry: &ExtensionRegistry,
-    probe: &[u8],
-    threads: usize,
-) -> Result<Vec<ExtensionCandidate>, ArcError> {
-    registry
-        .ids()
-        .iter()
-        .map(|name| calibrate_one(registry.named_scheme(name)?, probe, threads))
-        .collect()
-}
-
-/// The built-in comparison points for the Pareto study, measured the same
-/// way as [`calibrate_registry`] so the two sets are directly comparable.
-pub fn calibrate_builtins(
-    probe: &[u8],
-    threads: usize,
-) -> Result<Vec<ExtensionCandidate>, ArcError> {
-    EccConfig::standard_space()
-        .into_iter()
-        .map(|config| calibrate_one(builtin_scheme(config), probe, threads))
-        .collect()
-}
-
-/// Does `a` dominate `b` on the paper's storage/resiliency axes? Dominance
-/// means no-worse overhead, correctable rate, and burst/sparse correction,
-/// with a strict edge somewhere.
-fn dominates(a: &ExtensionCandidate, b: &ExtensionCandidate) -> bool {
-    let cap_rank = |c: &Capability| {
-        (u8::from(c.corrects_sparse), u8::from(c.corrects_burst), c.correctable_per_mb)
-    };
-    let (a_sparse, a_burst, a_rate) = cap_rank(&a.capability);
-    let (b_sparse, b_burst, b_rate) = cap_rank(&b.capability);
-    let no_worse =
-        a.overhead <= b.overhead && a_rate >= b_rate && a_sparse >= b_sparse && a_burst >= b_burst;
-    let strictly_better =
-        a.overhead < b.overhead || a_rate > b_rate || a_sparse > b_sparse || a_burst > b_burst;
-    no_worse && strictly_better
-}
-
-/// The Pareto-optimal subset of `candidates` under storage overhead (lower
-/// is better) versus error response (correctable rate, sparse/burst
-/// correction; higher is better) — the frontier the paper's Figure 11
-/// optimizers walk, now with extension families in the running. Order is
-/// preserved.
-pub fn pareto_frontier(candidates: &[ExtensionCandidate]) -> Vec<ExtensionCandidate> {
-    candidates
-        .iter()
-        .filter(|c| !candidates.iter().any(|other| dominates(other, c)))
-        .cloned()
-        .collect()
 }
 
 #[cfg(test)]
@@ -370,7 +266,7 @@ mod tests {
     #[test]
     fn standard_extensions_ship_the_advertised_families() {
         let r = standard_extensions().unwrap();
-        assert_eq!(r.ids(), vec!["bch", "ileave-rs", "uep-sz", "uep-zfp"]);
+        assert_eq!(r.ids(), vec!["bch", "ileave-rs"]);
     }
 
     #[test]
@@ -388,26 +284,6 @@ mod tests {
         let (out, report) = decode_with_registry(&enc, 2, &r).unwrap();
         assert_eq!(out, data);
         assert!(!report.correction.is_clean());
-    }
-
-    #[test]
-    fn extension_families_land_on_the_pareto_frontier() {
-        let r = standard_extensions().unwrap();
-        let probe: Vec<u8> = (0..(256usize << 10)).map(|i| ((i * 7) % 253) as u8).collect();
-        let mut all = calibrate_builtins(&probe, 2).unwrap();
-        all.extend(calibrate_registry(&r, &probe, 2).unwrap());
-        let frontier = pareto_frontier(&all);
-        // Every new family must be non-dominated alongside the built-ins.
-        for id in ["x:bch", "x:ileave-rs", "x:uep-sz", "x:uep-zfp"] {
-            assert!(
-                frontier.iter().any(|c| c.id == id),
-                "{id} dominated; frontier = {:?}",
-                frontier.iter().map(|c| c.id.clone()).collect::<Vec<_>>()
-            );
-        }
-        // And the frontier is a real subset: something built-in is
-        // dominated (e.g. plain Hamming by SEC-DED-like points).
-        assert!(frontier.len() < all.len());
     }
 
     #[test]

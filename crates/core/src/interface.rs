@@ -159,16 +159,6 @@ impl ArcContext {
         self.training_stats
     }
 
-    /// A snapshot of the trained throughput table.
-    pub fn training_table(&self) -> TrainingTable {
-        self.table().clone()
-    }
-
-    /// The configuration space in use.
-    pub fn config_space(&self) -> &[EccConfig] {
-        &self.space
-    }
-
     /// Run the optimizer without encoding (`arc_joint_optimizer()` and
     /// friends; "the user can ignore these suggestions for any reason").
     pub fn select(&self, request: &EncodeRequest) -> Result<Selection, ArcError> {

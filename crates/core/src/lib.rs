@@ -73,8 +73,7 @@ pub use engine::{
 };
 pub use error::{ArcError, DecodeError};
 pub use extension::{
-    calibrate_builtins, calibrate_registry, decode_with_registry, encode_sharded_with_scheme,
-    encode_with_scheme, pareto_frontier, standard_extensions, ExtensionCandidate,
+    decode_with_registry, encode_sharded_with_scheme, encode_with_scheme, standard_extensions,
     ExtensionRegistry, CUSTOM_PREFIX,
 };
 pub use failure::SystemProfile;

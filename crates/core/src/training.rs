@@ -96,13 +96,6 @@ impl TrainingTable {
         self.entries.keys().filter(|(cid, _)| *cid == id).map(|(_, t)| *t).collect()
     }
 
-    /// Distinct configurations present in the table.
-    pub fn config_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.entries.keys().map(|(c, _)| c.clone()).collect();
-        ids.dedup();
-        ids
-    }
-
     /// The (configuration, threads) pairs still missing for a full grid.
     pub fn missing(&self, space: &[EccConfig], ladder: &[usize]) -> Vec<(EccConfig, usize)> {
         let mut out = Vec::new();

@@ -51,16 +51,6 @@ pub fn popcount(bytes: &[u8]) -> u64 {
     bytes.iter().map(|b| b.count_ones() as u64).sum()
 }
 
-/// Number of bit positions at which two equal-length slices differ.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> u64 {
-    assert_eq!(a.len(), b.len(), "hamming_distance needs equal lengths");
-    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as u64).sum()
-}
-
 /// A fixed-destination bit packer that stores whole 64-bit words.
 ///
 /// The ECC encoders emit one small (≤ 64-bit) parity group per block;
@@ -153,11 +143,6 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Create a writer with capacity for `bits` bits.
-    pub fn with_capacity_bits(bits: u64) -> Self {
-        BitWriter { buf: Vec::with_capacity(bits.div_ceil(8) as usize), len: 0 }
-    }
-
     /// Append the low `n` bits of `value`, least-significant bit first.
     ///
     /// # Panics
@@ -247,13 +232,6 @@ mod tests {
     fn popcount_counts() {
         assert_eq!(popcount(&[0xFF, 0x0F, 0x01]), 13);
         assert_eq!(popcount(&[]), 0);
-    }
-
-    #[test]
-    fn hamming_distance_counts_flips() {
-        let a = [0b1010_1010u8, 0xFF];
-        let b = [0b1010_1000u8, 0x7F];
-        assert_eq!(hamming_distance(&a, &b), 2);
     }
 
     #[test]

@@ -272,6 +272,15 @@ mod tests {
         for m in EccMethod::ALL {
             assert!(space.iter().any(|c| c.method() == m), "{:?} missing", m);
         }
+        // `MemoryConstraint::Fraction(f)` admits a scheme by
+        // `storage_overhead() <= f`, so the advertised figure must bound what
+        // a default chunk pays. Worst of the 37 when the 1.10 was set:
+        // `rs:252:3`, +8.2 %.
+        let chunk = crate::parallel::DEFAULT_CHUNK_SIZE;
+        for c in &space {
+            let paid = c.parity_len(chunk) as f64 / chunk as f64;
+            assert!(paid <= 1.10 * c.storage_overhead(), "{c}: pays {paid}");
+        }
     }
 
     #[test]

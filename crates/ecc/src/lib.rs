@@ -21,8 +21,6 @@
 //!   scheme, turning bursts into per-codeword singles.
 //! * [`bch::Bch`] — shortened binary BCH(8191, 8191−13t, t) over GF(2^13)
 //!   for bit-rot at sub-percent overhead.
-//! * [`uep::Uep`] — unequal error protection: strong head code over
-//!   compressor metadata, light tail code over bit planes.
 //! * [`parallel::ParallelCodec`] — chunked thread-parallel encode/decode at
 //!   explicit thread counts.
 //! * [`config::EccConfig`] — the serializable configuration space ARC's
@@ -57,7 +55,6 @@ pub mod rs;
 pub mod rsblock;
 pub mod rscode;
 pub mod secded;
-pub mod uep;
 
 /// Convenient re-exports of the crate's primary types.
 pub mod prelude {
@@ -73,7 +70,6 @@ pub mod prelude {
     pub use crate::rsblock::RsBlock;
     pub use crate::rscode::RsCodeword;
     pub use crate::secded::SecDed;
-    pub use crate::uep::{uep_sz, uep_zfp, Uep};
 }
 
 pub use prelude::*;

@@ -8,7 +8,7 @@
 //! exactly this trade-off).
 
 use crate::bits::PackedBitWriter;
-use crate::codec::{Capability, CorrectionReport, EccError, EccScheme, MB};
+use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 
 /// Even-parity scheme configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,17 +139,6 @@ impl EccScheme for Parity {
     }
 }
 
-/// Expected fraction of uniformly distributed errors parity *detects* —
-/// an odd number of flips per block is caught; with sparse errors nearly all
-/// blocks see at most one flip, so detection approaches 100%.
-pub fn detection_probability(bytes_per_parity_bit: usize, errors_per_mb: f64) -> f64 {
-    // Probability a given error shares its block with another error is
-    // ≈ (e−1)·s/MB for block span s; those pairs go undetected.
-    let span = bytes_per_parity_bit as f64;
-    let collision = ((errors_per_mb - 1.0).max(0.0) * span / MB).min(1.0);
-    1.0 - collision
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,12 +230,6 @@ mod tests {
         assert!(enc.is_empty());
         let (out, _) = p.decode(&enc, 0).unwrap();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn detection_probability_model() {
-        assert!((detection_probability(8, 1.0) - 1.0).abs() < 1e-9);
-        assert!(detection_probability(1024, 10_000.0) < 1.0);
     }
 
     #[test]

@@ -10,11 +10,9 @@
 //! Against ARC's built-in device-oriented RS (CRC-located erasures), this
 //! trades throughput for *checksum-free* correction: up to ⌊nsym/2⌋
 //! corrupted bytes per codeword are repaired with no side information at
-//! all. It is the workhorse inner code of the extension families — the
+//! all. It is the inner code of the `ileave-rs` extension family: the
 //! burst-protection interleaver ([`crate::interleaved::Interleaved`])
-//! weaves its codewords across lanes, and the unequal-error-protection
-//! presets ([`crate::uep::Uep`]) use a strong `nsym` for stream headers and
-//! a light one for bit-plane tails.
+//! weaves its codewords across lanes.
 
 use crate::codec::{
     multi_correct_rate_per_mb, Capability, CorrectionReport, EccError, EccScheme, MB,

@@ -429,11 +429,6 @@ pub fn sweep(targets: &[DecodeTarget], cfg: &HostileConfig) -> HostileReport {
     report
 }
 
-/// Sweep the built-in corpus (every workspace decoder) under `cfg`.
-pub fn sweep_builtin(cfg: &HostileConfig) -> HostileReport {
-    sweep(&builtin_targets(), cfg)
-}
-
 /// The smooth 2-D field used to build golden streams (48×48, the same
 /// shape class as the paper's SDRBench fields, scaled down for speed).
 fn golden_field() -> (Vec<f32>, Vec<usize>) {
@@ -448,8 +443,8 @@ fn golden_field() -> (Vec<f32>, Vec<usize>) {
 }
 
 /// Build one [`DecodeTarget`] per decode entry point in the workspace:
-/// SZ, ZFP, the gzip-like and zstd-like lossless codecs, and the ARC ECC
-/// container (one golden stream per built-in scheme family).
+/// SZ, ZFP, the zstd-like lossless codec, and the ARC ECC container (one
+/// golden stream per built-in scheme family).
 ///
 /// Stream construction is infallible in practice; if an encoder ever
 /// refuses its golden input the stream is simply omitted (the sweep tests
@@ -510,23 +505,9 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
         }),
     });
 
-    // Lossless codecs over a compressible byte corpus.
+    // The lossless codec over a compressible byte corpus.
     let text: Vec<u8> =
         b"the quick brown fox jumps over the lazy dog 0123456789 ".repeat(96).to_vec();
-    targets.push(DecodeTarget {
-        name: "gzip-like".to_string(),
-        streams: vec![GoldenStream {
-            name: "deflate-text".to_string(),
-            bytes: arc_lossless::deflate::compress(&text),
-            header_len: 64,
-            trailer_len: 0,
-        }],
-        decode: Arc::new(|b, budget| {
-            arc_lossless::deflate::decompress_with_limit(b, budget)
-                .map(|v| v.len() as u64)
-                .map_err(|e| e.to_string())
-        }),
-    });
     targets.push(DecodeTarget {
         name: "zstd-like".to_string(),
         streams: vec![GoldenStream {
@@ -761,15 +742,12 @@ mod tests {
             vec![
                 "sz",
                 "zfp",
-                "gzip-like",
                 "zstd-like",
                 "container",
                 "container-range",
                 "stream-v2",
                 "ext-bch",
                 "ext-ileave-rs",
-                "ext-uep-sz",
-                "ext-uep-zfp",
                 "ext-range",
                 "ext-stream",
             ]

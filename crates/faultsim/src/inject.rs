@@ -46,15 +46,6 @@ pub fn sample_bits(total_bits: u64, count: usize, seed: u64) -> Vec<u64> {
     out
 }
 
-/// Sample a fraction (e.g. 0.01 for the paper's 1%) of all bits, at least
-/// one bit for non-empty buffers.
-pub fn sample_fraction(total_bits: u64, fraction: f64, seed: u64) -> Vec<u64> {
-    assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
-    let count = ((total_bits as f64 * fraction).round() as usize)
-        .clamp(usize::from(total_bits > 0), total_bits as usize);
-    sample_bits(total_bits, count, seed)
-}
-
 /// Evenly spaced bit positions (deterministic sweep used by plots that want
 /// a location axis rather than a random sample).
 pub fn stride_bits(total_bits: u64, count: usize) -> Vec<u64> {
@@ -78,27 +69,6 @@ pub fn burst_byte_run(buf: &mut [u8], start: usize, len: usize) -> usize {
         *b ^= 0xFF;
     }
     end - start
-}
-
-/// Inject `count` random *correctable-by-construction* bit flips into
-/// distinct bytes (used by the Fig 10 decode-under-errors study, which
-/// requires every injected error to be correctable).
-pub fn scatter_byte_flips(buf: &mut [u8], count: usize, seed: u64) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = buf.len() as u64;
-    assert!(count as u64 <= n, "more flips than bytes");
-    let mut chosen = std::collections::HashSet::with_capacity(count * 2);
-    while chosen.len() < count {
-        chosen.insert(rng.random_range(0..n));
-    }
-    let mut bits = Vec::with_capacity(count);
-    for &byte in &chosen {
-        let bit = byte * 8 + rng.random_range(0..8u64);
-        flip_bit(buf, bit);
-        bits.push(bit);
-    }
-    bits.sort_unstable();
-    bits
 }
 
 #[cfg(test)]
@@ -138,15 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_sampling_matches_paper_rates() {
-        // CESM at 1%: 25.92 MB → ~2.07M bits sampled of 207M.
-        let total = 25_920_000u64 * 8;
-        let bits = sample_fraction(total, 0.0001, 5); // scaled-down rate
-        assert_eq!(bits.len(), (total as f64 * 0.0001).round() as usize);
-        assert!(!sample_fraction(10, 0.0, 5).is_empty(), "at least one bit");
-    }
-
-    #[test]
     fn stride_bits_cover_range_evenly() {
         let bits = stride_bits(1000, 10);
         assert_eq!(bits, vec![0, 100, 200, 300, 400, 500, 600, 700, 800, 900]);
@@ -168,14 +129,5 @@ mod tests {
         // Clipping: run past the end, and start past the end.
         assert_eq!(burst_byte_run(&mut buf, 60, 100), 4);
         assert_eq!(burst_byte_run(&mut buf, 100, 5), 0);
-    }
-
-    #[test]
-    fn scatter_byte_flips_hits_distinct_bytes() {
-        let mut buf = vec![0u8; 1000];
-        let bits = scatter_byte_flips(&mut buf, 200, 7);
-        assert_eq!(bits.len(), 200);
-        let touched = buf.iter().filter(|&&b| b != 0).count();
-        assert_eq!(touched, 200, "every flip in its own byte");
     }
 }

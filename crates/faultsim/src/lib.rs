@@ -28,11 +28,9 @@ pub mod trial;
 
 pub use campaign::{run_campaign, run_campaign_with_bound, CampaignReport};
 pub use hostile::{
-    builtin_targets, mutations, run_case, sweep, sweep_builtin, CaseFailure, CaseStatus,
-    DecodeTarget, GoldenStream, HostileConfig, HostileReport,
+    builtin_targets, mutations, run_case, sweep, CaseFailure, CaseStatus, DecodeTarget,
+    GoldenStream, HostileConfig, HostileReport,
 };
-pub use inject::{
-    burst_byte_run, flip_bit, sample_bits, sample_fraction, scatter_byte_flips, stride_bits,
-};
+pub use inject::{burst_byte_run, flip_bit, sample_bits, stride_bits};
 pub use storm::{apply_events, draw_events, storm, FaultEvent, FaultMix, StormSummary};
 pub use trial::{ReturnStatus, TrialContext, TrialMetrics, TrialOutcome};

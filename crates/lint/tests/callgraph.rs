@@ -101,11 +101,6 @@ fn every_hostile_decode_target_is_a_declared_root() {
             "arc_zfp::decompress_with_limits",
         ),
         (
-            "arc_lossless::deflate::decompress_with_limit",
-            "deflate::decompress_with_limit",
-            "arc_lossless::deflate::decompress_with_limit",
-        ),
-        (
             "arc_lossless::zstd_like::decompress_with_limit",
             "zstd_like::decompress_with_limit",
             "arc_lossless::zstd_like::decompress_with_limit",

@@ -218,18 +218,6 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, LosslessError> 
     }
 }
 
-/// ZigZag mapping of signed to unsigned integers for varint coding.
-#[inline]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// The bit-at-a-time writer and reader this module used before it moved a
 /// word at a time, kept as the oracle the differential tests here and in
 /// `huffman` compare against.
@@ -393,16 +381,6 @@ mod tests {
         let overlong = [0xFF; 11];
         let mut pos = 0;
         assert!(read_varint(&overlong, &mut pos).is_err());
-    }
-
-    #[test]
-    fn zigzag_round_trip() {
-        for v in [-5i64, -1, 0, 1, 5, i64::MAX, i64::MIN, 123456789, -987654321] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! SZ entropy-codes its quantization bins with a Huffman tree whose alphabet
 //! can run to tens of thousands of symbols (§4.4 discusses how this final
-//! encoding stage shapes error propagation); the deflate-like and zstd-like
-//! pipelines reuse the same coder for literals and match tokens. Canonical
+//! encoding stage shapes error propagation); the zstd-like pipeline reuses
+//! the same coder for literals and match commands. Canonical
 //! codes let the table be serialized as code *lengths* only.
 
 use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};

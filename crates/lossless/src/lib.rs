@@ -1,10 +1,10 @@
 //! # arc-lossless — lossless compression substrate
 //!
-//! From-scratch lossless building blocks standing in for the GZip and ZStd
-//! dependencies of the paper's stack (§2.1, §4.4): bit-granular stream I/O,
-//! canonical Huffman coding, LZ77 match finding, and two complete pipelines —
-//! a DEFLATE-like ("GZip-like") interleaved format and a ZStd-like sectioned
-//! format that serves as SZ's final compression stage.
+//! From-scratch lossless building blocks standing in for the ZStd
+//! dependency of the paper's stack (§2.1.1, §4.4): bit-granular stream I/O,
+//! canonical Huffman coding, LZ77 match finding, and the one pipeline built
+//! from them — a ZStd-like sectioned format that serves as SZ's final
+//! compression stage.
 //!
 //! ```
 //! let data = b"HPC floating-point data ".repeat(64);
@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod bitio;
-pub mod deflate;
 pub mod error;
 pub mod huffman;
 pub mod lz77;

@@ -1,9 +1,9 @@
 //! LZ77 match finding with hash chains.
 //!
-//! Both the deflate-like and zstd-like pipelines factor repeated byte ranges
-//! through this tokenizer. It mirrors zlib's design: a rolling 4-byte hash
-//! indexes chain heads, chains are walked up to a configurable depth, and
-//! greedy matching with a one-step lazy evaluation picks the final tokens.
+//! The zstd-like pipeline factors repeated byte ranges through this
+//! tokenizer. It mirrors zlib's design: a rolling 4-byte hash indexes chain
+//! heads, chains are walked up to a configurable depth, and greedy matching
+//! with a one-step lazy evaluation picks the final tokens.
 
 use crate::error::LosslessError;
 

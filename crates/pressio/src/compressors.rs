@@ -1,6 +1,6 @@
-//! The compressor abstraction: one trait over SZ, ZFP, and the lossless
-//! pipelines, mirroring how LibPressio normalizes compressor interactions
-//! for the paper's experiments (§4.1.1).
+//! The compressor abstraction: one trait over SZ and ZFP, mirroring how
+//! LibPressio normalizes compressor interactions for the paper's
+//! experiments (§4.1.1).
 
 use std::fmt;
 
@@ -37,13 +37,6 @@ pub enum PressioError {
         /// Budget allowed.
         budget: u64,
     },
-}
-
-impl PressioError {
-    /// True for the Timeout class.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, PressioError::Timeout { .. })
-    }
 }
 
 impl fmt::Display for PressioError {
@@ -107,7 +100,7 @@ pub trait Compressor: Send + Sync {
     fn bound_spec(&self) -> Option<BoundSpec>;
 }
 
-/// The five paper configurations plus the lossless baselines.
+/// The five paper configurations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CompressorSpec {
     /// SZ with an absolute bound.
@@ -120,10 +113,6 @@ pub enum CompressorSpec {
     ZfpAcc(f64),
     /// ZFP fixed-rate mode (bits per value).
     ZfpRate(f64),
-    /// DEFLATE-like lossless ("GZip-like").
-    GzipLike,
-    /// ZStd-like lossless.
-    ZstdLike,
 }
 
 impl CompressorSpec {
@@ -135,8 +124,6 @@ impl CompressorSpec {
             CompressorSpec::SzPsnr(p) => format!("sz-psnr({p})"),
             CompressorSpec::ZfpAcc(e) => format!("zfp-acc({e})"),
             CompressorSpec::ZfpRate(r) => format!("zfp-rate({r})"),
-            CompressorSpec::GzipLike => "gzip-like".into(),
-            CompressorSpec::ZstdLike => "zstd-like".into(),
         }
     }
 
@@ -148,8 +135,6 @@ impl CompressorSpec {
             CompressorSpec::SzPsnr(_) => "SZ-PSNR",
             CompressorSpec::ZfpAcc(_) => "ZFP-ACC",
             CompressorSpec::ZfpRate(_) => "ZFP-Rate",
-            CompressorSpec::GzipLike => "GZip-like",
-            CompressorSpec::ZstdLike => "ZStd-like",
         }
     }
 
@@ -161,7 +146,6 @@ impl CompressorSpec {
             CompressorSpec::SzPsnr(_) => CompressorSpec::SzPsnr(p),
             CompressorSpec::ZfpAcc(_) => CompressorSpec::ZfpAcc(p),
             CompressorSpec::ZfpRate(_) => CompressorSpec::ZfpRate(p),
-            other => *other,
         }
     }
 
@@ -177,8 +161,6 @@ impl CompressorSpec {
             CompressorSpec::ZfpRate(r) => {
                 Box::new(ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(r) })
             }
-            CompressorSpec::GzipLike => Box::new(LosslessCompressor { zstd: false }),
-            CompressorSpec::ZstdLike => Box::new(LosslessCompressor { zstd: true }),
         }
     }
 }
@@ -265,108 +247,6 @@ impl Compressor for ZfpCompressor {
     }
 }
 
-/// Lossless adapter: compresses the raw f32 bytes with a tiny dims header.
-pub struct LosslessCompressor {
-    /// True → zstd-like, false → deflate-like.
-    pub zstd: bool,
-}
-
-impl Compressor for LosslessCompressor {
-    fn name(&self) -> String {
-        if self.zstd {
-            "zstd-like".into()
-        } else {
-            "gzip-like".into()
-        }
-    }
-
-    fn compress(&self, ds: &Dataset<'_>) -> Result<Vec<u8>, PressioError> {
-        if ds.dims.is_empty() || ds.dims.len() > 3 {
-            return Err(PressioError::Codec(format!("invalid dims {:?}", ds.dims)));
-        }
-        let n: usize = ds.dims.iter().product();
-        if n != ds.data.len() {
-            return Err(PressioError::Codec("dims/data mismatch".into()));
-        }
-        let mut raw = Vec::with_capacity(4 * ds.data.len() + 16);
-        raw.push(ds.dims.len() as u8);
-        for &d in ds.dims {
-            arc_lossless::bitio::write_varint(&mut raw, d as u64);
-        }
-        for &x in ds.data {
-            raw.extend_from_slice(&x.to_le_bytes());
-        }
-        Ok(if self.zstd {
-            arc_lossless::zstd_like::compress(&raw)
-        } else {
-            arc_lossless::deflate::compress(&raw)
-        })
-    }
-
-    fn decompress_with_limit(
-        &self,
-        bytes: &[u8],
-        max_elements: u64,
-    ) -> Result<DecodedDataset, PressioError> {
-        // The raw layout is dims framing (≤ ~32 bytes) plus 4 bytes per
-        // element, so the element budget bounds the decompressed size; an
-        // inflated inner length field is rejected before it allocates.
-        let byte_budget = max_elements.saturating_mul(4).saturating_add(64);
-        let raw = if self.zstd {
-            arc_lossless::zstd_like::decompress_with_limit(bytes, byte_budget)
-        } else {
-            arc_lossless::deflate::decompress_with_limit(bytes, byte_budget)
-        }
-        .map_err(|e| match e {
-            arc_lossless::LosslessError::WorkBudgetExceeded { demanded, budget } => {
-                PressioError::Timeout { demanded, budget }
-            }
-            other => PressioError::Codec(other.to_string()),
-        })?;
-        if raw.is_empty() {
-            return Err(PressioError::Codec("empty payload".into()));
-        }
-        let ndims = raw[0] as usize;
-        if ndims == 0 || ndims > 3 {
-            return Err(PressioError::Codec(format!("bad dimensionality {ndims}")));
-        }
-        let mut pos = 1usize;
-        let mut dims = Vec::with_capacity(ndims);
-        let mut product = 1u64;
-        for _ in 0..ndims {
-            let d = arc_lossless::bitio::read_varint(&raw, &mut pos)
-                .map_err(|e| PressioError::Codec(e.to_string()))?;
-            product = product
-                .checked_mul(d)
-                .ok_or_else(|| PressioError::Codec("dims overflow".into()))?;
-            dims.push(d as usize);
-        }
-        if product > max_elements {
-            return Err(PressioError::Timeout { demanded: product, budget: max_elements });
-        }
-        let expected = product as usize * 4;
-        if raw.len() - pos != expected {
-            return Err(PressioError::Codec(format!(
-                "payload {} bytes, dims demand {expected}",
-                raw.len() - pos
-            )));
-        }
-        let data: Vec<f32> = raw[pos..]
-            .chunks_exact(4)
-            .map(|c| {
-                let mut b = [0u8; 4];
-                b.copy_from_slice(c);
-                f32::from_le_bytes(b)
-            })
-            .collect();
-        Ok(DecodedDataset { data, dims })
-    }
-
-    fn bound_spec(&self) -> Option<BoundSpec> {
-        Some(BoundSpec::Abs(0.0)) // lossless: any deviation is incorrect
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,8 +266,6 @@ mod tests {
             CompressorSpec::SzPsnr(80.0),
             CompressorSpec::ZfpAcc(0.01),
             CompressorSpec::ZfpRate(8.0),
-            CompressorSpec::GzipLike,
-            CompressorSpec::ZstdLike,
         ];
         for spec in specs {
             let c = spec.build();
@@ -403,27 +281,14 @@ mod tests {
     }
 
     #[test]
-    fn lossless_is_bit_exact() {
-        let data = field(500);
-        let ds = Dataset { data: &data, dims: &[500] };
-        for spec in [CompressorSpec::GzipLike, CompressorSpec::ZstdLike] {
-            let c = spec.build();
-            let out = c.decompress(&c.compress(&ds).unwrap()).unwrap();
-            assert_eq!(out.data, data);
-        }
-    }
-
-    #[test]
     fn timeout_classification_propagates() {
         let data = field(64 * 64);
         let ds = Dataset { data: &data, dims: &[64, 64] };
-        for spec in
-            [CompressorSpec::SzAbs(0.01), CompressorSpec::ZfpAcc(0.01), CompressorSpec::ZstdLike]
-        {
+        for spec in [CompressorSpec::SzAbs(0.01), CompressorSpec::ZfpAcc(0.01)] {
             let c = spec.build();
             let packed = c.compress(&ds).unwrap();
             let err = c.decompress_with_limit(&packed, 16).unwrap_err();
-            assert!(err.is_timeout(), "{}: {err}", spec.name());
+            assert!(matches!(err, PressioError::Timeout { .. }), "{}: {err}", spec.name());
         }
     }
 
@@ -438,7 +303,6 @@ mod tests {
     fn with_param_rebinds() {
         let s = CompressorSpec::ZfpAcc(0.1).with_param(0.5);
         assert_eq!(s, CompressorSpec::ZfpAcc(0.5));
-        assert_eq!(CompressorSpec::GzipLike.with_param(9.0), CompressorSpec::GzipLike);
     }
 
     #[test]
@@ -453,82 +317,6 @@ mod tests {
                 bad[i] ^= 0x80;
                 let _ = c.decompress_with_limit(&bad, 1 << 20);
             }
-        }
-    }
-}
-
-impl CompressorSpec {
-    /// Parse a textual spec: `"<family>"` or `"<family>:<param>"`, e.g.
-    /// `sz-abs:0.1`, `sz-pwrel:0.01`, `sz-psnr:90`, `zfp-acc:1e-3`,
-    /// `zfp-rate:8`, `gzip-like`, `zstd-like`. This is the "registry by
-    /// name" LibPressio offers; the CLI-facing entry point of the
-    /// abstraction layer.
-    pub fn parse(spec: &str) -> Result<CompressorSpec, PressioError> {
-        let (family, param) = match spec.split_once(':') {
-            Some((f, p)) => (f, Some(p)),
-            None => (spec, None),
-        };
-        let num = |what: &str| -> Result<f64, PressioError> {
-            param
-                .ok_or_else(|| {
-                    PressioError::Codec(format!("{family} needs {what}, e.g. {family}:0.1"))
-                })?
-                .parse::<f64>()
-                .map_err(|_| PressioError::Codec(format!("bad {what} in {spec:?}")))
-        };
-        let parsed = match family {
-            "sz-abs" => CompressorSpec::SzAbs(num("an error bound")?),
-            "sz-pwrel" => CompressorSpec::SzPwRel(num("a relative bound")?),
-            "sz-psnr" => CompressorSpec::SzPsnr(num("a PSNR target")?),
-            "zfp-acc" => CompressorSpec::ZfpAcc(num("a tolerance")?),
-            "zfp-rate" => CompressorSpec::ZfpRate(num("a rate")?),
-            "gzip-like" => CompressorSpec::GzipLike,
-            "zstd-like" => CompressorSpec::ZstdLike,
-            other => {
-                return Err(PressioError::Codec(format!(
-                    "unknown compressor {other:?}; known: sz-abs, sz-pwrel, sz-psnr, zfp-acc, zfp-rate, gzip-like, zstd-like"
-                )))
-            }
-        };
-        if param.is_some() && matches!(parsed, CompressorSpec::GzipLike | CompressorSpec::ZstdLike)
-        {
-            return Err(PressioError::Codec(format!("{family} takes no parameter")));
-        }
-        Ok(parsed)
-    }
-}
-
-#[cfg(test)]
-mod parse_tests {
-    use super::*;
-
-    #[test]
-    fn parses_every_family() {
-        assert_eq!(CompressorSpec::parse("sz-abs:0.1").unwrap(), CompressorSpec::SzAbs(0.1));
-        assert_eq!(CompressorSpec::parse("sz-pwrel:1e-2").unwrap(), CompressorSpec::SzPwRel(0.01));
-        assert_eq!(CompressorSpec::parse("sz-psnr:90").unwrap(), CompressorSpec::SzPsnr(90.0));
-        assert_eq!(CompressorSpec::parse("zfp-acc:0.5").unwrap(), CompressorSpec::ZfpAcc(0.5));
-        assert_eq!(CompressorSpec::parse("zfp-rate:8").unwrap(), CompressorSpec::ZfpRate(8.0));
-        assert_eq!(CompressorSpec::parse("gzip-like").unwrap(), CompressorSpec::GzipLike);
-        assert_eq!(CompressorSpec::parse("zstd-like").unwrap(), CompressorSpec::ZstdLike);
-    }
-
-    #[test]
-    fn rejects_bad_specs() {
-        assert!(CompressorSpec::parse("sz-abs").is_err());
-        assert!(CompressorSpec::parse("sz-abs:nan?").is_err());
-        assert!(CompressorSpec::parse("mystery:1").is_err());
-        assert!(CompressorSpec::parse("zstd-like:3").is_err());
-    }
-
-    #[test]
-    fn parsed_specs_build_and_round_trip() {
-        let data: Vec<f32> = (0..256).map(|i| (i as f32 * 0.1).sin()).collect();
-        let ds = Dataset { data: &data, dims: &[16, 16] };
-        for spec in ["sz-abs:0.01", "zfp-rate:8", "zstd-like"] {
-            let c = CompressorSpec::parse(spec).unwrap().build();
-            let out = c.decompress(&c.compress(&ds).unwrap()).unwrap();
-            assert_eq!(out.data.len(), 256, "{spec}");
         }
     }
 }

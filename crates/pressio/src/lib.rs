@@ -2,9 +2,8 @@
 //!
 //! The LibPressio stand-in (§4.1.1 of the ARC paper, [Underwood 2020]):
 //! a single [`Compressor`] trait normalizing the SZ-like and ZFP-like lossy
-//! codecs and the lossless pipelines, the data-integrity metrics the fault
-//! study collects (§4.1.3), and a bound-tuning search used to hit target
-//! compression ratios (§4.4).
+//! codecs, the data-integrity metrics the fault study collects (§4.1.3), and
+//! a bound-tuning search used to hit target compression ratios (§4.4).
 //!
 //! ```
 //! use arc_pressio::{CompressorSpec, Dataset};
@@ -24,11 +23,10 @@ pub mod metrics;
 pub mod tuning;
 
 pub use compressors::{
-    Compressor, CompressorSpec, Dataset, DecodedDataset, LosslessCompressor, PressioError,
-    SzCompressor, ZfpCompressor,
+    Compressor, CompressorSpec, Dataset, DecodedDataset, PressioError, SzCompressor, ZfpCompressor,
 };
 pub use metrics::{
-    compression_ratio, incorrect_elements, integrity_report, max_abs_diff, percent_incorrect, psnr,
-    rmse, value_range, BoundSpec, IntegrityReport, RunningStats,
+    compression_ratio, incorrect_elements, max_abs_diff, percent_incorrect, psnr, rmse,
+    value_range, BoundSpec, RunningStats,
 };
 pub use tuning::{tune_for_ratio, TunedBound};

@@ -119,33 +119,6 @@ pub fn compression_ratio(elements: usize, compressed_len: usize) -> f64 {
     (elements * 4) as f64 / compressed_len as f64
 }
 
-/// A bundle of every §4.1.3 metric for one (original, decoded) pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntegrityReport {
-    /// Equation-1 RMSE.
-    pub rmse: f64,
-    /// Equation-2 PSNR (dB).
-    pub psnr: f64,
-    /// Largest pointwise deviation.
-    pub max_abs_diff: f64,
-    /// Percent of bound-violating elements, when a bound was given.
-    pub percent_incorrect: Option<f64>,
-}
-
-/// Compute the full report in one pass over the data.
-pub fn integrity_report(
-    original: &[f32],
-    decoded: &[f32],
-    bound: Option<BoundSpec>,
-) -> IntegrityReport {
-    IntegrityReport {
-        rmse: rmse(original, decoded),
-        psnr: psnr(original, decoded),
-        max_abs_diff: max_abs_diff(original, decoded),
-        percent_incorrect: bound.map(|b| percent_incorrect(original, decoded, b)),
-    }
-}
-
 /// Simple running mean/standard-deviation accumulator for trial aggregation
 /// (Fig 5 reports averages and variances across thousands of trials).
 #[derive(Debug, Clone, Copy, Default)]
@@ -271,16 +244,5 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.count(), 2);
         assert!((s.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn integrity_report_bundles() {
-        let a = [0.0f32, 2.0];
-        let b = [0.5f32, 2.0];
-        let r = integrity_report(&a, &b, Some(BoundSpec::Abs(0.1)));
-        assert!((r.max_abs_diff - 0.5).abs() < 1e-12);
-        assert_eq!(r.percent_incorrect, Some(50.0));
-        let r2 = integrity_report(&a, &b, None);
-        assert_eq!(r2.percent_incorrect, None);
     }
 }

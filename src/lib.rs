@@ -12,7 +12,7 @@
 //! | [`sz`] | `arc-sz` | SZ-like prediction-based lossy compressor (ABS/PWREL/PSNR) |
 //! | [`zfp`] | `arc-zfp` | ZFP-like transform-based lossy compressor (ACC/Rate) |
 //! | [`pressio`] | `arc-pressio` | LibPressio-like abstraction + integrity metrics |
-//! | [`lossless`] | `arc-lossless` | Huffman, LZ77, deflate-like, zstd-like |
+//! | [`lossless`] | `arc-lossless` | bit I/O, Huffman, LZ77, the zstd-like pipeline |
 //! | [`datasets`] | `arc-datasets` | synthetic CESM / Isabel / NYX stand-ins |
 //! | [`faultsim`] | `arc-faultsim` | soft-error injection harness |
 //!
