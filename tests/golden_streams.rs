@@ -6,7 +6,11 @@
 //! `ARC_REGENERATE_GOLDEN=1 cargo test --test golden_streams -- --nocapture`
 //! and paste the printed constants.
 
-use arc::sz::{self, ErrorBound, SzConfig};
+use arc::datasets::SdrDataset;
+use arc::lossless::bitio::read_varint;
+use arc::lossless::lz77::{tokenize, Lz77Config, Token, MAX_MATCH, WINDOW};
+use arc::lossless::zstd_like;
+use arc::sz::{self, ErrorBound, PredictorKind, SzConfig};
 use arc::zfp::{self, ZfpMode};
 
 /// Deterministic 32×32 smooth field — representative of the paper's
@@ -77,7 +81,6 @@ fn nd_fields() -> Vec<(Vec<usize>, Vec<f32>)> {
 /// unpadded 3-D blocks code with all 64 coefficients active) and ZFP-Rate over
 /// [`nd_fields`]: (stream id, stream, decoded values as little-endian bytes).
 fn nd_streams() -> Vec<(String, Vec<u8>, Vec<u8>)> {
-    let le_bytes = |v: &[f32]| v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
     let mut out = Vec::new();
     for (dims, data) in nd_fields() {
         for bound in [ErrorBound::Abs(1e-3), ErrorBound::PwRel(1e-2)] {
@@ -97,6 +100,137 @@ fn nd_streams() -> Vec<(String, Vec<u8>, Vec<u8>)> {
         }
     }
     out
+}
+
+fn le_bytes(v: &[f32]) -> Vec<u8> {
+    v.iter().flat_map(|x| x.to_le_bytes()).collect()
+}
+
+/// SplitMix64: the seeded byte and noise source of the fields below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A 96×130 field built to reach every branch of the SZ element loop: a
+/// smooth region with negatives, a block of exact zeros (both signs), NaN and
+/// both infinities, and from row 48 on sign-flipping noise across fourteen
+/// decades, which at 256 bins is unpredictable in either domain.
+fn adversarial_field() -> (Vec<usize>, Vec<f32>) {
+    let (rows, cols) = (96usize, 130usize);
+    let mut state = 0xADu64;
+    let mut data = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            let smooth = ((r as f32) * 0.11).sin() * 3.0 - ((c as f32) * 0.05).cos() * 2.0;
+            let x = if r >= 48 && c % 2 == 0 {
+                let h = splitmix(&mut state);
+                let mag = 10f32.powi((h % 14) as i32 - 7) * (1.0 + (h >> 40) as f32 * 1e-7);
+                if h & (1 << 20) == 0 {
+                    mag
+                } else {
+                    -mag
+                }
+            } else if (10..20).contains(&r) && (30..70).contains(&c) {
+                if c % 3 == 0 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            } else {
+                smooth
+            };
+            data.push(x);
+        }
+    }
+    data[5 * cols + 5] = f32::NAN;
+    data[5 * cols + 6] = f32::INFINITY;
+    data[40 * cols + 129] = f32::NEG_INFINITY;
+    data[41 * cols] = f32::NAN;
+    data[95 * cols + 129] = f32::INFINITY;
+    (vec![rows, cols], data)
+}
+
+/// Share of elements a stream written without the final pass holds as
+/// literals: header, varint body length, then the body's varint code-block
+/// length, the code block and the varint literal count.
+fn literal_share(stream: &[u8], n: usize) -> f64 {
+    let mut pos = 0;
+    sz::stream::Header::read(stream, &mut pos).unwrap();
+    read_varint(stream, &mut pos).unwrap();
+    let code_block = read_varint(stream, &mut pos).unwrap() as usize;
+    pos += code_block;
+    read_varint(stream, &mut pos).unwrap() as f64 / n as f64
+}
+
+/// The three dataset stand-ins at `test_dims()` under the two bounds
+/// arcbench's `sz_checkpoint` uses (NYX under SZ-ABS is the body that crosses
+/// the LZ window several times), then [`adversarial_field`] under both bounds
+/// and both predictors at 256 bins.
+fn sz_field_streams() -> Vec<(String, Vec<u8>, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut push = |id: String, data: &[f32], dims: &[usize], cfg: &SzConfig| {
+        let stream = sz::compress(data, dims, cfg).unwrap();
+        let decoded = sz::decompress(&stream).unwrap();
+        assert_eq!(decoded.dims, dims);
+        out.push((id, stream, le_bytes(&decoded.data)));
+    };
+    for ds in SdrDataset::ALL {
+        let field = ds.generate_test();
+        for bound in [ErrorBound::Abs(0.1), ErrorBound::PwRel(0.1)] {
+            let cfg = SzConfig { bound, ..SzConfig::default() };
+            push(format!("{} sz:{bound:?}", ds.name()), &field.data, &field.dims, &cfg);
+        }
+    }
+    let (dims, data) = adversarial_field();
+    for bound in [ErrorBound::Abs(1e-3), ErrorBound::PwRel(1e-2)] {
+        for kind in [PredictorKind::Lorenzo, PredictorKind::Lorenzo2] {
+            let cfg =
+                SzConfig { bound, quant_bins: 256, predictor: Some(kind), ..SzConfig::default() };
+            let bare = SzConfig { final_lossless: false, ..cfg };
+            let share = literal_share(&sz::compress(&data, &dims, &bare).unwrap(), data.len());
+            assert!(share > 0.25, "adversarial {bound:?} {kind:?}: literal share {share}");
+            push(format!("adversarial sz:{bound:?} {kind:?}"), &data, &dims, &cfg);
+        }
+    }
+    out
+}
+
+/// Inputs for `zstd_like::compress` longer than twice any window-sized ring
+/// (300 KiB against `WINDOW` = 64 KiB). `planted`: seeded noise holding a
+/// 40-byte block repeated at distance exactly `WINDOW` (the farthest legal
+/// match), another repeated at `WINDOW + 1` (one too far: literals), and a
+/// single-byte run of 1 000 > `MAX_MATCH`. `low-entropy`: a four-symbol
+/// source, so every position has a full hash chain and many equal-length
+/// candidates, which pins chain depth and tie-breaks.
+fn lz_inputs() -> Vec<(&'static str, Vec<u8>)> {
+    let n = 300 << 10;
+    let mut state = 0x1Au64;
+    let mut planted: Vec<u8> = (0..n).map(|_| (splitmix(&mut state) >> 56) as u8).collect();
+    for (at, dist) in [(70_000usize, WINDOW), (150_000, WINDOW + 1)] {
+        let block = planted[at..at + 40].to_vec();
+        planted[at + dist..at + dist + 40].copy_from_slice(&block);
+    }
+    planted[250_000..251_000].fill(0x55);
+    let tokens = tokenize(&planted, &Lz77Config::default());
+    let has = |len: usize, dist: usize| {
+        tokens.contains(&Token::Match { len: len as u32, dist: dist as u32 })
+    };
+    assert!(has(40, WINDOW), "the block at distance WINDOW must be matched whole");
+    assert!(has(MAX_MATCH, 1), "the run must be cut at MAX_MATCH");
+    assert!(!tokens
+        .iter()
+        .any(|t| matches!(t, Token::Match { dist, .. } if *dist as usize > WINDOW)));
+    let low: Vec<u8> = (0..n)
+        .map(|_| {
+            let h = splitmix(&mut state);
+            [b'a', b'a', b'a', b'b', b'a', b'c', b'b', b'd'][(h >> 61) as usize]
+        })
+        .collect();
+    vec![("planted", planted), ("low-entropy", low)]
 }
 
 /// (stream id, byte length, FNV-1a of the bytes).
@@ -123,6 +257,27 @@ const GOLDEN_ND_STREAMS: &[(&str, usize, u64, u64)] = &[
     ("[12, 10, 9] zfp:FixedAccuracy(1e-6)", 5783, 0xe61dd875d537b2fe, 0x255ed494da391b31),
     ("[12, 10, 9] zfp:FixedRate(8.0)", 1748, 0x6867e96af0ba9d3b, 0x2c0b9d61b174db64),
 ];
+
+/// The streams of [`sz_field_streams`], recorded before the SZ element loop
+/// and the LZ match finder were rewritten: (stream id, byte length, FNV-1a of
+/// the stream, FNV-1a of what it decodes to).
+const GOLDEN_SZ_FIELD_STREAMS: &[(&str, usize, u64, u64)] = &[
+    ("CESM sz:Abs(0.1)", 5019, 0xc489f4506bd6f7a2, 0xc70a5e95fee5ea55),
+    ("CESM sz:PwRel(0.1)", 10127, 0xf226ee7622e2cede, 0x1ee354d5f6ba703a),
+    ("Hurricane Isabel sz:Abs(0.1)", 180533, 0x86ae569123e343cd, 0x3187ab69dfa002d7),
+    ("Hurricane Isabel sz:PwRel(0.1)", 35359, 0x246de428e146dbe9, 0x9fc7ea3b27917aad),
+    ("NYX sz:Abs(0.1)", 804059, 0x7438b4a6afad08ba, 0x84ff476959ba8e30),
+    ("NYX sz:PwRel(0.1)", 115318, 0x8890eee749b78418, 0xb9de896709766513),
+    ("adversarial sz:Abs(0.001) Lorenzo", 24663, 0xe2a497ce55095873, 0x74d5097d83b378cc),
+    ("adversarial sz:Abs(0.001) Lorenzo2", 26879, 0x755fedf7ec1a37f0, 0xba89ea3a2d1cfc2d),
+    ("adversarial sz:PwRel(0.01) Lorenzo", 26916, 0x8f95c5a4d2d46ba3, 0x1221810f43b3ff1c),
+    ("adversarial sz:PwRel(0.01) Lorenzo2", 28319, 0xfda920755c6cc545, 0xe13596be67df0942),
+];
+
+/// `zstd_like::compress` of [`lz_inputs`], recorded at the same point:
+/// (input id, frame length, FNV-1a of the frame).
+const GOLDEN_LZ_FRAMES: &[(&str, usize, u64)] =
+    &[("planted", 306749, 0x4b01d2b546c5a3f0), ("low-entropy", 113112, 0x66724b1435d08e16)];
 
 #[test]
 fn compressed_streams_match_golden_checksums() {
@@ -157,6 +312,51 @@ fn nd_streams_and_their_decodes_match_golden_checksums() {
         assert_eq!(*glen, bytes.len(), "stream length changed for {id}");
         assert_eq!(*gsum, fnv1a(bytes), "stream bytes changed for {id}");
         assert_eq!(*gdec, fnv1a(decoded), "decoded values changed for {id}");
+    }
+}
+
+#[test]
+fn sz_field_streams_and_their_decodes_match_golden_checksums() {
+    let actual = sz_field_streams();
+    if std::env::var("ARC_REGENERATE_GOLDEN").is_ok() {
+        for (id, bytes, decoded) in &actual {
+            let (len, sum) = (bytes.len(), fnv1a(bytes));
+            println!("    (\"{id}\", {len}, {sum:#018x}, {:#018x}),", fnv1a(decoded));
+        }
+        return;
+    }
+    assert_eq!(GOLDEN_SZ_FIELD_STREAMS.len(), actual.len(), "stream list drifted from snapshot");
+    for ((gid, glen, gsum, gdec), (id, bytes, decoded)) in
+        GOLDEN_SZ_FIELD_STREAMS.iter().zip(&actual)
+    {
+        assert_eq!(gid, id, "stream order drifted from snapshot");
+        assert_eq!(*glen, bytes.len(), "stream length changed for {id}");
+        assert_eq!(*gsum, fnv1a(bytes), "stream bytes changed for {id}");
+        assert_eq!(*gdec, fnv1a(decoded), "decoded values changed for {id}");
+    }
+}
+
+#[test]
+fn lz_frames_match_golden_checksums() {
+    let actual: Vec<(&str, Vec<u8>)> = lz_inputs()
+        .into_iter()
+        .map(|(id, input)| {
+            let frame = zstd_like::compress(&input);
+            assert_eq!(zstd_like::decompress(&frame).unwrap(), input, "{id}");
+            (id, frame)
+        })
+        .collect();
+    if std::env::var("ARC_REGENERATE_GOLDEN").is_ok() {
+        for (id, frame) in &actual {
+            println!("    (\"{id}\", {}, {:#018x}),", frame.len(), fnv1a(frame));
+        }
+        return;
+    }
+    assert_eq!(GOLDEN_LZ_FRAMES.len(), actual.len(), "input list drifted from snapshot");
+    for ((gid, glen, gsum), (id, frame)) in GOLDEN_LZ_FRAMES.iter().zip(&actual) {
+        assert_eq!(gid, id, "input order drifted from snapshot");
+        assert_eq!(*glen, frame.len(), "frame length changed for {id}");
+        assert_eq!(*gsum, fnv1a(frame), "frame bytes changed for {id}");
     }
 }
 
