@@ -43,90 +43,143 @@ impl Default for Lz77Config {
     }
 }
 
+const HASH_SIZE: usize = 1 << 15;
+/// Slots in the `prev` ring. A link is read only for a candidate at most
+/// `WINDOW` behind the search, and nothing at or past the search is in the
+/// chains yet, so `WINDOW` slots would do; twice that leaves slack.
+const RING: usize = 2 * WINDOW;
+/// An empty chain head: as a position, farther back than any window.
+const NIL: u32 = u32::MAX;
+
+/// Length of the common prefix of two equal-length slices, eight bytes at a
+/// time.
 #[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (v.wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1)
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let word = |s: &[u8]| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(s);
+        u64::from_le_bytes(w)
+    };
+    let mut len = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    len + a[len..].iter().zip(&b[len..]).take_while(|(x, y)| x == y).count()
 }
 
-const HASH_SIZE: usize = 1 << 15;
+/// One position as the match finder sees it: its chain-head hash and the
+/// best match starting there (`len == 0`: none).
+#[derive(Clone, Copy)]
+struct Probe {
+    hash: usize,
+    len: usize,
+    dist: usize,
+}
 
-/// Greedily tokenize `data` into literals and matches.
-pub fn tokenize(data: &[u8], cfg: &Lz77Config) -> Vec<Token> {
-    let n = data.len();
-    let mut tokens = Vec::with_capacity(n / 4 + 16);
-    if n < MIN_MATCH + 1 {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        return tokens;
+/// Hash chains over a window-sized ring: `head[h]` is the latest position
+/// whose four bytes hash to `h`, `prev[p % RING]` the one before `p` on that
+/// chain. Positions are kept modulo 2³²: a link is followed only while it
+/// lands 1 to `WINDOW` bytes back, and candidates are compared byte for byte.
+struct Matcher<'a> {
+    data: &'a [u8],
+    cfg: &'a Lz77Config,
+    head: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Matcher<'_> {
+    /// Hash of the four bytes at `i`; `None` when fewer than `MIN_MATCH`
+    /// remain, where no match starts and nothing is inserted.
+    #[inline]
+    fn hash(&self, i: usize) -> Option<usize> {
+        let mut four = [0u8; MIN_MATCH];
+        four.copy_from_slice(self.data.get(i..i + MIN_MATCH)?);
+        Some((u32::from_le_bytes(four).wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1))
     }
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; n];
-    let find = |head: &[usize], prev: &[usize], i: usize| -> Option<(usize, usize)> {
-        let max_len = (n - i).min(MAX_MATCH);
-        if max_len < MIN_MATCH {
-            return None;
-        }
-        let mut best_len = MIN_MATCH - 1;
-        let mut best_dist = 0usize;
-        let mut cand = head[hash4(data, i)];
-        let mut chain = cfg.max_chain;
-        while cand != usize::MAX && chain > 0 {
-            if i - cand > WINDOW {
+
+    /// Hash position `i` once and search the first `max_chain` links of its
+    /// chain for the longest match; the earliest link wins a tie.
+    fn probe(&self, i: usize) -> Option<Probe> {
+        let hash = self.hash(i)?;
+        let max_len = (self.data.len() - i).min(MAX_MATCH);
+        let here = &self.data[i..i + max_len];
+        let (mut best_len, mut best_dist) = (MIN_MATCH - 1, 0usize);
+        let mut cand = self.head[hash];
+        for _ in 0..self.cfg.max_chain {
+            let dist = (i as u32).wrapping_sub(cand) as usize;
+            if dist == 0 || dist > WINDOW.min(i) {
                 break;
             }
+            let there = &self.data[i - dist..i - dist + max_len];
             // Quick reject on the byte past the current best.
-            if best_dist == 0 || data[cand + best_len] == data[i + best_len] {
-                let mut l = 0usize;
-                while l < max_len && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = i - cand;
-                    if l >= cfg.good_enough || l == max_len {
+            if best_dist == 0 || there[best_len] == here[best_len] {
+                let len = common_prefix(there, here);
+                if len > best_len {
+                    (best_len, best_dist) = (len, dist);
+                    if len >= self.cfg.good_enough || len == max_len {
                         break;
                     }
                 }
             }
-            cand = prev[cand];
-            chain -= 1;
+            cand = self.prev[(i - dist) % RING];
         }
-        (best_dist > 0).then_some((best_len, best_dist))
-    };
+        Some(Probe { hash, len: if best_dist > 0 { best_len } else { 0 }, dist: best_dist })
+    }
+
+    #[inline]
+    fn link(&mut self, i: usize, hash: usize) {
+        self.prev[i % RING] = self.head[hash];
+        self.head[hash] = i as u32;
+    }
+}
+
+/// Greedy matching with a one-step lazy evaluation, handing each token to
+/// `emit` as it is decided: [`tokenize`] collects them, the zstd-like
+/// pipeline splits them into its literal and sequence sections directly.
+pub(crate) fn for_each_token(data: &[u8], cfg: &Lz77Config, mut emit: impl FnMut(Token)) {
+    // An input shorter than the ring never wraps it, so it gets a shorter one.
+    let prev = vec![NIL; RING.min(data.len())];
+    let mut m = Matcher { data, cfg, head: vec![NIL; HASH_SIZE], prev };
     let mut i = 0usize;
-    let insert = |head: &mut [usize], prev: &mut [usize], i: usize| {
-        if i + MIN_MATCH <= n {
-            let h = hash4(data, i);
-            prev[i] = head[h];
-            head[h] = i;
+    // The probe of position `i`, made with exactly the positions before `i`
+    // in the chains.
+    let mut here = m.probe(0);
+    while let Some(&byte) = data.get(i) {
+        if let Some(p) = here {
+            m.link(i, p.hash);
         }
-    };
-    while i < n {
-        let m = find(&head, &prev, i);
-        match m {
-            Some((len, dist)) => {
-                // Lazy evaluation: prefer a longer match starting one byte on.
-                insert(&mut head, &mut prev, i);
-                let take = i + 1 >= n
-                    || !matches!(find(&head, &prev, i + 1), Some((len2, _)) if len2 > len + 1);
-                if take {
-                    tokens.push(Token::Match { len: len as u32, dist: dist as u32 });
-                    for j in i + 1..i + len {
-                        insert(&mut head, &mut prev, j);
+        // The search one byte on is the lazy look-ahead of a match here, and
+        // the next step's probe when this byte ends up a literal.
+        let next = m.probe(i + 1);
+        match here {
+            // Lazy evaluation: prefer a longer match starting one byte on.
+            Some(p) if p.len > 0 && next.is_none_or(|q| q.len <= p.len + 1) => {
+                emit(Token::Match { len: p.len as u32, dist: p.dist as u32 });
+                for j in i + 1..i + p.len {
+                    if let Some(hash) = m.hash(j) {
+                        m.link(j, hash);
                     }
-                    i += len;
-                } else {
-                    tokens.push(Token::Literal(data[i]));
-                    i += 1;
                 }
+                i += p.len;
+                here = m.probe(i);
             }
-            None => {
-                insert(&mut head, &mut prev, i);
-                tokens.push(Token::Literal(data[i]));
+            _ => {
+                emit(Token::Literal(byte));
                 i += 1;
+                here = next;
             }
         }
     }
+}
+
+/// Greedily tokenize `data` into literals and matches.
+pub fn tokenize(data: &[u8], cfg: &Lz77Config) -> Vec<Token> {
+    let mut tokens = Vec::with_capacity(data.len() / 4 + 16);
+    for_each_token(data, cfg, |t| tokens.push(t));
     tokens
 }
 
@@ -159,6 +212,95 @@ pub fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, LosslessError> {
         }
     }
     Ok(out)
+}
+
+/// The tokenizer as it was before the window-sized ring: one `prev` slot per
+/// input byte, byte-at-a-time extension, a fresh search for every lazy
+/// look-ahead. Kept as the oracle [`tokenize`] must reproduce token for token.
+#[cfg(test)]
+mod reference {
+    use super::{Lz77Config, Token, HASH_SIZE, MAX_MATCH, MIN_MATCH, WINDOW};
+
+    fn hash4(data: &[u8], i: usize) -> usize {
+        let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+        (v.wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1)
+    }
+
+    pub fn tokenize(data: &[u8], cfg: &Lz77Config) -> Vec<Token> {
+        let n = data.len();
+        let mut tokens = Vec::with_capacity(n / 4 + 16);
+        if n < MIN_MATCH + 1 {
+            tokens.extend(data.iter().map(|&b| Token::Literal(b)));
+            return tokens;
+        }
+        let mut head = vec![usize::MAX; HASH_SIZE];
+        let mut prev = vec![usize::MAX; n];
+        let find = |head: &[usize], prev: &[usize], i: usize| -> Option<(usize, usize)> {
+            let max_len = (n - i).min(MAX_MATCH);
+            if max_len < MIN_MATCH {
+                return None;
+            }
+            let mut best_len = MIN_MATCH - 1;
+            let mut best_dist = 0usize;
+            let mut cand = head[hash4(data, i)];
+            let mut chain = cfg.max_chain;
+            while cand != usize::MAX && chain > 0 {
+                if i - cand > WINDOW {
+                    break;
+                }
+                if best_dist == 0 || data[cand + best_len] == data[i + best_len] {
+                    let mut l = 0usize;
+                    while l < max_len && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - cand;
+                        if l >= cfg.good_enough || l == max_len {
+                            break;
+                        }
+                    }
+                }
+                cand = prev[cand];
+                chain -= 1;
+            }
+            (best_dist > 0).then_some((best_len, best_dist))
+        };
+        let mut i = 0usize;
+        let insert = |head: &mut [usize], prev: &mut [usize], i: usize| {
+            if i + MIN_MATCH <= n {
+                let h = hash4(data, i);
+                prev[i] = head[h];
+                head[h] = i;
+            }
+        };
+        while i < n {
+            let m = find(&head, &prev, i);
+            match m {
+                Some((len, dist)) => {
+                    insert(&mut head, &mut prev, i);
+                    let take = i + 1 >= n
+                        || !matches!(find(&head, &prev, i + 1), Some((len2, _)) if len2 > len + 1);
+                    if take {
+                        tokens.push(Token::Match { len: len as u32, dist: dist as u32 });
+                        for j in i + 1..i + len {
+                            insert(&mut head, &mut prev, j);
+                        }
+                        i += len;
+                    } else {
+                        tokens.push(Token::Literal(data[i]));
+                        i += 1;
+                    }
+                }
+                None => {
+                    insert(&mut head, &mut prev, i);
+                    tokens.push(Token::Literal(data[i]));
+                    i += 1;
+                }
+            }
+        }
+        tokens
+    }
 }
 
 #[cfg(test)]
@@ -245,5 +387,84 @@ mod tests {
         let data: Vec<u8> = (0..50_000).map(|i| ((i / 3) % 251) as u8).collect();
         let tokens = tokenize(&data, &cfg);
         assert_eq!(reconstruct(&tokens).unwrap(), data);
+    }
+
+    /// Seeded inputs of the three kinds the finder behaves differently on:
+    /// noise (short chains, few matches), a four-symbol source (full chains,
+    /// many ties) and noise with planted repeats at every distance scale,
+    /// including both sides of the window edge and runs past `MAX_MATCH`.
+    fn differential_input(kind: u64, len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut data: Vec<u8> = match kind % 3 {
+            0 => (0..len).map(|_| (next() >> 56) as u8).collect(),
+            1 => (0..len).map(|_| b"aaabacbd"[(next() >> 61) as usize]).collect(),
+            _ => (0..len).map(|_| (next() >> 58) as u8).collect(),
+        };
+        if kind % 3 == 2 && len > 64 {
+            for _ in 0..len / 512 + 1 {
+                let run = 4 + (next() % 600) as usize;
+                let dist = match next() % 5 {
+                    0 => 1 + (next() % 8) as usize,
+                    1 => WINDOW - 1 + (next() % 3) as usize,
+                    _ => 1 + (next() as usize) % (2 * WINDOW + 7),
+                };
+                let to = (next() as usize) % len;
+                if to >= dist {
+                    for j in to..(to + run).min(len) {
+                        data[j] = data[j - dist];
+                    }
+                }
+            }
+        }
+        data
+    }
+
+    fn assert_matches_reference(data: &[u8], cfg: &Lz77Config) {
+        let (got, want) = (tokenize(data, cfg), reference::tokenize(data, cfg));
+        if let Some(at) = got.iter().zip(&want).position(|(g, w)| g != w) {
+            panic!("token {at}: {:?} vs reference {:?} ({cfg:?})", got[at], want[at]);
+        }
+        assert_eq!(got.len(), want.len(), "{cfg:?}");
+    }
+
+    const CONFIGS: [Lz77Config; 4] = [
+        Lz77Config { max_chain: 64, good_enough: 96 },
+        Lz77Config { max_chain: 1, good_enough: 8 },
+        Lz77Config { max_chain: 7, good_enough: MAX_MATCH + 1 },
+        Lz77Config { max_chain: 0, good_enough: 4 },
+    ];
+
+    #[test]
+    fn tokens_match_the_reference_tokenizer() {
+        for len in [0, 1, 3, 4, 5, 8, 9, 63, 64, 65, 1000] {
+            for kind in 0..3 {
+                for cfg in &CONFIGS {
+                    assert_matches_reference(&differential_input(kind, len, len as u64), cfg);
+                }
+            }
+        }
+        // Past the ring (2 × WINDOW) at the default effort, every kind.
+        for kind in 0..3 {
+            let data = differential_input(kind, 2 * WINDOW + 4321, 77 + kind);
+            assert_matches_reference(&data, &Lz77Config::default());
+        }
+    }
+
+    // Run by `scripts/check.sh --full`.
+    #[test]
+    #[ignore = "deep variant"]
+    fn tokens_match_the_reference_tokenizer_deep() {
+        for seed in 0..24u64 {
+            let len = [300 << 10, (seed as usize + 1) * 9973, 4 * WINDOW + 1][seed as usize % 3];
+            let data = differential_input(seed, len, 0xD1FF ^ seed);
+            assert_matches_reference(&data, &CONFIGS[seed as usize % CONFIGS.len()]);
+        }
     }
 }

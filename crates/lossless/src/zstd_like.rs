@@ -17,8 +17,8 @@
 
 use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
 use crate::error::LosslessError;
-use crate::huffman::{huffman_decode_block, huffman_encode_block, HuffmanCode};
-use crate::lz77::{tokenize, Lz77Config, Token, MAX_MATCH, WINDOW};
+use crate::huffman::{encode_block, huffman_decode_block, HuffmanCode};
+use crate::lz77::{for_each_token, Lz77Config, Token, MAX_MATCH, WINDOW};
 
 const MAGIC: &[u8; 4] = b"AZST";
 
@@ -51,45 +51,44 @@ fn unlog_bucket(bucket: u32, extra: u32) -> Result<u32, LosslessError> {
     Ok((1 << bucket) + extra)
 }
 
+/// The three command symbols of a sequence, each as (symbol, extra bits,
+/// extra bit count). Command alphabet: 32 lit-run buckets ‖ 32 len buckets ‖
+/// 32 dist buckets.
+#[inline]
+fn commands(s: &Sequence) -> [(u32, u32, u32); 3] {
+    let (b, x, nb) = log_bucket(s.lit_run + 1); // +1 so zero runs encode
+    let (b2, x2, nb2) = log_bucket(s.match_len + 1);
+    let (b3, x3, nb3) = log_bucket(s.match_dist + 1);
+    [(b, x, nb), (32 + b2, x2, nb2), (64 + b3, x3, nb3)]
+}
+
 /// Compress `data` with the zstd-like pipeline.
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let tokens = tokenize(data, &Lz77Config::default());
-    // Split tokens into a literal byte stream plus sequences.
-    let mut literals = Vec::new();
+    // The match finder's tokens go straight into a literal byte stream plus
+    // sequences.
+    let mut literals = Vec::with_capacity(data.len());
     let mut sequences = Vec::new();
     let mut run = 0u32;
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => {
-                literals.push(b as u32);
-                run += 1;
-            }
-            Token::Match { len, dist } => {
-                sequences.push(Sequence { lit_run: run, match_len: len, match_dist: dist });
-                run = 0;
-            }
+    for_each_token(data, &Lz77Config::default(), |t| match t {
+        Token::Literal(b) => {
+            literals.push(b);
+            run += 1;
         }
-    }
+        Token::Match { len, dist } => {
+            sequences.push(Sequence { lit_run: run, match_len: len, match_dist: dist });
+            run = 0;
+        }
+    });
     if run > 0 {
         sequences.push(Sequence { lit_run: run, match_len: 0, match_dist: 0 });
     }
-    // Command alphabet: 32 lit-run buckets ‖ 32 len buckets ‖ 32 dist buckets.
     let mut freq = vec![0u64; 96];
-    let mut plan: Vec<(u32, u32, u32)> = Vec::new(); // (symbol, extra, extra_bits)
-    for s in &sequences {
-        let (b, x, nb) = log_bucket(s.lit_run + 1); // +1 so zero runs encode
-        plan.push((b, x, nb));
-        let (b2, x2, nb2) = log_bucket(s.match_len + 1);
-        plan.push((32 + b2, x2, nb2));
-        let (b3, x3, nb3) = log_bucket(s.match_dist + 1);
-        plan.push((64 + b3, x3, nb3));
-    }
-    for &(sym, _, _) in &plan {
+    for (sym, _, _) in sequences.iter().flat_map(commands) {
         freq[sym as usize] += 1;
     }
     let code = HuffmanCode::code_for_frequencies(&freq);
     let mut bits = BitWriter::new();
-    for &(sym, extra, nb) in &plan {
+    for (sym, extra, nb) in sequences.iter().flat_map(commands) {
         code.encode_symbol(sym, &mut bits);
         bits.write_bits(extra as u64, nb);
     }
@@ -100,7 +99,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     write_varint(&mut out, data.len() as u64);
     // Literals are bytes (< 256), so the alphabet check cannot fire; an
     // empty block decodes as zero literals, which the decoder zero-pads.
-    let lit_block = huffman_encode_block(&literals, 256).unwrap_or_default();
+    let lit_block = encode_block(&literals, 256).unwrap_or_default();
     write_varint(&mut out, lit_block.len() as u64);
     out.extend_from_slice(&lit_block);
     write_varint(&mut out, sequences.len() as u64);

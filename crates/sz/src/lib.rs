@@ -38,7 +38,7 @@ pub mod stream;
 
 pub use error::SzError;
 pub use modes::{resolve, BoundPlan, ErrorBound};
-pub use predictor::{select_predictor, GridShape, Lorenzo, Predictor, PredictorKind};
+pub use predictor::{select_predictor, GridShape, Predictor, PredictorKind};
 
 use arc_lossless::bitio::{read_varint, write_varint};
 use arc_lossless::huffman::{huffman_decode_block, huffman_encode_block};
@@ -99,6 +99,151 @@ pub struct SzDecoded {
 /// Sentinel quantization code marking an unpredictable (literal) value.
 const CODE_LITERAL: u32 = 0;
 
+/// `round(diff / 2eb)` for the element loop, when it names a bin.
+#[derive(Debug, Clone, Copy)]
+struct Quantizer {
+    eb: f64,
+    two_eb: f64,
+    /// `1 / eb`, or NaN when that is not a normal number: then every element
+    /// takes the division.
+    inv_eb: f64,
+    mid: i64,
+}
+
+impl Quantizer {
+    fn new(eb: f64, quant_bins: usize) -> Quantizer {
+        let inv = eb.recip();
+        let inv_eb = if inv.is_normal() { inv } else { f64::NAN };
+        Quantizer { eb, two_eb: 2.0 * eb, inv_eb, mid: (quant_bins / 2) as i64 }
+    }
+
+    /// Twice the bin `(diff / two_eb).round()` — the reconstruction is that
+    /// many steps of `eb` from the prediction — or `None` when the bin is
+    /// outside `-mid..mid` (NaN included): an unpredictable element.
+    ///
+    /// `y = diff · inv_eb` is within 4e-9 of twice the quotient once
+    /// `|y| < 2·(mid + 1)`. Adding and subtracting 1.5·2⁵³ rounds it to the
+    /// nearest even integer, which is twice what the divide rounds to unless
+    /// `y` is within `TIE_MARGIN` of an odd one — with no divide, libm `round`
+    /// or integer conversion on the loop's dependency chain (DESIGN.md §18).
+    /// Near a tie, out of range or NaN, the division decides.
+    #[inline(always)]
+    fn steps(&self, diff: f64) -> Option<f64> {
+        const TO_EVEN: f64 = 1.5 * (1u64 << 53) as f64;
+        const TIE_MARGIN: f64 = 2e-6;
+        let limit = (2 * self.mid) as f64;
+        let y = diff * self.inv_eb;
+        let even = (y + TO_EVEN) - TO_EVEN;
+        let steps = if y.abs() < limit + 2.0 && (y - even).abs() < 1.0 - TIE_MARGIN {
+            even
+        } else {
+            // `+ 0.0`: a quotient that rounds to -0.0 is bin 0, not -0.0.
+            2.0 * (diff / self.two_eb).round() + 0.0
+        };
+        (-limit <= steps && steps < limit).then_some(steps)
+    }
+}
+
+/// The encoder's element loop — one serial pass, each element quantized
+/// against a prediction from its reconstructed neighbours — and its output.
+struct ElementEncoder<'a> {
+    data: &'a [f32],
+    quantizer: Quantizer,
+    rel_eps: f64,
+    /// One code per element: [`CODE_LITERAL`], or bin + `mid` + 1.
+    codes: Vec<u32>,
+    /// The unpredictable elements, verbatim, in order.
+    literals: Vec<f32>,
+    /// Log domain only (else empty): bit per element, set at ±0 / negatives.
+    zero_mask: Vec<u8>,
+    sign_mask: Vec<u8>,
+}
+
+impl<'a> ElementEncoder<'a> {
+    fn new(data: &'a [f32], plan: &BoundPlan, rel_eps: f64, quant_bins: usize) -> Self {
+        let mask_len = if plan.log_domain { data.len().div_ceil(8) } else { 0 };
+        ElementEncoder {
+            data,
+            quantizer: Quantizer::new(plan.abs_eb, quant_bins),
+            rel_eps,
+            codes: Vec::with_capacity(data.len()),
+            literals: Vec::new(),
+            zero_mask: vec![0u8; mask_len],
+            sign_mask: vec![0u8; mask_len],
+        }
+    }
+
+    /// Code element `idx` against `pred` and return its reconstruction.
+    /// `ln_x` is `ln|x|`, read only in the log domain.
+    #[inline(always)]
+    fn element<const LOG: bool>(&mut self, idx: usize, pred: f64, ln_x: f64) -> f64 {
+        let x = self.data[idx];
+        // Transformed-domain target value. A zero in the log domain is
+        // masked: it costs a zero-quantum code and reconstructs to `pred`.
+        let masked_zero = LOG && x == 0.0;
+        let v = if masked_zero {
+            self.zero_mask[idx / 8] |= 1 << (idx % 8);
+            pred
+        } else if LOG {
+            if x < 0.0 {
+                self.sign_mask[idx / 8] |= 1 << (idx % 8);
+            }
+            ln_x
+        } else {
+            x as f64
+        };
+        if let Some(steps) = self.quantizer.steps(v - pred) {
+            // The decoder's `pred + bin * 2.0 * eb`: `steps` is `bin * 2.0`.
+            let q_recon = pred + steps * self.quantizer.eb;
+            // Verify against the *final f32 output* the decoder produces
+            // (a masked zero is exactly 0.0 regardless).
+            let accept = masked_zero
+                || if LOG {
+                    let mag = q_recon.exp() as f32;
+                    let out = if x < 0.0 { -mag } else { mag };
+                    (out as f64 - x as f64).abs() <= self.rel_eps * (x as f64).abs()
+                } else {
+                    (q_recon as f32 as f64 - x as f64).abs() <= self.quantizer.eb
+                };
+            if accept {
+                self.codes.push((steps as i64 / 2 + self.quantizer.mid + 1) as u32);
+                return q_recon;
+            }
+        }
+        self.codes.push(CODE_LITERAL);
+        self.literals.push(x);
+        if x.is_finite() {
+            v
+        } else {
+            0.0
+        }
+    }
+
+    /// Run the loop over the whole grid. Returns the reconstruction the
+    /// decoder will predict from, which nothing after the loop reads.
+    fn run(&mut self, predictor: &Predictor, log_domain: bool) -> Vec<f64> {
+        let mut recon = vec![0.0f64; self.data.len()];
+        // `ln|x|` of the segment at hand, taken before the walk so that the
+        // libm call is off the reconstruction's dependency chain.
+        let mut logs: Vec<f64> = Vec::new();
+        for seg in predictor.segments() {
+            let base = seg.start;
+            if log_domain {
+                logs.clear();
+                logs.extend(self.data[seg.clone()].iter().map(|x| (x.abs() as f64).ln()));
+                predictor.walk_segment(&mut recon, seg, |idx, pred| {
+                    self.element::<true>(idx, pred, logs[idx - base])
+                });
+            } else {
+                predictor.walk_segment(&mut recon, seg, |idx, pred| {
+                    self.element::<false>(idx, pred, 0.0)
+                });
+            }
+        }
+        recon
+    }
+}
+
 /// Compress `data` (row-major, `dims` slowest-first) under `cfg`.
 pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>, SzError> {
     let shape =
@@ -114,11 +259,15 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>,
     if cfg.quant_bins < 4 || cfg.quant_bins > 1 << 24 {
         return Err(SzError::Malformed(format!("quant_bins {} out of range", cfg.quant_bins)));
     }
+    // Only the PSNR bound reads the value range; the scan is a serial
+    // min/max chain over the field, so the other two modes skip it.
     let (mut dmin, mut dmax) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &x in data {
-        if x.is_finite() {
-            dmin = dmin.min(x as f64);
-            dmax = dmax.max(x as f64);
+    if matches!(cfg.bound, ErrorBound::Psnr(_)) {
+        for &x in data {
+            if x.is_finite() {
+                dmin = dmin.min(x as f64);
+                dmax = dmax.max(x as f64);
+            }
         }
     }
     if !dmin.is_finite() {
@@ -130,85 +279,11 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>,
         ErrorBound::PwRel(e) => e,
         _ => 0.0,
     };
-    let n = data.len();
     let kind = cfg.predictor.unwrap_or_else(|| select_predictor(data, &shape));
-    let predictor = Predictor::new(kind, shape.clone());
-    let mid = (cfg.quant_bins / 2) as i64;
-
-    let mut codes: Vec<u32> = Vec::with_capacity(n);
-    let mut literals: Vec<f32> = Vec::new();
-    let mut recon = vec![0.0f64; n];
-    let mut zero_mask = vec![0u8; if plan.log_domain { n.div_ceil(8) } else { 0 }];
-    let mut sign_mask = vec![0u8; if plan.log_domain { n.div_ceil(8) } else { 0 }];
-
-    // The prediction/quantization stage is one serial loop: each element's
-    // quantization depends on the reconstructed neighborhood.
-    for idx in 0..n {
-        let x = data[idx];
-        let pred = predictor.predict(&recon, idx);
-        // Transformed-domain target value.
-        let (v, masked_zero) = if plan.log_domain {
-            if x == 0.0 {
-                zero_mask[idx / 8] |= 1 << (idx % 8);
-                (pred, true) // costs a zero-quantum code, reconstructs to pred
-            } else {
-                if x < 0.0 {
-                    sign_mask[idx / 8] |= 1 << (idx % 8);
-                }
-                ((x.abs() as f64).ln(), false)
-            }
-        } else {
-            (x as f64, false)
-        };
-        let diff = v - pred;
-        let q = (diff / (2.0 * eb)).round();
-        let predictable = q.is_finite() && q >= -(mid as f64) && q <= (mid - 1) as f64;
-        let mut accept = false;
-        let mut q_recon = 0.0f64;
-        if predictable {
-            let qi = q as i64;
-            q_recon = pred + qi as f64 * 2.0 * eb;
-            if masked_zero {
-                accept = true; // output is exactly 0.0 regardless
-            } else {
-                // Verify against the *final f32 output* the decoder produces.
-                let out = if plan.log_domain {
-                    let mag = q_recon.exp() as f32;
-                    if x < 0.0 {
-                        -mag
-                    } else {
-                        mag
-                    }
-                } else {
-                    q_recon as f32
-                };
-                accept = if plan.log_domain {
-                    (out as f64 - x as f64).abs() <= rel_eps * (x as f64).abs()
-                } else {
-                    (out as f64 - x as f64).abs() <= eb
-                };
-            }
-        }
-        if accept {
-            let qi = q as i64;
-            codes.push((qi + mid + 1) as u32);
-            recon[idx] = q_recon;
-        } else {
-            codes.push(CODE_LITERAL);
-            literals.push(x);
-            recon[idx] = if !x.is_finite() {
-                0.0
-            } else if plan.log_domain {
-                if x == 0.0 {
-                    pred
-                } else {
-                    (x.abs() as f64).ln()
-                }
-            } else {
-                x as f64
-            };
-        }
-    }
+    let predictor = Predictor::new(kind, shape);
+    let mut encoder = ElementEncoder::new(data, &plan, rel_eps, cfg.quant_bins);
+    encoder.run(&predictor, plan.log_domain);
+    let ElementEncoder { codes, literals, zero_mask, sign_mask, .. } = encoder;
 
     // Assemble the body, then run the ZStd-like final pass over it (§2.1.1's
     // third step).
@@ -241,6 +316,80 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>,
     write_varint(&mut out, packed_body.len() as u64);
     out.extend_from_slice(&packed_body);
     Ok(out)
+}
+
+/// The decoder's element loop: each code or literal applied to a prediction.
+struct ElementDecoder<'a> {
+    /// One code per element.
+    codes: &'a [u32],
+    /// The literal stream, consumed in order.
+    literals: std::slice::Iter<'a, f32>,
+    /// Log domain only (else empty): bit per element.
+    zero_mask: &'a [u8],
+    sign_mask: &'a [u8],
+    eb: f64,
+    mid: i64,
+    /// The decoded values.
+    out: Vec<f32>,
+}
+
+impl ElementDecoder<'_> {
+    /// Decode element `idx` against `pred` and return its reconstruction.
+    #[inline(always)]
+    fn element<const LOG: bool>(&mut self, idx: usize, pred: f64) -> f64 {
+        let bit = |mask: &[u8]| mask.get(idx / 8).is_some_and(|b| (b >> (idx % 8)) & 1 == 1);
+        let code = self.codes.get(idx).copied().unwrap_or(CODE_LITERAL);
+        let (recon, value) = if code == CODE_LITERAL {
+            // An exhausted literal stream (corruption inflated the literal
+            // count the codes imply) reads as zeros — garbage, not a crash.
+            let x = self.literals.next().copied().unwrap_or(0.0);
+            let recon = if !x.is_finite() {
+                0.0
+            } else if !LOG {
+                x as f64
+            } else if x == 0.0 {
+                pred
+            } else {
+                (x.abs() as f64).ln()
+            };
+            (recon, x)
+        } else {
+            // Corrupt codes beyond the bin range clamp to the edge bins.
+            let q = (code as i64 - 1 - self.mid).clamp(-self.mid, self.mid - 1);
+            let r = pred + (2 * q) as f64 * self.eb;
+            let value = if !LOG {
+                r as f32
+            } else if bit(self.zero_mask) {
+                0.0
+            } else if bit(self.sign_mask) {
+                -(r.exp() as f32)
+            } else {
+                r.exp() as f32
+            };
+            (r, value)
+        };
+        if let Some(slot) = self.out.get_mut(idx) {
+            *slot = value;
+        }
+        recon
+    }
+
+    /// Run the loop over the whole grid. Returns the reconstruction the
+    /// values were predicted from, which nothing after the loop reads.
+    fn run(&mut self, predictor: &Predictor, log_domain: bool) -> Vec<f64> {
+        // arc-lint: bounded(out.len() = n <= limits.max_elements checked at header parse)
+        let mut recon = vec![0.0f64; self.out.len()];
+        for seg in predictor.segments() {
+            if log_domain {
+                predictor
+                    .walk_segment(&mut recon, seg, |idx, pred| self.element::<true>(idx, pred));
+            } else {
+                predictor
+                    .walk_segment(&mut recon, seg, |idx, pred| self.element::<false>(idx, pred));
+            }
+        }
+        recon
+    }
 }
 
 /// Decompress with default limits.
@@ -318,69 +467,29 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzD
     bpos = lit_end;
     let (zero_mask, sign_mask) = if header.log_domain {
         let mask_len = n.div_ceil(8);
-        let zend = bpos + mask_len;
-        let send = zend + mask_len;
-        if send > body.len() {
-            return Err(SzError::Malformed("mask sections truncated".into()));
-        }
-        let z = body[bpos..zend].to_vec();
-        let s = body[zend..send].to_vec();
-        (z, s)
+        let masks = body.get(bpos..).and_then(|rest| rest.get(..2 * mask_len));
+        masks
+            .ok_or_else(|| SzError::Malformed("mask sections truncated".into()))?
+            .split_at(mask_len)
     } else {
-        (Vec::new(), Vec::new())
+        Default::default()
     };
 
     let shape = GridShape::new(&header.dims)
         .ok_or_else(|| SzError::Malformed("invalid dims in header".into()))?;
     let predictor = Predictor::new(header.predictor, shape);
-    let eb = header.abs_eb;
-    // arc-lint: bounded(n <= limits.max_elements checked at header parse)
-    let mut recon = vec![0.0f64; n];
-    // arc-lint: bounded(n <= limits.max_elements checked at header parse)
-    let mut out = vec![0.0f32; n];
-    let mut lit_cursor = 0usize;
-    for idx in 0..n {
-        let pred = predictor.predict(&recon, idx);
-        let code = codes[idx];
-        let is_zero = header.log_domain && (zero_mask[idx / 8] >> (idx % 8)) & 1 == 1;
-        let negative = header.log_domain && (sign_mask[idx / 8] >> (idx % 8)) & 1 == 1;
-        if code == CODE_LITERAL {
-            // An exhausted literal stream (corruption inflated the literal
-            // count the codes imply) reads as zeros — garbage, not a crash.
-            let x = literals.get(lit_cursor).copied().unwrap_or(0.0);
-            lit_cursor += 1;
-            recon[idx] = if !x.is_finite() {
-                0.0
-            } else if header.log_domain {
-                if x == 0.0 {
-                    pred
-                } else {
-                    (x.abs() as f64).ln()
-                }
-            } else {
-                x as f64
-            };
-            out[idx] = x;
-        } else {
-            // Corrupt codes beyond the bin range clamp to the edge bins.
-            let qi = (code as i64 - 1 - mid).clamp(-mid, mid - 1);
-            let r = pred + qi as f64 * 2.0 * eb;
-            recon[idx] = r;
-            out[idx] = if is_zero {
-                0.0
-            } else if header.log_domain {
-                let mag = r.exp() as f32;
-                if negative {
-                    -mag
-                } else {
-                    mag
-                }
-            } else {
-                r as f32
-            };
-        }
-    }
-    Ok(SzDecoded { data: out, dims: header.dims })
+    let mut decoder = ElementDecoder {
+        codes: &codes,
+        literals: literals.iter(),
+        zero_mask,
+        sign_mask,
+        eb: header.abs_eb,
+        mid,
+        // arc-lint: bounded(n <= limits.max_elements checked at header parse)
+        out: vec![0.0f32; n],
+    };
+    decoder.run(&predictor, header.log_domain);
+    Ok(SzDecoded { data: decoder.out, dims: header.dims })
 }
 
 /// Convenience: compression ratio of a compressed buffer against its source.
@@ -720,5 +829,334 @@ mod predictor_integration_tests {
         let s2 = compress(&data, &[16384], &cfg2).unwrap().len();
         let s1 = compress(&data, &[16384], &cfg1).unwrap().len();
         assert!(s2 <= s1, "lorenzo2 {s2} vs lorenzo {s1}");
+    }
+}
+
+/// The element loops as they were before the row walker — a per-index
+/// prediction, `(diff / 2eb).round()` and every domain test inside the loop —
+/// and the differential tests that hold the new loops to them bit for bit.
+#[cfg(test)]
+mod differential_tests {
+    use super::predictor::reference::predict;
+    use super::predictor::walker_tests::random_dims;
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    struct Case {
+        shape: GridShape,
+        kind: PredictorKind,
+        plan: BoundPlan,
+        rel_eps: f64,
+        quant_bins: usize,
+    }
+
+    /// What a loop made of a field, old or new.
+    struct Quantized {
+        codes: Vec<u32>,
+        literals: Vec<f32>,
+        zero_mask: Vec<u8>,
+        sign_mask: Vec<u8>,
+    }
+
+    fn reference_quantize(data: &[f32], case: &Case) -> (Quantized, Vec<f64>) {
+        let Case { shape, kind, plan, rel_eps, quant_bins } = case;
+        let (n, eb, mid) = (data.len(), plan.abs_eb, (quant_bins / 2) as i64);
+        let mut codes: Vec<u32> = Vec::with_capacity(n);
+        let mut literals: Vec<f32> = Vec::new();
+        let mut recon = vec![0.0f64; n];
+        let mut zero_mask = vec![0u8; if plan.log_domain { n.div_ceil(8) } else { 0 }];
+        let mut sign_mask = vec![0u8; if plan.log_domain { n.div_ceil(8) } else { 0 }];
+        for idx in 0..n {
+            let x = data[idx];
+            let pred = predict(*kind, shape, &recon, idx);
+            let (v, masked_zero) = if plan.log_domain {
+                if x == 0.0 {
+                    zero_mask[idx / 8] |= 1 << (idx % 8);
+                    (pred, true)
+                } else {
+                    if x < 0.0 {
+                        sign_mask[idx / 8] |= 1 << (idx % 8);
+                    }
+                    ((x.abs() as f64).ln(), false)
+                }
+            } else {
+                (x as f64, false)
+            };
+            let diff = v - pred;
+            let q = (diff / (2.0 * eb)).round();
+            let predictable = q.is_finite() && q >= -(mid as f64) && q <= (mid - 1) as f64;
+            let mut accept = false;
+            let mut q_recon = 0.0f64;
+            if predictable {
+                let qi = q as i64;
+                q_recon = pred + qi as f64 * 2.0 * eb;
+                if masked_zero {
+                    accept = true;
+                } else {
+                    let out = if plan.log_domain {
+                        let mag = q_recon.exp() as f32;
+                        if x < 0.0 {
+                            -mag
+                        } else {
+                            mag
+                        }
+                    } else {
+                        q_recon as f32
+                    };
+                    accept = if plan.log_domain {
+                        (out as f64 - x as f64).abs() <= rel_eps * (x as f64).abs()
+                    } else {
+                        (out as f64 - x as f64).abs() <= eb
+                    };
+                }
+            }
+            if accept {
+                let qi = q as i64;
+                codes.push((qi + mid + 1) as u32);
+                recon[idx] = q_recon;
+            } else {
+                codes.push(CODE_LITERAL);
+                literals.push(x);
+                recon[idx] = if !x.is_finite() {
+                    0.0
+                } else if plan.log_domain {
+                    if x == 0.0 {
+                        pred
+                    } else {
+                        (x.abs() as f64).ln()
+                    }
+                } else {
+                    x as f64
+                };
+            }
+        }
+        (Quantized { codes, literals, zero_mask, sign_mask }, recon)
+    }
+
+    fn reference_reconstruct(q: &Quantized, case: &Case) -> (Vec<f32>, Vec<f64>) {
+        let Case { shape, kind, plan, quant_bins, .. } = case;
+        let (n, eb, mid) = (q.codes.len(), plan.abs_eb, (quant_bins / 2) as i64);
+        let mut recon = vec![0.0f64; n];
+        let mut out = vec![0.0f32; n];
+        let mut lit_cursor = 0usize;
+        for idx in 0..n {
+            let pred = predict(*kind, shape, &recon, idx);
+            let code = q.codes[idx];
+            let is_zero = plan.log_domain && (q.zero_mask[idx / 8] >> (idx % 8)) & 1 == 1;
+            let negative = plan.log_domain && (q.sign_mask[idx / 8] >> (idx % 8)) & 1 == 1;
+            if code == CODE_LITERAL {
+                let x = q.literals.get(lit_cursor).copied().unwrap_or(0.0);
+                lit_cursor += 1;
+                recon[idx] = if !x.is_finite() {
+                    0.0
+                } else if plan.log_domain {
+                    if x == 0.0 {
+                        pred
+                    } else {
+                        (x.abs() as f64).ln()
+                    }
+                } else {
+                    x as f64
+                };
+                out[idx] = x;
+            } else {
+                let qi = (code as i64 - 1 - mid).clamp(-mid, mid - 1);
+                let r = pred + qi as f64 * 2.0 * eb;
+                recon[idx] = r;
+                out[idx] = if is_zero {
+                    0.0
+                } else if plan.log_domain {
+                    let mag = r.exp() as f32;
+                    if negative {
+                        -mag
+                    } else {
+                        mag
+                    }
+                } else {
+                    r as f32
+                };
+            }
+        }
+        (out, recon)
+    }
+
+    /// A field with every kind of element the loop distinguishes: a smooth
+    /// part, both zeros, negatives, NaN, both infinities and noise across
+    /// many decades (unpredictable at small `quant_bins`).
+    fn random_field(rng: &mut StdRng, n: usize) -> Vec<f32> {
+        let scale = [1e-3f32, 1.0, 1e4][rng.random_range(0..3usize)];
+        (0..n)
+            .map(|i| match rng.random_range(0..40u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::NAN,
+                3 => [f32::INFINITY, f32::NEG_INFINITY][i % 2],
+                4..=9 => {
+                    let mag = 10f32.powi(rng.random_range(0..16u32) as i32 - 8);
+                    mag * (rng.random::<f32>() - 0.5)
+                }
+                _ => ((i as f32 * 0.05).sin() - 0.3) * scale,
+            })
+            .collect()
+    }
+
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn bits32(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn loops_match_reference(rng: &mut StdRng) {
+        let dims = random_dims(rng);
+        let shape = GridShape::new(&dims).unwrap();
+        let data = random_field(rng, shape.len());
+        let eps = [1e-3, 0.1, 0.9][rng.random_range(0..3usize)];
+        let plan = if rng.random::<bool>() {
+            BoundPlan { abs_eb: (1.0f64 + eps).ln(), log_domain: true }
+        } else {
+            BoundPlan {
+                abs_eb: [1e-4, 0.1, 0.5, 37.0][rng.random_range(0..4usize)],
+                log_domain: false,
+            }
+        };
+        let case = Case {
+            shape,
+            kind: [PredictorKind::Lorenzo, PredictorKind::Lorenzo2][rng.random_range(0..2usize)],
+            plan,
+            rel_eps: eps,
+            quant_bins: [4, 16, 255, 65536, 1 << 24][rng.random_range(0..5usize)],
+        };
+        let what = format!("{dims:?} {:?} {plan:?} bins {}", case.kind, case.quant_bins);
+        let predictor = Predictor::new(case.kind, case.shape.clone());
+
+        let mut encoder = ElementEncoder::new(&data, &plan, eps, case.quant_bins);
+        let recon = encoder.run(&predictor, plan.log_domain);
+        let ElementEncoder { codes, literals, zero_mask, sign_mask, .. } = encoder;
+        let mut q = Quantized { codes, literals, zero_mask, sign_mask };
+        let (want, want_recon) = reference_quantize(&data, &case);
+        assert_eq!(q.codes, want.codes, "{what}: codes");
+        assert_eq!(bits32(&q.literals), bits32(&want.literals), "{what}: literals");
+        assert_eq!(q.zero_mask, want.zero_mask, "{what}: zero mask");
+        assert_eq!(q.sign_mask, want.sign_mask, "{what}: sign mask");
+        assert_eq!(bits64(&recon), bits64(&want_recon), "{what}: encoder reconstruction");
+
+        // Decode what a fault might have left: some codes out of range, some
+        // turned into literals the literal stream does not hold.
+        for code in q.codes.iter_mut() {
+            match rng.random_range(0..50u32) {
+                0 => *code = rng.random::<u32>(),
+                1 => *code = CODE_LITERAL,
+                _ => {}
+            }
+        }
+        let mut decoder = ElementDecoder {
+            codes: &q.codes,
+            literals: q.literals.iter(),
+            zero_mask: &q.zero_mask,
+            sign_mask: &q.sign_mask,
+            eb: plan.abs_eb,
+            mid: (case.quant_bins / 2) as i64,
+            out: vec![0.0f32; data.len()],
+        };
+        let recon = decoder.run(&predictor, plan.log_domain);
+        let (want_out, want_recon) = reference_reconstruct(&q, &case);
+        assert_eq!(bits32(&decoder.out), bits32(&want_out), "{what}: decoded values");
+        assert_eq!(bits64(&recon), bits64(&want_recon), "{what}: decoder reconstruction");
+    }
+
+    #[test]
+    fn element_loops_match_the_per_index_reference() {
+        let mut rng = StdRng::seed_from_u64(0x5A);
+        for _ in 0..150 {
+            loops_match_reference(&mut rng);
+        }
+    }
+
+    // Run by `scripts/check.sh --full`.
+    #[test]
+    #[ignore = "deep variant"]
+    fn element_loops_match_the_per_index_reference_deep() {
+        let mut rng = StdRng::seed_from_u64(0xDEE9_5A);
+        for _ in 0..10_000 {
+            loops_match_reference(&mut rng);
+        }
+    }
+
+    /// What the old loop did with a difference: `(diff / 2eb).round()`, kept
+    /// when it names a bin.
+    fn reference_bin(diff: f64, eb: f64, mid: i64) -> Option<i64> {
+        let q = (diff / (2.0 * eb)).round();
+        (q.is_finite() && q >= -(mid as f64) && q <= (mid - 1) as f64).then_some(q as i64)
+    }
+
+    fn assert_steps_match(diff: f64, eb: f64, quant_bins: usize) {
+        let quantizer = Quantizer::new(eb, quant_bins);
+        let want = reference_bin(diff, eb, quantizer.mid);
+        let got = quantizer.steps(diff);
+        // Twice the bin, and the very `f64` the old `qi as f64 * 2.0` was.
+        let want_steps = want.map(|q| (q as f64 * 2.0).to_bits());
+        assert_eq!(got.map(f64::to_bits), want_steps, "diff {diff:e} eb {eb:e} bins {quant_bins}");
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_at_ties_edges_and_specials() {
+        // eb = 0.5 makes the difference its own quotient.
+        for bins in [4usize, 256, 65536, 1 << 24] {
+            let mid = (bins / 2) as f64;
+            let mut quotients = vec![0.5, 2.5, 0.49999999999999994, 0.5000000000000001, 1.5, 0.0];
+            quotients.extend([
+                mid - 0.5,
+                mid + 0.5,
+                mid - 1.5,
+                mid,
+                mid - 1.0,
+                mid + 1.0,
+                mid + 2.0,
+            ]);
+            quotients.extend([f64::NAN, f64::INFINITY, 1e300, f64::MIN_POSITIVE, 5e-324]);
+            for q in quotients {
+                for diff in [q, -q] {
+                    assert_steps_match(diff, 0.5, bins);
+                }
+            }
+        }
+        // Bounds whose reciprocal is not a normal number: the division path.
+        for eb in [f64::MAX, 1e308, 2e-308, 5e-324] {
+            for diff in [0.0, 1.0, -3.5e-308, 1e308, -1e-320] {
+                assert_steps_match(diff, eb, 65536);
+            }
+        }
+    }
+
+    fn random_roundings(rng: &mut StdRng, cases: usize) {
+        for _ in 0..cases {
+            let eb =
+                f64::from_bits(rng.random_range(0x3E00_0000_0000_0000..0x4200_0000_0000_0000u64));
+            let bins = [16usize, 65536, 1 << 24][rng.random_range(0..3usize)];
+            let k = rng.random_range(0..bins as u64 + 8) as f64 - (bins / 2) as f64 - 4.0;
+            // On a tie (to within the product's rounding), a few ulps either
+            // side of it, and anywhere in the bin.
+            let tie = (k + 0.5) * (2.0 * eb);
+            let nudged = f64::from_bits(tie.to_bits().wrapping_add(rng.random_range(0..7u64)) - 3);
+            let inside = (k + rng.random::<f64>()) * (2.0 * eb);
+            for diff in [tie, nudged, inside, tie * (1.0 + 2e-6), tie * (1.0 - 2e-6)] {
+                assert_steps_match(diff, eb, bins);
+            }
+        }
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_on_random_near_ties() {
+        random_roundings(&mut StdRng::seed_from_u64(0x71E), 20_000);
+    }
+
+    // Run by `scripts/check.sh --full`.
+    #[test]
+    #[ignore = "deep variant"]
+    fn rounding_matches_f64_round_on_random_near_ties_deep() {
+        random_roundings(&mut StdRng::seed_from_u64(0xDEE9_71E), 5_000_000);
     }
 }

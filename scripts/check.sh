@@ -5,9 +5,10 @@
 #                                    fmt, clippy -D warnings, tier-1 build +
 #                                    tests, workspace tests, arc-lint
 #        scripts/check.sh --full   the fast gate, then everything slower:
-#                                    the #[ignore]d deep differential
-#                                    proptests of the bit path, hostile-input
-#                                    sweep, arcbench at smoke scale
+#                                    the #[ignore]d deep differentials (bit
+#                                    path, LZ match finder, SZ element loops),
+#                                    hostile-input sweep, arcbench at smoke
+#                                    scale
 #
 # arc-lint fails on any violation beyond lint-baseline.json and on stale
 # baseline entries; regenerate with scripts/lint_baseline.sh after paying
@@ -60,8 +61,8 @@ if (( lint_ms >= 10000 )); then
 fi
 
 if (( full )); then
-    echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -- --ignored"
-    cargo test --release -q -p arc-lossless -p arc-zfp -- --ignored
+    echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -- --ignored"
+    cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -- --ignored
 
     echo "==> hostile-input sweep: cargo run --release -q -p arc-bench --bin hostile_corpus"
     cargo run --release -q -p arc-bench --bin hostile_corpus

@@ -10,7 +10,7 @@ use arc::datasets::SdrDataset;
 use arc::lossless::bitio::read_varint;
 use arc::lossless::lz77::{tokenize, Lz77Config, Token, MAX_MATCH, WINDOW};
 use arc::lossless::zstd_like;
-use arc::sz::{self, ErrorBound, PredictorKind, SzConfig};
+use arc::sz::{self, ErrorBound, GridShape, Predictor, PredictorKind, SzConfig};
 use arc::zfp::{self, ZfpMode};
 
 /// Deterministic 32×32 smooth field — representative of the paper's
@@ -357,6 +357,37 @@ fn lz_frames_match_golden_checksums() {
         assert_eq!(gid, id, "input order drifted from snapshot");
         assert_eq!(*glen, frame.len(), "frame length changed for {id}");
         assert_eq!(*gsum, fnv1a(frame), "frame bytes changed for {id}");
+    }
+}
+
+/// `select_predictor` used to copy the field into a `Vec<f64>` and predict
+/// from that; reading the `f32` slice directly must choose the same kind on
+/// the three datasets, and both modes must record it.
+#[test]
+fn predictor_choice_on_the_datasets_is_what_the_copying_selector_chose() {
+    for ds in SdrDataset::ALL {
+        let field = ds.generate_test();
+        let shape = GridShape::new(&field.dims).unwrap();
+        let as64: Vec<f64> = field.data.iter().map(|&x| x as f64).collect();
+        let residual = |kind| {
+            let predictor = Predictor::new(kind, shape.clone());
+            (8..as64.len())
+                .step_by((as64.len() / 4096).max(1))
+                .filter(|&idx| as64[idx].is_finite())
+                .fold(0.0f64, |sum, idx| sum + (as64[idx] - predictor.predict(&as64, idx)).abs())
+        };
+        let copying = if residual(PredictorKind::Lorenzo2) < residual(PredictorKind::Lorenzo) {
+            PredictorKind::Lorenzo2
+        } else {
+            PredictorKind::Lorenzo
+        };
+        assert_eq!(sz::select_predictor(&field.data, &shape), copying, "{}", ds.name());
+        for bound in [ErrorBound::Abs(0.1), ErrorBound::PwRel(0.1)] {
+            let cfg = SzConfig { bound, ..SzConfig::default() };
+            let stream = sz::compress(&field.data, &field.dims, &cfg).unwrap();
+            let header = sz::stream::Header::read(&stream, &mut 0).unwrap();
+            assert_eq!(header.predictor, copying, "{} {bound:?}", ds.name());
+        }
     }
 }
 
