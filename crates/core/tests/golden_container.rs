@@ -99,6 +99,44 @@ fn extension_containers() -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
+/// 100 003 deterministic bytes: two 64 KiB shards, the second ragged, so
+/// `ileave-rs` gets lanes of unequal length with a short last message and
+/// `bch` a short last block.
+fn long_input() -> Vec<u8> {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    (0..100_003)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+/// v2 containers of the two stock registry families at 64 KiB shards.
+fn stock_extension_containers() -> Vec<(String, Vec<u8>)> {
+    let data = long_input();
+    let r = arc_core::standard_extensions().unwrap();
+    ["ileave-rs", "bch"]
+        .iter()
+        .map(|name| {
+            let bytes = arc_core::encode_sharded_with_scheme(&data, &r, name, 1, 64 * 1024);
+            (format!("x:{name}"), bytes.unwrap())
+        })
+        .collect()
+}
+
+/// 64-bit FNV-1a; the stock-family containers are too long to keep as hex.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
 const GOLDEN_ENGINE: &[(&str, &str)] = &[
     // (scheme id, hex of full container from arc_engine_encode(.., threads=1))
     ("parity:1", "4a004a004a004152433101087061726974793a31000010000000000028000000000000002d00000000000000eab730e7f67052530568cc92404ee6f8adcfb85ef4b12bc890aea6dcca21d5929300e4e24152433101087061726974793a31000010000000000028000000000000002d00000000000000eab730e7f67052530568cc92404ee6f8adcfb85ef4b12bc890aea6dcca21d5929300e4e2030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d14b035d3f54f"),
@@ -132,6 +170,13 @@ const GOLDEN_V2: &[(&str, &str)] = &[
 
 const GOLDEN_EXTENSION: &[(&str, &str)] = &[
     ("x:tmr", "470047004700415243310105783a746d72000010000000000028000000000000008400000000000000eab730e7d4dedd11d3ee470139144919aba017670014b35556368528b016215c52a7ad7d415243310105783a746d72000010000000000028000000000000008400000000000000eab730e7d4dedd11d3ee470139144919aba017670014b35556368528b016215c52a7ad7d030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d14030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d14030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d14eab730e7eab730e7eab730e7"),
+];
+
+/// (scheme id, container length, FNV-1a of the container, payload symbols
+/// the damaged decode below repairs).
+const GOLDEN_STOCK_EXTENSION_V2: &[(&str, usize, u64, u64)] = &[
+    ("x:ileave-rs", 0x1c865, 0x42503fc8c3d28228, 737),
+    ("x:bch", 0x189ed, 0x77024d91cbfc6e24, 21),
 ];
 
 fn check(golden: &[(&str, &str)], actual: &[(String, Vec<u8>)]) {
@@ -171,6 +216,42 @@ fn extension_containers_are_bit_identical_to_snapshot() {
 #[test]
 fn sharded_containers_are_bit_identical_to_snapshot() {
     check(GOLDEN_V2, &sharded_containers());
+}
+
+/// The stock families' containers, and what decoding them after damage
+/// reports: a 700-byte burst in the first shard's data, one flipped bit in
+/// every 997th payload byte of the second shard.
+#[test]
+fn stock_extension_v2_containers_match_snapshot_and_repair_identically() {
+    let r = arc_core::standard_extensions().unwrap();
+    let data = long_input();
+    let mut actual = Vec::new();
+    for (id, bytes) in stock_extension_containers() {
+        let (out, report) = arc_core::decode_with_registry(&bytes, 1, &r).unwrap();
+        assert!(out == data && report.is_clean() && report.shards == 2, "{id}: clean decode");
+        let unpacked = container::unpack(&bytes).unwrap();
+        let (payload, end) =
+            (unpacked.payload_offset, unpacked.payload_offset + unpacked.payload.len());
+        let mut bad = bytes.clone();
+        if id == "x:ileave-rs" {
+            for b in &mut bad[payload + 1000..payload + 1700] {
+                *b = !*b;
+            }
+        }
+        for i in (payload + 80_000..end).step_by(997) {
+            bad[i] ^= 0x04;
+        }
+        let (out, report) = arc_core::decode_with_registry(&bad, 1, &r).unwrap();
+        assert!(out == data, "{id}: damaged decode");
+        actual.push((id, bytes.len(), fnv1a(&bytes), report.correction.corrected_bits));
+    }
+    if std::env::var("ARC_REGENERATE_GOLDEN").is_ok() {
+        println!("{actual:x?}");
+        return;
+    }
+    let golden: Vec<_> =
+        GOLDEN_STOCK_EXTENSION_V2.iter().map(|&(id, n, h, c)| (id.to_string(), n, h, c)).collect();
+    assert_eq!(golden, actual, "stock extension containers drifted from their snapshot");
 }
 
 /// The v2 writer is `StreamEncoder`; `arc_engine_encode_sharded` above is
