@@ -57,6 +57,8 @@ pub const VERSION_SHARDED: u8 = 2;
 pub const HEADER_NSYM: usize = 32;
 /// Parity symbols protecting each RS codeword of the shard index.
 pub const INDEX_NSYM: usize = 32;
+/// Raw index bytes per RS codeword: the rest of a maximal codeword.
+const INDEX_MESSAGE: usize = arc_ecc::rscode::MAX_CODEWORD - INDEX_NSYM;
 /// Default shard size for the sharded encode paths (4 MiB): small enough
 /// that a tile read touches a sliver of a large field, large enough that
 /// per-shard index overhead stays negligible.
@@ -331,9 +333,8 @@ pub(crate) fn rs_index_encode(raw: &[u8]) -> Result<Vec<u8>, ArcError> {
     let Ok(rs) = RsCodeword::new(INDEX_NSYM) else {
         return Err(ArcError::InvalidRequest("index RS codeword unavailable".into()));
     };
-    let msg = rs.max_message_len();
-    let mut out = Vec::with_capacity(raw.len() + raw.len().div_ceil(msg) * INDEX_NSYM);
-    for chunk in raw.chunks(msg) {
+    let mut out = Vec::with_capacity(raw.len() + raw.len().div_ceil(INDEX_MESSAGE) * INDEX_NSYM);
+    for chunk in raw.chunks(INDEX_MESSAGE) {
         out.extend_from_slice(&rs.encode(chunk));
     }
     Ok(out)
@@ -347,11 +348,8 @@ pub(crate) fn index_encoded_len(shards: usize) -> Result<usize, ArcError> {
         .checked_mul(INDEX_ENTRY_BYTES)
         .and_then(|n| n.checked_add(12))
         .ok_or_else(|| ArcError::Corrupted("shard count overflows".into()))?;
-    let Ok(rs) = RsCodeword::new(INDEX_NSYM) else {
-        return Err(ArcError::Corrupted("index RS codeword unavailable".into()));
-    };
     raw_len
-        .div_ceil(rs.max_message_len())
+        .div_ceil(INDEX_MESSAGE)
         .checked_mul(INDEX_NSYM)
         .and_then(|p| p.checked_add(raw_len))
         .ok_or_else(|| ArcError::Corrupted("index length overflows".into()))
@@ -362,7 +360,7 @@ pub(crate) fn index_encoded_len(shards: usize) -> Result<usize, ArcError> {
 /// repair (the caller falls through to the next copy / the majority vote).
 fn rs_index_decode(encoded: &[u8]) -> Option<(Vec<u8>, usize)> {
     let rs = RsCodeword::new(INDEX_NSYM).ok()?;
-    let cw = rs.max_message_len() + INDEX_NSYM;
+    let cw = INDEX_MESSAGE + INDEX_NSYM;
     let tail = encoded.len() % cw;
     if encoded.is_empty() || (tail != 0 && tail <= INDEX_NSYM) {
         return None;

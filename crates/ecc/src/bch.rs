@@ -12,11 +12,12 @@
 //! The field is GF(2^13) built on the primitive polynomial
 //! x^13 + x^4 + x^3 + x + 1 (0x201B). Encoding is table-driven CRC-style
 //! long division by the generator (the product of the minimal polynomials
-//! of α¹…α^2t); decoding computes the 2t power-sum syndromes with a
-//! byte-sliced Horner scan, runs Berlekamp–Massey for the error locator,
-//! Chien-searches the shortened coordinate range, flips the located bits,
-//! and re-verifies the syndromes before declaring success — miscorrection
-//! is reported as [`EccError::Uncorrectable`], never silent.
+//! of α¹…α^2t); decoding repeats that division and compares remainders,
+//! and only for a block whose remainder disagrees computes the 2t power-sum
+//! syndromes with a byte-sliced Horner scan, runs Berlekamp–Massey for the
+//! error locator, Chien-searches the shortened coordinate range, flips the
+//! located bits, and re-verifies the syndromes before declaring success —
+//! miscorrection is reported as [`EccError::Uncorrectable`], never silent.
 
 use crate::codec::{
     multi_correct_rate_per_mb, Capability, CorrectionReport, EccError, EccScheme, MB,
@@ -340,11 +341,14 @@ impl Bch {
     /// Verify and correct one block in place. `rem` is the unpacked parity
     /// remainder; the (possibly repaired) remainder is returned.
     fn correct_block(&self, block: &mut [u8], rem: u64) -> Result<(u64, u64), EccError> {
-        let gf = tables();
-        let s = self.syndromes(gf, block, rem);
-        if s.iter().all(|&x| x == 0) {
+        // g is the lcm of the minimal polynomials of α¹…α²ᵗ, so the stored
+        // remainder equals the recomputed one ⇔ g | c(x) ⇔ S₁…S₂ₜ are all
+        // zero: clean is one pass of the encode division.
+        if self.encode_block(block) == rem {
             return Ok((rem, 0));
         }
+        let gf = tables();
+        let s = self.syndromes(gf, block, rem);
         let uncorrectable = |detail: String| EccError::Uncorrectable { scheme: "bch", detail };
         let sigma = self
             .error_locator(gf, &s)
@@ -454,6 +458,7 @@ impl EccScheme for Bch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rscode::oracle::Rng;
 
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 29) ^ (i >> 7)) as u8).collect()
@@ -465,7 +470,7 @@ mod tests {
         let mut seen = vec![false; GF_ORD + 1];
         for i in 0..GF_ORD {
             let v = gf.exp[i] as usize;
-            assert!(v >= 1 && v <= GF_ORD);
+            assert!((1..=GF_ORD).contains(&v));
             assert!(!seen[v], "alpha^{i} repeats: 0x201B would not be primitive");
             seen[v] = true;
         }
@@ -552,6 +557,81 @@ mod tests {
             }
         }
         assert!(failures > 0, "at least some overloads must surface as errors");
+    }
+
+    /// Flip `bits` (indices over `block ‖ slot`, msb first) and check the
+    /// two clean tests against each other, and against the only way a
+    /// lightly flipped codeword can still be clean: every flip fell on a
+    /// padding bit of the slot, which `unpack_rem` masks away.
+    fn remainder_test_agrees_with_syndromes(b: &Bch, block: &[u8], slot: &[u8], bits: &[usize]) {
+        let (mut block, mut slot) = (block.to_vec(), slot.to_vec());
+        for &bit in bits {
+            match block.get_mut(bit / 8) {
+                Some(byte) => *byte ^= 0x80 >> (bit % 8),
+                None => slot[bit / 8 - block.len()] ^= 0x80 >> (bit % 8),
+            }
+        }
+        let rem = b.unpack_rem(&slot);
+        let by_remainder = b.encode_block(&block) == rem;
+        let by_syndromes = b.syndromes(tables(), &block, rem).iter().all(|&s| s == 0);
+        let padding = 8 * block.len()..8 * block.len() + (8 * b.pbytes - b.deg);
+        let real = bits.iter().filter(|bit| !padding.contains(bit)).count();
+        assert_eq!(by_remainder, by_syndromes, "t={} flips {bits:?}", b.t);
+        // Minimum distance 2t + 1: up to 2t real flips cannot reach another
+        // codeword; three flips can, at t = 1.
+        if real <= 2 * b.t {
+            assert_eq!(by_remainder, real == 0, "t={} flips {bits:?}", b.t);
+        }
+    }
+
+    /// Every 1- and 2-bit flip (`exhaustive`) or `samples` of each, then
+    /// `samples` 3-bit flips, of a `len`-byte block and its parity slot.
+    fn remainder_equivalence(len: usize, exhaustive: bool, samples: usize) {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut below = |n: usize| rng.range(0, n - 1);
+        for t in 1..=4 {
+            let b = Bch::new(t).unwrap();
+            let block = sample(len);
+            let mut slot = vec![0u8; b.pbytes];
+            b.pack_rem(b.encode_block(&block), &mut slot);
+            let n = 8 * (len + b.pbytes);
+            remainder_test_agrees_with_syndromes(&b, &block, &slot, &[]);
+            if exhaustive {
+                for i in 0..n {
+                    remainder_test_agrees_with_syndromes(&b, &block, &slot, &[i]);
+                    for j in 0..i {
+                        remainder_test_agrees_with_syndromes(&b, &block, &slot, &[i, j]);
+                    }
+                }
+            }
+            for _ in 0..samples {
+                // Half the draws from the slot's end of the codeword, where
+                // parity and padding bits are.
+                let mut draw =
+                    || if below(2) == 0 { below(n) } else { n - 1 - below(8 * b.pbytes) };
+                let (i, j, k) = (draw(), draw(), draw());
+                remainder_test_agrees_with_syndromes(&b, &block, &slot, &[i]);
+                if i != j {
+                    remainder_test_agrees_with_syndromes(&b, &block, &slot, &[i, j]);
+                }
+                if i != j && j != k && i != k {
+                    remainder_test_agrees_with_syndromes(&b, &block, &slot, &[i, j, k]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remainder_equal_iff_all_syndromes_zero() {
+        remainder_equivalence(9, true, 2000);
+    }
+
+    /// `scripts/check.sh --full` runs this.
+    #[test]
+    #[ignore = "deep differential: full-length blocks, run with --release"]
+    fn remainder_equal_iff_all_syndromes_zero_deep() {
+        remainder_equivalence(BCH_BLOCK, false, 20_000);
+        remainder_equivalence(BCH_BLOCK - 1, false, 5_000);
     }
 
     #[test]

@@ -1,40 +1,46 @@
-//! Byte-lane interleaving wrapper: burst protection for any inner scheme.
+//! Byte-lane interleaving of codeword Reed-Solomon: burst protection.
 //!
-//! The crate's one interleaver, generic over the inner [`EccScheme`]: the
-//! data region is split round-robin into `depth` byte lanes (lane `j` holds
-//! bytes `j, j+depth, j+2·depth, …`), the inner scheme encodes each lane
-//! independently, and the parity region is the concatenation of the
-//! per-lane parities in lane order.
+//! The crate's one interleaver: the data region is split round-robin into
+//! `depth` byte lanes (lane `j` holds bytes `j, j+depth, j+2·depth, …`),
+//! [`RsBlock`] encodes each lane independently, and the parity region is
+//! the concatenation of the per-lane parities in lane order.
 //!
 //! A contiguous run of `b ≤ depth` corrupted bytes in the *data region*
 //! touches each lane at most once, so a burst that would overwhelm one
-//! inner codeword is diluted into `b` single-**byte** errors in `b`
-//! different codewords. That helps an inner code that corrects whole
-//! symbols; a bit-correcting inner code (SEC-DED, Hamming, BCH) still sees
-//! up to eight flipped bits in one codeword and gains nothing, which is why
-//! [`EccScheme::capability`] here passes the inner code's burst flag
-//! through unchanged. Wrapped around [`crate::rsblock::RsBlock`] this turns a
-//! `t`-byte-per-codeword code into one that absorbs data bursts of up to
-//! `depth · t` bytes — at *identical* parity overhead to the bare inner
-//! code. The parity region itself stays lane-contiguous, so a burst there
-//! is bounded by the inner per-codeword budget; parity is a small fraction
-//! of the stream, which keeps that exposure proportionally small.
+//! codeword is diluted into `b` single-**byte** errors in `b` different
+//! codewords: a `t`-byte-per-codeword code absorbs data bursts of up to
+//! `depth · t` bytes — at *identical* parity overhead to the bare code.
+//! Only a code that corrects whole symbols gains this way (a bit-correcting
+//! one still sees up to eight flipped bits in one codeword), which is why
+//! the inner code is `RsBlock` and nothing else. The parity region itself
+//! stays lane-contiguous, so a burst there is bounded by the per-codeword
+//! budget; parity is a small fraction of the stream, which keeps that
+//! exposure proportionally small.
+//!
+//! The layout is also what makes it fast: symbol `r` of every lane sits in
+//! one contiguous `depth`-byte row, so the lanes' LFSRs advance together,
+//! one slice multiply per generator tap per row
+//! (`RsCodeword::parity_rows_into`), with no lane ever copied out.
+
+use std::ops::Range;
 
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
+use crate::rsblock::RsBlock;
+use crate::rscode::{MAX_CODEWORD, STRIP};
 
 /// Maximum interleave depth (byte lanes per buffer).
 pub const MAX_INTERLEAVE_DEPTH: usize = 4096;
 
-/// Round-robin byte-lane interleaver over an inner [`EccScheme`].
+/// Round-robin byte-lane interleaver over [`RsBlock`].
 #[derive(Debug, Clone)]
-pub struct Interleaved<S: EccScheme> {
-    inner: S,
+pub struct Interleaved {
+    inner: RsBlock,
     depth: usize,
 }
 
-impl<S: EccScheme> Interleaved<S> {
+impl Interleaved {
     /// Wrap `inner` with `depth` byte lanes (2..=4096).
-    pub fn new(inner: S, depth: usize) -> Result<Interleaved<S>, EccError> {
+    pub fn new(inner: RsBlock, depth: usize) -> Result<Interleaved, EccError> {
         if !(2..=MAX_INTERLEAVE_DEPTH).contains(&depth) {
             return Err(EccError::InvalidConfig(format!(
                 "interleaved: depth must be in 2..={MAX_INTERLEAVE_DEPTH}, got {depth}"
@@ -49,23 +55,85 @@ impl<S: EccScheme> Interleaved<S> {
     }
 
     /// The wrapped inner scheme.
-    pub fn inner(&self) -> &S {
+    pub fn inner(&self) -> &RsBlock {
         &self.inner
     }
 
-    /// Length of lane `j` for a data region of `data_len` bytes.
-    fn lane_len(&self, data_len: usize, j: usize) -> usize {
-        data_len / self.depth + usize::from(j < data_len % self.depth)
+    /// Codewords in the first `lanes` lanes of a `data_len`-byte region.
+    /// Lanes `j < data_len % depth` hold one symbol more than the rest, and
+    /// every `message_len` symbols of a lane are one codeword.
+    fn codewords(&self, data_len: usize, lanes: usize) -> usize {
+        let (rows, long) = (data_len / self.depth, data_len % self.depth);
+        let message = self.inner.message_len();
+        lanes.min(long) * (rows + 1).div_ceil(message)
+            + lanes.saturating_sub(long) * rows.div_ceil(message)
+    }
+
+    /// Where the parity of message `m` of lane `j` sits in the parity
+    /// region: each lane's codewords keep their parity in one run.
+    fn slot(&self, data_len: usize, j: usize, m: usize) -> Range<usize> {
+        let start = (self.codewords(data_len, j) + m) * self.inner.nsym();
+        start..start + self.inner.nsym()
+    }
+
+    /// Compute the parity of every codeword in `data` and hand it to
+    /// `visit(lane, message, parity)`.
+    ///
+    /// A message group in which every lane holds the same number of symbols
+    /// (all of them when `data` is whole rows, otherwise all but the last)
+    /// goes through the kernel across lanes, a strip of `STRIP` lanes at a
+    /// time. In the last group of a ragged region the lanes differ by one
+    /// symbol, so each is gathered and goes through the kernel alone.
+    fn for_each_parity(&self, data: &[u8], mut visit: impl FnMut(usize, usize, &[u8])) {
+        let rs = self.inner.codeword();
+        let (depth, nsym) = (self.depth, self.inner.nsym());
+        let group = self.inner.message_len() * depth;
+        let ragged = if data.len().is_multiple_of(depth) { 0 } else { data.len() % group };
+        let (uniform, tail) = data.split_at(data.len() - ragged);
+
+        let mut state = [0u8; STRIP * MAX_CODEWORD];
+        let mut parity = [0u8; MAX_CODEWORD];
+        let parity = parity.split_at_mut(nsym).0;
+        for (m, rows) in uniform.chunks(group).enumerate() {
+            for first in (0..depth).step_by(STRIP) {
+                let w = STRIP.min(depth - first);
+                let state = state.split_at_mut(nsym * w).0;
+                let strip = rows.chunks_exact(depth).filter_map(|row| row.get(first..first + w));
+                rs.parity_rows_into(strip, w, state);
+                for lane in 0..w {
+                    // Column `lane` of the state rows is that lane's parity.
+                    for (p, s) in parity.iter_mut().zip(state.iter().skip(lane).step_by(w)) {
+                        *p = *s;
+                    }
+                    visit(first + lane, m, parity);
+                }
+            }
+        }
+        let mut msg = [0u8; MAX_CODEWORD];
+        for j in 0..depth.min(tail.len()) {
+            rs.parity_into(gather(tail.iter().skip(j).step_by(depth), &mut msg), parity);
+            visit(j, uniform.len() / group, parity);
+        }
     }
 }
 
-impl<S: EccScheme> EccScheme for Interleaved<S> {
+/// Copy a lane's `symbols` into `buf`; returns the part of it they filled.
+fn gather<'a>(symbols: impl Iterator<Item = &'a u8>, buf: &mut [u8]) -> &mut [u8] {
+    let mut n = 0;
+    for (dst, src) in buf.iter_mut().zip(symbols) {
+        *dst = *src;
+        n += 1;
+    }
+    buf.split_at_mut(n).0
+}
+
+impl EccScheme for Interleaved {
     fn name(&self) -> &'static str {
         "interleaved"
     }
 
     fn parity_len(&self, data_len: usize) -> usize {
-        (0..self.depth).map(|j| self.inner.parity_len(self.lane_len(data_len, j))).sum()
+        self.codewords(data_len, self.depth) * self.inner.nsym()
     }
 
     fn storage_overhead(&self) -> f64 {
@@ -75,16 +143,11 @@ impl<S: EccScheme> EccScheme for Interleaved<S> {
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
-        let mut lane = Vec::with_capacity(self.lane_len(data.len(), 0));
-        let mut off = 0usize;
-        for j in 0..self.depth {
-            lane.clear();
-            lane.extend(data.iter().skip(j).step_by(self.depth));
-            let plen = self.inner.parity_len(lane.len());
-            // arc-lint: bounded(assert above pins parity.len() to the sum of per-lane plens)
-            self.inner.encode_parity_into(&lane, &mut parity[off..off + plen]);
-            off += plen;
-        }
+        self.for_each_parity(data, |j, m, computed| {
+            if let Some(slot) = parity.get_mut(self.slot(data.len(), j, m)) {
+                slot.copy_from_slice(computed);
+            }
+        });
     }
 
     fn verify_and_correct(
@@ -101,45 +164,41 @@ impl<S: EccScheme> EccScheme for Interleaved<S> {
                 ),
             });
         }
-        let mut report = CorrectionReport::default();
-        // arc-lint: bounded(lane scratch is at most data_len / depth + 1 bytes)
-        let mut lane = Vec::with_capacity(self.lane_len(data.len(), 0));
-        let mut rest = &mut *parity;
-        for j in 0..self.depth {
-            lane.clear();
-            lane.extend(data.iter().skip(j).step_by(self.depth));
-            let plen = self.inner.parity_len(lane.len());
-            if plen > rest.len() {
-                return Err(EccError::Malformed {
-                    detail: format!("interleaved parity region exhausted at lane {j}"),
-                });
+        // Recomputed parity equals stored parity exactly when the codeword
+        // is clean (`RsCodeword::is_clean`); the others are suspects.
+        let mut suspects = Vec::new();
+        self.for_each_parity(data, |j, m, computed| {
+            if parity.get(self.slot(data.len(), j, m)) != Some(computed) {
+                suspects.push((j, m));
             }
-            let (pslot, tail) = rest.split_at_mut(plen);
-            rest = tail;
-            let lane_report = self.inner.verify_and_correct(&mut lane, pslot)?;
-            if !lane_report.is_clean() {
-                // Scatter repaired lane bytes back into the data region.
-                for (dst, src) in data.iter_mut().skip(j).step_by(self.depth).zip(lane.iter()) {
-                    *dst = *src;
-                }
+        });
+        // Lane by lane, so the first codeword beyond repair names the error.
+        suspects.sort_unstable();
+        let blocks_checked = self.codewords(data.len(), self.depth) as u64;
+        let mut report = CorrectionReport { blocks_checked, ..Default::default() };
+        let mut msg = [0u8; MAX_CODEWORD];
+        for (j, m) in suspects {
+            let first = m * self.inner.message_len() * self.depth + j;
+            let lane = data.iter().skip(first).step_by(self.depth).take(self.inner.message_len());
+            let slot = parity.get_mut(self.slot(data.len(), j, m));
+            let (msg, Some(slot)) = (gather(lane, &mut msg), slot) else {
+                continue;
+            };
+            // Symbol-granular repairs are tallied as corrected_bits, as in
+            // `RsBlock`.
+            report.corrected_bits += self.inner.codeword().repair(msg, slot)? as u64;
+            for (dst, src) in data.iter_mut().skip(first).step_by(self.depth).zip(msg.iter()) {
+                *dst = *src;
             }
-            report.merge(&lane_report);
         }
         Ok(report)
     }
 
     fn capability(&self) -> Capability {
-        let inner = self.inner.capability();
-        Capability {
-            detects_sparse: inner.detects_sparse,
-            corrects_sparse: inner.corrects_sparse,
-            // A burst of ≤ depth bytes lands as one whole corrupted byte per
-            // lane. Only an inner code that already corrects dense damage
-            // (symbols, not bits) absorbs that; lanes widen its reach, they
-            // do not create it.
-            corrects_burst: inner.corrects_burst,
-            correctable_per_mb: inner.correctable_per_mb,
-        }
+        // A burst of ≤ depth bytes lands as one whole corrupted byte per
+        // lane, which a symbol-correcting code absorbs: lanes widen the
+        // inner code's reach at its own rates.
+        self.inner.capability()
     }
 
     fn min_bytes_per_thread(&self) -> usize {
@@ -150,15 +209,196 @@ impl<S: EccScheme> EccScheme for Interleaved<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rsblock::RsBlock;
-    use crate::secded::SecDed;
+    use crate::rscode::oracle::{self, Rng};
+    use crate::rscode::RsCodeword;
 
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 131) ^ (i >> 5)) as u8).collect()
     }
 
-    fn scheme(depth: usize) -> Interleaved<RsBlock> {
+    fn scheme(depth: usize) -> Interleaved {
         Interleaved::new(RsBlock::new(32).unwrap(), depth).unwrap()
+    }
+
+    /// What this module did before the lane kernel, on the `Poly` oracle:
+    /// gather every lane, cut it into messages, take the polynomial
+    /// remainder for parity and all-zero syndromes for "clean", and hand
+    /// anything else to the Berlekamp–Massey decoder.
+    fn oracle_encode(nsym: usize, depth: usize, data: &[u8]) -> Vec<u8> {
+        let mut parity = Vec::new();
+        for j in 0..depth {
+            let lane: Vec<u8> = data.iter().skip(j).step_by(depth).copied().collect();
+            for msg in lane.chunks(255 - nsym) {
+                parity.extend(oracle::parity(nsym, msg));
+            }
+        }
+        parity
+    }
+
+    fn oracle_verify(
+        nsym: usize,
+        depth: usize,
+        data: &mut [u8],
+        parity: &mut [u8],
+    ) -> Result<CorrectionReport, EccError> {
+        let rs = RsCodeword::new(nsym).unwrap();
+        let mut report = CorrectionReport::default();
+        let mut slots = parity.chunks_exact_mut(nsym);
+        for j in 0..depth {
+            let mut lane: Vec<u8> = data.iter().skip(j).step_by(depth).copied().collect();
+            for msg in lane.chunks_mut(255 - nsym) {
+                let slot = slots.next().unwrap();
+                report.blocks_checked += 1;
+                let cw = [&msg[..], &slot[..]].concat();
+                if oracle::is_clean(nsym, &cw) {
+                    continue;
+                }
+                let (fixed_msg, fixed) = rs.decode(&cw)?;
+                msg.copy_from_slice(&fixed_msg);
+                slot.copy_from_slice(&oracle::parity(nsym, msg));
+                report.corrected_bits += fixed as u64;
+            }
+            for (dst, src) in data.iter_mut().skip(j).step_by(depth).zip(&lane) {
+                *dst = *src;
+            }
+        }
+        Ok(report)
+    }
+
+    /// Encode `len` random bytes at (`nsym`, `depth`) and decode them clean,
+    /// with up to `t` damaged symbols in each of a few codewords (message
+    /// and parity alike), and with one codeword over budget — each time
+    /// against the oracle: parity bytes, repaired data, repaired parity and
+    /// the report, or the same error.
+    fn differential_case(rng: &mut Rng, nsym: usize, depth: usize, len: usize) {
+        let what = format!("nsym={nsym} depth={depth} len={len}");
+        let s = Interleaved::new(RsBlock::new(nsym).unwrap(), depth).unwrap();
+        let (message, lane_len) = (255 - nsym, |j| len / depth + usize::from(j < len % depth));
+        let data = rng.bytes(len);
+        let parity = s.encode_parity(&data);
+        assert!(parity == oracle_encode(nsym, depth, &data), "{what}: parity");
+        if len == 0 {
+            return;
+        }
+        for over_budget in [None, Some(false), Some(true)] {
+            let (mut d, mut p) = (data.clone(), parity.clone());
+            let mut hit = Vec::new();
+            for _ in 0..over_budget.map_or(0, |_| rng.range(1, 6)) {
+                let j = rng.range(0, depth.min(len) - 1);
+                let m = rng.range(0, lane_len(j).div_ceil(message) - 1);
+                if hit.contains(&(j, m)) {
+                    continue;
+                }
+                hit.push((j, m));
+                let (symbols, t) = (message.min(lane_len(j) - m * message), nsym / 2);
+                let n = symbols + nsym;
+                let errors = if over_budget == Some(true) && hit.len() == 1 {
+                    rng.range(t + 1, (t + 3).min(n))
+                } else {
+                    rng.range(1, t)
+                };
+                let start = rng.range(0, n - 1);
+                for at in (start..start + errors).map(|at| at % n) {
+                    let flip = rng.range(1, 255) as u8;
+                    if at < symbols {
+                        d[(m * message + at) * depth + j] ^= flip;
+                    } else {
+                        p[s.slot(len, j, m).start + at - symbols] ^= flip;
+                    }
+                }
+            }
+            let (mut od, mut op) = (d.clone(), p.clone());
+            let got = s.verify_and_correct(&mut d, &mut p);
+            let want = oracle_verify(nsym, depth, &mut od, &mut op);
+            assert_eq!(got, want, "{what} over_budget={over_budget:?}: report");
+            if got.is_ok() {
+                assert!(d == od && p == op, "{what} over_budget={over_budget:?}: repaired bytes");
+            }
+            if over_budget != Some(true) {
+                assert!(got.is_ok() && d == data && p == parity, "{what}: within budget");
+            }
+        }
+    }
+
+    fn random_cases(seed: u64, cases: usize, max_len: usize) {
+        let mut rng = Rng(seed);
+        for _ in 0..cases {
+            // Half the depths small, where lanes are long; the rest anywhere.
+            let depth = if rng.range(0, 1) == 0 { rng.range(2, 130) } else { rng.range(2, 4096) };
+            let (nsym, len) = (rng.range(2, 250), rng.range(0, max_len));
+            differential_case(&mut rng, nsym, depth, len);
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_gather_oracle_at_the_edges() {
+        let mut rng = Rng(0x1A4E_0001);
+        for (nsym, depth, len) in [
+            (32, 64, 0),
+            (32, 64, 1),                 // one lane, one symbol
+            (32, 64, 63),                // len < depth
+            (32, 64, 64 * 223),          // exactly one message per lane
+            (32, 64, 64 * 224),          // a last message of 1 symbol in every lane
+            (32, 5, 5 * 223 + 3),        // ... in three lanes, none in the other two
+            (32, 64, 64 * 223 * 2 + 17), // ragged after whole groups
+            (16, 100, 100 * 300 + 99),   // depth not a multiple of 64, ragged tail
+            (8, 130, 130 * 247),         // three strips, the last 2 wide
+            (2, 2, 1001),
+            (250, 3, 77),             // 5-symbol messages
+            (32, 4096, 4096 * 3 + 5), // 64 strips
+        ] {
+            differential_case(&mut rng, nsym, depth, len);
+        }
+    }
+
+    /// Two codewords beyond repair, failing differently: the scan meets
+    /// (lane 3, message 0) first, but the error is (lane 1, message 1)'s,
+    /// as it was when lanes were decoded one after another.
+    #[test]
+    fn the_first_codeword_beyond_repair_in_lane_order_names_the_error() {
+        let mut rng = Rng(0x1A4E_0004);
+        let (nsym, depth, len) = (8, 4, 4 * 247 * 2);
+        let s = Interleaved::new(RsBlock::new(nsym).unwrap(), depth).unwrap();
+        let data = rng.bytes(len);
+        let parity = s.encode_parity(&data);
+        let damage = |d: &mut [u8], rng: &mut Rng, j: usize, m: usize, errors: usize| {
+            for r in 0..errors {
+                d[(m * 247 + 3 * r) * depth + j] ^= rng.range(1, 255) as u8;
+            }
+        };
+        let alone = |j, m, errors, seed| {
+            let (mut d, mut p) = (data.clone(), parity.clone());
+            damage(&mut d, &mut Rng(seed), j, m, errors);
+            s.verify_and_correct(&mut d, &mut p)
+        };
+        // Search the seeds for a pair of distinct failures.
+        let (seed, early, late) = (1..200u64)
+            .filter_map(|seed| match (alone(3, 0, 5, seed), alone(1, 1, 60, seed)) {
+                (Err(early), Err(late)) if early != late => Some((seed, early, late)),
+                _ => None,
+            })
+            .next()
+            .expect("some seed makes the two codewords fail differently");
+        let (mut d, mut p) = (data.clone(), parity.clone());
+        damage(&mut d, &mut Rng(seed), 3, 0, 5);
+        damage(&mut d, &mut Rng(seed), 1, 1, 60);
+        let (mut od, mut op) = (d.clone(), p.clone());
+        let got = s.verify_and_correct(&mut d, &mut p);
+        assert_eq!(got, Err(late));
+        assert_ne!(got, Err(early));
+        assert_eq!(got, oracle_verify(nsym, depth, &mut od, &mut op));
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_gather_oracle_on_random_shapes() {
+        random_cases(0x1A4E_0002, 24, 20_000);
+    }
+
+    /// `scripts/check.sh --full` runs this.
+    #[test]
+    #[ignore = "deep differential: minutes in debug, run with --release"]
+    fn lane_kernel_matches_the_gather_oracle_on_random_shapes_deep() {
+        random_cases(0x1A4E_0003, 100, 200_000);
     }
 
     #[test]
@@ -239,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn capability_reports_burst_only_when_the_inner_code_corrects_bursts() {
+    fn capability_is_the_inner_codes_and_a_depth_times_t_burst_is_absorbed() {
         let cap = scheme(16).capability();
         assert!(cap.corrects_burst && cap.corrects_sparse);
         let inner_cap = RsBlock::new(32).unwrap().capability();
@@ -254,18 +494,6 @@ mod tests {
             *b = !*b;
         }
         assert_eq!(s.decode(&enc, data.len()).unwrap().0, data);
-
-        // Bit-correcting inner: byte lanes hand SEC-DED a whole inverted
-        // byte, so no burst claim and a typed error — never wrong bytes.
-        let s = Interleaved::new(SecDed::w64(), 64).unwrap();
-        let cap = s.capability();
-        assert!(cap.corrects_sparse && !cap.corrects_burst);
-        let data = sample(4096);
-        let mut enc = s.encode(&data);
-        for b in &mut enc[1000..1002] {
-            *b = !*b;
-        }
-        assert!(matches!(s.decode(&enc, data.len()), Err(EccError::Uncorrectable { .. })));
     }
 
     #[test]

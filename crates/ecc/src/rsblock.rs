@@ -52,6 +52,11 @@ impl RsBlock {
     pub fn max_errors(&self) -> usize {
         self.rs.max_errors()
     }
+
+    /// The codeword codec underneath, for the interleaver's lane kernel.
+    pub(crate) fn codeword(&self) -> &RsCodeword {
+        &self.rs
+    }
 }
 
 impl EccScheme for RsBlock {
@@ -69,12 +74,9 @@ impl EccScheme for RsBlock {
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
-        for (msg, slot) in data.chunks(self.message_len()).zip(parity.chunks_mut(self.nsym())) {
-            let cw = self.rs.encode(msg);
-            // The codeword is msg ‖ parity; the slot gets the parity tail.
-            if let Some(tail) = cw.get(msg.len()..) {
-                slot.copy_from_slice(tail);
-            }
+        for (msg, slot) in data.chunks(self.message_len()).zip(parity.chunks_exact_mut(self.nsym()))
+        {
+            self.rs.parity_into(msg, slot);
         }
     }
 
@@ -93,27 +95,15 @@ impl EccScheme for RsBlock {
             });
         }
         let mut report = CorrectionReport::default();
-        let mlen = self.message_len();
-        let nsym = self.nsym();
-        for (msg, pslot) in data.chunks_mut(mlen).zip(parity.chunks_mut(nsym)) {
+        for (msg, slot) in
+            data.chunks_mut(self.message_len()).zip(parity.chunks_exact_mut(self.nsym()))
+        {
             report.blocks_checked += 1;
-            // arc-lint: bounded(one codeword: at most 255 bytes)
-            let mut cw = Vec::with_capacity(msg.len() + nsym);
-            cw.extend_from_slice(msg);
-            cw.extend_from_slice(pslot);
-            let (fixed_msg, fixed) = self.rs.decode(&cw)?;
-            if fixed > 0 {
-                msg.copy_from_slice(&fixed_msg);
-                // Corrections may have landed in the parity tail too;
-                // regenerating it from the repaired message restores it.
-                let clean = self.rs.encode(msg);
-                if let Some(tail) = clean.get(msg.len()..) {
-                    pslot.copy_from_slice(tail);
-                }
+            if !self.rs.is_clean(msg, slot) {
                 // Symbol-granular repairs are tallied as corrected_bits
                 // (one per repaired byte), mirroring the container header's
                 // symbols-corrected accounting.
-                report.corrected_bits += fixed as u64;
+                report.corrected_bits += self.rs.repair(msg, slot)? as u64;
             }
         }
         Ok(report)
@@ -134,8 +124,8 @@ impl EccScheme for RsBlock {
     }
 
     fn min_bytes_per_thread(&self) -> usize {
-        // Codeword RS is the heaviest per-byte scheme in the crate; even
-        // small jobs amortize a worker.
+        // One LFSR step per message byte is well below the bit-oriented
+        // schemes' rate, so a worker pays for itself on a small job.
         1 << 20
     }
 }

@@ -10,56 +10,58 @@
 //! ARC uses this codec where checksums are unavailable: the self-describing
 //! container header must be decodable before any metadata is trusted. It is
 //! also benchmarked as an ablation against the CRC-erasure design.
+//!
+//! Encoding and the clean half of decoding are one kernel, the systematic
+//! LFSR that divides by g(x), driven by [`crate::gf256::mul_acc_slice`] in
+//! two orientations: along one codeword (`RsCodeword::parity_into`, the
+//! register is the slice) and across up to 64 interleaved codewords at
+//! once (`RsCodeword::parity_rows_into`, a row of symbols is the slice).
+//! A received codeword is clean exactly when its recomputed parity equals
+//! its stored parity; only one that disagrees becomes a [`Poly`] and meets
+//! the decoder above.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::codec::EccError;
-use crate::gf256::{Gf, Poly};
+use crate::gf256::{mul_acc_slice, Gf, Poly};
 
 /// Maximum codeword length in GF(2^8).
 pub const MAX_CODEWORD: usize = 255;
 
-/// Per-`nsym` memo of generator polynomials.
-///
-/// g(x) costs O(nsym²) `Poly::mul` work to rebuild, and `RsCodeword::new`
-/// runs on every container-header decode; the polynomial is immutable, so
-/// all codecs with the same `nsym` share one `Arc`.
-static GEN_CACHE: OnceLock<Mutex<HashMap<usize, Arc<Poly>>>> = OnceLock::new();
+/// Widest row the across-lanes orientation of the kernel takes: one
+/// 512-bit vector, and `nsym` of them stay on the stack.
+pub(crate) const STRIP: usize = 64;
+
+/// Per-`nsym` LFSR taps: the coefficients of g(x) = ∏_{i<nsym} (x − α^i),
+/// highest degree first, without the monic lead. Immutable once built, so
+/// every codec with the same `nsym` shares them, and neither a header encode
+/// nor a header decode takes a lock to find them.
+static TAPS: [OnceLock<Vec<u8>>; MAX_CODEWORD] = [const { OnceLock::new() }; MAX_CODEWORD];
 
 /// A systematic Reed-Solomon codeword codec with `nsym` parity symbols.
 #[derive(Debug, Clone)]
 pub struct RsCodeword {
     /// Number of parity symbols appended to each message.
     pub nsym: usize,
-    generator: Arc<Poly>,
+    taps: &'static [u8],
 }
 
 impl RsCodeword {
     /// Create a codec with `nsym` parity symbols (1 ≤ nsym < 255).
     pub fn new(nsym: usize) -> Result<RsCodeword, EccError> {
-        if nsym == 0 || nsym >= MAX_CODEWORD {
+        let Some(cell) = TAPS.get(nsym).filter(|_| nsym != 0) else {
             return Err(EccError::InvalidConfig(format!(
                 "rs codeword: nsym must be in 1..{MAX_CODEWORD}, got {nsym}"
             )));
-        }
-        let cache = GEN_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let generator = cache
-            .lock()
-            // Poison only means another thread died mid-insert; the memo
-            // table stays valid, so recover the guard.
-            .unwrap_or_else(|p| p.into_inner())
-            .entry(nsym)
-            .or_insert_with(|| {
-                // g(x) = ∏_{i=0}^{nsym-1} (x − α^i)
-                let mut g = Poly::constant(Gf::ONE);
-                for i in 0..nsym {
-                    g = g.mul(&Poly::from_coeffs(vec![Gf::alpha_pow(i as i32), Gf::ONE]));
-                }
-                Arc::new(g)
-            })
-            .clone();
-        Ok(RsCodeword { nsym, generator })
+        };
+        let taps = cell.get_or_init(|| {
+            let mut g = Poly::constant(Gf::ONE);
+            for i in 0..nsym {
+                g = g.mul(&Poly::from_coeffs(vec![Gf::alpha_pow(i as i32), Gf::ONE]));
+            }
+            (0..nsym).rev().map(|i| g.coeff(i).0).collect()
+        });
+        Ok(RsCodeword { nsym, taps })
     }
 
     /// Errors correctable per codeword when locations are unknown.
@@ -70,6 +72,65 @@ impl RsCodeword {
     /// Largest message length encodable in one codeword.
     pub fn max_message_len(&self) -> usize {
         MAX_CODEWORD - self.nsym
+    }
+
+    /// The kernel, one codeword at a time: the remainder of msg·x^nsym mod
+    /// g(x) into `parity` (`nsym` bytes, overwritten), by the systematic
+    /// LFSR with the register as the slice. Total over any message length.
+    pub(crate) fn parity_into(&self, msg: &[u8], parity: &mut [u8]) {
+        assert_eq!(parity.len(), self.nsym, "parity register must hold nsym symbols");
+        parity.fill(0);
+        for &symbol in msg {
+            // Shift: the lead symbol comes round to the end, is taken as
+            // feedback and leaves a zero behind.
+            parity.rotate_left(1);
+            let Some(last) = parity.last_mut() else { return };
+            let feedback = Gf(symbol ^ std::mem::take(last));
+            mul_acc_slice(parity, self.taps, feedback);
+        }
+    }
+
+    /// The kernel across `w ≤ STRIP` independent codewords at once: row `r`
+    /// of `rows` holds symbol `r` of all `w` messages, and `state`
+    /// (`nsym · w` bytes, overwritten) ends as their parities, row `i`
+    /// holding parity symbol `i` of each. The register rows form a ring —
+    /// advancing the head replaces shifting `nsym · w` bytes per row.
+    pub(crate) fn parity_rows_into<'a>(
+        &self,
+        rows: impl Iterator<Item = &'a [u8]>,
+        w: usize,
+        state: &mut [u8],
+    ) {
+        assert!((1..=STRIP).contains(&w) && state.len() == self.nsym * w, "strip shape");
+        state.fill(0);
+        let mut feedback = [0u8; STRIP];
+        let feedback = feedback.split_at_mut(w).0;
+        let mut head = 0;
+        for row in rows {
+            let (back, front) = state.split_at_mut(head * w);
+            let (lead, front) = front.split_at_mut(w);
+            for ((f, l), r) in feedback.iter_mut().zip(lead.iter_mut()).zip(row) {
+                *f = *l ^ *r;
+                *l = 0;
+            }
+            let ring = front.chunks_exact_mut(w).chain(back.chunks_exact_mut(w));
+            for (reg, &tap) in ring.chain(std::iter::once(lead)).zip(self.taps) {
+                mul_acc_slice(reg, feedback, Gf(tap));
+            }
+            head = (head + 1) % self.nsym;
+        }
+        state.rotate_left(head * w);
+    }
+
+    /// The clean test is the encode kernel plus a compare: c(x) mod g(x) is
+    /// rem(msg·x^nsym) + parity, and g's roots α^0..α^(nsym−1) are distinct,
+    /// so recomputed parity equal to `parity` ⇔ g | c ⇔ every syndrome
+    /// c(α^i) is zero.
+    pub(crate) fn is_clean(&self, msg: &[u8], parity: &[u8]) -> bool {
+        let mut recomputed = [0u8; MAX_CODEWORD];
+        let recomputed = recomputed.split_at_mut(self.nsym).0;
+        self.parity_into(msg, recomputed);
+        recomputed == parity
     }
 
     /// Encode `msg`, returning `msg ‖ parity` (`msg.len() + nsym` bytes).
@@ -83,17 +144,11 @@ impl RsCodeword {
             msg.len(),
             self.nsym
         );
-        // Remainder of msg·x^nsym mod g(x); polynomial coefficient i is the
-        // symbol at distance i from the *end* of the codeword.
-        // arc-lint: bounded(nsym <= 255 enforced at RsCodeword construction)
-        let mut coeffs = vec![Gf::ZERO; self.nsym];
-        coeffs.extend(msg.iter().rev().map(|&b| Gf(b)));
-        let rem = Poly::from_coeffs(coeffs).rem(&self.generator);
-        let mut out = Vec::with_capacity(msg.len() + self.nsym);
-        out.extend_from_slice(msg);
-        for i in (0..self.nsym).rev() {
-            out.push(rem.coeff(i).0);
-        }
+        // arc-lint: bounded(msg.len() + nsym <= 255 asserted above)
+        let mut out = vec![0u8; msg.len() + self.nsym];
+        let (head, parity) = out.split_at_mut(msg.len());
+        head.copy_from_slice(msg);
+        self.parity_into(msg, parity);
         out
     }
 
@@ -118,11 +173,45 @@ impl RsCodeword {
         received: &[u8],
         erasures: &[usize],
     ) -> Result<(Vec<u8>, usize), EccError> {
-        let n = received.len();
+        let (n, mut buf) = (received.len(), [0u8; MAX_CODEWORD]);
+        let Some(codeword) = buf.get_mut(..n).filter(|_| n > self.nsym) else {
+            return Err(self.bad_length(n));
+        };
+        codeword.copy_from_slice(received);
+        let fixed = self.correct_in_place(codeword, erasures)?;
+        let (msg, _parity) = codeword.split_at(n - self.nsym);
+        Ok((msg.to_vec(), fixed))
+    }
+
+    fn bad_length(&self, n: usize) -> EccError {
+        EccError::Malformed {
+            detail: format!("rs codeword length {n} invalid for nsym={}", self.nsym),
+        }
+    }
+
+    /// Verify `msg ‖ parity` held in two places and repair both in place;
+    /// on an error neither is touched. Returns the symbols repaired.
+    pub(crate) fn repair(&self, msg: &mut [u8], parity: &mut [u8]) -> Result<usize, EccError> {
+        let (n, mut buf) = (msg.len() + parity.len(), [0u8; MAX_CODEWORD]);
+        let Some(codeword) = buf.get_mut(..n) else { return Err(self.bad_length(n)) };
+        let (m, p) = codeword.split_at_mut(msg.len());
+        m.copy_from_slice(msg);
+        p.copy_from_slice(parity);
+        let fixed = self.correct_in_place(codeword, &[])?;
+        let (m, p) = codeword.split_at(msg.len());
+        msg.copy_from_slice(m);
+        parity.copy_from_slice(p);
+        Ok(fixed)
+    }
+
+    /// Verify one received codeword and repair it in place: `e` erasures
+    /// (indices into `codeword`) plus `t` unknown errors whenever
+    /// `e + 2t ≤ nsym`. Returns the symbols repaired; on an error the
+    /// codeword may be partly rewritten.
+    fn correct_in_place(&self, codeword: &mut [u8], erasures: &[usize]) -> Result<usize, EccError> {
+        let n = codeword.len();
         if n <= self.nsym || n > MAX_CODEWORD {
-            return Err(EccError::Malformed {
-                detail: format!("rs codeword length {n} invalid for nsym={}", self.nsym),
-            });
+            return Err(self.bad_length(n));
         }
         if erasures.len() > self.nsym {
             return Err(EccError::Uncorrectable {
@@ -133,11 +222,11 @@ impl RsCodeword {
         if erasures.iter().any(|&p| p >= n) {
             return Err(EccError::Malformed { detail: "erasure index out of range".into() });
         }
-        let cw = Self::codeword_poly(received);
-        let synd = self.syndromes(&cw);
-        if synd.iter().all(|s| *s == Gf::ZERO) {
-            return Ok((received[..n - self.nsym].to_vec(), 0));
+        let (msg, parity) = codeword.split_at(n - self.nsym);
+        if self.is_clean(msg, parity) {
+            return Ok(0);
         }
+        let synd = self.syndromes(&Self::codeword_poly(codeword));
         // Erasure locator Γ(x) = ∏ (1 − x·α^{j_e}), j_e = poly position.
         let mut gamma = Poly::constant(Gf::ONE);
         for &pos in erasures {
@@ -147,7 +236,7 @@ impl RsCodeword {
         // Modified (Forney) syndromes fold erasures out of BM's problem:
         // the coefficients of S(x)·Γ(x) from degree e upward form the
         // sequence the error locator must annihilate.
-        let synd_poly = Poly::from_coeffs(synd.clone());
+        let synd_poly = Poly::from_coeffs(synd);
         let x_nsym = Poly::constant(Gf::ONE).shift(self.nsym);
         let modified = synd_poly.mul(&gamma).rem(&x_nsym);
         let forney =
@@ -165,7 +254,6 @@ impl RsCodeword {
         // Errata evaluator Ω(x) = S(x)·Λ(x) mod x^nsym, then Forney.
         let omega = synd_poly.mul(&locator).rem(&x_nsym);
         let loc_deriv = locator.derivative();
-        let mut corrected = received.to_vec();
         for &pos in &positions {
             let j = (n - 1 - pos) as i32;
             let xj = Gf::alpha_pow(j);
@@ -178,17 +266,19 @@ impl RsCodeword {
                 });
             }
             let magnitude = xj.mul(omega.eval(xj_inv)).div(denom);
-            corrected[pos] ^= magnitude.0;
+            if let Some(symbol) = codeword.get_mut(pos) {
+                *symbol ^= magnitude.0;
+            }
         }
         // Paranoia: re-verify the repaired codeword.
-        let recheck = self.syndromes(&Self::codeword_poly(&corrected));
+        let recheck = self.syndromes(&Self::codeword_poly(codeword));
         if recheck.iter().any(|s| *s != Gf::ZERO) {
             return Err(EccError::Uncorrectable {
                 scheme: "rs-codeword",
                 detail: "syndromes non-zero after correction (too many errors)".into(),
             });
         }
-        Ok((corrected[..n - self.nsym].to_vec(), positions.len()))
+        Ok(positions.len())
     }
 
     /// Berlekamp–Massey on the (modified) syndromes, bounded so that
@@ -242,12 +332,130 @@ impl RsCodeword {
     }
 }
 
+/// The `Poly` path the kernel replaced, kept as what it is compared against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::gf256::{Gf, Poly};
+
+    fn codeword_poly(codeword: &[u8]) -> Poly {
+        Poly::from_coeffs(codeword.iter().rev().map(|&b| Gf(b)).collect())
+    }
+
+    /// Parity of `msg`: the coefficients of msg·x^nsym mod ∏ (x − α^i).
+    pub(crate) fn parity(nsym: usize, msg: &[u8]) -> Vec<u8> {
+        let mut g = Poly::constant(Gf::ONE);
+        for i in 0..nsym {
+            g = g.mul(&Poly::from_coeffs(vec![Gf::alpha_pow(i as i32), Gf::ONE]));
+        }
+        let rem = codeword_poly(msg).shift(nsym).rem(&g);
+        (0..nsym).rev().map(|i| rem.coeff(i).0).collect()
+    }
+
+    /// The clean test: every one of the `nsym` syndromes is zero.
+    pub(crate) fn is_clean(nsym: usize, codeword: &[u8]) -> bool {
+        let cw = codeword_poly(codeword);
+        (0..nsym).all(|i| cw.eval(Gf::alpha_pow(i as i32)) == Gf::ZERO)
+    }
+
+    /// Deterministic test bytes and choices.
+    pub(crate) struct Rng(pub u64);
+
+    impl Rng {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// Uniform in `lo..=hi`.
+        pub(crate) fn range(&mut self, lo: usize, hi: usize) -> usize {
+            lo + (self.next() % (hi - lo + 1) as u64) as usize
+        }
+
+        pub(crate) fn bytes(&mut self, n: usize) -> Vec<u8> {
+            (0..n).map(|_| (self.next() >> 24) as u8).collect()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::Rng;
     use super::*;
 
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 73 + 5) % 256) as u8).collect()
+    }
+
+    #[test]
+    fn lfsr_parity_is_the_poly_remainder_at_every_message_length() {
+        let mut rng = Rng(0x5EED_0001);
+        for nsym in [2usize, 16, 32, 64, 250] {
+            let rs = RsCodeword::new(nsym).unwrap();
+            for len in 1..=rs.max_message_len() {
+                let msg = rng.bytes(len);
+                let cw = rs.encode(&msg);
+                assert_eq!(cw[..len], msg[..], "nsym={nsym} len={len}: not systematic");
+                assert_eq!(cw[len..], oracle::parity(nsym, &msg)[..], "nsym={nsym} len={len}");
+            }
+        }
+    }
+
+    /// Equal remainders ⇔ all syndromes zero, for clean codewords and for
+    /// every way of damaging 1..=3 symbols in message or parity.
+    #[test]
+    fn remainder_compare_agrees_with_the_syndrome_test() {
+        let mut rng = Rng(0x5EED_0002);
+        for nsym in [2usize, 7, 32, 250] {
+            let rs = RsCodeword::new(nsym).unwrap();
+            for _ in 0..60 {
+                let len = rng.range(1, rs.max_message_len());
+                let msg = rng.bytes(len);
+                let mut cw = rs.encode(&msg);
+                for _ in 0..rng.range(0, 3) {
+                    let at = rng.range(0, cw.len() - 1);
+                    cw[at] ^= rng.range(0, 255) as u8;
+                }
+                // `decode` reports zero repairs only through the remainder compare.
+                let by_remainder = rs.decode(&cw) == Ok((msg.clone(), 0));
+                assert_eq!(by_remainder, oracle::is_clean(nsym, &cw), "nsym={nsym}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_kernel_is_the_codeword_kernel_in_every_column() {
+        let mut rng = Rng(0x5EED_0003);
+        for (nsym, w, rows) in [(2, 1, 1), (32, 64, 223), (16, 37, 5), (250, 3, 5), (8, 64, 0)] {
+            let rs = RsCodeword::new(nsym).unwrap();
+            let data = rng.bytes(rows * w);
+            let mut state = vec![0xEEu8; nsym * w];
+            rs.parity_rows_into(data.chunks_exact(w), w, &mut state);
+            for col in 0..w {
+                let msg: Vec<u8> = data.iter().skip(col).step_by(w).copied().collect();
+                let column: Vec<u8> = state.iter().skip(col).step_by(w).copied().collect();
+                assert_eq!(column, oracle::parity(nsym, &msg), "nsym={nsym} w={w} col={col}");
+            }
+        }
+    }
+
+    #[test]
+    fn repair_fixes_both_halves_or_touches_neither() {
+        let rs = RsCodeword::new(8).unwrap();
+        let msg = sample(40);
+        let cw = rs.encode(&msg);
+        let (mut m, mut p) = (msg.clone(), cw[40..].to_vec());
+        m[3] ^= 0x40;
+        p[7] ^= 0x01;
+        assert_eq!(rs.repair(&mut m, &mut p), Ok(2));
+        assert_eq!((&m[..], &p[..]), (&msg[..], &cw[40..]));
+        for b in &mut m[..5] {
+            *b ^= 0xFF;
+        }
+        let before = (m.clone(), p.clone());
+        assert!(rs.repair(&mut m, &mut p).is_err());
+        assert_eq!((m, p), before);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Counting-allocator proof of the zero-copy pipeline's allocation
 //! contract: sequential `ParallelCodec::encode` makes exactly one heap
 //! allocation (the returned container) and a clean sequential
-//! `decode_in_place` makes none for the bit-oriented schemes.
+//! `decode_in_place` makes none for the bit-oriented schemes and for the two
+//! stock extension families (`ileave-rs`, `bch`).
 //!
 //! Everything lives in one `#[test]` so no sibling test can allocate
 //! concurrently, and the counters only advance on the measuring thread
@@ -12,8 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use arc_ecc::{EccConfig, ParallelCodec};
+use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec, RsBlock};
 
 struct CountingAlloc;
 
@@ -124,6 +126,35 @@ fn sequential_pipeline_allocation_contract() {
         });
         assert_eq!(allocs, 0, "{cfg}: clean in-place decode must not allocate");
         assert_eq!(&encoded[..data.len()], &data[..]);
+    }
+
+    {
+        // The codeword families: the LFSR registers and the strip of lane
+        // state live on the stack, and no `Poly` is built unless a codeword's
+        // remainder disagrees. 199 999 bytes leave `ileave-rs` a ragged last
+        // chunk, so the one-lane-at-a-time tail is under the count too.
+        let data = &data[..199_999];
+        let families: [(&str, Arc<dyn EccScheme>); 2] = [
+            ("ileave-rs", Arc::new(Interleaved::new(RsBlock::new(32).unwrap(), 64).unwrap())),
+            ("bch", Arc::new(Bch::new(2).unwrap())),
+        ];
+        for (name, scheme) in families {
+            let codec = ParallelCodec::with_chunk_size(scheme, 1, chunk).unwrap();
+            let warm = codec.encode(&data[..4096]);
+            codec.decode(&warm, 4096).unwrap();
+            let (mut encoded, allocs, bytes) = counted(|| codec.encode(data));
+            assert_eq!(
+                (allocs, bytes),
+                (1, encoded.len()),
+                "{name}: encode allocates the container"
+            );
+            let ((), allocs, _) = counted(|| {
+                let report = codec.decode_in_place(&mut encoded, data.len()).unwrap();
+                assert!(report.is_clean());
+            });
+            assert_eq!(allocs, 0, "{name}: clean in-place decode must not allocate");
+            assert_eq!(&encoded[..data.len()], data);
+        }
     }
 
     // RS's verify path keeps small per-chunk device lists; in-place decode

@@ -6,7 +6,8 @@
 #                                    tests, workspace tests, arc-lint
 #        scripts/check.sh --full   the fast gate, then everything slower:
 #                                    the #[ignore]d deep differentials (bit
-#                                    path, LZ match finder, SZ element loops),
+#                                    path, LZ match finder, SZ element loops,
+#                                    codeword-RS lane kernel, BCH remainder),
 #                                    hostile-input sweep, arcbench at smoke
 #                                    scale
 #
@@ -61,8 +62,8 @@ if (( lint_ms >= 10000 )); then
 fi
 
 if (( full )); then
-    echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -- --ignored"
-    cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -- --ignored
+    echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -- --ignored"
+    cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -- --ignored
 
     echo "==> hostile-input sweep: cargo run --release -q -p arc-bench --bin hostile_corpus"
     cargo run --release -q -p arc-bench --bin hostile_corpus
