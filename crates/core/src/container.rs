@@ -39,13 +39,20 @@
 //! per-shard CRC-32 to the index so each shard is end-to-end checkable on
 //! its own, which is what makes `decode_range` trustworthy without
 //! touching the rest of the container.
+//!
+//! Readers see neither version: `Shards` presents an opened container as
+//! a run of shards (a v1 payload being the one-shard case) with one
+//! per-shard step — geometry cross-check, ECC repair, CRC — and the one-shot,
+//! streaming and range decoders are three drivers over it.
 
 use std::sync::Arc;
 
 use arc_ecc::crc::crc32;
-use arc_ecc::{EccConfig, EccScheme, ParallelCodec, RsCodeword};
+use arc_ecc::{CorrectionReport, EccConfig, EccError, EccScheme, ParallelCodec, RsCodeword};
 
 use crate::error::ArcError;
+use crate::extension::{resolve_scheme, ExtensionRegistry};
+use crate::interface::ArcDecodeReport;
 
 /// Container magic.
 pub const MAGIC: &[u8; 4] = b"ARC1";
@@ -486,7 +493,7 @@ pub(crate) fn recover_index(
 /// frames in one flat `par_map` pass.
 pub(crate) fn mono_frame(
     data: &[u8],
-    codec: &ParallelCodec<Arc<dyn EccScheme>>,
+    codec: &Codec,
     scheme_id: &str,
 ) -> Result<(Vec<u8>, usize), ArcError> {
     let meta = ContainerMeta {
@@ -508,11 +515,7 @@ pub(crate) fn mono_frame(
 /// scheme, tagged `scheme_id`, allocated once and scatter-written in place.
 /// Every public v1 encode entry point wraps this function; the v2 writer is
 /// [`crate::stream::StreamEncoder`].
-pub fn encode_mono(
-    data: &[u8],
-    codec: &ParallelCodec<Arc<dyn EccScheme>>,
-    scheme_id: &str,
-) -> Result<Vec<u8>, ArcError> {
+pub fn encode_mono(data: &[u8], codec: &Codec, scheme_id: &str) -> Result<Vec<u8>, ArcError> {
     let (mut out, hlen) = mono_frame(data, codec, scheme_id)?;
     codec.encode_into(data, &mut out[hlen..]);
     Ok(out)
@@ -527,8 +530,7 @@ pub struct Unpacked<'a> {
     /// exactly the shard payloads — the index copies that follow are
     /// already digested into `index`.
     pub payload: &'a [u8],
-    /// Byte offset of the payload region within the container, so in-place
-    /// decoders can re-borrow it mutably from the original buffer.
+    /// Byte offset of the payload region within the container.
     pub payload_offset: usize,
     /// True when the primary header copy was unusable and the backup copy
     /// saved the day.
@@ -655,9 +657,242 @@ pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
     Ok(u)
 }
 
-/// Convenience: the container's end-to-end CRC of original data.
-pub fn data_crc(data: &[u8]) -> u32 {
-    crc32(data)
+/// A chunk-parallel codec over a resolved scheme — the only codec type the
+/// container paths run.
+pub(crate) type Codec = ParallelCodec<Arc<dyn EccScheme>>;
+
+/// An opened container as every decoder walks it: the header's facts, the
+/// codec it names, and the payload as a run of independently repairable
+/// shards. A v1 payload *is* the one-shard case — offset 0, `payload_len`,
+/// `data_len`, `data_crc`; no shard at all when both lengths are zero — so
+/// the one-shot, streaming and range decoders never ask which version they
+/// hold and differ only in where a shard's bytes come from.
+pub(crate) struct Shards {
+    pub(crate) meta: ContainerMeta,
+    pub(crate) codec: Codec,
+    /// Shards in payload order. [`Shards::open`] fills it from the index
+    /// (v2) or the header (v1); after [`Shards::from_header`] it holds the
+    /// shards streamed so far, which [`Shards::accept_trailer`] holds to
+    /// the index once that arrives.
+    pub(crate) entries: Vec<ShardEntry>,
+    used_backup_header: bool,
+    header_symbols_corrected: usize,
+    /// How the index was recovered, once it has been; `None` on v1.
+    pub(crate) index_repair: Option<IndexRepair>,
+}
+
+impl Shards {
+    /// Resolve the scheme id a recovered header names (against `registry`
+    /// for `x:` ids) and build the codec the header describes.
+    fn new(
+        found: Unpacked<'_>,
+        threads: usize,
+        registry: Option<&ExtensionRegistry>,
+    ) -> Result<Shards, ArcError> {
+        let scheme = resolve_scheme(&found.meta.scheme_id, registry)?;
+        let codec = ParallelCodec::with_chunk_size(scheme, threads, found.meta.chunk_size)?;
+        Ok(Shards {
+            meta: found.meta,
+            codec,
+            entries: Vec::new(),
+            used_backup_header: found.used_backup_header,
+            header_symbols_corrected: found.header_symbols_corrected,
+            index_repair: None,
+        })
+    }
+
+    /// Open a whole container — the one-shot and range decoders' front
+    /// half: recover header and index, resolve the scheme, bound the
+    /// declared data length. Also returns the payload region the shards'
+    /// offsets count from.
+    pub(crate) fn open<'a>(
+        bytes: &'a [u8],
+        threads: usize,
+        registry: Option<&ExtensionRegistry>,
+    ) -> Result<(Shards, &'a [u8]), ArcError> {
+        let mut unpacked = unpack(bytes)?;
+        let (payload, index, repair) =
+            (unpacked.payload, unpacked.index.take(), unpacked.index_repair);
+        let mut shards = Shards::new(unpacked, threads, registry)?;
+        let meta = &shards.meta;
+        // The original data is a subset of the ECC-encoded payload; a corrupt
+        // data_len that slipped past the header codeword must not reach the
+        // codec's length arithmetic.
+        if meta.data_len > payload.len() {
+            return Err(ArcError::Corrupted(format!(
+                "declared data length {} exceeds payload length {}",
+                meta.data_len,
+                payload.len()
+            )));
+        }
+        match index {
+            Some(index) => {
+                shards.entries = index.entries;
+                shards.index_repair = Some(repair);
+            }
+            None if meta.data_len == 0 && meta.payload_len == 0 => {}
+            None => {
+                shards.entries = vec![ShardEntry {
+                    offset: 0,
+                    encoded_len: meta.payload_len,
+                    decoded_len: meta.data_len,
+                    crc: meta.data_crc,
+                }];
+            }
+        }
+        Ok((shards, payload))
+    }
+
+    /// Open from a recovered header alone, before any payload byte is
+    /// buffered — the stream decoder's front half. The payload and index
+    /// lengths must be the pure functions of (`data_len`, `shard_size`,
+    /// `chunk_size`) the encoder computes, so a corrupt-but-decodable
+    /// header cannot demand unbounded memory.
+    pub(crate) fn from_header(
+        found: Unpacked<'_>,
+        threads: usize,
+        registry: Option<&ExtensionRegistry>,
+    ) -> Result<Shards, ArcError> {
+        let shards = Shards::new(found, threads, registry)?;
+        let meta = &shards.meta;
+        if shards.codec.sharded_encoded_len(meta.data_len, shards.shard_size()) != meta.payload_len
+        {
+            return Err(ArcError::Corrupted("payload length disagrees with shard geometry".into()));
+        }
+        if let Some(sh) = meta.sharding {
+            if index_encoded_len(meta.data_len.div_ceil(sh.shard_size))? != sh.index_len {
+                return Err(ArcError::Corrupted("index length disagrees with shard count".into()));
+            }
+        }
+        Ok(shards)
+    }
+
+    /// Decoded bytes per shard; a v1 payload is one shard of all its data.
+    fn shard_size(&self) -> usize {
+        self.meta.sharding.map_or(self.meta.data_len, |sh| sh.shard_size)
+    }
+
+    /// `(decoded, encoded)` length the header arithmetic gives the shard
+    /// that starts `done` decoded bytes in; `None` once no data remains.
+    pub(crate) fn next_lens(&self, done: usize) -> Option<(usize, usize)> {
+        let decoded = self.meta.data_len.saturating_sub(done).min(self.shard_size());
+        (decoded > 0).then(|| (decoded, self.codec.encoded_len(decoded)))
+    }
+
+    /// Bytes that follow the last shard: three index copies, or nothing.
+    pub(crate) fn trailer_len(&self) -> usize {
+        self.meta.sharding.map_or(0, |sh| sh.index_len.saturating_mul(3))
+    }
+
+    /// What the header alone says of a shard's CRC: a v1 payload's one
+    /// shard has the data CRC, a v2 shard's arrives with the index.
+    pub(crate) fn header_shard_crc(&self) -> Option<u32> {
+        self.meta.sharding.is_none().then_some(self.meta.data_crc)
+    }
+
+    /// CRC-32 of the whole data, to check once every shard has passed —
+    /// `None` where the one shard's CRC already is that check (v1), so a v1
+    /// payload is CRC'd once.
+    pub(crate) fn end_to_end_crc(&self) -> Option<u32> {
+        self.meta.sharding.map(|_| self.meta.data_crc)
+    }
+
+    /// Which bytes of `payload` — the region [`Shards::open`] returned — are
+    /// shard number `shard`: its `data ‖ parity`, exactly as stored.
+    pub(crate) fn stored<'p>(
+        payload: &'p [u8],
+        shard: usize,
+        e: &ShardEntry,
+    ) -> Result<&'p [u8], ArcError> {
+        e.offset
+            .checked_add(e.encoded_len)
+            .and_then(|end| payload.get(e.offset..end))
+            .ok_or_else(|| ArcError::Corrupted(format!("shard {shard}: region exceeds payload")))
+    }
+
+    /// The one shard step, for shard number `shard` of `decoded_len` bytes:
+    /// cross-check its geometry against the scheme's own arithmetic (index
+    /// and header are RS-protected, so this is defense in depth: a forged
+    /// length never drives the codec out of contract), repair `region` —
+    /// its `data ‖ parity`, exactly as stored — in place, and hold the
+    /// repaired data, left in the first `decoded_len` bytes, to `crc`. The
+    /// stream decoder passes `None` for a v2 shard, whose CRC it meets only
+    /// in the trailer; the CRC computed here comes back either way.
+    pub(crate) fn decode_shard(
+        &self,
+        shard: usize,
+        decoded_len: usize,
+        crc: Option<u32>,
+        region: &mut [u8],
+    ) -> Result<(CorrectionReport, u32), ArcError> {
+        let expected = self.codec.encoded_len(decoded_len);
+        if region.len() != expected || expected < decoded_len {
+            return Err(ArcError::Corrupted(format!(
+                "shard {shard}: encoded length {} inconsistent with scheme (expected {expected})",
+                region.len()
+            )));
+        }
+        let correction = self.codec.decode_in_place(region, decoded_len)?;
+        // arc-lint: bounded(region.len() == expected >= decoded_len checked above)
+        let computed = crc32(&region[..decoded_len]);
+        if crc.is_some_and(|expect| expect != computed) {
+            return Err(self.crc_mismatch(Some(shard)));
+        }
+        Ok((correction, computed))
+    }
+
+    /// A failed end-to-end check — of one shard, or of the whole data — as
+    /// every decoder reports it: damage the ECC layer missed or miscorrected.
+    pub(crate) fn crc_mismatch(&self, shard: Option<usize>) -> ArcError {
+        let at = shard.map_or(String::new(), |i| format!("shard {i}: "));
+        ArcError::Ecc(EccError::Uncorrectable {
+            scheme: self.codec.config().name(),
+            detail: format!("{at}end-to-end CRC mismatch after ECC decode"),
+        })
+    }
+
+    /// The stream decoder's late check, on everything that followed the last
+    /// shard. A v2 trailer is the index: recover it through the routine
+    /// [`unpack`] uses and require it to equal the geometry and CRCs of the
+    /// shards actually streamed — what backs the plaintext already emitted.
+    /// A v1 trailer is empty; its shard met its CRC in the step.
+    pub(crate) fn accept_trailer(&mut self, trailer: &[u8]) -> Result<(), ArcError> {
+        if self.meta.sharding.is_none() {
+            return Ok(());
+        }
+        let (index, repair) = recover_index(trailer, &self.meta)?;
+        let disagrees =
+            || ArcError::Corrupted("recovered index disagrees with streamed shards".into());
+        if index.entries.len() != self.entries.len() {
+            return Err(disagrees());
+        }
+        for (i, (indexed, streamed)) in index.entries.iter().zip(&self.entries).enumerate() {
+            if (ShardEntry { crc: streamed.crc, ..*indexed }) != *streamed {
+                return Err(disagrees());
+            }
+            if indexed.crc != streamed.crc {
+                return Err(self.crc_mismatch(Some(i)));
+            }
+        }
+        self.index_repair = Some(repair);
+        Ok(())
+    }
+
+    /// The report of a finished whole-container decode — the one place an
+    /// [`ArcDecodeReport`] is built. `shards` is 0 and `index_repair`
+    /// `None` on v1, which has no index to recover.
+    pub(crate) fn report(self, correction: CorrectionReport) -> ArcDecodeReport {
+        ArcDecodeReport {
+            config: EccConfig::parse_id(&self.meta.scheme_id).ok(),
+            scheme_id: self.meta.scheme_id,
+            data_len: self.meta.data_len,
+            shards: self.index_repair.map_or(0, |_| self.entries.len()),
+            correction,
+            used_backup_header: self.used_backup_header,
+            header_symbols_corrected: self.header_symbols_corrected,
+            index_repair: self.index_repair,
+        }
+    }
 }
 
 #[cfg(test)]

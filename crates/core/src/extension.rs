@@ -39,7 +39,7 @@ use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec, RsBlock};
 
 use crate::container;
 use crate::error::ArcError;
-use crate::interface::{decode_container, ArcDecodeReport, Input};
+use crate::interface::{decode_container, ArcDecodeReport};
 use crate::stream;
 
 /// Prefix distinguishing extension scheme ids from built-in ones in the
@@ -209,8 +209,7 @@ pub fn decode_with_registry(
     threads: usize,
     registry: &ExtensionRegistry,
 ) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-    let (data, _, report) = decode_container(Input::Borrowed(bytes), threads, Some(registry))?;
-    Ok((data, report))
+    decode_container(bytes, threads, Some(registry))
 }
 
 #[cfg(test)]

@@ -11,20 +11,19 @@
 //! estimates. Dropping the context saves too, so forgetting `close` costs
 //! nothing but determinism of the save timing.
 
-use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use arc_ecc::codec::CorrectionReport;
+use arc_ecc::crc::crc32;
 use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
-use arc_ecc::{EccConfig, EccScheme, ParallelCodec};
+use arc_ecc::{EccConfig, ParallelCodec};
 
 use crate::constraints::EncodeRequest;
-use crate::container::{self, Unpacked};
+use crate::container::{self, Shards};
 use crate::error::ArcError;
-use crate::extension::{builtin_scheme, resolve_scheme, ExtensionRegistry};
+use crate::extension::{builtin_scheme, ExtensionRegistry};
 use crate::optimizer::{joint_optimizer, Selection};
-use crate::stream;
 use crate::training::{train, TrainingOptions, TrainingStats, TrainingTable};
 
 /// Pass as `max_threads` (or any `threads` argument) to let ARC use every
@@ -224,35 +223,10 @@ impl ArcContext {
         Ok(out)
     }
 
-    /// Engine-level sharded encode with an explicit configuration, thread
-    /// count, and shard size, producing a v2 container that supports random
-    /// access via [`crate::reader::ArcReader`]. `threads` follows the same
-    /// cap rules as [`ArcContext::encode_with`].
-    pub fn encode_sharded_with(
-        &self,
-        data: &[u8],
-        config: EccConfig,
-        threads: usize,
-        shard_size: usize,
-    ) -> Result<Vec<u8>, ArcError> {
-        let threads = self.capped(threads);
-        stream::encode_oneshot(data, builtin_scheme(config), threads, self.chunk_size, shard_size)
-    }
-
     /// `arc_decode()`: verify, repair if needed, and return the original
     /// byte array — or raise when the damage is uncorrectable (Fig 7b).
     pub fn decode(&self, bytes: &[u8]) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
         decode_with_threads(bytes, self.max_threads)
-    }
-
-    /// Zero-copy `arc_decode()`: repair the container's payload where it
-    /// lies inside `bytes` and return the range holding the original data.
-    /// See [`decode_in_place_with_threads`].
-    pub fn decode_in_place(
-        &self,
-        bytes: &mut [u8],
-    ) -> Result<(Range<usize>, ArcDecodeReport), ArcError> {
-        decode_in_place_with_threads(bytes, self.max_threads)
     }
 
     // A poisoned lock is recovered, not propagated: the table is a map of
@@ -287,238 +261,58 @@ impl Drop for ArcContext {
     }
 }
 
-/// A chunk-parallel codec over a resolved scheme — the only codec type the
-/// container paths run.
-pub(crate) type Codec = ParallelCodec<Arc<dyn EccScheme>>;
-
-/// The front half every whole-container reader shares: recover header and
-/// index, resolve the scheme id (against `registry` for `x:` ids), bound the
-/// declared data length, and build the codec the header describes.
-pub(crate) fn open_container<'a>(
-    bytes: &'a [u8],
-    threads: usize,
-    registry: Option<&ExtensionRegistry>,
-) -> Result<(Unpacked<'a>, Codec), ArcError> {
-    let unpacked = container::unpack(bytes)?;
-    let meta = &unpacked.meta;
-    let scheme = resolve_scheme(&meta.scheme_id, registry)?;
-    // The original data is a subset of the ECC-encoded payload; a corrupt
-    // data_len that slipped past the header codeword must not reach the
-    // codec's length arithmetic.
-    if meta.data_len > unpacked.payload.len() {
-        return Err(ArcError::Corrupted(format!(
-            "declared data length {} exceeds payload length {}",
-            meta.data_len,
-            unpacked.payload.len()
-        )));
-    }
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, meta.chunk_size)?;
-    Ok((unpacked, codec))
-}
-
-/// Container bytes as a one-shot decode entry point received them.
-pub(crate) enum Input<'a> {
-    /// Leave the container untouched; the repaired data comes back in a
-    /// fresh buffer, each payload byte copied exactly once.
-    Borrowed(&'a [u8]),
-    /// Repair the payload where it lies; the data ends up contiguous right
-    /// after the header.
-    InPlace(&'a mut [u8]),
-}
-
-/// Bring payload bytes `src` — one shard's `data ‖ parity`, or a whole v1
-/// payload — to offset `at` of the work area and hand them out for repair.
-/// With a separate `payload` they are copied in; without one the work area
-/// *is* the payload and they move left over spent parity (`at ≤ src.start`
-/// since decoded ≤ encoded bytes, cumulatively, so a move never touches a
-/// shard not yet repaired). `None` when a range falls outside its buffer.
-fn stage<'w>(
-    work: &'w mut [u8],
-    payload: Option<&[u8]>,
-    src: Range<usize>,
-    at: usize,
-) -> Option<&'w mut [u8]> {
-    let staged = at..at.checked_add(src.len())?;
-    match payload {
-        Some(payload) => work.get_mut(staged.clone())?.copy_from_slice(payload.get(src)?),
-        None if at > src.start || src.end > work.len() => return None,
-        None if at < src.start => work.copy_within(src, at),
-        // Already in place (a v1 payload, a first shard): nothing moves.
-        None => {}
-    }
-    work.get_mut(staged)
-}
-
-/// The one decode body; every one-shot entry point — borrowing, in-place,
-/// registry-aware, batched — wraps it: [`open_container`], then the shard
-/// walk (geometry cross-check, ECC repair, per-shard CRC) or the single v1
-/// payload, then the end-to-end CRC of the reassembled data, then the report.
-///
-/// Decoded data is built up from offset 0 of a work area: each shard is
-/// staged at the current end of the decoded data, repaired there, and its
-/// parity overwritten by the next. For [`Input::InPlace`] the work area is
-/// the container's own payload region and the returned range says where the
-/// data now lies (the buffer comes back empty); for [`Input::Borrowed`] it
-/// is the returned buffer.
+/// The one-shot decode body; every whole-container entry point — borrowing,
+/// registry-aware, batched, the engine's and Table 1's — wraps it. A driver
+/// over [`Shards`]: each shard is copied out of the borrowed container to the
+/// current end of the decoded data (each payload byte copied exactly once),
+/// repaired and CRC-checked there by the one shard step, and its parity
+/// overwritten by the next shard; then the end-to-end CRC, then the report.
 pub(crate) fn decode_container(
-    input: Input<'_>,
+    bytes: &[u8],
     threads: usize,
     registry: Option<&ExtensionRegistry>,
-) -> Result<(Vec<u8>, Range<usize>, ArcDecodeReport), ArcError> {
-    let bytes: &[u8] = match &input {
-        Input::Borrowed(bytes) => bytes,
-        Input::InPlace(bytes) => bytes,
-    };
-    let (unpacked, codec) = open_container(bytes, threads, registry)?;
-    let Unpacked {
-        meta,
-        payload_offset,
-        used_backup_header,
-        header_symbols_corrected,
-        index,
-        index_repair,
-        ..
-    } = unpacked;
-    let outside = |what: &str| ArcError::Corrupted(format!("{what}: region exceeds payload"));
-    let mut copy = Vec::new();
-    let (work, payload): (&mut [u8], Option<&[u8]>) = match input {
-        Input::InPlace(bytes) => {
-            (bytes.get_mut(payload_offset..).ok_or_else(|| outside("payload"))?, None)
-        }
-        Input::Borrowed(bytes) => {
-            // The most the work area ever holds: a whole v1 payload, or
-            // the decoded data plus the parity of the shard under repair
-            // at its end.
-            let room = match &index {
-                Some(index) => {
-                    let parity =
-                        |e: &container::ShardEntry| e.encoded_len.saturating_sub(e.decoded_len);
-                    meta.data_len + index.entries.iter().map(parity).max().unwrap_or(0)
-                }
-                None => meta.payload_len,
-            };
-            // arc-lint: bounded(at most payload_len, which unpack held to the bytes actually present)
-            copy = vec![0u8; room.min(meta.payload_len)];
-            let payload = bytes.get(payload_offset..).ok_or_else(|| outside("payload"))?;
-            (copy.as_mut_slice(), Some(payload))
-        }
-    };
-    let correction = match &index {
-        Some(index) => {
-            // The index has been RS-verified, but each entry's geometry is
-            // still cross-checked against the codec so a forged index can
-            // never drive out-of-contract length arithmetic.
-            let mut merged = CorrectionReport::default();
-            let mut at = 0usize;
-            for (i, e) in index.entries.iter().enumerate() {
-                check_shard_geometry(&codec, e, i)?;
-                let region = stage(work, payload, e.offset..e.offset + e.encoded_len, at)
-                    .ok_or_else(|| outside(&format!("shard {i}")))?;
-                merged.merge(&codec.decode_in_place(region, e.decoded_len)?);
-                let decoded =
-                    region.get(..e.decoded_len).ok_or_else(|| outside(&format!("shard {i}")))?;
-                verify_shard_crc(&codec, decoded, e.crc, i)?;
-                at += e.decoded_len;
-            }
-            merged
-        }
-        None => {
-            let region =
-                stage(work, payload, 0..meta.payload_len, 0).ok_or_else(|| outside("payload"))?;
-            codec.decode_in_place(region, meta.data_len)?
-        }
-    };
-    let data = work.get(..meta.data_len).ok_or_else(|| outside("decoded data"))?;
-    if container::data_crc(data) != meta.data_crc {
-        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: codec.config().name(),
-            detail: "end-to-end CRC mismatch after ECC decode".into(),
-        }));
+) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
+    let (shards, payload) = Shards::open(bytes, threads, registry)?;
+    // The most the work area ever holds: the decoded data plus the parity of
+    // the shard under repair at its end.
+    let parity = |e: &container::ShardEntry| e.encoded_len.saturating_sub(e.decoded_len);
+    let room = shards.meta.data_len + shards.entries.iter().map(parity).max().unwrap_or(0);
+    // arc-lint: bounded(at most payload_len, which unpack held to the bytes actually present)
+    let mut work = vec![0u8; room.min(shards.meta.payload_len)];
+    let mut correction = CorrectionReport::default();
+    let mut at = 0usize;
+    for (i, e) in shards.entries.iter().enumerate() {
+        let stored = Shards::stored(payload, i, e)?;
+        let region = work.get_mut(at..at + stored.len()).ok_or_else(|| {
+            ArcError::Corrupted(format!("shard {i}: decoded lengths exceed the data length"))
+        })?;
+        region.copy_from_slice(stored);
+        correction.merge(&shards.decode_shard(i, e.decoded_len, Some(e.crc), region)?.0);
+        at += e.decoded_len;
     }
-    copy.truncate(meta.data_len);
-    if index.is_some() {
-        // Hand back the data alone, without the last shard's parity room.
-        // A v1 buffer keeps its slack: that decode is held to one
-        // payload-sized allocation and nothing else (tests/alloc_count.rs).
-        copy.shrink_to_fit();
+    work.truncate(shards.meta.data_len);
+    if let Some(expect) = shards.end_to_end_crc() {
+        if crc32(&work) != expect {
+            return Err(shards.crc_mismatch(None));
+        }
+        // Hand back the data alone, without the last shard's parity room. A
+        // payload whose one shard CRC was the end-to-end check (v1) keeps its
+        // slack: that decode is held to one payload-sized allocation and
+        // nothing else (tests/alloc_count.rs).
+        work.shrink_to_fit();
     }
-    let report = ArcDecodeReport {
-        config: EccConfig::parse_id(&meta.scheme_id).ok(),
-        scheme_id: meta.scheme_id,
-        data_len: meta.data_len,
-        shards: index.as_ref().map_or(0, container::ShardIndex::shard_count),
-        correction,
-        used_backup_header,
-        header_symbols_corrected,
-        index_repair: index.map(|_| index_repair),
-    };
-    Ok((copy, payload_offset..payload_offset + meta.data_len, report))
-}
-
-/// A shard entry whose encoded length disagrees with the scheme's own
-/// arithmetic is corrupt (the index is CRC+RS protected, so this is
-/// defense in depth, not a hot path).
-pub(crate) fn check_shard_geometry(
-    codec: &Codec,
-    e: &container::ShardEntry,
-    shard: usize,
-) -> Result<(), ArcError> {
-    if e.encoded_len != codec.encoded_len(e.decoded_len) {
-        return Err(ArcError::Corrupted(format!(
-            "shard {shard}: encoded length {} inconsistent with scheme (expected {})",
-            e.encoded_len,
-            codec.encoded_len(e.decoded_len)
-        )));
-    }
-    Ok(())
-}
-
-/// Per-shard end-to-end check, the sharded analogue of the whole-data CRC.
-pub(crate) fn verify_shard_crc(
-    codec: &Codec,
-    decoded: &[u8],
-    expect: u32,
-    shard: usize,
-) -> Result<(), ArcError> {
-    if container::data_crc(decoded) != expect {
-        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: codec.config().name(),
-            detail: format!("shard {shard}: end-to-end CRC mismatch after ECC decode"),
-        }));
-    }
-    Ok(())
+    Ok((work, shards.report(correction)))
 }
 
 /// Standalone decode (the container is self-describing, so decoding needs
 /// no trained context — only a thread budget; [`ANY_THREADS`] uses every
 /// core). Extension-tagged containers need
 /// [`crate::extension::decode_with_registry`].
-///
-/// Copies each payload byte out of the borrowed container exactly once; use
-/// [`decode_in_place_with_threads`] to skip even that copy when the
-/// container buffer is owned and expendable.
 pub fn decode_with_threads(
     bytes: &[u8],
     threads: usize,
 ) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-    let (data, _, report) = decode_container(Input::Borrowed(bytes), threads, None)?;
-    Ok((data, report))
-}
-
-/// Zero-copy standalone decode: verify and repair the container's payload
-/// where it lies inside `bytes`, returning the range of `bytes` that holds
-/// the repaired original data alongside the usual report.
-///
-/// On a v1 container nothing is copied or moved — the data bytes are
-/// exactly where the encoder scatter-wrote them; v2 shards are compacted
-/// left over their predecessors' parity so the data ends up contiguous. On
-/// error the payload region's contents are unspecified.
-pub fn decode_in_place_with_threads(
-    bytes: &mut [u8],
-    threads: usize,
-) -> Result<(Range<usize>, ArcDecodeReport), ArcError> {
-    let (_, range, report) = decode_container(Input::InPlace(bytes), threads, None)?;
-    Ok((range, report))
+    decode_container(bytes, threads, None)
 }
 
 #[cfg(test)]
@@ -625,28 +419,6 @@ mod tests {
             Err(ArcError::Ecc(_)) | Err(ArcError::Corrupted(_)) => {}
             other => panic!("expected raised error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn decode_in_place_returns_data_range() {
-        let ctx = ArcContext::init(test_options("inplace")).unwrap();
-        let data = payload(30_000);
-        let (mut encoded, _) = ctx.encode(&data, &EncodeRequest::default()).unwrap();
-        let (range, report) = ctx.decode_in_place(&mut encoded).unwrap();
-        assert!(report.correction.is_clean());
-        assert_eq!(&encoded[range], &data[..]);
-    }
-
-    #[test]
-    fn decode_in_place_repairs_damage() {
-        let ctx = ArcContext::init(test_options("inplace-repair")).unwrap();
-        let data = payload(30_000);
-        let mut encoded = ctx.encode_with(&data, EccConfig::secded(true), 2).unwrap();
-        let mid = encoded.len() / 2;
-        encoded[mid] ^= 0x10;
-        let (range, report) = decode_in_place_with_threads(&mut encoded, 2).unwrap();
-        assert!(!report.correction.is_clean());
-        assert_eq!(&encoded[range], &data[..]);
     }
 
     #[test]

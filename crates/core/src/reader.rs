@@ -11,19 +11,17 @@
 //! tile-server access pattern — many small reads with locality — pays the
 //! ECC cost once per shard, not once per read.
 //!
-//! Monolithic v1 containers open too: they are presented as a single
-//! synthetic shard covering the whole payload, so `decode_range` stays
-//! correct (the first read performs the one full decode, later reads hit
-//! the cache).
+//! Monolithic v1 containers open too: their payload is the one-shard case
+//! of the same walk (`container::Shards`), so the first read performs the
+//! one full decode and later reads hit the cache.
 
 use std::collections::HashMap;
 
 use arc_ecc::codec::CorrectionReport;
 
-use crate::container::{ContainerMeta, IndexRepair, ShardEntry};
+use crate::container::{ContainerMeta, IndexRepair, ShardEntry, Shards};
 use crate::error::ArcError;
 use crate::extension::ExtensionRegistry;
-use crate::interface::{check_shard_geometry, open_container, verify_shard_crc, Codec};
 
 /// Default shard-cache capacity (64 MiB of decoded shards).
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 << 20;
@@ -153,24 +151,20 @@ impl ShardCache {
 /// because reads mutate the cache — clone the underlying bytes into
 /// multiple readers for concurrent access.
 pub struct ArcReader<'a> {
-    bytes: &'a [u8],
-    meta: ContainerMeta,
-    entries: Vec<ShardEntry>,
+    /// The container's payload region, which shard offsets count from.
+    payload: &'a [u8],
+    shards: Shards,
+    /// Decoded offset at which each shard starts.
     starts: Vec<usize>,
-    payload_offset: usize,
-    codec: Codec,
     cache: ShardCache,
-    index_repair: IndexRepair,
-    sharded: bool,
 }
 
 impl std::fmt::Debug for ArcReader<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArcReader")
-            .field("scheme_id", &self.meta.scheme_id)
-            .field("data_len", &self.meta.data_len)
-            .field("shards", &self.entries.len())
-            .field("sharded", &self.sharded)
+            .field("scheme_id", &self.shards.meta.scheme_id)
+            .field("data_len", &self.shards.meta.data_len)
+            .field("shards", &self.shards.entries.len())
             .finish()
     }
 }
@@ -213,68 +207,34 @@ impl<'a> ArcReader<'a> {
         capacity: usize,
         registry: Option<&ExtensionRegistry>,
     ) -> Result<ArcReader<'a>, ArcError> {
-        let (unpacked, codec) = open_container(bytes, threads, registry)?;
-        let meta = unpacked.meta;
-        let (entries, sharded) = match unpacked.index {
-            Some(index) => (index.entries, true),
-            None => {
-                // v1 fallback: one synthetic shard spanning the payload,
-                // end-to-end-checked by the container's whole-data CRC.
-                let entries = if meta.data_len == 0 && meta.payload_len == 0 {
-                    Vec::new()
-                } else {
-                    vec![ShardEntry {
-                        offset: 0,
-                        encoded_len: meta.payload_len,
-                        decoded_len: meta.data_len,
-                        crc: meta.data_crc,
-                    }]
-                };
-                (entries, false)
-            }
-        };
-        let mut starts = Vec::with_capacity(entries.len());
+        let (shards, payload) = Shards::open(bytes, threads, registry)?;
+        let mut starts = Vec::with_capacity(shards.entries.len());
         let mut pos = 0usize;
-        for e in &entries {
+        for e in &shards.entries {
             starts.push(pos);
             pos += e.decoded_len;
         }
-        Ok(ArcReader {
-            bytes,
-            index_repair: unpacked.index_repair,
-            payload_offset: unpacked.payload_offset,
-            meta,
-            entries,
-            starts,
-            codec,
-            cache: ShardCache::new(capacity),
-            sharded,
-        })
+        Ok(ArcReader { payload, shards, starts, cache: ShardCache::new(capacity) })
     }
 
     /// The container's parsed header.
     pub fn meta(&self) -> &ContainerMeta {
-        &self.meta
+        &self.shards.meta
     }
 
     /// Original data length in bytes.
     pub fn data_len(&self) -> usize {
-        self.meta.data_len
+        self.shards.meta.data_len
     }
 
     /// Number of independently decodable shards (1 for v1 containers).
     pub fn shard_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True for v2 sharded containers, false for the v1 fallback.
-    pub fn is_sharded(&self) -> bool {
-        self.sharded
+        self.shards.entries.len()
     }
 
     /// How the shard index was recovered at open (all-zero for v1).
     pub fn index_repair(&self) -> IndexRepair {
-        self.index_repair
+        self.shards.index_repair.unwrap_or_default()
     }
 
     /// Cache counters so far.
@@ -295,10 +255,10 @@ impl<'a> ArcReader<'a> {
         let end = offset
             .checked_add(len)
             .ok_or_else(|| ArcError::InvalidRequest("range end overflows".into()))?;
-        if end > self.meta.data_len {
+        if end > self.data_len() {
             return Err(ArcError::InvalidRequest(format!(
                 "range {offset}..{end} exceeds data length {}",
-                self.meta.data_len
+                self.data_len()
             )));
         }
         // arc-lint: bounded(len is the caller's request, validated against the container extent above)
@@ -309,8 +269,8 @@ impl<'a> ArcReader<'a> {
         }
         // First covering shard: the last one starting at or before offset.
         let mut i = self.starts.partition_point(|s| *s <= offset).saturating_sub(1);
-        while i < self.entries.len() && out.len() < len {
-            let e = self.entries[i];
+        while i < self.shards.entries.len() && out.len() < len {
+            let e = self.shards.entries[i];
             let start = self.starts[i];
             // Overlap of [offset, end) with this shard, in shard-local bytes.
             let lo = offset.max(start) - start;
@@ -330,24 +290,16 @@ impl<'a> ArcReader<'a> {
         Ok((out, report))
     }
 
-    /// Decode one shard out of the borrowed container into a fresh buffer,
-    /// repairing and CRC-verifying it.
+    /// Copy shard `i` out of the borrowed container into a fresh buffer and
+    /// run the one shard step on it: geometry, repair, CRC.
     fn decode_shard(
         &self,
         i: usize,
         e: &ShardEntry,
     ) -> Result<(Vec<u8>, CorrectionReport), ArcError> {
-        if self.sharded {
-            check_shard_geometry(&self.codec, e, i)?;
-        }
-        let payload = &self.bytes[self.payload_offset..self.payload_offset + self.meta.payload_len];
-        let region = payload
-            .get(e.offset..e.offset + e.encoded_len)
-            .ok_or_else(|| ArcError::Corrupted(format!("shard {i}: region exceeds payload")))?;
-        let mut buf = region.to_vec();
-        let correction = self.codec.decode_in_place(&mut buf, e.decoded_len)?;
+        let mut buf = Shards::stored(self.payload, i, e)?.to_vec();
+        let (correction, _) = self.shards.decode_shard(i, e.decoded_len, Some(e.crc), &mut buf)?;
         buf.truncate(e.decoded_len);
-        verify_shard_crc(&self.codec, &buf, e.crc, i)?;
         Ok((buf, correction))
     }
 }
@@ -355,6 +307,7 @@ impl<'a> ArcReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::unpack;
     use crate::engine::{arc_engine_encode, arc_engine_encode_sharded};
     use arc_ecc::EccConfig;
 
@@ -371,7 +324,6 @@ mod tests {
         let data = sample(100_000);
         let enc = v2(&data, 16 << 10);
         let mut reader = ArcReader::open(&enc, 1).unwrap();
-        assert!(reader.is_sharded());
         for (off, len) in
             [(0usize, 100usize), (16 << 10, 1), (50_000, 33_000), (99_999, 1), (0, 100_000)]
         {
@@ -425,7 +377,6 @@ mod tests {
         let data = sample(30_000);
         let enc = arc_engine_encode(&data, EccConfig::secded(true), 1).unwrap();
         let mut reader = ArcReader::open(&enc, 1).unwrap();
-        assert!(!reader.is_sharded());
         assert_eq!(reader.shard_count(), 1);
         let (out, report) = reader.decode_range(10_000, 5_000).unwrap();
         assert_eq!(out, &data[10_000..15_000]);
@@ -459,7 +410,6 @@ mod tests {
         // point rather than decoding garbage.
         assert!(matches!(ArcReader::open(&enc, 1), Err(ArcError::InvalidRequest(_))));
         let mut reader = ArcReader::open_with_registry(&enc, 1, &r).unwrap();
-        assert!(reader.is_sharded());
         for (off, len) in [(0usize, 100usize), (50_000, 33_000), (99_999, 1)] {
             let (out, _) = reader.decode_range(off, len).unwrap();
             assert_eq!(out, &data[off..off + len], "{off}+{len}");
@@ -470,11 +420,9 @@ mod tests {
     fn corrupted_shard_is_repaired_and_reported() {
         let data = sample(64 << 10);
         let mut enc = v2(&data, 8 << 10);
-        let reader = ArcReader::open(&enc, 1).unwrap();
         // Flip one bit inside shard 3's encoded region.
-        let e = reader.entries[3];
-        let off = reader.payload_offset + e.offset + 100;
-        drop(reader);
+        let u = unpack(&enc).unwrap();
+        let off = u.payload_offset + u.index.unwrap().entries[3].offset + 100;
         enc[off] ^= 0x04;
         let mut reader = ArcReader::open(&enc, 1).unwrap();
         let (out, report) = reader.decode_range(3 * (8 << 10) + 50, 200).unwrap();
@@ -486,10 +434,8 @@ mod tests {
     fn uncorrectable_shard_raises_without_poisoning_others() {
         let data = sample(64 << 10);
         let mut enc = v2(&data, 8 << 10);
-        let reader = ArcReader::open(&enc, 1).unwrap();
-        let e = reader.entries[2];
-        let start = reader.payload_offset + e.offset;
-        drop(reader);
+        let u = unpack(&enc).unwrap();
+        let start = u.payload_offset + u.index.unwrap().entries[2].offset;
         // Trash half of shard 2 — way beyond SEC-DED's power.
         for b in &mut enc[start + 1_000..start + 4_000] {
             *b = 0x77;

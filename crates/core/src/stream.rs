@@ -13,14 +13,16 @@
 //!   one-shot sharded encoders are one push through this encoder into an
 //!   exactly-sized `Vec` (`encode_oneshot`), so no second writer exists to
 //!   keep in step.
-//! * [`StreamDecoder`] — a push-based state machine over the same wire
-//!   format: length-prefix vote → RS-protected header (both through
-//!   `container::recover_header`, shared with `unpack`) → per-shard decode
-//!   (emitting plaintext as each shard completes, without waiting for the
-//!   trailing index) → index recovery, which is cross-checked against the
-//!   geometry actually decoded. Total over hostile bytes: every failure is
-//!   an [`ArcError`], never a panic, and buffering is proportional to the
-//!   bytes actually pushed, never to a length a corrupt header claims.
+//! * [`StreamDecoder`] — the push-fed driver of the container's one shard
+//!   walk (`container::Shards`): length-prefix vote → RS-protected header
+//!   (both through `container::recover_header`, shared with `unpack`) → the
+//!   shard step per shard (emitting plaintext as each shard completes,
+//!   without waiting for the trailing index) → index recovery, which is
+//!   cross-checked against the geometry and CRCs actually streamed. Total
+//!   over hostile bytes: every failure is an [`ArcError`] — the one-shot
+//!   decoders' error for the same damage — never a panic, and buffering is
+//!   proportional to the bytes actually pushed, never to a length a corrupt
+//!   header claims.
 //! * [`encode_batch`] / [`decode_batch`] — coalesce many small independent
 //!   requests into one [`par_map`] pass so requests below the per-scheme
 //!   bytes-per-thread floor still fill all workers in aggregate.
@@ -30,12 +32,11 @@ use arc_ecc::parallel::{par_map, resolve_threads, DEFAULT_CHUNK_SIZE};
 use arc_ecc::{CorrectionReport, EccConfig, ParallelCodec};
 
 use crate::container::{
-    self, ContainerMeta, HeaderScan, IndexRepair, ShardEntry, ShardingMeta, Unpacked,
-    DEFAULT_SHARD_SIZE,
+    self, Codec, ContainerMeta, HeaderScan, ShardEntry, ShardingMeta, Shards, DEFAULT_SHARD_SIZE,
 };
 use crate::error::ArcError;
-use crate::extension::{builtin_scheme, resolve_scheme, ExtensionRegistry, Resolved};
-use crate::interface::{decode_with_threads, ArcDecodeReport, Codec};
+use crate::extension::{builtin_scheme, ExtensionRegistry, Resolved};
+use crate::interface::{decode_with_threads, ArcDecodeReport};
 
 /// Positional byte sink for streaming encode output.
 ///
@@ -348,19 +349,60 @@ pub(crate) fn encode_oneshot(
     Ok(enc.finish()?.0)
 }
 
+/// Where a [`StreamDecoder`] stands.
 enum Phase {
     /// Buffering the length prefix and header codewords until
-    /// [`container::recover_header`] has the `header_need` bytes its next
-    /// length candidate asks for.
-    Header,
-    /// Buffering the current shard's encoded region.
-    Shards,
-    /// Buffering the three index copies.
-    Trailer,
-    /// Buffering a monolithic v1 payload.
-    MonoBody,
-    /// Container complete; any further byte is an error.
-    Done,
+    /// [`container::recover_header`] has the `need` bytes its next length
+    /// candidate asks for.
+    Header { need: usize },
+    /// Header accepted: its shards one at a time, then the trailer.
+    Body(Box<Body>),
+}
+
+/// What the decoder holds once it has a header.
+struct Body {
+    shards: Shards,
+    /// Plaintext bytes emitted so far.
+    decoded: usize,
+    /// Running CRC-32 of the emitted plaintext.
+    whole: Crc32,
+    correction: CorrectionReport,
+    /// Trailer accepted: the container is complete, any further byte an error.
+    done: bool,
+}
+
+impl Body {
+    /// Bytes to buffer before the next step — the shard now due, else the
+    /// trailer — or `None` once the container is complete.
+    fn need(&self) -> Option<usize> {
+        let due = self.shards.next_lens(self.decoded).map(|(_, encoded)| encoded);
+        (!self.done).then(|| due.unwrap_or(self.shards.trailer_len()))
+    }
+
+    /// `buf` holds exactly what [`Body::need`] asked for: decode the shard
+    /// it is through the one shard step and emit its plaintext, or accept
+    /// the trailer.
+    fn step(&mut self, buf: &mut [u8], out: &mut Vec<u8>) -> Result<(), ArcError> {
+        let Some((decoded_len, encoded_len)) = self.shards.next_lens(self.decoded) else {
+            self.shards.accept_trailer(buf)?;
+            self.done = true;
+            return Ok(());
+        };
+        let i = self.shards.entries.len();
+        let (correction, crc) =
+            self.shards.decode_shard(i, decoded_len, self.shards.header_shard_crc(), buf)?;
+        self.correction.merge(&correction);
+        // arc-lint: bounded(decode_shard held buf to encoded_len(decoded_len) >= decoded_len)
+        let shard = &buf[..decoded_len];
+        if self.shards.end_to_end_crc().is_some() {
+            self.whole.update(shard);
+        }
+        out.extend_from_slice(shard);
+        let offset = self.shards.entries.last().map_or(0, |e| e.offset + e.encoded_len);
+        self.shards.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc });
+        self.decoded += decoded_len;
+        Ok(())
+    }
 }
 
 /// Push-based decoder for v1/v2 containers.
@@ -370,8 +412,9 @@ enum Phase {
 /// the trailing index is verified *after* emission, so a caller that needs
 /// end-to-end certainty must wait for [`StreamDecoder::finish`], which
 /// cross-checks the recovered index against the streamed geometry and the
-/// header's whole-data CRC. Monolithic v1 containers are supported with
-/// O(payload) buffering (their format permits nothing better).
+/// header's whole-data CRC. A monolithic v1 container is one shard, so it
+/// buffers O(payload) (its format permits nothing better) and emits only
+/// what has passed its CRC.
 ///
 /// ```
 /// use arc_core::stream::StreamDecoder;
@@ -398,17 +441,6 @@ pub struct StreamDecoder {
     registry: Option<ExtensionRegistry>,
     phase: Phase,
     buf: Vec<u8>,
-    header_need: usize,
-    meta: Option<ContainerMeta>,
-    codec: Option<Codec>,
-    used_backup_header: bool,
-    header_symbols_corrected: usize,
-    computed: Vec<ShardEntry>,
-    decoded_so_far: usize,
-    payload_pos: usize,
-    out_crc: Crc32,
-    correction: CorrectionReport,
-    index_repair: Option<IndexRepair>,
     failed: bool,
 }
 
@@ -430,19 +462,8 @@ impl StreamDecoder {
         StreamDecoder {
             threads,
             registry: None,
-            phase: Phase::Header,
+            phase: Phase::Header { need: 6 },
             buf: Vec::new(),
-            header_need: 6,
-            meta: None,
-            codec: None,
-            used_backup_header: false,
-            header_symbols_corrected: 0,
-            computed: Vec::new(),
-            decoded_so_far: 0,
-            payload_pos: 0,
-            out_crc: Crc32::new(),
-            correction: CorrectionReport::default(),
-            index_repair: None,
             failed: false,
         }
     }
@@ -462,239 +483,69 @@ impl StreamDecoder {
         if self.failed {
             return Err(ArcError::Corrupted("stream decoder previously failed".into()));
         }
-        match self.consume(bytes, out) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.failed = true;
-                Err(e)
-            }
-        }
+        let pushed = self.consume(bytes, out);
+        self.failed = pushed.is_err();
+        pushed
     }
 
     /// Declare the stream complete and return the report — field for field
-    /// what the one-shot decoders return for the same bytes.
+    /// what the one-shot decoders return for the same bytes, and on damage
+    /// the same error.
     pub fn finish(self) -> Result<ArcDecodeReport, ArcError> {
         if self.failed {
             return Err(ArcError::Corrupted("stream decoder previously failed".into()));
         }
-        if !matches!(self.phase, Phase::Done) {
-            return Err(ArcError::Corrupted("container truncated: stream ended early".into()));
+        let Body { shards, whole, correction, .. } = match self.phase {
+            Phase::Body(body) if body.done => *body,
+            _ => return Err(ArcError::Corrupted("container truncated: stream ended early".into())),
+        };
+        if shards.end_to_end_crc().is_some_and(|expect| expect != whole.finalize()) {
+            return Err(shards.crc_mismatch(None));
         }
-        let meta = self
-            .meta
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its header".into()))?;
-        if meta.sharding.is_some() && self.out_crc.finalize() != meta.data_crc {
-            return Err(ArcError::Corrupted("data CRC mismatch after repair".into()));
-        }
-        Ok(ArcDecodeReport {
-            config: EccConfig::parse_id(&meta.scheme_id).ok(),
-            scheme_id: meta.scheme_id,
-            data_len: meta.data_len,
-            shards: self.computed.len(),
-            correction: self.correction,
-            used_backup_header: self.used_backup_header,
-            header_symbols_corrected: self.header_symbols_corrected,
-            index_repair: self.index_repair,
-        })
+        Ok(shards.report(correction))
     }
 
     fn consume(&mut self, mut bytes: &[u8], out: &mut Vec<u8>) -> Result<(), ArcError> {
-        while !bytes.is_empty() {
-            let need = match self.phase {
-                Phase::Header => self.header_need,
-                Phase::Shards => self.cur_shard_geometry()?.1,
-                Phase::Trailer => {
-                    let sh = self.sharding()?;
-                    3 * sh.index_len
-                }
-                Phase::MonoBody => self.meta_ref()?.payload_len,
-                Phase::Done => {
-                    return Err(ArcError::Corrupted("bytes after container end".into()));
-                }
+        loop {
+            let need = match &self.phase {
+                Phase::Header { need } => *need,
+                Phase::Body(body) => match body.need() {
+                    Some(need) => need,
+                    None if bytes.is_empty() => return Ok(()),
+                    None => return Err(ArcError::Corrupted("bytes after container end".into())),
+                },
             };
-            let take = need.saturating_sub(self.buf.len()).min(bytes.len());
-            self.buf.extend_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
+            let (head, rest) = bytes.split_at(need.saturating_sub(self.buf.len()).min(bytes.len()));
+            self.buf.extend_from_slice(head);
+            bytes = rest;
             if self.buf.len() < need {
-                continue;
+                return Ok(());
             }
-            match self.phase {
-                Phase::Header => self.scan_header(out)?,
-                Phase::Shards => {
-                    let (dlen, elen) = self.cur_shard_geometry()?;
-                    self.complete_shard(dlen, elen, out)?;
-                }
-                Phase::Trailer => self.complete_trailer()?,
-                Phase::MonoBody => self.complete_mono(out)?,
-                Phase::Done => {
-                    return Err(ArcError::Corrupted("bytes after container end".into()));
-                }
+            match &mut self.phase {
+                // The buffer holds what the last scan asked for: a header copy
+                // decodes, or the scan names the (strictly larger) byte count
+                // its next candidate needs, or it fails.
+                Phase::Header { need } => match container::recover_header(&self.buf)? {
+                    HeaderScan::NeedBytes(more) => {
+                        *need = more;
+                        continue;
+                    }
+                    HeaderScan::Found(found) => {
+                        let shards =
+                            Shards::from_header(found, self.threads, self.registry.as_ref())?;
+                        self.phase = Phase::Body(Box::new(Body {
+                            shards,
+                            decoded: 0,
+                            whole: Crc32::new(),
+                            correction: CorrectionReport::default(),
+                            done: false,
+                        }));
+                    }
+                },
+                Phase::Body(body) => body.step(&mut self.buf, out)?,
             }
+            self.buf.clear();
         }
-        Ok(())
-    }
-
-    fn meta_ref(&self) -> Result<&ContainerMeta, ArcError> {
-        self.meta
-            .as_ref()
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its header".into()))
-    }
-
-    fn sharding(&self) -> Result<ShardingMeta, ArcError> {
-        self.meta_ref()?
-            .sharding
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its shard geometry".into()))
-    }
-
-    fn codec_ref(&self) -> Result<&Codec, ArcError> {
-        self.codec
-            .as_ref()
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its codec".into()))
-    }
-
-    /// Decoded/encoded length of the shard currently being buffered.
-    fn cur_shard_geometry(&self) -> Result<(usize, usize), ArcError> {
-        let meta = self.meta_ref()?;
-        let sh = self.sharding()?;
-        let remaining = meta.data_len.saturating_sub(self.decoded_so_far);
-        let dlen = remaining.min(sh.shard_size);
-        if dlen == 0 {
-            return Err(ArcError::Corrupted("shard phase with no data remaining".into()));
-        }
-        Ok((dlen, self.codec_ref()?.encoded_len(dlen)))
-    }
-
-    /// The buffer holds what the last scan asked for: run the shared header
-    /// recovery over it. A header copy decodes, or the scan names the
-    /// (strictly larger) byte count its next candidate needs, or it fails.
-    fn scan_header(&mut self, out: &mut Vec<u8>) -> Result<(), ArcError> {
-        match container::recover_header(&self.buf)? {
-            HeaderScan::NeedBytes(need) => {
-                self.header_need = need;
-                Ok(())
-            }
-            HeaderScan::Found(Unpacked {
-                meta,
-                used_backup_header,
-                header_symbols_corrected,
-                ..
-            }) => {
-                self.used_backup_header = used_backup_header;
-                self.header_symbols_corrected = header_symbols_corrected;
-                self.accept_header(meta, out)
-            }
-        }
-    }
-
-    /// Validate the decoded header's geometry before buffering anything it
-    /// promises: the payload and index lengths must be the pure functions
-    /// of (`data_len`, `shard_size`, `chunk_size`) the encoder computes,
-    /// so a corrupt-but-decodable header cannot demand unbounded memory.
-    fn accept_header(&mut self, meta: ContainerMeta, out: &mut Vec<u8>) -> Result<(), ArcError> {
-        let scheme = resolve_scheme(&meta.scheme_id, self.registry.as_ref())?;
-        let codec = ParallelCodec::with_chunk_size(scheme, self.threads, meta.chunk_size)?;
-        match meta.sharding {
-            Some(sh) => {
-                if codec.sharded_encoded_len(meta.data_len, sh.shard_size) != meta.payload_len {
-                    return Err(ArcError::Corrupted(
-                        "payload length disagrees with shard geometry".into(),
-                    ));
-                }
-                let shards = meta.data_len.div_ceil(sh.shard_size);
-                if container::index_encoded_len(shards)? != sh.index_len {
-                    return Err(ArcError::Corrupted(
-                        "index length disagrees with shard count".into(),
-                    ));
-                }
-                self.phase = if shards == 0 { Phase::Trailer } else { Phase::Shards };
-            }
-            None => {
-                if codec.encoded_len(meta.data_len) != meta.payload_len {
-                    return Err(ArcError::Corrupted(
-                        "payload length disagrees with data length".into(),
-                    ));
-                }
-                self.phase = Phase::MonoBody;
-            }
-        }
-        let mono_empty = meta.sharding.is_none() && meta.payload_len == 0;
-        self.meta = Some(meta);
-        self.codec = Some(codec);
-        self.buf.clear();
-        if mono_empty {
-            // Zero-length v1 body: nothing further will arrive for it.
-            self.complete_mono(out)?;
-        }
-        Ok(())
-    }
-
-    fn complete_shard(
-        &mut self,
-        dlen: usize,
-        elen: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), ArcError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its codec".into()))?;
-        let report = codec.decode_in_place(&mut self.buf, dlen)?;
-        self.correction.merge(&report);
-        let shard = &self.buf[..dlen];
-        let crc = crc32(shard);
-        self.out_crc.update(shard);
-        out.extend_from_slice(shard);
-        self.computed.push(ShardEntry {
-            offset: self.payload_pos,
-            encoded_len: elen,
-            decoded_len: dlen,
-            crc,
-        });
-        self.payload_pos = self
-            .payload_pos
-            .checked_add(elen)
-            .ok_or_else(|| ArcError::Corrupted("payload offsets overflow".into()))?;
-        self.decoded_so_far += dlen;
-        self.buf.clear();
-        if self.decoded_so_far == self.meta_ref()?.data_len {
-            self.phase = Phase::Trailer;
-        }
-        Ok(())
-    }
-
-    /// All three index copies are buffered: recover the index through the
-    /// routine `unpack` uses, then require it to equal the geometry and
-    /// CRCs of the shards actually streamed — the late end-to-end check
-    /// that backs the early plaintext emission.
-    fn complete_trailer(&mut self) -> Result<(), ArcError> {
-        let (index, repair) = container::recover_index(&self.buf, self.meta_ref()?)?;
-        if index.entries != self.computed {
-            return Err(ArcError::Corrupted(
-                "recovered index disagrees with streamed shards".into(),
-            ));
-        }
-        self.index_repair = Some(repair);
-        self.buf.clear();
-        self.phase = Phase::Done;
-        Ok(())
-    }
-
-    fn complete_mono(&mut self, out: &mut Vec<u8>) -> Result<(), ArcError> {
-        let data_len = self.meta_ref()?.data_len;
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its codec".into()))?;
-        let report = codec.decode_in_place(&mut self.buf, data_len)?;
-        self.correction.merge(&report);
-        let data = &self.buf[..data_len];
-        if crc32(data) != self.meta_ref()?.data_crc {
-            return Err(ArcError::Corrupted("data CRC mismatch after repair".into()));
-        }
-        out.extend_from_slice(data);
-        self.buf.clear();
-        self.phase = Phase::Done;
-        Ok(())
     }
 }
 

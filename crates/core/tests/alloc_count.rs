@@ -1,6 +1,6 @@
 //! Engine-level allocation accounting: the container encode path allocates
 //! one full-size buffer plus a small constant (header scratch), and the
-//! in-place decode path never makes a full-buffer copy on clean data.
+//! borrowing decode one payload-sized copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use arc_core::container::unpack;
 use arc_core::engine::{arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded};
-use arc_core::interface::decode_in_place_with_threads;
 use arc_ecc::EccConfig;
 
 struct CountingAlloc;
@@ -108,17 +107,6 @@ fn engine_container_path_allocation_bounds() {
     // Header serialization + duplicated RS header coding costs a constant
     // number of small allocations; the chunk loop itself contributes none.
     assert!(allocs < 128, "encode made {allocs} allocations — expected a small constant");
-
-    // Clean in-place decode: no full-buffer copy, only header-scale scratch.
-    let mut owned = encoded.clone();
-    let ((range, report), _, bytes) =
-        counted(|| decode_in_place_with_threads(&mut owned, 1).unwrap());
-    assert!(report.correction.is_clean());
-    assert!(
-        bytes < 8192,
-        "clean in-place decode allocated {bytes} bytes — should be header scratch only"
-    );
-    assert_eq!(&owned[range], &data[..]);
 
     // The borrowing decode pays one payload-sized copy and nothing else
     // buffer-scale.

@@ -6,11 +6,11 @@
 //! included, the same `ArcDecodeReport` field for field — or refuses with the
 //! same typed `InvalidRequest` (naming the registry entry points where the
 //! surface takes none). Clean input, one correctable flip per shard, a wiped
-//! primary header copy and a wiped first index copy, v1 and v2. Below it:
-//! the two small defects the shared body removed.
+//! primary header copy and a wiped first index copy, v1 and v2. Then the
+//! failures: the same damaged container is the same `ArcError` from every
+//! surface. Below them: the two small defects the shared body removed.
 
 use arc_core::container::{header_len, unpack, write_header};
-use arc_core::interface::decode_in_place_with_threads;
 use arc_core::{
     arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, decode_batch,
     decode_with_registry, encode_sharded_with_scheme, encode_with_scheme, standard_extensions,
@@ -44,14 +44,9 @@ fn stream_outcome(mut dec: StreamDecoder, bytes: &[u8]) -> Outcome {
 
 /// (name, takes a registry, the call). Surfaces that take no registry
 /// ignore the one they are offered — that is the point of the third case.
-const SURFACES: [(&str, bool, Surface); 8] = [
+const SURFACES: [(&str, bool, Surface); 7] = [
     // `arc_engine_decode` is the engine's name for `decode_with_threads`.
     ("arc_engine_decode", false, |b, _| arc_engine_decode(b, 1).map(whole)),
-    ("decode_in_place_with_threads", false, |b, _| {
-        let mut owned = b.to_vec();
-        let (range, report) = decode_in_place_with_threads(&mut owned, 1)?;
-        Ok(whole((owned[range].to_vec(), report)))
-    }),
     ("decode_with_registry", true, |b, r| {
         decode_with_registry(b, 1, r.expect("surface takes a registry")).map(whole)
     }),
@@ -180,6 +175,78 @@ fn every_surface_agrees_on_bytes_corrections_and_refusals() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Two flips in one 8-byte block of the first shard: Hamming(71,64) "repairs"
+/// a third bit, and only the shard's end-to-end CRC can notice.
+fn flip_two_bits_of_one_block(container: &mut [u8]) {
+    let at = unpack(container).unwrap().payload_offset + 64;
+    container[at] ^= 0x01;
+    container[at + 1] ^= 0x01;
+}
+
+/// Overwrite the data bytes of the third shard (or, on v1, as many bytes
+/// of the one payload from the same decoded offset).
+fn wipe_a_shard(container: &mut [u8]) {
+    let base = unpack(container).unwrap().payload_offset;
+    container[base + 2 * SHARD..base + 3 * SHARD].fill(0xA5);
+}
+
+/// Overwrite both header codewords, leaving the length prefix to find them by.
+fn wipe_both_headers(container: &mut [u8]) {
+    let payload_offset = unpack(container).unwrap().payload_offset;
+    container[6..payload_offset].fill(0x55);
+}
+
+/// The same damaged container is the same typed error from every surface
+/// that can resolve its scheme — whichever of `push` and `finish` the stream
+/// decoder meets it in.
+#[test]
+fn every_surface_agrees_on_the_error() {
+    let standard = standard_extensions().unwrap();
+    let data = sample(100_000);
+    let hamming = EccConfig::hamming(true);
+    let secded = EccConfig::secded(true);
+    let v1 = |config| arc_engine_encode(&data, config, 1).unwrap();
+    let v2 = |config| arc_engine_encode_sharded(&data, config, 1, SHARD).unwrap();
+    let x_v1 = encode_with_scheme(&data, &standard, "bch", 1).unwrap();
+    let x_v2 = encode_sharded_with_scheme(&data, &standard, "bch", 1, SHARD).unwrap();
+    type Damage = fn(&mut [u8]);
+    type Expect = fn(&ArcError) -> bool;
+    let shard_0_crc: Expect = |e| {
+        matches!(e, ArcError::Ecc(EccError::Uncorrectable { detail, .. })
+            if detail == "shard 0: end-to-end CRC mismatch after ECC decode")
+    };
+    let ecc_layer: Expect = |e| {
+        matches!(e, ArcError::Ecc(EccError::Uncorrectable { detail, .. })
+            if !detail.contains("end-to-end CRC"))
+    };
+    let corrupted: Expect = |e| matches!(e, ArcError::Corrupted(_));
+    // (label, container, damage, built-in?, what the agreed error must be)
+    let cases: Vec<(&str, Vec<u8>, Damage, bool, Expect)> = vec![
+        ("hamming v1, miscorrection", v1(hamming), flip_two_bits_of_one_block, true, shard_0_crc),
+        ("hamming v2, miscorrection", v2(hamming), flip_two_bits_of_one_block, true, shard_0_crc),
+        ("secded v1, shard wiped", v1(secded), wipe_a_shard, true, ecc_layer),
+        ("secded v2, shard wiped", v2(secded), wipe_a_shard, true, ecc_layer),
+        ("x:bch v1, shard wiped", x_v1, wipe_a_shard, false, ecc_layer),
+        ("x:bch v2, shard wiped", x_v2, wipe_a_shard, false, ecc_layer),
+        ("v1, both headers wiped", v1(secded), wipe_both_headers, true, corrupted),
+        ("v2, both headers wiped", v2(secded), wipe_both_headers, true, corrupted),
+    ];
+    for (label, mut container, damage, builtin, expected) in cases {
+        damage(&mut container);
+        let mut agreed: Option<ArcError> = None;
+        for (name, takes_registry, surface) in SURFACES {
+            if !(builtin || takes_registry) {
+                continue;
+            }
+            let Err(error) = surface(&container, Some(&standard)) else {
+                panic!("{label} / {name}: decoded a damaged container");
+            };
+            assert!(expected(&error), "{label} / {name}: {error:?}");
+            assert_eq!(*agreed.get_or_insert_with(|| error.clone()), error, "{label} / {name}");
         }
     }
 }

@@ -60,7 +60,7 @@ fn every_extension_family_streams_and_range_decodes_byte_identically() {
         // (3) Random access serves arbitrary ranges.
         let mut reader =
             ArcReader::open_with_registry(&streamed, 1, &registry).expect("reader open");
-        assert!(reader.is_sharded(), "{name}");
+        assert!(reader.meta().sharding.is_some(), "{name}");
         for (off, len) in [(0usize, 1usize), (SHARD - 10, 20), (123_456, 45_678), (199_999, 1)] {
             let (slice, _) = reader.decode_range(off, len).expect("range");
             assert_eq!(slice, &data[off..off + len], "{name}: range {off}+{len}");

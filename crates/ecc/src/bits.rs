@@ -45,12 +45,6 @@ pub fn flip_bit(bytes: &mut [u8], idx: u64) {
     bytes[(idx / 8) as usize] ^= 1u8 << (idx % 8);
 }
 
-/// Population count of a byte slice (number of set bits).
-#[inline]
-pub fn popcount(bytes: &[u8]) -> u64 {
-    bytes.iter().map(|b| b.count_ones() as u64).sum()
-}
-
 /// A fixed-destination bit packer that stores whole 64-bit words.
 ///
 /// The ECC encoders emit one small (≤ 64-bit) parity group per block;
@@ -126,89 +120,6 @@ pub fn read_bits_at(bytes: &[u8], idx: u64, n: u32) -> u64 {
     (u64::from_le_bytes(w) >> (idx % 8)) & ((1u64 << n) - 1)
 }
 
-/// A tightly-packed writer for sub-byte parity fields.
-///
-/// Hamming(12,8) produces 4 parity bits per data byte and SEC-DED(13,8)
-/// produces 5; packing them avoids paying a whole byte per block.
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    buf: Vec<u8>,
-    /// Number of valid bits in `buf`.
-    len: u64,
-}
-
-impl BitWriter {
-    /// Create an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append the low `n` bits of `value`, least-significant bit first.
-    ///
-    /// # Panics
-    /// Panics if `n > 32`.
-    pub fn write_bits(&mut self, value: u32, n: u32) {
-        assert!(n <= 32);
-        for i in 0..n {
-            let bit = (value >> i) & 1 == 1;
-            let byte_idx = (self.len / 8) as usize;
-            if byte_idx == self.buf.len() {
-                self.buf.push(0);
-            }
-            if bit {
-                self.buf[byte_idx] |= 1 << (self.len % 8);
-            }
-            self.len += 1;
-        }
-    }
-
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> u64 {
-        self.len
-    }
-
-    /// Finish, returning the packed bytes (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Reader counterpart of [`BitWriter`].
-#[derive(Debug)]
-pub struct BitReader<'a> {
-    buf: &'a [u8],
-    pos: u64,
-}
-
-impl<'a> BitReader<'a> {
-    /// Wrap a packed byte slice.
-    pub fn new(buf: &'a [u8]) -> Self {
-        BitReader { buf, pos: 0 }
-    }
-
-    /// Read `n` bits (LSB first), returning them in the low bits of the result.
-    ///
-    /// # Panics
-    /// Panics if fewer than `n` bits remain or `n > 32`.
-    pub fn read_bits(&mut self, n: u32) -> u32 {
-        assert!(n <= 32);
-        assert!(self.pos + n as u64 <= bit_len(self.buf), "BitReader exhausted");
-        let mut v = 0u32;
-        for i in 0..n {
-            if get_bit(self.buf, self.pos) {
-                v |= 1 << i;
-            }
-            self.pos += 1;
-        }
-        v
-    }
-
-    /// Current read position in bits.
-    pub fn bit_pos(&self) -> u64 {
-        self.pos
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,35 +137,6 @@ mod tests {
         assert!(!get_bit(&v, 9));
         flip_bit(&mut v, 9);
         assert!(get_bit(&v, 9));
-    }
-
-    #[test]
-    fn popcount_counts() {
-        assert_eq!(popcount(&[0xFF, 0x0F, 0x01]), 13);
-        assert_eq!(popcount(&[]), 0);
-    }
-
-    #[test]
-    fn bit_writer_reader_round_trip() {
-        let mut w = BitWriter::new();
-        let fields: &[(u32, u32)] = &[(0b101, 3), (0x1F, 5), (0, 4), (0xABCD, 16), (1, 1)];
-        for &(v, n) in fields {
-            w.write_bits(v, n);
-        }
-        assert_eq!(w.bit_len(), 29);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for &(v, n) in fields {
-            assert_eq!(r.read_bits(n), v);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn bit_reader_panics_past_end() {
-        let bytes = [0u8];
-        let mut r = BitReader::new(&bytes);
-        r.read_bits(9);
     }
 
     #[test]

@@ -343,23 +343,6 @@ fn mul_acc_words(dst: &mut [u8], src: &[u8], row: &[u8; 256]) {
     }
 }
 
-/// Portable `dst = c·dst` over 8-byte words.
-#[inline]
-fn scale_words(dst: &mut [u8], row: &[u8; 256]) {
-    let mut d8 = dst.chunks_exact_mut(8);
-    for d in &mut d8 {
-        let sw = le_word(d);
-        let mut p = 0u64;
-        for k in 0..8 {
-            p |= (row[((sw >> (8 * k)) & 0xFF) as usize] as u64) << (8 * k);
-        }
-        d.copy_from_slice(&p.to_le_bytes());
-    }
-    for d in d8.into_remainder() {
-        *d = row[*d as usize];
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! PSHUFB split-nibble kernels. Each 16/32-byte lane is multiplied by a
@@ -369,7 +352,7 @@ mod x86 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    use super::{gfni_matrices, mul_acc_words, mul_tables, row_table, scale_words, Gf};
+    use super::{gfni_matrices, mul_acc_words, mul_tables, row_table, Gf};
 
     /// # Safety
     /// Caller must ensure GFNI + AVX-512F/BW are available.
@@ -418,48 +401,6 @@ mod x86 {
                 i += 32;
             }
             mul_acc_words(&mut dst[n..], &src[n..], row_table(c));
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure GFNI + AVX-512F/BW are available.
-    #[target_feature(enable = "gfni,avx512f,avx512bw")]
-    pub(super) unsafe fn scale_gfni512(dst: &mut [u8], c: Gf) {
-        let mat = gfni_matrices()[c.0 as usize];
-        // SAFETY: unaligned loads/stores stay within `dst` because the loop
-        // bound n is its length rounded down to a whole 64-byte lane.
-        unsafe {
-            let m = _mm512_set1_epi64(mat as i64);
-            let n = dst.len() & !63;
-            let mut i = 0;
-            while i < n {
-                let s = _mm512_loadu_si512(dst.as_ptr().add(i) as *const __m512i);
-                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, m);
-                _mm512_storeu_si512(dst.as_mut_ptr().add(i) as *mut __m512i, prod);
-                i += 64;
-            }
-            scale_words(&mut dst[n..], row_table(c));
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure GFNI + AVX2 are available.
-    #[target_feature(enable = "gfni,avx2")]
-    pub(super) unsafe fn scale_gfni256(dst: &mut [u8], c: Gf) {
-        let mat = gfni_matrices()[c.0 as usize];
-        // SAFETY: unaligned loads/stores stay within `dst` because the loop
-        // bound n is its length rounded down to a whole 32-byte lane.
-        unsafe {
-            let m = _mm256_set1_epi64x(mat as i64);
-            let n = dst.len() & !31;
-            let mut i = 0;
-            while i < n {
-                let s = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-                let prod = _mm256_gf2p8affine_epi64_epi8::<0>(s, m);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, prod);
-                i += 32;
-            }
-            scale_words(&mut dst[n..], row_table(c));
         }
     }
 
@@ -522,86 +463,17 @@ mod x86 {
             mul_acc_words(&mut dst[n..], &src[n..], row_table(c));
         }
     }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_avx2(dst: &mut [u8], c: Gf) {
-        let t = mul_tables();
-        // SAFETY: unaligned loads/stores stay within `dst` because the loop
-        // bound n is its length rounded down to a whole 32-byte lane.
-        unsafe {
-            let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                t.lo[c.0 as usize].as_ptr() as *const __m128i
-            ));
-            let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                t.hi[c.0 as usize].as_ptr() as *const __m128i
-            ));
-            let mask = _mm256_set1_epi8(0x0F);
-            let n = dst.len() & !31;
-            let mut i = 0;
-            while i < n {
-                let s = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-                let sl = _mm256_and_si256(s, mask);
-                let sh = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
-                let prod =
-                    _mm256_xor_si256(_mm256_shuffle_epi8(lo, sl), _mm256_shuffle_epi8(hi, sh));
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, prod);
-                i += 32;
-            }
-            scale_words(&mut dst[n..], row_table(c));
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure SSSE3 is available.
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn scale_ssse3(dst: &mut [u8], c: Gf) {
-        let t = mul_tables();
-        // SAFETY: unaligned loads/stores stay within `dst` because the loop
-        // bound n is its length rounded down to a whole 16-byte lane.
-        unsafe {
-            let lo = _mm_loadu_si128(t.lo[c.0 as usize].as_ptr() as *const __m128i);
-            let hi = _mm_loadu_si128(t.hi[c.0 as usize].as_ptr() as *const __m128i);
-            let mask = _mm_set1_epi8(0x0F);
-            let n = dst.len() & !15;
-            let mut i = 0;
-            while i < n {
-                let s = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-                let sl = _mm_and_si128(s, mask);
-                let sh = _mm_and_si128(_mm_srli_epi64(s, 4), mask);
-                let prod = _mm_xor_si128(_mm_shuffle_epi8(lo, sl), _mm_shuffle_epi8(hi, sh));
-                _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, prod);
-                i += 16;
-            }
-            scale_words(&mut dst[n..], row_table(c));
-        }
-    }
 }
 
-/// Multiply a slice of symbols by a scalar in place.
-#[inline]
+/// Multiply a slice of symbols by a scalar in place: one row-table lookup
+/// per byte. Its one caller normalises the t ≤ m pivot rows of an erasure
+/// solve, next to t·(k − 1) [`mul_acc_slice`] calls over the same devices,
+/// so it has no SIMD kernels of its own.
 pub fn scale_slice(dst: &mut [u8], c: Gf) {
-    if c == Gf::ONE {
-        return;
+    let row = row_table(c);
+    for d in dst {
+        *d = row[*d as usize];
     }
-    if c == Gf::ZERO {
-        dst.fill(0);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    match simd_level() {
-        // SAFETY: the features were detected at runtime.
-        SimdLevel::Gfni512 => return unsafe { x86::scale_gfni512(dst, c) },
-        // SAFETY: the features were detected at runtime.
-        SimdLevel::Gfni256 => return unsafe { x86::scale_gfni256(dst, c) },
-        // SAFETY: the feature was detected at runtime.
-        SimdLevel::Avx2 => return unsafe { x86::scale_avx2(dst, c) },
-        // SAFETY: the feature was detected at runtime.
-        SimdLevel::Ssse3 => return unsafe { x86::scale_ssse3(dst, c) },
-        SimdLevel::None => {}
-    }
-    scale_words(dst, row_table(c));
 }
 
 /// `dst[i] ^= c * src[i]` for all i — the core kernel of the device-oriented
@@ -937,19 +809,6 @@ mod tests {
                     *e ^= Gf(s).mul(Gf(c)).0;
                 }
                 mul_acc_slice(&mut dst, &src, Gf(c));
-                assert_eq!(dst, expect, "c={c} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn scale_slice_matches_naive_for_every_coefficient_and_ragged_len() {
-        for c in 0..=255u8 {
-            for len in KERNEL_LENS {
-                let mut dst: Vec<u8> =
-                    (0..len).map(|i| (i as u8).wrapping_mul(53).wrapping_add(1)).collect();
-                let expect: Vec<u8> = dst.iter().map(|&b| Gf(b).mul(Gf(c)).0).collect();
-                scale_slice(&mut dst, Gf(c));
                 assert_eq!(dst, expect, "c={c} len={len}");
             }
         }

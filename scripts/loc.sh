@@ -3,17 +3,19 @@
 # a file's non-test lines are the lines before its first `#[cfg(test)]`
 # (the whole file when it has none).
 #
-# Usage: scripts/loc.sh [CHECKOUT]   (default: this checkout)
+# Usage: scripts/loc.sh [CHECKOUT]       (default: this checkout)
+#        scripts/loc.sh --diff OTHER     this checkout minus OTHER, per row
 #
 # Prints non-test / total lines per crate under crates/*/src, their sum,
 # and the total lines of every .rs file under crates/ + tests/ (unit and
 # integration tests included), so a parent and a change can be compared.
+# With --diff each row gains the non-test and total deltas against the
+# OTHER checkout; a crate only OTHER has is listed last, with zero lines here.
 
 set -euo pipefail
-cd "${1:-$(dirname "$0")/..}"
 
 count() { # prints "<non-test> <total>" over the .rs files under the given dirs
-    find "$@" -name '*.rs' -print0 | xargs -0 awk '
+    find "$@" -name '*.rs' -print0 2>/dev/null | xargs -0 -r awk '
         FNR == 1 { counting = 1 }
         /#\[cfg\(test\)\]/ { counting = 0 }
         counting { nontest++ }
@@ -21,12 +23,30 @@ count() { # prints "<non-test> <total>" over the .rs files under the given dirs
         END { print nontest + 0, total + 0 }' | awk '{ n += $1; t += $2 } END { print n + 0, t + 0 }'
 }
 
-printf '%-12s %9s %9s\n' crate non-test total
-for dir in crates/*/src; do
-    read -r nontest total < <(count "$dir")
-    printf '%-12s %9d %9d\n' "$(basename "$(dirname "$dir")")" "$nontest" "$total"
-done
-read -r nontest total < <(count crates/*/src)
-printf '%-12s %9d %9d\n' 'crates/*/src' "$nontest" "$total"
-read -r _ total < <(count crates tests)
-printf '%-12s %9s %9d\n' 'crates+tests' - "$total"
+rows() { # prints "<row> <non-test> <total>" for the checkout at $1
+    (
+        cd "$1"
+        for dir in crates/*/src; do
+            echo "$(basename "$(dirname "$dir")") $(count "$dir")"
+        done
+        echo "crates/*/src $(count crates/*/src)"
+        echo "crates+tests $(count crates tests)"
+    )
+}
+
+here="$(dirname "$0")/.."
+if [[ "${1:-}" == --diff ]]; then
+    other="${2:?usage: scripts/loc.sh --diff OTHER_CHECKOUT}"
+    printf '%-12s %9s %9s %9s %9s\n' crate non-test total Δnon-test Δtotal
+    awk '
+        NR == FNR { n[$1] = $2; t[$1] = $3; next }
+        $1 == "crates+tests" { printf "%-12s %9s %9d %9s %+9d\n", $1, "-", $3, "-", $3 - t[$1]; next }
+        { printf "%-12s %9d %9d %+9d %+9d\n", $1, $2, $3, $2 - n[$1], $3 - t[$1]; delete n[$1] }
+        END { for (gone in n) if (gone != "crates+tests") printf "%-12s %9d %9d %+9d %+9d\n", gone, 0, 0, -n[gone], -t[gone] }
+    ' <(rows "$other") <(rows "$here")
+else
+    printf '%-12s %9s %9s\n' crate non-test total
+    rows "${1:-$here}" | awk '
+        $1 == "crates+tests" { printf "%-12s %9s %9d\n", $1, "-", $3; next }
+        { printf "%-12s %9d %9d\n", $1, $2, $3 }'
+fi
