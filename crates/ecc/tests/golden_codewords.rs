@@ -1,13 +1,16 @@
-//! Golden bytes of the codeword-RS and BCH families: FNV-1a checksums of
-//! what `Interleaved(RsBlock)`, `RsCodeword` and `Bch` put on the wire, and
-//! of what a damaged buffer decodes to, so a kernel change underneath them
-//! cannot move a byte or a report silently.
+//! Golden bytes of the ECC families: FNV-1a checksums of what
+//! `Interleaved(RsBlock)`, `RsCodeword`, `Bch`, `Hamming`, `SecDed` and
+//! `ReedSolomon` put on the wire, and what a damaged buffer decodes to, so
+//! a kernel change underneath them cannot move a byte or a report silently.
 //!
 //! To regenerate after an *intentional* format change, run:
 //! `ARC_REGENERATE_GOLDEN=1 cargo test -p arc-ecc --test golden_codewords -- --nocapture`
 //! and paste the printed constants.
 
-use arc_ecc::{Bch, CorrectionReport, EccScheme, Interleaved, RsBlock, RsCodeword};
+use arc_ecc::{
+    Bch, CorrectionReport, EccError, EccScheme, Hamming, Interleaved, ReedSolomon, RsBlock,
+    RsCodeword, SecDed,
+};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -186,4 +189,242 @@ fn bch_repairs_match_golden_reports() {
         })
         .collect();
     check("GOLDEN_BCH_REPAIRS", &GOLDEN_BCH_REPAIRS, &actual);
+}
+
+// ---- The built-in families: Hamming, SEC-DED and device Reed-Solomon ----
+
+/// Hamming(12,8), Hamming(71,64), SEC-DED(13,8), SEC-DED(72,64).
+/// Each with its data bytes and stored parity bits per block.
+fn sec_codes() -> [(Box<dyn EccScheme>, usize, usize); 4] {
+    [
+        (Box::new(Hamming::w8()), 1, 4),
+        (Box::new(Hamming::w64()), 8, 7),
+        (Box::new(SecDed::w8()), 1, 5),
+        (Box::new(SecDed::w64()), 8, 8),
+    ]
+}
+
+/// Lengths that end mid-block for the 8-byte codes and mid-device for RS.
+const RAGGED_LENGTHS: [usize; 7] = [0, 1, 7, 8, 9, 1000, 4099];
+
+/// FNV-1a of the parity region, one row per scheme (the four of
+/// `sec_codes`, then `rs:16:4` and `rs:223:32`), one column per
+/// `RAGGED_LENGTHS` entry.
+#[rustfmt::skip]
+const GOLDEN_BUILTIN_PARITY: [[u64; 7]; 6] = [
+    [0xcbf29ce484222325, 0xaf63bc4c8601b62c, 0x62fade120e65a6f2, 0x62fb8e120e66d202,
+     0x984475ae78b6ec17, 0x7610c3274110d9e9, 0xdb54581a82e2ec3e],
+    [0xcbf29ce484222325, 0xaf63ba4c8601b2c6, 0xaf63d74c8601e40d, 0xaf639f4c860184e5,
+     0x7cc9007b494ca53, 0x26cb228f32fc76ad, 0xfcff7ce326e117f1],
+    [0xcbf29ce484222325, 0xaf63be4c8601b992, 0x2472b25499f8dbfa, 0x2473325499f9b57a,
+     0xe973f6c1a34f4f03, 0xa6e24241a07fe842, 0xe31d9083265ec107],
+    [0xcbf29ce484222325, 0xaf63c14c8601beab, 0xaf644b4c8602a929, 0xaf648b4c860315e9,
+     0xaeea207b73e451d, 0x2ae66a0eae7ea70c, 0xeebf32243c1f9d65],
+    [0xcbf29ce484222325, 0x35d82265bf577457, 0x4757a85b0d4b0db2, 0xddf564900e8b56e4,
+     0xd187adde1c654e30, 0xdb18d06d574593a9, 0xdd957c3687243df9],
+    [0xcbf29ce484222325, 0x105747cd237ef2bf, 0x8415c2378c094275, 0x185df8dcabf4f1b7,
+     0x3bd49cb3c1b35dec, 0x5a8e0e37f9f4af1f, 0x5b3f49b902aaf8fe],
+];
+
+#[test]
+fn builtin_parity_regions_match_golden_checksums() {
+    let mut schemes: Vec<Box<dyn EccScheme>> = sec_codes().into_iter().map(|c| c.0).collect();
+    schemes.push(Box::new(ReedSolomon::new(16, 4).unwrap()));
+    schemes.push(Box::new(ReedSolomon::new(223, 32).unwrap()));
+    let actual: Vec<[u64; 7]> = schemes
+        .iter()
+        .enumerate()
+        .map(|(row, s)| {
+            RAGGED_LENGTHS.map(|n| {
+                let parity = s.encode_parity(&input(n, row as u64));
+                assert_eq!(parity.len(), s.parity_len(n));
+                fnv1a(&parity)
+            })
+        })
+        .collect();
+    check("GOLDEN_BUILTIN_PARITY", &GOLDEN_BUILTIN_PARITY, &actual);
+}
+
+/// One character per damaged buffer. `Ok(n)` with the encoder's bytes back
+/// is the digit `n`; `Ok(n)` with any other bytes (a miscorrection, or a
+/// flip no block covers) is the letter `n` places after `a`; an
+/// `Uncorrectable` naming the scheme is `U`, a `Malformed` is `M`.
+fn outcome(s: &dyn EccScheme, clean: &[u8], mut bad: Vec<u8>, n: usize) -> char {
+    match s.verify_and_correct_in_place(&mut bad, n) {
+        Ok(r) if r.corrected_devices != 0 || r.corrected_bits > 9 => '?',
+        Ok(r) if bad == clean => (b'0' + r.corrected_bits as u8) as char,
+        Ok(r) => (b'a' + r.corrected_bits as u8) as char,
+        Err(EccError::Uncorrectable { scheme, .. }) if scheme == s.name() => 'U',
+        Err(EccError::Malformed { .. }) => 'M',
+        Err(_) => '?',
+    }
+}
+
+/// Three blocks: 3 bytes for the one-byte codes; 8 + 8 + 5 for the
+/// eight-byte codes, so the last block carries 24 bits of tail padding.
+fn three_blocks(block_bytes: usize) -> usize {
+    if block_bytes == 1 {
+        3
+    } else {
+        21
+    }
+}
+
+/// Every single flip of the three-block buffer, data region then parity
+/// region, in bit order. The flips past the last parity group (the pad bits
+/// of the last parity byte) belong to no block and are left standing.
+#[rustfmt::skip]
+const GOLDEN_SEC_SINGLE_FLIPS: [&str; 4] = [
+    "111111111111111111111111111111111111aaaa",
+    "1111111111111111111111111111111111111111111111111111111111111111\
+     1111111111111111111111111111111111111111111111111111111111111111\
+     1111111111111111111111111111111111111111111111111111111111111aaa",
+    "111111111111111111111111111111111111111a",
+    "1111111111111111111111111111111111111111111111111111111111111111\
+     1111111111111111111111111111111111111111111111111111111111111111\
+     1111111111111111111111111111111111111111111111111111111111111111",
+];
+
+#[test]
+fn sec_single_flip_outcomes_match_golden() {
+    let actual: Vec<String> = sec_codes()
+        .iter()
+        .map(|(s, block_bytes, _)| {
+            let n = three_blocks(*block_bytes);
+            let clean = s.encode(&input(n, 11));
+            (0..clean.len() * 8)
+                .map(|bit| {
+                    let mut bad = clean.clone();
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                    outcome(s.as_ref(), &clean, bad, n)
+                })
+                .collect()
+        })
+        .collect();
+    let golden: Vec<String> = GOLDEN_SEC_SINGLE_FLIPS.iter().map(|s| s.to_string()).collect();
+    check("GOLDEN_SEC_SINGLE_FLIPS", &golden, &actual);
+}
+
+/// A bit of block `.0`'s codeword: data bit `.1`, or stored parity bit
+/// `.1` (Hamming bits first; SEC-DED's overall bit is the last one).
+#[derive(Clone, Copy, Debug)]
+enum Bit {
+    D(usize, usize),
+    P(usize, usize),
+}
+use Bit::{D, P};
+
+/// Multi-bit damage to the one-byte codes (codeword positions: data bits
+/// 0..8 sit at 3, 5, 6, 7, 9, 10, 11, 12). Rows naming parity bit 4 apply
+/// to SEC-DED only.
+const MULTI_FLIPS_W8: [&[Bit]; 12] = [
+    &[D(0, 0), D(0, 1)],          // 3 ^ 5 = 6: a data position
+    &[D(0, 3), D(0, 5)],          // 7 ^ 10 = 13: beyond the codeword
+    &[D(1, 7), P(1, 0)],          // 12 ^ 1 = 13: beyond the codeword
+    &[D(1, 0), P(1, 0)],          // 3 ^ 1 = 2: a parity position
+    &[P(2, 0), P(2, 1)],          // 1 ^ 2 = 3: a data position
+    &[D(0, 2), D(1, 2)],          // one each in two blocks: both repairable
+    &[D(2, 6), P(2, 4)],          // data + overall
+    &[P(0, 3), P(0, 4)],          // Hamming + overall
+    &[D(0, 0), D(0, 1), D(0, 2)], // 3 ^ 5 ^ 6 = 0: syndrome clean, weight odd
+    &[D(0, 3), D(0, 5), P(0, 4)], // syndrome 13 with the overall bit agreeing it is single
+    &[D(1, 0), D(1, 1), D(1, 3)], // 3 ^ 5 ^ 7 = 1: a parity position
+    &[D(2, 0), D(2, 4), D(2, 6), D(2, 7)],
+];
+
+/// Multi-bit damage to the eight-byte codes. Block 2 is the ragged one:
+/// data bits 40..64 are padding, at codeword positions 47..=71 (less 64).
+/// Rows naming parity bit 7 apply to SEC-DED only.
+const MULTI_FLIPS_W64: [&[Bit]; 12] = [
+    &[D(0, 0), D(0, 1)],            // 3 ^ 5 = 6: a data position
+    &[D(0, 60), D(0, 7)],           // 67 ^ 12 = 79: beyond the codeword
+    &[D(2, 12), D(2, 26)],          // 18 ^ 33 = 51: tail padding
+    &[D(2, 39), P(2, 0)],           // 46 ^ 1 = 47: first padding position
+    &[D(2, 0), P(2, 6)],            // 3 ^ 64 = 67: tail padding
+    &[D(1, 63), P(1, 2)],           // 71 ^ 4 = 67: a data position of a full block
+    &[D(0, 9), D(1, 9), D(2, 9)],   // one per block: all repairable
+    &[D(1, 5), P(1, 7)],            // data + overall
+    &[D(2, 12), D(2, 26), P(2, 7)], // syndrome 51 with the overall bit agreeing it is single
+    &[D(0, 60), D(0, 7), P(0, 7)],  // syndrome 79 likewise
+    &[D(1, 0), D(1, 1), D(1, 2)],   // 3 ^ 5 ^ 6 = 0: syndrome clean, weight odd
+    &[D(2, 1), D(2, 2), D(2, 30), D(2, 31)],
+];
+
+/// One string per code, one character per applicable `MULTI_FLIPS_*` row.
+const GOLDEN_SEC_MULTI_FLIPS: [&str; 4] =
+    ["bUUbb2abU", "bUUUUb3aa", "UUUUU2UUbUbU", "UUUUUU3UUUba"];
+
+#[test]
+fn sec_multi_flip_outcomes_match_golden() {
+    let actual: Vec<String> = sec_codes()
+        .iter()
+        .map(|(s, block_bytes, pb)| {
+            let n = three_blocks(*block_bytes);
+            let clean = s.encode(&input(n, 11));
+            let rows: &[&[Bit]] =
+                if *block_bytes == 1 { &MULTI_FLIPS_W8 } else { &MULTI_FLIPS_W64 };
+            rows.iter()
+                .filter(|row| row.iter().all(|b| !matches!(b, P(_, p) if p >= pb)))
+                .map(|row| {
+                    let mut bad = clean.clone();
+                    for &b in row.iter() {
+                        let bit = match b {
+                            D(block, i) => block * block_bytes * 8 + i,
+                            P(block, i) => n * 8 + block * pb + i,
+                        };
+                        bad[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    outcome(s.as_ref(), &clean, bad, n)
+                })
+                .collect()
+        })
+        .collect();
+    let golden: Vec<String> = GOLDEN_SEC_MULTI_FLIPS.iter().map(|s| s.to_string()).collect();
+    check("GOLDEN_SEC_MULTI_FLIPS", &golden, &actual);
+}
+
+/// (k, m, trashed devices, corrected_devices, blocks_checked, fnv of the
+/// repaired `data ‖ parity` buffer) over a 4 099-byte buffer, whose last
+/// data device is short.
+const GOLDEN_RS_REPAIRS: [(usize, usize, usize, u64, u64, u64); 4] = [
+    (0x10, 0x4, 0x1, 0x1, 0x14, 0x56ce9db5a8998690),
+    (0x10, 0x4, 0x4, 0x4, 0x14, 0x56ce9db5a8998690),
+    (0xdf, 0x20, 0x1, 0x1, 0xff, 0xa2d3ad4bb2ecc828),
+    (0xdf, 0x20, 0x20, 0x20, 0xff, 0xa2d3ad4bb2ecc828),
+];
+
+/// Device `3` trashed, then `m` devices: the short data device holding the
+/// last byte, every other data device from 2 up, and code device 1.
+#[test]
+fn device_rs_repairs_match_golden_reports() {
+    let actual: Vec<(usize, usize, usize, u64, u64, u64)> = [(16usize, 4usize), (223, 32)]
+        .iter()
+        .flat_map(|&(k, m)| [(k, m, 1usize), (k, m, m)])
+        .map(|(k, m, trashed)| {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            let n = 4099;
+            let d = rs.device_size(n);
+            let clean = rs.encode(&input(n, (k + m) as u64));
+            let mut bad = clean.clone();
+            let devices: Vec<usize> = if trashed == 1 {
+                vec![3]
+            } else {
+                [(n - 1) / d, k + 1].into_iter().chain((1..m - 1).map(|i| 2 * i)).collect()
+            };
+            assert_eq!(devices.len(), trashed);
+            for dev in devices {
+                // Code devices follow the `n` data bytes, `d` bytes each.
+                let start = if dev < k { dev * d } else { n + (dev - k) * d };
+                let end = if dev < k { (start + d).min(n) } else { start + d };
+                for b in &mut bad[start..end] {
+                    *b = !*b;
+                }
+            }
+            let report = rs.verify_and_correct_in_place(&mut bad, n).unwrap();
+            assert_eq!(bad, clean, "rs:{k}:{m} after {trashed}: repair is not the encoding");
+            assert_eq!(report.corrected_bits, 0);
+            (k, m, trashed, report.corrected_devices, report.blocks_checked, fnv1a(&bad))
+        })
+        .collect();
+    check("GOLDEN_RS_REPAIRS", &GOLDEN_RS_REPAIRS, &actual);
 }
