@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
-use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec, RsBlock};
+use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec};
 
 use crate::container;
 use crate::error::ArcError;
@@ -128,7 +128,7 @@ impl ExtensionRegistry {
 /// built-in `EccConfig` space only.
 pub fn standard_extensions() -> Result<ExtensionRegistry, ArcError> {
     let mut r = ExtensionRegistry::new();
-    r.register("ileave-rs", Arc::new(Interleaved::new(RsBlock::new(32)?, 64)?))?;
+    r.register("ileave-rs", Arc::new(Interleaved::new(32, 64)?))?;
     r.register("bch", Arc::new(Bch::new(2)?))?;
     Ok(r)
 }

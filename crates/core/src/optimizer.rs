@@ -9,9 +9,9 @@
 //!    throughput is *above but closest to* the throughput constraint;
 //! 3. when nothing satisfies both, fall back to the configuration closest
 //!    to the memory budget (possibly over it — a warning is attached, as
-//!    ARC "display[s] a warning and use[s] the … configuration that results
+//!    ARC "display\[s\] a warning and use\[s\] the … configuration that results
 //!    in the lowest memory overhead possible");
-//! 4. with no constraints at all, ARC "provide[s] the most robust ECC
+//! 4. with no constraints at all, ARC "provide\[s\] the most robust ECC
 //!    configuration" — the strongest (highest-overhead) admitted one.
 
 use arc_ecc::{EccConfig, EccScheme};

@@ -106,18 +106,18 @@ impl ShardCache {
     /// Insert a decoded shard, evicting least-recently-used shards until
     /// the byte budget holds. A shard larger than the whole capacity is
     /// not cached at all (the caller has already used its bytes).
-    fn insert(&mut self, shard: usize, data: Vec<u8>) {
+    fn insert(&mut self, shard: usize, mut data: Vec<u8>) {
         if data.len() > self.capacity {
             return;
         }
+        // The budget counts lengths, and a decoded shard still owns the
+        // capacity of the parity region it was repaired beside.
+        data.shrink_to_fit();
         self.tick += 1;
-        if let Some((_, old)) = self.slots.insert(shard, (self.tick, data.clone())) {
-            // Re-inserting an evicted-then-decoded shard is the common
-            // case; replacing a live one only happens if the caller races
-            // itself, but keep the byte accounting exact regardless.
+        self.resident += data.len();
+        if let Some((_, old)) = self.slots.insert(shard, (self.tick, data)) {
             self.resident -= old.len();
         }
-        self.resident += data.len();
         while self.resident > self.capacity {
             let victim = self
                 .slots

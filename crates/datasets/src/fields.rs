@@ -2,7 +2,7 @@
 //!
 //! | paper dataset | field | dims (paper) | character |
 //! |---------------|-------|--------------|-----------|
-//! | CESM          | CLDLOW cloud fraction | 1800×3600 (25.8 MB) | 2-D, values in [0,1], mean ≈ 0.33, patchy multi-scale cloud structure |
+//! | CESM          | CLDLOW cloud fraction | 1800×3600 (25.8 MB) | 2-D, values in \[0,1\], mean ≈ 0.33, patchy multi-scale cloud structure |
 //! | Hurricane Isabel | pressure | 100×500×500 (100 MB) | 3-D, smooth large-scale gradient plus a deep vortex low |
 //! | NYX           | temperature | 512³ (536 MB) | 3-D, positive, spans orders of magnitude along web-like filaments |
 //!

@@ -161,9 +161,8 @@ pub trait EccScheme: Send + Sync {
     /// `data ‖ parity` buffer: split at `data_len`, verify, and repair both
     /// regions without copying either out.
     ///
-    /// The default delegates to `verify_and_correct` on the two halves of a
-    /// `split_at_mut`, which is already copy-free; schemes only override this
-    /// when they can exploit the contiguous layout further.
+    /// Delegates to `verify_and_correct` on the two halves of a
+    /// `split_at_mut`, which is already copy-free.
     fn verify_and_correct_in_place(
         &self,
         encoded: &mut [u8],
@@ -246,13 +245,6 @@ impl EccScheme for std::sync::Arc<dyn EccScheme> {
         parity: &mut [u8],
     ) -> Result<CorrectionReport, EccError> {
         (**self).verify_and_correct(data, parity)
-    }
-    fn verify_and_correct_in_place(
-        &self,
-        encoded: &mut [u8],
-        data_len: usize,
-    ) -> Result<CorrectionReport, EccError> {
-        (**self).verify_and_correct_in_place(encoded, data_len)
     }
     fn capability(&self) -> Capability {
         (**self).capability()

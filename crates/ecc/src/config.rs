@@ -205,14 +205,6 @@ impl EccScheme for EccConfig {
         self.as_scheme().verify_and_correct(data, parity)
     }
 
-    fn verify_and_correct_in_place(
-        &self,
-        encoded: &mut [u8],
-        data_len: usize,
-    ) -> Result<CorrectionReport, EccError> {
-        self.as_scheme().verify_and_correct_in_place(encoded, data_len)
-    }
-
     fn capability(&self) -> Capability {
         self.as_scheme().capability()
     }

@@ -150,6 +150,149 @@ pub(crate) fn store_block(data: &mut [u8], i: usize, width: BlockWidth, v: u64) 
     }
 }
 
+/// Overall (even) parity across the data block and its Hamming bits.
+#[inline]
+pub(crate) fn overall(block: u64, hamming_bits: u32) -> bool {
+    ((block.count_ones() + hamming_bits.count_ones()) & 1) == 1
+}
+
+/// The SEC kernel. [`Hamming`] and [`crate::secded::SecDed`] are its two
+/// instances, monomorphised on `OVERALL`: whether each block's stored parity
+/// group ends in the overall parity bit that makes the code SEC-DED (§2.2).
+pub(crate) struct Sec<const OVERALL: bool>(pub(crate) BlockWidth);
+
+/// What one odd-weight syndrome asks for.
+enum Flip {
+    /// Data bit of the block.
+    Data(u32),
+    /// Bit of the block's stored parity group.
+    Stored(u32),
+}
+
+impl<const OVERALL: bool> Sec<OVERALL> {
+    pub(crate) const NAME: &'static str = if OVERALL { "secded" } else { "hamming" };
+
+    /// Stored parity bits per block: the Hamming bits, then the overall bit.
+    fn group_bits(&self) -> u32 {
+        self.0.hamming_parity_bits() + u32::from(OVERALL)
+    }
+
+    fn blocks(&self, data_len: usize) -> usize {
+        data_len.div_ceil(self.0.data_bytes())
+    }
+
+    pub(crate) fn parity_len(&self, data_len: usize) -> usize {
+        let bits = self.blocks(data_len) as u64 * self.group_bits() as u64;
+        bits.div_ceil(8) as usize
+    }
+
+    pub(crate) fn storage_overhead(&self) -> f64 {
+        self.group_bits() as f64 / self.0.data_bits() as f64
+    }
+
+    pub(crate) fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
+        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
+        let (lay, pb) = (layout(self.0), self.group_bits());
+        // One parity group per block, packed with whole-word stores; the
+        // writer covers every parity byte, so no fill(0) pass is needed.
+        let mut w = PackedBitWriter::new(parity);
+        for i in 0..self.blocks(data.len()) {
+            let block = load_block(data, i, self.0);
+            let ham = lay.parity_of(block);
+            let top = if OVERALL { (overall(block, ham) as u64) << lay.r } else { 0 };
+            w.push(ham as u64 | top, pb);
+        }
+        w.finish();
+    }
+
+    pub(crate) fn verify_and_correct(
+        &self,
+        data: &mut [u8],
+        parity: &mut [u8],
+    ) -> Result<CorrectionReport, EccError> {
+        let expected = self.parity_len(data.len());
+        if parity.len() != expected {
+            return Err(EccError::Malformed {
+                detail: format!(
+                    "{} parity region {} bytes, expected {expected}",
+                    Self::NAME,
+                    parity.len()
+                ),
+            });
+        }
+        let uncorrectable = |detail| Err(EccError::Uncorrectable { scheme: Self::NAME, detail });
+        let (lay, width, pb) = (layout(self.0), self.0, self.group_bits());
+        let blocks = self.blocks(data.len());
+        let mut report = CorrectionReport { blocks_checked: blocks as u64, ..Default::default() };
+        for i in 0..blocks {
+            let block = load_block(data, i, width);
+            let base = i as u64 * pb as u64;
+            let group = read_bits_at(parity, base, pb);
+            let stored = (group as u32) & ((1 << lay.r) - 1);
+            let syndrome = lay.parity_of(block) ^ stored;
+            // Did an odd number of bits flip? SEC-DED's overall bit says:
+            // even weight across the received data, Hamming bits and overall
+            // bit means no. Plain Hamming has no such witness and takes every
+            // non-zero syndrome for a single error (and so miscorrects a
+            // double one).
+            let odd = if OVERALL {
+                overall(block, stored) != ((group >> lay.r) & 1 == 1)
+            } else {
+                syndrome != 0
+            };
+            // An odd weight is taken for a single error, at the codeword
+            // position the syndrome spells: none for the overall bit, a
+            // power of two for a Hamming bit.
+            let flip = match (syndrome, odd) {
+                (0, false) => continue,
+                (_, false) => {
+                    return uncorrectable(format!("double-bit error detected in block {i}"))
+                }
+                (0, true) => Flip::Stored(lay.r),
+                (s, true) if s > lay.n => {
+                    return uncorrectable(format!(
+                        "impossible syndrome {s} in block {i} (multi-bit error)"
+                    ))
+                }
+                (s, true) => match lay.pos_to_databit[s as usize] {
+                    Some(bit) => Flip::Data(bit),
+                    None => Flip::Stored(s.trailing_zeros()),
+                },
+            };
+            match flip {
+                Flip::Data(bit) => {
+                    // Flipping a zero-padding bit of the tail block means the
+                    // error is actually beyond the data — multi-bit damage.
+                    let tail_bits =
+                        (data.len() - i * width.data_bytes()).min(width.data_bytes()) as u32 * 8;
+                    if bit >= tail_bits {
+                        return uncorrectable(format!(
+                            "syndrome points into tail padding of block {i}"
+                        ));
+                    }
+                    store_block(data, i, width, block ^ (1u64 << bit));
+                }
+                Flip::Stored(bit) => {
+                    let idx = base + bit as u64;
+                    set_bit(parity, idx, !get_bit(parity, idx));
+                }
+            }
+            report.corrected_bits += 1;
+        }
+        Ok(report)
+    }
+
+    pub(crate) fn capability(&self) -> Capability {
+        let codewords_per_mb = MB / self.0.data_bytes() as f64;
+        Capability {
+            detects_sparse: true,
+            corrects_sparse: true,
+            corrects_burst: false,
+            correctable_per_mb: single_correct_rate_per_mb(codewords_per_mb),
+        }
+    }
+}
+
 /// Hamming SEC code over [`BlockWidth`] blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Hamming {
@@ -168,36 +311,26 @@ impl Hamming {
         Hamming { width: BlockWidth::W64 }
     }
 
-    fn blocks(&self, data_len: usize) -> usize {
-        data_len.div_ceil(self.width.data_bytes())
+    fn kernel(&self) -> Sec<false> {
+        Sec(self.width)
     }
 }
 
 impl EccScheme for Hamming {
     fn name(&self) -> &'static str {
-        "hamming"
+        Sec::<false>::NAME
     }
 
     fn parity_len(&self, data_len: usize) -> usize {
-        let bits = self.blocks(data_len) as u64 * self.width.hamming_parity_bits() as u64;
-        bits.div_ceil(8) as usize
+        self.kernel().parity_len(data_len)
     }
 
     fn storage_overhead(&self) -> f64 {
-        self.width.hamming_parity_bits() as f64 / self.width.data_bits() as f64
+        self.kernel().storage_overhead()
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
-        let lay = layout(self.width);
-        let blocks = self.blocks(data.len());
-        // r-bit parity groups packed with whole-word stores; the writer
-        // covers every parity byte, so no fill(0) pass is needed.
-        let mut w = PackedBitWriter::new(parity);
-        for i in 0..blocks {
-            w.push(lay.parity_of(load_block(data, i, self.width)) as u64, lay.r);
-        }
-        w.finish();
+        self.kernel().encode_parity_into(data, parity)
     }
 
     fn verify_and_correct(
@@ -205,74 +338,11 @@ impl EccScheme for Hamming {
         data: &mut [u8],
         parity: &mut [u8],
     ) -> Result<CorrectionReport, EccError> {
-        let expected = self.parity_len(data.len());
-        if parity.len() != expected {
-            return Err(EccError::Malformed {
-                detail: format!(
-                    "hamming parity region {} bytes, expected {expected}",
-                    parity.len()
-                ),
-            });
-        }
-        let lay = layout(self.width);
-        let r = lay.r as u64;
-        let blocks = self.blocks(data.len());
-        let mut report = CorrectionReport { blocks_checked: blocks as u64, ..Default::default() };
-        for i in 0..blocks {
-            let mut block = load_block(data, i, self.width);
-            let recomputed = lay.parity_of(block);
-            let base = i as u64 * r;
-            let stored = read_bits_at(parity, base, lay.r) as u32;
-            let syndrome = recomputed ^ stored;
-            if syndrome == 0 {
-                continue;
-            }
-            if syndrome > lay.n {
-                return Err(EccError::Uncorrectable {
-                    scheme: "hamming",
-                    detail: format!(
-                        "impossible syndrome {syndrome} in block {i} (multi-bit error)"
-                    ),
-                });
-            }
-            match lay.pos_to_databit[syndrome as usize] {
-                Some(bit) => {
-                    // Flipping a zero-padding bit of the tail block means the
-                    // error is actually beyond the data — multi-bit damage.
-                    let tail_bits = (data.len() - i * self.width.data_bytes())
-                        .min(self.width.data_bytes()) as u32
-                        * 8;
-                    if bit >= tail_bits {
-                        return Err(EccError::Uncorrectable {
-                            scheme: "hamming",
-                            detail: format!("syndrome points into tail padding of block {i}"),
-                        });
-                    }
-                    block ^= 1u64 << bit;
-                    store_block(data, i, self.width, block);
-                    report.corrected_bits += 1;
-                }
-                None => {
-                    // The flipped bit was a stored parity bit; repair it.
-                    let pbit = syndrome.trailing_zeros() as u64;
-                    let idx = base + pbit;
-                    let cur = get_bit(parity, idx);
-                    set_bit(parity, idx, !cur);
-                    report.corrected_bits += 1;
-                }
-            }
-        }
-        Ok(report)
+        self.kernel().verify_and_correct(data, parity)
     }
 
     fn capability(&self) -> Capability {
-        let codewords_per_mb = MB / self.width.data_bytes() as f64;
-        Capability {
-            detects_sparse: true,
-            corrects_sparse: true,
-            corrects_burst: false,
-            correctable_per_mb: single_correct_rate_per_mb(codewords_per_mb),
-        }
+        self.kernel().capability()
     }
 }
 

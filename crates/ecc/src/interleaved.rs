@@ -2,7 +2,8 @@
 //!
 //! The crate's one interleaver: the data region is split round-robin into
 //! `depth` byte lanes (lane `j` holds bytes `j, j+depth, j+2·depth, …`),
-//! [`RsBlock`] encodes each lane independently, and the parity region is
+//! each lane is cut into messages of `255 − nsym` bytes, every message gets
+//! the `nsym` parity bytes of one [`RsCodeword`], and the parity region is
 //! the concatenation of the per-lane parities in lane order.
 //!
 //! A contiguous run of `b ≤ depth` corrupted bytes in the *data region*
@@ -12,10 +13,12 @@
 //! `depth · t` bytes — at *identical* parity overhead to the bare code.
 //! Only a code that corrects whole symbols gains this way (a bit-correcting
 //! one still sees up to eight flipped bits in one codeword), which is why
-//! the inner code is `RsBlock` and nothing else. The parity region itself
-//! stays lane-contiguous, so a burst there is bounded by the per-codeword
-//! budget; parity is a small fraction of the stream, which keeps that
-//! exposure proportionally small.
+//! the code is codeword RS and nothing else: up to ⌊nsym/2⌋ corrupted bytes
+//! per codeword repaired with no checksum or other side information, where
+//! the built-in device RS locates its erasures by CRC. The parity region
+//! itself stays lane-contiguous, so a burst there is bounded by the
+//! per-codeword budget; parity is a small fraction of the stream, which
+//! keeps that exposure proportionally small.
 //!
 //! The layout is also what makes it fast: symbol `r` of every lane sits in
 //! one contiguous `depth`-byte row, so the lanes' LFSRs advance together,
@@ -24,29 +27,38 @@
 
 use std::ops::Range;
 
-use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
-use crate::rsblock::RsBlock;
-use crate::rscode::{MAX_CODEWORD, STRIP};
+use crate::codec::{
+    multi_correct_rate_per_mb, Capability, CorrectionReport, EccError, EccScheme, MB,
+};
+use crate::rscode::{RsCodeword, MAX_CODEWORD, STRIP};
 
 /// Maximum interleave depth (byte lanes per buffer).
 pub const MAX_INTERLEAVE_DEPTH: usize = 4096;
 
-/// Round-robin byte-lane interleaver over [`RsBlock`].
+/// Codeword RS over round-robin byte lanes: `255 − nsym`-byte messages,
+/// `nsym` parity bytes each, ⌊nsym/2⌋ unknown-location byte corrections
+/// per codeword.
 #[derive(Debug, Clone)]
 pub struct Interleaved {
-    inner: RsBlock,
+    rs: RsCodeword,
     depth: usize,
 }
 
 impl Interleaved {
-    /// Wrap `inner` with `depth` byte lanes (2..=4096).
-    pub fn new(inner: RsBlock, depth: usize) -> Result<Interleaved, EccError> {
+    /// `nsym` parity bytes per codeword (2..=250) across `depth` byte lanes
+    /// (2..=4096).
+    pub fn new(nsym: usize, depth: usize) -> Result<Interleaved, EccError> {
+        if !(2..=250).contains(&nsym) {
+            return Err(EccError::InvalidConfig(format!(
+                "interleaved: nsym must be in 2..=250, got {nsym}"
+            )));
+        }
         if !(2..=MAX_INTERLEAVE_DEPTH).contains(&depth) {
             return Err(EccError::InvalidConfig(format!(
                 "interleaved: depth must be in 2..={MAX_INTERLEAVE_DEPTH}, got {depth}"
             )));
         }
-        Ok(Interleaved { inner, depth })
+        Ok(Interleaved { rs: RsCodeword::new(nsym)?, depth })
     }
 
     /// Number of byte lanes.
@@ -54,9 +66,14 @@ impl Interleaved {
         self.depth
     }
 
-    /// The wrapped inner scheme.
-    pub fn inner(&self) -> &RsBlock {
-        &self.inner
+    /// Parity bytes per codeword.
+    fn nsym(&self) -> usize {
+        self.rs.nsym
+    }
+
+    /// Data bytes per codeword.
+    fn message_len(&self) -> usize {
+        self.rs.max_message_len()
     }
 
     /// Codewords in the first `lanes` lanes of a `data_len`-byte region.
@@ -64,7 +81,7 @@ impl Interleaved {
     /// every `message_len` symbols of a lane are one codeword.
     fn codewords(&self, data_len: usize, lanes: usize) -> usize {
         let (rows, long) = (data_len / self.depth, data_len % self.depth);
-        let message = self.inner.message_len();
+        let message = self.message_len();
         lanes.min(long) * (rows + 1).div_ceil(message)
             + lanes.saturating_sub(long) * rows.div_ceil(message)
     }
@@ -72,8 +89,8 @@ impl Interleaved {
     /// Where the parity of message `m` of lane `j` sits in the parity
     /// region: each lane's codewords keep their parity in one run.
     fn slot(&self, data_len: usize, j: usize, m: usize) -> Range<usize> {
-        let start = (self.codewords(data_len, j) + m) * self.inner.nsym();
-        start..start + self.inner.nsym()
+        let start = (self.codewords(data_len, j) + m) * self.nsym();
+        start..start + self.nsym()
     }
 
     /// Compute the parity of every codeword in `data` and hand it to
@@ -85,9 +102,8 @@ impl Interleaved {
     /// time. In the last group of a ragged region the lanes differ by one
     /// symbol, so each is gathered and goes through the kernel alone.
     fn for_each_parity(&self, data: &[u8], mut visit: impl FnMut(usize, usize, &[u8])) {
-        let rs = self.inner.codeword();
-        let (depth, nsym) = (self.depth, self.inner.nsym());
-        let group = self.inner.message_len() * depth;
+        let (rs, depth, nsym) = (&self.rs, self.depth, self.nsym());
+        let group = self.message_len() * depth;
         let ragged = if data.len().is_multiple_of(depth) { 0 } else { data.len() % group };
         let (uniform, tail) = data.split_at(data.len() - ragged);
 
@@ -133,12 +149,11 @@ impl EccScheme for Interleaved {
     }
 
     fn parity_len(&self, data_len: usize) -> usize {
-        self.codewords(data_len, self.depth) * self.inner.nsym()
+        self.codewords(data_len, self.depth) * self.nsym()
     }
 
     fn storage_overhead(&self) -> f64 {
-        // Interleaving permutes bytes; it adds no parity of its own.
-        self.inner.storage_overhead()
+        self.nsym() as f64 / self.message_len() as f64
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
@@ -178,15 +193,16 @@ impl EccScheme for Interleaved {
         let mut report = CorrectionReport { blocks_checked, ..Default::default() };
         let mut msg = [0u8; MAX_CODEWORD];
         for (j, m) in suspects {
-            let first = m * self.inner.message_len() * self.depth + j;
-            let lane = data.iter().skip(first).step_by(self.depth).take(self.inner.message_len());
+            let first = m * self.message_len() * self.depth + j;
+            let lane = data.iter().skip(first).step_by(self.depth).take(self.message_len());
             let slot = parity.get_mut(self.slot(data.len(), j, m));
             let (msg, Some(slot)) = (gather(lane, &mut msg), slot) else {
                 continue;
             };
-            // Symbol-granular repairs are tallied as corrected_bits, as in
-            // `RsBlock`.
-            report.corrected_bits += self.inner.codeword().repair(msg, slot)? as u64;
+            // Symbol-granular repairs are tallied as corrected_bits (one per
+            // repaired byte), mirroring the container header's
+            // symbols-corrected accounting.
+            report.corrected_bits += self.rs.repair(msg, slot)? as u64;
             for (dst, src) in data.iter_mut().skip(first).step_by(self.depth).zip(msg.iter()) {
                 *dst = *src;
             }
@@ -197,12 +213,22 @@ impl EccScheme for Interleaved {
     fn capability(&self) -> Capability {
         // A burst of ≤ depth bytes lands as one whole corrupted byte per
         // lane, which a symbol-correcting code absorbs: lanes widen the
-        // inner code's reach at its own rates.
-        self.inner.capability()
+        // code's reach at the rates of its one codeword.
+        Capability {
+            detects_sparse: true,
+            corrects_sparse: true,
+            corrects_burst: true,
+            correctable_per_mb: multi_correct_rate_per_mb(
+                MB / self.message_len() as f64,
+                self.rs.max_errors(),
+            ),
+        }
     }
 
     fn min_bytes_per_thread(&self) -> usize {
-        self.inner.min_bytes_per_thread()
+        // One LFSR step per message byte is well below the bit-oriented
+        // schemes' rate, so a worker pays for itself on a small job.
+        1 << 20
     }
 }
 
@@ -210,14 +236,13 @@ impl EccScheme for Interleaved {
 mod tests {
     use super::*;
     use crate::rscode::oracle::{self, Rng};
-    use crate::rscode::RsCodeword;
 
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 131) ^ (i >> 5)) as u8).collect()
     }
 
     fn scheme(depth: usize) -> Interleaved {
-        Interleaved::new(RsBlock::new(32).unwrap(), depth).unwrap()
+        Interleaved::new(32, depth).unwrap()
     }
 
     /// What this module did before the lane kernel, on the `Poly` oracle:
@@ -272,7 +297,7 @@ mod tests {
     /// the report, or the same error.
     fn differential_case(rng: &mut Rng, nsym: usize, depth: usize, len: usize) {
         let what = format!("nsym={nsym} depth={depth} len={len}");
-        let s = Interleaved::new(RsBlock::new(nsym).unwrap(), depth).unwrap();
+        let s = Interleaved::new(nsym, depth).unwrap();
         let (message, lane_len) = (255 - nsym, |j| len / depth + usize::from(j < len % depth));
         let data = rng.bytes(len);
         let parity = s.encode_parity(&data);
@@ -358,7 +383,7 @@ mod tests {
     fn the_first_codeword_beyond_repair_in_lane_order_names_the_error() {
         let mut rng = Rng(0x1A4E_0004);
         let (nsym, depth, len) = (8, 4, 4 * 247 * 2);
-        let s = Interleaved::new(RsBlock::new(nsym).unwrap(), depth).unwrap();
+        let s = Interleaved::new(nsym, depth).unwrap();
         let data = rng.bytes(len);
         let parity = s.encode_parity(&data);
         let damage = |d: &mut [u8], rng: &mut Rng, j: usize, m: usize, errors: usize| {
@@ -403,10 +428,17 @@ mod tests {
 
     #[test]
     fn validates_depth() {
-        let inner = RsBlock::new(8).unwrap();
-        assert!(Interleaved::new(inner.clone(), 1).is_err());
-        assert!(Interleaved::new(inner.clone(), 4097).is_err());
-        assert!(Interleaved::new(inner, 2).is_ok());
+        assert!(Interleaved::new(8, 1).is_err());
+        assert!(Interleaved::new(8, 4097).is_err());
+        assert!(Interleaved::new(8, 2).is_ok());
+    }
+
+    #[test]
+    fn validates_nsym() {
+        assert!(Interleaved::new(0, 2).is_err());
+        assert!(Interleaved::new(1, 2).is_err());
+        assert!(Interleaved::new(251, 2).is_err());
+        assert!(Interleaved::new(32, 2).is_ok());
     }
 
     #[test]
@@ -426,30 +458,29 @@ mod tests {
     fn parity_len_matches_bare_inner_totals() {
         // Interleaving must not change the total parity bill when lanes
         // split evenly into whole codewords.
-        let inner = RsBlock::new(32).unwrap();
-        let s = Interleaved::new(inner.clone(), 8).unwrap();
+        let s = scheme(8);
         let n = 8 * 223 * 4; // every lane is exactly 4 full codewords
-        assert_eq!(s.parity_len(n), inner.parity_len(n));
-        assert_eq!(s.storage_overhead(), inner.storage_overhead());
+        assert_eq!(s.parity_len(n), n / 223 * 32);
+        assert_eq!(s.storage_overhead(), 32.0 / 223.0);
     }
 
     #[test]
     fn absorbs_burst_that_defeats_bare_inner() {
-        let inner = RsBlock::new(32).unwrap();
-        let s = Interleaved::new(inner.clone(), 64).unwrap();
+        let s = scheme(64);
         let data = sample(64 * 223);
         let enc = s.encode(&data);
 
-        // A 60-byte contiguous burst: bare RsBlock(32) corrects only 16
-        // bytes per codeword, so the same damage on its own encoding fails.
-        let mut bare = inner.encode(&data);
+        // A 60-byte contiguous burst: one RS(255,223) codeword corrects
+        // only 16 bytes, so the same damage to a contiguous message fails.
+        let rs = RsCodeword::new(32).unwrap();
+        let mut bare = rs.encode(&data[..223]);
         for b in &mut bare[100..160] {
             *b ^= 0xFF;
         }
-        let bare_result = inner.decode(&bare, data.len());
+        let bare_result = rs.decode(&bare);
         assert!(
-            bare_result.is_err() || bare_result.is_ok_and(|(out, _)| out != data),
-            "bare inner should not survive a 60-byte burst"
+            bare_result.is_err() || bare_result.is_ok_and(|(out, _)| out != data[..223]),
+            "a bare codeword should not survive a 60-byte burst"
         );
 
         let mut burst = enc.clone();
@@ -482,8 +513,8 @@ mod tests {
     fn capability_is_the_inner_codes_and_a_depth_times_t_burst_is_absorbed() {
         let cap = scheme(16).capability();
         assert!(cap.corrects_burst && cap.corrects_sparse);
-        let inner_cap = RsBlock::new(32).unwrap().capability();
-        assert_eq!(cap.correctable_per_mb, inner_cap.correctable_per_mb);
+        assert_eq!(cap.correctable_per_mb, multi_correct_rate_per_mb(MB / 223.0, 16));
+        assert!(cap.correctable_per_mb > 1000.0, "rate={}", cap.correctable_per_mb);
 
         // Symbol-correcting inner: a depth × t byte run is t bytes per lane.
         let (depth, t) = (16usize, 16usize);

@@ -15,10 +15,9 @@
 //!
 //! Extension families for the `arc-core` registry (§7 future work):
 //!
-//! * [`rsblock::RsBlock`] — codeword-level RS as an [`codec::EccScheme`]:
-//!   checksum-free unknown-location byte correction.
-//! * [`interleaved::Interleaved`] — byte-lane interleaving around any inner
-//!   scheme, turning bursts into per-codeword singles.
+//! * [`interleaved::Interleaved`] — codeword RS as an [`codec::EccScheme`],
+//!   woven across byte lanes: checksum-free unknown-location byte
+//!   correction, with bursts turned into per-codeword singles.
 //! * [`bch::Bch`] — shortened binary BCH(8191, 8191−13t, t) over GF(2^13)
 //!   for bit-rot at sub-percent overhead.
 //! * [`parallel::ParallelCodec`] — chunked thread-parallel encode/decode at
@@ -52,7 +51,6 @@ pub mod parallel;
 pub mod parity;
 pub mod replication;
 pub mod rs;
-pub mod rsblock;
 pub mod rscode;
 pub mod secded;
 
@@ -67,7 +65,6 @@ pub mod prelude {
     pub use crate::parity::Parity;
     pub use crate::replication::Replication;
     pub use crate::rs::ReedSolomon;
-    pub use crate::rsblock::RsBlock;
     pub use crate::rscode::RsCodeword;
     pub use crate::secded::SecDed;
 }

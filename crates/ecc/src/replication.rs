@@ -1,6 +1,6 @@
 //! N-modular replication: the "keep multiple copies" baseline ECC.
 //!
-//! §2.2 motivates ECC as "requir[ing] significantly less overhead compared
+//! §2.2 motivates ECC as "requir\[ing\] significantly less overhead compared
 //! to keeping multiple copies of a dataset". This codec makes that
 //! comparison concrete: it stores `copies − 1` extra replicas and repairs
 //! by majority vote per byte (with ≥3 copies) or detects divergence (with

@@ -19,10 +19,6 @@
 //! memory speed (fast, Fig 9d), and repairs pay Gaussian elimination plus
 //! reconstruction (the Fig 10 cliff).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 use crate::crc::{crc32, crc32_zero_padded, CRC_LEN};
 use crate::gf256::{mul_acc_slice, Gf};
@@ -30,28 +26,6 @@ use crate::gf256::{mul_acc_slice, Gf};
 /// Maximum total device count (`k + m`) representable in GF(2^8) with the
 /// Cauchy construction used here.
 pub const MAX_DEVICES: usize = 255;
-
-thread_local! {
-    /// Last coefficient matrix this thread fetched. Pool workers encode many
-    /// chunks of one configuration back to back; this memo keeps them off
-    /// the global `Mutex` after the first fetch.
-    static LAST_COEFFS: RefCell<CoeffMemo> = const { RefCell::new(None) };
-}
-
-/// `(k, m)` plus the coefficient matrix it maps to, for the thread-local
-/// last-used slot.
-type CoeffMemo = Option<((usize, usize), Arc<[Gf]>)>;
-
-/// Per-(k,m) cache of the row-major m×k Cauchy coefficient matrix.
-///
-/// `ReedSolomon` stays `Copy` (it is embedded in the `Copy` configuration
-/// space the trainer enumerates), so the matrix lives behind a process-wide
-/// memo warmed at construction: encode and erasure repair fetch one `Arc`
-/// clone per chunk instead of recomputing k·m field inversions, and the
-/// steady-state fetch performs no allocation (the counting-allocator tests
-/// pin this).
-type CoeffCache = Mutex<HashMap<(usize, usize), Arc<[Gf]>>>;
-static COEFF_CACHE: OnceLock<CoeffCache> = OnceLock::new();
 
 /// Reed-Solomon configuration: `k` data devices protected by `m` code devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,50 +49,15 @@ impl ReedSolomon {
                 k + m
             )));
         }
-        let rs = ReedSolomon { k, m };
-        // Build the coefficient matrix now so every later encode/repair is a
-        // cache hit (and allocation-free).
-        let _ = rs.coeff_matrix();
-        Ok(rs)
-    }
-
-    /// The cached m×k Cauchy coefficient matrix, row-major: entry
-    /// `j * k + i` is `coeff(j, i)`.
-    fn coeff_matrix(&self) -> Arc<[Gf]> {
-        let key = (self.k, self.m);
-        let hit = LAST_COEFFS.with(|slot| {
-            slot.borrow().as_ref().and_then(|(k, c)| if *k == key { Some(c.clone()) } else { None })
-        });
-        if let Some(c) = hit {
-            return c;
-        }
-        let cache = COEFF_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        // A poisoned lock only means another thread died mid-insert; the
-        // cache itself is a plain memo table, so recover the guard.
-        let mut map = cache.lock().unwrap_or_else(|p| p.into_inner());
-        let coeffs = map
-            .entry(key)
-            .or_insert_with(|| {
-                // arc-lint: bounded(m, k <= 255 so the matrix is at most 255x255 coefficients)
-                let mut rows = Vec::with_capacity(self.m * self.k);
-                for j in 0..self.m {
-                    for i in 0..self.k {
-                        rows.push(self.coeff(j, i));
-                    }
-                }
-                rows.into()
-            })
-            .clone();
-        drop(map);
-        LAST_COEFFS.with(|slot| *slot.borrow_mut() = Some((key, coeffs.clone())));
-        coeffs
+        Ok(ReedSolomon { k, m })
     }
 
     /// Cauchy generator coefficient for code device `j`, data device `i`.
     ///
-    /// `x_j = j` (code rows) and `y_i = m + i` (data columns) are disjoint for
-    /// `k + m ≤ 255`, so `x_j ⊕ y_i ≠ 0` — wait, disjointness of the *sets*
-    /// guarantees `x_j ≠ y_i`, hence the XOR is non-zero and invertible.
+    /// `x_j = j` (code rows) and `y_i = m + i` (data columns) are disjoint
+    /// sets for `k + m ≤ 255`, so `x_j ≠ y_i`: the XOR is non-zero and
+    /// invertible. One XOR and one table inversion, against the kilobytes of
+    /// `mul_acc_slice` every use of a coefficient pays, so nothing caches it.
     #[inline]
     fn coeff(&self, j: usize, i: usize) -> Gf {
         Gf((j as u8) ^ ((self.m + i) as u8)).inv()
@@ -146,14 +85,10 @@ impl ReedSolomon {
     /// `acc ^= Σ_i C[j][i]·data_i` over every data device `i` not listed in
     /// `skip` — row `j` of the generator applied to the buffer. Devices
     /// shorter than `acc` (the ragged tail) count as zero-padded.
-    fn accumulate_row(&self, coeffs: &[Gf], j: usize, data: &[u8], skip: &[usize], acc: &mut [u8]) {
-        let row = &coeffs[j * self.k..(j + 1) * self.k];
-        for (i, &c) in row.iter().enumerate() {
-            if skip.contains(&i) {
-                continue;
-            }
+    fn accumulate_row(&self, j: usize, data: &[u8], skip: &[usize], acc: &mut [u8]) {
+        for i in (0..self.k).filter(|i| !skip.contains(i)) {
             let range = self.data_device_range(data.len(), i);
-            mul_acc_slice(&mut acc[..range.len()], &data[range], c);
+            mul_acc_slice(&mut acc[..range.len()], &data[range], self.coeff(j, i));
         }
     }
 
@@ -182,13 +117,12 @@ impl ReedSolomon {
             });
         }
         let rows = &good_parity[..t];
-        let coeffs = self.coeff_matrix();
         // rhs_r = parity[rows[r]] − Σ_{good i} C[rows[r]][i]·data_i
         // arc-lint: bounded(t <= m <= 255 erasure rows)
         let mut rhs: Vec<Vec<u8>> = Vec::with_capacity(t);
         for &j in rows {
             let mut acc = parity_devs[j * d..(j + 1) * d].to_vec();
-            self.accumulate_row(&coeffs, j, data, bad_data, &mut acc);
+            self.accumulate_row(j, data, bad_data, &mut acc);
             rhs.push(acc);
         }
         // Dense t×t system: A[r][c] = C[rows[r]][bad_data[c]].
@@ -196,7 +130,7 @@ impl ReedSolomon {
         let mut a = vec![Gf::ZERO; t * t];
         for (r, &j) in rows.iter().enumerate() {
             for (c, &i) in bad_data.iter().enumerate() {
-                a[r * t + c] = coeffs[j * self.k + i];
+                a[r * t + c] = self.coeff(j, i);
             }
         }
         // Gauss-Jordan with partial pivoting over GF(2^8); row operations are
@@ -265,10 +199,9 @@ impl EccScheme for ReedSolomon {
         }
         parity.fill(0);
         let d = self.device_size(data.len());
-        let coeffs = self.coeff_matrix();
         let (parity_devs, crc_table) = parity.split_at_mut(self.m * d);
         for j in 0..self.m {
-            self.accumulate_row(&coeffs, j, data, &[], &mut parity_devs[j * d..(j + 1) * d]);
+            self.accumulate_row(j, data, &[], &mut parity_devs[j * d..(j + 1) * d]);
         }
         for i in 0..self.k {
             let range = self.data_device_range(data.len(), i);
@@ -352,11 +285,10 @@ impl EccScheme for ReedSolomon {
             crc_table[i * CRC_LEN..(i + 1) * CRC_LEN].copy_from_slice(&c.to_le_bytes());
             report.corrected_devices += 1;
         }
-        let coeffs = self.coeff_matrix();
         for &j in &bad_parity {
             let dev = &mut parity_devs[j * d..(j + 1) * d];
             dev.fill(0);
-            self.accumulate_row(&coeffs, j, data, &[], dev);
+            self.accumulate_row(j, data, &[], dev);
             let c = crc32(dev);
             let idx = self.k + j;
             crc_table[idx * CRC_LEN..(idx + 1) * CRC_LEN].copy_from_slice(&c.to_le_bytes());
@@ -412,21 +344,6 @@ mod tests {
                 assert_ne!(rs.coeff(j, i), Gf::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn cached_coefficient_matrix_matches_formula() {
-        let rs = ReedSolomon::new(23, 7).unwrap();
-        let coeffs = rs.coeff_matrix();
-        assert_eq!(coeffs.len(), 7 * 23);
-        for j in 0..7 {
-            for i in 0..23 {
-                assert_eq!(coeffs[j * 23 + i], rs.coeff(j, i), "j={j} i={i}");
-            }
-        }
-        // Same (k,m) yields the same shared allocation.
-        let again = ReedSolomon::new(23, 7).unwrap().coeff_matrix();
-        assert!(Arc::ptr_eq(&coeffs, &again));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! checksums and repairs it as erasures — Jerasure's model. This module is
 //! the classical BCH-view alternative: systematic RS(n, k) codewords over
 //! GF(2^8) decoded with syndromes → Berlekamp–Massey → Chien search → Forney,
-//! correcting up to ⌊nsym/2⌋ *unknown-location* symbol errors per codeword
-//! (and up to `nsym` errors when all locations are known).
+//! correcting up to ⌊nsym/2⌋ *unknown-location* symbol errors per codeword.
 //!
 //! ARC uses this codec where checksums are unavailable: the self-describing
 //! container header must be decodable before any metadata is trusted. It is
@@ -163,22 +162,12 @@ impl RsCodeword {
     /// Decode a received codeword, correcting up to ⌊nsym/2⌋ unknown errors.
     /// Returns the message portion and the number of symbols repaired.
     pub fn decode(&self, received: &[u8]) -> Result<(Vec<u8>, usize), EccError> {
-        self.decode_with_erasures(received, &[])
-    }
-
-    /// Decode with known erasure positions (indices into `received`).
-    /// Corrects `e` erasures plus `t` errors whenever `e + 2t ≤ nsym`.
-    pub fn decode_with_erasures(
-        &self,
-        received: &[u8],
-        erasures: &[usize],
-    ) -> Result<(Vec<u8>, usize), EccError> {
         let (n, mut buf) = (received.len(), [0u8; MAX_CODEWORD]);
         let Some(codeword) = buf.get_mut(..n).filter(|_| n > self.nsym) else {
             return Err(self.bad_length(n));
         };
         codeword.copy_from_slice(received);
-        let fixed = self.correct_in_place(codeword, erasures)?;
+        let fixed = self.correct_in_place(codeword)?;
         let (msg, _parity) = codeword.split_at(n - self.nsym);
         Ok((msg.to_vec(), fixed))
     }
@@ -197,61 +186,36 @@ impl RsCodeword {
         let (m, p) = codeword.split_at_mut(msg.len());
         m.copy_from_slice(msg);
         p.copy_from_slice(parity);
-        let fixed = self.correct_in_place(codeword, &[])?;
+        let fixed = self.correct_in_place(codeword)?;
         let (m, p) = codeword.split_at(msg.len());
         msg.copy_from_slice(m);
         parity.copy_from_slice(p);
         Ok(fixed)
     }
 
-    /// Verify one received codeword and repair it in place: `e` erasures
-    /// (indices into `codeword`) plus `t` unknown errors whenever
-    /// `e + 2t ≤ nsym`. Returns the symbols repaired; on an error the
+    /// Verify one received codeword and repair up to ⌊nsym/2⌋ unknown
+    /// errors in place. Returns the symbols repaired; on an error the
     /// codeword may be partly rewritten.
-    fn correct_in_place(&self, codeword: &mut [u8], erasures: &[usize]) -> Result<usize, EccError> {
+    fn correct_in_place(&self, codeword: &mut [u8]) -> Result<usize, EccError> {
         let n = codeword.len();
         if n <= self.nsym || n > MAX_CODEWORD {
             return Err(self.bad_length(n));
-        }
-        if erasures.len() > self.nsym {
-            return Err(EccError::Uncorrectable {
-                scheme: "rs-codeword",
-                detail: format!("{} erasures exceed nsym={}", erasures.len(), self.nsym),
-            });
-        }
-        if erasures.iter().any(|&p| p >= n) {
-            return Err(EccError::Malformed { detail: "erasure index out of range".into() });
         }
         let (msg, parity) = codeword.split_at(n - self.nsym);
         if self.is_clean(msg, parity) {
             return Ok(0);
         }
-        let synd = self.syndromes(&Self::codeword_poly(codeword));
-        // Erasure locator Γ(x) = ∏ (1 − x·α^{j_e}), j_e = poly position.
-        let mut gamma = Poly::constant(Gf::ONE);
-        for &pos in erasures {
-            let j = (n - 1 - pos) as i32;
-            gamma = gamma.mul(&Poly::from_coeffs(vec![Gf::ONE, Gf::alpha_pow(j)]));
-        }
-        // Modified (Forney) syndromes fold erasures out of BM's problem:
-        // the coefficients of S(x)·Γ(x) from degree e upward form the
-        // sequence the error locator must annihilate.
-        let synd_poly = Poly::from_coeffs(synd);
-        let x_nsym = Poly::constant(Gf::ONE).shift(self.nsym);
-        let modified = synd_poly.mul(&gamma).rem(&x_nsym);
-        let forney =
-            Poly::from_coeffs((erasures.len()..self.nsym).map(|i| modified.coeff(i)).collect());
-        let sigma = self.berlekamp_massey(&forney, erasures.len())?;
-        // Combined errata locator.
-        let locator = sigma.mul(&gamma);
+        let synd_poly = Poly::from_coeffs(self.syndromes(&Self::codeword_poly(codeword)));
+        let locator = self.berlekamp_massey(&synd_poly)?;
         let positions = self.chien_search(&locator, n)?;
         if positions.len() != locator.degree() {
             return Err(EccError::Uncorrectable {
                 scheme: "rs-codeword",
-                detail: "errata locator roots do not match its degree".into(),
+                detail: "error locator roots do not match its degree".into(),
             });
         }
-        // Errata evaluator Ω(x) = S(x)·Λ(x) mod x^nsym, then Forney.
+        // Error evaluator Ω(x) = S(x)·Λ(x) mod x^nsym, then Forney.
+        let x_nsym = Poly::constant(Gf::ONE).shift(self.nsym);
         let omega = synd_poly.mul(&locator).rem(&x_nsym);
         let loc_deriv = locator.derivative();
         for &pos in &positions {
@@ -281,16 +245,14 @@ impl RsCodeword {
         Ok(positions.len())
     }
 
-    /// Berlekamp–Massey on the (modified) syndromes, bounded so that
-    /// erasures + 2·errors ≤ nsym.
-    fn berlekamp_massey(&self, synd: &Poly, n_erasures: usize) -> Result<Poly, EccError> {
+    /// Berlekamp–Massey on the syndromes, bounded so that 2·errors ≤ nsym.
+    fn berlekamp_massey(&self, synd: &Poly) -> Result<Poly, EccError> {
         let mut sigma = Poly::constant(Gf::ONE);
         let mut prev = Poly::constant(Gf::ONE);
         let mut l = 0usize;
         let mut m = 1usize;
         let mut b = Gf::ONE;
-        let rounds = self.nsym - n_erasures;
-        for i in 0..rounds {
+        for i in 0..self.nsym {
             let mut delta = synd.coeff(i);
             for j in 1..=l {
                 delta = delta.add(sigma.coeff(j).mul(synd.coeff(i - j)));
@@ -311,10 +273,10 @@ impl RsCodeword {
                 m += 1;
             }
         }
-        if 2 * l > rounds {
+        if 2 * l > self.nsym {
             return Err(EccError::Uncorrectable {
                 scheme: "rs-codeword",
-                detail: format!("{l} errors exceed correction bound {}", rounds / 2),
+                detail: format!("{l} errors exceed correction bound {}", self.nsym / 2),
             });
         }
         Ok(sigma)
@@ -520,48 +482,6 @@ mod tests {
         let (out, fixed) = rs.decode(&cw).unwrap();
         assert_eq!(out, msg);
         assert_eq!(fixed, 2);
-    }
-
-    #[test]
-    fn erasures_double_the_budget() {
-        let rs = RsCodeword::new(8).unwrap();
-        let msg = sample(40);
-        let cw = rs.encode(&msg);
-        // 8 erasures (= nsym) with known positions: correctable.
-        let mut bad = cw.clone();
-        let positions: Vec<usize> = (0..8).map(|i| i * 5).collect();
-        for &p in &positions {
-            bad[p] = 0;
-        }
-        let (out, fixed) = rs.decode_with_erasures(&bad, &positions).unwrap();
-        assert_eq!(out, msg);
-        assert!(fixed <= 8);
-    }
-
-    #[test]
-    fn mixed_erasures_and_errors() {
-        let rs = RsCodeword::new(8).unwrap();
-        let msg = sample(40);
-        let cw = rs.encode(&msg);
-        let mut bad = cw.clone();
-        // 4 erasures + 2 unknown errors: 4 + 2·2 = 8 ≤ nsym.
-        let erasures = [0usize, 10, 20, 30];
-        for &p in &erasures {
-            bad[p] ^= 0x3C;
-        }
-        bad[5] ^= 0x77;
-        bad[15] ^= 0x01;
-        let (out, _) = rs.decode_with_erasures(&bad, &erasures).unwrap();
-        assert_eq!(out, msg);
-    }
-
-    #[test]
-    fn erasure_positions_validated() {
-        let rs = RsCodeword::new(4).unwrap();
-        let msg = sample(10);
-        let cw = rs.encode(&msg);
-        assert!(rs.decode_with_erasures(&cw, &[999]).is_err());
-        assert!(rs.decode_with_erasures(&cw, &[0, 1, 2, 3, 4]).is_err());
     }
 
     #[test]

@@ -5,13 +5,11 @@
 //! (overall parity flips) from double errors (overall parity holds while the
 //! syndrome is non-zero), which plain Hamming silently miscorrects. This is
 //! the scheme ARC selects for the paper's §6.3 resiliency evaluation
-//! (1 error/MB → SEC-DED over every eight bytes).
+//! (1 error/MB → SEC-DED over every eight bytes). Encode and decode are
+//! [`crate::hamming`]'s one SEC kernel with the overall bit switched on.
 
-use crate::bits::{get_bit, read_bits_at, set_bit, PackedBitWriter};
-use crate::codec::{
-    single_correct_rate_per_mb, Capability, CorrectionReport, EccError, EccScheme, MB,
-};
-use crate::hamming::{layout, load_block, store_block, BlockWidth};
+use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
+use crate::hamming::{BlockWidth, Sec};
 
 /// SEC-DED code over [`BlockWidth`] blocks: (13,8) or (72,64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,52 +29,26 @@ impl SecDed {
         SecDed { width: BlockWidth::W64 }
     }
 
-    /// Parity bits per block: Hamming bits + 1 overall bit.
-    fn parity_bits(&self) -> u32 {
-        self.width.hamming_parity_bits() + 1
-    }
-
-    fn blocks(&self, data_len: usize) -> usize {
-        data_len.div_ceil(self.width.data_bytes())
-    }
-
-    /// Overall (even) parity across the data block and its Hamming bits.
-    #[inline]
-    fn overall(block: u64, hamming_bits: u32) -> bool {
-        ((block.count_ones() + hamming_bits.count_ones()) & 1) == 1
+    fn kernel(&self) -> Sec<true> {
+        Sec(self.width)
     }
 }
 
 impl EccScheme for SecDed {
     fn name(&self) -> &'static str {
-        "secded"
+        Sec::<true>::NAME
     }
 
     fn parity_len(&self, data_len: usize) -> usize {
-        let bits = self.blocks(data_len) as u64 * self.parity_bits() as u64;
-        bits.div_ceil(8) as usize
+        self.kernel().parity_len(data_len)
     }
 
     fn storage_overhead(&self) -> f64 {
-        self.parity_bits() as f64 / self.width.data_bits() as f64
+        self.kernel().storage_overhead()
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
-        let lay = layout(self.width);
-        let pb = self.parity_bits();
-        let blocks = self.blocks(data.len());
-        // Each block's Hamming bits plus overall bit form one (r+1)-bit
-        // group, packed with whole-word stores (no per-bit set_bit and no
-        // fill(0) pass — the writer covers every parity byte).
-        let mut w = PackedBitWriter::new(parity);
-        for i in 0..blocks {
-            let block = load_block(data, i, self.width);
-            let ham = lay.parity_of(block);
-            let group = ham as u64 | ((Self::overall(block, ham) as u64) << lay.r);
-            w.push(group, pb);
-        }
-        w.finish();
+        self.kernel().encode_parity_into(data, parity)
     }
 
     fn verify_and_correct(
@@ -84,94 +56,19 @@ impl EccScheme for SecDed {
         data: &mut [u8],
         parity: &mut [u8],
     ) -> Result<CorrectionReport, EccError> {
-        let expected = self.parity_len(data.len());
-        if parity.len() != expected {
-            return Err(EccError::Malformed {
-                detail: format!("secded parity region {} bytes, expected {expected}", parity.len()),
-            });
-        }
-        let lay = layout(self.width);
-        let pb = self.parity_bits() as u64;
-        let blocks = self.blocks(data.len());
-        let mut report = CorrectionReport { blocks_checked: blocks as u64, ..Default::default() };
-        for i in 0..blocks {
-            let mut block = load_block(data, i, self.width);
-            let recomputed_ham = lay.parity_of(block);
-            let base = i as u64 * pb;
-            let group = read_bits_at(parity, base, self.parity_bits());
-            let stored_ham = (group as u32) & ((1 << lay.r) - 1);
-            let stored_overall = (group >> lay.r) & 1 == 1;
-            let syndrome = recomputed_ham ^ stored_ham;
-            // Overall parity check: recompute across received data + received
-            // Hamming bits + received overall bit; zero means even weight.
-            let overall_mismatch = Self::overall(block, stored_ham) != stored_overall;
-            match (syndrome, overall_mismatch) {
-                (0, false) => {}
-                (0, true) => {
-                    // Only the overall bit flipped.
-                    set_bit(parity, base + lay.r as u64, !stored_overall);
-                    report.corrected_bits += 1;
-                }
-                (s, true) => {
-                    // Single error located by the syndrome.
-                    if s > lay.n {
-                        return Err(EccError::Uncorrectable {
-                            scheme: "secded",
-                            detail: format!("impossible syndrome {s} in block {i}"),
-                        });
-                    }
-                    match lay.pos_to_databit[s as usize] {
-                        Some(bit) => {
-                            let tail_bits = (data.len() - i * self.width.data_bytes())
-                                .min(self.width.data_bytes())
-                                as u32
-                                * 8;
-                            if bit >= tail_bits {
-                                return Err(EccError::Uncorrectable {
-                                    scheme: "secded",
-                                    detail: format!(
-                                        "syndrome points into tail padding of block {i}"
-                                    ),
-                                });
-                            }
-                            block ^= 1u64 << bit;
-                            store_block(data, i, self.width, block);
-                        }
-                        None => {
-                            let pbit = s.trailing_zeros() as u64;
-                            let idx = base + pbit;
-                            let cur = get_bit(parity, idx);
-                            set_bit(parity, idx, !cur);
-                        }
-                    }
-                    report.corrected_bits += 1;
-                }
-                (_, false) => {
-                    return Err(EccError::Uncorrectable {
-                        scheme: "secded",
-                        detail: format!("double-bit error detected in block {i}"),
-                    });
-                }
-            }
-        }
-        Ok(report)
+        self.kernel().verify_and_correct(data, parity)
     }
 
     fn capability(&self) -> Capability {
-        let codewords_per_mb = MB / self.width.data_bytes() as f64;
-        Capability {
-            detects_sparse: true,
-            corrects_sparse: true,
-            corrects_burst: false,
-            correctable_per_mb: single_correct_rate_per_mb(codewords_per_mb),
-        }
+        self.kernel().capability()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::flip_bit;
+    use crate::bits::{flip_bit, set_bit};
+    use crate::hamming::{layout, load_block, overall};
 
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 197 + 43) % 256) as u8).collect()
@@ -195,7 +92,7 @@ mod tests {
             for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 777] {
                 let data = sample(len);
                 let mut reference = vec![0u8; s.parity_len(len)];
-                let pb = s.parity_bits() as u64;
+                let pb = lay.r as u64 + 1;
                 for i in 0..len.div_ceil(s.width.data_bytes()) {
                     let block = load_block(&data, i, s.width);
                     let ham = lay.parity_of(block);
@@ -205,7 +102,7 @@ mod tests {
                             set_bit(&mut reference, base + bit as u64, true);
                         }
                     }
-                    if SecDed::overall(block, ham) {
+                    if overall(block, ham) {
                         set_bit(&mut reference, base + lay.r as u64, true);
                     }
                 }

@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec, RsBlock};
+use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec};
 
 struct CountingAlloc;
 
@@ -135,7 +135,7 @@ fn sequential_pipeline_allocation_contract() {
         // chunk, so the one-lane-at-a-time tail is under the count too.
         let data = &data[..199_999];
         let families: [(&str, Arc<dyn EccScheme>); 2] = [
-            ("ileave-rs", Arc::new(Interleaved::new(RsBlock::new(32).unwrap(), 64).unwrap())),
+            ("ileave-rs", Arc::new(Interleaved::new(32, 64).unwrap())),
             ("bch", Arc::new(Bch::new(2).unwrap())),
         ];
         for (name, scheme) in families {

@@ -1,5 +1,5 @@
 //! Golden bytes of the ECC families: FNV-1a checksums of what
-//! `Interleaved(RsBlock)`, `RsCodeword`, `Bch`, `Hamming`, `SecDed` and
+//! `Interleaved`, `RsCodeword`, `Bch`, `Hamming`, `SecDed` and
 //! `ReedSolomon` put on the wire, and what a damaged buffer decodes to, so
 //! a kernel change underneath them cannot move a byte or a report silently.
 //!
@@ -8,8 +8,8 @@
 //! and paste the printed constants.
 
 use arc_ecc::{
-    Bch, CorrectionReport, EccError, EccScheme, Hamming, Interleaved, ReedSolomon, RsBlock,
-    RsCodeword, SecDed,
+    Bch, CorrectionReport, EccError, EccScheme, Hamming, Interleaved, ReedSolomon, RsCodeword,
+    SecDed,
 };
 
 /// 64-bit FNV-1a.
@@ -72,7 +72,7 @@ fn interleaved_rs_encodings_match_golden_checksums() {
     let actual: Vec<[u64; 8]> = LANE_GRID
         .iter()
         .map(|&(nsym, depth)| {
-            let s = Interleaved::new(RsBlock::new(nsym).unwrap(), depth).unwrap();
+            let s = Interleaved::new(nsym, depth).unwrap();
             LANE_LENGTHS.map(|n| fnv1a(&s.encode(&input(n, (nsym * depth) as u64))))
         })
         .collect();
@@ -98,7 +98,7 @@ fn interleaved_rs_repairs_match_golden_reports() {
     let actual: Vec<(usize, usize, usize, u64, u64, u64)> = LANE_GRID
         .iter()
         .map(|&(nsym, depth)| {
-            let s = Interleaved::new(RsBlock::new(nsym).unwrap(), depth).unwrap();
+            let s = Interleaved::new(nsym, depth).unwrap();
             let n = 50_001;
             let clean = s.encode(&input(n, 7));
             let mut bad = clean.clone();

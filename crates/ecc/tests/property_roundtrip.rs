@@ -9,7 +9,7 @@ use std::sync::Arc;
 use arc_ecc::bits::flip_bit;
 use arc_ecc::{
     Capability, CorrectionReport, EccConfig, EccError, EccScheme, Interleaved, ParallelCodec,
-    Replication, RsBlock,
+    Replication,
 };
 use proptest::prelude::*;
 
@@ -154,7 +154,7 @@ proptest! {
         let scheme: Arc<dyn EccScheme> = if tmr {
             Arc::new(Replication::tmr())
         } else {
-            Arc::new(Interleaved::new(RsBlock::new(8).unwrap(), 4).unwrap())
+            Arc::new(Interleaved::new(8, 4).unwrap())
         };
         let data = sample(data_len, seed);
         let codec = ParallelCodec::with_chunk_size(scheme, 2, chunk_size).unwrap();

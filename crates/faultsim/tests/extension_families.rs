@@ -16,7 +16,7 @@
 use std::sync::OnceLock;
 
 use arc_core::standard_extensions;
-use arc_ecc::{EccScheme, Interleaved, RsBlock, DEFAULT_CHUNK_SIZE};
+use arc_ecc::{EccError, EccScheme, Interleaved, RsCodeword, DEFAULT_CHUNK_SIZE};
 use arc_faultsim::{burst_byte_run, flip_bit, stride_bits};
 use proptest::prelude::*;
 
@@ -93,20 +93,37 @@ fn calibration_sweep_every_family_survives_advertised_faults() {
 }
 
 const LANES: usize = 64;
-const CODEWORD_DATA: usize = 223; // RsBlock(32) message bytes
+const NSYM: usize = 32;
+const CODEWORD_DATA: usize = 255 - NSYM; // message bytes per codeword
 const DATA_LEN: usize = 2 * LANES * CODEWORD_DATA; // lanes split into whole codewords
+
+/// The bare code: the same RS(255,223) codewords over contiguous messages,
+/// `data ‖ parity` with each message's parity in message order.
+fn bare_encode(rs: &RsCodeword, data: &[u8]) -> Vec<u8> {
+    let parity = data.chunks(CODEWORD_DATA).flat_map(|msg| rs.encode(msg).split_off(msg.len()));
+    data.iter().copied().chain(parity).collect()
+}
+
+fn bare_decode(rs: &RsCodeword, encoded: &[u8], data_len: usize) -> Result<Vec<u8>, EccError> {
+    let (data, parity) = encoded.split_at(data_len);
+    let mut out = Vec::with_capacity(data_len);
+    for (msg, slot) in data.chunks(CODEWORD_DATA).zip(parity.chunks(NSYM)) {
+        out.extend(rs.decode(&[msg, slot].concat())?.0);
+    }
+    Ok(out)
+}
 
 fn encodings() -> &'static (Vec<u8>, Vec<u8>, Vec<u8>) {
     static ENC: OnceLock<(Vec<u8>, Vec<u8>, Vec<u8>)> = OnceLock::new();
     ENC.get_or_init(|| {
         let data = sample(DATA_LEN);
-        let inner = RsBlock::new(32).expect("inner RS");
-        let wrapped = Interleaved::new(inner.clone(), LANES).expect("wrapper");
-        // Identical parity bill: interleaving only permutes the data the
-        // inner code sees.
-        assert_eq!(inner.parity_len(DATA_LEN), wrapped.parity_len(DATA_LEN));
-        let bare = inner.encode(&data);
+        let inner = RsCodeword::new(NSYM).expect("inner RS");
+        let wrapped = Interleaved::new(NSYM, LANES).expect("wrapper");
+        let bare = bare_encode(&inner, &data);
         let ileaved = wrapped.encode(&data);
+        // Identical parity bill: interleaving only permutes the data the
+        // code sees.
+        assert_eq!(bare.len(), ileaved.len());
         (data, bare, ileaved)
     })
 }
@@ -124,15 +141,15 @@ proptest! {
         frac in 0.0f64..1.0,
     ) {
         let (data, bare, ileaved) = encodings();
-        let inner = RsBlock::new(32).expect("inner RS");
-        let wrapped = Interleaved::new(inner.clone(), LANES).expect("wrapper");
+        let inner = RsCodeword::new(NSYM).expect("inner RS");
+        let wrapped = Interleaved::new(NSYM, LANES).expect("wrapper");
         let start = (frac * (DATA_LEN - len) as f64) as usize;
 
         let mut bare_hit = bare.clone();
         burst_byte_run(&mut bare_hit, start, len);
-        let bare_result = inner.decode(&bare_hit, data.len());
+        let bare_result = bare_decode(&inner, &bare_hit, data.len());
         prop_assert!(
-            bare_result.is_err() || bare_result.is_ok_and(|(out, _)| &out != data),
+            bare_result.is_err() || bare_result.is_ok_and(|out| &out != data),
             "bare RS survived a {len}-byte burst at {start}"
         );
 

@@ -33,7 +33,7 @@ pub use block::Grid;
 pub use error::ZfpError;
 pub use shard::{aligned_shard_size, recommended_shard_size, stream_info};
 
-use arc_lossless::bitio::{read_varint, write_varint, BitReader, BitWriter};
+use arc_lossless::bitio::{write_varint, BitReader, BitWriter};
 use codec::{
     decode_planes, encode_planes, exponent_of, forward_into, inverse_block, K_TOP, MAX_BLOCK_LEN,
 };
@@ -276,60 +276,11 @@ pub fn decompress(bytes: &[u8]) -> Result<ZfpDecoded, ZfpError> {
 
 /// Decompress with explicit limits.
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<ZfpDecoded, ZfpError> {
-    let need = |n: usize, pos: usize| -> Result<(), ZfpError> {
-        if pos + n > bytes.len() {
-            Err(ZfpError::Truncated("header".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(6, 0)?;
-    if &bytes[..4] != MAGIC {
-        return Err(ZfpError::Malformed("bad ZFP magic".into()));
-    }
-    if bytes[4] != VERSION {
-        return Err(ZfpError::Malformed(format!("unsupported version {}", bytes[4])));
-    }
-    let tag = bytes[5];
-    let mut pos = 6usize;
-    need(8, pos)?;
-    let param = le_f64(bytes, pos);
-    pos += 8;
-    let mode = ZfpMode::from_tag(tag, param)?;
-    need(1, pos)?;
-    let ndims = bytes[pos] as usize;
-    pos += 1;
-    if ndims == 0 || ndims > 3 {
-        return Err(ZfpError::Malformed(format!("unsupported dimensionality {ndims}")));
-    }
-    // arc-lint: bounded(ndims <= 3 checked above)
-    let mut dims = Vec::with_capacity(ndims);
-    let mut product: u64 = 1;
-    for _ in 0..ndims {
-        let v =
-            read_varint(bytes, &mut pos).map_err(|e| ZfpError::Malformed(format!("dims: {e}")))?;
-        if v == 0 {
-            return Err(ZfpError::Malformed("zero-extent dimension".into()));
-        }
-        product = product
-            .checked_mul(v)
-            .ok_or_else(|| ZfpError::Malformed("dimension overflow".into()))?;
-        dims.push(v as usize);
-    }
-    if product > limits.max_elements {
-        return Err(ZfpError::WorkBudgetExceeded {
-            demanded: product,
-            budget: limits.max_elements,
-        });
-    }
-    let payload_len = read_varint(bytes, &mut pos)
-        .map_err(|e| ZfpError::Malformed(format!("payload length: {e}")))?
-        as usize;
-    let end = pos
-        .checked_add(payload_len)
-        .filter(|&e| e <= bytes.len())
+    let shard::StreamInfo { mode, dims, payload_offset, payload_len } =
+        shard::StreamInfo::read(bytes, limits.max_elements)?;
+    let payload = bytes
+        .get(payload_offset..payload_offset + payload_len)
         .ok_or_else(|| ZfpError::Truncated("payload".into()))?;
-    let payload = &bytes[pos..end];
 
     let grid = Grid::new(&dims).ok_or_else(|| ZfpError::Malformed("invalid dims".into()))?;
     let d = grid.d();
@@ -356,16 +307,6 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<Zfp
         grid.scatter(&mut out, b, blk);
     }
     Ok(ZfpDecoded { data: out, dims })
-}
-
-/// Clamped little-endian `f64` load: bytes past the end read as zero.
-/// Callers bounds-check first (`need`), so the clamp is defense in depth.
-fn le_f64(bytes: &[u8], pos: usize) -> f64 {
-    let mut b = [0u8; 8];
-    if let Some(src) = bytes.get(pos..pos + 8) {
-        b.copy_from_slice(src);
-    }
-    f64::from_le_bytes(b)
 }
 
 fn decode_one_block(

@@ -16,7 +16,7 @@
 
 use arc_lossless::bitio::read_varint;
 
-use crate::{ZfpMode, MAGIC, VERSION};
+use crate::{ZfpError, ZfpMode, MAGIC, VERSION};
 
 /// Bits each 4^d block occupies in a fixed-rate stream, or `None` for an
 /// invalid rate/dimensionality (mirrors [`ZfpMode::FixedRate`] validation).
@@ -68,35 +68,62 @@ pub struct StreamInfo {
     pub payload_len: usize,
 }
 
+impl StreamInfo {
+    /// Parse and validate a stream's header: the one parser, under
+    /// [`stream_info`] and [`crate::decompress_with_limits`] alike.
+    ///
+    /// Total over arbitrary bytes. Running out of bytes inside a fixed-width
+    /// field or before the declared payload ends is [`ZfpError::Truncated`];
+    /// dimensions that multiply past `max_elements` are
+    /// [`ZfpError::WorkBudgetExceeded`], checked before the payload length
+    /// is read; everything else that is wrong is [`ZfpError::Malformed`].
+    pub(crate) fn read(bytes: &[u8], max_elements: u64) -> Result<StreamInfo, ZfpError> {
+        let truncated = || ZfpError::Truncated("header".into());
+        let (magic, rest) = bytes.split_first_chunk::<4>().ok_or_else(truncated)?;
+        let [version, tag] = *rest.first_chunk::<2>().ok_or_else(truncated)?;
+        if magic != MAGIC {
+            return Err(ZfpError::Malformed("bad ZFP magic".into()));
+        }
+        if version != VERSION {
+            return Err(ZfpError::Malformed(format!("unsupported version {version}")));
+        }
+        let param = bytes.get(6..14).and_then(|b| b.try_into().ok()).ok_or_else(truncated)?;
+        let mode = ZfpMode::from_tag(tag, f64::from_le_bytes(param))?;
+        let ndims = usize::from(*bytes.get(14).ok_or_else(truncated)?);
+        if ndims == 0 || ndims > 3 {
+            return Err(ZfpError::Malformed(format!("unsupported dimensionality {ndims}")));
+        }
+        let mut pos = 15usize;
+        // arc-lint: bounded(ndims <= 3 checked above)
+        let mut dims = Vec::with_capacity(ndims);
+        let mut product: u64 = 1;
+        for _ in 0..ndims {
+            let v = read_varint(bytes, &mut pos)
+                .map_err(|e| ZfpError::Malformed(format!("dims: {e}")))?;
+            if v == 0 {
+                return Err(ZfpError::Malformed("zero-extent dimension".into()));
+            }
+            let overflow = || ZfpError::Malformed("dimension overflow".into());
+            product = product.checked_mul(v).ok_or_else(overflow)?;
+            dims.push(usize::try_from(v).map_err(|_| overflow())?);
+        }
+        if product > max_elements {
+            return Err(ZfpError::WorkBudgetExceeded { demanded: product, budget: max_elements });
+        }
+        let payload_len = read_varint(bytes, &mut pos)
+            .map_err(|e| ZfpError::Malformed(format!("payload length: {e}")))?;
+        let payload_len = usize::try_from(payload_len)
+            .ok()
+            .filter(|&len| bytes.get(pos..).is_some_and(|rest| len <= rest.len()))
+            .ok_or_else(|| ZfpError::Truncated("payload".into()))?;
+        Ok(StreamInfo { mode, dims, payload_offset: pos, payload_len })
+    }
+}
+
 /// Parse a stream's header without decoding it. `None` when the bytes are
 /// not a well-formed stream of a supported version.
 pub fn stream_info(bytes: &[u8]) -> Option<StreamInfo> {
-    if bytes.len() < 15 || &bytes[..4] != MAGIC || bytes[4] != VERSION {
-        return None;
-    }
-    let tag = bytes[5];
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes.get(6..14)?);
-    let mode = ZfpMode::from_tag(tag, f64::from_le_bytes(b)).ok()?;
-    let mut pos = 14usize;
-    let ndims = usize::from(*bytes.get(pos)?);
-    pos += 1;
-    if ndims == 0 || ndims > 3 {
-        return None;
-    }
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let v = read_varint(bytes, &mut pos).ok()?;
-        if v == 0 {
-            return None;
-        }
-        dims.push(usize::try_from(v).ok()?);
-    }
-    let payload_len = usize::try_from(read_varint(bytes, &mut pos).ok()?).ok()?;
-    if pos.checked_add(payload_len)? > bytes.len() {
-        return None;
-    }
-    Some(StreamInfo { mode, dims, payload_offset: pos, payload_len })
+    StreamInfo::read(bytes, u64::MAX).ok()
 }
 
 /// Byte offset where a **fixed-rate** stream's block payload begins —

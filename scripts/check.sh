@@ -2,8 +2,9 @@
 # Repo gate. Runs from the repo root regardless of the caller's cwd.
 #
 # Usage: scripts/check.sh          fast gate, for every change:
-#                                    fmt, clippy -D warnings, tier-1 build +
-#                                    tests, workspace tests, arc-lint
+#                                    fmt, clippy -D warnings, rustdoc -D
+#                                    warnings, tier-1 build + tests,
+#                                    workspace tests, arc-lint
 #        scripts/check.sh --full   the fast gate, then everything slower:
 #                                    the #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
@@ -38,6 +39,10 @@ cargo fmt --check
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps --workspace"
+# A deleted or renamed item must not leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

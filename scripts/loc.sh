@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Line counts by the rule every [simplicity] entry in CHANGES.md applies:
-# a file's non-test lines are the lines before its first `#[cfg(test)]`
-# (the whole file when it has none).
+# a file's non-test lines are its lines outside `#[cfg(test)]` items. The
+# attribute counts only when it is a whole line; the item it annotates runs
+# to the `;` that ends it or, by brace depth, to the `}` that closes it.
+# (Until PR 23 the rule was "the lines before the first line containing
+# `#[cfg(test)]`", which dropped the code after a mid-file test module and
+# stopped at a doc comment that mentioned the attribute.)
 #
 # Usage: scripts/loc.sh [CHECKOUT]       (default: this checkout)
 #        scripts/loc.sh --diff OTHER     this checkout minus OTHER, per row
@@ -16,10 +20,15 @@ set -euo pipefail
 
 count() { # prints "<non-test> <total>" over the .rs files under the given dirs
     find "$@" -name '*.rs' -print0 2>/dev/null | xargs -0 -r awk '
-        FNR == 1 { counting = 1 }
-        /#\[cfg\(test\)\]/ { counting = 0 }
-        counting { nontest++ }
+        FNR == 1 { skipping = 0 }
         { total++ }
+        !skipping && /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { skipping = 1; depth = 0; opened = 0; next }
+        !skipping { nontest++; next }
+        {
+            opens = gsub(/\{/, "{"); opened += opens
+            depth += opens - gsub(/\}/, "}")
+            if (opened ? depth <= 0 : /;[[:space:]]*$/) skipping = 0
+        }
         END { print nontest + 0, total + 0 }' | awk '{ n += $1; t += $2 } END { print n + 0, t + 0 }'
 }
 
