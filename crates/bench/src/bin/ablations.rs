@@ -11,7 +11,7 @@ use arc_bench::{dataset_at, fmt, print_table, RunScale};
 use arc_datasets::SdrDataset;
 use arc_ecc::parallel::{timed_decode, timed_encode};
 use arc_ecc::{EccConfig, EccScheme, ParallelCodec};
-use arc_faultsim::{sample_bits, ReturnStatus, TrialContext};
+use arc_faultsim::{run_campaign, sample_bits, ReturnStatus};
 use arc_pressio::{BoundSpec, Compressor, Dataset, DecodedDataset, PressioError};
 
 /// Minimal adapter so the fault harness can drive the no-lossless variant.
@@ -64,26 +64,15 @@ fn sz_lossless_ablation(scale: RunScale) {
         let stream =
             comp.compress(&Dataset { data: &field.data, dims: &field.dims }).expect("compress");
         let cr = field.byte_len() as f64 / stream.len() as f64;
-        let ctx = TrialContext::new(&comp, &field.data, &stream);
         let bits = sample_bits(stream.len() as u64 * 8, trials, 0xAB1);
-        let mut completed = 0usize;
-        let mut pct_sum = 0.0f64;
-        let mut pct_n = 0usize;
-        for &bit in &bits {
-            let out = ctx.run_flip(bit);
-            if out.status == ReturnStatus::Completed {
-                completed += 1;
-                if let Some(p) = out.metrics.and_then(|m| m.percent_incorrect) {
-                    pct_sum += p;
-                    pct_n += 1;
-                }
-            }
-        }
+        let report = run_campaign(&comp, &field.data, &stream, &bits, comp.bound_spec());
+        let pcts: Vec<f64> =
+            report.trials.iter().filter_map(|t| t.metrics?.percent_incorrect).collect();
         rows.push(vec![
             if final_lossless { "with zstd-like pass" } else { "without" }.to_string(),
             fmt(cr),
-            format!("{:.1}%", 100.0 * completed as f64 / trials as f64),
-            fmt(pct_sum / pct_n.max(1) as f64),
+            format!("{:.1}%", report.percent(ReturnStatus::Completed)),
+            fmt(pcts.iter().sum::<f64>() / pcts.len().max(1) as f64),
         ]);
     }
     print_table(
@@ -136,9 +125,6 @@ fn rs_chunk_ablation(scale: RunScale) {
         let codec = ParallelCodec::with_chunk_size(config, 1, chunk).expect("codec");
         let (encoded, enc) = timed_encode(&codec, data);
         let (_, _, dec) = timed_decode(&codec, &encoded, data.len()).expect("decode");
-        // Burst tolerance per chunk: m/... device size grows with chunk.
-        let device = 223usize.div_ceil(1).max(1);
-        let _ = device;
         let dev_bytes = chunk.div_ceil(223);
         rows.push(vec![
             format!("{} KiB", chunk >> 10),

@@ -10,7 +10,7 @@
 
 use arc_bench::{compress_field, dataset_at, fmt, print_table, RunScale};
 use arc_datasets::SdrDataset;
-use arc_faultsim::{stride_bits, ReturnStatus, TrialContext};
+use arc_faultsim::{run_campaign, stride_bits, ReturnStatus};
 use arc_pressio::CompressorSpec;
 
 fn main() {
@@ -27,8 +27,10 @@ fn main() {
         field.byte_len() as f64 / stream.len() as f64
     );
 
-    let ctx = TrialContext::new(comp.as_ref(), &field.data, &stream);
-    let control = ctx.run_control();
+    let n_sites = scale.trials(24, 48, 96);
+    let bits = stride_bits(stream.len() as u64 * 8, n_sites);
+    let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, comp.bound_spec());
+    let control = &report.control;
     let cm = control.metrics.expect("control completes");
     println!(
         "control: status={}, incorrect={}%, max|diff|={}",
@@ -37,13 +39,10 @@ fn main() {
         fmt(cm.max_abs_diff)
     );
 
-    let n_sites = scale.trials(24, 48, 96);
-    let bits = stride_bits(stream.len() as u64 * 8, n_sites);
     let mut rows = Vec::new();
     let mut best: Option<(u64, f64)> = None;
     let mut worst: Option<(u64, f64)> = None;
-    for &bit in &bits {
-        let out = ctx.run_flip(bit);
+    for (out, &bit) in report.trials.iter().zip(&bits) {
         let (incorrect, maxd, psnr) = match &out.metrics {
             Some(m) => (m.percent_incorrect.unwrap_or(f64::NAN), m.max_abs_diff, m.psnr),
             None => (f64::NAN, f64::NAN, f64::NAN),

@@ -23,7 +23,8 @@ fn main() {
         for spec in paper_modes() {
             let (comp, stream) = compress_field(spec, &field).expect("compress");
             let bits = sample_bits(stream.len() as u64 * 8, trials_per_pair, 0x000F_1602);
-            let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits);
+            let report =
+                run_campaign(comp.as_ref(), &field.data, &stream, &bits, comp.bound_spec());
             let counts = report.status_counts();
             for (i, (_, c)) in counts.iter().enumerate() {
                 grand[i] += c;

@@ -7,7 +7,7 @@
 
 use arc_bench::{compress_field, dataset_at, fmt, print_table, RunScale};
 use arc_datasets::SdrDataset;
-use arc_faultsim::{run_campaign_with_bound, sample_bits};
+use arc_faultsim::{run_campaign, sample_bits};
 use arc_pressio::{BoundSpec, CompressorSpec};
 
 fn main() {
@@ -26,8 +26,7 @@ fn main() {
         let (comp, stream) = compress_field(spec, &field).expect("compress");
         let total_bits = stream.len() as u64 * 8;
         let bits = sample_bits(total_bits, trials, 0x000F_1603);
-        let report =
-            run_campaign_with_bound(comp.as_ref(), &field.data, &stream, &bits, Some(bound));
+        let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, Some(bound));
         // Positional profile: deciles of the stream, mean % incorrect each.
         let mut decile_sum = [0.0f64; 10];
         let mut decile_n = [0usize; 10];

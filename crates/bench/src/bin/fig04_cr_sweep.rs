@@ -10,7 +10,7 @@
 
 use arc_bench::{dataset_at, fmt, print_table, RunScale};
 use arc_datasets::SdrDataset;
-use arc_faultsim::{run_campaign_with_bound, sample_bits};
+use arc_faultsim::{run_campaign, sample_bits};
 use arc_pressio::{tune_for_ratio, BoundSpec, CompressorSpec, Dataset};
 
 fn main() {
@@ -34,8 +34,7 @@ fn main() {
                 CompressorSpec::SzPwRel(_) => BoundSpec::PwRel(tuned.param),
                 _ => BoundSpec::Abs(tuned.param),
             };
-            let report =
-                run_campaign_with_bound(comp.as_ref(), &field.data, &stream, &bits, Some(bound));
+            let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, Some(bound));
             // Head-vs-tail slope: mean % incorrect in the first vs last
             // third of the stream.
             let (mut head, mut hn, mut tail, mut tn) = (0.0f64, 0usize, 0.0f64, 0usize);

@@ -16,7 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use arc_faultsim::hostile::{builtin_targets, mutations, run_case, CaseStatus, HostileConfig};
+use arc_faultsim::hostile::{builtin_targets, mutations, run_case, HostileConfig};
+use arc_faultsim::ReturnStatus;
 
 struct CountingAlloc;
 
@@ -88,18 +89,21 @@ fn main() {
         for stream in &target.streams {
             for (case, buf) in mutations(stream, &cfg) {
                 let bytes0 = BYTES.load(Ordering::SeqCst);
-                let (status, elapsed) = run_case(&target.decode, &buf, &cfg);
+                let (status, detail, elapsed) = run_case(&target.decode, &buf, &cfg);
                 let allocated = BYTES.load(Ordering::SeqCst).saturating_sub(bytes0);
                 cases += 1;
                 worst = worst.max(elapsed);
                 worst_alloc = worst_alloc.max(allocated);
                 let id = format!("{}/{}/{}", target.name, stream.name, case);
-                match &status {
-                    CaseStatus::Rejected => rejected += 1,
-                    CaseStatus::Completed { .. } => completed += 1,
-                    other => failures.push(format!("{id}: {other:?}")),
+                match status {
+                    ReturnStatus::CompressorException => rejected += 1,
+                    ReturnStatus::Completed => completed += 1,
+                    _ => {
+                        failures.push(format!("{id}: {}: {detail}", status.label()));
+                        continue;
+                    }
                 }
-                if !status.is_failure() && allocated > ALLOC_BUDGET {
+                if allocated > ALLOC_BUDGET {
                     failures
                         .push(format!("{id}: allocated {allocated} bytes (budget {ALLOC_BUDGET})"));
                 }

@@ -14,7 +14,7 @@ use arc_core::{
 };
 use arc_datasets::SdrDataset;
 use arc_ecc::{EccConfig, EccMethod};
-use arc_faultsim::sample_bits;
+use arc_faultsim::{run_trials, sample_bits, FaultEvent, ReturnStatus};
 use arc_pressio::CompressorSpec;
 
 fn main() {
@@ -41,24 +41,20 @@ fn main() {
         let field = dataset_at(scale, ds);
         let (_, stream) = compress_field(CompressorSpec::SzAbs(0.1), &field).expect("compress");
         let (protected, sel) = ctx.encode(&stream, &req).expect("arc_encode");
-        let bits = sample_bits(protected.len() as u64 * 8, trials, 0x63);
-        let mut corrected = 0usize;
-        let mut detected = 0usize;
-        let mut silent = 0usize;
-        for &bit in &bits {
-            let mut bad = protected.clone();
-            bad[(bit / 8) as usize] ^= 1 << (bit % 8);
-            match ctx.decode(&bad) {
-                Ok((data, _)) => {
-                    if data == stream {
-                        corrected += 1;
-                    } else {
-                        silent += 1;
-                    }
-                }
-                Err(_) => detected += 1,
-            }
-        }
+        let flips: Vec<Vec<FaultEvent>> = sample_bits(protected.len() as u64 * 8, trials, 0x63)
+            .into_iter()
+            .map(|bit| vec![FaultEvent::SingleBit { bit }])
+            .collect();
+        // Exact bytes back is *corrected*, other bytes back is *silent*;
+        // every other class is a detected loss.
+        let results = run_trials(&protected, &flips, ctx.max_threads(), |b| {
+            ctx.decode(b)
+                .map(|(data, _)| data == stream)
+                .map_err(|_| ReturnStatus::CompressorException)
+        });
+        let corrected = results.iter().filter(|r| r.1 == Some(true)).count();
+        let silent = results.iter().filter(|r| r.1 == Some(false)).count();
+        let detected = trials - corrected - silent;
         rows.push(vec![
             ds.name().to_string(),
             sel.config.to_string(),

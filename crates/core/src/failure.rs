@@ -26,8 +26,9 @@ pub struct SystemProfile {
     /// Fraction of all faults caused by single-bit errors
     /// (Cielo 70.79%, Hopper 94.6%).
     pub single_bit_fraction: f64,
-    /// Fraction of faults occurring as spatially-close burst errors.
-    pub burst_fraction: f64,
+    /// Length range in bytes (inclusive) of the multi-bit faults, which
+    /// arrive as bursts: every bit of the run flips, the densely packed case.
+    pub burst_bytes: (usize, usize),
     /// DRAM capacity per node in GB (for errors-per-MB estimates).
     pub memory_gb_per_node: f64,
 }
@@ -45,8 +46,8 @@ impl SystemProfile {
             soft_error_fraction: 0.349,
             single_bit_fraction: 0.7079,
             // §6.4: "most [multi-bit errors] occur as burst errors in the
-            // same DRAM device" — model the bulk of the 29.21% as bursts.
-            burst_fraction: 0.25,
+            // same DRAM device" — runs of up to one device's worth of bytes.
+            burst_bytes: (2, 512),
             memory_gb_per_node: 32.0,
         }
     }
@@ -61,8 +62,8 @@ impl SystemProfile {
             faults_per_node_day: 1.0 / (5.43 * 6_000.0),
             soft_error_fraction: 0.421,
             single_bit_fraction: 0.946,
-            // §6.4: 4.05% of Hopper's multi-bit errors are bursts.
-            burst_fraction: 0.0405 * (1.0 - 0.946),
+            // §6.4: only 4.05% of Hopper's multi-bit errors are bursts.
+            burst_bytes: (2, 64),
             memory_gb_per_node: 32.0,
         }
     }

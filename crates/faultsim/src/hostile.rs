@@ -6,13 +6,14 @@
 //! at every header boundary, length-field inflation, and valid-header /
 //! garbage-body splices. The contract under test is **totality**, not
 //! correctness: every decode must either return data or return an error —
-//! never panic (the paper's *Terminated* class), never demand unbounded
-//! output (*Timeout* via corrupted loop-controlling metadata), and never
-//! hang past a wall-clock guard.
+//! never panic (the paper's *Terminated* class), and never demand unbounded
+//! output (corrupted loop-controlling metadata) or hang past a wall-clock
+//! guard (both the paper's *Timeout* class).
 //!
 //! A decode that "succeeds" and hands back garbage is acceptable here —
 //! that is the paper's *Completed* class, and detecting it is ARC's job
-//! (ECC + end-to-end CRC), not the codec's.
+//! (ECC + end-to-end CRC), not the codec's. A typed error is the
+//! *Compressor Exception* class, the ideal outcome.
 //!
 //! Every case is reproducible: mutation positions derive from
 //! [`HostileConfig::seed`] XOR an FNV-1a hash of the stream name, so a
@@ -28,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::inject::{flip_bit, sample_bits};
+use crate::trial::ReturnStatus;
 
 /// Tuning knobs for a hostile sweep.
 #[derive(Debug, Clone)]
@@ -48,7 +50,7 @@ pub struct HostileConfig {
     /// paper's *Timeout* class and a harness failure.
     pub max_case_duration: Duration,
     /// Output-byte budget handed to each decoder; producing (or demanding)
-    /// more is an over-budget failure.
+    /// more is a harness failure, reported in the *Timeout* class.
     pub max_output_bytes: u64,
 }
 
@@ -125,40 +127,6 @@ impl std::fmt::Debug for DecodeTarget {
     }
 }
 
-/// Outcome of one hostile case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CaseStatus {
-    /// The decoder returned a typed error — the ideal outcome.
-    Rejected,
-    /// The decoder returned data (possibly garbage) within budget — the
-    /// paper's *Completed* class; acceptable for permissive decoders.
-    Completed {
-        /// Output bytes produced.
-        output_bytes: u64,
-    },
-    /// The decoder panicked — a totality violation (the paper's
-    /// *Terminated* class).
-    Panicked(String),
-    /// The decoder exceeded the wall-clock guard (*Timeout* class). The
-    /// worker thread is leaked; the sweep carries on.
-    TimedOut,
-    /// The decoder produced more output than its byte budget allows.
-    OverBudget {
-        /// Output bytes produced.
-        output_bytes: u64,
-    },
-}
-
-impl CaseStatus {
-    /// Whether this status violates the totality contract.
-    pub fn is_failure(&self) -> bool {
-        matches!(
-            self,
-            CaseStatus::Panicked(_) | CaseStatus::TimedOut | CaseStatus::OverBudget { .. }
-        )
-    }
-}
-
 /// A contract-violating case, with enough context to reproduce it.
 #[derive(Debug, Clone)]
 pub struct CaseFailure {
@@ -169,30 +137,24 @@ pub struct CaseFailure {
     /// Mutation case label (family + deterministic position info).
     pub case: String,
     /// The violating status.
-    pub status: CaseStatus,
+    pub status: ReturnStatus,
+    /// What [`run_case`] saw: the panic message, the output byte count or
+    /// the guard that fired.
+    pub detail: String,
 }
 
 impl std::fmt::Display for CaseFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}/{}: {:?}", self.target, self.stream, self.case, self.status)
+        let Self { target, stream, case, status, detail } = self;
+        write!(f, "{target}/{stream}/{case}: {}: {detail}", status.label())
     }
 }
 
 /// Aggregate result of a hostile sweep.
 #[derive(Debug, Clone, Default)]
 pub struct HostileReport {
-    /// Total cases executed.
-    pub cases: usize,
-    /// Cases the decoder rejected with a typed error.
-    pub rejected: usize,
-    /// Cases that decoded to (possibly garbage) data within budget.
-    pub completed: usize,
-    /// Panicking cases (failures).
-    pub panicked: usize,
-    /// Wall-clock-guard violations (failures).
-    pub timed_out: usize,
-    /// Output-budget violations (failures).
-    pub over_budget: usize,
+    /// Cases per return status, in [`ReturnStatus::ALL`] order.
+    pub counts: [usize; 4],
     /// Every contract-violating case.
     pub failures: Vec<CaseFailure>,
     /// Slowest observed case.
@@ -200,6 +162,16 @@ pub struct HostileReport {
 }
 
 impl HostileReport {
+    /// Total cases executed.
+    pub fn cases(&self) -> usize {
+        self.counts.iter().sum()
+    }
+
+    /// Cases that ended in `status`.
+    pub fn count(&self, status: ReturnStatus) -> usize {
+        self.counts.get(status as usize).copied().unwrap_or(0)
+    }
+
     /// True when no case panicked, hung, or blew the output budget.
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty()
@@ -207,34 +179,30 @@ impl HostileReport {
 
     /// One-line summary for logs.
     pub fn summary(&self) -> String {
-        format!(
-            "{} cases: {} rejected, {} completed, {} panicked, {} timed out, \
-             {} over budget (worst case {:?})",
-            self.cases,
-            self.rejected,
-            self.completed,
-            self.panicked,
-            self.timed_out,
-            self.over_budget,
-            self.worst_case
-        )
+        let counts: Vec<String> =
+            ReturnStatus::ALL.iter().map(|&s| format!("{} {}", self.count(s), s.label())).collect();
+        format!("{} cases: {} (worst case {:?})", self.cases(), counts.join(", "), self.worst_case)
     }
 
-    fn record(&mut self, target: &str, stream: &str, case: &str, status: CaseStatus) {
-        self.cases += 1;
-        match &status {
-            CaseStatus::Rejected => self.rejected += 1,
-            CaseStatus::Completed { .. } => self.completed += 1,
-            CaseStatus::Panicked(_) => self.panicked += 1,
-            CaseStatus::TimedOut => self.timed_out += 1,
-            CaseStatus::OverBudget { .. } => self.over_budget += 1,
+    fn record(
+        &mut self,
+        target: &str,
+        stream: &str,
+        case: &str,
+        status: ReturnStatus,
+        detail: String,
+    ) {
+        if let Some(count) = self.counts.get_mut(status as usize) {
+            *count += 1;
         }
-        if status.is_failure() {
+        // A panic, a hang or an over-budget output breaks the contract.
+        if matches!(status, ReturnStatus::Terminated | ReturnStatus::Timeout) {
             self.failures.push(CaseFailure {
                 target: target.to_string(),
                 stream: stream.to_string(),
                 case: case.to_string(),
                 status,
+                detail,
             });
         }
     }
@@ -384,12 +352,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one decode attempt under the totality contract.
+/// Run one decode attempt under the totality contract, returning its
+/// class, what decided it (the rejection reason, the output byte count, the
+/// panic message or the guard that fired) and its wall time.
 ///
 /// The decode runs on a fresh thread so a hang can be abandoned: on
 /// timeout the worker is leaked (it holds only its own copy of the buffer)
-/// and the case is reported as [`CaseStatus::TimedOut`].
-pub fn run_case(decode: &DecodeFn, bytes: &[u8], cfg: &HostileConfig) -> (CaseStatus, Duration) {
+/// and the case is reported as [`ReturnStatus::Timeout`]. So is a decode
+/// that produces more than [`HostileConfig::max_output_bytes`].
+pub fn run_case(
+    decode: &DecodeFn,
+    bytes: &[u8],
+    cfg: &HostileConfig,
+) -> (ReturnStatus, String, Duration) {
     let (tx, rx) = mpsc::channel();
     let decode = Arc::clone(decode);
     let buf = bytes.to_vec();
@@ -399,19 +374,18 @@ pub fn run_case(decode: &DecodeFn, bytes: &[u8], cfg: &HostileConfig) -> (CaseSt
         let result = catch_unwind(AssertUnwindSafe(|| decode(&buf, budget)));
         let _ = tx.send(result);
     });
-    let status = match rx.recv_timeout(cfg.max_case_duration) {
-        Err(_) => CaseStatus::TimedOut,
-        Ok(Err(payload)) => CaseStatus::Panicked(panic_message(payload)),
-        Ok(Ok(Err(_reason))) => CaseStatus::Rejected,
-        Ok(Ok(Ok(produced))) => {
-            if produced > cfg.max_output_bytes {
-                CaseStatus::OverBudget { output_bytes: produced }
-            } else {
-                CaseStatus::Completed { output_bytes: produced }
-            }
+    let (status, detail) = match rx.recv_timeout(cfg.max_case_duration) {
+        Err(_) => {
+            (ReturnStatus::Timeout, format!("still running after {:?}", cfg.max_case_duration))
         }
+        Ok(Err(payload)) => (ReturnStatus::Terminated, panic_message(payload)),
+        Ok(Ok(Err(reason))) => (ReturnStatus::CompressorException, reason),
+        Ok(Ok(Ok(produced))) if produced > budget => {
+            (ReturnStatus::Timeout, format!("{produced} output bytes over a {budget}-byte budget"))
+        }
+        Ok(Ok(Ok(produced))) => (ReturnStatus::Completed, format!("{produced} output bytes")),
     };
-    (status, start.elapsed())
+    (status, detail, start.elapsed())
 }
 
 /// Sweep every mutation of every stream of every target.
@@ -420,9 +394,9 @@ pub fn sweep(targets: &[DecodeTarget], cfg: &HostileConfig) -> HostileReport {
     for target in targets {
         for stream in &target.streams {
             for (case, buf) in mutations(stream, cfg) {
-                let (status, elapsed) = run_case(&target.decode, &buf, cfg);
+                let (status, detail, elapsed) = run_case(&target.decode, &buf, cfg);
                 report.worst_case = report.worst_case.max(elapsed);
-                report.record(&target.name, &stream.name, &case, status);
+                report.record(&target.name, &stream.name, &case, status, detail);
             }
         }
     }
@@ -757,12 +731,8 @@ mod tests {
             for s in &t.streams {
                 assert!(!s.bytes.is_empty(), "stream {} is empty", s.name);
                 // Pristine streams must decode cleanly.
-                let (status, _) = run_case(&t.decode, &s.bytes, &HostileConfig::default());
-                assert!(
-                    matches!(status, CaseStatus::Completed { .. }),
-                    "pristine {} did not decode: {status:?}",
-                    s.name
-                );
+                let (status, detail, _) = run_case(&t.decode, &s.bytes, &HostileConfig::default());
+                assert_eq!(status, ReturnStatus::Completed, "pristine {}: {detail}", s.name);
             }
         }
     }
@@ -824,36 +794,38 @@ mod tests {
             max_output_bytes: 1000,
             ..HostileConfig::default()
         };
+        let run = |decode: DecodeFn| {
+            let (status, detail, _) = run_case(&decode, &[0u8], &cfg);
+            (status, detail)
+        };
         let panicker: DecodeFn = Arc::new(|_, _| panic!("boom"));
-        let (status, _) = run_case(&panicker, &[0u8], &cfg);
-        assert_eq!(status, CaseStatus::Panicked("boom".to_string()));
+        assert_eq!(run(panicker), (ReturnStatus::Terminated, "boom".to_string()));
 
         let sleeper: DecodeFn = Arc::new(|_, _| {
             thread::sleep(Duration::from_secs(5));
             Ok(0)
         });
-        let (status, _) = run_case(&sleeper, &[0u8], &cfg);
-        assert_eq!(status, CaseStatus::TimedOut);
+        assert_eq!(run(sleeper).0, ReturnStatus::Timeout);
 
         let glutton: DecodeFn = Arc::new(|_, _| Ok(10_000));
-        let (status, _) = run_case(&glutton, &[0u8], &cfg);
-        assert_eq!(status, CaseStatus::OverBudget { output_bytes: 10_000 });
+        let (status, detail) = run(glutton);
+        assert_eq!(status, ReturnStatus::Timeout);
+        assert!(detail.starts_with("10000 output bytes"), "{detail}");
 
         let polite: DecodeFn = Arc::new(|_, _| Err("no".to_string()));
-        let (status, _) = run_case(&polite, &[0u8], &cfg);
-        assert_eq!(status, CaseStatus::Rejected);
+        assert_eq!(run(polite), (ReturnStatus::CompressorException, "no".to_string()));
     }
 
     #[test]
     fn report_bookkeeping_flags_failures() {
         let mut r = HostileReport::default();
-        r.record("t", "s", "c1", CaseStatus::Rejected);
-        r.record("t", "s", "c2", CaseStatus::Completed { output_bytes: 4 });
-        r.record("t", "s", "c3", CaseStatus::Panicked("x".to_string()));
-        assert_eq!((r.cases, r.rejected, r.completed, r.panicked), (3, 1, 1, 1));
+        r.record("t", "s", "c1", ReturnStatus::CompressorException, "no".to_string());
+        r.record("t", "s", "c2", ReturnStatus::Completed, "4 output bytes".to_string());
+        r.record("t", "s", "c3", ReturnStatus::Terminated, "x".to_string());
+        assert_eq!((r.cases(), r.counts), (3, [1, 1, 1, 0]));
         assert!(!r.is_clean());
         assert_eq!(r.failures.len(), 1);
-        assert!(r.failures[0].to_string().contains("t/s/c3"));
+        assert_eq!(r.failures[0].to_string(), "t/s/c3: Terminated: x");
         assert!(r.summary().contains("3 cases"));
     }
 }

@@ -1,10 +1,12 @@
-//! Bit-flip injection and uniform sampling of target bits.
+//! The fault vocabulary — [`FaultEvent`] and its one applier — plus
+//! uniform sampling of target bits.
 //!
 //! The paper's methodology (§4.1.3): flip a single bit of the compressed
 //! buffer in memory, then attempt decompression. Exhaustive injection is
 //! intractable (10⁶–10¹² trials), so target bits are drawn by uniform
 //! sampling — 1%, 0.1%, and 0.01% of bits for CESM, Isabel, and NYX
-//! respectively, scaled by data size.
+//! respectively, scaled by data size. A [`FaultEvent::Burst`] adds the
+//! multi-bit faults of §6.4's machines.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,6 +73,40 @@ pub fn burst_byte_run(buf: &mut [u8], start: usize, len: usize) -> usize {
     end - start
 }
 
+/// One fault: the unit every trial, storm and campaign is made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultEvent {
+    /// Flip one bit.
+    SingleBit {
+        /// Bit index (LSB-first within bytes, as [`flip_bit`]).
+        bit: u64,
+    },
+    /// Invert every bit in `len` consecutive bytes starting at `start`
+    /// ([`burst_byte_run`]: clipped to the buffer).
+    Burst {
+        /// First affected byte.
+        start: usize,
+        /// Burst length in bytes.
+        len: usize,
+    },
+}
+
+/// Apply events to a buffer, in order. XOR faults, so applying the same
+/// events twice restores the buffer.
+///
+/// # Panics
+/// Panics if a `SingleBit` event is out of range.
+pub fn apply_events(buf: &mut [u8], events: &[FaultEvent]) {
+    for e in events {
+        match *e {
+            FaultEvent::SingleBit { bit } => flip_bit(buf, bit),
+            FaultEvent::Burst { start, len } => {
+                burst_byte_run(buf, start, len);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,5 +165,12 @@ mod tests {
         // Clipping: run past the end, and start past the end.
         assert_eq!(burst_byte_run(&mut buf, 60, 100), 4);
         assert_eq!(burst_byte_run(&mut buf, 100, 5), 0);
+    }
+
+    #[test]
+    fn a_burst_past_the_end_is_clipped() {
+        let mut buf = [0u8; 4];
+        apply_events(&mut buf, &[FaultEvent::Burst { start: 2, len: 8 }]);
+        assert_eq!(buf, [0, 0, 0xFF, 0xFF]);
     }
 }

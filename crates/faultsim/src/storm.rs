@@ -1,101 +1,51 @@
-//! Fault-mix injection: whole-campaign fault *storms* drawn from a
-//! machine's fault distribution.
+//! Fault *storms*: many fault events drawn from a machine's fault mix.
 //!
-//! §6.4 characterizes machines not just by rate but by *mix*: Cielo's
-//! faults are 70.79% single-bit with most of the remainder arriving as
-//! bursts within one DRAM device, Hopper's are 94.6% single-bit. This
-//! module draws fault events from such a mix and applies them to a stored
-//! buffer, so harnesses can ask the end-to-end question the paper's
-//! §6.3/§6.4 discussion implies: *does the ARC configuration recommended
-//! for this machine actually survive this machine's weather?*
+//! §6.4 characterizes machines not just by rate but by *mix*: the share of
+//! faults that flip one bit, and the burst lengths of the rest. Both live in
+//! [`SystemProfile`] (Cielo, Hopper); this module draws fault events from a
+//! profile's mix and applies them to a stored buffer, so harnesses can ask
+//! the end-to-end question the paper's §6.3/§6.4 discussion implies: *does
+//! the ARC configuration recommended for this machine actually survive this
+//! machine's weather?*
 
+use arc_core::SystemProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::inject::flip_bit;
+use crate::inject::{apply_events, FaultEvent};
 
-/// A machine's fault mix.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultMix {
-    /// Fraction of fault events that flip exactly one bit.
-    pub single_bit_fraction: f64,
-    /// Burst length range in **bytes** for multi-bit events (inclusive);
-    /// every bit in the burst is flipped — the "densely packed" case.
-    pub burst_bytes: (usize, usize),
-}
-
-impl FaultMix {
-    /// Cielo-like mix (§6.4): 70.79% single-bit, bursts within one DRAM
-    /// device for the rest.
-    pub fn cielo_like() -> FaultMix {
-        FaultMix { single_bit_fraction: 0.7079, burst_bytes: (2, 512) }
-    }
-
-    /// Hopper-like mix (§6.4): 94.6% single-bit, occasional short bursts.
-    pub fn hopper_like() -> FaultMix {
-        FaultMix { single_bit_fraction: 0.946, burst_bytes: (2, 64) }
-    }
-
-    /// Validate the mix.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.single_bit_fraction) {
-            return Err(format!("single_bit_fraction {} out of range", self.single_bit_fraction));
-        }
-        if self.burst_bytes.0 == 0 || self.burst_bytes.0 > self.burst_bytes.1 {
-            return Err(format!("invalid burst range {:?}", self.burst_bytes));
-        }
-        Ok(())
-    }
-}
-
-/// One concrete fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEvent {
-    /// Flip one bit.
-    SingleBit {
-        /// Bit index.
-        bit: u64,
-    },
-    /// Invert every bit in `len` consecutive bytes starting at `start`.
-    Burst {
-        /// First affected byte.
-        start: usize,
-        /// Burst length in bytes.
-        len: usize,
-    },
-}
-
-/// Draw `events` fault events for a buffer of `buf_len` bytes.
-pub fn draw_events(buf_len: usize, events: usize, mix: &FaultMix, seed: u64) -> Vec<FaultEvent> {
-    assert!(mix.validate().is_ok(), "invalid fault mix");
+/// Draw `events` fault events for a buffer of `buf_len` bytes from
+/// `profile`'s mix. Deterministic for a seed; every burst fits the buffer.
+///
+/// # Panics
+/// Panics on an empty buffer or an invalid mix (a single-bit fraction
+/// outside 0..=1, or an empty or zero-length burst range).
+pub fn draw_events(
+    buf_len: usize,
+    events: usize,
+    profile: &SystemProfile,
+    seed: u64,
+) -> Vec<FaultEvent> {
+    let (lo, hi) = profile.burst_bytes;
+    assert!(
+        (0.0..=1.0).contains(&profile.single_bit_fraction) && lo > 0 && lo <= hi,
+        "invalid fault mix for {}",
+        profile.name
+    );
     assert!(buf_len > 0, "empty buffer");
     let mut rng = StdRng::seed_from_u64(seed);
     (0..events)
         .map(|_| {
-            if rng.random::<f64>() < mix.single_bit_fraction {
+            if rng.random::<f64>() < profile.single_bit_fraction {
                 FaultEvent::SingleBit { bit: rng.random_range(0..buf_len as u64 * 8) }
             } else {
-                let max_len = mix.burst_bytes.1.min(buf_len);
-                let len = rng.random_range(mix.burst_bytes.0.min(max_len)..=max_len);
+                let max_len = hi.min(buf_len);
+                let len = rng.random_range(lo.min(max_len)..=max_len);
                 let start = rng.random_range(0..=(buf_len - len) as u64) as usize;
                 FaultEvent::Burst { start, len }
             }
         })
         .collect()
-}
-
-/// Apply events to a buffer.
-pub fn apply_events(buf: &mut [u8], events: &[FaultEvent]) {
-    for e in events {
-        match *e {
-            FaultEvent::SingleBit { bit } => flip_bit(buf, bit),
-            FaultEvent::Burst { start, len } => {
-                for b in &mut buf[start..start + len] {
-                    *b = !*b;
-                }
-            }
-        }
-    }
 }
 
 /// Summary of a storm: how many events of each kind, how many bits flipped.
@@ -110,8 +60,8 @@ pub struct StormSummary {
 }
 
 /// Draw and apply a storm in one call, returning its summary.
-pub fn storm(buf: &mut [u8], events: usize, mix: &FaultMix, seed: u64) -> StormSummary {
-    let drawn = draw_events(buf.len(), events, mix, seed);
+pub fn storm(buf: &mut [u8], events: usize, profile: &SystemProfile, seed: u64) -> StormSummary {
+    let drawn = draw_events(buf.len(), events, profile, seed);
     let mut summary = StormSummary::default();
     for e in &drawn {
         match *e {
@@ -132,30 +82,41 @@ pub fn storm(buf: &mut [u8], events: usize, mix: &FaultMix, seed: u64) -> StormS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_trials;
+    use crate::trial::ReturnStatus;
 
     #[test]
-    fn mix_validation() {
-        assert!(FaultMix::cielo_like().validate().is_ok());
-        assert!(FaultMix::hopper_like().validate().is_ok());
-        assert!(FaultMix { single_bit_fraction: 1.5, burst_bytes: (1, 2) }.validate().is_err());
-        assert!(FaultMix { single_bit_fraction: 0.5, burst_bytes: (0, 2) }.validate().is_err());
-        assert!(FaultMix { single_bit_fraction: 0.5, burst_bytes: (5, 2) }.validate().is_err());
+    fn invalid_mixes_are_refused() {
+        let cielo = SystemProfile::cielo();
+        let bad = [
+            SystemProfile { single_bit_fraction: 1.5, ..cielo.clone() },
+            SystemProfile { burst_bytes: (0, 2), ..cielo.clone() },
+            SystemProfile { burst_bytes: (5, 2), ..cielo },
+        ];
+        // `draw_events` panics on each; the trial driver reports a panic as
+        // Terminated.
+        for mix in &bad {
+            let r = run_trials(&[0], &[vec![]], 1, |_| Ok(draw_events(64, 1, mix, 0)));
+            assert_eq!(r[0].0, ReturnStatus::Terminated, "{mix:?}");
+        }
     }
 
     #[test]
     fn event_mix_matches_fractions() {
-        let mix = FaultMix::hopper_like();
-        let events = draw_events(1 << 20, 5_000, &mix, 7);
+        let hopper = SystemProfile::hopper();
+        let events = draw_events(1 << 20, 5_000, &hopper, 7);
         let singles = events.iter().filter(|e| matches!(e, FaultEvent::SingleBit { .. })).count();
         let frac = singles as f64 / events.len() as f64;
-        assert!((frac - 0.946).abs() < 0.02, "observed single-bit fraction {frac}");
+        assert!(
+            (frac - hopper.single_bit_fraction).abs() < 0.02,
+            "observed single-bit fraction {frac}"
+        );
     }
 
     #[test]
     fn events_stay_in_bounds() {
-        let mix = FaultMix::cielo_like();
         let n = 4096usize;
-        for e in draw_events(n, 2_000, &mix, 3) {
+        for e in draw_events(n, 2_000, &SystemProfile::cielo(), 3) {
             match e {
                 FaultEvent::SingleBit { bit } => assert!(bit < n as u64 * 8),
                 FaultEvent::Burst { start, len } => {
@@ -169,7 +130,7 @@ mod tests {
     fn apply_is_involutive() {
         let mut buf = vec![0xA5u8; 2048];
         let orig = buf.clone();
-        let events = draw_events(buf.len(), 50, &FaultMix::cielo_like(), 11);
+        let events = draw_events(buf.len(), 50, &SystemProfile::cielo(), 11);
         apply_events(&mut buf, &events);
         assert_ne!(buf, orig);
         apply_events(&mut buf, &events);
@@ -179,7 +140,7 @@ mod tests {
     #[test]
     fn storm_summary_accounts_for_everything() {
         let mut buf = vec![0u8; 1 << 16];
-        let s = storm(&mut buf, 200, &FaultMix::cielo_like(), 5);
+        let s = storm(&mut buf, 200, &SystemProfile::cielo(), 5);
         assert_eq!(s.single_bit_events + s.burst_events, 200);
         assert!(s.bits_flipped >= 200);
         let set_bits: u64 = buf.iter().map(|b| b.count_ones() as u64).sum();
@@ -188,16 +149,17 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = draw_events(1000, 100, &FaultMix::cielo_like(), 42);
-        let b = draw_events(1000, 100, &FaultMix::cielo_like(), 42);
+        let cielo = SystemProfile::cielo();
+        let a = draw_events(1000, 100, &cielo, 42);
+        let b = draw_events(1000, 100, &cielo, 42);
         assert_eq!(a, b);
-        let c = draw_events(1000, 100, &FaultMix::cielo_like(), 43);
+        let c = draw_events(1000, 100, &cielo, 43);
         assert_ne!(a, c);
     }
 
     #[test]
     fn small_buffers_clamp_burst_length() {
-        let events = draw_events(4, 100, &FaultMix::cielo_like(), 1);
+        let events = draw_events(4, 100, &SystemProfile::cielo(), 1);
         for e in events {
             if let FaultEvent::Burst { start, len } = e {
                 assert!(start + len <= 4);

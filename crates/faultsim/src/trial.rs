@@ -1,6 +1,7 @@
 //! Single fault-injection trials and their return-status taxonomy.
 //!
-//! §4.2 groups every trial's outcome into four classes:
+//! §4.2 groups every trial's outcome into four classes, and every fault
+//! study here — campaigns, storms, the hostile sweep — reports in them:
 //!
 //! * **Completed** — decompression "succeeds" with the error present: the
 //!   dangerous class, since the corrupt data flows on (error propagation /
@@ -10,23 +11,21 @@
 //! * **Timeout** — decompression demanded implausible work (corrupted
 //!   loop-controlling metadata).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use arc_pressio::{BoundSpec, Compressor, PressioError};
-
-use crate::inject::flip_bit;
 
 /// The paper's four return-status classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReturnStatus {
     /// Decompression returned data despite the corruption.
     Completed,
-    /// The compressor raised an exception.
+    /// The decoder raised an exception: a typed error.
     CompressorException,
-    /// The decompression crashed (panicked).
+    /// The decode crashed (panicked).
     Terminated,
-    /// The decode exceeded its work budget.
+    /// The decode exceeded its work budget: it demanded too much output,
+    /// or ran past a wall-clock guard.
     Timeout,
 }
 
@@ -80,115 +79,63 @@ pub struct TrialOutcome {
     pub metrics: Option<TrialMetrics>,
 }
 
-/// Parameters for a single trial run.
-pub struct TrialContext<'a> {
-    /// The compressor that produced (and will decode) the stream.
-    pub compressor: &'a dyn Compressor,
-    /// Original uncompressed values for integrity metrics.
-    pub original: &'a [f32],
-    /// The pristine compressed buffer.
-    pub compressed: &'a [u8],
-    /// Bound used to count incorrect elements (usually the compressor's
-    /// own; overridable for modes without one, like ZFP-Rate in Fig 3d).
-    pub eval_bound: Option<BoundSpec>,
-    /// Decode work budget in elements; the paper uses "3× the average
-    /// decompression time" — here 4× the true element count.
-    pub work_budget: u64,
-}
-
-impl<'a> TrialContext<'a> {
-    /// Build a context with the default work budget and the compressor's
-    /// own bound.
-    pub fn new(
-        compressor: &'a dyn Compressor,
-        original: &'a [f32],
-        compressed: &'a [u8],
-    ) -> TrialContext<'a> {
-        TrialContext {
-            compressor,
-            original,
-            compressed,
-            eval_bound: compressor.bound_spec(),
-            work_budget: (original.len() as u64).saturating_mul(4).max(1024),
-        }
-    }
-
-    /// Run a control trial (no flip) — the baseline row in Fig 5.
-    pub fn run_control(&self) -> TrialOutcome {
-        self.run_with(None)
-    }
-
-    /// Flip `bit` and run.
-    pub fn run_flip(&self, bit: u64) -> TrialOutcome {
-        self.run_with(Some(bit))
-    }
-
-    fn run_with(&self, bit: Option<u64>) -> TrialOutcome {
-        let mut buf = self.compressed.to_vec();
-        if let Some(b) = bit {
-            flip_bit(&mut buf, b);
-        }
+/// The §4 trial as a subject for [`crate::campaign::run_trials`]:
+/// decompress the struck stream under a work budget of 4× the true element
+/// count (the paper's "3× the average decompression time"), then score the
+/// output against `original`. A stream that decodes to a different element
+/// count is a Compressor Exception: any consumer holding the real dims would
+/// reject it. `eval_bound` counts incorrect elements (usually the
+/// compressor's own bound; Fig 3d evaluates ZFP-Rate, which has none,
+/// against the study's ε).
+pub fn decompress_trial<'a>(
+    compressor: &'a dyn Compressor,
+    original: &'a [f32],
+    eval_bound: Option<BoundSpec>,
+) -> impl Fn(&[u8]) -> Result<TrialMetrics, ReturnStatus> + Sync + 'a {
+    let work_budget = (original.len() as u64).saturating_mul(4).max(1024);
+    move |buf| {
         let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.compressor.decompress_with_limit(&buf, self.work_budget)
-        }));
+        let decoded = compressor.decompress_with_limit(buf, work_budget);
         let seconds = t0.elapsed().as_secs_f64();
-        let status_and_data = match result {
-            Err(_) => (ReturnStatus::Terminated, None),
-            Ok(Err(PressioError::Timeout { .. })) => (ReturnStatus::Timeout, None),
-            Ok(Err(PressioError::Codec(_))) => (ReturnStatus::CompressorException, None),
-            Ok(Ok(decoded)) => {
-                if decoded.data.len() != self.original.len() {
-                    // The stream now describes a different dataset; any
-                    // consumer holding the real dims would reject it.
-                    (ReturnStatus::CompressorException, None)
-                } else {
-                    (ReturnStatus::Completed, Some(decoded))
-                }
-            }
+        let d = match decoded {
+            Ok(d) if d.data.len() == original.len() => d,
+            Err(PressioError::Timeout { .. }) => return Err(ReturnStatus::Timeout),
+            _ => return Err(ReturnStatus::CompressorException),
         };
-        let (status, decoded) = status_and_data;
-        let metrics = decoded.map(|d| {
-            let incorrect =
-                self.eval_bound.map(|b| arc_pressio::incorrect_elements(self.original, &d.data, b));
-            TrialMetrics {
-                percent_incorrect: incorrect
-                    .map(|c| 100.0 * c as f64 / self.original.len().max(1) as f64),
-                incorrect_elements: incorrect,
-                max_abs_diff: arc_pressio::max_abs_diff(self.original, &d.data),
-                psnr: arc_pressio::psnr(self.original, &d.data),
-                decompress_seconds: seconds,
-                bandwidth_mb_s: if seconds > 0.0 {
-                    self.compressed.len() as f64 / 1e6 / seconds
-                } else {
-                    f64::INFINITY
-                },
-            }
-        });
-        TrialOutcome { bit, status, metrics }
+        let incorrect = eval_bound.map(|b| arc_pressio::incorrect_elements(original, &d.data, b));
+        Ok(TrialMetrics {
+            percent_incorrect: incorrect.map(|c| 100.0 * c as f64 / original.len().max(1) as f64),
+            incorrect_elements: incorrect,
+            max_abs_diff: arc_pressio::max_abs_diff(original, &d.data),
+            psnr: arc_pressio::psnr(original, &d.data),
+            decompress_seconds: seconds,
+            bandwidth_mb_s: if seconds > 0.0 {
+                buf.len() as f64 / 1e6 / seconds
+            } else {
+                f64::INFINITY
+            },
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_campaign;
     use arc_pressio::{CompressorSpec, Dataset};
 
-    fn setup() -> (Vec<f32>, Vec<usize>, Vec<u8>, Box<dyn Compressor>) {
-        let dims = vec![32usize, 32];
+    fn setup() -> (Vec<f32>, Vec<u8>, Box<dyn Compressor>) {
+        let dims = [32usize, 32];
         let data: Vec<f32> = (0..1024).map(|i| (i as f32 * 0.02).sin() * 5.0).collect();
         let comp = CompressorSpec::SzAbs(0.01).build();
         let packed = comp.compress(&Dataset { data: &data, dims: &dims }).unwrap();
-        (data, dims, packed, comp)
+        (data, packed, comp)
     }
 
     #[test]
     fn control_trial_is_clean_completed() {
-        let (data, _dims, packed, comp) = setup();
-        let ctx = TrialContext::new(comp.as_ref(), &data, &packed);
-        let out = ctx.run_control();
-        assert_eq!(out.status, ReturnStatus::Completed);
-        let m = out.metrics.unwrap();
+        let (data, packed, comp) = setup();
+        let m = decompress_trial(comp.as_ref(), &data, comp.bound_spec())(&packed).unwrap();
         assert_eq!(m.percent_incorrect, Some(0.0));
         assert!(m.max_abs_diff <= 0.01);
         assert!(m.psnr > 40.0);
@@ -197,39 +144,29 @@ mod tests {
 
     #[test]
     fn flip_trials_classify_without_panicking_through() {
-        let (data, _dims, packed, comp) = setup();
-        let ctx = TrialContext::new(comp.as_ref(), &data, &packed);
-        let mut counts = std::collections::HashMap::new();
-        for bit in (0..packed.len() as u64 * 8).step_by(193) {
-            let out = ctx.run_flip(bit);
-            *counts.entry(out.status).or_insert(0usize) += 1;
-            if out.status == ReturnStatus::Completed {
-                assert!(out.metrics.is_some());
-            } else {
-                assert!(out.metrics.is_none());
-            }
+        let (data, packed, comp) = setup();
+        let bits: Vec<u64> = (0..packed.len() as u64 * 8).step_by(193).collect();
+        let report = run_campaign(comp.as_ref(), &data, &packed, &bits, comp.bound_spec());
+        for out in &report.trials {
+            assert_eq!(out.status == ReturnStatus::Completed, out.metrics.is_some());
         }
         // Some trials must decode "successfully" despite corruption —
         // that's the paper's whole point.
-        assert!(counts.get(&ReturnStatus::Completed).copied().unwrap_or(0) > 0, "{counts:?}");
+        assert!(report.percent(ReturnStatus::Completed) > 0.0, "{:?}", report.status_counts());
     }
 
     #[test]
     fn corrupted_completed_trials_show_damage() {
-        let (data, _dims, packed, comp) = setup();
-        let ctx = TrialContext::new(comp.as_ref(), &data, &packed);
-        let mut any_damage = false;
-        for bit in (64..packed.len() as u64 * 8).step_by(57) {
-            let out = ctx.run_flip(bit);
-            if out.status == ReturnStatus::Completed {
-                let m = out.metrics.unwrap();
-                if m.percent_incorrect.unwrap_or(0.0) > 0.0 {
-                    any_damage = true;
-                    break;
-                }
-            }
-        }
-        assert!(any_damage, "no flip propagated to decoded values");
+        let (data, packed, comp) = setup();
+        let bits: Vec<u64> = (64..packed.len() as u64 * 8).step_by(57).collect();
+        let report = run_campaign(comp.as_ref(), &data, &packed, &bits, comp.bound_spec());
+        assert!(
+            report
+                .trials
+                .iter()
+                .any(|t| t.metrics.is_some_and(|m| m.percent_incorrect.unwrap_or(0.0) > 0.0)),
+            "no flip propagated to decoded values"
+        );
     }
 
     #[test]

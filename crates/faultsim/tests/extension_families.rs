@@ -5,10 +5,10 @@
 //! 1. **Calibration sweep** — every family registered by
 //!    `arc_core::standard_extensions()` survives fault injection at rates
 //!    inside its advertised [`Capability`]: sparse flips spread across the
-//!    buffer for all families, plus contiguous byte bursts (the
-//!    [`arc_faultsim::burst_byte_run`] model) for the families that
-//!    advertise `corrects_burst` — and its advertised storage overhead
-//!    bounds what a default chunk really pays.
+//!    buffer for all families, plus contiguous byte bursts
+//!    ([`arc_faultsim::FaultEvent::Burst`]) for the families that advertise
+//!    `corrects_burst`, all through the one trial driver — and its
+//!    advertised storage overhead bounds what a default chunk really pays.
 //! 2. **Interleaving beats bare RS** (property test) — at *identical*
 //!    parity overhead, the 64-lane interleaved wrapper corrects data-region
 //!    bursts that defeat the bare inner RS code.
@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 
 use arc_core::standard_extensions;
 use arc_ecc::{EccError, EccScheme, Interleaved, RsCodeword, DEFAULT_CHUNK_SIZE};
-use arc_faultsim::{burst_byte_run, flip_bit, stride_bits};
+use arc_faultsim::{burst_byte_run, run_trials, stride_bits, FaultEvent, ReturnStatus};
 use proptest::prelude::*;
 
 fn sample(n: usize) -> Vec<u8> {
@@ -61,33 +61,40 @@ fn calibration_sweep_every_family_survives_advertised_faults() {
         let total_bits = enc.len() as u64 * 8;
 
         // Sparse flips, evenly spread (well under every family's
-        // per-codeword budget), shifted per seed so different bits and
+        // per-codeword budget), shifted per round so different bits and
         // different codeword offsets are hit each round.
-        for seed in 0..4u64 {
-            let mut buf = enc.clone();
-            for bit in stride_bits(total_bits, 16) {
-                flip_bit(&mut buf, (bit + seed * 1009 * 8) % total_bits);
-            }
-            let (out, report) =
-                scheme.decode(&buf, data.len()).unwrap_or_else(|e| panic!("{name}/{seed}: {e}"));
-            assert_eq!(out, data, "{name}/{seed}: sparse repair mismatch");
-            assert!(!report.is_clean(), "{name}/{seed}: flips should be reported");
-        }
+        let mut trials: Vec<Vec<FaultEvent>> = (0..4u64)
+            .map(|round| {
+                let shift =
+                    |bit| FaultEvent::SingleBit { bit: (bit + round * 1009 * 8) % total_bits };
+                stride_bits(total_bits, 16).into_iter().map(shift).collect()
+            })
+            .collect();
 
         // Contiguous burst in the data region for burst-capable families.
         let burst = burst_budget(&name);
         if burst > 0 {
             assert!(cap.corrects_burst, "{name} has a burst budget but no burst capability");
-            for seed in 0..4usize {
-                let mut buf = enc.clone();
-                let start = 1 + seed * (data.len() - burst - 2) / 3;
-                assert_eq!(burst_byte_run(&mut buf, start, burst), burst);
-                let (out, report) = scheme
-                    .decode(&buf, data.len())
-                    .unwrap_or_else(|e| panic!("{name}: burst at {start}: {e}"));
-                assert_eq!(out, data, "{name}: burst at {start} not repaired");
-                assert!(!report.is_clean());
-            }
+            trials.extend((0..4usize).map(|round| {
+                vec![FaultEvent::Burst {
+                    start: 1 + round * (data.len() - burst - 2) / 3,
+                    len: burst,
+                }]
+            }));
+        }
+
+        // Every trial must give the data back exactly, and report a repair.
+        let results = run_trials(&enc, &trials, 2, |b| {
+            let decoded =
+                scheme.decode(b, data.len()).map_err(|_| ReturnStatus::CompressorException);
+            decoded.map(|(out, report)| out == data && !report.is_clean())
+        });
+        for (r, events) in results.iter().zip(&trials) {
+            assert_eq!(
+                *r,
+                (ReturnStatus::Completed, Some(true)),
+                "{name}: not repaired: {events:?}"
+            );
         }
     }
 }

@@ -9,8 +9,9 @@
 #                                    the #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
 #                                    codeword-RS lane kernel, BCH remainder),
-#                                    hostile-input sweep, arcbench at smoke
-#                                    scale
+#                                    the seven fault-study binaries at
+#                                    --quick, hostile-input sweep, arcbench
+#                                    at smoke scale
 #
 # arc-lint fails on any violation beyond lint-baseline.json and on stale
 # baseline entries; regenerate with scripts/lint_baseline.sh after paying
@@ -69,6 +70,14 @@ fi
 if (( full )); then
     echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -- --ignored"
     cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -- --ignored
+
+    echo "==> fault studies: fig01-fig05, sec63_resiliency, ablations at --quick (stdout discarded)"
+    # Nothing else runs these binaries; a non-zero exit from any fails the gate.
+    cargo build --release -q -p arc-bench
+    for bin in fig01_single_flip fig02_status_dist fig03_incorrect_by_location fig04_cr_sweep \
+        fig05_integrity sec63_resiliency ablations; do
+        ./target/release/"$bin" --quick >/dev/null
+    done
 
     echo "==> hostile-input sweep: cargo run --release -q -p arc-bench --bin hostile_corpus"
     cargo run --release -q -p arc-bench --bin hostile_corpus

@@ -1,22 +1,23 @@
 //! Campaign determinism: the same seed must yield an identical
 //! [`CampaignReport`] no matter how many threads run the trials.
 //!
-//! `run_campaign` maps trials over every available hardware thread with
-//! `arc::ecc::parallel::par_map`, which returns results in input order
-//! regardless of which worker ran them. This test drives the same
-//! per-trial function through `par_map` at 1, 2 and 8 workers and compares
-//! each run, trial for trial, with the campaign's own report.
-//! Wall-clock fields (`decompress_seconds`, `bandwidth_mb_s`) are excluded
-//! from the comparison — they legitimately vary run to run.
+//! `run_campaign` runs its trials through the one trial driver,
+//! `run_trials`, over every available hardware thread; the driver's
+//! `par_map` returns results in input order regardless of which worker ran
+//! them. This test drives the campaign's own subject through the driver at
+//! 1, 2 and 8 workers and compares each run, trial for trial, with the
+//! campaign's report. Wall-clock fields (`decompress_seconds`,
+//! `bandwidth_mb_s`) are excluded from the comparison — they legitimately
+//! vary run to run.
 
 use arc::datasets::SdrDataset;
-use arc::ecc::parallel::par_map;
-use arc::faultsim::{run_campaign_with_bound, sample_bits, TrialContext, TrialOutcome};
+use arc::faultsim::{
+    decompress_trial, run_campaign, run_trials, sample_bits, FaultEvent, ReturnStatus, TrialMetrics,
+};
 use arc::pressio::{BoundSpec, CompressorSpec, Dataset};
 /// The deterministic projection of one trial: everything except wall-clock.
 #[derive(Debug, PartialEq, Eq)]
 struct TrialKey {
-    bit: Option<u64>,
     status: &'static str,
     percent_incorrect: Option<u64>,
     incorrect_elements: Option<usize>,
@@ -24,14 +25,13 @@ struct TrialKey {
     psnr: u64,
 }
 
-fn key(t: &TrialOutcome) -> TrialKey {
+fn key(status: ReturnStatus, metrics: Option<&TrialMetrics>) -> TrialKey {
     TrialKey {
-        bit: t.bit,
-        status: t.status.label(),
-        percent_incorrect: t.metrics.as_ref().and_then(|m| m.percent_incorrect).map(f64::to_bits),
-        incorrect_elements: t.metrics.as_ref().and_then(|m| m.incorrect_elements),
-        max_abs_diff: t.metrics.as_ref().map_or(0, |m| m.max_abs_diff.to_bits()),
-        psnr: t.metrics.as_ref().map_or(0, |m| m.psnr.to_bits()),
+        status: status.label(),
+        percent_incorrect: metrics.and_then(|m| m.percent_incorrect).map(f64::to_bits),
+        incorrect_elements: metrics.and_then(|m| m.incorrect_elements),
+        max_abs_diff: metrics.map_or(0, |m| m.max_abs_diff.to_bits()),
+        psnr: metrics.map_or(0, |m| m.psnr.to_bits()),
     }
 }
 
@@ -42,18 +42,28 @@ fn same_seed_same_report_across_thread_counts() {
     let stream = comp.compress(&Dataset { data: &field.data, dims: &field.dims }).unwrap();
     let bits = sample_bits(stream.len() as u64 * 8, 200, 42);
     let bound = Some(BoundSpec::Abs(0.05));
-    let baseline = run_campaign_with_bound(comp.as_ref(), &field.data, &stream, &bits, bound);
+    let baseline = run_campaign(comp.as_ref(), &field.data, &stream, &bits, bound);
     assert_eq!(baseline.total_bits, stream.len() as u64 * 8);
     assert_eq!(baseline.trials.len(), bits.len());
+    assert!(baseline.trials.iter().zip(&bits).all(|(t, &b)| t.bit == Some(b)));
 
-    let mut ctx = TrialContext::new(comp.as_ref(), &field.data, &stream);
-    ctx.eval_bound = bound;
-    assert_eq!(key(&ctx.run_control()), key(&baseline.control));
+    // The control trial (no events) first, then one flip per bit.
+    let mut trials = vec![vec![]];
+    trials.extend(bits.iter().map(|&bit| vec![FaultEvent::SingleBit { bit }]));
+    let expect: Vec<TrialKey> = std::iter::once(&baseline.control)
+        .chain(&baseline.trials)
+        .map(|t| key(t.status, t.metrics.as_ref()))
+        .collect();
+    let subject = decompress_trial(comp.as_ref(), &field.data, bound);
     for workers in [1usize, 2, 8] {
-        let trials = par_map(workers, &mut bits.clone(), |&mut b| ctx.run_flip(b));
-        assert_eq!(trials.len(), baseline.trials.len(), "{workers} workers");
-        for (i, (a, b)) in trials.iter().zip(&baseline.trials).enumerate() {
-            assert_eq!(key(a), key(b), "trial {i} diverged at {workers} workers");
+        let got = run_trials(&stream, &trials, workers, &subject);
+        assert_eq!(got.len(), expect.len(), "{workers} workers");
+        for (i, ((status, metrics), want)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(
+                &key(*status, metrics.as_ref()),
+                want,
+                "trial {i} diverged at {workers} workers"
+            );
         }
     }
 }

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use arc::core::{decode_with_registry, encode_with_scheme, standard_extensions, ExtensionRegistry};
-use arc::faultsim::{storm, FaultMix};
+use arc::faultsim::storm;
+use arc::SystemProfile;
 use arc_ecc::{EccScheme, Replication};
 
 fn checkpoint(n: usize) -> Vec<u8> {
@@ -25,7 +26,7 @@ fn custom_schemes_survive_their_design_storms() {
     // TMR vs a Cielo-like storm (bursts up to 512 bytes).
     let enc = encode_with_scheme(&data, &r, "tmr", 2).unwrap();
     let mut struck = enc.clone();
-    storm(&mut struck, 25, &FaultMix::cielo_like(), 0xE57);
+    storm(&mut struck, 25, &SystemProfile::cielo(), 0xE57);
     let (out, report) = decode_with_registry(&struck, 2, &r).unwrap();
     assert_eq!(out, data);
     assert!(!report.correction.is_clean());
@@ -33,7 +34,7 @@ fn custom_schemes_survive_their_design_storms() {
     // Interleaved RS vs sparse single-bit weather.
     let enc = encode_with_scheme(&data, &r, "ileave-rs", 2).unwrap();
     let mut struck = enc.clone();
-    let single_only = FaultMix { single_bit_fraction: 1.0, burst_bytes: (1, 1) };
+    let single_only = SystemProfile { single_bit_fraction: 1.0, ..SystemProfile::hopper() };
     storm(&mut struck, 30, &single_only, 0xE58);
     let (out, report) = decode_with_registry(&struck, 2, &r).unwrap();
     assert_eq!(out, data);
@@ -98,7 +99,7 @@ fn storms_against_unprotected_data_always_corrupt() {
     let data = checkpoint(100_000);
     for seed in 0..5u64 {
         let mut struck = data.clone();
-        let summary = storm(&mut struck, 10, &FaultMix::hopper_like(), seed);
+        let summary = storm(&mut struck, 10, &SystemProfile::hopper(), seed);
         assert!(summary.bits_flipped > 0);
         assert_ne!(struck, data, "seed {seed}");
     }
