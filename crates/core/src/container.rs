@@ -47,7 +47,7 @@
 
 use std::sync::Arc;
 
-use arc_ecc::crc::crc32;
+use arc_ecc::crc::{crc32, crc32_combine, crc32_concat};
 use arc_ecc::{CorrectionReport, EccConfig, EccError, EccScheme, ParallelCodec, RsCodeword};
 
 use crate::error::ArcError;
@@ -657,6 +657,17 @@ pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
     Ok(u)
 }
 
+/// CRC-32 of the whole data from its shards' CRCs, in payload order. Every
+/// shard but the last has one length, so this is one [`crc32_concat`] and
+/// one [`crc32_combine`], not a field exponentiation per shard.
+pub(crate) fn whole_crc(entries: &[ShardEntry]) -> u32 {
+    entries.chunk_by(|a, b| a.decoded_len == b.decoded_len).fold(0, |acc, run| {
+        let len = run.first().map_or(0, |e| e.decoded_len);
+        let crc = crc32_concat(run.iter().map(|e| e.crc), len);
+        crc32_combine(acc, crc, len.saturating_mul(run.len()))
+    })
+}
+
 /// A chunk-parallel codec over a resolved scheme — the only codec type the
 /// container paths run.
 pub(crate) type Codec = ParallelCodec<Arc<dyn EccScheme>>;
@@ -790,11 +801,16 @@ impl Shards {
         self.meta.sharding.is_none().then_some(self.meta.data_crc)
     }
 
-    /// CRC-32 of the whole data, to check once every shard has passed —
-    /// `None` where the one shard's CRC already is that check (v1), so a v1
-    /// payload is CRC'd once.
-    pub(crate) fn end_to_end_crc(&self) -> Option<u32> {
-        self.meta.sharding.map(|_| self.meta.data_crc)
+    /// The end-to-end check, once every shard has passed its own: the
+    /// header's data CRC against the shards' CRCs combined. Each of those
+    /// was held to the index, so this checks header against index without
+    /// hashing the data again. A v1 payload's one shard CRC already was this
+    /// check.
+    pub(crate) fn check_whole(&self) -> Result<(), ArcError> {
+        if self.meta.sharding.is_some() && self.meta.data_crc != whole_crc(&self.entries) {
+            return Err(self.crc_mismatch(None));
+        }
+        Ok(())
     }
 
     /// Which bytes of `payload` — the region [`Shards::open`] returned — are
@@ -833,8 +849,13 @@ impl Shards {
             )));
         }
         let correction = self.codec.decode_in_place(region, decoded_len)?;
-        // arc-lint: bounded(region.len() == expected >= decoded_len checked above)
-        let computed = crc32(&region[..decoded_len]);
+        // Device RS stores a CRC per device, and decode just held the
+        // repaired bytes to them: their combine is the shard's CRC. Every
+        // other scheme can miscorrect, so its output is hashed here.
+        let computed = self.codec.data_crc(region, decoded_len).unwrap_or_else(|| {
+            // arc-lint: bounded(region.len() == expected >= decoded_len checked above)
+            crc32(&region[..decoded_len])
+        });
         if crc.is_some_and(|expect| expect != computed) {
             return Err(self.crc_mismatch(Some(shard)));
         }

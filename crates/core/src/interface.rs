@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use arc_ecc::codec::CorrectionReport;
-use arc_ecc::crc::crc32;
 use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
 use arc_ecc::{EccConfig, ParallelCodec};
 
@@ -291,10 +290,8 @@ pub(crate) fn decode_container(
         at += e.decoded_len;
     }
     work.truncate(shards.meta.data_len);
-    if let Some(expect) = shards.end_to_end_crc() {
-        if crc32(&work) != expect {
-            return Err(shards.crc_mismatch(None));
-        }
+    shards.check_whole()?;
+    if shards.meta.sharding.is_some() {
         // Hand back the data alone, without the last shard's parity room. A
         // payload whose one shard CRC was the end-to-end check (v1) keeps its
         // slack: that decode is held to one payload-sized allocation and

@@ -208,6 +208,10 @@ impl<'a> ArcReader<'a> {
         registry: Option<&ExtensionRegistry>,
     ) -> Result<ArcReader<'a>, ArcError> {
         let (shards, payload) = Shards::open(bytes, threads, registry)?;
+        // Range reads check shards one at a time against the index; the
+        // header's data CRC is held to the same index here, from the index
+        // CRCs alone, so a reader refuses what the whole decoders refuse.
+        shards.check_whole()?;
         let mut starts = Vec::with_capacity(shards.entries.len());
         let mut pos = 0usize;
         for e in &shards.entries {

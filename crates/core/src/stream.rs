@@ -27,7 +27,7 @@
 //!   requests into one [`par_map`] pass so requests below the per-scheme
 //!   bytes-per-thread floor still fill all workers in aggregate.
 
-use arc_ecc::crc::{crc32, Crc32};
+use arc_ecc::crc::crc32;
 use arc_ecc::parallel::{par_map, resolve_threads, DEFAULT_CHUNK_SIZE};
 use arc_ecc::{CorrectionReport, EccConfig, ParallelCodec};
 
@@ -132,7 +132,6 @@ pub struct StreamEncoder<S: StreamSink> {
     spare: Vec<Vec<u8>>,
     /// One encoded-shard buffer per group member, reused across groups.
     outs: Vec<Vec<u8>>,
-    crc: Crc32,
     data_len: usize,
     payload_pos: usize,
     entries: Vec<ShardEntry>,
@@ -186,7 +185,6 @@ impl<S: StreamSink> StreamEncoder<S> {
             parked: Vec::new(),
             spare: Vec::new(),
             outs: Vec::new(),
-            crc: Crc32::new(),
             data_len: 0,
             payload_pos: 0,
             entries: Vec::new(),
@@ -208,7 +206,6 @@ impl<S: StreamSink> StreamEncoder<S> {
                 // the group and the caller's slice only tops it up.
                 let n = (bytes.len() / self.shard_size).min(self.workers - self.parked.len());
                 let (whole, rest) = bytes.split_at(n * self.shard_size);
-                self.crc.update(whole);
                 self.encode_group(whole)?;
                 bytes = rest;
                 continue;
@@ -216,7 +213,6 @@ impl<S: StreamSink> StreamEncoder<S> {
             let room = self.shard_size - self.staging.len();
             let (head, rest) = bytes.split_at(room.min(bytes.len()));
             self.staging.extend_from_slice(head);
-            self.crc.update(head);
             bytes = rest;
             if self.staging.len() < self.shard_size {
                 continue;
@@ -268,9 +264,11 @@ impl<S: StreamSink> StreamEncoder<S> {
             out.resize(encoded_len, 0);
         }
         let codec = &self.codec;
+        // Under device RS the shard's CRC is the combine of the device CRCs
+        // the encode just wrote; other schemes' shards are hashed here.
         let encode_shard = |shard: &[u8], out: &mut [u8], entry: &mut ShardEntry| {
             codec.encode_into(shard, out);
-            entry.crc = crc32(shard);
+            entry.crc = codec.data_crc(out, shard.len()).unwrap_or_else(|| crc32(shard));
         };
         let jobs = sources.zip(&mut self.outs).zip(self.entries.iter_mut().skip(first));
         if self.workers > 1 {
@@ -303,7 +301,7 @@ impl<S: StreamSink> StreamEncoder<S> {
             chunk_size: self.codec.chunk_size(),
             data_len: self.data_len,
             payload_len: self.payload_pos,
-            data_crc: self.crc.finalize(),
+            data_crc: container::whole_crc(&self.entries),
             sharding: Some(ShardingMeta { shard_size: self.shard_size, index_len: index.len() }),
         };
         let hlen = container::header_len(&meta);
@@ -364,8 +362,6 @@ struct Body {
     shards: Shards,
     /// Plaintext bytes emitted so far.
     decoded: usize,
-    /// Running CRC-32 of the emitted plaintext.
-    whole: Crc32,
     correction: CorrectionReport,
     /// Trailer accepted: the container is complete, any further byte an error.
     done: bool,
@@ -393,11 +389,7 @@ impl Body {
             self.shards.decode_shard(i, decoded_len, self.shards.header_shard_crc(), buf)?;
         self.correction.merge(&correction);
         // arc-lint: bounded(decode_shard held buf to encoded_len(decoded_len) >= decoded_len)
-        let shard = &buf[..decoded_len];
-        if self.shards.end_to_end_crc().is_some() {
-            self.whole.update(shard);
-        }
-        out.extend_from_slice(shard);
+        out.extend_from_slice(&buf[..decoded_len]);
         let offset = self.shards.entries.last().map_or(0, |e| e.offset + e.encoded_len);
         self.shards.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc });
         self.decoded += decoded_len;
@@ -495,13 +487,11 @@ impl StreamDecoder {
         if self.failed {
             return Err(ArcError::Corrupted("stream decoder previously failed".into()));
         }
-        let Body { shards, whole, correction, .. } = match self.phase {
+        let Body { shards, correction, .. } = match self.phase {
             Phase::Body(body) if body.done => *body,
             _ => return Err(ArcError::Corrupted("container truncated: stream ended early".into())),
         };
-        if shards.end_to_end_crc().is_some_and(|expect| expect != whole.finalize()) {
-            return Err(shards.crc_mismatch(None));
-        }
+        shards.check_whole()?;
         Ok(shards.report(correction))
     }
 
@@ -536,7 +526,6 @@ impl StreamDecoder {
                         self.phase = Phase::Body(Box::new(Body {
                             shards,
                             decoded: 0,
-                            whole: Crc32::new(),
                             correction: CorrectionReport::default(),
                             done: false,
                         }));

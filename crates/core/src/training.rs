@@ -49,8 +49,11 @@ pub struct TrainingTable {
 /// (DESIGN.md §13), whose throughput differs from v1-era measurements by
 /// integer factors — loading a v1 cache would feed the §4 optimizer a stale
 /// cost model, so caches with any other version line are discarded and the
-/// trainer re-measures.
-const CACHE_HEADER: &str = "# arc training cache v2";
+/// trainer re-measures. v3 coincides with the carry-less-multiply CRC-32
+/// fold kernels and device-RS shard CRCs combined from the device CRCs
+/// (DESIGN.md §22): every device-RS throughput moved by an integer factor
+/// again.
+const CACHE_HEADER: &str = "# arc training cache v3";
 
 /// Prefix every versioned cache header starts with.
 const CACHE_HEADER_PREFIX: &str = "# arc training cache v";
@@ -342,7 +345,7 @@ mod tests {
         let path = dir.join("training.tsv");
         std::fs::write(
             &path,
-            "# arc training cache v2\n\
+            "# arc training cache v3\n\
              secded:64\t4\t100.0\t200.0\t3\n\
              garbage line without tabs\n\
              rs:999:999\t2\t1.0\t1.0\t1\n\
@@ -363,23 +366,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("arc-cache-stale-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("training.tsv");
-        // A v1-era cache measured the pre-GFNI kernels; its numbers
-        // would poison the optimizer's cost model, so nothing loads.
+        // A v2-era cache measured the slice-by-16 CRC; its numbers would
+        // poison the optimizer's cost model, so nothing loads.
         std::fs::write(
             &path,
-            "# arc training cache v1\n\
+            "# arc training cache v2\n\
              secded:64\t4\t100.0\t200.0\t3\n\
              hamming:64\t2\t50.0\t60.0\t2\n",
         )
         .unwrap();
         let table = TrainingTable::load(&path).unwrap();
-        assert!(table.is_empty(), "v1 cache must be discarded, got {} entries", table.len());
+        assert!(table.is_empty(), "v2 cache must be discarded, got {} entries", table.len());
         // Saving writes the current version, which round-trips.
         let mut fresh = TrainingTable::new();
         fresh.record(&EccConfig::secded(true), 4, 100.0, 200.0);
         fresh.save(&path).unwrap();
         let header = std::fs::read_to_string(&path).unwrap();
-        assert!(header.starts_with("# arc training cache v2"));
+        assert!(header.starts_with(CACHE_HEADER));
         assert_eq!(TrainingTable::load(&path).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -307,3 +307,60 @@ fn registry_decode_of_a_damaged_builtin_container_reports_like_engine_decode() {
     assert!(repair.symbols_corrected >= 1);
     assert_eq!(engine_report.config, Some(EccConfig::secded(true)));
 }
+
+/// The whole-data CRC is the shards' CRCs combined, and under device RS a
+/// shard's CRC is the combine of its device CRCs: neither may turn a wrong
+/// stored CRC into a pass. A header whose data CRC is wrong but correctly
+/// RS-encoded, and an index whose CRC for one shard is wrong, are the same
+/// typed `Uncorrectable` from every surface — one-shot, streaming and range.
+#[test]
+fn combined_crcs_still_reject_a_wrong_stored_crc() {
+    let registry = ExtensionRegistry::new();
+    let data = sample(100_000);
+    for config in [EccConfig::rs(20, 4).unwrap(), EccConfig::secded(true)] {
+        let encode = |d: &[u8]| arc_engine_encode_sharded(d, config, 1, SHARD).unwrap();
+        let clean = encode(&data);
+
+        let mut bad_header = clean.clone();
+        let mut meta = unpack(&bad_header).unwrap().meta;
+        meta.data_crc ^= 1;
+        let hlen = header_len(&meta);
+        write_header(&meta, &mut bad_header[..hlen]).unwrap();
+
+        // Shard 1 swapped for a consistent encoding of other bytes: the ECC
+        // layer finds nothing to repair and only the index CRC disagrees.
+        let mut other = data.clone();
+        other[SHARD + 5] ^= 0x80;
+        let donor = encode(&other);
+        let u = unpack(&clean).unwrap();
+        let e = u.index.unwrap().entries[1];
+        let region = u.payload_offset + e.offset..u.payload_offset + e.offset + e.encoded_len;
+        let mut bad_index = clean.clone();
+        bad_index[region.clone()].copy_from_slice(&donor[region]);
+
+        let cases = [
+            ("header data CRC", bad_header, "end-to-end CRC mismatch after ECC decode"),
+            (
+                "index CRC of shard 1",
+                bad_index,
+                "shard 1: end-to-end CRC mismatch after ECC decode",
+            ),
+        ];
+        for (label, container, expected) in cases {
+            let mut agreed: Option<ArcError> = None;
+            for (name, _, surface) in SURFACES {
+                let what = format!("{config} / {label} / {name}");
+                let error = match surface(&container, Some(&registry)) {
+                    Err(error) => error,
+                    Ok(_) => panic!("{what}: decoded a container with a wrong stored CRC"),
+                };
+                let detail = match &error {
+                    ArcError::Ecc(EccError::Uncorrectable { detail, .. }) => detail,
+                    other => panic!("{what}: expected Uncorrectable, got {other:?}"),
+                };
+                assert_eq!(detail, expected, "{what}");
+                assert_eq!(*agreed.get_or_insert_with(|| error.clone()), error, "{what}");
+            }
+        }
+    }
+}

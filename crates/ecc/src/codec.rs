@@ -184,6 +184,21 @@ pub trait EccScheme: Send + Sync {
         self.verify_and_correct(data, parity)
     }
 
+    /// CRC-32 of the `data_len` data bytes `parity` protects, read from
+    /// checksums the parity itself stores, or `None` for a scheme that stores
+    /// none (the caller hashes the data itself).
+    ///
+    /// Only meaningful on parity that [`EccScheme::encode_parity_into`] just
+    /// wrote or [`EccScheme::verify_and_correct`] just accepted — then every
+    /// stored checksum matches the data, so the value equals `crc32(data)`
+    /// without a pass over it ([`crate::ParallelCodec::data_crc`]). A scheme
+    /// whose decoder can miscorrect must return `None`: its stored checksums
+    /// would vouch for bytes it never checked.
+    fn data_crc(&self, data_len: usize, parity: &[u8]) -> Option<u32> {
+        let _ = (data_len, parity);
+        None
+    }
+
     /// What this scheme can detect/correct.
     fn capability(&self) -> Capability;
 
@@ -245,6 +260,9 @@ impl EccScheme for std::sync::Arc<dyn EccScheme> {
         parity: &mut [u8],
     ) -> Result<CorrectionReport, EccError> {
         (**self).verify_and_correct(data, parity)
+    }
+    fn data_crc(&self, data_len: usize, parity: &[u8]) -> Option<u32> {
+        (**self).data_crc(data_len, parity)
     }
     fn capability(&self) -> Capability {
         (**self).capability()

@@ -205,6 +205,10 @@ impl EccScheme for EccConfig {
         self.as_scheme().verify_and_correct(data, parity)
     }
 
+    fn data_crc(&self, data_len: usize, parity: &[u8]) -> Option<u32> {
+        self.as_scheme().data_crc(data_len, parity)
+    }
+
     fn capability(&self) -> Capability {
         self.as_scheme().capability()
     }

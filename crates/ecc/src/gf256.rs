@@ -191,8 +191,7 @@ fn mul_tables() -> &'static MulTables {
 }
 
 /// Force-build every lazily-initialized lookup table: log/exp, the
-/// split-nibble multiply tables, the GFNI affine-matrix operands, and the
-/// slice-by-16 CRC-32 tables.
+/// split-nibble multiply tables and the GFNI affine-matrix operands.
 ///
 /// Hot paths touch the tables through `OnceLock`s; calling this once up
 /// front (e.g. when a [`crate::parallel::ParallelCodec`] is constructed)
@@ -201,7 +200,6 @@ fn mul_tables() -> &'static MulTables {
 pub fn warm_tables() {
     let _ = mul_tables();
     let _ = gfni_matrices();
-    crate::crc::warm_crc_tables();
     #[cfg(target_arch = "x86_64")]
     let _ = simd_level();
 }
@@ -275,25 +273,33 @@ enum SimdLevel {
 }
 
 #[cfg(target_arch = "x86_64")]
+impl SimdLevel {
+    /// Whether this CPU has every feature the level's kernel needs.
+    fn detected(self) -> bool {
+        let gfni = is_x86_feature_detected!("gfni");
+        match self {
+            SimdLevel::Gfni512 => {
+                gfni && is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vl")
+            }
+            SimdLevel::Gfni256 => gfni && is_x86_feature_detected!("avx2"),
+            SimdLevel::Avx2 => is_x86_feature_detected!("avx2"),
+            SimdLevel::Ssse3 => is_x86_feature_detected!("ssse3"),
+            SimdLevel::None => true,
+        }
+    }
+}
+
+/// The widest level this CPU runs.
+#[cfg(target_arch = "x86_64")]
 fn simd_level() -> SimdLevel {
     static LEVEL: std::sync::OnceLock<SimdLevel> = std::sync::OnceLock::new();
     *LEVEL.get_or_init(|| {
-        let gfni = is_x86_feature_detected!("gfni");
-        if gfni
-            && is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512bw")
-            && is_x86_feature_detected!("avx512vl")
-        {
-            SimdLevel::Gfni512
-        } else if gfni && is_x86_feature_detected!("avx2") {
-            SimdLevel::Gfni256
-        } else if is_x86_feature_detected!("avx2") {
-            SimdLevel::Avx2
-        } else if is_x86_feature_detected!("ssse3") {
-            SimdLevel::Ssse3
-        } else {
-            SimdLevel::None
-        }
+        [SimdLevel::Gfni512, SimdLevel::Gfni256, SimdLevel::Avx2, SimdLevel::Ssse3]
+            .into_iter()
+            .find(|level| level.detected())
+            .unwrap_or(SimdLevel::None)
     })
 }
 
@@ -793,11 +799,13 @@ mod tests {
     }
 
     /// Ragged lengths exercising the word kernel's main loop, word tail, and
-    /// byte tail, plus the SIMD kernels' 16/32-byte boundaries.
-    const KERNEL_LENS: [usize; 12] = [0, 1, 7, 8, 9, 15, 16, 31, 33, 63, 64, 65];
+    /// byte tail, plus the SIMD kernels' 16/32/64-byte boundaries.
+    const KERNEL_LENS: [usize; 16] =
+        [0, 1, 7, 8, 9, 15, 16, 31, 33, 63, 64, 65, 127, 128, 129, 200];
 
-    #[test]
-    fn mul_acc_slice_matches_naive_for_every_coefficient_and_ragged_len() {
+    /// `kernel` against the bitwise product for every coefficient and every
+    /// length in [`KERNEL_LENS`].
+    fn assert_matches_naive(name: &str, kernel: impl Fn(&mut [u8], &[u8], Gf)) {
         for c in 0..=255u8 {
             for len in KERNEL_LENS {
                 let src: Vec<u8> =
@@ -808,9 +816,45 @@ mod tests {
                 for (e, &s) in expect.iter_mut().zip(&src) {
                     *e ^= Gf(s).mul(Gf(c)).0;
                 }
-                mul_acc_slice(&mut dst, &src, Gf(c));
-                assert_eq!(dst, expect, "c={c} len={len}");
+                kernel(&mut dst, &src, Gf(c));
+                assert_eq!(dst, expect, "{name} c={c} len={len}");
             }
+        }
+    }
+
+    #[test]
+    fn mul_acc_slice_matches_naive_for_every_coefficient_and_ragged_len() {
+        assert_matches_naive("dispatched", mul_acc_slice);
+    }
+
+    /// Every level's kernel called directly, not only the one this host
+    /// dispatches to; levels the CPU lacks are skipped.
+    #[test]
+    fn every_simd_level_matches_naive() {
+        assert_matches_naive("words", |d, s, c| mul_acc_words(d, s, row_table(c)));
+        #[cfg(target_arch = "x86_64")]
+        for (level, name) in [
+            (SimdLevel::Gfni512, "gfni512"),
+            (SimdLevel::Gfni256, "gfni256"),
+            (SimdLevel::Avx2, "avx2"),
+            (SimdLevel::Ssse3, "ssse3"),
+        ] {
+            if !level.detected() {
+                continue;
+            }
+            assert_matches_naive(name, |d, s, c| {
+                // SAFETY: `detected` found every feature this level's kernel
+                // needs on this CPU just above.
+                unsafe {
+                    match level {
+                        SimdLevel::Gfni512 => x86::mul_acc_gfni512(d, s, c),
+                        SimdLevel::Gfni256 => x86::mul_acc_gfni256(d, s, c),
+                        SimdLevel::Avx2 => x86::mul_acc_avx2(d, s, c),
+                        SimdLevel::Ssse3 => x86::mul_acc_ssse3(d, s, c),
+                        SimdLevel::None => mul_acc_words(d, s, row_table(c)),
+                    }
+                }
+            });
         }
     }
 

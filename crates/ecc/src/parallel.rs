@@ -26,6 +26,7 @@
 
 use crate::codec::{CorrectionReport, EccError, EccScheme};
 use crate::config::EccConfig;
+use crate::crc::crc32_combine;
 
 /// Default chunk size (1 MiB): large enough to amortize dispatch, small
 /// enough that a 26 MB CESM buffer spreads across 26+ threads.
@@ -304,6 +305,25 @@ impl<S: EccScheme> ParallelCodec<S> {
         Ok(merged)
     }
 
+    /// CRC-32 of the `data_len` data bytes of `encoded`, read from the
+    /// checksums its parity stores ([`EccScheme::data_crc`]) and combined
+    /// across chunks, without a pass over the data; `None` when the scheme
+    /// stores none (the caller hashes the data itself).
+    ///
+    /// Only meaningful right after [`ParallelCodec::encode_into`] wrote
+    /// `encoded` or [`ParallelCodec::decode_in_place`] accepted it: then every
+    /// stored checksum matches the data it covers.
+    pub fn data_crc(&self, encoded: &[u8], data_len: usize) -> Option<u32> {
+        let mut parity = encoded.get(data_len..)?;
+        let mut lens =
+            (0..data_len).step_by(self.chunk_size).map(|at| self.chunk_size.min(data_len - at));
+        lens.try_fold(0, |crc, len| {
+            let (chunk, rest) = parity.split_at_checked(self.config.parity_len(len))?;
+            parity = rest;
+            Some(crc32_combine(crc, self.config.data_crc(len, chunk)?, len))
+        })
+    }
+
     /// Decode an encoded buffer, verifying and repairing every chunk.
     ///
     /// Borrowing convenience wrapper over
@@ -490,6 +510,30 @@ mod tests {
                 assert_eq!(out, data, "{cfg} threads={threads}");
                 assert!(report.is_clean());
             }
+        }
+    }
+
+    #[test]
+    fn data_crc_comes_from_the_parity_only_where_it_stores_one() {
+        let data = sample(2_500_001);
+        let crc = crate::crc::crc32(&data);
+        for threads in [1, 2] {
+            let rs = EccConfig::rs(32, 8).unwrap();
+            let codec = ParallelCodec::with_chunk_size(rs, threads, 100_000).unwrap();
+            let mut encoded = vec![0u8; codec.encoded_len(data.len())];
+            codec.encode_into(&data, &mut encoded);
+            assert_eq!(codec.data_crc(&encoded, data.len()), Some(crc), "threads={threads}");
+            encoded[123_457] ^= 0x40;
+            let report = codec.decode_in_place(&mut encoded, data.len()).unwrap();
+            assert_eq!(report.corrected_devices, 1, "threads={threads}");
+            assert_eq!(codec.data_crc(&encoded, data.len()), Some(crc), "threads={threads}");
+            assert_eq!(codec.data_crc(&encoded[..data.len() - 1], data.len()), None);
+
+            let sec = ParallelCodec::with_chunk_size(EccConfig::secded(true), threads, 100_000);
+            let sec = sec.unwrap();
+            let mut encoded = vec![0u8; sec.encoded_len(data.len())];
+            sec.encode_into(&data, &mut encoded);
+            assert_eq!(sec.data_crc(&encoded, data.len()), None, "threads={threads}");
         }
     }
 

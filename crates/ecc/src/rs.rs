@@ -20,7 +20,9 @@
 //! reconstruction (the Fig 10 cliff).
 
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
-use crate::crc::{crc32, crc32_zero_padded, CRC_LEN};
+use crate::crc::{
+    crc32, crc32_combine, crc32_concat, crc32_strip_zeros, crc32_zero_padded, CRC_LEN,
+};
 use crate::gf256::{mul_acc_slice, Gf};
 
 /// Maximum total device count (`k + m`) representable in GF(2^8) with the
@@ -297,6 +299,25 @@ impl EccScheme for ReedSolomon {
         Ok(report)
     }
 
+    /// The data devices' stored CRCs, combined: the full devices as one run
+    /// of `d`-byte blocks, then the ragged one with its zero padding
+    /// stripped. Verification held every data device to its stored CRC (or
+    /// rebuilt the device and refreshed the entry), so this is `crc32(data)`.
+    fn data_crc(&self, data_len: usize, parity: &[u8]) -> Option<u32> {
+        if data_len == 0 {
+            return Some(crc32(&[]));
+        }
+        let d = self.device_size(data_len);
+        let table = parity.get(self.m * d..)?.as_chunks::<CRC_LEN>().0;
+        let mut stored = table.iter().map(|c| u32::from_le_bytes(*c));
+        let (full, tail) = (data_len / d, data_len % d);
+        let crc = crc32_concat(stored.by_ref().take(full), d);
+        if tail == 0 {
+            return Some(crc);
+        }
+        Some(crc32_combine(crc, crc32_strip_zeros(stored.next()?, d - tail), tail))
+    }
+
     /// RS encode is the slowest kernel in the crate, so even 1 MiB of work
     /// per worker amortizes thread dispatch; the lighter schemes keep the
     /// larger default floor.
@@ -496,6 +517,24 @@ mod tests {
         let cap = ReedSolomon::new(10, 4).unwrap().capability();
         assert!(cap.corrects_burst && cap.corrects_sparse && cap.detects_sparse);
         assert_eq!(cap.correctable_per_mb, 4.0);
+    }
+
+    #[test]
+    fn data_crc_is_the_crc_of_the_data() {
+        for (k, m, len) in
+            [(4, 2, 100), (5, 4, 5 * 64 + 13), (16, 4, 5), (223, 32, 100_000), (1, 1, 7)]
+        {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            let data = sample(len);
+            let mut parity = rs.encode_parity(&data);
+            assert_eq!(rs.data_crc(len, &parity), Some(crc32(&data)), "k={k} m={m} len={len}");
+            // A repaired device's refreshed entry counts the same.
+            let mut bad = data.clone();
+            bad[len - 1] ^= 0x10;
+            rs.verify_and_correct(&mut bad, &mut parity).unwrap();
+            assert_eq!(rs.data_crc(len, &parity), Some(crc32(&data)), "k={k} m={m} len={len}");
+        }
+        assert_eq!(ReedSolomon::new(4, 2).unwrap().data_crc(0, &[]), Some(0));
     }
 
     #[test]
