@@ -15,9 +15,9 @@ use std::path::PathBuf;
 
 use arc_core::container::{IndexRepair, Unpacked};
 use arc_core::{
-    decode_with_threads, ArcContext, ArcDecodeReport, ArcOptions, EncodeRequest, ErrorResponse,
-    MemoryConstraint, ResiliencyConstraint, SystemProfile, ThroughputConstraint, TrainingOptions,
-    ANY_THREADS,
+    decode_with_registry, standard_extensions, ArcContext, ArcDecodeReport, ArcOptions,
+    EncodeRequest, ErrorResponse, MemoryConstraint, ResiliencyConstraint, SystemProfile,
+    ThroughputConstraint, TrainingOptions, ANY_THREADS,
 };
 use arc_ecc::EccMethod;
 
@@ -282,7 +282,7 @@ fn execute(cmd: Command) -> Result<(), String> {
         }
         Command::Recover { input, output, threads } => {
             let bytes = std::fs::read(&input).map_err(|e| format!("read {input:?}: {e}"))?;
-            let (data, report) = decode_with_threads(&bytes, threads).map_err(|e| e.to_string())?;
+            let (data, report) = decode_stock(&bytes, threads)?;
             std::fs::write(&output, &data).map_err(|e| format!("write {output:?}: {e}"))?;
             println!("recovered {} -> {}", input.display(), output.display());
             print!("{}", render_report(&report));
@@ -290,8 +290,8 @@ fn execute(cmd: Command) -> Result<(), String> {
         }
         Command::Verify { input, threads } => {
             let bytes = std::fs::read(&input).map_err(|e| format!("read {input:?}: {e}"))?;
-            let (_, report) = decode_with_threads(&bytes, threads)
-                .map_err(|e| format!("verification failed: {e}"))?;
+            let (_, report) =
+                decode_stock(&bytes, threads).map_err(|e| format!("verification failed: {e}"))?;
             print!("{}", render_report(&report));
             Ok(())
         }
@@ -326,6 +326,13 @@ fn execute(cmd: Command) -> Result<(), String> {
             Ok(())
         }
     }
+}
+
+/// Decode a container of any built-in scheme or stock extension family
+/// (`x:bch`, `x:ileave-rs`), as `recover` and `verify` read it.
+fn decode_stock(bytes: &[u8], threads: usize) -> Result<(Vec<u8>, ArcDecodeReport), String> {
+    let registry = standard_extensions().map_err(|e| e.to_string())?;
+    decode_with_registry(bytes, threads, &registry).map_err(|e| e.to_string())
 }
 
 /// RS symbols a header or index codeword repaired, as the health lines
@@ -561,7 +568,7 @@ mod tests {
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         let config = arc_ecc::EccConfig::secded(true);
         let report = |bytes: &[u8]| {
-            let (out, report) = decode_with_threads(bytes, 1).unwrap();
+            let (out, report) = decode_stock(bytes, 1).unwrap();
             assert_eq!(out, data);
             render_report(&report)
         };
@@ -636,6 +643,29 @@ mod tests {
              shards:        4\n\
              index health:  copy 2 of 3, clean\n"
         );
+    }
+
+    #[test]
+    fn verify_and_recover_read_stock_extension_containers() {
+        use arc_core::{container::unpack, encode_sharded_with_scheme};
+        let dir = std::env::temp_dir().join(format!("arc-cli-bch-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (container, recovered) = (dir.join("bch.arc"), dir.join("recovered.bin"));
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let registry = standard_extensions().unwrap();
+        let mut bytes = encode_sharded_with_scheme(&data, &registry, "bch", 1, 32 << 10).unwrap();
+        let payload_offset = unpack(&bytes).unwrap().payload_offset;
+        bytes[payload_offset + 1000] ^= 0x10;
+        std::fs::write(&container, &bytes).unwrap();
+
+        let (path, out) = (container.display().to_string(), recovered.display().to_string());
+        assert_eq!(run(parse(&["verify".into(), path.clone()]).unwrap()), 0);
+        assert_eq!(run(parse(&["recover".into(), path, out]).unwrap()), 0);
+        assert_eq!(std::fs::read(&recovered).unwrap(), data);
+        let text = render_report(&decode_stock(&bytes, 1).unwrap().1);
+        assert!(text.contains("scheme:        x:bch\n"), "{text}");
+        assert!(text.contains("payload:       1 bit(s), 0 device(s) repaired\n"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -55,21 +55,21 @@ use crate::extension::{resolve_scheme, ExtensionRegistry};
 use crate::interface::ArcDecodeReport;
 
 /// Container magic.
-pub const MAGIC: &[u8; 4] = b"ARC1";
+pub(crate) const MAGIC: &[u8; 4] = b"ARC1";
 /// Container format version for monolithic (v1) containers.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Container format version for sharded (v2) containers.
-pub const VERSION_SHARDED: u8 = 2;
+pub(crate) const VERSION_SHARDED: u8 = 2;
 /// Parity symbols protecting the header codeword.
-pub const HEADER_NSYM: usize = 32;
+pub(crate) const HEADER_NSYM: usize = 32;
 /// Parity symbols protecting each RS codeword of the shard index.
-pub const INDEX_NSYM: usize = 32;
+pub(crate) const INDEX_NSYM: usize = 32;
 /// Raw index bytes per RS codeword: the rest of a maximal codeword.
 const INDEX_MESSAGE: usize = arc_ecc::rscode::MAX_CODEWORD - INDEX_NSYM;
 /// Default shard size for the sharded encode paths (4 MiB): small enough
 /// that a tile read touches a sliver of a large field, large enough that
 /// per-shard index overhead stays negligible.
-pub const DEFAULT_SHARD_SIZE: usize = 4 << 20;
+pub(crate) const DEFAULT_SHARD_SIZE: usize = 4 << 20;
 
 /// Serialized size of one shard-index entry: offset `u64`, encoded length
 /// `u32`, decoded length `u32`, CRC-32 `u32`, scheme slot `u8` (reserved,
@@ -105,13 +105,6 @@ pub struct ContainerMeta {
     pub data_crc: u32,
     /// Sharding parameters; `None` for monolithic v1 containers.
     pub sharding: Option<ShardingMeta>,
-}
-
-impl ContainerMeta {
-    /// Built-in configuration, when the id parses as one.
-    pub fn builtin_config(&self) -> Option<EccConfig> {
-        EccConfig::parse_id(&self.scheme_id).ok()
-    }
 }
 
 /// One shard's entry in the v2 index.
@@ -758,13 +751,13 @@ impl Shards {
     /// buffered — the stream decoder's front half. The payload and index
     /// lengths must be the pure functions of (`data_len`, `shard_size`,
     /// `chunk_size`) the encoder computes, so a corrupt-but-decodable
-    /// header cannot demand unbounded memory.
+    /// header cannot demand unbounded memory. Shards decode on the calling
+    /// thread.
     pub(crate) fn from_header(
         found: Unpacked<'_>,
-        threads: usize,
         registry: Option<&ExtensionRegistry>,
     ) -> Result<Shards, ArcError> {
-        let shards = Shards::new(found, threads, registry)?;
+        let shards = Shards::new(found, 1, registry)?;
         let meta = &shards.meta;
         if shards.codec.sharded_encoded_len(meta.data_len, shards.shard_size()) != meta.payload_len
         {
@@ -1066,7 +1059,7 @@ mod tests {
             let payload = vec![0u8; 64];
             let packed = pack(&m, &payload).unwrap();
             let u = unpack(&packed).unwrap();
-            assert_eq!(u.meta.builtin_config(), Some(config));
+            assert_eq!(EccConfig::parse_id(&u.meta.scheme_id), Ok(config));
         }
     }
 

@@ -8,13 +8,12 @@
 //! method they are named after — calling `arc_hamming_decode` on
 //! Reed-Solomon data is a programming error worth catching loudly.
 
-use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
 use arc_ecc::{EccConfig, EccMethod, ParallelCodec};
 
 use crate::container;
 use crate::error::ArcError;
 use crate::extension::builtin_scheme;
-use crate::interface::{decode_with_threads, ArcDecodeReport};
+use crate::interface::{decode_container, ArcDecodeReport};
 use crate::stream;
 
 /// Encode with an explicit configuration (the general engine entry point).
@@ -30,16 +29,20 @@ pub fn arc_engine_encode(
     threads: usize,
 ) -> Result<Vec<u8>, ArcError> {
     let (scheme_id, scheme) = builtin_scheme(config);
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
+    let codec = ParallelCodec::new(scheme, threads)?;
     container::encode_mono(data, &codec, &scheme_id)
 }
 
-/// Decode any engine-encoded container.
+/// Decode any container a built-in scheme protects, v1 or v2. The container
+/// is self-describing, so decoding needs no trained context — only a thread
+/// budget; [`arc_ecc::parallel::ANY_THREADS`] uses every core.
+/// Extension-tagged containers need
+/// [`crate::extension::decode_with_registry`].
 pub fn arc_engine_decode(
     bytes: &[u8],
     threads: usize,
 ) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-    decode_with_threads(bytes, threads)
+    decode_container(bytes, threads, None)
 }
 
 /// Encode into a v2 **sharded** container: each `shard_size`-byte slice of
@@ -57,7 +60,7 @@ pub fn arc_engine_encode_sharded(
     threads: usize,
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    stream::encode_oneshot(data, builtin_scheme(config), threads, DEFAULT_CHUNK_SIZE, shard_size)
+    stream::encode_oneshot(data, builtin_scheme(config), threads, shard_size)
 }
 
 fn decode_expecting(
@@ -65,7 +68,7 @@ fn decode_expecting(
     threads: usize,
     method: EccMethod,
 ) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-    let (data, report) = decode_with_threads(bytes, threads)?;
+    let (data, report) = arc_engine_decode(bytes, threads)?;
     let Some(config) = report.config else {
         return Err(ArcError::InvalidRequest(
             "decode resolved no ECC configuration for this container".into(),

@@ -1,12 +1,8 @@
-//! Error types for the ARC core, including the workspace-wide decode-error
-//! taxonomy ([`DecodeError`]) that every decompressor's failure folds into.
+//! The ARC core's one error type.
 
 use std::fmt;
 
 use arc_ecc::EccError;
-use arc_lossless::LosslessError;
-use arc_sz::SzError;
-use arc_zfp::ZfpError;
 
 /// Failures surfaced by the ARC interface and engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,112 +41,5 @@ impl std::error::Error for ArcError {}
 impl From<EccError> for ArcError {
     fn from(e: EccError) -> Self {
         ArcError::Ecc(e)
-    }
-}
-
-/// Workspace-wide decode-error taxonomy.
-///
-/// Every decoder in the repository — the lossless substrate, both lossy
-/// compressors, the ECC layer, and the container — reports corruption
-/// through its own error type; `DecodeError` folds them into four classes
-/// so harnesses and callers can reason uniformly about *how* a decode
-/// refused hostile bytes (see DESIGN.md §11):
-///
-/// * [`Truncated`](DecodeError::Truncated) — the stream ended before its
-///   declared content did.
-/// * [`Malformed`](DecodeError::Malformed) — a field is structurally
-///   impossible (bad magic, Kraft-violating Huffman table, zero-extent
-///   dimension, …): the paper's *Compressor Exception* class.
-/// * [`WorkBudgetExceeded`](DecodeError::WorkBudgetExceeded) — decoding
-///   would exceed the caller's element/byte budget, usually because a
-///   corrupt length field demands an absurd allocation: the guard that
-///   maps to the paper's *Timeout* class.
-/// * [`Uncorrectable`](DecodeError::Uncorrectable) — damage was detected
-///   but exceeds the ECC scheme's correction power (Figure 7b's
-///   `arc_decode` exception).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DecodeError {
-    /// The stream ended before the declared content did.
-    Truncated(String),
-    /// The stream is structurally invalid.
-    Malformed(String),
-    /// Decoding would exceed the caller's resource budget.
-    WorkBudgetExceeded {
-        /// Units (elements or bytes) the stream demands.
-        demanded: u64,
-        /// Units the caller allowed.
-        budget: u64,
-    },
-    /// Corruption detected but beyond the scheme's correction power.
-    Uncorrectable(String),
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::Truncated(d) => write!(f, "truncated: {d}"),
-            DecodeError::Malformed(d) => write!(f, "malformed: {d}"),
-            DecodeError::WorkBudgetExceeded { demanded, budget } => {
-                write!(f, "work budget exceeded: demanded {demanded}, budget {budget}")
-            }
-            DecodeError::Uncorrectable(d) => write!(f, "uncorrectable: {d}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-impl From<LosslessError> for DecodeError {
-    fn from(e: LosslessError) -> Self {
-        match e {
-            LosslessError::Truncated(d) => DecodeError::Truncated(d),
-            LosslessError::Malformed(d) => DecodeError::Malformed(d),
-            LosslessError::WorkBudgetExceeded { demanded, budget } => {
-                DecodeError::WorkBudgetExceeded { demanded, budget }
-            }
-        }
-    }
-}
-
-impl From<SzError> for DecodeError {
-    fn from(e: SzError) -> Self {
-        match e {
-            SzError::Malformed(d) => DecodeError::Malformed(d),
-            SzError::Lossless(inner) => inner.into(),
-            SzError::WorkBudgetExceeded { demanded, budget } => {
-                DecodeError::WorkBudgetExceeded { demanded, budget }
-            }
-        }
-    }
-}
-
-impl From<ZfpError> for DecodeError {
-    fn from(e: ZfpError) -> Self {
-        match e {
-            ZfpError::Truncated(d) => DecodeError::Truncated(d),
-            ZfpError::Malformed(d) => DecodeError::Malformed(d),
-            ZfpError::WorkBudgetExceeded { demanded, budget } => {
-                DecodeError::WorkBudgetExceeded { demanded, budget }
-            }
-        }
-    }
-}
-
-impl From<EccError> for DecodeError {
-    fn from(e: EccError) -> Self {
-        match e {
-            EccError::Uncorrectable { .. } => DecodeError::Uncorrectable(e.to_string()),
-            other => DecodeError::Malformed(other.to_string()),
-        }
-    }
-}
-
-impl From<ArcError> for DecodeError {
-    fn from(e: ArcError) -> Self {
-        match e {
-            ArcError::Ecc(inner) => inner.into(),
-            ArcError::Corrupted(d) => DecodeError::Uncorrectable(d),
-            other => DecodeError::Malformed(other.to_string()),
-        }
     }
 }

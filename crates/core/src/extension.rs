@@ -34,7 +34,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
 use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec};
 
 use crate::container;
@@ -95,7 +94,7 @@ impl ExtensionRegistry {
     }
 
     /// Resolve a container scheme id (`x:<name>`).
-    pub fn resolve_id(&self, scheme_id: &str) -> Option<Arc<dyn EccScheme>> {
+    pub(crate) fn resolve_id(&self, scheme_id: &str) -> Option<Arc<dyn EccScheme>> {
         scheme_id.strip_prefix(CUSTOM_PREFIX).and_then(|n| self.get(n))
     }
 
@@ -181,7 +180,7 @@ pub fn encode_with_scheme(
     threads: usize,
 ) -> Result<Vec<u8>, ArcError> {
     let (scheme_id, scheme) = registry.named_scheme(name)?;
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
+    let codec = ParallelCodec::new(scheme, threads)?;
     container::encode_mono(data, &codec, &scheme_id)
 }
 
@@ -198,12 +197,12 @@ pub fn encode_sharded_with_scheme(
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
     let scheme = registry.named_scheme(name)?;
-    stream::encode_oneshot(data, scheme, threads, DEFAULT_CHUNK_SIZE, shard_size)
+    stream::encode_oneshot(data, scheme, threads, shard_size)
 }
 
 /// Decode any ARC container, resolving extension ids against `registry`
 /// (built-in ids decode as usual) — the same decode body as
-/// [`crate::interface::decode_with_threads`], with a registry to look in.
+/// [`crate::engine::arc_engine_decode`], with a registry to look in.
 pub fn decode_with_registry(
     bytes: &[u8],
     threads: usize,

@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use arc_ecc::codec::CorrectionReport;
-use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
 use arc_ecc::{EccConfig, ParallelCodec};
 
 use crate::constraints::EncodeRequest;
@@ -40,8 +39,6 @@ pub struct ArcOptions {
     pub cache_path: Option<PathBuf>,
     /// Training probe sizes and configuration space.
     pub training: TrainingOptions,
-    /// Chunk granularity for the parallel codecs.
-    pub chunk_size: usize,
 }
 
 impl Default for ArcOptions {
@@ -50,7 +47,6 @@ impl Default for ArcOptions {
             max_threads: ANY_THREADS,
             cache_path: default_cache_path(),
             training: TrainingOptions::default(),
-            chunk_size: DEFAULT_CHUNK_SIZE,
         }
     }
 }
@@ -58,7 +54,7 @@ impl Default for ArcOptions {
 /// Default cache location: `$ARC_CACHE_DIR/training.tsv`, else
 /// `~/.cache/arc-rs/training.tsv` ("ARC checks its installation directory
 /// for a cache of previously saved configurations", §5.1).
-pub fn default_cache_path() -> Option<PathBuf> {
+pub(crate) fn default_cache_path() -> Option<PathBuf> {
     if let Ok(dir) = std::env::var("ARC_CACHE_DIR") {
         return Some(PathBuf::from(dir).join("training.tsv"));
     }
@@ -105,7 +101,6 @@ impl ArcDecodeReport {
 /// An initialized ARC instance.
 pub struct ArcContext {
     max_threads: usize,
-    chunk_size: usize,
     space: Vec<EccConfig>,
     table: RwLock<TrainingTable>,
     cache_path: Option<PathBuf>,
@@ -117,7 +112,6 @@ impl std::fmt::Debug for ArcContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArcContext")
             .field("max_threads", &self.max_threads)
-            .field("chunk_size", &self.chunk_size)
             .field("configs", &self.space.len())
             .field("trained_points", &self.table().len())
             .finish()
@@ -136,7 +130,6 @@ impl ArcContext {
         let stats = train(&mut table, max_threads, &options.training)?;
         let ctx = ArcContext {
             max_threads,
-            chunk_size: options.chunk_size,
             space: options.training.space.clone(),
             table: RwLock::new(table),
             cache_path: options.cache_path,
@@ -202,7 +195,7 @@ impl ArcContext {
     ) -> Result<Vec<u8>, ArcError> {
         let threads = self.capped(threads);
         let (scheme_id, scheme) = builtin_scheme(config);
-        let codec = ParallelCodec::with_chunk_size(scheme, threads, self.chunk_size)?;
+        let codec = ParallelCodec::new(scheme, threads)?;
         let (mut out, hlen) = container::mono_frame(data, &codec, &scheme_id)?;
         let t0 = std::time::Instant::now();
         // arc-lint: bounded(hlen is the header length of the frame mono_frame just allocated)
@@ -225,7 +218,7 @@ impl ArcContext {
     /// `arc_decode()`: verify, repair if needed, and return the original
     /// byte array — or raise when the damage is uncorrectable (Fig 7b).
     pub fn decode(&self, bytes: &[u8]) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-        decode_with_threads(bytes, self.max_threads)
+        decode_container(bytes, self.max_threads, None)
     }
 
     // A poisoned lock is recovered, not propagated: the table is a map of
@@ -301,17 +294,6 @@ pub(crate) fn decode_container(
     Ok((work, shards.report(correction)))
 }
 
-/// Standalone decode (the container is self-describing, so decoding needs
-/// no trained context — only a thread budget; [`ANY_THREADS`] uses every
-/// core). Extension-tagged containers need
-/// [`crate::extension::decode_with_registry`].
-pub fn decode_with_threads(
-    bytes: &[u8],
-    threads: usize,
-) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-    decode_container(bytes, threads, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +315,6 @@ mod tests {
                     EccConfig::rs(32, 8).unwrap(),
                 ],
             },
-            chunk_size: 16 << 10,
         }
     }
 
@@ -424,7 +405,7 @@ mod tests {
         let data = payload(10_000);
         let (encoded, _) = ctx.encode(&data, &EncodeRequest::default()).unwrap();
         drop(ctx);
-        let (decoded, _) = decode_with_threads(&encoded, 2).unwrap();
+        let (decoded, _) = crate::engine::arc_engine_decode(&encoded, 2).unwrap();
         assert_eq!(decoded, data);
     }
 

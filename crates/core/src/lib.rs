@@ -62,28 +62,23 @@ pub use constraints::{
     EncodeRequest, ErrorResponse, MemoryConstraint, ResiliencyConstraint, ThroughputConstraint,
     BURST_RATE_THRESHOLD,
 };
-pub use container::{
-    ContainerMeta, IndexRepair, ShardEntry, ShardIndex, ShardingMeta, Unpacked, DEFAULT_SHARD_SIZE,
-    VERSION_SHARDED,
-};
+pub use container::{ContainerMeta, IndexRepair, Unpacked};
 pub use engine::{
     arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, arc_hamming_decode,
     arc_hamming_encode, arc_parity_decode, arc_parity_encode, arc_reed_solomon_decode,
     arc_reed_solomon_encode, arc_secded_decode, arc_secded_encode, ENGINE_FUNCTIONS,
 };
-pub use error::{ArcError, DecodeError};
+pub use error::ArcError;
 pub use extension::{
     decode_with_registry, encode_sharded_with_scheme, encode_with_scheme, standard_extensions,
     ExtensionRegistry, CUSTOM_PREFIX,
 };
 pub use failure::SystemProfile;
-pub use interface::{
-    decode_with_threads, default_cache_path, ArcContext, ArcDecodeReport, ArcOptions, ANY_THREADS,
-};
+pub use interface::{ArcContext, ArcDecodeReport, ArcOptions, ANY_THREADS};
 pub use optimizer::{
     joint_optimizer, joint_optimizer_with, memory_optimizer, throughput_optimizer, Selection,
 };
-pub use reader::{ArcReader, CacheStats, RangeReport, DEFAULT_CACHE_CAPACITY};
+pub use reader::{ArcReader, CacheStats, RangeReport};
 pub use stream::{
     decode_batch, encode_batch, StreamDecoder, StreamEncodeStats, StreamEncoder, StreamOptions,
     StreamSink,

@@ -19,12 +19,12 @@ use std::collections::HashMap;
 
 use arc_ecc::codec::CorrectionReport;
 
-use crate::container::{ContainerMeta, IndexRepair, ShardEntry, Shards};
+use crate::container::{ContainerMeta, ShardEntry, Shards};
 use crate::error::ArcError;
 use crate::extension::ExtensionRegistry;
 
 /// Default shard-cache capacity (64 MiB of decoded shards).
-pub const DEFAULT_CACHE_CAPACITY: usize = 64 << 20;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 64 << 20;
 
 /// Counters for the reader's decoded-shard cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -171,7 +171,7 @@ impl std::fmt::Debug for ArcReader<'_> {
 
 impl<'a> ArcReader<'a> {
     /// Open a container for random access with the default cache capacity
-    /// ([`DEFAULT_CACHE_CAPACITY`]). `threads` accepts
+    /// (64 MiB of decoded shards). `threads` accepts
     /// [`arc_ecc::parallel::ANY_THREADS`] (0) for "all available cores";
     /// parallelism applies within each decoded shard's chunks.
     pub fn open(bytes: &'a [u8], threads: usize) -> Result<ArcReader<'a>, ArcError> {
@@ -234,11 +234,6 @@ impl<'a> ArcReader<'a> {
     /// Number of independently decodable shards (1 for v1 containers).
     pub fn shard_count(&self) -> usize {
         self.shards.entries.len()
-    }
-
-    /// How the shard index was recovered at open (all-zero for v1).
-    pub fn index_repair(&self) -> IndexRepair {
-        self.shards.index_repair.unwrap_or_default()
     }
 
     /// Cache counters so far.

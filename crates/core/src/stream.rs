@@ -28,7 +28,7 @@
 //!   bytes-per-thread floor still fill all workers in aggregate.
 
 use arc_ecc::crc::crc32;
-use arc_ecc::parallel::{par_map, resolve_threads, DEFAULT_CHUNK_SIZE};
+use arc_ecc::parallel::{par_map, resolve_threads};
 use arc_ecc::{CorrectionReport, EccConfig, ParallelCodec};
 
 use crate::container::{
@@ -36,7 +36,7 @@ use crate::container::{
 };
 use crate::error::ArcError;
 use crate::extension::{builtin_scheme, ExtensionRegistry, Resolved};
-use crate::interface::{decode_with_threads, ArcDecodeReport};
+use crate::interface::{decode_container, ArcDecodeReport};
 
 /// Positional byte sink for streaming encode output.
 ///
@@ -73,14 +73,11 @@ pub struct StreamOptions {
     pub threads: usize,
     /// Decoded bytes per shard (the v2 random-access granule).
     pub shard_size: usize,
-    /// ECC chunk size within a shard ([`DEFAULT_CHUNK_SIZE`] unless a
-    /// caller has a reason; it is recorded in the header either way).
-    pub chunk_size: usize,
 }
 
 impl Default for StreamOptions {
     fn default() -> Self {
-        StreamOptions { threads: 1, shard_size: DEFAULT_SHARD_SIZE, chunk_size: DEFAULT_CHUNK_SIZE }
+        StreamOptions { threads: 1, shard_size: DEFAULT_SHARD_SIZE }
     }
 }
 
@@ -162,13 +159,13 @@ impl<S: StreamSink> StreamEncoder<S> {
         if opts.shard_size == 0 {
             return Err(ArcError::InvalidRequest("shard size must be >= 1".into()));
         }
-        let codec = ParallelCodec::with_chunk_size(scheme, 1, opts.chunk_size)?;
+        let codec = ParallelCodec::new(scheme, 1)?;
         // The header length is a pure function of the scheme id and the
         // sharded flag, so the payload region can start before any length
         // field is known; `finish` back-patches the real header at 0.
         let meta = ContainerMeta {
             scheme_id: scheme_id.clone(),
-            chunk_size: opts.chunk_size,
+            chunk_size: codec.chunk_size(),
             data_len: 0,
             payload_len: 0,
             data_crc: 0,
@@ -291,8 +288,8 @@ impl<S: StreamSink> StreamEncoder<S> {
     /// Flush the partial tail shard with the last group, write the
     /// triplicated index, back-patch the header, and return the sink. The
     /// container depends only on the concatenation of every pushed slice
-    /// and on the scheme, shard size and chunk size — never on how the
-    /// input was cut into pushes or on `threads`.
+    /// and on the scheme and shard size — never on how the input was cut
+    /// into pushes or on `threads`.
     pub fn finish(mut self) -> Result<(S, StreamEncodeStats), ArcError> {
         self.encode_group(&[])?;
         let index = container::rs_index_encode(&container::serialize_index(&self.entries))?;
@@ -335,10 +332,9 @@ pub(crate) fn encode_oneshot(
     data: &[u8],
     scheme: Resolved,
     threads: usize,
-    chunk_size: usize,
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    let opts = StreamOptions { threads, shard_size, chunk_size };
+    let opts = StreamOptions { threads, shard_size };
     let mut enc = StreamEncoder::with_scheme(Vec::new(), scheme, opts)?;
     let index_len = container::index_encoded_len(data.len().div_ceil(shard_size))?;
     let payload_len = enc.codec.sharded_encoded_len(data.len(), shard_size);
@@ -425,7 +421,6 @@ impl Body {
 /// assert_eq!(report.shards, 5);
 /// ```
 pub struct StreamDecoder {
-    threads: usize,
     /// Extension schemes the header's scheme id may resolve against.
     /// `None` still decodes every built-in container; extension-tagged
     /// headers then fail with a pointer to
@@ -443,16 +438,9 @@ impl Default for StreamDecoder {
 }
 
 impl StreamDecoder {
-    /// Decoder with sequential (1-thread) shard decoding.
+    /// Decoder for built-in schemes. Shards decode on the pushing thread.
     pub fn new() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// Decoder whose per-shard ECC pass may use up to `threads` workers
-    /// (`0` = all available cores).
-    pub fn with_threads(threads: usize) -> Self {
         StreamDecoder {
-            threads,
             registry: None,
             phase: Phase::Header { need: 6 },
             buf: Vec::new(),
@@ -460,12 +448,12 @@ impl StreamDecoder {
         }
     }
 
-    /// As [`StreamDecoder::with_threads`], additionally resolving
-    /// extension scheme ids (`x:<name>`) against `registry`, so containers
-    /// produced by [`StreamEncoder::with_registry_scheme`] (or the one-shot
-    /// extension encoders) stream-decode like built-ins.
-    pub fn with_registry(threads: usize, registry: ExtensionRegistry) -> Self {
-        StreamDecoder { registry: Some(registry), ..Self::with_threads(threads) }
+    /// As [`StreamDecoder::new`], additionally resolving extension scheme
+    /// ids (`x:<name>`) against `registry`, so containers produced by
+    /// [`StreamEncoder::with_registry_scheme`] (or the one-shot extension
+    /// encoders) stream-decode like built-ins.
+    pub fn with_registry(registry: ExtensionRegistry) -> Self {
+        StreamDecoder { registry: Some(registry), ..Self::new() }
     }
 
     /// Feed the next piece of the container, appending any newly decoded
@@ -521,8 +509,7 @@ impl StreamDecoder {
                         continue;
                     }
                     HeaderScan::Found(found) => {
-                        let shards =
-                            Shards::from_header(found, self.threads, self.registry.as_ref())?;
+                        let shards = Shards::from_header(found, self.registry.as_ref())?;
                         self.phase = Phase::Body(Box::new(Body {
                             shards,
                             decoded: 0,
@@ -552,7 +539,7 @@ pub fn encode_batch(
     threads: usize,
 ) -> Result<Vec<Vec<u8>>, ArcError> {
     let (scheme_id, scheme) = builtin_scheme(config);
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
+    let codec = ParallelCodec::new(scheme, threads)?;
     let frames: Result<Vec<_>, _> =
         requests.iter().map(|data| container::mono_frame(data, &codec, &scheme_id)).collect();
     let mut frames = frames?;
@@ -572,11 +559,11 @@ type DecodeOutcome = Result<(Vec<u8>, ArcDecodeReport), ArcError>;
 /// Decode many independent containers as one [`par_map`] pass.
 ///
 /// Order-preserving; each element equals what
-/// [`crate::decode_with_threads`] returns for that container. Failures are
+/// [`crate::arc_engine_decode`] returns for that container. Failures are
 /// per-item — one corrupt container never poisons its batch.
 pub fn decode_batch(containers: &[&[u8]], threads: usize) -> Vec<DecodeOutcome> {
     let mut jobs = containers.to_vec();
-    par_map(resolve_threads(threads), &mut jobs, |bytes| decode_with_threads(bytes, 1))
+    par_map(resolve_threads(threads), &mut jobs, |bytes| decode_container(bytes, 1, None))
 }
 
 #[cfg(test)]

@@ -83,8 +83,7 @@ fn run_op(op: &Op, reader: &mut ArcReader<'_>, scratch: &[u8]) -> Vec<u8> {
     match op {
         Op::Read { offset, len } => reader.decode_range(*offset, *len).expect("range read").0,
         Op::Stream { config, start, len, threads } => {
-            let opts =
-                StreamOptions { threads: *threads, shard_size: 32 << 10, ..Default::default() };
+            let opts = StreamOptions { threads: *threads, shard_size: 32 << 10 };
             let mut enc = StreamEncoder::new(Vec::new(), *config, opts).expect("stream encoder");
             for piece in scratch[*start..*start + *len].chunks(8 << 10) {
                 enc.push(piece).expect("stream push");

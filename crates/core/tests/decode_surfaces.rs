@@ -10,13 +10,13 @@
 //! failures: the same damaged container is the same `ArcError` from every
 //! surface. Below them: the two small defects the shared body removed.
 
-use arc_core::container::{header_len, unpack, write_header};
+use arc_core::container::{encode_mono, header_len, unpack, write_header};
 use arc_core::{
     arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, decode_batch,
     decode_with_registry, encode_sharded_with_scheme, encode_with_scheme, standard_extensions,
     ArcDecodeReport, ArcError, ArcReader, ExtensionRegistry, StreamDecoder,
 };
-use arc_ecc::{CorrectionReport, EccConfig, EccError, EccScheme};
+use arc_ecc::{CorrectionReport, EccConfig, EccError, EccScheme, ParallelCodec};
 
 /// Decoded bytes, payload corrections, and — from every surface but the
 /// range reader, whose report is per read — the whole-container report.
@@ -45,7 +45,6 @@ fn stream_outcome(mut dec: StreamDecoder, bytes: &[u8]) -> Outcome {
 /// (name, takes a registry, the call). Surfaces that take no registry
 /// ignore the one they are offered — that is the point of the third case.
 const SURFACES: [(&str, bool, Surface); 7] = [
-    // `arc_engine_decode` is the engine's name for `decode_with_threads`.
     ("arc_engine_decode", false, |b, _| arc_engine_decode(b, 1).map(whole)),
     ("decode_with_registry", true, |b, r| {
         decode_with_registry(b, 1, r.expect("surface takes a registry")).map(whole)
@@ -62,7 +61,7 @@ const SURFACES: [(&str, bool, Surface); 7] = [
     ("StreamDecoder::new", false, |b, _| stream_outcome(StreamDecoder::new(), b)),
     ("StreamDecoder::with_registry", true, |b, r| {
         let r = r.expect("surface takes a registry").clone();
-        stream_outcome(StreamDecoder::with_registry(1, r), b)
+        stream_outcome(StreamDecoder::with_registry(r), b)
     }),
 ];
 
@@ -114,12 +113,19 @@ fn every_surface_agrees_on_bytes_corrections_and_refusals() {
     let config = EccConfig::secded(true);
     let x_v1 = encode_with_scheme(&data, &standard, "bch", 1).unwrap();
     let x_v2 = encode_sharded_with_scheme(&data, &standard, "bch", 1, SHARD).unwrap();
+    // No writer chooses a chunk size, but every decoder must honour the one a
+    // header records: 16 KiB chunks put seven in this v1 payload, and BCH's
+    // 1000-byte blocks straddle their seams, so no other chunk size lays the
+    // payload out the same way.
+    let codec = ParallelCodec::with_chunk_size(standard.get("bch").unwrap(), 1, 16 << 10).unwrap();
+    let x_chunked = encode_mono(&data, &codec, "x:bch").unwrap();
     // (label, container, registry on offer, does that registry resolve the id?)
     let cases: Vec<(&str, Vec<u8>, &ExtensionRegistry, bool)> = vec![
         ("builtin v1", arc_engine_encode(&data, config, 1).unwrap(), &standard, true),
         ("builtin v2", arc_engine_encode_sharded(&data, config, 1, SHARD).unwrap(), &empty, true),
         ("x: v1 +registry", x_v1.clone(), &standard, true),
         ("x: v2 +registry", x_v2.clone(), &standard, true),
+        ("x: v1 +registry, 7 chunks", x_chunked, &standard, true),
         ("x: v1 -registry", x_v1, &empty, false),
         ("x: v2 -registry", x_v2, &empty, false),
     ];

@@ -48,7 +48,7 @@ fn every_extension_family_streams_and_range_decodes_byte_identically() {
         assert_eq!(one_shot, streamed, "{name}: one-shot wrapper changed the bytes");
 
         // (2) Streaming decode reproduces the data.
-        let mut dec = StreamDecoder::with_registry(1, registry.clone());
+        let mut dec = StreamDecoder::with_registry(registry.clone());
         let mut out = Vec::new();
         for piece in streamed.chunks(1_777) {
             dec.push(piece, &mut out).expect("stream decode push");

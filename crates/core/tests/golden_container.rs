@@ -267,7 +267,7 @@ fn stream_encoder_reproduces_v2_snapshots_for_every_partition_and_thread_count()
         assert_eq!(*gid, cfg.id(), "scheme order drifted from snapshot");
         for piece in [data.len(), 1, 7, 16, 17] {
             for threads in [1, 2, 4] {
-                let opts = StreamOptions { threads, shard_size: 16, ..Default::default() };
+                let opts = StreamOptions { threads, shard_size: 16 };
                 let mut enc = StreamEncoder::new(Vec::new(), cfg, opts).unwrap();
                 for chunk in data.chunks(piece) {
                     enc.push(chunk).unwrap();

@@ -71,7 +71,7 @@ proptest! {
     ) {
         let data = payload(data_len);
         let reference = single_push(&data, config, shard_size);
-        let opts = StreamOptions { shard_size, threads, ..StreamOptions::default() };
+        let opts = StreamOptions { shard_size, threads };
         let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
         push_partitioned(&mut enc, &data, &sizes).unwrap();
         let (got, stats) = enc.finish().unwrap();
@@ -162,7 +162,7 @@ fn every_builtin_scheme_streams_identically() {
     for config in EccConfig::standard_space() {
         let shard_size = 3 << 10;
         let reference = single_push(&data, config, shard_size);
-        let opts = StreamOptions { shard_size, threads: 2, ..StreamOptions::default() };
+        let opts = StreamOptions { shard_size, threads: 2 };
         let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
         push_partitioned(&mut enc, &data, &[1, 977, 4096]).unwrap();
         let (got, _) = enc.finish().unwrap();
@@ -191,7 +191,7 @@ fn parked_shards_are_flushed_before_whole_shards_from_a_later_push() {
     let data = payload(shard_size * 7 / 2);
     let config = EccConfig::rs(8, 2).unwrap();
     let reference = single_push(&data, config, shard_size);
-    let opts = StreamOptions { shard_size, threads: 3, ..StreamOptions::default() };
+    let opts = StreamOptions { shard_size, threads: 3 };
     let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
     push_partitioned(&mut enc, &data, &[shard_size / 2, shard_size / 2, shard_size * 5 / 2])
         .unwrap();

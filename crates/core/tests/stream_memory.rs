@@ -122,7 +122,7 @@ fn output_is_deterministic_across_threads() {
     let config = EccConfig::secded(true);
     let reference = arc_engine_encode_sharded(&data, config, 1, shard_size).unwrap();
     for threads in [1usize, 2, 8] {
-        let opts = StreamOptions { threads, shard_size, ..StreamOptions::default() };
+        let opts = StreamOptions { threads, shard_size };
         let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
         for piece in data.chunks(100_003) {
             enc.push(piece).unwrap();
@@ -144,7 +144,7 @@ fn peak_memory_is_threads_by_shard_not_input_sized() {
     let shard_size = 4 << 20;
     let config = EccConfig::secded(true);
     let data = payload(input_len);
-    let opts = StreamOptions { threads: 2, shard_size, ..StreamOptions::default() };
+    let opts = StreamOptions { threads: 2, shard_size };
 
     // Warm lazily-initialized code tables so they don't count.
     drop(arc_engine_encode_sharded(&data[..1 << 20], config, 1, shard_size).unwrap());

@@ -31,7 +31,7 @@ const GF_ORD: usize = (1 << GF_BITS) - 1; // 8191
 /// Primitive polynomial x^13 + x^4 + x^3 + x + 1.
 const GF_POLY: u32 = 0x201B;
 /// Data bytes per BCH block (8000 bits + 13t parity ≤ 8191 total).
-pub const BCH_BLOCK: usize = 1000;
+pub(crate) const BCH_BLOCK: usize = 1000;
 
 struct Gf13 {
     /// α^i for i in 0..2·8191 (doubled so `exp[log a + log b]` needs no mod).
@@ -92,9 +92,7 @@ fn gf_pow_alpha(gf: &Gf13, e: usize) -> u16 {
 #[derive(Debug, Clone)]
 pub struct Bch {
     t: usize,
-    /// Generator polynomial (binary, monic, degree 13t) as a bit vector.
-    gen: u64,
-    /// deg gen = 13t.
+    /// Degree of the generator polynomial: 13t.
     deg: usize,
     /// Parity bytes per block: ⌈13t/8⌉.
     pbytes: usize,
@@ -223,17 +221,7 @@ impl Bch {
             syn_tbl.push(tbl);
         }
 
-        Ok(Bch { t, gen, deg, pbytes, enc_tbl, syn_alpha, syn_step, syn_tbl })
-    }
-
-    /// Correctable bit errors per block.
-    pub fn t(&self) -> usize {
-        self.t
-    }
-
-    /// Generator polynomial as a bit vector (bit k = coefficient of x^k).
-    pub fn generator(&self) -> u64 {
-        self.gen
+        Ok(Bch { t, deg, pbytes, enc_tbl, syn_alpha, syn_step, syn_tbl })
     }
 
     /// Parity remainder for one data block: `(m(x)·x^deg) mod g(x)`.
@@ -487,7 +475,7 @@ mod tests {
         assert!(Bch::new(5).is_err());
         for t in 1..=4 {
             let b = Bch::new(t).unwrap();
-            assert_eq!(63 - b.generator().leading_zeros() as usize, GF_BITS * t);
+            assert_eq!(b.deg, GF_BITS * t);
             assert_eq!(b.parity_len(BCH_BLOCK), (GF_BITS * t).div_ceil(8));
         }
     }

@@ -7,7 +7,7 @@
 
 /// Total number of bits in a byte slice.
 #[inline]
-pub fn bit_len(bytes: &[u8]) -> u64 {
+pub(crate) fn bit_len(bytes: &[u8]) -> u64 {
     bytes.len() as u64 * 8
 }
 
@@ -16,7 +16,7 @@ pub fn bit_len(bytes: &[u8]) -> u64 {
 /// # Panics
 /// Panics if `idx` is out of range.
 #[inline]
-pub fn get_bit(bytes: &[u8], idx: u64) -> bool {
+pub(crate) fn get_bit(bytes: &[u8], idx: u64) -> bool {
     let byte = bytes[(idx / 8) as usize];
     (byte >> (idx % 8)) & 1 == 1
 }
@@ -26,7 +26,7 @@ pub fn get_bit(bytes: &[u8], idx: u64) -> bool {
 /// # Panics
 /// Panics if `idx` is out of range.
 #[inline]
-pub fn set_bit(bytes: &mut [u8], idx: u64, value: bool) {
+pub(crate) fn set_bit(bytes: &mut [u8], idx: u64, value: bool) {
     let b = &mut bytes[(idx / 8) as usize];
     let mask = 1u8 << (idx % 8);
     if value {
@@ -55,7 +55,7 @@ pub fn flip_bit(bytes: &mut [u8], idx: u64) {
 /// padding bits of the final partial byte are zero), so callers need no
 /// prior `fill(0)`.
 #[derive(Debug)]
-pub struct PackedBitWriter<'a> {
+pub(crate) struct PackedBitWriter<'a> {
     out: &'a mut [u8],
     /// Staging bits; the low `nbits` are valid.
     acc: u128,
@@ -66,7 +66,7 @@ pub struct PackedBitWriter<'a> {
 
 impl<'a> PackedBitWriter<'a> {
     /// Pack into `out`, starting at its first bit.
-    pub fn new(out: &'a mut [u8]) -> Self {
+    pub(crate) fn new(out: &'a mut [u8]) -> Self {
         PackedBitWriter { out, acc: 0, nbits: 0, byte: 0 }
     }
 
@@ -76,7 +76,7 @@ impl<'a> PackedBitWriter<'a> {
     /// Panics (in debug) if `n > 64` or `value` has bits above `n`, and (in
     /// release, via slice indexing) if the packed bits overflow `out`.
     #[inline]
-    pub fn push(&mut self, value: u64, n: u32) {
+    pub(crate) fn push(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
         debug_assert!(n == 64 || value < (1u64 << n));
         self.acc |= (value as u128) << self.nbits;
@@ -90,7 +90,7 @@ impl<'a> PackedBitWriter<'a> {
     }
 
     /// Flush the staged tail (if any) as `⌈nbits/8⌉` byte stores.
-    pub fn finish(mut self) {
+    pub(crate) fn finish(mut self) {
         let mut acc = self.acc as u64;
         let mut nbits = self.nbits;
         while nbits > 0 {
@@ -110,7 +110,7 @@ impl<'a> PackedBitWriter<'a> {
 /// # Panics
 /// Panics (in debug) if `n > 57` or the group extends past the slice.
 #[inline]
-pub fn read_bits_at(bytes: &[u8], idx: u64, n: u32) -> u64 {
+pub(crate) fn read_bits_at(bytes: &[u8], idx: u64, n: u32) -> u64 {
     debug_assert!(n <= 57);
     debug_assert!(idx + n as u64 <= bit_len(bytes));
     let byte = (idx / 8) as usize;

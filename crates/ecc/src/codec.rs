@@ -81,7 +81,7 @@ pub struct Capability {
 }
 
 /// Number of bytes in 1 MB as used for the errors-per-MB resiliency model.
-pub const MB: f64 = 1024.0 * 1024.0;
+pub(crate) const MB: f64 = 1024.0 * 1024.0;
 
 /// Given `codewords_per_mb` single-error-correcting codewords, the largest
 /// uniform error rate (errors/MB) for which the probability of any codeword
@@ -89,7 +89,7 @@ pub const MB: f64 = 1024.0 * 1024.0;
 ///
 /// For `e` errors thrown uniformly into `n` codewords the collision
 /// probability is ≈ e(e−1)/(2n); solving for 1% gives e ≈ √(0.02·n).
-pub fn single_correct_rate_per_mb(codewords_per_mb: f64) -> f64 {
+pub(crate) fn single_correct_rate_per_mb(codewords_per_mb: f64) -> f64 {
     (0.02 * codewords_per_mb).sqrt().max(1.0)
 }
 
@@ -102,7 +102,7 @@ pub fn single_correct_rate_per_mb(codewords_per_mb: f64) -> f64 {
 /// of overloaded codewords is ≈ n · (e/n)^(t+1) / (t+1)!; solving for 1%
 /// gives e ≈ n · (0.01 · (t+1)! / n)^(1/(t+1)). At `t = 1` this reduces to
 /// the √(0.02·n) of the single-correct model.
-pub fn multi_correct_rate_per_mb(codewords_per_mb: f64, t: usize) -> f64 {
+pub(crate) fn multi_correct_rate_per_mb(codewords_per_mb: f64, t: usize) -> f64 {
     if codewords_per_mb <= 0.0 || t == 0 {
         return if t == 0 { 0.0 } else { 1.0 };
     }

@@ -22,7 +22,7 @@
 //! x^k mod P, evaluated at compile time.
 
 /// Length in bytes of a serialized CRC value.
-pub const CRC_LEN: usize = 4;
+pub(crate) const CRC_LEN: usize = 4;
 
 /// The reflected IEEE polynomial P without its x^32 term: bit 31 is the x^0
 /// coefficient, bit 0 the x^31 one.
@@ -313,7 +313,7 @@ pub fn crc32_concat(crcs: impl IntoIterator<Item = u32>, block_len: usize) -> u3
 
 /// CRC-32 of `A` from the CRC-32 of `A ‖ 0^pad` — [`crc32_zero_padded`]
 /// undone by the inverse shift, x^(-8·pad) mod P.
-pub fn crc32_strip_zeros(crc: u32, pad: usize) -> u32 {
+pub(crate) fn crc32_strip_zeros(crc: u32, pad: usize) -> u32 {
     mul_mod_p(crc ^ INIT, pow_mod_p(X8_INV, pad as u64)) ^ INIT
 }
 
@@ -322,7 +322,7 @@ pub fn crc32_strip_zeros(crc: u32, pad: usize) -> u32 {
 /// The last Reed-Solomon data device is usually shorter than the device size;
 /// its checksum is computed over the zero-padded logical device so encode and
 /// decode agree without materializing the padding.
-pub fn crc32_zero_padded(data: &[u8], pad: usize) -> u32 {
+pub(crate) fn crc32_zero_padded(data: &[u8], pad: usize) -> u32 {
     // The register, not the masked value, moves through the zero bytes.
     mul_mod_p(crc32(data) ^ INIT, byte_shift(pad)) ^ INIT
 }

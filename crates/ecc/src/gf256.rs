@@ -12,10 +12,10 @@
 
 /// The primitive polynomial used to construct the field, with the implicit
 /// x^8 term removed (`x^8 + x^4 + x^3 + x^2 + 1`).
-pub const PRIMITIVE_POLY: u16 = 0x11D;
+pub(crate) const PRIMITIVE_POLY: u16 = 0x11D;
 
 /// Number of non-zero field elements (the multiplicative group order).
-pub const GROUP_ORDER: usize = 255;
+pub(crate) const GROUP_ORDER: usize = 255;
 
 /// Precomputed exp/log tables for GF(2^8).
 ///
@@ -53,7 +53,7 @@ fn tables() -> &'static Tables {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Gf(pub u8);
 
-// Inherent `add`/`sub`/`mul`/`div` are deliberate: field arithmetic stays
+// Inherent `add`/`mul`/`div` are deliberate: field arithmetic stays
 // explicit at call sites (`a.mul(b)` over GF, never machine arithmetic) and
 // the names shadow the operator traits on purpose.
 #[allow(clippy::should_implement_trait)]
@@ -63,18 +63,12 @@ impl Gf {
     /// The multiplicative identity.
     pub const ONE: Gf = Gf(1);
     /// The canonical generator α = 0x02 of the multiplicative group.
-    pub const ALPHA: Gf = Gf(2);
+    pub(crate) const ALPHA: Gf = Gf(2);
 
     /// Field addition (XOR). Identical to subtraction in GF(2^8).
     #[inline]
     pub fn add(self, rhs: Gf) -> Gf {
         Gf(self.0 ^ rhs.0)
-    }
-
-    /// Field subtraction; in characteristic 2 this is the same as addition.
-    #[inline]
-    pub fn sub(self, rhs: Gf) -> Gf {
-        self.add(rhs)
     }
 
     /// Field multiplication via log/antilog tables.
@@ -114,7 +108,7 @@ impl Gf {
 
     /// Raise to an integer power (exponent taken modulo 255 for non-zero base).
     #[inline]
-    pub fn pow(self, mut e: i32) -> Gf {
+    pub(crate) fn pow(self, mut e: i32) -> Gf {
         if self.0 == 0 {
             return if e == 0 { Gf::ONE } else { Gf::ZERO };
         }
@@ -127,18 +121,8 @@ impl Gf {
 
     /// α^e — the e-th power of the group generator.
     #[inline]
-    pub fn alpha_pow(e: i32) -> Gf {
+    pub(crate) fn alpha_pow(e: i32) -> Gf {
         Gf::ALPHA.pow(e)
-    }
-
-    /// Discrete logarithm base α.
-    ///
-    /// # Panics
-    /// Panics if `self` is zero (zero has no logarithm).
-    #[inline]
-    pub fn log(self) -> u8 {
-        assert!(self.0 != 0, "log of zero in GF(2^8)");
-        tables().log[self.0 as usize]
     }
 }
 
@@ -197,7 +181,7 @@ fn mul_tables() -> &'static MulTables {
 /// front (e.g. when a [`crate::parallel::ParallelCodec`] is constructed)
 /// keeps the one-time build out of the timed/parallel region and off the
 /// allocation budget of steady-state encode/decode.
-pub fn warm_tables() {
+pub(crate) fn warm_tables() {
     let _ = mul_tables();
     let _ = gfni_matrices();
     #[cfg(target_arch = "x86_64")]
@@ -514,7 +498,7 @@ pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: Gf) {
 /// Used by the Reed-Solomon codeword encoder/decoder (generator polynomial,
 /// syndromes, error locator, etc.).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Poly {
+pub(crate) struct Poly {
     /// Coefficients, index = degree. Highest coefficient is non-zero unless
     /// the polynomial is zero (empty or all-zero is permitted transiently).
     pub coeffs: Vec<Gf>,
@@ -522,29 +506,29 @@ pub struct Poly {
 
 impl Poly {
     /// The zero polynomial.
-    pub fn zero() -> Poly {
+    pub(crate) fn zero() -> Poly {
         Poly { coeffs: vec![] }
     }
 
     /// The constant polynomial `c`.
-    pub fn constant(c: Gf) -> Poly {
+    pub(crate) fn constant(c: Gf) -> Poly {
         Poly { coeffs: vec![c] }
     }
 
     /// Construct from coefficients (lowest degree first), trimming zeros.
-    pub fn from_coeffs(coeffs: Vec<Gf>) -> Poly {
+    pub(crate) fn from_coeffs(coeffs: Vec<Gf>) -> Poly {
         let mut p = Poly { coeffs };
         p.trim();
         p
     }
 
     /// Degree of the polynomial; 0 for constants and the zero polynomial.
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         self.coeffs.len().saturating_sub(1)
     }
 
     /// True when every coefficient is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.coeffs.iter().all(|c| c.0 == 0)
     }
 
@@ -556,12 +540,12 @@ impl Poly {
 
     /// Coefficient of x^i (zero beyond the stored length).
     #[inline]
-    pub fn coeff(&self, i: usize) -> Gf {
+    pub(crate) fn coeff(&self, i: usize) -> Gf {
         self.coeffs.get(i).copied().unwrap_or(Gf::ZERO)
     }
 
     /// Polynomial addition.
-    pub fn add(&self, rhs: &Poly) -> Poly {
+    pub(crate) fn add(&self, rhs: &Poly) -> Poly {
         let n = self.coeffs.len().max(rhs.coeffs.len());
         // arc-lint: bounded(RS polynomials over GF(256) have degree <= 255)
         let mut out = Vec::with_capacity(n);
@@ -572,7 +556,7 @@ impl Poly {
     }
 
     /// Polynomial multiplication (schoolbook; degrees here are tiny).
-    pub fn mul(&self, rhs: &Poly) -> Poly {
+    pub(crate) fn mul(&self, rhs: &Poly) -> Poly {
         if self.is_zero() || rhs.is_zero() {
             return Poly::zero();
         }
@@ -589,12 +573,12 @@ impl Poly {
     }
 
     /// Multiply by the scalar `c`.
-    pub fn scale(&self, c: Gf) -> Poly {
+    pub(crate) fn scale(&self, c: Gf) -> Poly {
         Poly::from_coeffs(self.coeffs.iter().map(|&a| a.mul(c)).collect())
     }
 
     /// Multiply by x^k (shift coefficients up).
-    pub fn shift(&self, k: usize) -> Poly {
+    pub(crate) fn shift(&self, k: usize) -> Poly {
         if self.is_zero() {
             return Poly::zero();
         }
@@ -605,7 +589,7 @@ impl Poly {
     }
 
     /// Evaluate at `x` by Horner's rule.
-    pub fn eval(&self, x: Gf) -> Gf {
+    pub(crate) fn eval(&self, x: Gf) -> Gf {
         let mut acc = Gf::ZERO;
         for &c in self.coeffs.iter().rev() {
             acc = acc.mul(x).add(c);
@@ -614,7 +598,7 @@ impl Poly {
     }
 
     /// Formal derivative; in characteristic 2, even-degree terms vanish.
-    pub fn derivative(&self) -> Poly {
+    pub(crate) fn derivative(&self) -> Poly {
         let mut out = Vec::with_capacity(self.coeffs.len().saturating_sub(1));
         for i in 1..self.coeffs.len() {
             if i % 2 == 1 {
@@ -630,7 +614,7 @@ impl Poly {
     ///
     /// # Panics
     /// Panics if `rhs` is zero.
-    pub fn rem(&self, rhs: &Poly) -> Poly {
+    pub(crate) fn rem(&self, rhs: &Poly) -> Poly {
         assert!(!rhs.is_zero(), "polynomial division by zero");
         let mut r = self.clone();
         r.trim();

@@ -27,7 +27,7 @@ pub enum BlockWidth {
 
 impl BlockWidth {
     /// Data bits per block.
-    pub fn data_bits(self) -> u32 {
+    pub(crate) fn data_bits(self) -> u32 {
         match self {
             BlockWidth::W8 => 8,
             BlockWidth::W64 => 64,
@@ -35,12 +35,12 @@ impl BlockWidth {
     }
 
     /// Data bytes per block.
-    pub fn data_bytes(self) -> usize {
+    pub(crate) fn data_bytes(self) -> usize {
         (self.data_bits() / 8) as usize
     }
 
     /// Hamming parity bits per block (excluding SEC-DED's extra bit).
-    pub fn hamming_parity_bits(self) -> u32 {
+    pub(crate) fn hamming_parity_bits(self) -> u32 {
         match self {
             BlockWidth::W8 => 4,  // 2^4 = 16 >= 8 + 4 + 1
             BlockWidth::W64 => 7, // 2^7 = 128 >= 64 + 7 + 1

@@ -33,7 +33,7 @@ use crate::codec::{
 use crate::rscode::{RsCodeword, MAX_CODEWORD, STRIP};
 
 /// Maximum interleave depth (byte lanes per buffer).
-pub const MAX_INTERLEAVE_DEPTH: usize = 4096;
+pub(crate) const MAX_INTERLEAVE_DEPTH: usize = 4096;
 
 /// Codeword RS over round-robin byte lanes: `255 − nsym`-byte messages,
 /// `nsym` parity bytes each, ⌊nsym/2⌋ unknown-location byte corrections
@@ -59,11 +59,6 @@ impl Interleaved {
             )));
         }
         Ok(Interleaved { rs: RsCodeword::new(nsym)?, depth })
-    }
-
-    /// Number of byte lanes.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     /// Parity bytes per codeword.

@@ -26,7 +26,7 @@
 //!   training phase measures and its optimizers search.
 //!
 //! ```
-//! use arc_ecc::prelude::*;
+//! use arc_ecc::{EccConfig, ParallelCodec};
 //!
 //! let data = vec![42u8; 1 << 16];
 //! let codec = ParallelCodec::new(EccConfig::secded(true), 4).unwrap();
@@ -54,19 +54,14 @@ pub mod rs;
 pub mod rscode;
 pub mod secded;
 
-/// Convenient re-exports of the crate's primary types.
-pub mod prelude {
-    pub use crate::bch::Bch;
-    pub use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
-    pub use crate::config::{EccConfig, EccMethod};
-    pub use crate::hamming::{BlockWidth, Hamming};
-    pub use crate::interleaved::Interleaved;
-    pub use crate::parallel::{ParallelCodec, ThroughputSample, ANY_THREADS, DEFAULT_CHUNK_SIZE};
-    pub use crate::parity::Parity;
-    pub use crate::replication::Replication;
-    pub use crate::rs::ReedSolomon;
-    pub use crate::rscode::RsCodeword;
-    pub use crate::secded::SecDed;
-}
-
-pub use prelude::*;
+pub use bch::Bch;
+pub use codec::{Capability, CorrectionReport, EccError, EccScheme};
+pub use config::{EccConfig, EccMethod};
+pub use hamming::Hamming;
+pub use interleaved::Interleaved;
+pub use parallel::{ParallelCodec, ANY_THREADS, DEFAULT_CHUNK_SIZE};
+pub use parity::Parity;
+pub use replication::Replication;
+pub use rs::ReedSolomon;
+pub use rscode::RsCodeword;
+pub use secded::SecDed;

@@ -20,7 +20,7 @@ pub struct Parity {
 
 impl Parity {
     /// Create a parity scheme; `bytes_per_parity_bit` must be ≥ 1.
-    pub fn new(bytes_per_parity_bit: usize) -> Result<Self, EccError> {
+    pub(crate) fn new(bytes_per_parity_bit: usize) -> Result<Self, EccError> {
         if bytes_per_parity_bit == 0 {
             return Err(EccError::InvalidConfig(
                 "parity: bytes_per_parity_bit must be >= 1".into(),

@@ -27,7 +27,7 @@ use crate::gf256::{mul_acc_slice, Gf};
 
 /// Maximum total device count (`k + m`) representable in GF(2^8) with the
 /// Cauchy construction used here.
-pub const MAX_DEVICES: usize = 255;
+pub(crate) const MAX_DEVICES: usize = 255;
 
 /// Reed-Solomon configuration: `k` data devices protected by `m` code devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

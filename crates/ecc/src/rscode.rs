@@ -16,7 +16,7 @@
 //! register is the slice) and across up to 64 interleaved codewords at
 //! once (`RsCodeword::parity_rows_into`, a row of symbols is the slice).
 //! A received codeword is clean exactly when its recomputed parity equals
-//! its stored parity; only one that disagrees becomes a [`Poly`] and meets
+//! its stored parity; only one that disagrees becomes a `gf256::Poly` and meets
 //! the decoder above.
 
 use std::sync::OnceLock;
@@ -64,7 +64,7 @@ impl RsCodeword {
     }
 
     /// Errors correctable per codeword when locations are unknown.
-    pub fn max_errors(&self) -> usize {
+    pub(crate) fn max_errors(&self) -> usize {
         self.nsym / 2
     }
 

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use arc_ecc::bits::flip_bit;
 use arc_ecc::gf256::Gf;
-use arc_ecc::prelude::*;
+use arc_ecc::{EccConfig, EccError, EccScheme, ParallelCodec, ReedSolomon, RsCodeword};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]

@@ -551,7 +551,7 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
         name: "container".to_string(),
         streams: container_streams,
         decode: Arc::new(|b, _budget| {
-            arc_core::decode_with_threads(b, 1)
+            arc_core::arc_engine_decode(b, 1)
                 .map(|(data, _report)| data.len() as u64)
                 .map_err(|e| e.to_string())
         }),
@@ -690,7 +690,7 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
         streams: all_ext,
         decode: Arc::new(|b, _budget| {
             let registry = arc_core::standard_extensions().map_err(|e| e.to_string())?;
-            let mut dec = arc_core::StreamDecoder::with_registry(1, registry);
+            let mut dec = arc_core::StreamDecoder::with_registry(registry);
             let mut out = Vec::new();
             for piece in b.chunks(509) {
                 dec.push(piece, &mut out).map_err(|e| e.to_string())?;

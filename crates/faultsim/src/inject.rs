@@ -11,14 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Flip bit `bit` (LSB-first within bytes) of `buf`.
-///
-/// # Panics
-/// Panics if `bit` is out of range.
-#[inline]
-pub fn flip_bit(buf: &mut [u8], bit: u64) {
-    buf[(bit / 8) as usize] ^= 1u8 << (bit % 8);
-}
+pub use arc_ecc::bits::flip_bit;
 
 /// Draw `count` distinct bit positions uniformly from `0..total_bits`,
 /// returned sorted. Deterministic for a seed.

@@ -16,8 +16,8 @@
 //! - **Qualified calls** `a::b::name(…)` — methods whose self type equals
 //!   the last qualifier, or free functions — in both cases the remaining
 //!   qualifiers must appear, in order, in the callee's module path
-//!   (subsequence match, so re-exports like `arc_core::decode_with_threads`
-//!   still resolve to `arc_core::interface::decode_with_threads`).
+//!   (subsequence match, so re-exports like `arc_core::arc_engine_decode`
+//!   still resolve to `arc_core::engine::arc_engine_decode`).
 //! - `Self::name(…)` resolves `Self` to the caller's impl self type.
 //!
 //! Module paths are derived from file paths: `crates/<c>/src/<m>.rs` maps

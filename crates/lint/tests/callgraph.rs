@@ -106,9 +106,9 @@ fn every_hostile_decode_target_is_a_declared_root() {
             "arc_lossless::zstd_like::decompress_with_limit",
         ),
         (
-            "arc_core::decode_with_threads",
-            "interface::decode_with_threads",
-            "arc_core::interface::decode_with_threads",
+            "arc_core::arc_engine_decode",
+            "engine::arc_engine_decode",
+            "arc_core::engine::arc_engine_decode",
         ),
         ("arc_core::ArcReader::open", "ArcReader::open", "arc_core::reader::ArcReader::open"),
         (

@@ -1079,7 +1079,7 @@ mod differential_tests {
     #[test]
     #[ignore = "deep variant"]
     fn element_loops_match_the_per_index_reference_deep() {
-        let mut rng = StdRng::seed_from_u64(0xDEE9_5A);
+        let mut rng = StdRng::seed_from_u64(0xDE_E95A);
         for _ in 0..10_000 {
             loops_match_reference(&mut rng);
         }
@@ -1157,6 +1157,6 @@ mod differential_tests {
     #[test]
     #[ignore = "deep variant"]
     fn rounding_matches_f64_round_on_random_near_ties_deep() {
-        random_roundings(&mut StdRng::seed_from_u64(0xDEE9_71E), 5_000_000);
+        random_roundings(&mut StdRng::seed_from_u64(0xDEE_971E), 5_000_000);
     }
 }

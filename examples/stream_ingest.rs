@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Packets arrive in irregular sizes; the encoder neither knows nor
     // cares about the total length in advance.
     let config = EccConfig::secded(true);
-    let opts = StreamOptions { shard_size: SHARD, threads: 2, ..StreamOptions::default() };
+    let opts = StreamOptions { shard_size: SHARD, threads: 2 };
     let mut encoder = StreamEncoder::new(Vec::new(), config, opts)?;
 
     let mut feed = Vec::with_capacity(FEED_BYTES); // kept only to verify below

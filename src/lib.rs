@@ -57,7 +57,7 @@ pub use arc_sz as sz;
 pub use arc_zfp as zfp;
 
 pub use arc_core::{
-    decode_batch, decode_with_threads, encode_batch, ArcContext, ArcDecodeReport, ArcError,
+    arc_engine_decode, decode_batch, encode_batch, ArcContext, ArcDecodeReport, ArcError,
     ArcOptions, ArcReader, CacheStats, EncodeRequest, ErrorResponse, MemoryConstraint, RangeReport,
     ResiliencyConstraint, Selection, StreamDecoder, StreamEncoder, StreamOptions, StreamSink,
     SystemProfile, ThroughputConstraint, TrainingOptions, ANY_THREADS,

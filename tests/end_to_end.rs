@@ -24,7 +24,6 @@ fn ctx(tag: &str) -> ArcContext {
                 EccConfig::rs(64, 16).unwrap(),
             ],
         },
-        chunk_size: 32 << 10,
     })
     .expect("arc_init")
 }

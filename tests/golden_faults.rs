@@ -8,7 +8,7 @@
 //! Wall-clock fields (`decompress_seconds`, `bandwidth_mb_s`) are left out:
 //! they vary run to run. A mismatch prints the values this build computed.
 
-use arc::core::{arc_engine_encode, decode_with_threads};
+use arc::core::{arc_engine_decode, arc_engine_encode};
 use arc::datasets::SdrDataset;
 use arc::faultsim::{
     apply_events, draw_events, run_campaign, run_trials, sample_bits, FaultEvent, ReturnStatus,
@@ -142,7 +142,7 @@ fn arc_level_flip_campaign_matches_golden_counts() {
             .collect();
         for (model, trials) in [("single", singles), ("cielo", storms)] {
             let results = run_trials(&protected, &trials, 2, |b| {
-                let exact = decode_with_threads(b, 1).map(|(data, _)| data == stream);
+                let exact = arc_engine_decode(b, 1).map(|(data, _)| data == stream);
                 exact.map_err(|_| ReturnStatus::CompressorException)
             });
             let corrected = results.iter().filter(|r| r.1 == Some(true)).count();

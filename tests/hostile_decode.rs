@@ -9,8 +9,8 @@
 
 use std::time::Duration;
 
+use arc::core::arc_engine_decode;
 use arc::core::container;
-use arc::core::decode_with_threads;
 use arc::faultsim::hostile::{builtin_targets, sweep, HostileConfig};
 use arc::faultsim::ReturnStatus;
 use arc::lossless::LosslessError;
@@ -63,16 +63,13 @@ fn container_truncated_at_every_header_boundary_errs() {
     for cut in 0..=hlen {
         let slice = &encoded[..cut];
         assert!(container::unpack(slice).is_err(), "unpack accepted a {cut}-byte header prefix");
-        assert!(
-            decode_with_threads(slice, 1).is_err(),
-            "decode accepted a {cut}-byte header prefix"
-        );
+        assert!(arc_engine_decode(slice, 1).is_err(), "decode accepted a {cut}-byte header prefix");
     }
     // One byte short of complete must still fail; the intact buffer must
     // still round-trip (the truncation loop really is exercising the
     // boundary, not a broken fixture).
-    assert!(decode_with_threads(&encoded[..encoded.len() - 1], 1).is_err());
-    assert_eq!(decode_with_threads(&encoded, 1).unwrap().0, data);
+    assert!(arc_engine_decode(&encoded[..encoded.len() - 1], 1).is_err());
+    assert_eq!(arc_engine_decode(&encoded, 1).unwrap().0, data);
 }
 
 /// Regression: a fixed-rate ZFP stream whose per-block bit budget is
