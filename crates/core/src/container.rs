@@ -603,6 +603,7 @@ pub(crate) fn recover_header(bytes: &[u8]) -> Result<HeaderScan<'_>, ArcError> {
 
 /// Parse and repair a container produced by [`encode_mono`] or
 /// [`crate::stream::StreamEncoder`].
+// arc-lint: decode-root
 pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
     let HeaderScan::Found(mut u) = recover_header(bytes)? else {
         // The whole container is here, so a candidate that needs more

@@ -203,6 +203,7 @@ pub fn encode_sharded_with_scheme(
 /// Decode any ARC container, resolving extension ids against `registry`
 /// (built-in ids decode as usual) — the same decode body as
 /// [`crate::engine::arc_engine_decode`], with a registry to look in.
+// arc-lint: decode-root
 pub fn decode_with_registry(
     bytes: &[u8],
     threads: usize,

@@ -217,6 +217,7 @@ impl ArcContext {
 
     /// `arc_decode()`: verify, repair if needed, and return the original
     /// byte array — or raise when the damage is uncorrectable (Fig 7b).
+    // arc-lint: decode-root
     pub fn decode(&self, bytes: &[u8]) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
         decode_container(bytes, self.max_threads, None)
     }
@@ -259,6 +260,7 @@ impl Drop for ArcContext {
 /// current end of the decoded data (each payload byte copied exactly once),
 /// repaired and CRC-checked there by the one shard step, and its parity
 /// overwritten by the next shard; then the end-to-end CRC, then the report.
+// arc-lint: decode-root
 pub(crate) fn decode_container(
     bytes: &[u8],
     threads: usize,

@@ -80,8 +80,7 @@ pub use optimizer::{
 };
 pub use reader::{ArcReader, CacheStats, RangeReport};
 pub use stream::{
-    decode_batch, encode_batch, StreamDecoder, StreamEncodeStats, StreamEncoder, StreamOptions,
-    StreamSink,
+    encode_batch, StreamDecoder, StreamEncodeStats, StreamEncoder, StreamOptions, StreamSink,
 };
 pub use training::{
     probe_buffer, thread_ladder, train, Measurement, TrainingOptions, TrainingStats, TrainingTable,

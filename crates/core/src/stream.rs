@@ -23,9 +23,9 @@
 //!   decoders' error for the same damage — never a panic, and buffering is
 //!   proportional to the bytes actually pushed, never to a length a corrupt
 //!   header claims.
-//! * [`encode_batch`] / [`decode_batch`] — coalesce many small independent
-//!   requests into one [`par_map`] pass so requests below the per-scheme
-//!   bytes-per-thread floor still fill all workers in aggregate.
+//! * [`encode_batch`] — coalesces many small independent requests into one
+//!   chunk pass so requests below the per-scheme bytes-per-thread floor
+//!   still fill all workers in aggregate.
 
 use arc_ecc::crc::crc32;
 use arc_ecc::parallel::{par_map, resolve_threads};
@@ -36,7 +36,7 @@ use crate::container::{
 };
 use crate::error::ArcError;
 use crate::extension::{builtin_scheme, ExtensionRegistry, Resolved};
-use crate::interface::{decode_container, ArcDecodeReport};
+use crate::interface::ArcDecodeReport;
 
 /// Positional byte sink for streaming encode output.
 ///
@@ -459,6 +459,7 @@ impl StreamDecoder {
     /// Feed the next piece of the container, appending any newly decoded
     /// plaintext to `out`. Errors are sticky: once a push fails, the
     /// decoder stays failed.
+    // arc-lint: decode-root
     pub fn push(&mut self, bytes: &[u8], out: &mut Vec<u8>) -> Result<(), ArcError> {
         if self.failed {
             return Err(ArcError::Corrupted("stream decoder previously failed".into()));
@@ -471,6 +472,7 @@ impl StreamDecoder {
     /// Declare the stream complete and return the report — field for field
     /// what the one-shot decoders return for the same bytes, and on damage
     /// the same error.
+    // arc-lint: decode-root
     pub fn finish(self) -> Result<ArcDecodeReport, ArcError> {
         if self.failed {
             return Err(ArcError::Corrupted("stream decoder previously failed".into()));
@@ -550,20 +552,6 @@ pub fn encode_batch(
         .collect();
     codec.encode_many_into(&mut pairs);
     Ok(frames.into_iter().map(|(out, _)| out).collect())
-}
-
-/// Per-container outcome of [`decode_batch`]: the decoded bytes and report,
-/// or the first error hit while decoding that container.
-type DecodeOutcome = Result<(Vec<u8>, ArcDecodeReport), ArcError>;
-
-/// Decode many independent containers as one [`par_map`] pass.
-///
-/// Order-preserving; each element equals what
-/// [`crate::arc_engine_decode`] returns for that container. Failures are
-/// per-item — one corrupt container never poisons its batch.
-pub fn decode_batch(containers: &[&[u8]], threads: usize) -> Vec<DecodeOutcome> {
-    let mut jobs = containers.to_vec();
-    par_map(resolve_threads(threads), &mut jobs, |bytes| decode_container(bytes, 1, None))
 }
 
 #[cfg(test)]
@@ -653,17 +641,5 @@ mod tests {
         assert!(dec.push(&junk, &mut out).is_err());
         assert!(dec.push(b"more", &mut out).is_err());
         assert!(dec.finish().is_err());
-    }
-
-    #[test]
-    fn batch_decode_isolates_failures() {
-        let good =
-            crate::engine::arc_engine_encode(&sample(500), EccConfig::secded(true), 1).unwrap();
-        let bad = vec![0u8; 64];
-        let items: Vec<&[u8]> = vec![&good, &bad, &good];
-        let results = decode_batch(&items, 1);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
     }
 }

@@ -12,9 +12,9 @@
 
 use arc_core::container::{encode_mono, header_len, unpack, write_header};
 use arc_core::{
-    arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, decode_batch,
-    decode_with_registry, encode_sharded_with_scheme, encode_with_scheme, standard_extensions,
-    ArcDecodeReport, ArcError, ArcReader, ExtensionRegistry, StreamDecoder,
+    arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, decode_with_registry,
+    encode_sharded_with_scheme, encode_with_scheme, standard_extensions, ArcDecodeReport, ArcError,
+    ArcReader, ExtensionRegistry, StreamDecoder,
 };
 use arc_ecc::{CorrectionReport, EccConfig, EccError, EccScheme, ParallelCodec};
 
@@ -44,15 +44,10 @@ fn stream_outcome(mut dec: StreamDecoder, bytes: &[u8]) -> Outcome {
 
 /// (name, takes a registry, the call). Surfaces that take no registry
 /// ignore the one they are offered — that is the point of the third case.
-const SURFACES: [(&str, bool, Surface); 7] = [
+const SURFACES: [(&str, bool, Surface); 6] = [
     ("arc_engine_decode", false, |b, _| arc_engine_decode(b, 1).map(whole)),
     ("decode_with_registry", true, |b, r| {
         decode_with_registry(b, 1, r.expect("surface takes a registry")).map(whole)
-    }),
-    ("decode_batch", false, |b, _| {
-        let mut results = decode_batch(&[b, b], 2);
-        assert_eq!(results.len(), 2);
-        results.swap_remove(1).map(whole)
     }),
     ("ArcReader::open", false, |b, _| reader_outcome(ArcReader::open(b, 1))),
     ("ArcReader::open_with_registry", true, |b, r| {

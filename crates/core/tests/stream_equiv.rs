@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use arc_core::stream::{StreamDecoder, StreamEncoder, StreamOptions};
-use arc_core::{arc_engine_decode, arc_engine_encode, decode_batch, encode_batch};
+use arc_core::{arc_engine_decode, arc_engine_encode, encode_batch};
 use arc_ecc::EccConfig;
 
 fn arb_config() -> impl Strategy<Value = EccConfig> {
@@ -129,8 +129,7 @@ proptest! {
     }
 
     /// The batch front-end changes scheduling, never bytes: every batch
-    /// element equals the singleton engine encode, and the batch decode
-    /// round-trips each request.
+    /// element equals the singleton engine encode and round-trips.
     #[test]
     fn batch_matches_singletons(
         config in arb_config(),
@@ -143,10 +142,7 @@ proptest! {
         for (req, got) in reqs.iter().zip(&batch) {
             let single = arc_engine_encode(req, config, 1).unwrap();
             prop_assert_eq!(got, &single);
-        }
-        let containers: Vec<&[u8]> = batch.iter().map(|b| b.as_slice()).collect();
-        for (req, item) in reqs.iter().zip(decode_batch(&containers, threads)) {
-            let (decoded, report) = item.unwrap();
+            let (decoded, report) = arc_engine_decode(got, threads).unwrap();
             prop_assert_eq!(&decoded, req);
             prop_assert!(report.correction.is_clean());
         }

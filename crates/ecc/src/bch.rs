@@ -396,6 +396,7 @@ impl EccScheme for Bch {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
+        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         for (block, slot) in data.chunks(BCH_BLOCK).zip(parity.chunks_mut(self.pbytes)) {
             let rem = self.encode_block(block);

@@ -5,6 +5,27 @@
 //! significant bit. This matches how the fault-injection study in the paper
 //! indexes "bit 400,005 of the compressed data".
 
+/// A table indexed by a byte: [`ByteTable::of`] is its only read, and a
+/// `u8` index cannot leave it. The CRC slice tables and the GF(2^8) log,
+/// multiply-row and GFNI tables all have this shape.
+pub(crate) struct ByteTable<T>(pub(crate) [T; 256]);
+
+impl<T> ByteTable<T> {
+    /// The table whose entry `b` is `f(b)`.
+    pub(crate) fn from_fn(mut f: impl FnMut(u8) -> T) -> ByteTable<T> {
+        // `array::from_fn` fills the entries in ascending index order.
+        let mut bytes = 0..=u8::MAX;
+        ByteTable(std::array::from_fn(|_| f(bytes.next().unwrap_or(u8::MAX))))
+    }
+
+    /// Entry `b`.
+    #[inline(always)]
+    pub(crate) fn of(&self, b: u8) -> &T {
+        // arc-lint: bounded(a u8 index into a 256-entry table)
+        &self.0[usize::from(b)]
+    }
+}
+
 /// Total number of bits in a byte slice.
 #[inline]
 pub(crate) fn bit_len(bytes: &[u8]) -> u64 {

@@ -21,6 +21,8 @@
 //! hashing the same bytes again. The fold constants are the same arithmetic,
 //! x^k mod P, evaluated at compile time.
 
+use crate::bits::ByteTable;
+
 /// Length in bytes of a serialized CRC value.
 pub(crate) const CRC_LEN: usize = 4;
 
@@ -78,25 +80,13 @@ fn byte_shift(len: usize) -> u32 {
     pow_mod_p(X8, len as u64)
 }
 
-/// One byte-indexed lookup table; [`ByteTable::of`] is its only read, and a
-/// `u8` index cannot leave it.
-struct ByteTable([u32; 256]);
-
-impl ByteTable {
-    #[inline(always)]
-    fn of(&self, b: u8) -> u32 {
-        // arc-lint: bounded(a u8 index into a 256-entry table)
-        self.0[usize::from(b)]
-    }
-}
-
 /// Slice-by-16 lookup tables. `TABLES[0]` is the classic byte-at-a-time
 /// table; `TABLES[j][b]` advances the contribution of byte `b` through `j`
 /// further zero bytes, so sixteen independent lookups fold a whole 16-byte
 /// block into the state at once (Intel's "slicing-by-8" generalized).
-static TABLES: [ByteTable; 16] = slice_tables();
+static TABLES: [ByteTable<u32>; 16] = slice_tables();
 
-const fn slice_tables() -> [ByteTable; 16] {
+const fn slice_tables() -> [ByteTable<u32>; 16] {
     let mut t = [[0u32; 256]; 16];
     let mut b = 0u32;
     while b < 256 {

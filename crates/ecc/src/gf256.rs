@@ -8,7 +8,11 @@
 //!
 //! Multiplication and division are implemented with log/antilog tables built
 //! once at first use; addition is XOR. All operations are branch-light and
-//! allocation-free, suitable for the hot encode/decode loops.
+//! allocation-free, suitable for the hot encode/decode loops. Every table
+//! is a `ByteTable` read through its `u8`-indexed accessor, so no lookup
+//! can leave its table.
+
+use crate::bits::ByteTable;
 
 /// The primitive polynomial used to construct the field, with the implicit
 /// x^8 term removed (`x^8 + x^4 + x^3 + x^2 + 1`).
@@ -19,30 +23,49 @@ pub(crate) const GROUP_ORDER: usize = 255;
 
 /// Precomputed exp/log tables for GF(2^8).
 ///
-/// `exp` is doubled in length so `mul` can skip the `% 255` reduction.
+/// `exp` is doubled in length so a sum of two logs needs no `% 255`.
 struct Tables {
     exp: [u8; 512],
-    log: [u8; 256],
+    log: ByteTable<u8>,
+}
+
+impl Tables {
+    /// α^e for `e < 510` — a sum of at most two logs, or a log plus 255
+    /// minus another.
+    #[inline]
+    fn exp(&self, e: usize) -> u8 {
+        // arc-lint: bounded(masked into the 512-entry table)
+        self.exp[e & 511]
+    }
+
+    /// log_α(x) for `x ≠ 0`, in 0..255.
+    #[inline]
+    fn log(&self, x: u8) -> usize {
+        usize::from(*self.log.of(x))
+    }
 }
 
 static TABLES: std::sync::OnceLock<Tables> = std::sync::OnceLock::new();
 
 fn tables() -> &'static Tables {
     TABLES.get_or_init(|| {
-        let mut exp = [0u8; 512];
-        let mut log = [0u8; 256];
+        // α^i for i in 0..255, by repeated doubling modulo the polynomial.
+        let mut powers = [0u8; GROUP_ORDER];
         let mut x: u16 = 1;
-        for (i, e) in exp.iter_mut().enumerate().take(GROUP_ORDER) {
-            *e = x as u8;
-            log[x as usize] = i as u8;
+        for p in &mut powers {
+            *p = x as u8;
             x <<= 1;
             if x & 0x100 != 0 {
                 x ^= PRIMITIVE_POLY;
             }
         }
-        for i in GROUP_ORDER..512 {
-            exp[i] = exp[i - GROUP_ORDER];
-        }
+        let mut cycle = powers.iter().cycle();
+        let exp = std::array::from_fn(|_| cycle.next().copied().unwrap_or(0));
+        // α generates the group, so every non-zero byte is exactly one power;
+        // log(0) is never read and stays 0.
+        let log = ByteTable::from_fn(|v| {
+            powers.iter().zip(0..=u8::MAX).find(|&(&p, _)| p == v).map_or(0, |(_, i)| i)
+        });
         Tables { exp, log }
     })
 }
@@ -78,8 +101,7 @@ impl Gf {
             return Gf::ZERO;
         }
         let t = tables();
-        let idx = t.log[self.0 as usize] as usize + t.log[rhs.0 as usize] as usize;
-        Gf(t.exp[idx])
+        Gf(t.exp(t.log(self.0) + t.log(rhs.0)))
     }
 
     /// Field division.
@@ -88,13 +110,17 @@ impl Gf {
     /// Panics if `rhs` is zero.
     #[inline]
     pub fn div(self, rhs: Gf) -> Gf {
+        // Every divisor in the crate is non-zero: α powers, Cauchy
+        // `x_j ^ y_i` over disjoint sets, non-zero pivots, trimmed leading
+        // coefficients, and in decode Berlekamp–Massey's `b` (only ever set
+        // to a non-zero discrepancy) and a Forney denominator checked first.
+        // arc-lint: allow(decode-no-panic-transitive, every divisor is non-zero, see above)
         assert!(rhs.0 != 0, "division by zero in GF(2^8)");
         if self.0 == 0 {
             return Gf::ZERO;
         }
         let t = tables();
-        let idx = t.log[self.0 as usize] as usize + GROUP_ORDER - t.log[rhs.0 as usize] as usize;
-        Gf(t.exp[idx])
+        Gf(t.exp(t.log(self.0) + GROUP_ORDER - t.log(rhs.0)))
     }
 
     /// Multiplicative inverse.
@@ -113,10 +139,10 @@ impl Gf {
             return if e == 0 { Gf::ONE } else { Gf::ZERO };
         }
         let t = tables();
-        let l = t.log[self.0 as usize] as i64;
+        let l = t.log(self.0) as i64;
         e = e.rem_euclid(GROUP_ORDER as i32);
         let idx = (l * e as i64).rem_euclid(GROUP_ORDER as i64) as usize;
-        Gf(t.exp[idx])
+        Gf(t.exp(idx))
     }
 
     /// α^e — the e-th power of the group generator.
@@ -126,22 +152,21 @@ impl Gf {
     }
 }
 
-/// Split-nibble multiplication tables for every coefficient, plus the
-/// composed full row tables.
+/// Split-nibble multiplication tables for every coefficient, plus the full
+/// row tables.
 ///
 /// For a coefficient `c`, `lo[c][n] = c·n` and `hi[c][n] = c·(n << 4)`; by
-/// linearity `c·b = lo[c][b & 15] ⊕ hi[c][b >> 4]`, so the two 16-entry
-/// tables compose into the branch-free 256-entry row `row[c]`. The 16-entry
-/// tables are exactly the shape a byte-shuffle instruction (PSHUFB) consumes,
-/// which is how the Jerasure-class word-wide kernels get their throughput;
-/// the composed rows serve the portable scalar/u64 path and `Gf`-level code.
+/// linearity `c·b = lo[c][b & 15] ⊕ hi[c][b >> 4]`. The 16-entry tables are
+/// exactly the shape a byte-shuffle instruction (PSHUFB) consumes, which is
+/// how the Jerasure-class word-wide kernels get their throughput; the
+/// 256-entry rows serve the portable scalar/u64 path.
 struct MulTables {
     /// `lo[c][n] = c·n` for n in 0..16.
-    lo: Vec<[u8; 16]>,
+    lo: ByteTable<[u8; 16]>,
     /// `hi[c][n] = c·(n << 4)` for n in 0..16.
-    hi: Vec<[u8; 16]>,
-    /// `row[c][b] = c·b`, composed from `lo`/`hi`.
-    row: Vec<[u8; 256]>,
+    hi: ByteTable<[u8; 16]>,
+    /// `row[c][b] = c·b`.
+    row: ByteTable<ByteTable<u8>>,
 }
 
 static MUL_TABLES: std::sync::OnceLock<MulTables> = std::sync::OnceLock::new();
@@ -155,22 +180,21 @@ fn mul_tables() -> &'static MulTables {
             if a == 0 || b == 0 {
                 0
             } else {
-                t.exp[t.log[a as usize] as usize + t.log[b as usize] as usize]
+                t.exp(t.log(a) + t.log(b))
             }
         };
-        let mut lo = vec![[0u8; 16]; 256];
-        let mut hi = vec![[0u8; 16]; 256];
-        let mut row = vec![[0u8; 256]; 256];
-        for c in 0..256 {
-            for n in 0..16 {
-                lo[c][n] = mul(c as u8, n as u8);
-                hi[c][n] = mul(c as u8, (n << 4) as u8);
+        let nibbles = |c: u8, shift: u32| {
+            let mut products = [0u8; 16];
+            for (p, n) in products.iter_mut().zip(0u8..) {
+                *p = mul(c, n << shift);
             }
-            for b in 0..256 {
-                row[c][b] = lo[c][b & 0xF] ^ hi[c][b >> 4];
-            }
+            products
+        };
+        MulTables {
+            lo: ByteTable::from_fn(|c| nibbles(c, 0)),
+            hi: ByteTable::from_fn(|c| nibbles(c, 4)),
+            row: ByteTable::from_fn(|c| ByteTable::from_fn(|b| mul(c, b))),
         }
-        MulTables { lo, hi, row }
     })
 }
 
@@ -190,8 +214,8 @@ pub(crate) fn warm_tables() {
 
 /// The 256-entry multiplication row for coefficient `c`: `row[b] = c·b`.
 #[inline]
-pub(crate) fn row_table(c: Gf) -> &'static [u8; 256] {
-    &mul_tables().row[c.0 as usize]
+fn row_table(c: Gf) -> &'static ByteTable<u8> {
+    mul_tables().row.of(c.0)
 }
 
 /// The 8×8 GF(2) matrix of "multiply by `c`", row-major: bit `b` of
@@ -228,15 +252,9 @@ fn gfni_matrix(c: Gf) -> u64 {
 ///
 /// Built once behind a `OnceLock`; [`warm_tables`] forces the build so
 /// steady-state encode never pays it.
-fn gfni_matrices() -> &'static [u64; 256] {
-    static MATRICES: std::sync::OnceLock<[u64; 256]> = std::sync::OnceLock::new();
-    MATRICES.get_or_init(|| {
-        let mut out = [0u64; 256];
-        for (c, slot) in (0..=255u8).zip(out.iter_mut()) {
-            *slot = gfni_matrix(Gf(c));
-        }
-        out
-    })
+fn gfni_matrices() -> &'static ByteTable<u64> {
+    static MATRICES: std::sync::OnceLock<ByteTable<u64>> = std::sync::OnceLock::new();
+    MATRICES.get_or_init(|| ByteTable::from_fn(|c| gfni_matrix(Gf(c))))
 }
 
 /// Which SIMD kernel the slice operations dispatch to, resolved once from
@@ -312,24 +330,23 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Portable `dst ^= c·src` over 8-byte words: one unaligned u64 load per
-/// side, eight branch-free row lookups, one u64 xor/store. The scalar tail
-/// is branch-free too.
+/// Portable `dst ^= c·src` over 8-byte words: eight branch-free row
+/// lookups, then one unaligned u64 load, xor and store of `dst`. The scalar
+/// tail is branch-free too.
 #[inline]
-fn mul_acc_words(dst: &mut [u8], src: &[u8], row: &[u8; 256]) {
+fn mul_acc_words(dst: &mut [u8], src: &[u8], row: &ByteTable<u8>) {
     let mut d8 = dst.chunks_exact_mut(8);
     let mut s8 = src.chunks_exact(8);
     for (d, s) in (&mut d8).zip(&mut s8) {
-        let sw = le_word(s);
-        let mut p = 0u64;
-        for k in 0..8 {
-            p |= (row[((sw >> (8 * k)) & 0xFF) as usize] as u64) << (8 * k);
+        let mut p = [0u8; 8];
+        for (p, &s) in p.iter_mut().zip(s) {
+            *p = *row.of(s);
         }
-        let v = le_word(d) ^ p;
+        let v = le_word(d) ^ u64::from_le_bytes(p);
         d.copy_from_slice(&v.to_le_bytes());
     }
     for (d, s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
-        *d ^= row[*s as usize];
+        *d ^= row.of(*s);
     }
 }
 
@@ -348,7 +365,7 @@ mod x86 {
     /// Caller must ensure GFNI + AVX-512F/BW are available.
     #[target_feature(enable = "gfni,avx512f,avx512bw")]
     pub(super) unsafe fn mul_acc_gfni512(dst: &mut [u8], src: &[u8], c: Gf) {
-        let mat = gfni_matrices()[c.0 as usize];
+        let mat = *gfni_matrices().of(c.0);
         // SAFETY: unaligned loads/stores stay within `dst`/`src` because the
         // loop bound n is their length rounded down to a whole 64-byte lane.
         unsafe {
@@ -373,7 +390,7 @@ mod x86 {
     /// Caller must ensure GFNI + AVX2 are available.
     #[target_feature(enable = "gfni,avx2")]
     pub(super) unsafe fn mul_acc_gfni256(dst: &mut [u8], src: &[u8], c: Gf) {
-        let mat = gfni_matrices()[c.0 as usize];
+        let mat = *gfni_matrices().of(c.0);
         // SAFETY: unaligned loads/stores stay within `dst`/`src` because the
         // loop bound n is their length rounded down to a whole 32-byte lane.
         unsafe {
@@ -403,10 +420,10 @@ mod x86 {
         // broadcast to both 128-bit lanes.
         unsafe {
             let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                t.lo[c.0 as usize].as_ptr() as *const __m128i
+                t.lo.of(c.0).as_ptr() as *const __m128i
             ));
             let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                t.hi[c.0 as usize].as_ptr() as *const __m128i
+                t.hi.of(c.0).as_ptr() as *const __m128i
             ));
             let mask = _mm256_set1_epi8(0x0F);
             let n = dst.len() & !31;
@@ -436,8 +453,8 @@ mod x86 {
         // SAFETY: unaligned loads/stores stay within `dst`/`src` because the
         // loop bound n is their length rounded down to a whole 16-byte lane.
         unsafe {
-            let lo = _mm_loadu_si128(t.lo[c.0 as usize].as_ptr() as *const __m128i);
-            let hi = _mm_loadu_si128(t.hi[c.0 as usize].as_ptr() as *const __m128i);
+            let lo = _mm_loadu_si128(t.lo.of(c.0).as_ptr() as *const __m128i);
+            let hi = _mm_loadu_si128(t.hi.of(c.0).as_ptr() as *const __m128i);
             let mask = _mm_set1_epi8(0x0F);
             let n = dst.len() & !15;
             let mut i = 0;
@@ -462,7 +479,7 @@ mod x86 {
 pub fn scale_slice(dst: &mut [u8], c: Gf) {
     let row = row_table(c);
     for d in dst {
-        *d = row[*d as usize];
+        *d = *row.of(*d);
     }
 }
 
@@ -615,6 +632,7 @@ impl Poly {
     /// # Panics
     /// Panics if `rhs` is zero.
     pub(crate) fn rem(&self, rhs: &Poly) -> Poly {
+        // arc-lint: allow(decode-no-panic-transitive, the one caller divides by x^nsym, which is never zero)
         assert!(!rhs.is_zero(), "polynomial division by zero");
         let mut r = self.clone();
         r.trim();
@@ -744,10 +762,9 @@ mod tests {
         let t = mul_tables();
         for c in 0..=255u8 {
             for b in 0..=255u8 {
-                let composed =
-                    t.lo[c as usize][(b & 0xF) as usize] ^ t.hi[c as usize][(b >> 4) as usize];
+                let composed = t.lo.of(c)[usize::from(b & 0xF)] ^ t.hi.of(c)[usize::from(b >> 4)];
                 assert_eq!(composed, Gf(c).mul(Gf(b)).0, "c={c} b={b}");
-                assert_eq!(t.row[c as usize][b as usize], composed, "c={c} b={b}");
+                assert_eq!(*t.row.of(c).of(b), composed, "c={c} b={b}");
             }
         }
     }
@@ -778,7 +795,7 @@ mod tests {
     fn gfni_matrix_table_matches_builder() {
         let t = gfni_matrices();
         for c in 0..=255u8 {
-            assert_eq!(t[c as usize], gfni_matrix(Gf(c)), "c={c}");
+            assert_eq!(*t.of(c), gfni_matrix(Gf(c)), "c={c}");
         }
     }
 

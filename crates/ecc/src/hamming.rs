@@ -191,6 +191,7 @@ impl<const OVERALL: bool> Sec<OVERALL> {
     }
 
     pub(crate) fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
+        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         let (lay, pb) = (layout(self.0), self.group_bits());
         // One parity group per block, packed with whole-word stores; the

@@ -152,6 +152,7 @@ impl EccScheme for Interleaved {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
+        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         self.for_each_parity(data, |j, m, computed| {
             if let Some(slot) = parity.get_mut(self.slot(data.len(), j, m)) {

@@ -213,6 +213,7 @@ impl<S: EccScheme> ParallelCodec<S> {
         let total: usize = pairs.iter().map(|(data, _)| data.len()).sum();
         let jobs = pairs.iter_mut().flat_map(|(data, out)| {
             let expected = self.encoded_len(data.len());
+            // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes out with encoded_len, as encode_into requires)
             assert_eq!(out.len(), expected, "encode_into: output buffer size mismatch");
             data.chunks(self.chunk_size).zip(self.carve(out, data.len()))
         });

@@ -64,6 +64,7 @@ impl EccScheme for Replication {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
+        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         let n = data.len();
         let (replicas, crc_table) = parity.split_at_mut((self.copies - 1) * n);

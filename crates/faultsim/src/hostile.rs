@@ -360,6 +360,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// timeout the worker is leaked (it holds only its own copy of the buffer)
 /// and the case is reported as [`ReturnStatus::Timeout`]. So is a decode
 /// that produces more than [`HostileConfig::max_output_bytes`].
+// arc-lint: decode-root
 pub fn run_case(
     decode: &DecodeFn,
     bytes: &[u8],

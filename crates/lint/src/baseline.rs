@@ -1,24 +1,23 @@
 //! The ratcheted debt baseline.
 //!
-//! `lint-baseline.json` records, per rule and per file, how many violations
+//! `lint-baseline.txt` records, per rule and per file, how many violations
 //! existed when the rule landed. The gate fails when any (rule, file) count
-//! *exceeds* its baseline — new debt is forbidden — while counts below the
-//! baseline are reported as stale entries so the file can only ever shrink
-//! (`--strict-baseline` turns stale entries into failures too, which is how
-//! CI stops the baseline from being quietly inflated).
+//! *exceeds* its baseline — new debt is forbidden — and when a count falls
+//! *below* it (a stale entry), so paying debt down must be locked in and the
+//! file can only ever shrink.
 //!
-//! The format is a two-level JSON object with integer leaves:
+//! The format is one `rule path count` line per entry:
 //!
-//! ```json
-//! { "no-lossy-cast": { "crates/ecc/src/gf256.rs": 12 } }
+//! ```text
+//! no-lossy-cast crates/ecc/src/gf256.rs 7
 //! ```
 //!
-//! Keys are emitted in sorted order with fixed indentation, so regenerating
-//! the file on any machine produces byte-identical output.
+//! Lines are emitted sorted by (rule, path), so regenerating the file on any
+//! machine produces byte-identical output. A line that is not three fields
+//! ending in an unsigned count, or that repeats an entry, is an error.
 
 use std::collections::BTreeMap;
 
-use crate::json::{escape, Parser};
 use crate::rules::Finding;
 
 /// Violation counts per rule, per file. `BTreeMap` everywhere: iteration
@@ -47,8 +46,8 @@ pub struct RatchetEntry {
 pub struct Ratchet {
     /// Pairs with more violations than the baseline allows — these fail.
     pub new: Vec<RatchetEntry>,
-    /// Pairs with fewer violations than recorded — the baseline should be
-    /// regenerated to lock in the improvement.
+    /// Pairs with fewer violations than recorded — these fail too, until
+    /// the baseline is regenerated to lock in the improvement.
     pub stale: Vec<RatchetEntry>,
 }
 
@@ -72,64 +71,33 @@ impl Baseline {
         self.counts.get(rule).and_then(|m| m.get(file)).copied().unwrap_or(0)
     }
 
-    /// Serialize with sorted keys and fixed layout (byte-stable).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut first_rule = true;
+    /// Serialize as sorted `rule path count` lines (byte-stable).
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
         for (rule, files) in &self.counts {
-            if files.is_empty() {
-                continue;
-            }
-            if !first_rule {
-                out.push_str(",\n");
-            }
-            first_rule = false;
-            out.push_str(&format!("  \"{}\": {{\n", escape(rule)));
-            let mut first_file = true;
             for (file, count) in files {
-                if !first_file {
-                    out.push_str(",\n");
-                }
-                first_file = false;
-                out.push_str(&format!("    \"{}\": {count}", escape(file)));
+                out.push_str(&format!("{rule} {file} {count}\n"));
             }
-            out.push_str("\n  }");
         }
-        out.push_str("\n}\n");
         out
     }
 
-    /// Parse the two-level baseline format. Unknown value shapes are errors:
-    /// the gate refuses to run against a baseline it cannot fully interpret.
+    /// Parse the line format. Anything else is an error: the gate refuses to
+    /// run against a baseline it cannot fully interpret.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let mut p = Parser::new(text);
         let mut counts: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
-        p.consume('{')?;
-        if !p.peek_is('}') {
-            loop {
-                let rule = p.string()?;
-                p.consume(':')?;
-                p.consume('{')?;
-                let files = counts.entry(rule).or_default();
-                if !p.peek_is('}') {
-                    loop {
-                        let file = p.string()?;
-                        p.consume(':')?;
-                        let count = p.integer()?;
-                        files.insert(file, count);
-                        if !p.comma_or_close('}')? {
-                            break;
-                        }
-                    }
-                }
-                p.consume('}')?;
-                if !p.comma_or_close('}')? {
-                    break;
-                }
+        for (idx, line) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let [rule, file, count] = fields[..] else {
+                return Err(format!("line {lineno}: expected `rule path count`, found '{line}'"));
+            };
+            let count =
+                count.parse::<u64>().map_err(|e| format!("line {lineno}: bad count: {e}"))?;
+            if counts.entry(rule.into()).or_default().insert(file.into(), count).is_some() {
+                return Err(format!("line {lineno}: duplicate entry {rule} {file}"));
             }
         }
-        p.consume('}')?;
-        p.expect_end()?;
         Ok(Baseline { counts })
     }
 
@@ -165,44 +133,40 @@ impl Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Severity;
 
     fn f(rule: &'static str, file: &str) -> Finding {
-        Finding {
-            rule,
-            severity: Severity::Error,
-            file: file.into(),
-            line: 1,
-            message: String::new(),
-        }
+        Finding { rule, file: file.into(), line: 1, message: String::new() }
     }
 
     #[test]
-    fn json_round_trip_is_stable() {
+    fn text_round_trip_is_stable() {
         let b = Baseline::from_findings(&[
             f("no-panic-in-lib", "crates/sz/src/lib.rs"),
             f("no-panic-in-lib", "crates/sz/src/lib.rs"),
             f("no-lossy-cast", "crates/ecc/src/gf256.rs"),
         ]);
-        let j1 = b.to_json();
-        let parsed = Baseline::parse(&j1).unwrap();
+        let text = b.to_text();
+        assert_eq!(
+            text,
+            "no-lossy-cast crates/ecc/src/gf256.rs 1\nno-panic-in-lib crates/sz/src/lib.rs 2\n"
+        );
+        let parsed = Baseline::parse(&text).unwrap();
         assert_eq!(parsed, b);
-        assert_eq!(parsed.to_json(), j1, "serialization must be byte-stable");
+        assert_eq!(parsed.to_text(), text, "serialization must be byte-stable");
         assert_eq!(b.allowed("no-panic-in-lib", "crates/sz/src/lib.rs"), 2);
     }
 
     #[test]
-    fn sorted_key_order_is_independent_of_insertion_order() {
+    fn sorted_order_is_independent_of_insertion_order() {
         let a = Baseline::from_findings(&[f("z-rule", "b.rs"), f("a-rule", "a.rs")]);
         let b = Baseline::from_findings(&[f("a-rule", "a.rs"), f("z-rule", "b.rs")]);
-        assert_eq!(a.to_json(), b.to_json());
-        let json = a.to_json();
-        assert!(json.find("a-rule").unwrap() < json.find("z-rule").unwrap());
+        assert_eq!(a.to_text(), b.to_text());
+        assert_eq!(a.to_text(), "a-rule a.rs 1\nz-rule b.rs 1\n");
     }
 
     #[test]
     fn ratchet_classifies_new_and_stale() {
-        let allowed = Baseline::parse("{\"r\": {\"a.rs\": 2, \"gone.rs\": 1}}").unwrap();
+        let allowed = Baseline::parse("r a.rs 2\nr gone.rs 1\n").unwrap();
         let actual = Baseline::from_findings(&[
             f("r", "a.rs"),
             f("r", "a.rs"),
@@ -219,16 +183,17 @@ mod tests {
     #[test]
     fn empty_baseline_serializes_and_parses() {
         let b = Baseline::default();
-        assert_eq!(b.to_json(), "{\n\n}\n");
-        assert_eq!(Baseline::parse(&b.to_json()).unwrap(), b);
-        assert_eq!(Baseline::parse("{}").unwrap(), b);
+        assert_eq!(b.to_text(), "");
+        assert_eq!(Baseline::parse("").unwrap(), b);
     }
 
     #[test]
     fn malformed_baseline_is_an_error_not_a_panic() {
-        assert!(Baseline::parse("").is_err());
-        assert!(Baseline::parse("{\"r\": 3}").is_err());
-        assert!(Baseline::parse("{\"r\": {\"f\": \"x\"}}").is_err());
-        assert!(Baseline::parse("{\"r\": {\"f\": 1}} trailing").is_err());
+        assert!(Baseline::parse("r f\n").is_err());
+        assert!(Baseline::parse("r f x\n").is_err());
+        assert!(Baseline::parse("r f -1\n").is_err());
+        assert!(Baseline::parse("r f 1 extra\n").is_err());
+        assert!(Baseline::parse("\n").is_err());
+        assert!(Baseline::parse("r f 1\nr f 2\n").is_err());
     }
 }

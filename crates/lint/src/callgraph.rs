@@ -3,8 +3,7 @@
 //! Built from the per-file [`FnItem`] lists that [`crate::syntax`]
 //! recovers. Resolution is **conservative over-approximation**: where the
 //! tokens cannot identify a unique callee, every plausible callee gets an
-//! edge, and the ambiguity is counted in [`CallGraph::ambiguous_calls`].
-//! An edge too many widens the decode cone and at worst demands an extra
+//! edge. An edge too many widens the decode cone and at worst demands an extra
 //! annotation; an edge too few would let a panic hide below a decode entry
 //! point. The resolution rules (DESIGN.md §10 documents the caveats):
 //!
@@ -45,13 +44,10 @@ pub struct CallGraph {
     /// All non-test functions, sorted by (file, line) — index order is the
     /// node id order everywhere below.
     pub nodes: Vec<FnNode>,
-    /// `edges[i]` = sorted, deduplicated callee ids of node `i`.
+    /// `edges[i]` = sorted, deduplicated callee ids of node `i`. A call
+    /// that resolves to no workspace function (std/vendor calls, macros'
+    /// internals, turbofish forms the parser misses) adds no edge.
     pub edges: Vec<Vec<usize>>,
-    /// Call sites that resolved to more than one callee.
-    pub ambiguous_calls: u64,
-    /// Call sites that resolved to no workspace function (std/vendor
-    /// calls, macros' internals, turbofish forms the parser misses).
-    pub unresolved_calls: u64,
 }
 
 /// Derive a module path from a workspace-relative file path. Workspace
@@ -114,66 +110,28 @@ impl CallGraph {
             })
             .collect();
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        let mut ambiguous = 0u64;
-        let mut unresolved = 0u64;
         for i in 0..nodes.len() {
             for call in &nodes[i].item.calls {
-                let callees = resolve_call(&nodes, i, call);
-                match callees.len() {
-                    0 => unresolved += 1,
-                    1 => {}
-                    _ => ambiguous += 1,
-                }
-                edges[i].extend(callees);
+                edges[i].extend(resolve_call(&nodes, i, call));
             }
             edges[i].sort_unstable();
             edges[i].dedup();
         }
-        CallGraph { nodes, edges, ambiguous_calls: ambiguous, unresolved_calls: unresolved }
+        CallGraph { nodes, edges }
     }
 
-    /// Resolve a root *spec* from `lint-roots.toml`. Accepted forms:
-    /// `name` (any function, free or method), `Type::name` / `module::name`
-    /// (qualified, resolved like a call path). Returns sorted node ids;
-    /// empty means the spec names nothing in the workspace.
-    pub fn resolve_spec(&self, spec: &str) -> Vec<usize> {
-        let path: Vec<String> =
-            spec.split("::").map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
-        let mut out = Vec::new();
-        let Some(name) = path.last() else { return out };
-        for (id, node) in self.nodes.iter().enumerate() {
-            if &node.item.name != name {
-                continue;
-            }
-            let ok = if path.len() == 1 {
-                true
-            } else {
-                let quals = &path[..path.len() - 1];
-                match &node.item.self_ty {
-                    Some(ty) => {
-                        quals.last().is_some_and(|q| q == ty)
-                            && quals_match(&quals[..quals.len() - 1], &node.module_path)
-                    }
-                    None => quals_match(quals, &node.module_path),
-                }
-            };
-            if ok {
-                out.push(id);
-            }
-        }
-        out
+    /// The decode roots: every node carrying a `// arc-lint: decode-root`
+    /// marker, in id order, each paired with its display name.
+    pub fn marked_roots(&self) -> Vec<(usize, String)> {
+        let marked = self.nodes.iter().enumerate().filter(|(_, n)| n.item.is_decode_root);
+        marked.map(|(id, n)| (id, n.item.display())).collect()
     }
 
-    /// Node ids carrying a `// arc-lint: decode-root` marker.
-    pub fn marked_roots(&self) -> Vec<usize> {
-        (0..self.nodes.len()).filter(|&i| self.nodes[i].item.is_decode_root).collect()
-    }
-
-    /// Multi-source reachability. `roots` pairs node ids with the label of
-    /// the root spec that declared them, *in declaration order*; the map
-    /// records, for every reachable node, the first declared root that
-    /// reaches it (the "witness" used in rule messages). Cycles are handled
-    /// by the visited set; declaration order makes witnesses deterministic.
+    /// Multi-source reachability. `roots` pairs node ids with a root label,
+    /// in priority order; the map records, for every reachable node, the
+    /// first root that reaches it (the "witness" used in rule messages).
+    /// Cycles are handled by the visited set; root order makes witnesses
+    /// deterministic.
     pub fn reachable(&self, roots: &[(usize, String)]) -> BTreeMap<usize, String> {
         let mut cone: BTreeMap<usize, String> = BTreeMap::new();
         for (root, label) in roots {
@@ -193,89 +151,16 @@ impl CallGraph {
         }
         cone
     }
+}
 
-    /// Display name for a node id: `file::Type::name` without the path.
-    fn node_label(&self, id: usize) -> String {
-        let n = &self.nodes[id];
-        let mut label = n.module_path.join("::");
-        if let Some(ty) = &n.item.self_ty {
-            label.push_str("::");
-            label.push_str(ty);
-        }
-        label.push_str("::");
-        label.push_str(&n.item.name);
-        label
-    }
-
-    /// Byte-stable JSON dump of the decode cone: nodes (in id order, which
-    /// is (file, line) order), intra-cone edges, and summary counters.
-    pub fn cone_json(&self, cone: &BTreeMap<usize, String>) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"total_functions\": {},\n", self.nodes.len()));
-        out.push_str(&format!("  \"cone_size\": {},\n", cone.len()));
-        out.push_str(&format!("  \"ambiguous_calls\": {},\n", self.ambiguous_calls));
-        out.push_str(&format!("  \"unresolved_calls\": {},\n", self.unresolved_calls));
-        out.push_str("  \"nodes\": [\n");
-        let ids: Vec<usize> = cone.keys().copied().collect();
-        for (i, id) in ids.iter().enumerate() {
-            let n = &self.nodes[*id];
-            out.push_str(&format!(
-                "    {{\"fn\": \"{}\", \"file\": \"{}\", \"line\": {}, \"root\": \"{}\"}}{}\n",
-                crate::json::escape(&self.node_label(*id)),
-                crate::json::escape(&n.item.file),
-                n.item.line,
-                crate::json::escape(cone.get(id).map(String::as_str).unwrap_or("")),
-                if i + 1 < ids.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"edges\": [\n");
-        let mut lines = Vec::new();
-        for id in &ids {
-            for callee in &self.edges[*id] {
-                if cone.contains_key(callee) {
-                    lines.push(format!(
-                        "    {{\"from\": \"{}\", \"to\": \"{}\"}}",
-                        crate::json::escape(&self.node_label(*id)),
-                        crate::json::escape(&self.node_label(*callee))
-                    ));
-                }
-            }
-        }
-        for (i, l) in lines.iter().enumerate() {
-            out.push_str(l);
-            out.push_str(if i + 1 < lines.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Graphviz dump of the decode cone (same node ordering as the JSON).
-    pub fn cone_dot(&self, cone: &BTreeMap<usize, String>) -> String {
-        let mut out = String::from("digraph decode_cone {\n  rankdir=LR;\n  node [shape=box];\n");
-        for id in cone.keys() {
-            let n = &self.nodes[*id];
-            out.push_str(&format!(
-                "  \"{}\" [label=\"{}\\n{}:{}\"];\n",
-                self.node_label(*id),
-                self.node_label(*id),
-                n.item.file,
-                n.item.line
-            ));
-        }
-        for id in cone.keys() {
-            for callee in &self.edges[*id] {
-                if cone.contains_key(callee) {
-                    out.push_str(&format!(
-                        "  \"{}\" -> \"{}\";\n",
-                        self.node_label(*id),
-                        self.node_label(*callee)
-                    ));
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
+impl FnNode {
+    /// Fully qualified name: module path, self type (for methods), name —
+    /// `arc_core::reader::ArcReader::decode_range`.
+    pub fn label(&self) -> String {
+        let mut parts = self.module_path.clone();
+        parts.extend(self.item.self_ty.clone());
+        parts.push(self.item.name.clone());
+        parts.join("::")
     }
 }
 
@@ -358,8 +243,6 @@ mod tests {
         let entry = id_of(&g, "entry");
         let work = id_of(&g, "work");
         assert_eq!(g.edges[entry], vec![work]);
-        assert_eq!(g.ambiguous_calls, 0);
-        assert_eq!(g.unresolved_calls, 0);
     }
 
     #[test]
@@ -384,7 +267,6 @@ mod tests {
         )]);
         let driver = id_of(&g, "driver");
         assert_eq!(g.edges[driver].len(), 2);
-        assert_eq!(g.ambiguous_calls, 1);
     }
 
     #[test]
@@ -437,30 +319,25 @@ mod tests {
     }
 
     #[test]
-    fn resolve_spec_forms() {
+    fn marked_roots_carry_their_display_names_and_labels_qualify_them() {
         let g = graph(&[(
             "crates/core/src/reader.rs",
             "pub struct ArcReader;\n\
-             impl ArcReader { pub fn decode_range(&self) {} }\n\
-             pub fn unpack() {}\n",
+             impl ArcReader {\n    // arc-lint: decode-root\n    pub fn decode_range(&self) {}\n}\n\
+             // arc-lint: decode-root\n\
+             pub fn unpack() {}\n\
+             pub fn helper() {}\n",
         )]);
-        assert_eq!(g.resolve_spec("ArcReader::decode_range").len(), 1);
-        assert_eq!(g.resolve_spec("decode_range").len(), 1);
-        assert_eq!(g.resolve_spec("reader::unpack").len(), 1);
-        assert_eq!(g.resolve_spec("container::unpack").len(), 0);
-        assert_eq!(g.resolve_spec("nosuch").len(), 0);
-    }
-
-    #[test]
-    fn cone_dumps_are_stable_and_well_formed() {
-        let g = graph(&[("crates/a/src/lib.rs", "pub fn root() { leaf(); }\npub fn leaf() {}\n")]);
-        let cone = g.reachable(&[(id_of(&g, "root"), "root".to_string())]);
-        let j1 = g.cone_json(&cone);
-        let j2 = g.cone_json(&cone);
-        assert_eq!(j1, j2);
-        assert!(j1.contains("\"cone_size\": 2"));
-        let dot = g.cone_dot(&cone);
-        assert!(dot.starts_with("digraph decode_cone {"));
-        assert!(dot.contains("->"));
+        let roots: Vec<String> = g.marked_roots().into_iter().map(|(_, l)| l).collect();
+        assert_eq!(roots, ["ArcReader::decode_range", "unpack"]);
+        let labels: Vec<String> = g.nodes.iter().map(FnNode::label).collect();
+        assert_eq!(
+            labels,
+            [
+                "arc_core::reader::ArcReader::decode_range",
+                "arc_core::reader::unpack",
+                "arc_core::reader::helper"
+            ]
+        );
     }
 }

@@ -6,8 +6,8 @@
 //! in one of ARC's outcome classes (Completed / Terminated / Timeout), so
 //! nothing it can reach — however many calls deep — may:
 //!
-//! - abort (`decode-no-panic-transitive`): `panic!`-family macros,
-//!   `.unwrap()`, `.expect(…)`;
+//! - abort (`decode-no-panic-transitive`): `panic!`-family and
+//!   `assert!`-family macros, `.unwrap()`, `.expect(…)`;
 //! - index without proof (`decode-no-direct-index`): `x[i]` panics on a
 //!   hostile offset — use `.get(…)` or carry
 //!   `// arc-lint: bounded(<why>)`;
@@ -18,14 +18,14 @@
 //!
 //! Because resolution over-approximates (see [`crate::callgraph`]), a
 //! finding here means "possibly reachable from a decode root" — the
-//! witness root in the message names the declared entry point whose cone
+//! witness root in the message names the marked entry point whose cone
 //! contains the function.
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::CallGraph;
 use crate::context::FileCtx;
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 
 /// Rule key: no panic-family site reachable from a decode root.
 pub const DECODE_NO_PANIC: &str = "decode-no-panic-transitive";
@@ -34,104 +34,62 @@ pub const DECODE_NO_INDEX: &str = "decode-no-direct-index";
 /// Rule key: no unbounded allocation size reachable from a decode root.
 pub const DECODE_BOUNDED_ALLOC: &str = "decode-bounded-alloc";
 
-/// Pseudo-rule for `lint-roots.toml` problems (parse errors, specs that
-/// resolve to nothing). Reported as findings so a renamed entry point
-/// fails the `--deny` gate instead of silently shrinking the cone.
-pub const LINT_ROOTS_ERROR: &str = "lint-roots-error";
-
-/// Keys and `--list-rules` descriptions of the cone rules, in report order.
-pub fn cone_rule_descriptions() -> [(&'static str, &'static str); 3] {
-    [
-        (
-            DECODE_NO_PANIC,
-            "no `.unwrap()`/`panic!`-family site anywhere in the decode-root call cone",
-        ),
-        (
-            DECODE_NO_INDEX,
-            "direct `x[i]` in the decode cone must become `.get()` or carry \
-             `arc-lint: bounded(..)`",
-        ),
-        (
-            DECODE_BOUNDED_ALLOC,
-            "allocation sizes in the decode cone derived from input need a clamp or \
-             `arc-lint: bounded(..)`",
-        ),
-    ]
-}
-
-/// True when `key` names a cone rule (used for `--rule` filtering).
-pub fn is_cone_rule(key: &str) -> bool {
-    key == DECODE_NO_PANIC || key == DECODE_NO_INDEX || key == DECODE_BOUNDED_ALLOC
-}
-
 /// Check every function in `cone` against the three rules, appending
 /// findings. `ctxs` maps workspace-relative paths to their file contexts
-/// (for `bounded(…)` proofs); `only` restricts to a single rule key.
+/// (for `bounded(…)` proofs).
 pub fn check_cone(
     graph: &CallGraph,
     cone: &BTreeMap<usize, String>,
     ctxs: &BTreeMap<String, FileCtx>,
-    only: Option<&str>,
     out: &mut Vec<Finding>,
 ) {
-    let want = |key: &str| only.is_none_or(|o| o == key);
     for (id, root) in cone {
-        let node = &graph.nodes[*id];
-        let item = &node.item;
+        let item = &graph.nodes[*id].item;
         let ctx = ctxs.get(&item.file);
-        if want(DECODE_NO_PANIC) {
-            for p in &item.panics {
-                out.push(Finding {
-                    rule: DECODE_NO_PANIC,
-                    severity: Severity::Error,
-                    file: item.file.clone(),
-                    line: p.line,
-                    message: format!(
-                        "`{}` in `{}`, reachable from decode root `{root}`",
-                        p.what,
-                        item.display()
-                    ),
-                });
-            }
+        for p in &item.panics {
+            out.push(Finding {
+                rule: DECODE_NO_PANIC,
+                file: item.file.clone(),
+                line: p.line,
+                message: format!(
+                    "`{}` in `{}`, reachable from decode root `{root}`",
+                    p.what,
+                    item.display()
+                ),
+            });
         }
-        if want(DECODE_NO_INDEX) {
-            for ix in &item.indexes {
-                if ctx.is_some_and(|c| c.is_bounded(ix.line)) {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: DECODE_NO_INDEX,
-                    severity: Severity::Error,
-                    file: item.file.clone(),
-                    line: ix.line,
-                    message: format!(
-                        "direct index `{}[…]` in `{}`, reachable from decode root `{root}` — \
-                         use `.get()` or annotate `arc-lint: bounded(..)`",
-                        ix.receiver,
-                        item.display()
-                    ),
-                });
+        for ix in &item.indexes {
+            if ctx.is_some_and(|c| c.is_bounded(ix.line)) {
+                continue;
             }
+            out.push(Finding {
+                rule: DECODE_NO_INDEX,
+                file: item.file.clone(),
+                line: ix.line,
+                message: format!(
+                    "direct index `{}[…]` in `{}`, reachable from decode root `{root}` — \
+                     use `.get()` or annotate `arc-lint: bounded(..)`",
+                    ix.receiver,
+                    item.display()
+                ),
+            });
         }
-        if want(DECODE_BOUNDED_ALLOC) {
-            for al in &item.allocs {
-                if al.size_is_bounded || ctx.is_some_and(|c| c.is_bounded(al.line)) {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: DECODE_BOUNDED_ALLOC,
-                    severity: Severity::Error,
-                    file: item.file.clone(),
-                    line: al.line,
-                    message: format!(
-                        "`{}` sized by `{}` in `{}`, reachable from decode root `{root}` — \
-                         clamp to a budget or annotate `arc-lint: bounded(..)`",
-                        al.what,
-                        al.size_desc,
-                        item.display()
-                    ),
-                });
+        for al in &item.allocs {
+            if al.size_is_bounded || ctx.is_some_and(|c| c.is_bounded(al.line)) {
+                continue;
             }
+            out.push(Finding {
+                rule: DECODE_BOUNDED_ALLOC,
+                file: item.file.clone(),
+                line: al.line,
+                message: format!(
+                    "`{}` sized by `{}` in `{}`, reachable from decode root `{root}` — \
+                     clamp to a budget or annotate `arc-lint: bounded(..)`",
+                    al.what,
+                    al.size_desc,
+                    item.display()
+                ),
+            });
         }
     }
 }

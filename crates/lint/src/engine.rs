@@ -2,17 +2,16 @@
 //! construction, suppression filtering.
 //!
 //! A run has two phases. Phase one lexes every file and applies the
-//! token-level rules exactly as before. Phase two parses items out of the
-//! retained file contexts ([`crate::syntax`]), builds the workspace call
-//! graph ([`crate::callgraph`]), resolves the decode roots declared in
-//! `lint-roots.toml` (plus `// arc-lint: decode-root` markers), and runs
-//! the transitive cone rules ([`crate::cone`]) over the reachable set.
+//! token-level rules. Phase two parses items out of the retained file
+//! contexts ([`crate::syntax`]), builds the workspace call graph
+//! ([`crate::callgraph`]), takes every function marked
+//! `// arc-lint: decode-root` as a root, and runs the transitive cone rules
+//! ([`crate::cone`]) over the reachable set.
 //!
 //! Directory entries are sorted by name at every level, findings are
 //! sorted by (file, line, rule), nodes are sorted by (file, line), and
-//! BFS witnesses follow root declaration order — two runs over the same
-//! tree, on any machine, produce identical findings, baselines, and
-//! `--graph` dumps.
+//! BFS witnesses follow root order — two runs over the same tree, on any
+//! machine, produce identical findings, baselines and cones.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -20,8 +19,7 @@ use std::path::{Path, PathBuf};
 use crate::callgraph::CallGraph;
 use crate::cone;
 use crate::context::FileCtx;
-use crate::roots;
-use crate::rules::{default_rules, Finding, Rule, Severity};
+use crate::rules::{default_rules, Finding};
 use crate::syntax::parse_items;
 
 /// Directory names never descended into. `fixtures` holds the lint crate's
@@ -34,33 +32,17 @@ const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "results"]
 /// the baseline like any other rule (an unparseable file is debt too).
 pub const LEX_ERROR_RULE: &str = "lex-error";
 
-/// Name of the committed root-declaration file, looked up under `--root`.
-pub const ROOTS_FILE: &str = "lint-roots.toml";
-
-/// Output format for the `--graph` reachability dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphFormat {
-    /// Graphviz `digraph` text.
-    Dot,
-    /// Byte-stable JSON (nodes, edges, summary counters).
-    Json,
-}
-
 /// Engine configuration.
 pub struct Options {
     /// Apply each rule's path scope (`Rule::applies`) and restrict the call
     /// graph to library/binary source. Fixture tests turn this off to point
     /// the engine at an arbitrary directory.
     pub respect_filters: bool,
-    /// Run only the rule with this key.
-    pub only_rule: Option<String>,
-    /// Also produce a reachability-cone dump in this format.
-    pub graph: Option<GraphFormat>,
 }
 
 impl Default for Options {
     fn default() -> Options {
-        Options { respect_filters: true, only_rule: None, graph: None }
+        Options { respect_filters: true }
     }
 }
 
@@ -72,11 +54,11 @@ pub struct RunResult {
     pub suppressed: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Number of functions in the decode cone (0 when the graph phase did
-    /// not run).
-    pub cone_size: usize,
-    /// The `--graph` dump, when one was requested.
-    pub graph_dump: Option<String>,
+    /// The workspace call graph.
+    pub graph: CallGraph,
+    /// The decode cone: every node id reachable from a decode root, mapped
+    /// to the label of the first root that reaches it.
+    pub cone: BTreeMap<usize, String>,
 }
 
 /// Recursively collect `.rs` files under `root` in sorted order.
@@ -148,11 +130,6 @@ fn is_graph_source(rel: &str) -> bool {
 /// Run the default rule set over every `.rs` file under `root`.
 pub fn run(root: &Path, opts: &Options) -> Result<RunResult, String> {
     let rules = default_rules();
-    let selected: Vec<&dyn Rule> = rules
-        .iter()
-        .filter(|r| opts.only_rule.as_deref().is_none_or(|k| k == r.key()))
-        .map(|r| r.as_ref())
-        .collect();
     let files = collect_files(root)?;
     let mut findings = Vec::new();
     let mut files_scanned = 0usize;
@@ -171,7 +148,6 @@ pub fn run(root: &Path, opts: &Options) -> Result<RunResult, String> {
             Err(e) => {
                 findings.push(Finding {
                     rule: LEX_ERROR_RULE,
-                    severity: Severity::Error,
                     file: rel,
                     line: e.line,
                     message: e.message,
@@ -182,7 +158,7 @@ pub fn run(root: &Path, opts: &Options) -> Result<RunResult, String> {
 
     // Phase one: token-level rules, file by file.
     for ctx in ctxs.values() {
-        for rule in &selected {
+        for rule in &rules {
             if opts.respect_filters && !rule.applies(&ctx.rel) {
                 continue;
             }
@@ -190,35 +166,17 @@ pub fn run(root: &Path, opts: &Options) -> Result<RunResult, String> {
         }
     }
 
-    // Phase two: the call graph and the transitive decode-cone rules. Runs
-    // unless `--rule` narrowed the run to a token-level rule.
-    let cone_wanted = match opts.only_rule.as_deref() {
-        None => true,
-        Some(key) => cone::is_cone_rule(key),
-    };
-    let mut cone_size = 0usize;
-    let mut graph_dump = None;
-    if cone_wanted || opts.graph.is_some() {
-        let mut items = Vec::new();
-        for ctx in ctxs.values() {
-            if opts.respect_filters && !is_graph_source(&ctx.rel) {
-                continue;
-            }
-            items.extend(parse_items(ctx));
+    // Phase two: the call graph and the transitive decode-cone rules.
+    let mut items = Vec::new();
+    for ctx in ctxs.values() {
+        if opts.respect_filters && !is_graph_source(&ctx.rel) {
+            continue;
         }
-        let graph = CallGraph::build(items);
-        let root_ids = resolve_roots(root, &graph, &mut findings);
-        let reachable = graph.reachable(&root_ids);
-        cone_size = reachable.len();
-        if cone_wanted {
-            cone::check_cone(&graph, &reachable, &ctxs, opts.only_rule.as_deref(), &mut findings);
-        }
-        graph_dump = match opts.graph {
-            Some(GraphFormat::Json) => Some(graph.cone_json(&reachable)),
-            Some(GraphFormat::Dot) => Some(graph.cone_dot(&reachable)),
-            None => None,
-        };
+        items.extend(parse_items(ctx));
     }
+    let graph = CallGraph::build(items);
+    let cone = graph.reachable(&graph.marked_roots());
+    cone::check_cone(&graph, &cone, &ctxs, &mut findings);
 
     // Suppression filtering over everything, file rules and cone rules
     // alike (lex-error findings have no context and pass through).
@@ -233,58 +191,5 @@ pub fn run(root: &Path, opts: &Options) -> Result<RunResult, String> {
     }
     kept.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     suppressed.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(RunResult { findings: kept, suppressed, files_scanned, cone_size, graph_dump })
-}
-
-/// Load `lint-roots.toml` (if present), resolve every spec plus every
-/// `decode-root`-marked function, and return `(node id, witness label)`
-/// pairs in declaration order. Parse errors and unresolved specs become
-/// `lint-roots-error` findings — the gate must fail loudly when the cone
-/// silently shrinks.
-fn resolve_roots(
-    root: &Path,
-    graph: &CallGraph,
-    findings: &mut Vec<Finding>,
-) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    let path = root.join(ROOTS_FILE);
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        match roots::parse(&text) {
-            Ok(decls) => {
-                for spec in &decls.specs {
-                    let ids = graph.resolve_spec(&spec.text);
-                    if ids.is_empty() {
-                        findings.push(Finding {
-                            rule: cone::LINT_ROOTS_ERROR,
-                            severity: Severity::Error,
-                            file: ROOTS_FILE.to_string(),
-                            line: spec.line,
-                            message: format!(
-                                "root `{}` resolves to no workspace function — renamed or \
-                                 removed entry point?",
-                                spec.text
-                            ),
-                        });
-                    }
-                    for id in ids {
-                        out.push((id, spec.text.clone()));
-                    }
-                }
-            }
-            Err(msg) => {
-                findings.push(Finding {
-                    rule: cone::LINT_ROOTS_ERROR,
-                    severity: Severity::Error,
-                    file: ROOTS_FILE.to_string(),
-                    line: 1,
-                    message: format!("malformed {ROOTS_FILE}: {msg}"),
-                });
-            }
-        }
-    }
-    for id in graph.marked_roots() {
-        let label = graph.nodes[id].item.display();
-        out.push((id, label));
-    }
-    out
+    Ok(RunResult { findings: kept, suppressed, files_scanned, graph, cone })
 }

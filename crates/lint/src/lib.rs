@@ -17,8 +17,8 @@
 //!
 //! Transitive rules ([`cone`]), checked over the workspace call graph
 //! ([`syntax`] parses items, [`callgraph`] resolves calls) on every
-//! function reachable from the decode roots declared in `lint-roots.toml`
-//! ([`roots`]) or marked `// arc-lint: decode-root`:
+//! function reachable from a decode root — a function marked
+//! `// arc-lint: decode-root`:
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -26,7 +26,7 @@
 //! | `decode-no-direct-index`     | `x[i]` in the cone needs `.get()` or a `bounded(..)` proof |
 //! | `decode-bounded-alloc`       | input-derived allocation sizes need a clamp or proof |
 //!
-//! Pre-existing debt lives in a committed, ratcheted `lint-baseline.json`
+//! Pre-existing debt lives in a committed, ratcheted `lint-baseline.txt`
 //! ([`baseline`]): new violations fail the gate, and the baseline may only
 //! shrink. Individual sites can be waived in place with
 //! `// arc-lint: allow(<rule>, <reason>)`; index/alloc sites can instead be
@@ -40,8 +40,6 @@ pub mod callgraph;
 pub mod cone;
 pub mod context;
 pub mod engine;
-pub mod json;
 pub mod lexer;
-pub mod roots;
 pub mod rules;
 pub mod syntax;

@@ -1,101 +1,21 @@
 //! `arc-lint` CLI — the workspace lint gate.
 //!
 //! ```text
-//! cargo run -p arc-lint -- [--deny] [--strict-baseline] [--format json]
-//!                          [--root DIR] [--baseline PATH] [--no-baseline]
-//!                          [--rule KEY] [--write-baseline] [--list-rules]
-//!                          [--graph dot|json]
+//! arc-lint                    # the gate
+//! arc-lint --write-baseline   # regenerate lint-baseline.txt
 //! ```
 //!
-//! Exit status: 0 when the workspace is clean relative to the baseline;
-//! 1 under `--deny` when new violations exist (or, with `--strict-baseline`,
-//! when the committed baseline is stale and should be shrunk); 2 on usage
-//! or I/O errors. Without `--deny` the run is informational and exits 0.
-//!
-//! `--graph dot|json` dumps the decode-root reachability cone (the set of
-//! functions the transitive rules police) instead of the findings report.
+//! Run from anywhere inside the workspace. Exit status: 0 when the workspace
+//! matches `lint-baseline.txt` exactly; 1 on a violation beyond it or a stale
+//! entry the baseline no longer needs; 2 on a usage or I/O error.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use arc_lint::baseline::Baseline;
-use arc_lint::cone::cone_rule_descriptions;
-use arc_lint::engine::{run, GraphFormat, Options};
-use arc_lint::json::escape;
-use arc_lint::rules::{default_rules, Finding};
+use arc_lint::baseline::{Baseline, Ratchet};
+use arc_lint::engine::{run, Options, RunResult};
 
-/// Version of the `--format json` report shape. Bump when fields change
-/// meaning or move; additions bump it too so consumers can key on it.
-const JSON_SCHEMA_VERSION: u32 = 2;
-
-struct Cli {
-    root: Option<PathBuf>,
-    format_json: bool,
-    deny: bool,
-    strict_baseline: bool,
-    baseline_path: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
-    rule: Option<String>,
-    list_rules: bool,
-    graph: Option<GraphFormat>,
-}
-
-fn parse_cli(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        root: None,
-        format_json: false,
-        deny: false,
-        strict_baseline: false,
-        baseline_path: None,
-        no_baseline: false,
-        write_baseline: false,
-        rule: None,
-        list_rules: false,
-        graph: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--root" => cli.root = Some(PathBuf::from(take("--root")?)),
-            "--baseline" => cli.baseline_path = Some(PathBuf::from(take("--baseline")?)),
-            "--rule" => cli.rule = Some(take("--rule")?),
-            "--format" => {
-                let v = take("--format")?;
-                match v.as_str() {
-                    "json" => cli.format_json = true,
-                    "text" => cli.format_json = false,
-                    other => return Err(format!("unknown format '{other}' (text|json)")),
-                }
-            }
-            "--graph" => {
-                let v = take("--graph")?;
-                match v.as_str() {
-                    "dot" => cli.graph = Some(GraphFormat::Dot),
-                    "json" => cli.graph = Some(GraphFormat::Json),
-                    other => return Err(format!("unknown graph format '{other}' (dot|json)")),
-                }
-            }
-            "--deny" => cli.deny = true,
-            "--strict-baseline" => cli.strict_baseline = true,
-            "--no-baseline" => cli.no_baseline = true,
-            "--write-baseline" => cli.write_baseline = true,
-            "--list-rules" => cli.list_rules = true,
-            "--help" | "-h" => {
-                return Err("usage: arc-lint [--deny] [--strict-baseline] [--format text|json] \
-                            [--root DIR] [--baseline PATH] [--no-baseline] [--rule KEY] \
-                            [--write-baseline] [--list-rules] [--graph dot|json]"
-                    .into())
-            }
-            other => return Err(format!("unknown argument '{other}' (try --help)")),
-        }
-    }
-    Ok(cli)
-}
+const BASELINE_FILE: &str = "lint-baseline.txt";
 
 /// Find the workspace root: the nearest ancestor of the current directory
 /// whose `Cargo.toml` declares `[workspace]`.
@@ -109,100 +29,51 @@ fn find_workspace_root() -> Result<PathBuf, String> {
             }
         }
         if !dir.pop() {
-            return Err("no workspace root found above the current directory \
-                        (pass --root explicitly)"
-                .into());
+            return Err("no workspace root found above the current directory".into());
         }
     }
 }
 
-fn print_text_report(
-    new_pairs: &BTreeMap<(String, String), (u64, u64)>,
-    findings: &[Finding],
-    suppressed: usize,
-    stale: &[arc_lint::baseline::RatchetEntry],
-    files_scanned: usize,
-    cone_size: usize,
-) {
-    let mut new_count = 0u64;
-    for f in findings {
-        if let Some((actual, allowed)) = new_pairs.get(&(f.rule.to_string(), f.file.clone())) {
-            println!(
-                "{}:{}: [{}] {}: {} ({actual} found, baseline allows {allowed})",
-                f.file,
-                f.line,
-                f.severity.label(),
-                f.rule,
-                f.message
-            );
-            new_count += 1;
+/// The committed baseline; a missing file is an empty one.
+fn read_baseline(path: &Path) -> Result<Baseline, String> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => {
+            Baseline::parse(&text).map_err(|e| format!("malformed {}: {e}", path.display()))
         }
+        Err(_) => Ok(Baseline::default()),
     }
-    for e in stale {
+}
+
+fn print_report(result: &RunResult, ratchet: &Ratchet) {
+    let mut new_count = 0usize;
+    for f in &result.findings {
+        let Some(e) = ratchet.new.iter().find(|e| e.rule == f.rule && e.file == f.file) else {
+            continue;
+        };
         println!(
-            "lint-baseline.json: stale entry {} / {} (allows {}, found {}) — \
+            "{}:{}: {}: {} ({} found, baseline allows {})",
+            f.file, f.line, f.rule, f.message, e.actual, e.allowed
+        );
+        new_count += 1;
+    }
+    for e in &ratchet.stale {
+        println!(
+            "{BASELINE_FILE}: stale entry {} / {} (allows {}, found {}) — \
              run scripts/lint_baseline.sh to shrink it",
             e.rule, e.file, e.allowed, e.actual
         );
     }
-    let baselined = findings.len() as u64 - new_count;
     println!(
         "arc-lint: {} file(s), {} fn(s) in decode cone, {} finding(s): {} new, \
          {} baselined, {} suppressed, {} stale baseline entr(ies)",
-        files_scanned,
-        cone_size,
-        findings.len(),
+        result.files_scanned,
+        result.cone.len(),
+        result.findings.len(),
         new_count,
-        baselined,
-        suppressed,
-        stale.len()
+        result.findings.len() - new_count,
+        result.suppressed.len(),
+        ratchet.stale.len()
     );
-}
-
-fn print_json_report(
-    new_pairs: &BTreeMap<(String, String), (u64, u64)>,
-    findings: &[Finding],
-    suppressed: usize,
-    stale: &[arc_lint::baseline::RatchetEntry],
-    files_scanned: usize,
-    cone_size: usize,
-) {
-    // Hand-rolled with fixed key order: output is byte-stable across runs.
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema_version\": {JSON_SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
-    out.push_str(&format!("  \"cone_size\": {cone_size},\n"));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let is_new = new_pairs.contains_key(&(f.rule.to_string(), f.file.clone()));
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"severity\": \"{}\", \
-             \"message\": \"{}\", \"new\": {}}}{}\n",
-            escape(&f.file),
-            f.line,
-            escape(f.rule),
-            f.severity.label(),
-            escape(&f.message),
-            is_new,
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"stale_baseline_entries\": [\n");
-    for (i, e) in stale.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"allowed\": {}, \"actual\": {}}}{}\n",
-            escape(&e.rule),
-            escape(&e.file),
-            e.allowed,
-            e.actual,
-            if i + 1 < stale.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"suppressed\": {suppressed}\n"));
-    out.push_str("}\n");
-    print!("{out}");
 }
 
 /// Per-rule before/after totals when regenerating the baseline, so a
@@ -225,44 +96,22 @@ fn print_baseline_delta(old: &Baseline, new: &Baseline) {
 
 fn real_main() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_cli(&args)?;
-
-    if cli.list_rules {
-        for r in default_rules() {
-            println!("{:<26} [{}] {}", r.key(), r.severity().label(), r.describe());
-        }
-        for (key, what) in cone_rule_descriptions() {
-            println!("{key:<26} [error] {what}");
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let root = match &cli.root {
-        Some(r) => r.clone(),
-        None => find_workspace_root()?,
+    let write_baseline = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--write-baseline" => true,
+        _ => return Err("usage: arc-lint [--write-baseline]".into()),
     };
-    let opts = Options { respect_filters: true, only_rule: cli.rule.clone(), graph: cli.graph };
-    let result = run(&root, &opts)?;
 
-    if let Some(dump) = &result.graph_dump {
-        print!("{dump}");
-        return Ok(ExitCode::SUCCESS);
-    }
-
+    let root = find_workspace_root()?;
+    let result = run(&root, &Options::default())?;
     let actual = Baseline::from_findings(&result.findings);
+    let baseline_path = root.join(BASELINE_FILE);
+    let allowed = read_baseline(&baseline_path)?;
 
-    let baseline_path =
-        cli.baseline_path.clone().unwrap_or_else(|| root.join("lint-baseline.json"));
-
-    if cli.write_baseline {
-        let old = match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text)
-                .map_err(|e| format!("malformed {}: {e}", baseline_path.display()))?,
-            Err(_) => Baseline::default(),
-        };
-        std::fs::write(&baseline_path, actual.to_json())
+    if write_baseline {
+        std::fs::write(&baseline_path, actual.to_text())
             .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        print_baseline_delta(&old, &actual);
+        print_baseline_delta(&allowed, &actual);
         println!(
             "arc-lint: wrote {} ({} entr(ies), {} violation(s))",
             baseline_path.display(),
@@ -272,44 +121,9 @@ fn real_main() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let allowed = if cli.no_baseline {
-        Baseline::default()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text)
-                .map_err(|e| format!("malformed {}: {e}", baseline_path.display()))?,
-            Err(_) => Baseline::default(),
-        }
-    };
     let ratchet = allowed.ratchet(&actual);
-    let new_pairs: BTreeMap<(String, String), (u64, u64)> = ratchet
-        .new
-        .iter()
-        .map(|e| ((e.rule.clone(), e.file.clone()), (e.actual, e.allowed)))
-        .collect();
-
-    if cli.format_json {
-        print_json_report(
-            &new_pairs,
-            &result.findings,
-            result.suppressed.len(),
-            &ratchet.stale,
-            result.files_scanned,
-            result.cone_size,
-        );
-    } else {
-        print_text_report(
-            &new_pairs,
-            &result.findings,
-            result.suppressed.len(),
-            &ratchet.stale,
-            result.files_scanned,
-            result.cone_size,
-        );
-    }
-
-    let fail =
-        cli.deny && (!ratchet.new.is_empty() || (cli.strict_baseline && !ratchet.stale.is_empty()));
+    print_report(&result, &ratchet);
+    let fail = !ratchet.new.is_empty() || !ratchet.stale.is_empty();
     Ok(if fail { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 

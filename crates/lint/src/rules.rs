@@ -1,40 +1,18 @@
 //! The rule registry: ARC's resiliency invariants as token-level checks.
 //!
 //! Every rule has a stable key (used in suppressions and the baseline), a
-//! severity, a path scope (which workspace files it audits), and a token
-//! walk. Rules never look at raw text except through [`FileCtx`]'s per-line
-//! comment metadata, so string/char literals can never trigger them.
+//! path scope (which workspace files it audits), and a token walk. Rules
+//! never look at raw text except through [`FileCtx`]'s per-line comment
+//! metadata, so string/char literals can never trigger them.
 
 use crate::context::FileCtx;
 use crate::lexer::{TokKind, Token};
-
-/// How serious a finding is. Both levels gate under `--deny`; the tag exists
-/// so reports read correctly and future rules can be advisory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Violates an invariant the protection layer depends on.
-    Error,
-    /// Discipline issue worth tracking but not a direct corruption risk.
-    Warning,
-}
-
-impl Severity {
-    /// Lowercase label used in text and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
-}
 
 /// One rule violation at a specific source location.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule key (e.g. `unsafe-needs-safety`).
     pub rule: &'static str,
-    /// Severity of the owning rule.
-    pub severity: Severity,
     /// Workspace-relative path (forward slashes).
     pub file: String,
     /// 1-based line number.
@@ -47,12 +25,6 @@ pub struct Finding {
 pub trait Rule {
     /// Stable identifier used in suppressions, the baseline, and output.
     fn key(&self) -> &'static str;
-
-    /// Severity attached to this rule's findings.
-    fn severity(&self) -> Severity;
-
-    /// One-line description for `--list-rules`.
-    fn describe(&self) -> &'static str;
 
     /// Whether this rule audits the file at workspace-relative `rel`.
     fn applies(&self, rel: &str) -> bool;
@@ -68,7 +40,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
 }
 
 fn finding(rule: &dyn Rule, ctx: &FileCtx, line: usize, message: String) -> Finding {
-    Finding { rule: rule.key(), severity: rule.severity(), file: ctx.rel.clone(), line, message }
+    Finding { rule: rule.key(), file: ctx.rel.clone(), line, message }
 }
 
 /// True when `rel` is library source inside a workspace crate (or the root
@@ -90,15 +62,6 @@ pub struct UnsafeNeedsSafety;
 impl Rule for UnsafeNeedsSafety {
     fn key(&self) -> &'static str {
         "unsafe-needs-safety"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn describe(&self) -> &'static str {
-        "every `unsafe` site needs an immediately preceding `// SAFETY:` comment \
-         (or a `# Safety` doc section on an `unsafe fn`)"
     }
 
     fn applies(&self, rel: &str) -> bool {
@@ -170,14 +133,6 @@ impl Rule for NoPanicInLib {
         "no-panic-in-lib"
     }
 
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn describe(&self) -> &'static str {
-        "no `.unwrap()`/`.expect()`/`panic!`-family escape hatches in non-test library code"
-    }
-
     fn applies(&self, rel: &str) -> bool {
         // Binary targets may abort on startup/CLI errors; the invariant is
         // about code that other crates call with data they cannot lose.
@@ -236,14 +191,6 @@ const NARROW_TARGETS: [&str; 6] = ["u8", "i8", "u16", "i16", "u32", "i32"];
 impl Rule for NoLossyCast {
     fn key(&self) -> &'static str {
         "no-lossy-cast"
-    }
-
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn describe(&self) -> &'static str {
-        "no narrowing `as` casts in the ecc/zfp hot paths; use try_into or prove the range"
     }
 
     fn applies(&self, rel: &str) -> bool {

@@ -10,7 +10,8 @@
 //! - call expressions (`path::to::fn(…)`) and method-call expressions
 //!   (`recv.name(…)`), recorded as path segments for the call graph to
 //!   resolve;
-//! - panic sites (`panic!`-family macros, `.unwrap()`, `.expect(…)`);
+//! - panic sites (`panic!`- and `assert!`-family macros, `.unwrap()`,
+//!   `.expect(…)`);
 //! - index expressions (`expr[…]`, including range indexing, excluding the
 //!   never-panicking full-range `expr[..]`);
 //! - allocation sites whose size is an expression: `with_capacity(n)`,
@@ -140,7 +141,11 @@ const PRIMITIVE_TYPES: [&str; 14] = [
 /// measurements of data that already exists in memory.
 const BOUNDING_CALLS: [&str; 4] = ["min", "clamp", "len", "capacity"];
 
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+/// Macros that abort in a release build. `debug_assert!` and friends are
+/// left out: release builds compile them away, and release is what the
+/// decode cone protects.
+const PANIC_MACROS: [&str; 7] =
+    ["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 
 /// An `impl`/`trait` scope: token span of the braced body plus self type.
 struct Scope {
@@ -732,10 +737,26 @@ mod tests {
                        panic!(\"boom\");\n\
                        unreachable!();\n\
                        let _ = v.unwrap_or(0);\n\
+                       assert!(v.is_some());\n\
+                       assert_eq!(v, None);\n\
+                       assert_ne!(v, None);\n\
+                       debug_assert!(v.is_some());\n\
+                       debug_assert_eq!(v, None);\n\
                    }\n";
         let f = items(src);
         let whats: Vec<&str> = f[0].panics.iter().map(|p| p.what.as_str()).collect();
-        assert_eq!(whats, vec![".unwrap()", ".expect()", "panic!", "unreachable!"]);
+        assert_eq!(
+            whats,
+            vec![
+                ".unwrap()",
+                ".expect()",
+                "panic!",
+                "unreachable!",
+                "assert!",
+                "assert_eq!",
+                "assert_ne!"
+            ]
+        );
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl<'a> BitReader<'a> {
     /// Panics if `n > 64`.
     #[inline]
     pub fn peek_bits(&self, n: u32) -> u64 {
+        // arc-lint: allow(decode-no-panic-transitive, every caller passes n <= 64: ZFP's field widths and width() clamp to 64, Huffman's max_len <= MAX_CODE_LEN, zstd-like's bucket.min(31))
         assert!(n <= 64, "peek_bits supports at most 64 bits");
         if n == 0 {
             return 0;

@@ -122,6 +122,7 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, LosslessError> {
 /// Decompress with an explicit output-byte budget: a declared length above
 /// `max_output` is rejected as [`LosslessError::WorkBudgetExceeded`] before
 /// the output vector (which is resized to the declared length) is touched.
+// arc-lint: decode-root
 pub fn decompress_with_limit(bytes: &[u8], max_output: u64) -> Result<Vec<u8>, LosslessError> {
     if bytes.len() < 4 || &bytes[..4] != MAGIC {
         return Err(LosslessError::malformed("bad zstd-like magic"));

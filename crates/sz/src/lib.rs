@@ -398,6 +398,7 @@ pub fn decompress(bytes: &[u8]) -> Result<SzDecoded, SzError> {
 }
 
 /// Decompress with explicit resource limits.
+// arc-lint: decode-root
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzDecoded, SzError> {
     let mut pos = 0usize;
     let header = Header::read(bytes, &mut pos)?;
@@ -492,14 +493,6 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzD
     Ok(SzDecoded { data: decoder.out, dims: header.dims })
 }
 
-/// Convenience: compression ratio of a compressed buffer against its source.
-pub fn compression_ratio(original_elements: usize, compressed_len: usize) -> f64 {
-    if compressed_len == 0 {
-        return f64::INFINITY;
-    }
-    (original_elements * std::mem::size_of::<f32>()) as f64 / compressed_len as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,7 +578,7 @@ mod tests {
         let data = smooth_2d(256, 256);
         let cfg = SzConfig { bound: ErrorBound::Abs(0.01), ..Default::default() };
         let c = compress(&data, &[256, 256], &cfg).unwrap();
-        let cr = compression_ratio(data.len(), c.len());
+        let cr = (data.len() * 4) as f64 / c.len() as f64;
         assert!(cr > 4.0, "compression ratio only {cr}");
     }
 

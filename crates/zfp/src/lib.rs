@@ -275,6 +275,7 @@ pub fn decompress(bytes: &[u8]) -> Result<ZfpDecoded, ZfpError> {
 }
 
 /// Decompress with explicit limits.
+// arc-lint: decode-root
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<ZfpDecoded, ZfpError> {
     let shard::StreamInfo { mode, dims, payload_offset, payload_len } =
         shard::StreamInfo::read(bytes, limits.max_elements)?;
@@ -362,14 +363,6 @@ fn decode_one_block(
     }
 }
 
-/// Compression ratio helper (32-bit floats against compressed bytes).
-pub fn compression_ratio(original_elements: usize, compressed_len: usize) -> f64 {
-    if compressed_len == 0 {
-        return f64::INFINITY;
-    }
-    (original_elements * 4) as f64 / compressed_len as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,7 +403,7 @@ mod tests {
         let dims = [64usize, 64];
         let data = smooth(&dims);
         let c = compress(&data, &dims, ZfpMode::FixedAccuracy(0.1)).unwrap();
-        let cr = compression_ratio(data.len(), c.len());
+        let cr = (data.len() * 4) as f64 / c.len() as f64;
         assert!(cr > 3.0, "cr {cr}");
     }
 
