@@ -29,7 +29,7 @@ const GF_BITS: usize = 13;
 /// Multiplicative group order (= codeword length of the parent code).
 const GF_ORD: usize = (1 << GF_BITS) - 1; // 8191
 /// Primitive polynomial x^13 + x^4 + x^3 + x + 1.
-const GF_POLY: u32 = 0x201B;
+const GF_POLY: u16 = 0x201B;
 /// Data bytes per BCH block (8000 bits + 13t parity ≤ 8191 total).
 pub(crate) const BCH_BLOCK: usize = 1000;
 
@@ -45,13 +45,12 @@ fn tables() -> &'static Gf13 {
     TABLES.get_or_init(|| {
         let mut exp = vec![0u16; 2 * GF_ORD];
         let mut log = vec![0u16; GF_ORD + 1];
-        let mut x = 1u32;
-        for (i, slot) in exp.iter_mut().take(GF_ORD).enumerate() {
-            // arc-lint: allow(no-lossy-cast, x is reduced below 2^13 each step)
-            *slot = x as u16;
-            if let Some(l) = log.get_mut(x as usize) {
-                // arc-lint: allow(no-lossy-cast, i < GF_ORD = 8191 < 2^16)
-                *l = i as u16;
+        // x is reduced below 2^13 each step, so x << 1 fits a u16.
+        let mut x = 1u16;
+        for (i, slot) in (0u16..).zip(exp.iter_mut().take(GF_ORD)) {
+            *slot = x;
+            if let Some(l) = log.get_mut(usize::from(x)) {
+                *l = i;
             }
             x <<= 1;
             if x & (1 << GF_BITS) != 0 {
@@ -249,7 +248,6 @@ impl Bch {
                 s = gf_mul(gf, s, step) ^ tbl[byte as usize];
             }
             for q in (0..self.deg).rev() {
-                // arc-lint: allow(no-lossy-cast, masked to a single bit)
                 s = gf_mul(gf, s, alpha) ^ ((rem >> q) & 1) as u16;
             }
             out.push(s);
@@ -365,9 +363,9 @@ impl Bch {
     }
 
     fn pack_rem(&self, rem: u64, slot: &mut [u8]) {
-        for (k, byte) in slot.iter_mut().enumerate() {
-            // arc-lint: allow(no-lossy-cast, deliberate byte extraction from rem)
-            *byte = (rem >> (8 * (self.pbytes - 1 - k))) as u8;
+        // Big-endian: the last slot byte holds the low byte of `rem`.
+        for (byte, b) in slot.iter_mut().rev().zip(rem.to_le_bytes()) {
+            *byte = b;
         }
     }
 
@@ -445,6 +443,7 @@ impl EccScheme for Bch {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use crate::rscode::oracle::Rng;

@@ -103,7 +103,12 @@ impl<'a> PackedBitWriter<'a> {
         self.acc |= (value as u128) << self.nbits;
         self.nbits += n;
         if self.nbits >= 64 {
-            self.out[self.byte..self.byte + 8].copy_from_slice(&(self.acc as u64).to_le_bytes());
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "stores the low 64 of the staged bits; the shift below keeps the rest"
+            )]
+            let low = self.acc as u64;
+            self.out[self.byte..self.byte + 8].copy_from_slice(&low.to_le_bytes());
             self.byte += 8;
             self.acc >>= 64;
             self.nbits -= 64;
@@ -111,6 +116,10 @@ impl<'a> PackedBitWriter<'a> {
     }
 
     /// Flush the staged tail (if any) as `⌈nbits/8⌉` byte stores.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "after `push`, nbits < 64 so acc fits a u64; each store takes its low byte"
+    )]
     pub(crate) fn finish(mut self) {
         let mut acc = self.acc as u64;
         let mut nbits = self.nbits;
@@ -142,6 +151,7 @@ pub(crate) fn read_bits_at(bytes: &[u8], idx: u64, n: u32) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
 

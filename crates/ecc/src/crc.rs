@@ -318,6 +318,7 @@ pub(crate) fn crc32_zero_padded(data: &[u8], pad: usize) -> u32 {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -53,7 +53,12 @@ fn tables() -> &'static Tables {
         let mut powers = [0u8; GROUP_ORDER];
         let mut x: u16 = 1;
         for p in &mut powers {
-            *p = x as u8;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "x < 0x100: the reduction below clears bit 8 on every step"
+            )]
+            let byte = x as u8;
+            *p = byte;
             x <<= 1;
             if x & 0x100 != 0 {
                 x ^= PRIMITIVE_POLY;
@@ -134,20 +139,17 @@ impl Gf {
 
     /// Raise to an integer power (exponent taken modulo 255 for non-zero base).
     #[inline]
-    pub(crate) fn pow(self, mut e: i32) -> Gf {
+    pub(crate) fn pow(self, e: usize) -> Gf {
         if self.0 == 0 {
             return if e == 0 { Gf::ONE } else { Gf::ZERO };
         }
         let t = tables();
-        let l = t.log(self.0) as i64;
-        e = e.rem_euclid(GROUP_ORDER as i32);
-        let idx = (l * e as i64).rem_euclid(GROUP_ORDER as i64) as usize;
-        Gf(t.exp(idx))
+        Gf(t.exp(t.log(self.0) * (e % GROUP_ORDER) % GROUP_ORDER))
     }
 
     /// α^e — the e-th power of the group generator.
     #[inline]
-    pub(crate) fn alpha_pow(e: i32) -> Gf {
+    pub(crate) fn alpha_pow(e: usize) -> Gf {
         Gf::ALPHA.pow(e)
     }
 }
@@ -653,6 +655,7 @@ impl Poly {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
 
@@ -726,7 +729,7 @@ mod tests {
     #[test]
     fn alpha_generates_group() {
         let mut seen = [false; 256];
-        for e in 0..GROUP_ORDER as i32 {
+        for e in 0..GROUP_ORDER {
             let v = Gf::alpha_pow(e);
             assert!(!seen[v.0 as usize], "alpha^{e} repeated");
             seen[v.0 as usize] = true;

@@ -229,6 +229,7 @@ impl EccScheme for Interleaved {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use crate::rscode::oracle::{self, Rng};

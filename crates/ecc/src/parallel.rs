@@ -390,6 +390,7 @@ pub fn timed_decode<S: EccScheme>(
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use crate::bits::flip_bit;

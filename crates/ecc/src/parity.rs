@@ -141,6 +141,7 @@ impl EccScheme for Parity {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use crate::bits::flip_bit;

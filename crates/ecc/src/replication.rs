@@ -206,6 +206,7 @@ fn repair_side_data(
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
 

@@ -61,6 +61,10 @@ impl ReedSolomon {
     /// invertible. One XOR and one table inversion, against the kilobytes of
     /// `mul_acc_slice` every use of a coefficient pays, so nothing caches it.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "j < m and m + i < k + m <= 255, checked at construction"
+    )]
     fn coeff(&self, j: usize, i: usize) -> Gf {
         Gf((j as u8) ^ ((self.m + i) as u8)).inv()
     }
@@ -341,6 +345,7 @@ impl EccScheme for ReedSolomon {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use crate::bits::flip_bit;

@@ -56,7 +56,7 @@ impl RsCodeword {
         let taps = cell.get_or_init(|| {
             let mut g = Poly::constant(Gf::ONE);
             for i in 0..nsym {
-                g = g.mul(&Poly::from_coeffs(vec![Gf::alpha_pow(i as i32), Gf::ONE]));
+                g = g.mul(&Poly::from_coeffs(vec![Gf::alpha_pow(i), Gf::ONE]));
             }
             (0..nsym).rev().map(|i| g.coeff(i).0).collect()
         });
@@ -159,7 +159,7 @@ impl RsCodeword {
     }
 
     fn syndromes(&self, cw: &Poly) -> Vec<Gf> {
-        (0..self.nsym).map(|i| cw.eval(Gf::alpha_pow(i as i32))).collect()
+        (0..self.nsym).map(|i| cw.eval(Gf::alpha_pow(i))).collect()
     }
 
     /// Decode a received codeword, correcting up to ⌊nsym/2⌋ unknown errors.
@@ -222,7 +222,7 @@ impl RsCodeword {
         let omega = synd_poly.mul(&locator).rem(&x_nsym);
         let loc_deriv = locator.derivative();
         for &pos in &positions {
-            let j = (n - 1 - pos) as i32;
+            let j = n - 1 - pos;
             let xj = Gf::alpha_pow(j);
             let xj_inv = xj.inv();
             let denom = loc_deriv.eval(xj_inv);
@@ -289,7 +289,7 @@ impl RsCodeword {
     fn chien_search(&self, locator: &Poly, n: usize) -> Result<Vec<usize>, EccError> {
         let mut positions = Vec::new();
         for j in 0..n {
-            if locator.eval(Gf::alpha_pow(j as i32).inv()) == Gf::ZERO {
+            if locator.eval(Gf::alpha_pow(j).inv()) == Gf::ZERO {
                 positions.push(n - 1 - j);
             }
         }
@@ -299,6 +299,7 @@ impl RsCodeword {
 
 /// The `Poly` path the kernel replaced, kept as what it is compared against.
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 pub(crate) mod oracle {
     use crate::gf256::{Gf, Poly};
 
@@ -310,7 +311,7 @@ pub(crate) mod oracle {
     pub(crate) fn parity(nsym: usize, msg: &[u8]) -> Vec<u8> {
         let mut g = Poly::constant(Gf::ONE);
         for i in 0..nsym {
-            g = g.mul(&Poly::from_coeffs(vec![Gf::alpha_pow(i as i32), Gf::ONE]));
+            g = g.mul(&Poly::from_coeffs(vec![Gf::alpha_pow(i), Gf::ONE]));
         }
         let rem = codeword_poly(msg).shift(nsym).rem(&g);
         (0..nsym).rev().map(|i| rem.coeff(i).0).collect()
@@ -319,7 +320,7 @@ pub(crate) mod oracle {
     /// The clean test: every one of the `nsym` syndromes is zero.
     pub(crate) fn is_clean(nsym: usize, codeword: &[u8]) -> bool {
         let cw = codeword_poly(codeword);
-        (0..nsym).all(|i| cw.eval(Gf::alpha_pow(i as i32)) == Gf::ZERO)
+        (0..nsym).all(|i| cw.eval(Gf::alpha_pow(i)) == Gf::ZERO)
     }
 
     /// Deterministic test bytes and choices.
@@ -345,6 +346,7 @@ pub(crate) mod oracle {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::oracle::Rng;
     use super::*;

@@ -1,5 +1,6 @@
-//! Fixture: walked, so this unproven `unsafe` is reported.
+//! Fixture: walked, so this unproven index below a decode root is reported.
 
+// arc-lint: decode-root
 pub fn first(v: &[u8]) -> u8 {
-    unsafe { *v.get_unchecked(0) }
+    v[0]
 }

@@ -9,7 +9,7 @@
 //! The format is one `rule path count` line per entry:
 //!
 //! ```text
-//! no-lossy-cast crates/ecc/src/gf256.rs 7
+//! decode-no-direct-index crates/ecc/src/gf256.rs 9
 //! ```
 //!
 //! Lines are emitted sorted by (rule, path), so regenerating the file on any
@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::rules::Finding;
+use crate::cone::Finding;
 
 /// Violation counts per rule, per file. `BTreeMap` everywhere: iteration
 /// order — and therefore serialized output — is deterministic.
@@ -141,19 +141,20 @@ mod tests {
     #[test]
     fn text_round_trip_is_stable() {
         let b = Baseline::from_findings(&[
-            f("no-panic-in-lib", "crates/sz/src/lib.rs"),
-            f("no-panic-in-lib", "crates/sz/src/lib.rs"),
-            f("no-lossy-cast", "crates/ecc/src/gf256.rs"),
+            f("decode-no-panic-transitive", "crates/sz/src/lib.rs"),
+            f("decode-no-panic-transitive", "crates/sz/src/lib.rs"),
+            f("decode-no-direct-index", "crates/ecc/src/gf256.rs"),
         ]);
         let text = b.to_text();
         assert_eq!(
             text,
-            "no-lossy-cast crates/ecc/src/gf256.rs 1\nno-panic-in-lib crates/sz/src/lib.rs 2\n"
+            "decode-no-direct-index crates/ecc/src/gf256.rs 1\n\
+             decode-no-panic-transitive crates/sz/src/lib.rs 2\n"
         );
         let parsed = Baseline::parse(&text).unwrap();
         assert_eq!(parsed, b);
         assert_eq!(parsed.to_text(), text, "serialization must be byte-stable");
-        assert_eq!(b.allowed("no-panic-in-lib", "crates/sz/src/lib.rs"), 2);
+        assert_eq!(b.allowed("decode-no-panic-transitive", "crates/sz/src/lib.rs"), 2);
     }
 
     #[test]

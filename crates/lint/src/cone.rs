@@ -1,10 +1,10 @@
 //! The decode-cone rules: totality invariants enforced transitively over
 //! every function reachable from a declared decode root.
 //!
-//! The token-level `no-panic-in-lib` rule polices *files*; these rules
-//! police the *call graph*. A decoder facing hostile bytes must terminate
-//! in one of ARC's outcome classes (Completed / Terminated / Timeout), so
-//! nothing it can reach — however many calls deep — may:
+//! Clippy's crate-root `deny(clippy::unwrap_used, …)` polices *files*; these
+//! rules police the *call graph*. A decoder facing hostile bytes must
+//! terminate in one of ARC's outcome classes (Completed / Terminated /
+//! Timeout), so nothing it can reach — however many calls deep — may:
 //!
 //! - abort (`decode-no-panic-transitive`): `panic!`-family and
 //!   `assert!`-family macros, `.unwrap()`, `.expect(…)`;
@@ -25,7 +25,19 @@ use std::collections::BTreeMap;
 
 use crate::callgraph::CallGraph;
 use crate::context::FileCtx;
-use crate::rules::Finding;
+
+/// One rule violation at a specific source location.
+#[derive(Debug, Clone)]
+pub struct Finding {
+    /// Rule key (e.g. `decode-no-direct-index`).
+    pub rule: &'static str,
+    /// Workspace-relative path (forward slashes).
+    pub file: String,
+    /// 1-based line number.
+    pub line: usize,
+    /// Human-readable description of the violation.
+    pub message: String,
+}
 
 /// Rule key: no panic-family site reachable from a decode root.
 pub const DECODE_NO_PANIC: &str = "decode-no-panic-transitive";

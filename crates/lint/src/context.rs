@@ -1,6 +1,6 @@
-//! Per-file analysis context shared by every rule.
+//! Per-file analysis context shared by the parser and the cone rules.
 //!
-//! Rules see a [`FileCtx`]: the token stream plus line-granular metadata —
+//! They see a [`FileCtx`]: the token stream plus line-granular metadata —
 //! which lines are comment-only or attribute-only, which lines sit inside
 //! `#[cfg(test)]` / `#[test]` regions, what comment text each line carries,
 //! and where `// arc-lint: allow(rule, reason)` suppressions apply.
@@ -33,14 +33,12 @@ pub struct BoundsProof {
     pub line: usize,
 }
 
-/// Everything a rule needs to know about one source file.
+/// Everything the parser and the cone rules need to know about one source file.
 pub struct FileCtx {
     /// Workspace-relative path with forward slashes (stable across OSes).
     pub rel: String,
     /// The token stream (comments included).
     pub tokens: Vec<Token>,
-    /// Raw source lines (index 0 = line 1).
-    pub lines: Vec<String>,
     /// Lines inside `#[cfg(test)]` items or `#[test]` functions.
     test_lines: BTreeSet<usize>,
     /// Lines whose only tokens are comments.
@@ -60,11 +58,9 @@ impl FileCtx {
     /// Lex and analyze one file. `rel` must use forward slashes.
     pub fn build(rel: String, text: &str) -> Result<FileCtx, LexError> {
         let tokens = lex(text)?;
-        let lines: Vec<String> = text.lines().map(str::to_string).collect();
         let mut ctx = FileCtx {
             rel,
             tokens,
-            lines,
             test_lines: BTreeSet::new(),
             comment_only: BTreeSet::new(),
             attr_lines: BTreeSet::new(),
@@ -429,11 +425,11 @@ mod tests {
 
     #[test]
     fn suppressions_cover_their_line_and_the_next() {
-        let src = "// arc-lint: allow(no-panic-in-lib, length proven above)\nlet x = v.unwrap();\nlet y = w.unwrap();\n";
+        let src = "// arc-lint: allow(decode-no-panic-transitive, length proven above)\nlet x = v.unwrap();\nlet y = w.unwrap();\n";
         let c = ctx(src);
-        assert!(c.is_suppressed("no-panic-in-lib", 1));
-        assert!(c.is_suppressed("no-panic-in-lib", 2));
-        assert!(!c.is_suppressed("no-panic-in-lib", 3));
+        assert!(c.is_suppressed("decode-no-panic-transitive", 1));
+        assert!(c.is_suppressed("decode-no-panic-transitive", 2));
+        assert!(!c.is_suppressed("decode-no-panic-transitive", 3));
         assert!(!c.is_suppressed("other-rule", 2));
         assert_eq!(c.suppressions[0].reason, "length proven above");
     }

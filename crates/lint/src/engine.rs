@@ -1,9 +1,8 @@
-//! The driver: deterministic workspace walk, rule dispatch, call-graph
-//! construction, suppression filtering.
+//! The driver: deterministic workspace walk, call-graph construction,
+//! suppression filtering.
 //!
-//! A run has two phases. Phase one lexes every file and applies the
-//! token-level rules. Phase two parses items out of the retained file
-//! contexts ([`crate::syntax`]), builds the workspace call graph
+//! A run lexes every file, parses items out of the file contexts
+//! ([`crate::syntax`]), builds the workspace call graph
 //! ([`crate::callgraph`]), takes every function marked
 //! `// arc-lint: decode-root` as a root, and runs the transitive cone rules
 //! ([`crate::cone`]) over the reachable set.
@@ -17,9 +16,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::callgraph::CallGraph;
-use crate::cone;
+use crate::cone::{self, Finding};
 use crate::context::FileCtx;
-use crate::rules::{default_rules, Finding};
 use crate::syntax::parse_items;
 
 /// Directory names never descended into. `fixtures` holds the lint crate's
@@ -34,9 +32,8 @@ pub const LEX_ERROR_RULE: &str = "lex-error";
 
 /// Engine configuration.
 pub struct Options {
-    /// Apply each rule's path scope (`Rule::applies`) and restrict the call
-    /// graph to library/binary source. Fixture tests turn this off to point
-    /// the engine at an arbitrary directory.
+    /// Restrict the call graph to library/binary source. Fixture tests turn
+    /// this off to point the engine at an arbitrary directory.
     pub respect_filters: bool,
 }
 
@@ -127,14 +124,13 @@ fn is_graph_source(rel: &str) -> bool {
     (rel.starts_with("crates/") && rel.contains("/src/")) || rel.starts_with("src/")
 }
 
-/// Run the default rule set over every `.rs` file under `root`.
+/// Run the cone rules over every `.rs` file under `root`.
 pub fn run(root: &Path, opts: &Options) -> Result<RunResult, String> {
-    let rules = default_rules();
     let files = collect_files(root)?;
     let mut findings = Vec::new();
     let mut files_scanned = 0usize;
-    // Contexts are retained for the graph phase (and for suppression
-    // filtering of cone findings at the end).
+    // Contexts are retained for the graph (and for suppression filtering of
+    // its findings at the end).
     let mut ctxs: BTreeMap<String, FileCtx> = BTreeMap::new();
     for path in &files {
         let rel = rel_path(root, path);
@@ -156,17 +152,6 @@ pub fn run(root: &Path, opts: &Options) -> Result<RunResult, String> {
         }
     }
 
-    // Phase one: token-level rules, file by file.
-    for ctx in ctxs.values() {
-        for rule in &rules {
-            if opts.respect_filters && !rule.applies(&ctx.rel) {
-                continue;
-            }
-            rule.check(ctx, &mut findings);
-        }
-    }
-
-    // Phase two: the call graph and the transitive decode-cone rules.
     let mut items = Vec::new();
     for ctx in ctxs.values() {
         if opts.respect_filters && !is_graph_source(&ctx.rel) {
@@ -178,8 +163,7 @@ pub fn run(root: &Path, opts: &Options) -> Result<RunResult, String> {
     let cone = graph.reachable(&graph.marked_roots());
     cone::check_cone(&graph, &cone, &ctxs, &mut findings);
 
-    // Suppression filtering over everything, file rules and cone rules
-    // alike (lex-error findings have no context and pass through).
+    // Lex-error findings have no context and pass through.
     let mut kept = Vec::new();
     let mut suppressed = Vec::new();
     for f in findings {

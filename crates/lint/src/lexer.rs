@@ -1,20 +1,20 @@
-//! A hand-rolled Rust lexer, just deep enough for lint rules.
+//! A hand-rolled Rust lexer, just deep enough for the call graph.
 //!
-//! The rules in this crate reason about *tokens*, never raw text, so that a
-//! `panic!` inside a string literal or a `// SAFETY:` inside a doc example
-//! can never confuse them. The lexer therefore has to get the genuinely
+//! The parser and the rules in this crate reason about *tokens*, never raw
+//! text, so that a `panic!` or an `x[i]` inside a string literal can never
+//! confuse them. The lexer therefore has to get the genuinely
 //! tricky parts of Rust's surface syntax right:
 //!
 //! - raw strings with arbitrary `#` fences (`r##"…"##`), byte and raw-byte
 //!   strings, and raw identifiers (`r#match`);
 //! - nested block comments (`/* /* */ */`);
 //! - lifetimes vs. char literals (`'a` vs `'a'` vs `'\u{1F980}'`);
-//! - doc comments, which are kept as comment tokens because the
-//!   `unsafe-needs-safety` rule accepts `/// # Safety` sections.
+//! - comments, which are kept as tokens because they carry the
+//!   `// arc-lint:` directives (`decode-root`, `allow`, `bounded`).
 //!
-//! It does **not** build an AST: rules pattern-match short token windows
-//! plus per-line metadata, which is all the current rule set needs and keeps
-//! the engine dependency-free and fast.
+//! It does **not** build a full AST: [`crate::syntax`] pattern-matches
+//! token windows plus per-line metadata, which is all the cone rules need
+//! and keeps the engine dependency-free and fast.
 
 /// Classification of a single token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,6 +41,7 @@ impl Grid {
     }
 
     /// Values per block (4^d).
+    #[expect(clippy::cast_possible_truncation, reason = "a validated grid has d <= 3")]
     pub fn block_len(&self) -> usize {
         BLOCK_EDGE.pow(self.d() as u32)
     }

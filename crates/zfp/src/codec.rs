@@ -51,6 +51,10 @@ pub fn exponent_of(max_abs: f64) -> i32 {
 
 /// Convert a block of floats to fixed point against exponent `emax`;
 /// returns `q = round(x · 2^S)` with `S = PRECISION − 2 − emax`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "emax is the block's largest exponent, so |q| < 2^(PRECISION - 1) fits an i64"
+)]
 pub fn to_fixed_point(block: &[f32], emax: i32, out: &mut [i64]) {
     let scale = (2f64).powi(PRECISION - 2 - emax);
     for (q, &x) in out.iter_mut().zip(block) {
@@ -59,6 +63,10 @@ pub fn to_fixed_point(block: &[f32], emax: i32, out: &mut [i64]) {
 }
 
 /// Convert fixed-point values back to floats.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "rounding back to the f32 precision the block was encoded from is the decode"
+)]
 pub fn from_fixed_point(q: &[i64], emax: i32, out: &mut [f32]) {
     let scale = (2f64).powi(-(PRECISION - 2 - emax));
     for (x, &v) in out.iter_mut().zip(q) {
@@ -147,6 +155,7 @@ fn read_or_zeros(r: &mut BitReader<'_>, n: u64) -> u64 {
 
 /// Set plane `k` of coefficient `i`.
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "i is a coefficient index below 4^3")]
 fn set_plane(coeffs: &mut [u64], i: u64, k: i64) {
     if let Some(c) = coeffs.get_mut(i as usize) {
         *c |= 1u64 << k;
@@ -275,6 +284,7 @@ pub fn inverse_block(nb: &[u64], emax: i32, d: usize, out: &mut [f32]) {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
 

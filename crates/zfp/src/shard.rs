@@ -25,6 +25,7 @@ pub fn rate_block_bits(rate: f64, d: usize) -> Option<u64> {
         return None;
     }
     let bl = 4u64.checked_pow(u32::try_from(d).ok()?)?;
+    #[expect(clippy::cast_possible_truncation, reason = "rate is in 2..=48 and bl <= 64")]
     let bits = (rate * bl as f64).floor() as u64;
     (bits > 0).then_some(bits)
 }

@@ -189,6 +189,7 @@ pub fn sequency_order(d: usize) -> &'static [usize] {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
 
