@@ -66,9 +66,16 @@ pub fn value_range(data: &[f32]) -> f64 {
 }
 
 /// Peak signal-to-noise ratio in dB (Equation 2). Returns `f64::INFINITY`
-/// for identical data.
+/// for identical data, and `f64::NAN` itself when a NaN enters the error
+/// sum.
 pub fn psnr(original: &[f32], decoded: &[f32]) -> f64 {
     let e = rmse(original, decoded);
+    if e.is_nan() {
+        // The NaN's sign and payload depend on which operand the FPU
+        // propagated, which differs between optimised and unoptimised
+        // builds; one canonical NaN keeps the result reproducible.
+        return f64::NAN;
+    }
     if e == 0.0 {
         return f64::INFINITY;
     }
@@ -185,6 +192,14 @@ mod tests {
         let a = [5.0f32; 8];
         let b = [5.1f32; 8];
         assert_eq!(psnr(&a, &b), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn psnr_of_a_nan_decode_is_the_canonical_nan() {
+        let a = [0.0f32, 1.0, f32::INFINITY];
+        for b in [[f32::NAN, 1.0, 2.0], [-f32::NAN, 1.0, 2.0], [0.0, 1.0, f32::INFINITY]] {
+            assert_eq!(psnr(&a, &b).to_bits(), f64::NAN.to_bits(), "{b:?}");
+        }
     }
 
     #[test]
