@@ -6,15 +6,18 @@
 #                                    warnings, tier-1 build + tests,
 #                                    workspace tests, arc-lint
 #        scripts/check.sh --full   the fast gate, then everything slower:
-#                                    the #[ignore]d deep differentials (bit
+#                                    the golden suites in release, the
+#                                    #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
 #                                    codeword-RS lane kernel, BCH remainder),
 #                                    the seven fault-study binaries at
 #                                    --quick, hostile-input sweep, arcbench
 #                                    at smoke scale
 #
-# arc-lint fails on any violation beyond lint-baseline.txt and on stale
-# baseline entries; regenerate with scripts/lint_baseline.sh after paying
+# Clippy carries the per-file invariants (workspace lints in Cargo.toml,
+# crate-root denies, clippy.toml); arc-lint carries the decode cone. It
+# fails on any violation beyond lint-baseline.txt and on stale baseline
+# entries; regenerate with scripts/lint_baseline.sh after paying
 # debt down. The hostile sweep (DESIGN.md §11) fails on any decode panic,
 # hang, or over-budget allocation.
 #
@@ -71,6 +74,15 @@ if (( lint_ms >= 10000 )); then
 fi
 
 if (( full )); then
+    echo "==> golden suites in release: tests/golden_*.rs, golden_container, golden_codewords"
+    # The fast gate runs them in the debug profile; a golden value that
+    # depends on the build profile must fail here.
+    goldens=()
+    for f in tests/golden_*.rs; do goldens+=(--test "$(basename "$f" .rs)"); done
+    cargo test --release -q "${goldens[@]}"
+    cargo test --release -q -p arc-core --test golden_container
+    cargo test --release -q -p arc-ecc --test golden_codewords
+
     echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -- --ignored"
     cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -- --ignored
 
