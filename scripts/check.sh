@@ -9,7 +9,8 @@
 #                                    the golden suites in release, the
 #                                    #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
-#                                    codeword-RS lane kernel, BCH remainder),
+#                                    codeword-RS lane kernel, BCH remainder,
+#                                    ZFP rounding and transpose),
 #                                    the seven fault-study binaries at
 #                                    --quick, hostile-input sweep, arcbench
 #                                    at smoke scale
