@@ -480,6 +480,45 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
         }),
     });
 
+    // arc-pressio's slab frame: the golden field as three 16-row slabs,
+    // assembled by the writer the slab planner feeds. The frame head is 74
+    // bytes (magic, version, two dims, count, three table rows); the header
+    // region adds the first slab's codec header, so truncation and
+    // inflation reach every table field.
+    let ds = arc_pressio::Dataset { data: &data, dims: &dims };
+    let sz_slabs = arc_pressio::SzCompressor::new(arc_sz::ErrorBound::Abs(1e-3));
+    let zfp_slabs = arc_pressio::ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(8.0) };
+    let slab_streams = [
+        ("slabs-sz-abs", sz_slabs.compress_rows(&ds, &[16, 16, 16])),
+        ("slabs-zfp-rate", zfp_slabs.compress_rows(&ds, &[16, 16, 16])),
+    ];
+    let slab_streams = slab_streams.into_iter().filter_map(|(label, bytes)| {
+        Some(GoldenStream {
+            name: label.to_string(),
+            bytes: bytes.ok()?,
+            header_len: 112,
+            trailer_len: 0,
+        })
+    });
+    targets.push(DecodeTarget {
+        name: "pressio-slabs".to_string(),
+        streams: slab_streams.collect(),
+        decode: Arc::new(|b, budget| {
+            use arc_pressio::Compressor;
+            // The first slab's codec magic picks the adapter; a frame whose
+            // magic a mutation hit goes to the other one, which refuses it.
+            let decoder: Box<dyn Compressor> = if b.get(74..78) == Some(arc_sz::stream::MAGIC) {
+                Box::new(arc_pressio::SzCompressor::new(arc_sz::ErrorBound::Abs(1e-3)))
+            } else {
+                Box::new(arc_pressio::ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(8.0) })
+            };
+            decoder
+                .decompress_with_limit(b, (budget / 4).max(1))
+                .map(|d| d.data.len() as u64 * 4)
+                .map_err(|e| e.to_string())
+        }),
+    });
+
     // The lossless codec over a compressible byte corpus.
     let text: Vec<u8> =
         b"the quick brown fox jumps over the lazy dog 0123456789 ".repeat(96).to_vec();
@@ -717,6 +756,7 @@ mod tests {
             vec![
                 "sz",
                 "zfp",
+                "pressio-slabs",
                 "zstd-like",
                 "container",
                 "container-range",
@@ -760,6 +800,43 @@ mod tests {
         assert!(extra.iter().any(|(name, _)| name.starts_with("splice-tail")));
         assert!(extra.iter().any(|(name, _)| name.starts_with("splice-body")));
         assert!(extra.len() > base.len() + 96);
+    }
+
+    #[test]
+    fn slab_frames_are_attacked_in_dims_table_and_lengths() {
+        let targets = builtin_targets();
+        let slabs = targets.iter().find(|t| t.name == "pressio-slabs").unwrap();
+        assert_eq!(slabs.streams.len(), 2);
+        // Frame head: dims at 6..22, slab count at 22..26, then per slab a
+        // rows field and a length field of 8 bytes each.
+        let regions: [(&str, Vec<usize>); 3] = [
+            ("dims", (6..22).collect()),
+            ("rows", (0..3).flat_map(|i| 26 + 16 * i..34 + 16 * i).collect()),
+            ("lengths", (0..3).flat_map(|i| 34 + 16 * i..42 + 16 * i).collect()),
+        ];
+        for s in &slabs.streams {
+            assert!(s.bytes.starts_with(arc_pressio::slab::FRAME_MAGIC), "{}", s.name);
+            assert_eq!(s.bytes[22..26], 3u32.to_le_bytes(), "{}: three slabs", s.name);
+            let cases = mutations(s, &HostileConfig::default());
+            for (what, at) in &regions {
+                let hit = |family: &str| {
+                    cases.iter().any(|(name, buf)| {
+                        name.starts_with(family)
+                            && buf.len() == s.bytes.len()
+                            && at.iter().any(|&i| buf[i] != s.bytes[i])
+                    })
+                };
+                assert!(hit("inflate") || hit("flip"), "{}: no case mutates its {what}", s.name);
+                let cut = |name: &String| {
+                    name.strip_prefix("trunc-hdr").and_then(|n| n.parse::<usize>().ok())
+                };
+                assert!(
+                    cases.iter().filter_map(|(name, _)| cut(name)).any(|n| at.contains(&n)),
+                    "{}: no truncation inside its {what}",
+                    s.name
+                );
+            }
+        }
     }
 
     #[test]

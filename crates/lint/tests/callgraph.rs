@@ -94,11 +94,13 @@ fn every_hostile_decode_target_is_a_declared_root() {
         ("dec.push", "arc_core::stream::StreamDecoder::push"),
         ("dec.finish", "arc_core::stream::StreamDecoder::finish"),
         ("arc_core::container::unpack", "arc_core::container::unpack"),
+        (".decompress_with_limit(b, (budget / 4)", "arc_pressio::slab::decompress"),
     ];
     // Every marked root, in (file, line) order. Besides the sweep's targets:
     // the one-shot decode body and the surfaces that wrap it, the
-    // registry-aware entry points, and the sweep driver itself, which hands
-    // hostile bytes to every target above.
+    // registry-aware entry points, the codecs' decode-into-place bodies
+    // (which the slab decoder calls per slab), and the sweep driver itself,
+    // which hands hostile bytes to every target above.
     let roots = [
         "arc_core::container::unpack",
         "arc_core::engine::arc_engine_decode",
@@ -116,8 +118,11 @@ fn every_hostile_decode_target_is_a_declared_root() {
         "arc_core::stream::StreamDecoder::finish",
         "arc_faultsim::hostile::run_case",
         "arc_lossless::zstd_like::decompress_with_limit",
+        "arc_pressio::slab::decompress",
         "arc_sz::decompress_with_limits",
+        "arc_sz::decompress_into",
         "arc_zfp::decompress_with_limits",
+        "arc_zfp::decompress_into",
     ];
 
     let root = workspace_root();

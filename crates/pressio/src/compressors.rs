@@ -4,7 +4,10 @@
 
 use std::fmt;
 
+use arc_ecc::parallel::ANY_THREADS;
+
 use crate::metrics::BoundSpec;
+use crate::slab::{self, SlabDecoder};
 
 /// A borrowed input dataset (row-major f32 grid).
 #[derive(Debug, Clone, Copy)]
@@ -175,6 +178,41 @@ impl SzCompressor {
     pub fn new(bound: arc_sz::ErrorBound) -> SzCompressor {
         SzCompressor { cfg: arc_sz::SzConfig { bound, ..Default::default() } }
     }
+
+    /// Compress `ds` as slabs of `rows` rows (see [`slab::plan`]), on every
+    /// core: the bare `arc_sz` stream when `rows` is one slab, else a frame.
+    pub fn compress_rows(&self, ds: &Dataset<'_>, rows: &[usize]) -> Result<Vec<u8>, PressioError> {
+        self.compress_on(ds, rows, ANY_THREADS)
+    }
+
+    pub(crate) fn compress_on(
+        &self,
+        ds: &Dataset<'_>,
+        rows: &[usize],
+        workers: usize,
+    ) -> Result<Vec<u8>, PressioError> {
+        // SZ-PSNR resolves its bound once, from the whole field's range, so
+        // every slab carries the same absolute bound.
+        let range = match self.cfg.bound {
+            arc_sz::ErrorBound::Psnr(_) => arc_sz::finite_range(ds.data),
+            _ => (0.0, 0.0),
+        };
+        slab::compress(ds, rows, workers, |data, dims| {
+            Ok(arc_sz::compress_in_range(data, dims, &self.cfg, range)?)
+        })
+    }
+}
+
+impl SlabDecoder for SzCompressor {
+    fn header_dims(&self, stream: &[u8]) -> Result<Vec<usize>, PressioError> {
+        Ok(arc_sz::stream::Header::read(stream, &mut 0)?.dims)
+    }
+
+    fn decode_into(&self, stream: &[u8], out: &mut [f32]) -> Result<(), PressioError> {
+        let limits = arc_sz::DecodeLimits { max_elements: out.len() as u64 };
+        arc_sz::decompress_into(stream, &limits, out)?;
+        Ok(())
+    }
 }
 
 impl Compressor for SzCompressor {
@@ -187,7 +225,7 @@ impl Compressor for SzCompressor {
     }
 
     fn compress(&self, ds: &Dataset<'_>) -> Result<Vec<u8>, PressioError> {
-        Ok(arc_sz::compress(ds.data, ds.dims, &self.cfg)?)
+        self.compress_rows(ds, &slab::plan(ds.dims))
     }
 
     fn decompress_with_limit(
@@ -195,6 +233,9 @@ impl Compressor for SzCompressor {
         bytes: &[u8],
         max_elements: u64,
     ) -> Result<DecodedDataset, PressioError> {
+        if slab::is_frame(bytes) {
+            return slab::decompress(self, bytes, max_elements, ANY_THREADS);
+        }
         let out = arc_sz::decompress_with_limits(bytes, &arc_sz::DecodeLimits { max_elements })?;
         Ok(DecodedDataset { data: out.data, dims: out.dims })
     }
@@ -216,6 +257,38 @@ pub struct ZfpCompressor {
     pub mode: arc_zfp::ZfpMode,
 }
 
+impl ZfpCompressor {
+    /// Compress `ds` as slabs of `rows` rows (see [`slab::plan`]), on every
+    /// core: the bare `arc_zfp` stream when `rows` is one slab, else a frame.
+    pub fn compress_rows(&self, ds: &Dataset<'_>, rows: &[usize]) -> Result<Vec<u8>, PressioError> {
+        self.compress_on(ds, rows, ANY_THREADS)
+    }
+
+    pub(crate) fn compress_on(
+        &self,
+        ds: &Dataset<'_>,
+        rows: &[usize],
+        workers: usize,
+    ) -> Result<Vec<u8>, PressioError> {
+        slab::compress(ds, rows, workers, |data, dims| {
+            Ok(arc_zfp::compress(data, dims, self.mode)?)
+        })
+    }
+}
+
+impl SlabDecoder for ZfpCompressor {
+    fn header_dims(&self, stream: &[u8]) -> Result<Vec<usize>, PressioError> {
+        let info = arc_zfp::stream_info(stream);
+        Ok(info.ok_or_else(|| PressioError::Codec("bad ZFP slab header".into()))?.dims)
+    }
+
+    fn decode_into(&self, stream: &[u8], out: &mut [f32]) -> Result<(), PressioError> {
+        let limits = arc_zfp::DecodeLimits { max_elements: out.len() as u64 };
+        arc_zfp::decompress_into(stream, &limits, out)?;
+        Ok(())
+    }
+}
+
 impl Compressor for ZfpCompressor {
     fn name(&self) -> String {
         match self.mode {
@@ -225,7 +298,7 @@ impl Compressor for ZfpCompressor {
     }
 
     fn compress(&self, ds: &Dataset<'_>) -> Result<Vec<u8>, PressioError> {
-        Ok(arc_zfp::compress(ds.data, ds.dims, self.mode)?)
+        self.compress_rows(ds, &slab::plan(ds.dims))
     }
 
     fn decompress_with_limit(
@@ -233,6 +306,9 @@ impl Compressor for ZfpCompressor {
         bytes: &[u8],
         max_elements: u64,
     ) -> Result<DecodedDataset, PressioError> {
+        if slab::is_frame(bytes) {
+            return slab::decompress(self, bytes, max_elements, ANY_THREADS);
+        }
         let out = arc_zfp::decompress_with_limits(bytes, &arc_zfp::DecodeLimits { max_elements })?;
         Ok(DecodedDataset { data: out.data, dims: out.dims })
     }

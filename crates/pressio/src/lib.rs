@@ -30,6 +30,7 @@
 
 pub mod compressors;
 pub mod metrics;
+pub mod slab;
 pub mod tuning;
 
 pub use compressors::{

@@ -256,6 +256,40 @@ impl<'a> ElementEncoder<'a> {
 
 /// Compress `data` (row-major, `dims` slowest-first) under `cfg`.
 pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>, SzError> {
+    // Only the PSNR bound reads the value range; the scan is a serial
+    // min/max chain over the field, so the other two modes skip it.
+    let range =
+        if matches!(cfg.bound, ErrorBound::Psnr(_)) { finite_range(data) } else { (0.0, 0.0) };
+    compress_in_range(data, dims, cfg, range)
+}
+
+/// The smallest and largest finite value of `data`, `(0, 0)` when it has
+/// none: the range an SZ-PSNR bound resolves against.
+pub fn finite_range(data: &[f32]) -> (f64, f64) {
+    let (mut dmin, mut dmax) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &x in data {
+        if x.is_finite() {
+            dmin = dmin.min(x as f64);
+            dmax = dmax.max(x as f64);
+        }
+    }
+    if dmin.is_finite() {
+        (dmin, dmax)
+    } else {
+        (0.0, 0.0)
+    }
+}
+
+/// [`compress`] with the value range an SZ-PSNR bound resolves against
+/// given, not scanned: a slab of a larger field passes the whole field's
+/// [`finite_range`], so every slab carries the field's bound. ABS and
+/// PW_REL ignore `range`.
+pub fn compress_in_range(
+    data: &[f32],
+    dims: &[usize],
+    cfg: &SzConfig,
+    range: (f64, f64),
+) -> Result<Vec<u8>, SzError> {
     let shape =
         GridShape::new(dims).ok_or_else(|| SzError::Malformed(format!("invalid dims {dims:?}")))?;
     if shape.len() != data.len() {
@@ -269,20 +303,7 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Result<Vec<u8>,
     if cfg.quant_bins < 4 || cfg.quant_bins > 1 << 24 {
         return Err(SzError::Malformed(format!("quant_bins {} out of range", cfg.quant_bins)));
     }
-    // Only the PSNR bound reads the value range; the scan is a serial
-    // min/max chain over the field, so the other two modes skip it.
-    let (mut dmin, mut dmax) = (f64::INFINITY, f64::NEG_INFINITY);
-    if matches!(cfg.bound, ErrorBound::Psnr(_)) {
-        for &x in data {
-            if x.is_finite() {
-                dmin = dmin.min(x as f64);
-                dmax = dmax.max(x as f64);
-            }
-        }
-    }
-    if !dmin.is_finite() {
-        (dmin, dmax) = (0.0, 0.0);
-    }
+    let (dmin, dmax) = range;
     let plan = resolve(cfg.bound, dmin, dmax)?;
     let eb = plan.abs_eb;
     let rel_eps = match cfg.bound {
@@ -340,7 +361,7 @@ struct ElementDecoder<'a> {
     eb: f64,
     mid: i64,
     /// The decoded values.
-    out: Vec<f32>,
+    out: &'a mut [f32],
 }
 
 impl ElementDecoder<'_> {
@@ -410,26 +431,52 @@ pub fn decompress(bytes: &[u8]) -> Result<SzDecoded, SzError> {
 /// Decompress with explicit resource limits.
 // arc-lint: decode-root
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzDecoded, SzError> {
+    let n = element_budget(&Header::read(bytes, &mut 0)?, limits)?;
+    // arc-lint: bounded(n <= limits.max_elements checked by element_budget)
+    let mut data = vec![0.0f32; n];
+    let dims = decompress_into(bytes, limits, &mut data)?;
+    Ok(SzDecoded { data, dims })
+}
+
+/// The header's element count, if it is within `limits`.
+fn element_budget(header: &Header, limits: &DecodeLimits) -> Result<usize, SzError> {
+    let n = header.element_count();
+    if n > limits.max_elements {
+        return Err(SzError::WorkBudgetExceeded { demanded: n, budget: limits.max_elements });
+    }
+    usize::try_from(n).map_err(|_| SzError::Malformed(format!("{n} elements overflow usize")))
+}
+
+/// Decompress into `out`, which must hold exactly the stream's element
+/// count, and return the stream's dims. The one decode body: a caller
+/// that owns a larger field decodes each slab straight into its rows.
+/// On `Err`, `out` holds no meaningful values.
+// arc-lint: decode-root
+pub fn decompress_into(
+    bytes: &[u8],
+    limits: &DecodeLimits,
+    out: &mut [f32],
+) -> Result<Vec<usize>, SzError> {
     let mut pos = 0usize;
     let header = Header::read(bytes, &mut pos)?;
-    let n64 = header.element_count();
-    if n64 > limits.max_elements {
-        return Err(SzError::WorkBudgetExceeded { demanded: n64, budget: limits.max_elements });
+    let n = element_budget(&header, limits)?;
+    if out.len() != n {
+        return Err(SzError::Malformed(format!("stream holds {n} elements, output {}", out.len())));
     }
-    let n = n64 as usize;
+    let n64 = n as u64;
     let body_len = read_varint(bytes, &mut pos)? as usize;
-    let end = pos
+    let packed = pos
         .checked_add(body_len)
-        .filter(|&e| e <= bytes.len())
+        .and_then(|end| bytes.get(pos..end))
         .ok_or_else(|| SzError::Malformed("body length out of range".into()))?;
     let body = if header.final_lossless {
         // A legitimate body holds at most ~8 bytes per element (4 code-block
         // + 4 literal) plus masks and table framing; budget generously so a
         // corrupt inner length field cannot demand an unbounded allocation.
         let body_budget = n64.saturating_mul(16).saturating_add(1 << 16);
-        arc_lossless::zstd_like::decompress_with_limit(&bytes[pos..end], body_budget)?
+        arc_lossless::zstd_like::decompress_with_limit(packed, body_budget)?
     } else {
-        bytes[pos..end].to_vec()
+        packed.to_vec()
     };
 
     // Body parsing is deliberately permissive from here on: real SZ's
@@ -467,10 +514,12 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzD
                 .checked_mul(4)
                 .ok_or_else(|| SzError::Malformed("literal count overflow".into()))?,
         )
-        .filter(|&e| e <= body.len())
+        .ok_or_else(|| SzError::Malformed("literal count overflow".into()))?;
+    let lit_section = body
+        .get(bpos..lit_end)
         .ok_or_else(|| SzError::Malformed("literal section out of range".into()))?;
     let mut literals = Vec::with_capacity(n_literals.min(1 << 22));
-    for chunk in body[bpos..lit_end].chunks_exact(4) {
+    for chunk in lit_section.chunks_exact(4) {
         let mut b = [0u8; 4];
         b.copy_from_slice(chunk);
         literals.push(f32::from_le_bytes(b));
@@ -496,11 +545,10 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzD
         sign_mask,
         eb: header.abs_eb,
         mid,
-        // arc-lint: bounded(n <= limits.max_elements checked at header parse)
-        out: vec![0.0f32; n],
+        out,
     };
     decoder.run(&predictor, header.log_domain);
-    Ok(SzDecoded { data: decoder.out, dims: header.dims })
+    Ok(header.dims)
 }
 
 #[cfg(test)]
@@ -1055,6 +1103,7 @@ mod differential_tests {
                 _ => {}
             }
         }
+        let mut out = vec![0.0f32; data.len()];
         let mut decoder = ElementDecoder {
             codes: &q.codes,
             literals: q.literals.iter(),
@@ -1062,11 +1111,11 @@ mod differential_tests {
             sign_mask: &q.sign_mask,
             eb: plan.abs_eb,
             mid: (case.quant_bins / 2) as i64,
-            out: vec![0.0f32; data.len()],
+            out: &mut out,
         };
         let recon = decoder.run(&predictor, plan.log_domain);
         let (want_out, want_recon) = reference_reconstruct(&q, &case);
-        assert_eq!(bits32(&decoder.out), bits32(&want_out), "{what}: decoded values");
+        assert_eq!(bits32(&out), bits32(&want_out), "{what}: decoded values");
         assert_eq!(bits64(&recon), bits64(&want_recon), "{what}: decoder reconstruction");
     }
 

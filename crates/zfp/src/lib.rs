@@ -302,6 +302,24 @@ pub fn decompress(bytes: &[u8]) -> Result<ZfpDecoded, ZfpError> {
 /// Decompress with explicit limits.
 // arc-lint: decode-root
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<ZfpDecoded, ZfpError> {
+    let info = shard::StreamInfo::read(bytes, limits.max_elements)?;
+    let grid = Grid::new(&info.dims).ok_or_else(|| ZfpError::Malformed("invalid dims".into()))?;
+    // arc-lint: bounded(StreamInfo::read checked the element count against limits.max_elements)
+    let mut data = vec![0.0f32; grid.len()];
+    let dims = decompress_into(bytes, limits, &mut data)?;
+    Ok(ZfpDecoded { data, dims })
+}
+
+/// Decompress into `out`, which must hold exactly the stream's element
+/// count, and return the stream's dims. The one decode body: a caller
+/// that owns a larger field decodes each slab straight into its rows.
+/// On `Err`, `out` holds no meaningful values.
+// arc-lint: decode-root
+pub fn decompress_into(
+    bytes: &[u8],
+    limits: &DecodeLimits,
+    out: &mut [f32],
+) -> Result<Vec<usize>, ZfpError> {
     let shard::StreamInfo { mode, dims, payload_offset, payload_len } =
         shard::StreamInfo::read(bytes, limits.max_elements)?;
     let payload = bytes
@@ -309,6 +327,13 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<Zfp
         .ok_or_else(|| ZfpError::Truncated("payload".into()))?;
 
     let grid = Grid::new(&dims).ok_or_else(|| ZfpError::Malformed("invalid dims".into()))?;
+    if out.len() != grid.len() {
+        return Err(ZfpError::Malformed(format!(
+            "stream holds {} elements, output {}",
+            grid.len(),
+            out.len()
+        )));
+    }
     let d = grid.d();
     let bl = grid.block_len();
     #[expect(
@@ -320,7 +345,6 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<Zfp
         ZfpMode::FixedAccuracy(_) => None,
     };
     let mut r = BitReader::new(payload);
-    let mut out = vec![0.0f32; grid.len()];
     let mut blk = [0.0f32; MAX_BLOCK_LEN];
     let Some(blk) = blk.get_mut(..bl) else {
         return Err(ZfpError::Malformed("block length exceeds 4^3".into()));
@@ -334,9 +358,9 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<Zfp
             let target = start_bits + budget;
             r.consume(target.saturating_sub(r.bit_pos()));
         }
-        grid.scatter(&mut out, b, blk);
+        grid.scatter(out, b, blk);
     }
-    Ok(ZfpDecoded { data: out, dims })
+    Ok(dims)
 }
 
 #[expect(

@@ -10,7 +10,8 @@
 #                                    #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
 #                                    codeword-RS lane kernel, BCH remainder,
-#                                    ZFP rounding and transpose),
+#                                    ZFP rounding and transpose, slab frames
+#                                    at arcbench's field sizes),
 #                                    the seven fault-study binaries at
 #                                    --quick, hostile-input sweep, arcbench
 #                                    at smoke scale
@@ -84,8 +85,8 @@ if (( full )); then
     cargo test --release -q -p arc-core --test golden_container
     cargo test --release -q -p arc-ecc --test golden_codewords
 
-    echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -- --ignored"
-    cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -- --ignored
+    echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -p arc-pressio -- --ignored"
+    cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -p arc-pressio -- --ignored
 
     echo "==> fault studies: fig01-fig05, sec63_resiliency, ablations at --quick (stdout discarded)"
     # Nothing else runs these binaries; a non-zero exit from any fails the gate.
