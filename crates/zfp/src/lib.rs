@@ -44,7 +44,7 @@ pub mod transform;
 
 pub use block::Grid;
 pub use error::ZfpError;
-pub use shard::{aligned_shard_size, recommended_shard_size, stream_info};
+pub use shard::stream_info;
 
 use arc_lossless::bitio::{write_varint, BitReader, BitWriter};
 use codec::{

@@ -1,18 +1,11 @@
-//! Shard-boundary alignment for fixed-rate streams.
+//! Read-time arithmetic for locating blocks in a stream.
 //!
-//! ZFP-Rate gives every 4^d block exactly `floor(rate · 4^d)` bits, so the
-//! bitstream is periodic: after `lcm(block_bits, 8) / 8` bytes the stream
-//! is back on a simultaneous block *and* byte boundary. When a fixed-rate
-//! stream is stored in a sharded ARC container (`encode_sharded`), picking
-//! the shard size as a multiple of that period keeps shard boundaries on
-//! block granularity — an uncorrectable shard then maps to a rectangle of
-//! whole blocks instead of clipping a block in half, and a range read of a
-//! block-aligned region touches no partial blocks in neighbouring shards.
-//!
-//! [`aligned_shard_size`] is the sizing hook;
-//! [`recommended_shard_size`] applies it to a concrete stream (falling
-//! back to the caller's target for accuracy-mode streams, whose blocks are
-//! variable length and cannot be aligned).
+//! ZFP-Rate gives every 4^d block exactly `floor(rate · 4^d)` bits
+//! ([`rate_block_bits`]), so block `k` of a fixed-rate stream starts
+//! `k · block_bits` bits past the payload offset that [`stream_info`]
+//! reports. A reader of a sharded ARC container turns a rectangle of
+//! blocks into a byte range with nothing more, whatever shard size the
+//! writer chose.
 
 use arc_lossless::bitio::read_varint;
 
@@ -28,31 +21,6 @@ pub fn rate_block_bits(rate: f64, d: usize) -> Option<u64> {
     #[expect(clippy::cast_possible_truncation, reason = "rate is in 2..=48 and bl <= 64")]
     let bits = (rate * bl as f64).floor() as u64;
     (bits > 0).then_some(bits)
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-/// Smallest byte count spanning a whole number of fixed-rate blocks:
-/// `lcm(block_bits, 8) / 8` bytes, holding `8 / gcd(block_bits, 8)` blocks.
-pub fn block_byte_period(rate: f64, d: usize) -> Option<u64> {
-    let bits = rate_block_bits(rate, d)?;
-    Some(bits / gcd(bits, 8))
-}
-
-/// Largest block-aligned shard size not exceeding `target` (but never
-/// below one period): `target` rounded down to a multiple of
-/// [`block_byte_period`]. `None` for invalid rate/dimensionality.
-pub fn aligned_shard_size(rate: f64, d: usize, target: usize) -> Option<usize> {
-    let period = usize::try_from(block_byte_period(rate, d)?).ok()?;
-    if target <= period {
-        return Some(period);
-    }
-    Some(target - target % period)
 }
 
 /// Parsed framing of a compressed stream (header fields only — nothing of
@@ -127,26 +95,6 @@ pub fn stream_info(bytes: &[u8]) -> Option<StreamInfo> {
     StreamInfo::read(bytes, u64::MAX).ok()
 }
 
-/// Byte offset where a **fixed-rate** stream's block payload begins —
-/// shard the slice from this offset to get exact block alignment. `None`
-/// for accuracy-mode or malformed streams.
-pub fn rate_payload_offset(bytes: &[u8]) -> Option<usize> {
-    let info = stream_info(bytes)?;
-    matches!(info.mode, ZfpMode::FixedRate(_)).then_some(info.payload_offset)
-}
-
-/// Shard size to use when wrapping `bytes` in a sharded ARC container,
-/// aiming for `target` bytes per shard: block-aligned for fixed-rate
-/// streams, `target` unchanged for anything else (accuracy-mode blocks are
-/// variable length; alignment is meaningless).
-pub fn recommended_shard_size(bytes: &[u8], target: usize) -> usize {
-    let aligned = stream_info(bytes).and_then(|info| match info.mode {
-        ZfpMode::FixedRate(rate) => aligned_shard_size(rate, info.dims.len(), target),
-        ZfpMode::FixedAccuracy(_) => None,
-    });
-    aligned.unwrap_or(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,31 +106,16 @@ mod tests {
     }
 
     #[test]
-    fn block_bits_and_period() {
-        // rate 8, d=2: 128 bits/block → already byte-aligned, 16-byte period.
+    fn block_bits() {
         assert_eq!(rate_block_bits(8.0, 2), Some(128));
-        assert_eq!(block_byte_period(8.0, 2), Some(16));
-        // rate 7.5, d=2: 120 bits → lcm(120, 8)/8 = 15 bytes (one block).
-        assert_eq!(block_byte_period(7.5, 2), Some(15));
-        // rate 2.25, d=1: 9 bits → 9-byte period (8 blocks).
+        assert_eq!(rate_block_bits(7.5, 2), Some(120));
         assert_eq!(rate_block_bits(2.25, 1), Some(9));
-        assert_eq!(block_byte_period(2.25, 1), Some(9));
-        // rate 16, d=3: 1024 bits → 128 bytes.
-        assert_eq!(block_byte_period(16.0, 3), Some(128));
+        assert_eq!(rate_block_bits(16.0, 3), Some(1024));
         // Invalid inputs.
         assert_eq!(rate_block_bits(8.0, 0), None);
         assert_eq!(rate_block_bits(8.0, 4), None);
         assert_eq!(rate_block_bits(0.5, 2), None);
         assert_eq!(rate_block_bits(f64::NAN, 2), None);
-    }
-
-    #[test]
-    fn aligned_size_rounds_down_with_floor_of_one_period() {
-        assert_eq!(aligned_shard_size(8.0, 2, 4 << 20), Some(4 << 20)); // already aligned
-        assert_eq!(aligned_shard_size(7.5, 2, 100), Some(90)); // 15 · 6
-        assert_eq!(aligned_shard_size(7.5, 2, 15), Some(15));
-        assert_eq!(aligned_shard_size(7.5, 2, 3), Some(15)); // floor: one period
-        assert_eq!(aligned_shard_size(8.0, 5, 100), None);
     }
 
     #[test]
@@ -196,45 +129,6 @@ mod tests {
             assert_eq!(info.dims, dims);
             assert_eq!(info.payload_offset + info.payload_len, c.len());
             assert_eq!(decompress(&c).unwrap().dims, dims);
-        }
-    }
-
-    #[test]
-    fn rate_payload_offset_is_rate_only() {
-        let dims = [16usize, 16];
-        let data = field(&dims);
-        let rate = compress(&data, &dims, ZfpMode::FixedRate(4.0)).unwrap();
-        let acc = compress(&data, &dims, ZfpMode::FixedAccuracy(0.1)).unwrap();
-        let off = rate_payload_offset(&rate).unwrap();
-        assert!(off > 14 && off < rate.len());
-        assert_eq!(rate_payload_offset(&acc), None);
-        assert_eq!(rate_payload_offset(b"not a stream"), None);
-        assert_eq!(rate_payload_offset(&rate[..10]), None);
-    }
-
-    #[test]
-    fn recommended_size_aligns_rate_streams_only() {
-        let dims = [32usize, 32];
-        let data = field(&dims);
-        // 7.5 bits/value → 15-byte period; 1000 rounds down to 990.
-        let rate = compress(&data, &dims, ZfpMode::FixedRate(7.5)).unwrap();
-        assert_eq!(recommended_shard_size(&rate, 1000), 990);
-        let acc = compress(&data, &dims, ZfpMode::FixedAccuracy(0.1)).unwrap();
-        assert_eq!(recommended_shard_size(&acc, 1000), 1000);
-        assert_eq!(recommended_shard_size(b"garbage", 1000), 1000);
-    }
-
-    #[test]
-    fn aligned_shards_keep_blocks_whole() {
-        // Every shard boundary within the payload lands on a block
-        // boundary: boundary bytes are multiples of the period.
-        let rate = 7.5;
-        let d = 2;
-        let bits = rate_block_bits(rate, d).unwrap();
-        let shard = aligned_shard_size(rate, d, 1 << 10).unwrap();
-        for k in 1..=8u64 {
-            let boundary_bits = k * shard as u64 * 8;
-            assert_eq!(boundary_bits % bits, 0, "shard boundary {k} splits a block");
         }
     }
 }

@@ -3,11 +3,10 @@
 //!
 //! A 512×512 field is compressed with ZFP fixed rate (every 4×4 block gets
 //! the same bit budget, so tiles map to byte ranges), wrapped in a **v2
-//! sharded container** whose shard size is block-aligned via
-//! `arc_zfp::recommended_shard_size`, and then served tile-by-tile through
-//! [`arc::ArcReader::decode_range`] — each request ECC-verifies only the
-//! shards covering the tile, and the reader's LRU shard cache absorbs the
-//! locality of a panning client.
+//! sharded container** of 4 KiB shards, and then served tile-by-tile
+//! through [`arc::ArcReader::decode_range`] — each request ECC-verifies
+//! only the shards covering the tile, and the reader's LRU shard cache
+//! absorbs the locality of a panning client.
 //!
 //! Run with `cargo run --release --example tile_server`; the workload ends
 //! by printing what the calls returned (`RangeReport` sums, `CacheStats`).
@@ -29,9 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let stream = arc::zfp::compress(&field, &[DIM, DIM], arc::zfp::ZfpMode::FixedRate(RATE))?;
 
-    // Wrap it in a sharded container. The shard size is rounded to ZFP's
-    // block byte period so shard boundaries sit on whole 4×4 blocks.
-    let shard_size = arc::zfp::recommended_shard_size(&stream, 4 << 10);
+    // Wrap it in a sharded container. Tiles are located by rate arithmetic
+    // at read time, so the shard size need not line up with blocks.
+    let shard_size = 4 << 10;
     let container =
         arc::core::arc_engine_encode_sharded(&stream, EccConfig::secded(true), 1, shard_size)?;
     println!(
@@ -44,8 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Tile (tr, tc) covers TILE rows of TILE values; with fixed rate each
     // 4-value-wide block row of the tile is a contiguous bit run. For
     // simplicity serve the whole span from the tile's first to last block.
-    let payload_offset =
-        arc::zfp::shard::rate_payload_offset(&stream).ok_or("not a fixed-rate stream")?;
+    let payload_offset = arc::zfp::stream_info(&stream).ok_or("not a ZFP stream")?.payload_offset;
     let block_bits = arc::zfp::shard::rate_block_bits(RATE, 2).ok_or("bad rate")?;
     let blocks_per_row = DIM / 4;
     let tile_span = |tr: usize, tc: usize| -> (usize, usize) {
