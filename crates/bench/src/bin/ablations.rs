@@ -24,21 +24,14 @@ impl Compressor for SzVariant {
         format!("sz-variant(lossless={})", self.cfg.final_lossless)
     }
     fn compress(&self, ds: &Dataset<'_>) -> Result<Vec<u8>, PressioError> {
-        arc_sz::compress(ds.data, ds.dims, &self.cfg)
-            .map_err(|e| PressioError::Codec(e.to_string()))
+        Ok(arc_sz::compress(ds.data, ds.dims, &self.cfg)?)
     }
     fn decompress_with_limit(
         &self,
         bytes: &[u8],
         max_elements: u64,
     ) -> Result<DecodedDataset, PressioError> {
-        let out = arc_sz::decompress_with_limits(bytes, &arc_sz::DecodeLimits { max_elements })
-            .map_err(|e| match e {
-                arc_sz::SzError::WorkBudgetExceeded { demanded, budget } => {
-                    PressioError::Timeout { demanded, budget }
-                }
-                other => PressioError::Codec(other.to_string()),
-            })?;
+        let out = arc_sz::decompress_with_limits(bytes, &arc_sz::DecodeLimits { max_elements })?;
         Ok(DecodedDataset { data: out.data, dims: out.dims })
     }
     fn bound_spec(&self) -> Option<BoundSpec> {
