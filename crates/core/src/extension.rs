@@ -161,7 +161,7 @@ pub(crate) fn resolve_scheme(
         }),
         None => Err(ArcError::InvalidRequest(format!(
             "container uses extension scheme {scheme_id:?}; supply an ExtensionRegistry \
-             (decode_with_registry, StreamDecoder::with_registry, ArcReader::open_with_registry)"
+             (decode_with_registry, ArcReader::open_with_registry)"
         ))),
     }
 }

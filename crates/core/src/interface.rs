@@ -63,8 +63,7 @@ pub(crate) fn default_cache_path() -> Option<PathBuf> {
 }
 
 /// What every whole-container decode — [`ArcContext::decode`], the engine
-/// and registry entry points, [`crate::stream::StreamDecoder::finish`] —
-/// reports alongside the repaired data.
+/// and registry entry points — reports alongside the repaired data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArcDecodeReport {
     /// Identifier of the scheme that had protected the data.
@@ -281,7 +280,7 @@ pub(crate) fn decode_container(
             ArcError::Corrupted(format!("shard {i}: decoded lengths exceed the data length"))
         })?;
         region.copy_from_slice(stored);
-        correction.merge(&shards.decode_shard(i, e.decoded_len, Some(e.crc), region)?.0);
+        correction.merge(&shards.decode_shard(i, e.decoded_len, e.crc, region)?);
         at += e.decoded_len;
     }
     work.truncate(shards.meta.data_len);

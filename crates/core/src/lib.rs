@@ -89,9 +89,7 @@ pub use optimizer::{
     joint_optimizer, joint_optimizer_with, memory_optimizer, throughput_optimizer, Selection,
 };
 pub use reader::{ArcReader, CacheStats, RangeReport};
-pub use stream::{
-    encode_batch, StreamDecoder, StreamEncodeStats, StreamEncoder, StreamOptions, StreamSink,
-};
+pub use stream::{encode_batch, StreamEncodeStats, StreamEncoder, StreamOptions, StreamSink};
 pub use training::{
     probe_buffer, thread_ladder, train, Measurement, TrainingOptions, TrainingStats, TrainingTable,
 };

@@ -300,7 +300,7 @@ impl<'a> ArcReader<'a> {
         e: &ShardEntry,
     ) -> Result<(Vec<u8>, CorrectionReport), ArcError> {
         let mut buf = Shards::stored(self.payload, i, e)?.to_vec();
-        let (correction, _) = self.shards.decode_shard(i, e.decoded_len, Some(e.crc), &mut buf)?;
+        let correction = self.shards.decode_shard(i, e.decoded_len, e.crc, &mut buf)?;
         buf.truncate(e.decoded_len);
         Ok((buf, correction))
     }

@@ -1,8 +1,9 @@
-//! Streaming and batched front-ends over the v2 sharded container.
+//! Streaming and batched encode front-ends over the container.
 //!
 //! The engine entry points are one-shot: the whole input (and the whole
-//! container) must be resident at once. This module adds the bounded-memory
-//! service layer (DESIGN.md §14):
+//! container) must be resident at once. This module adds two encode-side
+//! front-ends (DESIGN.md §14); what they write decodes like any other
+//! container, through the one-shot decoders or `ArcReader`.
 //!
 //! * [`StreamEncoder`] — **the v2 writer**: accepts data in arbitrary-size
 //!   pushes, encodes full shards in groups of up to `threads` through
@@ -13,30 +14,17 @@
 //!   one-shot sharded encoders are one push through this encoder into an
 //!   exactly-sized `Vec` (`encode_oneshot`), so no second writer exists to
 //!   keep in step.
-//! * [`StreamDecoder`] — the push-fed driver of the container's one shard
-//!   walk (`container::Shards`): length-prefix vote → RS-protected header
-//!   (both through `container::recover_header`, shared with `unpack`) → the
-//!   shard step per shard (emitting plaintext as each shard completes,
-//!   without waiting for the trailing index) → index recovery, which is
-//!   cross-checked against the geometry and CRCs actually streamed. Total
-//!   over hostile bytes: every failure is an [`ArcError`] — the one-shot
-//!   decoders' error for the same damage — never a panic, and buffering is
-//!   proportional to the bytes actually pushed, never to a length a corrupt
-//!   header claims.
 //! * [`encode_batch`] — coalesces many small independent requests into one
 //!   chunk pass so requests below the per-scheme bytes-per-thread floor
 //!   still fill all workers in aggregate.
 
 use arc_ecc::crc::crc32;
 use arc_ecc::parallel::{par_map, resolve_threads};
-use arc_ecc::{CorrectionReport, EccConfig, ParallelCodec};
+use arc_ecc::{EccConfig, ParallelCodec};
 
-use crate::container::{
-    self, Codec, ContainerMeta, HeaderScan, ShardEntry, ShardingMeta, Shards, DEFAULT_SHARD_SIZE,
-};
+use crate::container::{self, Codec, ContainerMeta, ShardEntry, ShardingMeta, DEFAULT_SHARD_SIZE};
 use crate::error::ArcError;
 use crate::extension::{builtin_scheme, ExtensionRegistry, Resolved};
-use crate::interface::ArcDecodeReport;
 
 /// Positional byte sink for streaming encode output.
 ///
@@ -343,190 +331,6 @@ pub(crate) fn encode_oneshot(
     Ok(enc.finish()?.0)
 }
 
-/// Where a [`StreamDecoder`] stands.
-enum Phase {
-    /// Buffering the length prefix and header codewords until
-    /// [`container::recover_header`] has the `need` bytes its next length
-    /// candidate asks for.
-    Header { need: usize },
-    /// Header accepted: its shards one at a time, then the trailer.
-    Body(Box<Body>),
-}
-
-/// What the decoder holds once it has a header.
-struct Body {
-    shards: Shards,
-    /// Plaintext bytes emitted so far.
-    decoded: usize,
-    correction: CorrectionReport,
-    /// Trailer accepted: the container is complete, any further byte an error.
-    done: bool,
-}
-
-impl Body {
-    /// Bytes to buffer before the next step — the shard now due, else the
-    /// trailer — or `None` once the container is complete.
-    fn need(&self) -> Option<usize> {
-        let due = self.shards.next_lens(self.decoded).map(|(_, encoded)| encoded);
-        (!self.done).then(|| due.unwrap_or(self.shards.trailer_len()))
-    }
-
-    /// `buf` holds exactly what [`Body::need`] asked for: decode the shard
-    /// it is through the one shard step and emit its plaintext, or accept
-    /// the trailer.
-    fn step(&mut self, buf: &mut [u8], out: &mut Vec<u8>) -> Result<(), ArcError> {
-        let Some((decoded_len, encoded_len)) = self.shards.next_lens(self.decoded) else {
-            self.shards.accept_trailer(buf)?;
-            self.done = true;
-            return Ok(());
-        };
-        let i = self.shards.entries.len();
-        let (correction, crc) =
-            self.shards.decode_shard(i, decoded_len, self.shards.header_shard_crc(), buf)?;
-        self.correction.merge(&correction);
-        // arc-lint: bounded(decode_shard held buf to encoded_len(decoded_len) >= decoded_len)
-        out.extend_from_slice(&buf[..decoded_len]);
-        let offset = self.shards.entries.last().map_or(0, |e| e.offset + e.encoded_len);
-        self.shards.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc });
-        self.decoded += decoded_len;
-        Ok(())
-    }
-}
-
-/// Push-based decoder for v1/v2 containers.
-///
-/// Decoded plaintext is appended to the `out` vector passed to
-/// [`StreamDecoder::push`] as soon as each shard's ECC pass completes —
-/// the trailing index is verified *after* emission, so a caller that needs
-/// end-to-end certainty must wait for [`StreamDecoder::finish`], which
-/// cross-checks the recovered index against the streamed geometry and the
-/// header's whole-data CRC. A monolithic v1 container is one shard, so it
-/// buffers O(payload) (its format permits nothing better) and emits only
-/// what has passed its CRC.
-///
-/// ```
-/// use arc_core::stream::StreamDecoder;
-/// use arc_ecc::EccConfig;
-///
-/// let data = vec![7u8; 10_000];
-/// let container =
-///     arc_core::arc_engine_encode_sharded(&data, EccConfig::secded(true), 1, 2048).unwrap();
-/// let mut dec = StreamDecoder::new();
-/// let mut out = Vec::new();
-/// for piece in container.chunks(997) {
-///     dec.push(piece, &mut out).unwrap();
-/// }
-/// let report = dec.finish().unwrap();
-/// assert_eq!(out, data);
-/// assert_eq!(report.shards, 5);
-/// ```
-pub struct StreamDecoder {
-    /// Extension schemes the header's scheme id may resolve against.
-    /// `None` still decodes every built-in container; extension-tagged
-    /// headers then fail with a pointer to
-    /// [`StreamDecoder::with_registry`].
-    registry: Option<ExtensionRegistry>,
-    phase: Phase,
-    buf: Vec<u8>,
-    failed: bool,
-}
-
-impl Default for StreamDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamDecoder {
-    /// Decoder for built-in schemes. Shards decode on the pushing thread.
-    pub fn new() -> Self {
-        StreamDecoder {
-            registry: None,
-            phase: Phase::Header { need: 6 },
-            buf: Vec::new(),
-            failed: false,
-        }
-    }
-
-    /// As [`StreamDecoder::new`], additionally resolving extension scheme
-    /// ids (`x:<name>`) against `registry`, so containers produced by
-    /// [`StreamEncoder::with_registry_scheme`] (or the one-shot extension
-    /// encoders) stream-decode like built-ins.
-    pub fn with_registry(registry: ExtensionRegistry) -> Self {
-        StreamDecoder { registry: Some(registry), ..Self::new() }
-    }
-
-    /// Feed the next piece of the container, appending any newly decoded
-    /// plaintext to `out`. Errors are sticky: once a push fails, the
-    /// decoder stays failed.
-    // arc-lint: decode-root
-    pub fn push(&mut self, bytes: &[u8], out: &mut Vec<u8>) -> Result<(), ArcError> {
-        if self.failed {
-            return Err(ArcError::Corrupted("stream decoder previously failed".into()));
-        }
-        let pushed = self.consume(bytes, out);
-        self.failed = pushed.is_err();
-        pushed
-    }
-
-    /// Declare the stream complete and return the report — field for field
-    /// what the one-shot decoders return for the same bytes, and on damage
-    /// the same error.
-    // arc-lint: decode-root
-    pub fn finish(self) -> Result<ArcDecodeReport, ArcError> {
-        if self.failed {
-            return Err(ArcError::Corrupted("stream decoder previously failed".into()));
-        }
-        let Body { shards, correction, .. } = match self.phase {
-            Phase::Body(body) if body.done => *body,
-            _ => return Err(ArcError::Corrupted("container truncated: stream ended early".into())),
-        };
-        shards.check_whole()?;
-        Ok(shards.report(correction))
-    }
-
-    fn consume(&mut self, mut bytes: &[u8], out: &mut Vec<u8>) -> Result<(), ArcError> {
-        loop {
-            let need = match &self.phase {
-                Phase::Header { need } => *need,
-                Phase::Body(body) => match body.need() {
-                    Some(need) => need,
-                    None if bytes.is_empty() => return Ok(()),
-                    None => return Err(ArcError::Corrupted("bytes after container end".into())),
-                },
-            };
-            let (head, rest) = bytes.split_at(need.saturating_sub(self.buf.len()).min(bytes.len()));
-            self.buf.extend_from_slice(head);
-            bytes = rest;
-            if self.buf.len() < need {
-                return Ok(());
-            }
-            match &mut self.phase {
-                // The buffer holds what the last scan asked for: a header copy
-                // decodes, or the scan names the (strictly larger) byte count
-                // its next candidate needs, or it fails.
-                Phase::Header { need } => match container::recover_header(&self.buf)? {
-                    HeaderScan::NeedBytes(more) => {
-                        *need = more;
-                        continue;
-                    }
-                    HeaderScan::Found(found) => {
-                        let shards = Shards::from_header(found, self.registry.as_ref())?;
-                        self.phase = Phase::Body(Box::new(Body {
-                            shards,
-                            decoded: 0,
-                            correction: CorrectionReport::default(),
-                            done: false,
-                        }));
-                    }
-                },
-                Phase::Body(body) => body.step(&mut self.buf, out)?,
-            }
-            self.buf.clear();
-        }
-    }
-}
-
 /// Encode many independent requests as one flat chunk pass.
 ///
 /// Each element of the result is byte-identical to
@@ -558,15 +362,6 @@ pub fn encode_batch(
 mod tests {
     use super::*;
 
-    fn sample(n: usize) -> Vec<u8> {
-        (0..n).map(|i| ((i * 37) ^ (i >> 5)) as u8).collect()
-    }
-
-    fn one_shot(data: &[u8], shard_size: usize) -> Vec<u8> {
-        crate::engine::arc_engine_encode_sharded(data, EccConfig::secded(true), 1, shard_size)
-            .expect("one-shot encode")
-    }
-
     #[test]
     fn empty_input_round_trips() {
         let opts = StreamOptions::default();
@@ -575,71 +370,5 @@ mod tests {
         assert_eq!(stats.shards, 0);
         assert_eq!(stats.container_len, got.len());
         assert!(crate::engine::arc_engine_decode(&got, 1).unwrap().0.is_empty());
-        let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
-        dec.push(&got, &mut out).unwrap();
-        assert!(dec.finish().is_ok());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn decoder_streams_v2_in_odd_chunks() {
-        let data = sample(40_000);
-        let container = one_shot(&data, 4 << 10);
-        for chunk in [1usize, 7, 4096, container.len()] {
-            let mut dec = StreamDecoder::new();
-            let mut out = Vec::new();
-            for piece in container.chunks(chunk) {
-                dec.push(piece, &mut out).expect("clean push");
-            }
-            let stats = dec.finish().expect("clean finish");
-            assert_eq!(out, data, "chunk={chunk}");
-            assert_eq!(stats.shards, data.len().div_ceil(4 << 10));
-            assert!(stats.correction.is_clean());
-        }
-    }
-
-    #[test]
-    fn decoder_handles_v1_containers() {
-        let data = sample(10_000);
-        let container =
-            crate::engine::arc_engine_encode(&data, EccConfig::secded(true), 1).unwrap();
-        let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
-        for piece in container.chunks(313) {
-            dec.push(piece, &mut out).unwrap();
-        }
-        let stats = dec.finish().unwrap();
-        assert_eq!(out, data);
-        assert_eq!(stats.shards, 0);
-    }
-
-    #[test]
-    fn decoder_rejects_truncation_and_trailing_garbage() {
-        let data = sample(9_000);
-        let container = one_shot(&data, 2048);
-        // Truncated: finish() must refuse.
-        let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
-        dec.push(&container[..container.len() - 5], &mut out).unwrap();
-        assert!(dec.finish().is_err());
-        // Trailing garbage: the extra byte itself must refuse.
-        let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
-        dec.push(&container, &mut out).unwrap();
-        assert!(dec.push(&[0u8], &mut out).is_err());
-    }
-
-    #[test]
-    fn decoder_errors_are_sticky() {
-        // Unanimous length prefix of 40, followed by two 40-byte
-        // "codewords" of garbage: both RS decodes fail at the threshold.
-        let mut junk = vec![40u8, 0, 40, 0, 40, 0];
-        junk.extend(std::iter::repeat_n(0xA5u8, 80));
-        let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
-        assert!(dec.push(&junk, &mut out).is_err());
-        assert!(dec.push(b"more", &mut out).is_err());
-        assert!(dec.finish().is_err());
     }
 }

@@ -4,16 +4,15 @@
 //! 1. stream through `StreamEncoder::with_registry_scheme` into the same
 //!    bytes whatever the push partition and thread count (the
 //!    one-shot `encode_sharded_with_scheme` is one such push),
-//! 2. stream-decode through `StreamDecoder::with_registry`,
-//! 3. serve `ArcReader::decode_range` slices through
+//! 2. serve `ArcReader::decode_range` slices through
 //!    `open_with_registry`, and
-//! 4. full-decode through `decode_with_registry`
+//! 3. full-decode through `decode_with_registry`
 //!
-//! all reproducing the original bytes. Before the fix, (1)–(3) rejected
+//! all reproducing the original bytes. Before the fix, (1) and (2) rejected
 //! extension ids outright ("supports built-ins only").
 
 use arc_core::extension::{decode_with_registry, encode_sharded_with_scheme, standard_extensions};
-use arc_core::stream::{StreamDecoder, StreamEncoder, StreamOptions};
+use arc_core::stream::{StreamEncoder, StreamOptions};
 use arc_core::ArcReader;
 
 fn sample(n: usize) -> Vec<u8> {
@@ -47,17 +46,7 @@ fn every_extension_family_streams_and_range_decodes_byte_identically() {
             .expect("one-shot sharded encode");
         assert_eq!(one_shot, streamed, "{name}: one-shot wrapper changed the bytes");
 
-        // (2) Streaming decode reproduces the data.
-        let mut dec = StreamDecoder::with_registry(registry.clone());
-        let mut out = Vec::new();
-        for piece in streamed.chunks(1_777) {
-            dec.push(piece, &mut out).expect("stream decode push");
-        }
-        let dstats = dec.finish().expect("stream decode finish");
-        assert_eq!(out, data, "{name}: stream decode mismatch");
-        assert_eq!(dstats.scheme_id, format!("x:{name}"));
-
-        // (3) Random access serves arbitrary ranges.
+        // (2) Random access serves arbitrary ranges.
         let mut reader =
             ArcReader::open_with_registry(&streamed, 1, &registry).expect("reader open");
         assert!(reader.meta().sharding.is_some(), "{name}");
@@ -66,9 +55,10 @@ fn every_extension_family_streams_and_range_decodes_byte_identically() {
             assert_eq!(slice, &data[off..off + len], "{name}: range {off}+{len}");
         }
 
-        // (4) One-shot registry decode agrees too.
+        // (3) One-shot registry decode agrees too.
         let (full, report) = decode_with_registry(&streamed, 1, &registry).expect("full decode");
         assert_eq!(full, data, "{name}");
         assert!(report.correction.is_clean(), "{name}");
+        assert_eq!(report.scheme_id, format!("x:{name}"));
     }
 }

@@ -91,8 +91,6 @@ fn every_hostile_decode_target_is_a_declared_root() {
         ("arc_core::arc_engine_decode", "arc_core::engine::arc_engine_decode"),
         ("arc_core::ArcReader::open", "arc_core::reader::ArcReader::open"),
         ("reader.decode_range", "arc_core::reader::ArcReader::decode_range"),
-        ("dec.push", "arc_core::stream::StreamDecoder::push"),
-        ("dec.finish", "arc_core::stream::StreamDecoder::finish"),
         ("arc_core::container::unpack", "arc_core::container::unpack"),
         (".decompress_with_limit(b, (budget / 4)", "arc_pressio::slab::decompress"),
     ];
@@ -114,8 +112,6 @@ fn every_hostile_decode_target_is_a_declared_root() {
         "arc_core::reader::ArcReader::open",
         "arc_core::reader::ArcReader::open_with_registry",
         "arc_core::reader::ArcReader::decode_range",
-        "arc_core::stream::StreamDecoder::push",
-        "arc_core::stream::StreamDecoder::finish",
         "arc_faultsim::hostile::run_case",
         "arc_lossless::zstd_like::decompress_with_limit",
         "arc_pressio::slab::decompress",

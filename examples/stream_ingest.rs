@@ -12,8 +12,8 @@
 //! push through this same encoder, so every golden snapshot and reader
 //! applies to both.
 //!
-//! The container is then consumed the same way — [`arc::StreamDecoder`]
-//! over network-sized chunks — and finally the batch front-end
+//! The container then decodes like any other, through
+//! [`arc::arc_engine_decode`], and finally the batch front-end
 //! ([`arc::encode_batch`]) shows how many *small* requests coalesce into
 //! one flat parallel pass. Run with:
 //!
@@ -21,7 +21,7 @@
 //! cargo run --release --example stream_ingest
 //! ```
 
-use arc::{encode_batch, EccConfig, StreamDecoder, StreamEncoder, StreamOptions};
+use arc::{arc_engine_decode, encode_batch, EccConfig, StreamEncoder, StreamOptions};
 
 const FEED_BYTES: usize = 24 << 20; // how much the "sensor" emits
 const SHARD: usize = 1 << 20; // 1 MiB shards -> 24 shards
@@ -59,17 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let oneshot = arc::core::arc_engine_encode_sharded(&feed, config, 1, SHARD)?;
     assert_eq!(container, oneshot, "container bytes must not depend on the push partition");
 
-    // ---- 2. Streaming decode ------------------------------------------
-    // The consumer sees the container as 48 KiB "network reads".
-    let mut decoder = StreamDecoder::new();
-    let mut recovered = Vec::new();
-    for piece in container.chunks(48 << 10) {
-        decoder.push(piece, &mut recovered)?;
-    }
-    let report = decoder.finish()?;
+    // ---- 2. Decode ----------------------------------------------------
+    // Shards are repaired and CRC-checked on two threads, then the whole
+    // data is held to the header's end-to-end CRC before it is returned.
+    let (recovered, report) = arc_engine_decode(&container, 2)?;
     assert_eq!(recovered, feed);
     println!(
-        "stream-decoded {} B back ({} shards, scheme {}, clean: {})",
+        "decoded {} B back ({} shards, scheme {}, clean: {})",
         recovered.len(),
         report.shards,
         report.scheme_id,

@@ -70,7 +70,7 @@ pub use arc_zfp as zfp;
 pub use arc_core::{
     arc_engine_decode, encode_batch, ArcContext, ArcDecodeReport, ArcError, ArcOptions, ArcReader,
     CacheStats, EncodeRequest, ErrorResponse, MemoryConstraint, RangeReport, ResiliencyConstraint,
-    Selection, StreamDecoder, StreamEncoder, StreamOptions, StreamSink, SystemProfile,
-    ThroughputConstraint, TrainingOptions, ANY_THREADS,
+    Selection, StreamEncoder, StreamOptions, StreamSink, SystemProfile, ThroughputConstraint,
+    TrainingOptions, ANY_THREADS,
 };
 pub use arc_ecc::{EccConfig, EccMethod};
