@@ -406,6 +406,17 @@ pub(crate) fn encode_block<S: Copy + Into<u32>>(
 
 /// Decode a block produced by [`huffman_encode_block`], advancing `pos`.
 pub fn huffman_decode_block(bytes: &[u8], pos: &mut usize) -> Result<Vec<u32>, LosslessError> {
+    decode_block(bytes, pos, |sym| sym)
+}
+
+/// [`huffman_decode_block`] storing each symbol as `store(symbol)`, so a
+/// caller that needs fewer than 32 bits per symbol never holds a `Vec<u32>`.
+#[inline]
+pub(crate) fn decode_block<S>(
+    bytes: &[u8],
+    pos: &mut usize,
+    store: impl Fn(u32) -> S,
+) -> Result<Vec<S>, LosslessError> {
     let code = HuffmanCode::deserialize(bytes, pos)?;
     let n = read_varint(bytes, pos)? as usize;
     if n > 1 << 31 {
@@ -422,7 +433,7 @@ pub fn huffman_decode_block(bytes: &[u8], pos: &mut usize) -> Result<Vec<u32>, L
     let mut r = BitReader::new(payload);
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        out.push(decoder.decode_symbol(&mut r)?);
+        out.push(store(decoder.decode_symbol(&mut r)?));
     }
     Ok(out)
 }
