@@ -1,9 +1,12 @@
 //! LZ77 match finding with hash chains.
 //!
 //! The zstd-like pipeline factors repeated byte ranges through this
-//! tokenizer. It mirrors zlib's design: a rolling 4-byte hash indexes chain
-//! heads, chains are walked up to a configurable depth, and greedy matching
-//! with a one-step lazy evaluation picks the final tokens.
+//! tokenizer. A 4-byte hash indexes chain heads, chains are walked up to a
+//! configurable depth, and greedy matching with a one-step lazy evaluation
+//! picks the tokens, as in zlib. Through incompressible stretches the parse
+//! steps the way ZStd's match finders do: once a literal run reaches
+//! 2^[`SEARCH_STRENGTH`] bytes, each literal is followed by
+//! `run >> SEARCH_STRENGTH` more that are neither searched nor linked.
 
 use crate::error::LosslessError;
 
@@ -13,6 +16,10 @@ pub const MIN_MATCH: usize = 4;
 pub const MAX_MATCH: usize = 258;
 /// Sliding window (maximum back-reference distance).
 pub const WINDOW: usize = 1 << 16;
+/// ZStd's `kSearchStrength`: after a literal that brings the run of literals
+/// since the last match to `run`, the next `run >> SEARCH_STRENGTH` bytes are
+/// literals without a search. DESIGN.md §18 has the sweep that chose 8.
+pub const SEARCH_STRENGTH: u32 = 8;
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,14 +144,17 @@ impl Matcher<'_> {
     }
 }
 
-/// Greedy matching with a one-step lazy evaluation, handing each token to
-/// `emit` as it is decided: [`tokenize`] collects them, the zstd-like
-/// pipeline splits them into its literal and sequence sections directly.
+/// Greedy matching with a one-step lazy evaluation and ZStd's step through
+/// literal runs, handing each token to `emit` as it is decided: [`tokenize`]
+/// collects them, the zstd-like pipeline splits them into its literal and
+/// sequence sections directly.
 pub(crate) fn for_each_token(data: &[u8], cfg: &Lz77Config, mut emit: impl FnMut(Token)) {
     // An input shorter than the ring never wraps it, so it gets a shorter one.
     let prev = vec![NIL; RING.min(data.len())];
     let mut m = Matcher { data, cfg, head: vec![NIL; HASH_SIZE], prev };
     let mut i = 0usize;
+    // Literals since the last match, the skipped ones included.
+    let mut run = 0usize;
     // The probe of position `i`, made with exactly the positions before `i`
     // in the chains.
     let mut here = m.probe(0);
@@ -153,11 +163,14 @@ pub(crate) fn for_each_token(data: &[u8], cfg: &Lz77Config, mut emit: impl FnMut
             m.link(i, p.hash);
         }
         // The search one byte on is the lazy look-ahead of a match here, and
-        // the next step's probe when this byte ends up a literal.
-        let next = m.probe(i + 1);
+        // the next step's probe when this byte ends up a literal that is not
+        // followed by a skip; otherwise nothing reads it.
+        let has_match = here.is_some_and(|p| p.len > 0);
+        let next =
+            if has_match || (run + 1) >> SEARCH_STRENGTH == 0 { m.probe(i + 1) } else { None };
         match here {
             // Lazy evaluation: prefer a longer match starting one byte on.
-            Some(p) if p.len > 0 && next.is_none_or(|q| q.len <= p.len + 1) => {
+            Some(p) if has_match && next.is_none_or(|q| q.len <= p.len + 1) => {
                 emit(Token::Match { len: p.len as u32, dist: p.dist as u32 });
                 for j in i + 1..i + p.len {
                     if let Some(hash) = m.hash(j) {
@@ -165,12 +178,23 @@ pub(crate) fn for_each_token(data: &[u8], cfg: &Lz77Config, mut emit: impl FnMut
                     }
                 }
                 i += p.len;
+                run = 0;
                 here = m.probe(i);
             }
             _ => {
                 emit(Token::Literal(byte));
                 i += 1;
-                here = next;
+                run += 1;
+                let skip = run >> SEARCH_STRENGTH;
+                if skip == 0 {
+                    here = next;
+                } else {
+                    let end = (i + skip).min(data.len());
+                    data[i..end].iter().for_each(|&b| emit(Token::Literal(b)));
+                    run += end - i;
+                    i = end;
+                    here = m.probe(i);
+                }
             }
         }
     }
@@ -216,9 +240,11 @@ pub fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, LosslessError> {
 
 /// The tokenizer as it was before the window-sized ring: one `prev` slot per
 /// input byte, byte-at-a-time extension, a fresh search for every lazy
-/// look-ahead. Kept as the oracle [`tokenize`] must reproduce token for token.
+/// look-ahead. Kept as the oracle [`tokenize`] must reproduce token for token
+/// at `strength` [`SEARCH_STRENGTH`]; `None` never skips, which is the parse
+/// that wrote every frame before the step through literal runs.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::{Lz77Config, Token, HASH_SIZE, MAX_MATCH, MIN_MATCH, WINDOW};
 
     fn hash4(data: &[u8], i: usize) -> usize {
@@ -226,7 +252,7 @@ mod reference {
         (v.wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1)
     }
 
-    pub fn tokenize(data: &[u8], cfg: &Lz77Config) -> Vec<Token> {
+    pub fn tokenize(data: &[u8], cfg: &Lz77Config, strength: Option<u32>) -> Vec<Token> {
         let n = data.len();
         let mut tokens = Vec::with_capacity(n / 4 + 16);
         if n < MIN_MATCH + 1 {
@@ -274,28 +300,40 @@ mod reference {
                 head[h] = i;
             }
         };
+        // Literals since the last match.
+        let mut run = 0usize;
         while i < n {
             let m = find(&head, &prev, i);
-            match m {
-                Some((len, dist)) => {
-                    insert(&mut head, &mut prev, i);
-                    let take = i + 1 >= n
-                        || !matches!(find(&head, &prev, i + 1), Some((len2, _)) if len2 > len + 1);
-                    if take {
-                        tokens.push(Token::Match { len: len as u32, dist: dist as u32 });
-                        for j in i + 1..i + len {
-                            insert(&mut head, &mut prev, j);
-                        }
-                        i += len;
-                    } else {
+            let mut literal = true;
+            if let Some((len, dist)) = m {
+                insert(&mut head, &mut prev, i);
+                let take = i + 1 >= n
+                    || !matches!(find(&head, &prev, i + 1), Some((len2, _)) if len2 > len + 1);
+                if take {
+                    tokens.push(Token::Match { len: len as u32, dist: dist as u32 });
+                    for j in i + 1..i + len {
+                        insert(&mut head, &mut prev, j);
+                    }
+                    i += len;
+                    run = 0;
+                    literal = false;
+                }
+            } else {
+                insert(&mut head, &mut prev, i);
+            }
+            if literal {
+                tokens.push(Token::Literal(data[i]));
+                i += 1;
+                run += 1;
+                // The step: this many more bytes are literals, neither
+                // searched nor inserted, each one counted in the run.
+                let skip = strength.map_or(0, |s| run >> s);
+                for _ in 0..skip {
+                    if i < n {
                         tokens.push(Token::Literal(data[i]));
                         i += 1;
+                        run += 1;
                     }
-                }
-                None => {
-                    insert(&mut head, &mut prev, i);
-                    tokens.push(Token::Literal(data[i]));
-                    i += 1;
                 }
             }
         }
@@ -304,7 +342,7 @@ mod reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn round_trip(data: &[u8]) -> Vec<Token> {
@@ -393,7 +431,7 @@ mod tests {
     /// noise (short chains, few matches), a four-symbol source (full chains,
     /// many ties) and noise with planted repeats at every distance scale,
     /// including both sides of the window edge and runs past `MAX_MATCH`.
-    fn differential_input(kind: u64, len: usize, seed: u64) -> Vec<u8> {
+    pub(crate) fn differential_input(kind: u64, len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -427,7 +465,8 @@ mod tests {
     }
 
     fn assert_matches_reference(data: &[u8], cfg: &Lz77Config) {
-        let (got, want) = (tokenize(data, cfg), reference::tokenize(data, cfg));
+        let got = tokenize(data, cfg);
+        let want = reference::tokenize(data, cfg, Some(SEARCH_STRENGTH));
         if let Some(at) = got.iter().zip(&want).position(|(g, w)| g != w) {
             panic!("token {at}: {:?} vs reference {:?} ({cfg:?})", got[at], want[at]);
         }
@@ -455,6 +494,66 @@ mod tests {
             let data = differential_input(kind, 2 * WINDOW + 4321, 77 + kind);
             assert_matches_reference(&data, &Lz77Config::default());
         }
+    }
+
+    /// Longest run of consecutive literals.
+    fn longest_literal_run(tokens: &[Token]) -> usize {
+        let mut run = 0;
+        let mut longest = 0;
+        for t in tokens {
+            run = if matches!(t, Token::Literal(_)) { run + 1 } else { 0 };
+            longest = longest.max(run);
+        }
+        longest
+    }
+
+    /// Unless a literal run reaches 2^`SEARCH_STRENGTH` bytes before the last
+    /// byte nothing is skipped, so the parse is the one every frame before the
+    /// step was written with.
+    fn assert_parent_parse_without_a_long_run(data: &[u8], cfg: &Lz77Config) {
+        let got = tokenize(data, cfg);
+        let before_last = &got[..got.len().saturating_sub(1)];
+        assert!(
+            longest_literal_run(before_last) < 1 << SEARCH_STRENGTH,
+            "{cfg:?}: a run reached 256"
+        );
+        assert_eq!(got, reference::tokenize(data, cfg, None), "{cfg:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn short_inputs_keep_the_parent_parse(kind in 0u64..3, len in 0usize..=256, seed: u64) {
+            let data = differential_input(kind, len, seed);
+            for cfg in &CONFIGS {
+                assert_parent_parse_without_a_long_run(&data, cfg);
+            }
+        }
+
+        /// The four-symbol source under every config that searches a chain
+        /// (`max_chain = 0` finds no match, so its runs are the whole input).
+        #[test]
+        fn four_symbol_source_keeps_the_parent_parse(len in 0usize..20_000, seed: u64) {
+            let data = differential_input(1, len, seed);
+            for cfg in CONFIGS.iter().filter(|c| c.max_chain > 0) {
+                assert_parent_parse_without_a_long_run(&data, cfg);
+            }
+        }
+    }
+
+    /// A 40-byte repeat 190 000 bytes into noise, where the parse searches one
+    /// byte in ~740: the parent parse matches it, the step passes over it.
+    #[test]
+    fn a_repeat_deep_in_noise_is_stepped_over() {
+        let mut data = differential_input(0, 200_000, 5);
+        data.copy_within(150_000..150_040, 190_000);
+        let cfg = Lz77Config::default();
+        let got = round_trip(&data);
+        assert!(got.iter().all(|t| matches!(t, Token::Literal(_))));
+        let parent = reference::tokenize(&data, &cfg, None);
+        assert!(parent.contains(&Token::Match { len: 40, dist: 40_000 }));
+        assert_eq!(got, reference::tokenize(&data, &cfg, Some(SEARCH_STRENGTH)));
     }
 
     // Run by `scripts/check.sh --full`.

@@ -75,6 +75,30 @@ proptest! {
         prop_assert_eq!(arc_lossless::zstd_like::decompress(&c).unwrap(), data);
     }
 
+    /// Noise runs of 2^8·k − 1, 2^8·k and 2^8·k + 1 bytes, where the match
+    /// finder's step through literal runs grows by one, each run ended by a
+    /// match, with repeats planted at varying depths into the runs.
+    #[test]
+    fn round_trip_across_the_literal_run_steps(
+        k in 1usize..48,
+        delta in 0usize..3,
+        seed: u64,
+        plants in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 4usize..48), 0..6),
+    ) {
+        let run = 256 * k + delta - 1;
+        let mut data = noise(seed, run);
+        data.extend_from_within(..32);
+        data.extend(noise(!seed, run));
+        for &(from, to, len) in &plants {
+            let to = ((to * data.len() as f64) as usize).min(data.len() - len);
+            let from = (from * to as f64) as usize;
+            data.copy_within(from..from + len, to);
+        }
+        prop_assert_eq!(reconstruct(&tokenize(&data, &Lz77Config::default())).unwrap(), &data[..]);
+        let c = arc_lossless::zstd_like::compress(&data);
+        prop_assert_eq!(arc_lossless::zstd_like::decompress(&c).unwrap(), data);
+    }
+
     #[test]
     fn decoders_never_panic_on_corruption(
         data in proptest::collection::vec(any::<u8>(), 32..2048),
@@ -103,4 +127,18 @@ proptest! {
             arc_lossless::zstd_like::compress(&data)
         );
     }
+}
+
+/// `len` SplitMix64 bytes.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
 }
