@@ -321,7 +321,7 @@ pub(crate) fn forward_into(
     let mut q = [0i64; MAX_BLOCK_LEN];
     let n = block.len().min(MAX_BLOCK_LEN);
     to_fixed_point(block, emax, &mut q[..n]);
-    fwd_transform(&mut q[..n], d);
+    fwd_transform(&mut q[..n]);
     let mut all = 0u64;
     for (slot, &src) in nb.iter_mut().zip(sequency_order(d)) {
         let v = to_negabinary(q[src]);
@@ -351,7 +351,7 @@ pub fn inverse_block(nb: &[u64], emax: i32, d: usize, out: &mut [f32]) {
         }
     }
     let Some(q) = q.get_mut(..nb.len()) else { return };
-    inv_transform(q, d);
+    inv_transform(q);
     from_fixed_point(q, emax, out);
 }
 
