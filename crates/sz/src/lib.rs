@@ -186,7 +186,7 @@ impl<'a> ElementEncoder<'a> {
     /// Code element `idx` against `pred` and return its reconstruction.
     /// `ln_x` is `ln|x|`, read only in the log domain.
     #[inline(always)]
-    fn element<const LOG: bool>(&mut self, idx: usize, pred: f64, ln_x: f64) -> f64 {
+    fn encode_element<const LOG: bool>(&mut self, idx: usize, pred: f64, ln_x: f64) -> f64 {
         let x = self.data[idx];
         // Transformed-domain target value. A zero in the log domain is
         // masked: it costs a zero-quantum code and reconstructs to `pred`.
@@ -231,7 +231,7 @@ impl<'a> ElementEncoder<'a> {
 
     /// Run the loop over the whole grid. Returns the reconstruction the
     /// decoder will predict from, which nothing after the loop reads.
-    fn run(&mut self, predictor: &Predictor, log_domain: bool) -> Vec<f64> {
+    fn encode_all(&mut self, predictor: &Predictor, log_domain: bool) -> Vec<f64> {
         let mut recon = vec![0.0f64; self.data.len()];
         // `ln|x|` of the segment at hand, taken before the walk so that the
         // libm call is off the reconstruction's dependency chain.
@@ -242,11 +242,11 @@ impl<'a> ElementEncoder<'a> {
                 logs.clear();
                 logs.extend(self.data[seg.clone()].iter().map(|x| (x.abs() as f64).ln()));
                 predictor.walk_segment(&mut recon, seg, |idx, pred| {
-                    self.element::<true>(idx, pred, logs[idx - base])
+                    self.encode_element::<true>(idx, pred, logs[idx - base])
                 });
             } else {
                 predictor.walk_segment(&mut recon, seg, |idx, pred| {
-                    self.element::<false>(idx, pred, 0.0)
+                    self.encode_element::<false>(idx, pred, 0.0)
                 });
             }
         }
@@ -313,7 +313,7 @@ pub fn compress_in_range(
     let kind = cfg.predictor.unwrap_or_else(|| select_predictor(data, &shape));
     let predictor = Predictor::new(kind, shape);
     let mut encoder = ElementEncoder::new(data, &plan, rel_eps, cfg.quant_bins);
-    encoder.run(&predictor, plan.log_domain);
+    encoder.encode_all(&predictor, plan.log_domain);
     let ElementEncoder { codes, literals, zero_mask, sign_mask, .. } = encoder;
 
     // Assemble the body, then run the ZStd-like final pass over it (§2.1.1's
@@ -1084,7 +1084,7 @@ mod differential_tests {
         let predictor = Predictor::new(case.kind, case.shape.clone());
 
         let mut encoder = ElementEncoder::new(&data, &plan, eps, case.quant_bins);
-        let recon = encoder.run(&predictor, plan.log_domain);
+        let recon = encoder.encode_all(&predictor, plan.log_domain);
         let ElementEncoder { codes, literals, zero_mask, sign_mask, .. } = encoder;
         let mut q = Quantized { codes, literals, zero_mask, sign_mask };
         let (want, want_recon) = reference_quantize(&data, &case);
