@@ -8,8 +8,8 @@
 //!   parameter names, body span, and — for methods — the self type of the
 //!   innermost enclosing `impl`/`trait` block;
 //! - call expressions (`path::to::fn(…)`) and method-call expressions
-//!   (`recv.name(…)`), recorded as path segments for the call graph to
-//!   resolve;
+//!   (`recv.name(…)`), turbofish forms (`f::<T>(…)`, `recv.m::<T>(…)`)
+//!   included, recorded as path segments for the call graph to resolve;
 //! - panic sites (`panic!`- and `assert!`-family macros, `.unwrap()`,
 //!   `.expect(…)`);
 //! - index expressions (`expr[…]`, including range indexing, excluding the
@@ -20,8 +20,8 @@
 //!
 //! This is **not** an AST and it performs no type or dataflow analysis;
 //! every consumer over-approximates where the tokens are ambiguous (see
-//! DESIGN.md §10 for the soundness caveats). Known blind spot: turbofish
-//! call forms (`f::<T>()`, `recv.m::<T>()`) are not recognized as calls.
+//! DESIGN.md §10 for the soundness caveats). Known blind spot: a function
+//! passed as a value (`map(f)`) is not a call.
 //!
 //! Site-to-function assignment is innermost-wins: a panic inside a closure
 //! belongs to the enclosing `fn`; a panic inside a `fn` nested in another
@@ -332,7 +332,8 @@ fn collect_fns(ctx: &FileCtx, toks: &[&Token], scopes: &[Scope]) -> Vec<ParsedFn
         let params_close = match_delim(toks, j, '(', ')');
         let params = collect_params(toks, j, params_close);
         // Scan past the return type / where clause to the body `{` (or a
-        // terminating `;` for trait declarations).
+        // terminating `;` for trait declarations). A `;` inside brackets
+        // belongs to an array type (`-> [u8; 4]`), not to the item.
         let mut k = params_close + 1;
         let mut body = None;
         while k < toks.len() {
@@ -342,6 +343,9 @@ fn collect_fns(ctx: &FileCtx, toks: &[&Token], scopes: &[Scope]) -> Vec<ParsedFn
             }
             if is_punct(toks[k], ';') {
                 break;
+            }
+            if is_punct(toks[k], '[') {
+                k = match_delim(toks, k, '[', ']');
             }
             k += 1;
         }
@@ -487,17 +491,18 @@ fn collect_sites(toks: &[&Token], fns: &mut [ParsedFn]) {
                 }
                 continue;
             }
-            // Call expressions: `name(` that is neither a keyword, a macro
-            // bang, nor an identifier in declaration/pattern position
-            // (`fn name(…)`, `struct Name(…)`, `let Pat(…) = …`).
+            // Call expressions: `name(` or the turbofish `name::<T>(` that
+            // is neither a keyword, a macro bang, nor an identifier in
+            // declaration/pattern position (`fn name(…)`, `struct Name(…)`,
+            // `let Pat(…) = …`).
             let prev_declares = prev.is_some_and(|p| DECL_KEYWORDS.contains(&p.text.as_str()));
-            if next_is('(') && !NON_CALL_KEYWORDS.contains(&t.text.as_str()) && !prev_declares {
+            let callable = !NON_CALL_KEYWORDS.contains(&t.text.as_str()) && !prev_declares;
+            if let Some(open) = call_args(toks, i).filter(|_| callable) {
                 let method = prev_is_dot;
                 let path = if method { vec![t.text.clone()] } else { path_segments(toks, i) };
                 // Sized allocation calls double as alloc sites.
                 match t.text.as_str() {
                     "with_capacity" | "reserve" | "reserve_exact" | "resize" | "resize_with" => {
-                        let open = i + 1;
                         let close = match_delim(toks, open, '(', ')');
                         let end = top_level_comma(toks, open, close).unwrap_or(close);
                         let (bounded, desc) = classify_size(toks, open + 1, end);
@@ -555,6 +560,17 @@ fn push_site(fns: &mut [ParsedFn], pos: usize, apply: impl Fn(&mut FnItem)) {
 
 fn innermost_fn_mut(fns: &[ParsedFn], pos: usize) -> Option<usize> {
     innermost_fn(fns, pos)
+}
+
+/// Index of the `(` that opens the argument list when the identifier at
+/// `i` is called, as `name(…)` or with a turbofish, `name::<T>(…)`.
+fn call_args(toks: &[&Token], i: usize) -> Option<usize> {
+    let at = |k: usize, c: char| toks.get(k).is_some_and(|t| is_punct(t, c));
+    let mut k = i + 1;
+    if at(k, ':') && at(k + 1, ':') && at(k + 2, '<') {
+        k = skip_angles(toks, k + 2);
+    }
+    at(k, '(').then_some(k)
 }
 
 /// Walk a qualified path backwards from the called name at `i`:
