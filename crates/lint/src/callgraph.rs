@@ -46,7 +46,8 @@ pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// `edges[i]` = sorted, deduplicated callee ids of node `i`. A call
     /// that resolves to no workspace function (std/vendor calls, macros'
-    /// internals, turbofish forms the parser misses) adds no edge.
+    /// internals) adds no edge, and neither does a function passed as a
+    /// value, which the parser does not see as a call.
     pub edges: Vec<Vec<usize>>,
 }
 
