@@ -12,53 +12,23 @@ use arc_datasets::SdrDataset;
 use arc_ecc::parallel::{timed_decode, timed_encode};
 use arc_ecc::{EccConfig, EccScheme, ParallelCodec};
 use arc_faultsim::{run_campaign, sample_bits, ReturnStatus};
-use arc_pressio::{BoundSpec, Compressor, Dataset, DecodedDataset, PressioError};
-
-/// Minimal adapter so the fault harness can drive the no-lossless variant.
-struct SzVariant {
-    cfg: arc_sz::SzConfig,
-}
-
-impl Compressor for SzVariant {
-    fn name(&self) -> String {
-        format!("sz-variant(lossless={})", self.cfg.final_lossless)
-    }
-    fn compress(&self, ds: &Dataset<'_>) -> Result<Vec<u8>, PressioError> {
-        Ok(arc_sz::compress(ds.data, ds.dims, &self.cfg)?)
-    }
-    fn decompress_with_limit(
-        &self,
-        bytes: &[u8],
-        max_elements: u64,
-    ) -> Result<DecodedDataset, PressioError> {
-        let out = arc_sz::decompress_with_limits(bytes, &arc_sz::DecodeLimits { max_elements })?;
-        Ok(DecodedDataset { data: out.data, dims: out.dims })
-    }
-    fn bound_spec(&self) -> Option<BoundSpec> {
-        match self.cfg.bound {
-            arc_sz::ErrorBound::Abs(e) => Some(BoundSpec::Abs(e)),
-            _ => None,
-        }
-    }
-}
+use arc_pressio::BoundSpec;
 
 fn sz_lossless_ablation(scale: RunScale) {
     let field = dataset_at(scale, SdrDataset::CesmCldlow);
     let trials = scale.trials(100, 300, 1500);
     let mut rows = Vec::new();
     for final_lossless in [true, false] {
-        let comp = SzVariant {
-            cfg: arc_sz::SzConfig {
-                bound: arc_sz::ErrorBound::Abs(0.01),
-                final_lossless,
-                ..Default::default()
-            },
+        let eps = 0.01;
+        let cfg = arc_sz::SzConfig {
+            bound: arc_sz::ErrorBound::Abs(eps),
+            final_lossless,
+            ..Default::default()
         };
-        let stream =
-            comp.compress(&Dataset { data: &field.data, dims: &field.dims }).expect("compress");
+        let stream = arc_sz::compress(&field.data, &field.dims, &cfg).expect("compress");
         let cr = field.byte_len() as f64 / stream.len() as f64;
         let bits = sample_bits(stream.len() as u64 * 8, trials, 0xAB1);
-        let report = run_campaign(&comp, &field.data, &stream, &bits, comp.bound_spec());
+        let report = run_campaign(&field.data, &stream, &bits, Some(BoundSpec::Abs(eps)));
         let pcts: Vec<f64> =
             report.trials.iter().filter_map(|t| t.metrics?.percent_incorrect).collect();
         rows.push(vec![

@@ -11,13 +11,13 @@
 use arc_bench::{compress_field, dataset_at, fmt, print_table, RunScale};
 use arc_datasets::SdrDataset;
 use arc_faultsim::{run_campaign, stride_bits, ReturnStatus};
-use arc_pressio::CompressorSpec;
+use arc_pressio::{Compressor, CompressorSpec};
 
 fn main() {
     let scale = RunScale::from_env();
     let field = dataset_at(scale, SdrDataset::IsabelPressure);
     let spec = CompressorSpec::SzAbs(0.1);
-    let (comp, stream) = compress_field(spec, &field).expect("compress");
+    let stream = compress_field(spec, &field).expect("compress");
     println!(
         "Hurricane Isabel pressure {:?} — {} compressed {} -> {} bytes (CR {:.1}x)",
         field.dims,
@@ -29,7 +29,7 @@ fn main() {
 
     let n_sites = scale.trials(24, 48, 96);
     let bits = stride_bits(stream.len() as u64 * 8, n_sites);
-    let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, comp.bound_spec());
+    let report = run_campaign(&field.data, &stream, &bits, spec.bound_spec());
     let control = &report.control;
     let cm = control.metrics.expect("control completes");
     println!(

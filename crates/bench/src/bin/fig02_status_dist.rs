@@ -9,6 +9,7 @@
 use arc_bench::{compress_field, dataset_at, paper_modes, print_table, RunScale};
 use arc_datasets::SdrDataset;
 use arc_faultsim::{run_campaign, sample_bits, ReturnStatus};
+use arc_pressio::Compressor;
 
 fn main() {
     let scale = RunScale::from_env();
@@ -21,10 +22,9 @@ fn main() {
     for ds in SdrDataset::ALL {
         let field = dataset_at(scale, ds);
         for spec in paper_modes() {
-            let (comp, stream) = compress_field(spec, &field).expect("compress");
+            let stream = compress_field(spec, &field).expect("compress");
             let bits = sample_bits(stream.len() as u64 * 8, trials_per_pair, 0x000F_1602);
-            let report =
-                run_campaign(comp.as_ref(), &field.data, &stream, &bits, comp.bound_spec());
+            let report = run_campaign(&field.data, &stream, &bits, spec.bound_spec());
             let counts = report.status_counts();
             for (i, (_, c)) in counts.iter().enumerate() {
                 grand[i] += c;

@@ -23,10 +23,10 @@ fn main() {
     ];
     let mut summary = Vec::new();
     for (spec, bound) in modes {
-        let (comp, stream) = compress_field(spec, &field).expect("compress");
+        let stream = compress_field(spec, &field).expect("compress");
         let total_bits = stream.len() as u64 * 8;
         let bits = sample_bits(total_bits, trials, 0x000F_1603);
-        let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, Some(bound));
+        let report = run_campaign(&field.data, &stream, &bits, Some(bound));
         // Positional profile: deciles of the stream, mean % incorrect each.
         let mut decile_sum = [0.0f64; 10];
         let mut decile_n = [0usize; 10];

@@ -34,7 +34,7 @@ fn main() {
                 CompressorSpec::SzPwRel(_) => BoundSpec::PwRel(tuned.param),
                 _ => BoundSpec::Abs(tuned.param),
             };
-            let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, Some(bound));
+            let report = run_campaign(&field.data, &stream, &bits, Some(bound));
             // Head-vs-tail slope: mean % incorrect in the first vs last
             // third of the stream.
             let (mut head, mut hn, mut tail, mut tn) = (0.0f64, 0usize, 0.0f64, 0usize);

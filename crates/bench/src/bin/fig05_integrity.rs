@@ -10,6 +10,7 @@
 use arc_bench::{compress_field, dataset_at, fmt, paper_modes, print_table, RunScale};
 use arc_datasets::SdrDataset;
 use arc_faultsim::{run_campaign, sample_bits};
+use arc_pressio::Compressor;
 
 fn main() {
     let scale = RunScale::from_env();
@@ -18,10 +19,9 @@ fn main() {
     for ds in SdrDataset::ALL {
         let field = dataset_at(scale, ds);
         for spec in paper_modes() {
-            let (comp, stream) = compress_field(spec, &field).expect("compress");
+            let stream = compress_field(spec, &field).expect("compress");
             let bits = sample_bits(stream.len() as u64 * 8, trials, 0x000F_1605);
-            let report =
-                run_campaign(comp.as_ref(), &field.data, &stream, &bits, comp.bound_spec());
+            let report = run_campaign(&field.data, &stream, &bits, spec.bound_spec());
             let (bw_mean, bw_sd) = report.metric_stats(|m| m.bandwidth_mb_s);
             let (maxd_mean, _) = report.metric_stats(|m| m.max_abs_diff);
             let (psnr_mean, psnr_sd) = report.metric_stats(|m| m.psnr);

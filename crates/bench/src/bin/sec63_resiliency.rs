@@ -39,7 +39,7 @@ fn main() {
     let mut rows = Vec::new();
     for ds in SdrDataset::ALL {
         let field = dataset_at(scale, ds);
-        let (_, stream) = compress_field(CompressorSpec::SzAbs(0.1), &field).expect("compress");
+        let stream = compress_field(CompressorSpec::SzAbs(0.1), &field).expect("compress");
         let (protected, sel) = ctx.encode(&stream, &req).expect("arc_encode");
         let flips: Vec<Vec<FaultEvent>> = sample_bits(protected.len() as u64 * 8, trials, 0x63)
             .into_iter()

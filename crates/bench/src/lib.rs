@@ -93,19 +93,13 @@ pub fn paper_modes() -> Vec<CompressorSpec> {
     ]
 }
 
-/// Compress a field under a spec, returning the (compressor, stream) pair.
+/// Compress a field under a spec.
 ///
 /// Errors carry the spec and field names so binaries can simply `expect`
 /// the result with context intact.
-pub fn compress_field(
-    spec: CompressorSpec,
-    field: &Field,
-) -> Result<(Box<dyn Compressor>, Vec<u8>), String> {
-    let comp = spec.build();
-    let stream = comp
-        .compress(&Dataset { data: &field.data, dims: &field.dims })
-        .map_err(|e| format!("{} failed on {}: {e}", spec.name(), field.name))?;
-    Ok((comp, stream))
+pub fn compress_field(spec: CompressorSpec, field: &Field) -> Result<Vec<u8>, String> {
+    spec.compress(&Dataset { data: &field.data, dims: &field.dims })
+        .map_err(|e| format!("{} failed on {}: {e}", spec.name(), field.name))
 }
 
 /// Render an aligned text table to stdout.

@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use arc_ecc::parallel::{par_map, resolve_threads, ANY_THREADS};
-use arc_pressio::{BoundSpec, Compressor, RunningStats};
+use arc_pressio::{BoundSpec, RunningStats};
 
 use crate::inject::{apply_events, FaultEvent};
 use crate::trial::{decompress_trial, ReturnStatus, TrialMetrics, TrialOutcome};
@@ -114,13 +114,12 @@ impl CampaignReport {
 /// elements counted against `eval_bound`), over every available hardware
 /// thread; the control trial runs first, on its own.
 pub fn run_campaign(
-    compressor: &dyn Compressor,
     original: &[f32],
     compressed: &[u8],
     bits: &[u64],
     eval_bound: Option<BoundSpec>,
 ) -> CampaignReport {
-    let subject = decompress_trial(compressor, original, eval_bound);
+    let subject = decompress_trial(original, eval_bound);
     let (status, metrics) = run_trials(compressed, &[Vec::new()], 1, &subject).remove(0);
     let control = TrialOutcome { bit: None, status, metrics };
     let flips: Vec<Vec<FaultEvent>> =
@@ -137,7 +136,7 @@ pub fn run_campaign(
 mod tests {
     use super::*;
     use crate::inject::sample_bits;
-    use arc_pressio::{CompressorSpec, Dataset};
+    use arc_pressio::{Compressor, CompressorSpec, Dataset};
 
     fn smooth(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * 0.017).sin() * 3.0 + (i as f32 * 0.003).cos()).collect()
@@ -175,10 +174,10 @@ mod tests {
     fn campaign_aggregates_statuses() {
         let dims = [24usize, 24];
         let data = smooth(24 * 24);
-        let comp = CompressorSpec::SzAbs(0.01).build();
+        let comp = CompressorSpec::SzAbs(0.01);
         let packed = comp.compress(&Dataset { data: &data, dims: &dims }).unwrap();
         let bits = sample_bits(packed.len() as u64 * 8, 120, 11);
-        let report = run_campaign(comp.as_ref(), &data, &packed, &bits, comp.bound_spec());
+        let report = run_campaign(&data, &packed, &bits, comp.bound_spec());
         assert_eq!(report.trials.len(), 120);
         let total: usize = report.status_counts().iter().map(|(_, c)| c).sum();
         assert_eq!(total, 120);
@@ -195,16 +194,16 @@ mod tests {
         let data = smooth(32 * 32);
         let eval = Some(BoundSpec::Abs(0.05));
 
-        let zfp = CompressorSpec::ZfpRate(8.0).build();
+        let zfp = CompressorSpec::ZfpRate(8.0);
         let zpacked = zfp.compress(&Dataset { data: &data, dims: &dims }).unwrap();
         let zbits = sample_bits(zpacked.len() as u64 * 8, 150, 3);
-        let zreport = run_campaign(zfp.as_ref(), &data, &zpacked, &zbits, eval);
+        let zreport = run_campaign(&data, &zpacked, &zbits, eval);
         let z_avg = zreport.avg_incorrect_elements().unwrap_or(0.0);
 
-        let sz = CompressorSpec::SzAbs(0.05).build();
+        let sz = CompressorSpec::SzAbs(0.05);
         let spacked = sz.compress(&Dataset { data: &data, dims: &dims }).unwrap();
         let sbits = sample_bits(spacked.len() as u64 * 8, 150, 3);
-        let sreport = run_campaign(sz.as_ref(), &data, &spacked, &sbits, sz.bound_spec());
+        let sreport = run_campaign(&data, &spacked, &sbits, sz.bound_spec());
         let s_avg = sreport.avg_incorrect_elements().unwrap_or(0.0);
 
         assert!(
@@ -219,7 +218,7 @@ mod tests {
         // §4.2: 100% of ZFP trials Completed.
         let dims = [24usize, 24];
         let data = smooth(24 * 24);
-        let comp = CompressorSpec::ZfpRate(8.0).build();
+        let comp = CompressorSpec::ZfpRate(8.0);
         let packed = comp.compress(&Dataset { data: &data, dims: &dims }).unwrap();
         // Skip the stream header (first 16 bytes): the paper injects into
         // compressed *data* held in memory; the tiny header is ARC's to
@@ -228,7 +227,7 @@ mod tests {
             .into_iter()
             .map(|b| b + 128)
             .collect();
-        let report = run_campaign(comp.as_ref(), &data, &packed, &bits, Some(BoundSpec::Abs(0.05)));
+        let report = run_campaign(&data, &packed, &bits, Some(BoundSpec::Abs(0.05)));
         assert!(
             report.percent(ReturnStatus::Completed) > 95.0,
             "ZFP-Rate completed only {:.1}%",
@@ -240,10 +239,10 @@ mod tests {
     fn metric_stats_and_ranges() {
         let dims = [16usize, 16];
         let data = smooth(256);
-        let comp = CompressorSpec::SzAbs(0.01).build();
+        let comp = CompressorSpec::SzAbs(0.01);
         let packed = comp.compress(&Dataset { data: &data, dims: &dims }).unwrap();
         let bits = sample_bits(packed.len() as u64 * 8, 60, 2);
-        let report = run_campaign(comp.as_ref(), &data, &packed, &bits, comp.bound_spec());
+        let report = run_campaign(&data, &packed, &bits, comp.bound_spec());
         let (mean_bw, _sd) = report.metric_stats(|m| m.bandwidth_mb_s);
         assert!(mean_bw >= 0.0);
         if let Some((lo, hi)) = report.percent_incorrect_range() {

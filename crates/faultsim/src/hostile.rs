@@ -486,16 +486,14 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
     // region adds the first slab's codec header, so truncation and
     // inflation reach every table field.
     let ds = arc_pressio::Dataset { data: &data, dims: &dims };
-    let sz_slabs = arc_pressio::SzCompressor::new(arc_sz::ErrorBound::Abs(1e-3));
-    let zfp_slabs = arc_pressio::ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(8.0) };
     let slab_streams = [
-        ("slabs-sz-abs", sz_slabs.compress_rows(&ds, &[16, 16, 16])),
-        ("slabs-zfp-rate", zfp_slabs.compress_rows(&ds, &[16, 16, 16])),
+        ("slabs-sz-abs", arc_pressio::CompressorSpec::SzAbs(1e-3)),
+        ("slabs-zfp-rate", arc_pressio::CompressorSpec::ZfpRate(8.0)),
     ];
-    let slab_streams = slab_streams.into_iter().filter_map(|(label, bytes)| {
+    let slab_streams = slab_streams.into_iter().filter_map(|(label, spec)| {
         Some(GoldenStream {
             name: label.to_string(),
-            bytes: bytes.ok()?,
+            bytes: spec.compress_rows(&ds, &[16, 16, 16]).ok()?,
             header_len: 112,
             trailer_len: 0,
         })
@@ -504,16 +502,7 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
         name: "pressio-slabs".to_string(),
         streams: slab_streams.collect(),
         decode: Arc::new(|b, budget| {
-            use arc_pressio::Compressor;
-            // The first slab's codec magic picks the adapter; a frame whose
-            // magic a mutation hit goes to the other one, which refuses it.
-            let decoder: Box<dyn Compressor> = if b.get(74..78) == Some(arc_sz::stream::MAGIC) {
-                Box::new(arc_pressio::SzCompressor::new(arc_sz::ErrorBound::Abs(1e-3)))
-            } else {
-                Box::new(arc_pressio::ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(8.0) })
-            };
-            decoder
-                .decompress_with_limit(b, (budget / 4).max(1))
+            arc_pressio::decompress(b, (budget / 4).max(1))
                 .map(|d| d.data.len() as u64 * 4)
                 .map_err(|e| e.to_string())
         }),

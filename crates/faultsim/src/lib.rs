@@ -17,13 +17,13 @@
 //!
 //! ```
 //! use arc_faultsim::{run_campaign, sample_bits};
-//! use arc_pressio::{CompressorSpec, Dataset};
+//! use arc_pressio::{Compressor, CompressorSpec, Dataset};
 //!
 //! let data: Vec<f32> = (0..32 * 32).map(|i| (i as f32 * 0.03).sin()).collect();
-//! let comp = CompressorSpec::SzAbs(0.01).build();
+//! let comp = CompressorSpec::SzAbs(0.01);
 //! let packed = comp.compress(&Dataset { data: &data, dims: &[32, 32] }).unwrap();
 //! let bits = sample_bits(packed.len() as u64 * 8, 50, 42);
-//! let report = run_campaign(comp.as_ref(), &data, &packed, &bits, comp.bound_spec());
+//! let report = run_campaign(&data, &packed, &bits, comp.bound_spec());
 //! assert_eq!(report.trials.len(), 50);
 //! ```
 

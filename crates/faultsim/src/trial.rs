@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use arc_pressio::{BoundSpec, Compressor, PressioError};
+use arc_pressio::{BoundSpec, PressioError};
 
 /// The paper's four return-status classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,7 +80,8 @@ pub struct TrialOutcome {
 }
 
 /// The §4 trial as a subject for [`crate::campaign::run_trials`]:
-/// decompress the struck stream under a work budget of 4× the true element
+/// decompress the struck stream ([`arc_pressio::decompress`], which needs
+/// nothing but the bytes) under a work budget of 4× the true element
 /// count (the paper's "3× the average decompression time"), then score the
 /// output against `original`. A stream that decodes to a different element
 /// count is a Compressor Exception: any consumer holding the real dims would
@@ -88,14 +89,13 @@ pub struct TrialOutcome {
 /// compressor's own bound; Fig 3d evaluates ZFP-Rate, which has none,
 /// against the study's ε).
 pub fn decompress_trial<'a>(
-    compressor: &'a dyn Compressor,
     original: &'a [f32],
     eval_bound: Option<BoundSpec>,
 ) -> impl Fn(&[u8]) -> Result<TrialMetrics, ReturnStatus> + Sync + 'a {
     let work_budget = (original.len() as u64).saturating_mul(4).max(1024);
     move |buf| {
         let t0 = Instant::now();
-        let decoded = compressor.decompress_with_limit(buf, work_budget);
+        let decoded = arc_pressio::decompress(buf, work_budget);
         let seconds = t0.elapsed().as_secs_f64();
         let d = match decoded {
             Ok(d) if d.data.len() == original.len() => d,
@@ -122,12 +122,12 @@ pub fn decompress_trial<'a>(
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
-    use arc_pressio::{CompressorSpec, Dataset};
+    use arc_pressio::{Compressor, CompressorSpec, Dataset};
 
-    fn setup() -> (Vec<f32>, Vec<u8>, Box<dyn Compressor>) {
+    fn setup() -> (Vec<f32>, Vec<u8>, CompressorSpec) {
         let dims = [32usize, 32];
         let data: Vec<f32> = (0..1024).map(|i| (i as f32 * 0.02).sin() * 5.0).collect();
-        let comp = CompressorSpec::SzAbs(0.01).build();
+        let comp = CompressorSpec::SzAbs(0.01);
         let packed = comp.compress(&Dataset { data: &data, dims: &dims }).unwrap();
         (data, packed, comp)
     }
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn control_trial_is_clean_completed() {
         let (data, packed, comp) = setup();
-        let m = decompress_trial(comp.as_ref(), &data, comp.bound_spec())(&packed).unwrap();
+        let m = decompress_trial(&data, comp.bound_spec())(&packed).unwrap();
         assert_eq!(m.percent_incorrect, Some(0.0));
         assert!(m.max_abs_diff <= 0.01);
         assert!(m.psnr > 40.0);
@@ -146,7 +146,7 @@ mod tests {
     fn flip_trials_classify_without_panicking_through() {
         let (data, packed, comp) = setup();
         let bits: Vec<u64> = (0..packed.len() as u64 * 8).step_by(193).collect();
-        let report = run_campaign(comp.as_ref(), &data, &packed, &bits, comp.bound_spec());
+        let report = run_campaign(&data, &packed, &bits, comp.bound_spec());
         for out in &report.trials {
             assert_eq!(out.status == ReturnStatus::Completed, out.metrics.is_some());
         }
@@ -159,7 +159,7 @@ mod tests {
     fn corrupted_completed_trials_show_damage() {
         let (data, packed, comp) = setup();
         let bits: Vec<u64> = (64..packed.len() as u64 * 8).step_by(57).collect();
-        let report = run_campaign(comp.as_ref(), &data, &packed, &bits, comp.bound_spec());
+        let report = run_campaign(&data, &packed, &bits, comp.bound_spec());
         assert!(
             report
                 .trials

@@ -1,4 +1,5 @@
-//! The compressor abstraction: one trait over SZ and ZFP, mirroring how
+//! The compressor abstraction: one compressor type over SZ and ZFP, and one
+//! decode that reads everything it needs from the stream, mirroring how
 //! LibPressio normalizes compressor interactions for the paper's
 //! experiments (§4.1.1).
 
@@ -7,7 +8,7 @@ use std::fmt;
 use arc_ecc::parallel::ANY_THREADS;
 
 use crate::metrics::BoundSpec;
-use crate::slab::{self, SlabDecoder};
+use crate::slab;
 
 /// A borrowed input dataset (row-major f32 grid).
 #[derive(Debug, Clone, Copy)]
@@ -79,23 +80,13 @@ impl From<arc_zfp::ZfpError> for PressioError {
 
 /// The LibPressio-like compressor interface.
 pub trait Compressor: Send + Sync {
-    /// Stable identifier, e.g. `"sz-abs"`.
-    fn name(&self) -> String;
-
     /// Compress a dataset into a self-describing byte stream.
     fn compress(&self, ds: &Dataset<'_>) -> Result<Vec<u8>, PressioError>;
 
-    /// Decompress, limiting output to `max_elements` (the Timeout guard the
-    /// fault harness relies on).
-    fn decompress_with_limit(
-        &self,
-        bytes: &[u8],
-        max_elements: u64,
-    ) -> Result<DecodedDataset, PressioError>;
-
-    /// Decompress with a generous default limit.
+    /// Decompress with a generous default limit: [`decompress`], which
+    /// reads everything it needs from the bytes.
     fn decompress(&self, bytes: &[u8]) -> Result<DecodedDataset, PressioError> {
-        self.decompress_with_limit(bytes, 1 << 31)
+        decompress(bytes, 1 << 31)
     }
 
     /// The bound this compressor promises on decompressed values, if any.
@@ -152,35 +143,13 @@ impl CompressorSpec {
         }
     }
 
-    /// Instantiate the compressor.
+    /// The compressor, boxed for callers that hold one behind the trait.
     pub fn build(&self) -> Box<dyn Compressor> {
-        match *self {
-            CompressorSpec::SzAbs(e) => Box::new(SzCompressor::new(arc_sz::ErrorBound::Abs(e))),
-            CompressorSpec::SzPwRel(e) => Box::new(SzCompressor::new(arc_sz::ErrorBound::PwRel(e))),
-            CompressorSpec::SzPsnr(p) => Box::new(SzCompressor::new(arc_sz::ErrorBound::Psnr(p))),
-            CompressorSpec::ZfpAcc(e) => {
-                Box::new(ZfpCompressor { mode: arc_zfp::ZfpMode::FixedAccuracy(e) })
-            }
-            CompressorSpec::ZfpRate(r) => {
-                Box::new(ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(r) })
-            }
-        }
-    }
-}
-
-/// SZ adapter.
-pub struct SzCompressor {
-    cfg: arc_sz::SzConfig,
-}
-
-impl SzCompressor {
-    /// Create with a bound and SZ's default quantization bins.
-    pub fn new(bound: arc_sz::ErrorBound) -> SzCompressor {
-        SzCompressor { cfg: arc_sz::SzConfig { bound, ..Default::default() } }
+        Box::new(*self)
     }
 
     /// Compress `ds` as slabs of `rows` rows (see [`slab::plan`]), on every
-    /// core: the bare `arc_sz` stream when `rows` is one slab, else a frame.
+    /// core: the bare codec stream when `rows` is one slab, else a frame.
     pub fn compress_rows(&self, ds: &Dataset<'_>, rows: &[usize]) -> Result<Vec<u8>, PressioError> {
         self.compress_on(ds, rows, ANY_THREADS)
     }
@@ -191,136 +160,115 @@ impl SzCompressor {
         rows: &[usize],
         workers: usize,
     ) -> Result<Vec<u8>, PressioError> {
-        // SZ-PSNR resolves its bound once, from the whole field's range, so
-        // every slab carries the same absolute bound.
-        let range = match self.cfg.bound {
-            arc_sz::ErrorBound::Psnr(_) => arc_sz::finite_range(ds.data),
-            _ => (0.0, 0.0),
+        use arc_sz::ErrorBound;
+        use arc_zfp::ZfpMode;
+        let sz = |bound| {
+            let cfg = arc_sz::SzConfig { bound, ..Default::default() };
+            // SZ-PSNR resolves its bound once, from the whole field's range,
+            // so every slab carries the same absolute bound.
+            let range = match bound {
+                ErrorBound::Psnr(_) => arc_sz::finite_range(ds.data),
+                _ => (0.0, 0.0),
+            };
+            slab::compress(ds, rows, workers, |data, dims| {
+                Ok(arc_sz::compress_in_range(data, dims, &cfg, range)?)
+            })
         };
-        slab::compress(ds, rows, workers, |data, dims| {
-            Ok(arc_sz::compress_in_range(data, dims, &self.cfg, range)?)
-        })
-    }
-}
-
-impl SlabDecoder for SzCompressor {
-    fn header_dims(&self, stream: &[u8]) -> Result<Vec<usize>, PressioError> {
-        Ok(arc_sz::stream::Header::read(stream, &mut 0)?.dims)
-    }
-
-    fn decode_into(&self, stream: &[u8], out: &mut [f32]) -> Result<(), PressioError> {
-        let limits = arc_sz::DecodeLimits { max_elements: out.len() as u64 };
-        arc_sz::decompress_into(stream, &limits, out)?;
-        Ok(())
-    }
-}
-
-impl Compressor for SzCompressor {
-    fn name(&self) -> String {
-        match self.cfg.bound {
-            arc_sz::ErrorBound::Abs(e) => format!("sz-abs({e})"),
-            arc_sz::ErrorBound::PwRel(e) => format!("sz-pwrel({e})"),
-            arc_sz::ErrorBound::Psnr(p) => format!("sz-psnr({p})"),
+        let zfp = |mode| {
+            slab::compress(ds, rows, workers, |data, dims| Ok(arc_zfp::compress(data, dims, mode)?))
+        };
+        match *self {
+            CompressorSpec::SzAbs(e) => sz(ErrorBound::Abs(e)),
+            CompressorSpec::SzPwRel(e) => sz(ErrorBound::PwRel(e)),
+            CompressorSpec::SzPsnr(p) => sz(ErrorBound::Psnr(p)),
+            CompressorSpec::ZfpAcc(e) => zfp(ZfpMode::FixedAccuracy(e)),
+            CompressorSpec::ZfpRate(r) => zfp(ZfpMode::FixedRate(r)),
         }
     }
+}
 
+impl Compressor for CompressorSpec {
     fn compress(&self, ds: &Dataset<'_>) -> Result<Vec<u8>, PressioError> {
         self.compress_rows(ds, &slab::plan(ds.dims))
     }
 
-    fn decompress_with_limit(
-        &self,
-        bytes: &[u8],
-        max_elements: u64,
-    ) -> Result<DecodedDataset, PressioError> {
-        if slab::is_frame(bytes) {
-            return slab::decompress(self, bytes, max_elements, ANY_THREADS);
-        }
-        let out = arc_sz::decompress_with_limits(bytes, &arc_sz::DecodeLimits { max_elements })?;
-        Ok(DecodedDataset { data: out.data, dims: out.dims })
-    }
-
     fn bound_spec(&self) -> Option<BoundSpec> {
-        match self.cfg.bound {
-            arc_sz::ErrorBound::Abs(e) => Some(BoundSpec::Abs(e)),
-            arc_sz::ErrorBound::PwRel(e) => Some(BoundSpec::PwRel(e)),
+        match *self {
+            CompressorSpec::SzAbs(e) | CompressorSpec::ZfpAcc(e) => Some(BoundSpec::Abs(e)),
+            CompressorSpec::SzPwRel(e) => Some(BoundSpec::PwRel(e)),
             // PSNR does not bound each value (§4.1.3 collects no
-            // incorrect-element metric for SZ-PSNR).
-            arc_sz::ErrorBound::Psnr(_) => None,
+            // incorrect-element metric for SZ-PSNR). Fixed rate cannot bound
+            // error (§2.1.2); Fig 3d instead counts elements against the
+            // chosen evaluation bound externally.
+            CompressorSpec::SzPsnr(_) | CompressorSpec::ZfpRate(_) => None,
         }
     }
 }
 
-/// ZFP adapter.
-pub struct ZfpCompressor {
-    /// Mode to run.
-    pub mode: arc_zfp::ZfpMode,
+/// The codec a bare stream's leading magic names.
+#[derive(Clone, Copy)]
+pub(crate) enum Codec {
+    Sz,
+    Zfp,
 }
 
-impl ZfpCompressor {
-    /// Compress `ds` as slabs of `rows` rows (see [`slab::plan`]), on every
-    /// core: the bare `arc_zfp` stream when `rows` is one slab, else a frame.
-    pub fn compress_rows(&self, ds: &Dataset<'_>, rows: &[usize]) -> Result<Vec<u8>, PressioError> {
-        self.compress_on(ds, rows, ANY_THREADS)
+impl Codec {
+    /// The codec of `stream`, by its magic; anything else is refused.
+    pub(crate) fn of(stream: &[u8]) -> Result<Codec, PressioError> {
+        match stream.first_chunk::<4>() {
+            Some(magic) if magic == arc_sz::stream::MAGIC => Ok(Codec::Sz),
+            Some(magic) if magic == arc_zfp::MAGIC => Ok(Codec::Zfp),
+            _ => Err(PressioError::Codec("unknown stream magic".into())),
+        }
     }
 
-    pub(crate) fn compress_on(
-        &self,
-        ds: &Dataset<'_>,
-        rows: &[usize],
-        workers: usize,
-    ) -> Result<Vec<u8>, PressioError> {
-        slab::compress(ds, rows, workers, |data, dims| {
-            Ok(arc_zfp::compress(data, dims, self.mode)?)
-        })
-    }
-}
-
-impl SlabDecoder for ZfpCompressor {
-    fn header_dims(&self, stream: &[u8]) -> Result<Vec<usize>, PressioError> {
-        let info = arc_zfp::stream_info(stream);
-        Ok(info.ok_or_else(|| PressioError::Codec("bad ZFP slab header".into()))?.dims)
+    /// The dims a bare stream's header declares.
+    pub(crate) fn header_dims(self, stream: &[u8]) -> Result<Vec<usize>, PressioError> {
+        match self {
+            Codec::Sz => Ok(arc_sz::stream::Header::read(stream, &mut 0)?.dims),
+            Codec::Zfp => arc_zfp::stream_info(stream)
+                .map(|info| info.dims)
+                .ok_or_else(|| PressioError::Codec("bad ZFP slab header".into())),
+        }
     }
 
-    fn decode_into(&self, stream: &[u8], out: &mut [f32]) -> Result<(), PressioError> {
-        let limits = arc_zfp::DecodeLimits { max_elements: out.len() as u64 };
-        arc_zfp::decompress_into(stream, &limits, out)?;
+    /// Decode a bare stream into `out`, which holds exactly its elements.
+    pub(crate) fn decode_into(self, stream: &[u8], out: &mut [f32]) -> Result<(), PressioError> {
+        match self {
+            Codec::Sz => {
+                arc_sz::decompress_into(stream, out)?;
+            }
+            Codec::Zfp => {
+                arc_zfp::decompress_into(stream, out)?;
+            }
+        }
         Ok(())
     }
 }
 
-impl Compressor for ZfpCompressor {
-    fn name(&self) -> String {
-        match self.mode {
-            arc_zfp::ZfpMode::FixedAccuracy(e) => format!("zfp-acc({e})"),
-            arc_zfp::ZfpMode::FixedRate(r) => format!("zfp-rate({r})"),
+/// Decompress any stream this crate writes, from its bytes alone: the
+/// leading magic picks the path. A slab frame (`ASLB`) goes to the slab
+/// walk, a bare `ASZ1` or `AZFP` stream to its codec; anything else is a
+/// [`PressioError::Codec`]. Output over `max_elements` values is the
+/// Timeout guard the fault harness relies on.
+// arc-lint: decode-root
+pub fn decompress(bytes: &[u8], max_elements: u64) -> Result<DecodedDataset, PressioError> {
+    if slab::is_frame(bytes) {
+        return slab::decompress(bytes, max_elements, ANY_THREADS);
+    }
+    let (data, dims) = match Codec::of(bytes)? {
+        Codec::Sz => {
+            let out =
+                arc_sz::decompress_with_limits(bytes, &arc_sz::DecodeLimits { max_elements })?;
+            (out.data, out.dims)
         }
-    }
-
-    fn compress(&self, ds: &Dataset<'_>) -> Result<Vec<u8>, PressioError> {
-        self.compress_rows(ds, &slab::plan(ds.dims))
-    }
-
-    fn decompress_with_limit(
-        &self,
-        bytes: &[u8],
-        max_elements: u64,
-    ) -> Result<DecodedDataset, PressioError> {
-        if slab::is_frame(bytes) {
-            return slab::decompress(self, bytes, max_elements, ANY_THREADS);
+        Codec::Zfp => {
+            let limits = arc_zfp::DecodeLimits { max_elements };
+            let out = arc_zfp::decompress_with_limits(bytes, &limits)?;
+            (out.data, out.dims)
         }
-        let out = arc_zfp::decompress_with_limits(bytes, &arc_zfp::DecodeLimits { max_elements })?;
-        Ok(DecodedDataset { data: out.data, dims: out.dims })
-    }
-
-    fn bound_spec(&self) -> Option<BoundSpec> {
-        match self.mode {
-            arc_zfp::ZfpMode::FixedAccuracy(e) => Some(BoundSpec::Abs(e)),
-            // Fixed rate cannot bound error (§2.1.2); Fig 3d instead counts
-            // elements against the chosen evaluation bound externally.
-            arc_zfp::ZfpMode::FixedRate(_) => None,
-        }
-    }
+    };
+    Ok(DecodedDataset { data, dims })
 }
 
 #[cfg(test)]
@@ -361,9 +309,8 @@ mod tests {
         let data = field(64 * 64);
         let ds = Dataset { data: &data, dims: &[64, 64] };
         for spec in [CompressorSpec::SzAbs(0.01), CompressorSpec::ZfpAcc(0.01)] {
-            let c = spec.build();
-            let packed = c.compress(&ds).unwrap();
-            let err = c.decompress_with_limit(&packed, 16).unwrap_err();
+            let packed = spec.compress(&ds).unwrap();
+            let err = decompress(&packed, 16).unwrap_err();
             assert!(matches!(err, PressioError::Timeout { .. }), "{}: {err}", spec.name());
         }
     }
@@ -386,12 +333,11 @@ mod tests {
         let data = field(32 * 32);
         let ds = Dataset { data: &data, dims: &[32, 32] };
         for spec in [CompressorSpec::SzAbs(0.1), CompressorSpec::ZfpRate(8.0)] {
-            let c = spec.build();
-            let packed = c.compress(&ds).unwrap();
+            let packed = spec.compress(&ds).unwrap();
             for i in (0..packed.len()).step_by(11) {
                 let mut bad = packed.clone();
                 bad[i] ^= 0x80;
-                let _ = c.decompress_with_limit(&bad, 1 << 20);
+                let _ = decompress(&bad, 1 << 20);
             }
         }
     }

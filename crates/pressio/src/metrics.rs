@@ -48,21 +48,12 @@ pub fn rmse(original: &[f32], decoded: &[f32]) -> f64 {
     (sum / original.len() as f64).sqrt()
 }
 
-/// Value range (max − min) of the original data, used by PSNR.
+/// Value range (max − min) of the finite values of the original data, 0
+/// when it has none; used by PSNR. The range is [`arc_sz::finite_range`],
+/// the one an SZ-PSNR bound resolves against.
 pub fn value_range(data: &[f32]) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &x in data {
-        if x.is_finite() {
-            lo = lo.min(x as f64);
-            hi = hi.max(x as f64);
-        }
-    }
-    if lo.is_finite() {
-        hi - lo
-    } else {
-        0.0
-    }
+    let (lo, hi) = arc_sz::finite_range(data);
+    hi - lo
 }
 
 /// Peak signal-to-noise ratio in dB (Equation 2). Returns `f64::INFINITY`

@@ -20,7 +20,7 @@
 
 use arc_ecc::parallel::{par_map, resolve_threads};
 
-use crate::compressors::{Dataset, DecodedDataset, PressioError};
+use crate::compressors::{Codec, Dataset, DecodedDataset, PressioError};
 
 /// Largest field, in bytes of `f32`, kept as one bare codec stream; a larger
 /// field is cut into slabs of at most this size (DESIGN.md §23 has the sweep
@@ -59,6 +59,8 @@ pub fn plan(dims: &[usize]) -> Vec<usize> {
 
 /// Compress `ds` as slabs of `rows` rows, each through `codec` on up to
 /// `workers` threads: the bare stream when `rows` is one slab, else a frame.
+/// A plan whose rows are not all positive or do not sum to `dims[0]` is a
+/// [`PressioError::Codec`], whatever its length.
 pub(crate) fn compress<F>(
     ds: &Dataset<'_>,
     rows: &[usize],
@@ -68,17 +70,18 @@ pub(crate) fn compress<F>(
 where
     F: Fn(&[f32], &[usize]) -> Result<Vec<u8>, PressioError> + Sync,
 {
-    if rows.len() <= 1 {
-        return codec(ds.data, ds.dims);
-    }
     let bad = |why: String| PressioError::Codec(format!("slab plan: {why}"));
     let (&total_rows, rest) = ds.dims.split_first().ok_or_else(|| bad("no dims".into()))?;
+    let covered = rows.iter().try_fold(0usize, |sum, &r| sum.checked_add(r));
+    if rows.contains(&0) || covered != Some(total_rows) {
+        return Err(bad(format!("rows {rows:?} for {total_rows}")));
+    }
+    if rows.len() == 1 {
+        return codec(ds.data, ds.dims);
+    }
     let row_len: usize = rest.iter().product();
     if ds.dims.len() > 3 || row_len.checked_mul(total_rows) != Some(ds.data.len()) {
         return Err(bad(format!("dims {:?} for {} values", ds.dims, ds.data.len())));
-    }
-    if rows.contains(&0) || rows.iter().sum::<usize>() != total_rows {
-        return Err(bad(format!("rows {rows:?} for {total_rows}")));
     }
     let mut slabs: Vec<(&[f32], Vec<usize>)> = Vec::with_capacity(rows.len());
     let mut data = ds.data;
@@ -115,14 +118,6 @@ fn write_frame(dims: &[usize], rows: &[usize], streams: &[Vec<u8>]) -> Vec<u8> {
 /// Whether `bytes` is a slab frame rather than a bare codec stream.
 pub(crate) fn is_frame(bytes: &[u8]) -> bool {
     bytes.starts_with(FRAME_MAGIC)
-}
-
-/// What the frame decoder needs of a codec.
-pub(crate) trait SlabDecoder: Sync {
-    /// The dims a bare stream's header declares.
-    fn header_dims(&self, stream: &[u8]) -> Result<Vec<usize>, PressioError>;
-    /// Decode a bare stream into `out`, which holds exactly its elements.
-    fn decode_into(&self, stream: &[u8], out: &mut [f32]) -> Result<(), PressioError>;
 }
 
 /// A frame's table, checked against the bytes it came with.
@@ -216,15 +211,16 @@ impl<'a> Frame<'a> {
 
 /// Decode a slab frame: check the table and every slab's header dims, then
 /// allocate the field once and decode each slab into its rows on up to
-/// `workers` threads. On `Err` nothing partly written is returned.
-// arc-lint: decode-root
+/// `workers` threads. The first slab's magic names the codec of every slab,
+/// so a frame that mixes codecs is refused at the header check. On `Err`
+/// nothing partly written is returned.
 pub(crate) fn decompress(
-    codec: &impl SlabDecoder,
     bytes: &[u8],
     max_elements: u64,
     workers: usize,
 ) -> Result<DecodedDataset, PressioError> {
     let Frame { dims, slabs } = Frame::read(bytes, max_elements)?;
+    let codec = Codec::of(slabs.first().map(|&(_, stream)| stream).unwrap_or_default())?;
     let rest = dims.get(1..).unwrap_or_default();
     let row_len: usize = rest.iter().product();
     for (i, &(rows, stream)) in slabs.iter().enumerate() {
@@ -257,7 +253,7 @@ pub(crate) fn decompress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressors::{CompressorSpec, SzCompressor, ZfpCompressor};
+    use crate::compressors::{Compressor, CompressorSpec};
     use crate::metrics::{incorrect_elements, psnr};
 
     /// A field whose range differs from row to row: a ramp under ripples.
@@ -282,48 +278,15 @@ mod tests {
     }
 
     /// Compress through the crate-internal entry on `workers` threads, and
-    /// decode a frame on `workers` threads.
+    /// decode the frame on `workers` threads.
     fn round_trip(
         spec: CompressorSpec,
         ds: &Dataset<'_>,
         rows: &[usize],
         workers: usize,
     ) -> (Vec<u8>, DecodedDataset) {
-        let (frame, decoded) = match spec {
-            CompressorSpec::ZfpAcc(e) => {
-                let c = ZfpCompressor { mode: arc_zfp::ZfpMode::FixedAccuracy(e) };
-                let frame = c.compress_on(ds, rows, workers).unwrap();
-                let decoded = decompress(&c, &frame, u64::MAX, workers).unwrap();
-                (frame, decoded)
-            }
-            CompressorSpec::ZfpRate(r) => {
-                let c = ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(r) };
-                let frame = c.compress_on(ds, rows, workers).unwrap();
-                let decoded = decompress(&c, &frame, u64::MAX, workers).unwrap();
-                (frame, decoded)
-            }
-            CompressorSpec::SzAbs(e) => {
-                sz_round_trip(arc_sz::ErrorBound::Abs(e), ds, rows, workers)
-            }
-            CompressorSpec::SzPwRel(e) => {
-                sz_round_trip(arc_sz::ErrorBound::PwRel(e), ds, rows, workers)
-            }
-            CompressorSpec::SzPsnr(p) => {
-                sz_round_trip(arc_sz::ErrorBound::Psnr(p), ds, rows, workers)
-            }
-        };
-        (frame, decoded)
-    }
-
-    fn sz_round_trip(
-        bound: arc_sz::ErrorBound,
-        ds: &Dataset<'_>,
-        rows: &[usize],
-        workers: usize,
-    ) -> (Vec<u8>, DecodedDataset) {
-        let c = SzCompressor::new(bound);
-        let frame = c.compress_on(ds, rows, workers).unwrap();
-        let decoded = decompress(&c, &frame, u64::MAX, workers).unwrap();
+        let frame = spec.compress_on(ds, rows, workers).unwrap();
+        let decoded = decompress(&frame, u64::MAX, workers).unwrap();
         (frame, decoded)
     }
 
@@ -352,10 +315,10 @@ mod tests {
             );
             assert_eq!(out1.dims, dims, "{what}");
             // The public path decodes the same frame to the same bits.
-            let public = spec.build().decompress(&frame1).unwrap();
+            let public = spec.decompress(&frame1).unwrap();
             assert_eq!(bits(&public.data), bits(&out1.data), "{what}");
             let achieved = psnr(data, &out1.data);
-            match (spec, spec.build().bound_spec()) {
+            match (spec, spec.bound_spec()) {
                 (_, Some(bound)) => {
                     assert_eq!(incorrect_elements(data, &out1.data, bound), 0, "{what}: bound");
                 }
@@ -412,7 +375,8 @@ mod tests {
             arc_sz::SzConfig { bound: arc_sz::ErrorBound::Psnr(target), ..Default::default() };
         let whole = arc_sz::compress(&data, &dims, &cfg).unwrap();
         let whole_eb = arc_sz::stream::Header::read(&whole, &mut 0).unwrap().abs_eb;
-        let (frame, decoded) = sz_round_trip(cfg.bound, &ds, &[24, 24, 24, 28], 2);
+        let (frame, decoded) =
+            round_trip(CompressorSpec::SzPsnr(target), &ds, &[24, 24, 24, 28], 2);
         for (rows, stream) in slab_streams(&frame) {
             let header = arc_sz::stream::Header::read(&stream, &mut 0).unwrap();
             assert_eq!(header.abs_eb.to_bits(), whole_eb.to_bits(), "slab of {rows} rows");
@@ -430,11 +394,10 @@ mod tests {
         let dims = [48usize, 40];
         let data = ramp(&dims);
         let ds = Dataset { data: &data, dims: &dims };
-        let c = SzCompressor::new(arc_sz::ErrorBound::Abs(0.01));
-        let frame = c.compress_on(&ds, &[16, 16, 16], 1).unwrap();
+        let frame = CompressorSpec::SzAbs(0.01).compress_on(&ds, &[16, 16, 16], 1).unwrap();
         let n = data.len() as u64;
         assert!(matches!(
-            decompress(&c, &frame, n - 1, 1),
+            decompress(&frame, n - 1, 1),
             Err(PressioError::Timeout { demanded, .. }) if demanded == n
         ));
         // Table: rows at 26.., lengths at 34..; dims at 6..22.
@@ -464,14 +427,75 @@ mod tests {
         moved[table + 16] = 20;
         cases.push(("header dims", moved));
         for (what, bytes) in cases {
-            assert!(decompress(&c, &bytes, u64::MAX, 2).is_err(), "{what}");
+            assert!(decompress(&bytes, u64::MAX, 2).is_err(), "{what}");
         }
-        // A ZFP frame fed to SZ is refused at the slab headers.
-        let z = ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(8.0) };
-        let zframe = z.compress_on(&ds, &[16, 16, 16], 1).unwrap();
-        assert!(decompress(&c, &zframe, u64::MAX, 1).is_err());
-        assert!(c.compress_on(&ds, &[16, 16, 15], 1).is_err());
-        assert!(c.compress_on(&ds, &[16, 0, 32], 1).is_err());
+    }
+
+    /// A plan must cover `dims[0]` with positive rows, whatever its length;
+    /// a sum that overflows is refused, not wrapped or panicked on.
+    #[test]
+    fn bad_plans_are_refused_whatever_their_length() {
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[1, 8], &[usize::MAX, 2]),
+            (&[1, 8], &[999]),
+            (&[1, 8], &[]),
+            (&[1, 8], &[0, 1]),
+            (&[48, 40], &[16, 16, 15]),
+            (&[48, 40], &[16, 0, 32]),
+        ];
+        for spec in MODES {
+            for (dims, rows) in cases {
+                let data = ramp(dims);
+                let got = spec.compress_rows(&Dataset { data: &data, dims }, rows);
+                let what = format!("{} {dims:?} rows {rows:?}", spec.name());
+                assert!(matches!(got, Err(PressioError::Codec(_))), "{what}");
+            }
+            let data = ramp(&[1, 8]);
+            assert!(spec.compress_rows(&Dataset { data: &data, dims: &[1, 8] }, &[1]).is_ok());
+        }
+    }
+
+    /// The decode takes nothing but the bytes: every mode's bare stream and
+    /// frame decode as their codec's own decoder decodes them, slab by slab.
+    #[test]
+    fn streams_pick_their_decoder_by_magic() {
+        let dims = [48usize, 40];
+        let data = ramp(&dims);
+        let ds = Dataset { data: &data, dims: &dims };
+        let own = |stream: &[u8]| match Codec::of(stream).unwrap() {
+            Codec::Sz => arc_sz::decompress(stream).unwrap().data,
+            Codec::Zfp => arc_zfp::decompress(stream).unwrap().data,
+        };
+        for spec in MODES {
+            for rows in [&[48][..], &[16, 16, 16]] {
+                let what = format!("{} rows {rows:?}", spec.name());
+                let bytes = spec.compress_rows(&ds, rows).unwrap();
+                let want: Vec<f32> = if is_frame(&bytes) {
+                    slab_streams(&bytes).iter().flat_map(|(_, s)| own(s)).collect()
+                } else {
+                    own(&bytes)
+                };
+                let got = crate::decompress(&bytes, u64::MAX).unwrap();
+                assert_eq!(got.dims, dims, "{what}");
+                assert_eq!(bits(&got.data), bits(&want), "{what}");
+            }
+        }
+        // A frame whose second slab is the other codec is refused.
+        let slab = |spec: CompressorSpec, i: usize| {
+            let frame = spec.compress_rows(&ds, &[16, 16, 16]).unwrap();
+            slab_streams(&frame).swap_remove(i).1
+        };
+        let (sz, zfp) = (CompressorSpec::SzAbs(0.01), CompressorSpec::ZfpRate(8.0));
+        for (a, b) in [(sz, zfp), (zfp, sz)] {
+            let mixed = write_frame(&dims, &[16, 16, 16], &[slab(a, 0), slab(b, 1), slab(a, 2)]);
+            let got = crate::decompress(&mixed, u64::MAX);
+            assert!(matches!(got, Err(PressioError::Codec(_))), "{} then {}", a.name(), b.name());
+        }
+        let unknown = b"ASZ2\0\0\0\0\0\0\0\0\0\0\0\0".as_slice();
+        for bytes in [unknown, b"", b"ASL", b"AZF"] {
+            let got = crate::decompress(bytes, u64::MAX);
+            assert!(matches!(got, Err(PressioError::Codec(_))), "{bytes:?}: {got:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use arc_pressio::{Compressor, Dataset, SzCompressor, ZfpCompressor};
+use arc_pressio::{decompress, CompressorSpec, Dataset};
 
 struct CountingAlloc;
 
@@ -101,19 +101,14 @@ fn field() -> Vec<f32> {
 
 /// Decode `frame` and, one by one, the `bare` streams of its slabs; hold the
 /// frame decode to the output field once and to what its slabs cost alone.
-fn frame_decode_allocates_no_slab_copy(
-    name: &str,
-    codec: &dyn Compressor,
-    frame: &[u8],
-    bare: &[Vec<u8>],
-) {
+fn frame_decode_allocates_no_slab_copy(name: &str, frame: &[u8], bare: &[Vec<u8>]) {
     let field_bytes = DIMS.iter().product::<usize>() * 4;
     let slab_bytes = field_bytes / ROWS.len();
-    let (decoded, frame_bytes, big) = counted(slab_bytes, || codec.decompress(frame).unwrap());
+    let (decoded, frame_bytes, big) = counted(slab_bytes, || decompress(frame, u64::MAX).unwrap());
     assert_eq!(decoded.dims, DIMS, "{name}");
     // The yardstick: each slab decoded alone, into a vector of its own.
     let (pieces, bare_bytes, _) = counted(usize::MAX, || {
-        bare.iter().map(|s| codec.decompress(s).unwrap().data).collect::<Vec<_>>()
+        bare.iter().map(|s| decompress(s, u64::MAX).unwrap().data).collect::<Vec<_>>()
     });
     assert_eq!(decoded.data, pieces.concat(), "{name}: frame decode differs from its slabs");
     // One output field; a copy per slab would add `field_bytes` more.
@@ -131,24 +126,21 @@ fn a_k_slab_decode_allocates_the_field_once_and_no_slab_copy() {
     let slabs: Vec<&[f32]> = data.chunks(data.len() / ROWS.len()).collect();
     let slab_dims = [ROWS[0], DIMS[1], DIMS[2]];
 
-    let sz = SzCompressor::new(arc_sz::ErrorBound::Abs(1e-3));
+    let sz = CompressorSpec::SzAbs(1e-3);
     let cfg = arc_sz::SzConfig { bound: arc_sz::ErrorBound::Abs(1e-3), ..Default::default() };
     let bare: Vec<_> =
         slabs.iter().map(|s| arc_sz::compress(s, &slab_dims, &cfg).unwrap()).collect();
-    frame_decode_allocates_no_slab_copy(
-        "sz-abs",
-        &sz,
-        &sz.compress_rows(&ds, &ROWS).unwrap(),
-        &bare,
-    );
+    frame_decode_allocates_no_slab_copy("sz-abs", &sz.compress_rows(&ds, &ROWS).unwrap(), &bare);
 
-    let zfp = ZfpCompressor { mode: arc_zfp::ZfpMode::FixedRate(8.0) };
+    let zfp = CompressorSpec::ZfpRate(8.0);
+    let mode = arc_zfp::ZfpMode::FixedRate(8.0);
     let bare: Vec<_> =
-        slabs.iter().map(|s| arc_zfp::compress(s, &slab_dims, zfp.mode).unwrap()).collect();
+        slabs.iter().map(|s| arc_zfp::compress(s, &slab_dims, mode).unwrap()).collect();
     let frame = zfp.compress_rows(&ds, &ROWS).unwrap();
-    frame_decode_allocates_no_slab_copy("zfp-rate", &zfp, &frame, &bare);
+    frame_decode_allocates_no_slab_copy("zfp-rate", &frame, &bare);
     // ZFP decodes with no heap scratch at all: the field is the only
     // allocation of a slab's size or more.
-    let (_, _, big) = counted(data.len() * 4 / ROWS.len(), || zfp.decompress(&frame).unwrap());
+    let (_, _, big) =
+        counted(data.len() * 4 / ROWS.len(), || decompress(&frame, u64::MAX).unwrap());
     assert_eq!(big, [data.len() * 4]);
 }

@@ -408,7 +408,7 @@ impl ElementDecoder<'_> {
     /// Run the loop over the whole grid. Returns the reconstruction the
     /// values were predicted from, which nothing after the loop reads.
     fn run(&mut self, predictor: &Predictor, log_domain: bool) -> Vec<f64> {
-        // arc-lint: bounded(out.len() = n <= limits.max_elements checked at header parse)
+        // arc-lint: bounded(out.len() = n, the caller's buffer, checked at header parse)
         let mut recon = vec![0.0f64; self.out.len()];
         for seg in predictor.segments() {
             if log_domain {
@@ -434,7 +434,7 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzD
     let n = element_budget(&Header::read(bytes, &mut 0)?, limits)?;
     // arc-lint: bounded(n <= limits.max_elements checked by element_budget)
     let mut data = vec![0.0f32; n];
-    let dims = decompress_into(bytes, limits, &mut data)?;
+    let dims = decompress_into(bytes, &mut data)?;
     Ok(SzDecoded { data, dims })
 }
 
@@ -450,16 +450,13 @@ fn element_budget(header: &Header, limits: &DecodeLimits) -> Result<usize, SzErr
 /// Decompress into `out`, which must hold exactly the stream's element
 /// count, and return the stream's dims. The one decode body: a caller
 /// that owns a larger field decodes each slab straight into its rows.
-/// On `Err`, `out` holds no meaningful values.
+/// `out`'s length is the work budget. On `Err`, `out` holds no meaningful
+/// values.
 // arc-lint: decode-root
-pub fn decompress_into(
-    bytes: &[u8],
-    limits: &DecodeLimits,
-    out: &mut [f32],
-) -> Result<Vec<usize>, SzError> {
+pub fn decompress_into(bytes: &[u8], out: &mut [f32]) -> Result<Vec<usize>, SzError> {
     let mut pos = 0usize;
     let header = Header::read(bytes, &mut pos)?;
-    let n = element_budget(&header, limits)?;
+    let n = element_budget(&header, &DecodeLimits { max_elements: out.len() as u64 })?;
     if out.len() != n {
         return Err(SzError::Malformed(format!("stream holds {n} elements, output {}", out.len())));
     }
@@ -497,7 +494,7 @@ pub fn decompress_into(
     bpos = code_end;
     let mid = (header.quant_bins / 2) as i64;
     let zero_quantum_code = (mid + 1) as u32;
-    // arc-lint: bounded(n <= limits.max_elements checked at header parse)
+    // arc-lint: bounded(n = out.len(), the caller's buffer, checked at header parse)
     codes.resize(n, zero_quantum_code);
     let n_literals = read_varint(&body, &mut bpos)? as usize;
     // There is one literal per unpredictable element at most; a corrupt

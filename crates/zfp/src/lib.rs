@@ -306,22 +306,19 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<Zfp
     let grid = Grid::new(&info.dims).ok_or_else(|| ZfpError::Malformed("invalid dims".into()))?;
     // arc-lint: bounded(StreamInfo::read checked the element count against limits.max_elements)
     let mut data = vec![0.0f32; grid.len()];
-    let dims = decompress_into(bytes, limits, &mut data)?;
+    let dims = decompress_into(bytes, &mut data)?;
     Ok(ZfpDecoded { data, dims })
 }
 
 /// Decompress into `out`, which must hold exactly the stream's element
 /// count, and return the stream's dims. The one decode body: a caller
 /// that owns a larger field decodes each slab straight into its rows.
-/// On `Err`, `out` holds no meaningful values.
+/// `out`'s length is the work budget. On `Err`, `out` holds no meaningful
+/// values.
 // arc-lint: decode-root
-pub fn decompress_into(
-    bytes: &[u8],
-    limits: &DecodeLimits,
-    out: &mut [f32],
-) -> Result<Vec<usize>, ZfpError> {
+pub fn decompress_into(bytes: &[u8], out: &mut [f32]) -> Result<Vec<usize>, ZfpError> {
     let shard::StreamInfo { mode, dims, payload_offset, payload_len } =
-        shard::StreamInfo::read(bytes, limits.max_elements)?;
+        shard::StreamInfo::read(bytes, out.len() as u64)?;
     let payload = bytes
         .get(payload_offset..payload_offset + payload_len)
         .ok_or_else(|| ZfpError::Truncated("payload".into()))?;

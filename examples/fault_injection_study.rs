@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let comp = spec.build();
         let stream = comp.compress(&Dataset { data: &field.data, dims: &field.dims })?;
         let bits = sample_bits(stream.len() as u64 * 8, trials, 0xCAFE);
-        let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, Some(bound));
+        let report = run_campaign(&field.data, &stream, &bits, Some(bound));
         println!(
             "{:<10} {:>9.1}% {:>10.1}% {:>10.1}% {:>8.1}% {:>14.2} {:>12.1}",
             spec.family(),

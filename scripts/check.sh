@@ -12,7 +12,8 @@
 #                                    codeword-RS lane kernel, BCH remainder,
 #                                    ZFP rounding and transpose, slab frames
 #                                    at arcbench's field sizes),
-#                                    the seven fault-study binaries at
+#                                    the seven fault-study binaries and
+#                                    the eight other figure binaries at
 #                                    --quick, hostile-input sweep, arcbench
 #                                    at smoke scale
 #
@@ -95,6 +96,17 @@ if (( full )); then
         fig05_integrity sec63_resiliency ablations; do
         ./target/release/"$bin" --quick >/dev/null
     done
+
+    echo "==> figure binaries: fig06, fig08-fig12, sec64_failure_model, tab01_engine_api at --quick"
+    # Nothing else runs these either. A scratch ARC_CACHE_DIR keeps any ARC
+    # context they build with the default cache path out of ~/.cache.
+    cache_dir=$(mktemp -d)
+    for bin in fig06_training_cost fig08_encode_scaling fig09_decode_scaling \
+        fig10_decode_with_errors fig11_constraints_any_ecc fig12_constraints_single_ecc \
+        sec64_failure_model tab01_engine_api; do
+        ARC_CACHE_DIR="$cache_dir" ./target/release/"$bin" --quick >/dev/null
+    done
+    rm -rf "$cache_dir"
 
     echo "==> hostile-input sweep: cargo run --release -q -p arc-bench --bin hostile_corpus"
     cargo run --release -q -p arc-bench --bin hostile_corpus

@@ -42,7 +42,7 @@ fn same_seed_same_report_across_thread_counts() {
     let stream = comp.compress(&Dataset { data: &field.data, dims: &field.dims }).unwrap();
     let bits = sample_bits(stream.len() as u64 * 8, 200, 42);
     let bound = Some(BoundSpec::Abs(0.05));
-    let baseline = run_campaign(comp.as_ref(), &field.data, &stream, &bits, bound);
+    let baseline = run_campaign(&field.data, &stream, &bits, bound);
     assert_eq!(baseline.total_bits, stream.len() as u64 * 8);
     assert_eq!(baseline.trials.len(), bits.len());
     assert!(baseline.trials.iter().zip(&bits).all(|(t, &b)| t.bit == Some(b)));
@@ -54,7 +54,7 @@ fn same_seed_same_report_across_thread_counts() {
         .chain(&baseline.trials)
         .map(|t| key(t.status, t.metrics.as_ref()))
         .collect();
-    let subject = decompress_trial(comp.as_ref(), &field.data, bound);
+    let subject = decompress_trial(&field.data, bound);
     for workers in [1usize, 2, 8] {
         let got = run_trials(&stream, &trials, workers, &subject);
         assert_eq!(got.len(), expect.len(), "{workers} workers");

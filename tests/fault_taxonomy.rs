@@ -18,8 +18,7 @@ fn majority_of_flips_complete_silently() {
         let comp = spec.build();
         let stream = comp.compress(&Dataset { data: &field.data, dims: &field.dims }).unwrap();
         let bits = sample_bits(stream.len() as u64 * 8, 150, 21);
-        let report =
-            run_campaign(comp.as_ref(), &field.data, &stream, &bits, Some(BoundSpec::Abs(0.1)));
+        let report = run_campaign(&field.data, &stream, &bits, Some(BoundSpec::Abs(0.1)));
         completed += report.trials.iter().filter(|t| t.status == ReturnStatus::Completed).count();
         total += report.trials.len();
     }
@@ -39,8 +38,7 @@ fn zfp_rate_trials_all_complete() {
         .into_iter()
         .map(|b| b + header_bits)
         .collect();
-    let report =
-        run_campaign(comp.as_ref(), &field.data, &stream, &bits, Some(BoundSpec::Abs(0.1)));
+    let report = run_campaign(&field.data, &stream, &bits, Some(BoundSpec::Abs(0.1)));
     assert_eq!(
         report.percent(ReturnStatus::Completed),
         100.0,
@@ -60,7 +58,7 @@ fn serial_modes_propagate_more_than_block_mode() {
         let comp = spec.build();
         let stream = comp.compress(&Dataset { data: &field.data, dims: &field.dims }).unwrap();
         let bits = sample_bits(stream.len() as u64 * 8, 200, 23);
-        let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, eval);
+        let report = run_campaign(&field.data, &stream, &bits, eval);
         // Subtract the control baseline (rate mode has inherent violations
         // at its fixed precision).
         let control =
@@ -89,7 +87,7 @@ fn timeout_class_reachable_via_dims_corruption() {
     // The dims varints live right after magic+version+tag+2×f64+flag.
     let dims_offset = (4 + 1 + 1 + 16 + 1 + 1) as u64 * 8;
     let bits: Vec<u64> = (dims_offset..dims_offset + 32).collect();
-    let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, comp.bound_spec());
+    let report = run_campaign(&field.data, &stream, &bits, comp.bound_spec());
     assert!(
         report.percent(ReturnStatus::Timeout) > 0.0,
         "no dims flip produced the Timeout class: {:?}",
@@ -106,8 +104,7 @@ fn control_trials_are_pristine_for_bounded_modes() {
         {
             let comp = spec.build();
             let stream = comp.compress(&Dataset { data: &field.data, dims: &field.dims }).unwrap();
-            let control =
-                run_campaign(comp.as_ref(), &field.data, &stream, &[], comp.bound_spec()).control;
+            let control = run_campaign(&field.data, &stream, &[], comp.bound_spec()).control;
             assert_eq!(control.status, ReturnStatus::Completed, "{}", spec.name());
             let m = control.metrics.unwrap();
             assert_eq!(m.percent_incorrect, Some(0.0), "{}", spec.name());

@@ -101,7 +101,7 @@ fn single_flip_campaigns_match_golden_outcomes() {
         let stream = comp.compress(&Dataset { data: &field.data, dims: &field.dims }).unwrap();
         let bits = sample_bits(stream.len() as u64 * 8, 200, 42);
         let bound = Some(BoundSpec::Abs(0.05));
-        let report = run_campaign(comp.as_ref(), &field.data, &stream, &bits, bound);
+        let report = run_campaign(&field.data, &stream, &bits, bound);
         let counts = report.status_counts().map(|(_, c)| c);
         let mut keys = Vec::new();
         trial_bytes(&report.control, &mut keys);
