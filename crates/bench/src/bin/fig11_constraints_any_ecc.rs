@@ -31,9 +31,10 @@ fn main() {
         payload.len() as f64 / 1e6,
         field.byte_len() as f64 / 1e6
     );
-    let cache = std::env::temp_dir().join("arc-bench-fig11");
+    // Trained in-process at this run's scale: a cached table could hold
+    // points measured at another scale's probe sizes.
     let ctx = ArcContext::init(ArcOptions {
-        cache_path: Some(cache.join("training.tsv")),
+        cache_path: None,
         training: TrainingOptions {
             sample_bytes: scale.trials(128 << 10, 2 << 20, 8 << 20),
             rs_sample_bytes: scale.trials(64 << 10, 512 << 10, 2 << 20),
@@ -42,6 +43,7 @@ fn main() {
         ..Default::default()
     })
     .expect("arc_init");
+    println!("training: {:.1} s", ctx.training_stats().seconds);
 
     // (a) memory-constraint sweep.
     let mut rows = Vec::new();

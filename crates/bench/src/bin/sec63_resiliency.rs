@@ -20,9 +20,10 @@ use arc_pressio::CompressorSpec;
 fn main() {
     let scale = RunScale::from_env();
     let trials = scale.trials(150, 600, 3000);
-    let cache = std::env::temp_dir().join("arc-bench-sec63");
+    // Trained in-process at this run's scale: a cached table could hold
+    // points measured at another scale's probe sizes.
     let ctx = ArcContext::init(ArcOptions {
-        cache_path: Some(cache.join("training.tsv")),
+        cache_path: None,
         training: TrainingOptions {
             sample_bytes: scale.trials(128 << 10, 1 << 20, 4 << 20),
             rs_sample_bytes: scale.trials(64 << 10, 512 << 10, 1 << 20),
@@ -31,6 +32,7 @@ fn main() {
         ..Default::default()
     })
     .expect("arc_init");
+    println!("training: {:.1} s", ctx.training_stats().seconds);
     let req = EncodeRequest {
         memory: MemoryConstraint::Any,
         throughput: ThroughputConstraint::Any,

@@ -500,7 +500,7 @@ pub(crate) fn mono_frame(
     let hlen = header_len(&meta);
     // arc-lint: bounded(encode path; sized from the caller's own payload, not decoded input)
     let mut out = vec![0u8; hlen + meta.payload_len];
-    write_header(&meta, &mut out[..hlen])?;
+    write_header(&meta, out.split_at_mut(hlen).0)?;
     Ok((out, hlen))
 }
 
@@ -547,16 +547,16 @@ fn recover_header(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
     if bytes.len() < 6 {
         return Err(ArcError::Corrupted("container shorter than its length prefix".into()));
     }
-    let lens = [le_u16(bytes, 0), le_u16(bytes, 2), le_u16(bytes, 4)].map(usize::from);
-    let voted = if lens[0] == lens[1] || lens[0] == lens[2] {
-        lens[0]
-    } else if lens[1] == lens[2] {
-        lens[1]
+    let [a, b, c] = [le_u16(bytes, 0), le_u16(bytes, 2), le_u16(bytes, 4)].map(usize::from);
+    let voted = if a == b || a == c {
+        a
+    } else if b == c {
+        b
     } else {
         // No majority: try each in turn below.
         0
     };
-    let mut candidates = if voted != 0 { vec![voted] } else { lens.to_vec() };
+    let mut candidates = if voted != 0 { vec![voted] } else { vec![a, b, c] };
     candidates.retain(|l| *l > HEADER_NSYM);
     candidates.sort_unstable();
     candidates.dedup();

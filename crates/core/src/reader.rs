@@ -92,7 +92,7 @@ impl ShardCache {
         match self.slots.get_mut(&shard) {
             Some((tick, data)) => {
                 *tick = self.tick;
-                out.extend_from_slice(&data[lo.min(data.len())..hi.min(data.len())]);
+                out.extend_from_slice(data.get(lo..hi).unwrap_or_default());
                 self.hits += 1;
                 true
             }
@@ -270,10 +270,12 @@ impl<'a> ArcReader<'a> {
             return Ok((out, report));
         }
         // First covering shard: the last one starting at or before offset.
-        let mut i = self.starts.partition_point(|s| *s <= offset).saturating_sub(1);
-        while i < self.shards.entries.len() && out.len() < len {
-            let e = self.shards.entries[i];
-            let start = self.starts[i];
+        let first = self.starts.partition_point(|s| *s <= offset).saturating_sub(1);
+        let shards = self.shards.entries.iter().zip(&self.starts).enumerate().skip(first);
+        for (i, (e, &start)) in shards {
+            if out.len() >= len {
+                break;
+            }
             // Overlap of [offset, end) with this shard, in shard-local bytes.
             let lo = offset.max(start) - start;
             let hi = end.min(start + e.decoded_len) - start;
@@ -281,13 +283,14 @@ impl<'a> ArcReader<'a> {
             if self.cache.copy_range(i, lo, hi, &mut out) {
                 report.cache_hits += 1;
             } else {
-                let (decoded, correction) = self.decode_shard(i, &e)?;
-                out.extend_from_slice(&decoded[lo..hi]);
+                let (decoded, correction) = self.decode_shard(i, e)?;
+                let bytes = decoded.get(lo..hi);
+                let short = || ArcError::Corrupted(format!("shard {i} decoded short"));
+                out.extend_from_slice(bytes.ok_or_else(short)?);
                 report.encoded_bytes_decoded += e.encoded_len;
                 report.correction.merge(&correction);
                 self.cache.insert(i, decoded);
             }
-            i += 1;
         }
         Ok((out, report))
     }

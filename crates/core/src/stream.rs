@@ -47,7 +47,9 @@ impl StreamSink for Vec<u8> {
             // arc-lint: bounded(encoder-side sink; grows only to the extent the encoder writes)
             self.resize(end, 0);
         }
-        self[offset..end].copy_from_slice(bytes);
+        let dst = self.get_mut(offset..end);
+        dst.ok_or_else(|| ArcError::InvalidRequest("sink range unwritable".into()))?
+            .copy_from_slice(bytes);
         Ok(())
     }
 }

@@ -32,23 +32,16 @@ pub(crate) fn bit_len(bytes: &[u8]) -> u64 {
     bytes.len() as u64 * 8
 }
 
-/// Read bit `idx` of `bytes`.
-///
-/// # Panics
-/// Panics if `idx` is out of range.
+/// Read bit `idx` of `bytes`; a bit past the end reads as zero.
 #[inline]
 pub(crate) fn get_bit(bytes: &[u8], idx: u64) -> bool {
-    let byte = bytes[(idx / 8) as usize];
-    (byte >> (idx % 8)) & 1 == 1
+    bytes.get((idx / 8) as usize).is_some_and(|byte| (byte >> (idx % 8)) & 1 == 1)
 }
 
-/// Set bit `idx` of `bytes` to `value`.
-///
-/// # Panics
-/// Panics if `idx` is out of range.
+/// Set bit `idx` of `bytes` to `value`; a bit past the end is not stored.
 #[inline]
 pub(crate) fn set_bit(bytes: &mut [u8], idx: u64, value: bool) {
-    let b = &mut bytes[(idx / 8) as usize];
+    let Some(b) = bytes.get_mut((idx / 8) as usize) else { return };
     let mask = 1u8 << (idx % 8);
     if value {
         *b |= mask;
@@ -77,25 +70,24 @@ pub fn flip_bit(bytes: &mut [u8], idx: u64) {
 /// prior `fill(0)`.
 #[derive(Debug)]
 pub(crate) struct PackedBitWriter<'a> {
+    /// The bytes not stored yet.
     out: &'a mut [u8],
     /// Staging bits; the low `nbits` are valid.
     acc: u128,
     nbits: u32,
-    /// Next byte of `out` to store.
-    byte: usize,
 }
 
 impl<'a> PackedBitWriter<'a> {
     /// Pack into `out`, starting at its first bit.
     pub(crate) fn new(out: &'a mut [u8]) -> Self {
-        PackedBitWriter { out, acc: 0, nbits: 0, byte: 0 }
+        PackedBitWriter { out, acc: 0, nbits: 0 }
     }
 
     /// Append the low `n` bits of `value`, least-significant bit first.
     ///
     /// # Panics
-    /// Panics (in debug) if `n > 64` or `value` has bits above `n`, and (in
-    /// release, via slice indexing) if the packed bits overflow `out`.
+    /// Panics (in debug) if `n > 64` or `value` has bits above `n`. Bits
+    /// that overflow `out` are not stored.
     #[inline]
     pub(crate) fn push(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
@@ -108,8 +100,10 @@ impl<'a> PackedBitWriter<'a> {
                 reason = "stores the low 64 of the staged bits; the shift below keeps the rest"
             )]
             let low = self.acc as u64;
-            self.out[self.byte..self.byte + 8].copy_from_slice(&low.to_le_bytes());
-            self.byte += 8;
+            if let Some((word, rest)) = std::mem::take(&mut self.out).split_first_chunk_mut() {
+                *word = low.to_le_bytes();
+                self.out = rest;
+            }
             self.acc >>= 64;
             self.nbits -= 64;
         }
@@ -118,16 +112,12 @@ impl<'a> PackedBitWriter<'a> {
     /// Flush the staged tail (if any) as `⌈nbits/8⌉` byte stores.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "after `push`, nbits < 64 so acc fits a u64; each store takes its low byte"
+        reason = "after `push`, nbits < 64 so acc fits a u64"
     )]
-    pub(crate) fn finish(mut self) {
-        let mut acc = self.acc as u64;
-        let mut nbits = self.nbits;
-        while nbits > 0 {
-            self.out[self.byte] = acc as u8;
-            self.byte += 1;
-            acc >>= 8;
-            nbits = nbits.saturating_sub(8);
+    pub(crate) fn finish(self) {
+        let tail = (self.acc as u64).to_le_bytes();
+        for (b, t) in self.out.iter_mut().zip(tail).take(self.nbits.div_ceil(8) as usize) {
+            *b = t;
         }
     }
 }
@@ -143,11 +133,19 @@ impl<'a> PackedBitWriter<'a> {
 pub(crate) fn read_bits_at(bytes: &[u8], idx: u64, n: u32) -> u64 {
     debug_assert!(n <= 57);
     debug_assert!(idx + n as u64 <= bit_len(bytes));
-    let byte = (idx / 8) as usize;
-    let take = bytes.len().min(byte + 8) - byte;
+    (word_at(bytes, (idx / 8) as usize) >> (idx % 8)) & ((1u64 << n) - 1)
+}
+
+/// The little-endian u64 at byte `at` of `bytes`, zero-padded past the end.
+#[inline]
+pub(crate) fn word_at(bytes: &[u8], at: usize) -> u64 {
+    let rest = bytes.get(at..).unwrap_or_default();
+    if let Some(w) = rest.first_chunk() {
+        return u64::from_le_bytes(*w);
+    }
     let mut w = [0u8; 8];
-    w[..take].copy_from_slice(&bytes[byte..byte + take]);
-    (u64::from_le_bytes(w) >> (idx % 8)) & ((1u64 << n) - 1)
+    w.iter_mut().zip(rest).for_each(|(w, b)| *w = *b);
+    u64::from_le_bytes(w)
 }
 
 #[cfg(test)]

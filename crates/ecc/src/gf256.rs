@@ -307,27 +307,15 @@ fn simd_level() -> SimdLevel {
     })
 }
 
-/// Little-endian u64 load from a `chunks_exact(8)` chunk. The clamped copy
-/// keeps the conversion infallible — no abort path even if a caller ever
-/// hands a short slice.
-#[inline]
-fn le_word(b: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    let n = b.len().min(8);
-    w[..n].copy_from_slice(&b[..n]);
-    u64::from_le_bytes(w)
-}
-
 /// `dst[i] ^= src[i]` — the c = 1 case, folded over u64 lanes.
 #[inline]
 fn xor_slice(dst: &mut [u8], src: &[u8]) {
-    let mut d8 = dst.chunks_exact_mut(8);
-    let mut s8 = src.chunks_exact(8);
-    for (d, s) in (&mut d8).zip(&mut s8) {
-        let v = le_word(d) ^ le_word(s);
-        d.copy_from_slice(&v.to_le_bytes());
+    let (d8, d_tail) = dst.as_chunks_mut::<8>();
+    let (s8, s_tail) = src.as_chunks::<8>();
+    for (d, s) in d8.iter_mut().zip(s8) {
+        *d = (u64::from_le_bytes(*d) ^ u64::from_le_bytes(*s)).to_le_bytes();
     }
-    for (d, s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+    for (d, s) in d_tail.iter_mut().zip(s_tail) {
         *d ^= s;
     }
 }
@@ -337,17 +325,13 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
 /// tail is branch-free too.
 #[inline]
 fn mul_acc_words(dst: &mut [u8], src: &[u8], row: &ByteTable<u8>) {
-    let mut d8 = dst.chunks_exact_mut(8);
-    let mut s8 = src.chunks_exact(8);
-    for (d, s) in (&mut d8).zip(&mut s8) {
-        let mut p = [0u8; 8];
-        for (p, &s) in p.iter_mut().zip(s) {
-            *p = *row.of(s);
-        }
-        let v = le_word(d) ^ u64::from_le_bytes(p);
-        d.copy_from_slice(&v.to_le_bytes());
+    let (d8, d_tail) = dst.as_chunks_mut::<8>();
+    let (s8, s_tail) = src.as_chunks::<8>();
+    for (d, s) in d8.iter_mut().zip(s8) {
+        let p = s.map(|s| *row.of(s));
+        *d = (u64::from_le_bytes(*d) ^ u64::from_le_bytes(p)).to_le_bytes();
     }
-    for (d, s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+    for (d, s) in d_tail.iter_mut().zip(s_tail) {
         *d ^= row.of(*s);
     }
 }
@@ -584,8 +568,8 @@ impl Poly {
             if a.0 == 0 {
                 continue;
             }
-            for (j, &b) in rhs.coeffs.iter().enumerate() {
-                out[i + j] = out[i + j].add(a.mul(b));
+            for (o, &b) in out.iter_mut().skip(i).zip(&rhs.coeffs) {
+                *o = o.add(a.mul(b));
             }
         }
         Poly::from_coeffs(out)
@@ -618,15 +602,8 @@ impl Poly {
 
     /// Formal derivative; in characteristic 2, even-degree terms vanish.
     pub(crate) fn derivative(&self) -> Poly {
-        let mut out = Vec::with_capacity(self.coeffs.len().saturating_sub(1));
-        for i in 1..self.coeffs.len() {
-            if i % 2 == 1 {
-                out.push(self.coeffs[i]);
-            } else {
-                out.push(Gf::ZERO);
-            }
-        }
-        Poly::from_coeffs(out)
+        let odd = self.coeffs.iter().enumerate().skip(1);
+        Poly::from_coeffs(odd.map(|(i, &c)| if i % 2 == 1 { c } else { Gf::ZERO }).collect())
     }
 
     /// Remainder of `self` divided by `rhs`.
@@ -639,14 +616,13 @@ impl Poly {
         let mut r = self.clone();
         r.trim();
         let d = rhs.coeffs.len() - 1;
-        let lead_inv = rhs.coeffs[d].inv();
+        let lead_inv = rhs.coeffs.last().map_or(Gf::ZERO, |c| c.inv());
         while !r.is_zero() && r.coeffs.len() > d {
             let shift = r.coeffs.len() - 1 - d;
             let Some(&lead) = r.coeffs.last() else { break };
             let c = lead.mul(lead_inv);
-            for i in 0..=d {
-                let idx = shift + i;
-                r.coeffs[idx] = r.coeffs[idx].add(rhs.coeffs[i].mul(c));
+            for (x, &y) in r.coeffs.iter_mut().skip(shift).zip(&rhs.coeffs) {
+                *x = x.add(y.mul(c));
             }
             r.trim();
         }

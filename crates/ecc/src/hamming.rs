@@ -63,15 +63,15 @@ impl BlockWidth {
 pub(crate) struct Layout {
     /// Number of parity bits r.
     pub r: u32,
-    /// Codeword length n = d + r.
-    pub n: u32,
     /// For each parity bit i, a mask over the d data bits it covers.
     pub data_masks: Vec<u64>,
     /// Position (1-based) of each data bit within the codeword (kept for
     /// documentation and the layout tests; decoding uses the inverse map).
     #[cfg_attr(not(test), allow(dead_code))]
     pub data_pos: Vec<u32>,
-    /// Inverse map: codeword position → data-bit index (None for parity).
+    /// Inverse map: codeword position 0..=n → data-bit index (None for
+    /// parity and the unused position 0), where n = d + r is the codeword
+    /// length.
     pub pos_to_databit: Vec<Option<u32>>,
 }
 
@@ -85,10 +85,10 @@ impl Layout {
         // arc-lint: bounded(n = d + r derives from the fixed BlockWidth enum)
         let mut pos_to_databit = vec![None; (n + 1) as usize];
         let mut j = 0u32;
-        for pos in 1..=n {
+        for (pos, slot) in (1..=n).zip(pos_to_databit.iter_mut().skip(1)) {
             if !pos.is_power_of_two() {
                 data_pos.push(pos);
-                pos_to_databit[pos as usize] = Some(j);
+                *slot = Some(j);
                 j += 1;
             }
         }
@@ -102,7 +102,7 @@ impl Layout {
                 }
             }
         }
-        Layout { r, n, data_masks, data_pos, pos_to_databit }
+        Layout { r, data_masks, data_pos, pos_to_databit }
     }
 
     /// Parity bits for one data block (low `r` bits of the result).
@@ -126,35 +126,27 @@ pub(crate) fn layout(width: BlockWidth) -> &'static Layout {
     }
 }
 
-/// Read block `i` of `data` as a little-endian integer, zero-padding the tail.
+/// A data block (one `chunks(width.data_bytes())` chunk) as a
+/// little-endian integer, zero-padding a ragged tail block.
 #[inline]
-pub(crate) fn load_block(data: &[u8], i: usize, width: BlockWidth) -> u64 {
-    let bs = width.data_bytes();
-    let start = i * bs;
-    if start + 8 <= data.len() && bs == 8 {
-        // Full W64 block: one unaligned word load via a fixed-size copy the
-        // guard above makes infallible.
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&data[start..start + 8]);
+pub(crate) fn load_block(block: &[u8]) -> u64 {
+    // Full W64 block: one unaligned word load.
+    if let Ok(w) = <[u8; 8]>::try_from(block) {
         return u64::from_le_bytes(w);
     }
-    let end = (start + bs).min(data.len());
     let mut v = 0u64;
-    for (k, &b) in data[start..end].iter().enumerate() {
+    for (k, &b) in block.iter().enumerate() {
         v |= (b as u64) << (8 * k);
     }
     v
 }
 
-/// Write block `i` back into `data` (tail bytes beyond the slice are dropped;
-/// padding bits can never be flipped by correction because they are zero in
-/// every recomputation).
+/// Write `v` back into its block (bytes beyond a ragged tail block are
+/// dropped; padding bits can never be flipped by correction because they
+/// are zero in every recomputation).
 #[inline]
-pub(crate) fn store_block(data: &mut [u8], i: usize, width: BlockWidth, v: u64) {
-    let bs = width.data_bytes();
-    let start = i * bs;
-    let end = (start + bs).min(data.len());
-    for (b, byte) in data[start..end].iter_mut().zip(v.to_le_bytes()) {
+pub(crate) fn store_block(block: &mut [u8], v: u64) {
+    for (b, byte) in block.iter_mut().zip(v.to_le_bytes()) {
         *b = byte;
     }
 }
@@ -232,8 +224,8 @@ impl<const OVERALL: bool> EccScheme for Sec<OVERALL> {
         // One parity group per block, packed with whole-word stores; the
         // writer covers every parity byte, so no fill(0) pass is needed.
         let mut w = PackedBitWriter::new(parity);
-        for i in 0..self.blocks(data.len()) {
-            let block = load_block(data, i, self.width);
+        for block in data.chunks(self.width.data_bytes()) {
+            let block = load_block(block);
             let ham = lay.parity_of(block);
             let top = if OVERALL { (overall(block, ham) as u64) << lay.r } else { 0 };
             w.push(ham as u64 | top, pb);
@@ -260,8 +252,8 @@ impl<const OVERALL: bool> EccScheme for Sec<OVERALL> {
         let (lay, width, pb) = (layout(self.width), self.width, self.group_bits());
         let blocks = self.blocks(data.len());
         let mut report = CorrectionReport { blocks_checked: blocks as u64, ..Default::default() };
-        for i in 0..blocks {
-            let block = load_block(data, i, width);
+        for (i, bytes) in data.chunks_mut(width.data_bytes()).enumerate() {
+            let block = load_block(bytes);
             let base = i as u64 * pb as u64;
             let group = read_bits_at(parity, base, pb);
             #[expect(clippy::cast_possible_truncation, reason = "group holds pb <= 8 bits")]
@@ -286,28 +278,26 @@ impl<const OVERALL: bool> EccScheme for Sec<OVERALL> {
                     return uncorrectable(format!("double-bit error detected in block {i}"))
                 }
                 (0, true) => Flip::Stored(lay.r),
-                (s, true) if s > lay.n => {
-                    return uncorrectable(format!(
-                        "impossible syndrome {s} in block {i} (multi-bit error)"
-                    ))
-                }
-                (s, true) => match lay.pos_to_databit[s as usize] {
-                    Some(bit) => Flip::Data(bit),
-                    None => Flip::Stored(s.trailing_zeros()),
+                (s, true) => match lay.pos_to_databit.get(s as usize) {
+                    Some(Some(bit)) => Flip::Data(*bit),
+                    Some(None) => Flip::Stored(s.trailing_zeros()),
+                    None => {
+                        return uncorrectable(format!(
+                            "impossible syndrome {s} in block {i} (multi-bit error)"
+                        ))
+                    }
                 },
             };
             match flip {
                 Flip::Data(bit) => {
                     // Flipping a zero-padding bit of the tail block means the
                     // error is actually beyond the data — multi-bit damage.
-                    let tail_bits =
-                        (data.len() - i * width.data_bytes()).min(width.data_bytes()) * 8;
-                    if bit as usize >= tail_bits {
+                    if bit as usize >= bytes.len() * 8 {
                         return uncorrectable(format!(
                             "syndrome points into tail padding of block {i}"
                         ));
                     }
-                    store_block(data, i, width, block ^ (1u64 << bit));
+                    store_block(bytes, block ^ (1u64 << bit));
                 }
                 Flip::Stored(bit) => {
                     let idx = base + bit as u64;
@@ -354,7 +344,7 @@ mod tests {
     fn layout_w8_is_12_8() {
         let lay = layout(BlockWidth::W8);
         assert_eq!(lay.r, 4);
-        assert_eq!(lay.n, 12);
+        assert_eq!(lay.pos_to_databit.len(), 12 + 1);
         assert_eq!(lay.data_pos, vec![3, 5, 6, 7, 9, 10, 11, 12]);
     }
 
@@ -362,7 +352,7 @@ mod tests {
     fn layout_w64_is_71_64() {
         let lay = layout(BlockWidth::W64);
         assert_eq!(lay.r, 7);
-        assert_eq!(lay.n, 71);
+        assert_eq!(lay.pos_to_databit.len(), 71 + 1);
         assert_eq!(lay.data_pos.len(), 64);
     }
 
@@ -389,8 +379,8 @@ mod tests {
             for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1001] {
                 let data = sample(len);
                 let mut reference = vec![0u8; code.parity_len(len)];
-                for i in 0..len.div_ceil(width.data_bytes()) {
-                    let block = load_block(&data, i, width);
+                for (i, block) in data.chunks(width.data_bytes()).enumerate() {
+                    let block = load_block(block);
                     let ham = lay.parity_of(block);
                     let base = i as u64 * pb;
                     for bit in 0..lay.r {

@@ -7,7 +7,7 @@
 //! throughput budgets when the user only asks for detection (§6.3 closes with
 //! exactly this trade-off).
 
-use crate::bits::PackedBitWriter;
+use crate::bits::{word_at, PackedBitWriter};
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 
 /// Even-parity scheme configuration.
@@ -103,11 +103,7 @@ impl EccScheme for Parity {
                 let Some(block) = chunks.next() else { break };
                 acc |= (Self::block_parity(block) as u64) << j;
             }
-            let byte = base / 8;
-            let take = parity.len().min(byte + 8) - byte;
-            let mut w = [0u8; 8];
-            w[..take].copy_from_slice(&parity[byte..byte + take]);
-            let stored = u64::from_le_bytes(w);
+            let stored = word_at(parity, base / 8);
             let mask = if in_word == 64 { u64::MAX } else { (1u64 << in_word) - 1 };
             let diff = (acc ^ stored) & mask;
             if diff != 0 {

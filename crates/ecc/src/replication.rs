@@ -14,16 +14,6 @@
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 use crate::crc::crc32;
 
-/// Little-endian u32 load from a `chunks_exact(4)` chunk; the clamped copy
-/// keeps it abort-free even on a short slice.
-#[inline]
-fn le_u32(c: &[u8]) -> u32 {
-    let mut w = [0u8; 4];
-    let n = c.len().min(4);
-    w[..n].copy_from_slice(&c[..n]);
-    u32::from_le_bytes(w)
-}
-
 /// Replication codec configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Replication {
@@ -95,26 +85,27 @@ impl EccScheme for Replication {
             });
         }
         let (replicas, crc_table) = parity.split_at_mut((self.copies - 1) * n);
+        let crc_table = crc_table.as_chunks_mut::<4>().0;
+        // The replicas, `n` bytes each. `chunks_exact(0)` panics, and an
+        // empty buffer's replicas are empty, so it walks them one byte wide.
+        let width = n.max(1);
         // Majority-vote the stored CRC.
-        let crcs: Vec<u32> = crc_table.chunks_exact(4).map(le_u32).collect();
+        let crcs: Vec<u32> = crc_table.iter().map(|c| u32::from_le_bytes(*c)).collect();
         let voted_crc = majority(&crcs);
         let mut report =
             CorrectionReport { blocks_checked: self.copies as u64, ..Default::default() };
         // Fast path: the primary copy checks out.
         if let Some(vc) = voted_crc {
             if crc32(data) == vc {
-                repair_side_data(self, data, replicas, crc_table, vc, &mut report);
+                repair_side_data(data, replicas, crc_table, vc, &mut report);
                 return Ok(report);
             }
             // Any intact replica restores the data directly.
-            for r in 0..self.copies - 1 {
-                let rep = &replicas[r * n..(r + 1) * n];
-                if crc32(rep) == vc {
-                    data.copy_from_slice(rep);
-                    report.corrected_devices += 1;
-                    repair_side_data(self, data, replicas, crc_table, vc, &mut report);
-                    return Ok(report);
-                }
+            if let Some(rep) = replicas.chunks_exact(width).find(|rep| crc32(rep) == vc) {
+                data.copy_from_slice(rep);
+                report.corrected_devices += 1;
+                repair_side_data(data, replicas, crc_table, vc, &mut report);
+                return Ok(report);
             }
         }
         // Every copy is damaged (or the CRC vote failed): byte-wise vote.
@@ -125,38 +116,43 @@ impl EccScheme for Replication {
             });
         }
         let mut corrected_bytes = 0u64;
-        for i in 0..n {
-            // arc-lint: bounded(copies is a small config constant validated at construction)
-            let mut counts: Vec<(u8, usize)> = Vec::with_capacity(self.copies);
-            let bump = |b: u8, counts: &mut Vec<(u8, usize)>| {
+        // One cursor per replica, advanced in step with the primary's bytes.
+        let mut cursors: Vec<_> = replicas.chunks_exact(width).map(|rep| rep.iter()).collect();
+        // arc-lint: bounded(copies is a small config constant validated at construction)
+        let mut counts: Vec<(u8, usize)> = Vec::with_capacity(self.copies);
+        for (i, byte) in data.iter_mut().enumerate() {
+            counts.clear();
+            let mut bump = |b: u8| {
                 if let Some(e) = counts.iter_mut().find(|(v, _)| *v == b) {
                     e.1 += 1;
                 } else {
                     counts.push((b, 1));
                 }
             };
-            bump(data[i], &mut counts);
-            for r in 0..self.copies - 1 {
-                bump(replicas[r * n + i], &mut counts);
+            bump(*byte);
+            for rep in &mut cursors {
+                if let Some(&b) = rep.next() {
+                    bump(b);
+                }
             }
             // `counts` always holds at least the primary's byte; the zero-vote
             // fallback routes the impossible case to the uncorrectable branch.
             let (winner, votes) =
-                counts.iter().copied().max_by_key(|&(_, c)| c).unwrap_or((data[i], 0));
+                counts.iter().copied().max_by_key(|&(_, c)| c).unwrap_or((*byte, 0));
             if votes * 2 <= self.copies {
                 return Err(EccError::Uncorrectable {
                     scheme: "replication",
                     detail: format!("no byte-level majority at offset {i}"),
                 });
             }
-            if data[i] != winner {
-                data[i] = winner;
+            if *byte != winner {
+                *byte = winner;
                 corrected_bytes += 1;
             }
         }
         // Re-derive side data from the voted result.
         let vc = crc32(data);
-        repair_side_data(self, data, replicas, crc_table, vc, &mut report);
+        repair_side_data(data, replicas, crc_table, vc, &mut report);
         report.corrected_bits += corrected_bytes * 8;
         Ok(report)
     }
@@ -181,27 +177,23 @@ fn majority(values: &[u32]) -> Option<u32> {
 
 /// After the data is known-good, rewrite damaged replicas and CRC entries.
 fn repair_side_data(
-    scheme: &Replication,
     data: &[u8],
     replicas: &mut [u8],
-    crc_table: &mut [u8],
+    crc_table: &mut [[u8; 4]],
     voted_crc: u32,
     report: &mut CorrectionReport,
 ) {
-    let n = data.len();
-    for r in 0..scheme.copies - 1 {
-        let rep = &mut replicas[r * n..(r + 1) * n];
+    // One byte wide for an empty buffer, as in `verify_and_correct`.
+    for rep in replicas.chunks_exact_mut(data.len().max(1)) {
         if rep != data {
             rep.copy_from_slice(data);
             report.corrected_devices += 1;
         }
     }
-    for c in crc_table.chunks_exact_mut(4) {
-        let cur = le_u32(c);
-        if cur != voted_crc {
-            c.copy_from_slice(&voted_crc.to_le_bytes());
-            report.corrected_bits += 1;
-        }
+    let voted = voted_crc.to_le_bytes();
+    for c in crc_table.iter_mut().filter(|c| **c != voted) {
+        *c = voted;
+        report.corrected_bits += 1;
     }
 }
 

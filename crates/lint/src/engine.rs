@@ -10,7 +10,7 @@
 //! Directory entries are sorted by name at every level, findings are
 //! sorted by (file, line, rule), nodes are sorted by (file, line), and
 //! BFS witnesses follow root order — two runs over the same tree, on any
-//! machine, produce identical findings, baselines and cones.
+//! machine, produce identical findings and cones.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -26,8 +26,8 @@ use crate::syntax::parse_items;
 /// workspace of its own is skipped too — see [`is_workspace_root`].
 const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "results"];
 
-/// Pseudo-rule key reported when a file cannot be lexed. It participates in
-/// the baseline like any other rule (an unparseable file is debt too).
+/// Pseudo-rule key reported when a file cannot be lexed. It fails the gate
+/// like any other rule.
 pub const LEX_ERROR_RULE: &str = "lex-error";
 
 /// Engine configuration.
@@ -74,7 +74,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         entries.push(entry.path());
     }
     // Sort by file name at each level: the whole traversal — and therefore
-    // every downstream report and baseline — is machine-independent.
+    // every downstream report — is machine-independent.
     entries.sort();
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
@@ -92,8 +92,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 
 /// True when `dir` holds a `Cargo.toml` with a `[workspace]` table: the root
 /// of another cargo workspace nested in this tree (a standalone benchmark
-/// package, say), whose code is outside the graph, the baseline and the
-/// gate. Member crates only *refer* to a workspace (`version.workspace =
+/// package, say), whose code is outside the graph and the gate. Member crates only *refer* to a workspace (`version.workspace =
 /// true`), which is not a table header and does not match.
 fn is_workspace_root(dir: &Path) -> bool {
     std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {

@@ -18,11 +18,10 @@
 //! | `decode-no-direct-index`     | `x[i]` in the cone needs `.get()` or a `bounded(..)` proof |
 //! | `decode-bounded-alloc`       | input-derived allocation sizes need a clamp or proof |
 //!
-//! Pre-existing debt lives in a committed, ratcheted `lint-baseline.txt`
-//! ([`baseline`]): new violations fail the gate, and the baseline may only
-//! shrink. Individual sites can be waived in place with
-//! `// arc-lint: allow(<rule>, <reason>)`; index/alloc sites can instead be
-//! *proven* with `// arc-lint: bounded(<why>)`.
+//! The gate has no baseline: any finding fails it. A site can be waived in
+//! place with `// arc-lint: allow(<rule>, <reason>)`, and an index or
+//! allocation site can instead be *proven* with
+//! `// arc-lint: bounded(<the check or type that bounds it>)`.
 //!
 //! See DESIGN.md §10 for the rule catalogue, the call-graph architecture,
 //! and its soundness caveats.
@@ -38,7 +37,6 @@
     clippy::unimplemented
 )]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod cone;
 pub mod context;

@@ -1,11 +1,10 @@
 //! Integration tests: suppression comments, the workspace walk, the
-//! workspace self-lint against the committed baseline, the baseline ratchet
-//! on a scratch tree, and output determinism. The per-rule fixture corpus is
-//! checked in `callgraph.rs`.
+//! workspace self-lint, the `arc-lint` gate's exit status on a scratch tree,
+//! and output determinism. The per-rule fixture corpus is checked in
+//! `callgraph.rs`.
 
 use std::path::{Path, PathBuf};
 
-use arc_lint::baseline::Baseline;
 use arc_lint::cone::DECODE_NO_INDEX;
 use arc_lint::engine::{run, Options};
 
@@ -49,79 +48,42 @@ fn a_nested_cargo_workspace_is_not_walked() {
     assert_eq!(flagged, ["member/src/lib.rs"], "only the member crate's site is in scope");
 }
 
+/// The gate has no baseline: the workspace's decode cone, the linter's own
+/// sources included, has no finding at all.
 #[test]
-fn workspace_self_lint_is_clean_against_committed_baseline() {
-    let root = workspace_root();
-    let result = run(&root, &Options::default()).expect("workspace run succeeds");
-    let actual = Baseline::from_findings(&result.findings);
-    let committed = std::fs::read_to_string(root.join("lint-baseline.txt"))
-        .expect("lint-baseline.txt is committed at the workspace root");
-    let allowed = Baseline::parse(&committed).expect("committed baseline parses");
-    let ratchet = allowed.ratchet(&actual);
-    assert!(
-        ratchet.new.is_empty(),
-        "new lint violations beyond the committed baseline: {:?}",
-        ratchet
-            .new
-            .iter()
-            .map(|e| format!("{} {} ({} > {})", e.rule, e.file, e.actual, e.allowed))
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        ratchet.stale.is_empty(),
-        "stale baseline entries (run scripts/lint_baseline.sh to shrink): {:?}",
-        ratchet
-            .stale
-            .iter()
-            .map(|e| format!("{} {} ({} < {})", e.rule, e.file, e.actual, e.allowed))
-            .collect::<Vec<_>>()
-    );
+fn workspace_self_lint_has_no_findings() {
+    let result = run(&workspace_root(), &Options::default()).expect("workspace run succeeds");
+    let found: Vec<_> =
+        result.findings.iter().map(|f| format!("{}:{}: {}", f.file, f.line, f.rule)).collect();
+    assert!(found.is_empty(), "lint findings in the workspace: {found:#?}");
 }
 
-/// Unjustified `unsafe` and aborts in library code are clippy's to deny
-/// (DESIGN.md §10); what stays here is that the linter lints itself clean.
+/// The `arc-lint` binary on a scratch workspace: one unproven index in the
+/// decode cone fails the gate, and the same site with a `bounded(..)` proof
+/// passes it.
 #[test]
-fn the_linter_holds_no_baseline_debt() {
-    let root = workspace_root();
-    let result = run(&root, &Options::default()).expect("workspace run succeeds");
-    for f in &result.findings {
-        assert!(
-            !f.file.starts_with("crates/lint/"),
-            "the linter must lint itself clean: {} {}:{}",
-            f.rule,
-            f.file,
-            f.line
-        );
-    }
-}
+fn the_gate_fails_on_an_unproven_index_and_passes_on_a_proven_one() {
+    let scratch = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("arc-lint-gate-{}", std::process::id()));
+    std::fs::create_dir_all(scratch.join("src")).expect("scratch dir");
+    std::fs::write(scratch.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    let gate = |body: &str| {
+        let root = "// arc-lint: decode-root\npub fn f(v: &[u8]) -> u8 {\n";
+        std::fs::write(scratch.join("src/lib.rs"), format!("{root}{body}\n}}\n"))
+            .expect("write fixture");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arc-lint"))
+            .current_dir(&scratch)
+            .output()
+            .expect("arc-lint runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
 
-#[test]
-fn baseline_ratchet_on_a_scratch_tree() {
-    let scratch = std::env::temp_dir().join(format!("arc-lint-ratchet-{}", std::process::id()));
-    let src = scratch.join("src");
-    std::fs::create_dir_all(&src).expect("scratch dir");
-    std::fs::write(
-        src.join("a.rs"),
-        "// arc-lint: decode-root\npub fn f(v: &[u8]) -> u8 { v[0] }\n",
-    )
-    .expect("write fixture");
+    let (code, stdout) = gate("    v[0]");
+    assert_eq!(code, Some(1), "an unproven index fails the gate:\n{stdout}");
+    assert!(stdout.contains("src/lib.rs:3: decode-no-direct-index"), "{stdout}");
 
-    let result = run_rule(DECODE_NO_INDEX, &scratch);
-    let actual = Baseline::from_findings(&result.findings);
-    assert_eq!(actual.total(), 1);
-
-    // Honest baseline: clean ratchet.
-    let clean = actual.clone().ratchet(&actual);
-    assert!(clean.new.is_empty() && clean.stale.is_empty());
-
-    // New debt beyond the baseline fails.
-    let empty = Baseline::default();
-    let grown = empty.ratchet(&actual);
-    assert_eq!(grown.new.len(), 1);
-
-    // Paying debt down makes the old baseline stale — it may only shrink.
-    let paid = actual.ratchet(&Baseline::default());
-    assert_eq!(paid.stale.len(), 1);
+    let (code, stdout) = gate("    // arc-lint: bounded(v is never empty here)\n    v[0]");
+    assert_eq!(code, Some(0), "a proven index passes the gate:\n{stdout}");
 
     std::fs::remove_dir_all(&scratch).ok();
 }
@@ -136,11 +98,6 @@ fn runs_are_deterministic() {
     };
     assert_eq!(key(&a), key(&b));
     assert_eq!(a.files_scanned, b.files_scanned);
-    assert_eq!(
-        Baseline::from_findings(&a.findings).to_text(),
-        Baseline::from_findings(&b.findings).to_text(),
-        "baseline serialization must be byte-identical across runs"
-    );
     assert!(!a.cone.is_empty(), "the workspace cone must be non-empty");
     assert_eq!(a.cone, b.cone, "the cone and its witness roots must not vary between runs");
     // Findings arrive sorted.

@@ -127,15 +127,18 @@ impl HuffmanCode {
             }
         }
         // Canonical assignment: sort by (length, symbol).
-        let mut order: Vec<usize> = (0..lengths.len()).filter(|&i| lengths[i] > 0).collect();
-        order.sort_by_key(|&i| (lengths[i], i));
+        let mut order: Vec<(u8, usize)> =
+            lengths.iter().enumerate().filter(|&(_, &l)| l > 0).map(|(i, &l)| (l, i)).collect();
+        order.sort_unstable();
         let mut codes = vec![0u64; lengths.len()];
         let mut code = 0u64;
         let mut prev_len = 0u32;
-        for &sym in &order {
-            let l = lengths[sym] as u32;
+        for (l, sym) in order {
+            let l = l as u32;
             code <<= l - prev_len;
-            codes[sym] = code;
+            if let Some(c) = codes.get_mut(sym) {
+                *c = code;
+            }
             code += 1;
             prev_len = l;
         }
@@ -234,15 +237,16 @@ impl HuffmanCode {
                 sym.checked_add(delta)
                     .ok_or_else(|| LosslessError::malformed("symbol index overflow"))?
             };
-            if sym >= alphabet {
-                return Err(LosslessError::malformed("symbol index out of alphabet"));
-            }
+            let slot = usize::try_from(sym)
+                .ok()
+                .and_then(|sym| lengths.get_mut(sym))
+                .ok_or_else(|| LosslessError::malformed("symbol index out of alphabet"))?;
             let l = *bytes.get(*pos).ok_or_else(|| LosslessError::truncated("huffman table"))?;
             *pos += 1;
             if l == 0 {
                 return Err(LosslessError::malformed("zero length in nonzero table"));
             }
-            lengths[sym as usize] = l;
+            *slot = l;
         }
         HuffmanCode::from_lengths(lengths)
     }
@@ -423,11 +427,9 @@ pub(crate) fn decode_block<S>(
         return Err(LosslessError::malformed("implausible symbol count"));
     }
     let payload_len = read_varint(bytes, pos)? as usize;
-    let end = pos
-        .checked_add(payload_len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| LosslessError::truncated("huffman payload"))?;
-    let payload = &bytes[*pos..end];
+    let truncated = || LosslessError::truncated("huffman payload");
+    let end = pos.checked_add(payload_len).ok_or_else(truncated)?;
+    let payload = bytes.get(*pos..end).ok_or_else(truncated)?;
     *pos = end;
     let decoder = code.decoder();
     let mut r = BitReader::new(payload);

@@ -173,7 +173,10 @@ impl Predictor {
     /// reconstructed values of all indices before `idx` in row-major order.
     #[inline]
     pub fn predict(&self, recon: &[f64], idx: usize) -> f64 {
-        self.stencil(idx, |back| recon[idx - back])
+        // The stencil reads only `back <= idx`; anything else reads zero.
+        self.stencil(idx, |back| {
+            idx.checked_sub(back).and_then(|i| recon.get(i)).copied().unwrap_or(0.0)
+        })
     }
 
     /// Length of a grid row (the fastest axis). Shapes are validated

@@ -69,57 +69,42 @@ impl Header {
     /// slice it names is touched, so corruption surfaces as
     /// [`SzError::Malformed`], never a panic.
     pub fn read(bytes: &[u8], pos: &mut usize) -> Result<Header, SzError> {
-        let need = |n: usize, pos: &usize| -> Result<(), SzError> {
-            if *pos + n > bytes.len() {
-                Err(SzError::Malformed("header truncated".into()))
-            } else {
-                Ok(())
-            }
-        };
-        need(4, pos)?;
-        if &bytes[*pos..*pos + 4] != MAGIC {
+        let truncated = || SzError::Malformed("header truncated".into());
+        let rest = bytes.get(*pos..).ok_or_else(truncated)?;
+        let (magic, rest) = rest.split_first_chunk::<4>().ok_or_else(truncated)?;
+        if magic != MAGIC {
             return Err(SzError::Malformed("bad SZ magic".into()));
         }
-        *pos += 4;
-        need(2, pos)?;
-        let version = bytes[*pos];
-        *pos += 1;
+        let (&[version, tag], rest) = rest.split_first_chunk().ok_or_else(truncated)?;
         if version != VERSION {
             return Err(SzError::Malformed(format!("unsupported SZ version {version}")));
         }
-        let tag = bytes[*pos];
-        *pos += 1;
-        need(16, pos)?;
-        let param = le_f64(bytes, *pos);
-        *pos += 8;
-        let abs_eb = le_f64(bytes, *pos);
-        *pos += 8;
-        let bound = ErrorBound::from_tag(tag, param)?;
+        let (param, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let (abs_eb, rest) = rest.split_first_chunk().ok_or_else(truncated)?;
+        let bound = ErrorBound::from_tag(tag, f64::from_le_bytes(*param))?;
+        let abs_eb = f64::from_le_bytes(*abs_eb);
         if !abs_eb.is_finite() || abs_eb <= 0.0 {
             return Err(SzError::Malformed(format!("invalid effective bound {abs_eb}")));
         }
-        need(3, pos)?;
-        let log_domain = match bytes[*pos] {
+        let (&[log_domain, final_lossless, predictor, ndims], rest) =
+            rest.split_first_chunk().ok_or_else(truncated)?;
+        let log_domain = match log_domain {
             0 => false,
             1 => true,
             v => return Err(SzError::Malformed(format!("bad log-domain flag {v}"))),
         };
-        *pos += 1;
-        let final_lossless = match bytes[*pos] {
+        let final_lossless = match final_lossless {
             0 => false,
             1 => true,
             v => return Err(SzError::Malformed(format!("bad lossless flag {v}"))),
         };
-        *pos += 1;
-        need(2, pos)?;
-        let predictor = PredictorKind::from_tag(bytes[*pos])
-            .ok_or_else(|| SzError::Malformed(format!("bad predictor tag {}", bytes[*pos])))?;
-        *pos += 1;
-        let ndims = bytes[*pos] as usize;
-        *pos += 1;
+        let predictor = PredictorKind::from_tag(predictor)
+            .ok_or_else(|| SzError::Malformed(format!("bad predictor tag {predictor}")))?;
+        let ndims = usize::from(ndims);
         if ndims == 0 || ndims > 3 {
             return Err(SzError::Malformed(format!("unsupported dimensionality {ndims}")));
         }
+        *pos = bytes.len() - rest.len();
         // arc-lint: bounded(ndims in 1..=3 checked above)
         let mut dims = Vec::with_capacity(ndims);
         let mut product: u64 = 1;
@@ -137,20 +122,8 @@ impl Header {
         if !(4..=1 << 24).contains(&quant_bins) {
             return Err(SzError::Malformed(format!("quantization bins {quant_bins} out of range")));
         }
-        let _ = product;
         Ok(Header { bound, abs_eb, log_domain, dims, quant_bins, final_lossless, predictor })
     }
-}
-
-/// Clamped little-endian `f64` load: bytes past the end read as zero.
-/// Callers bounds-check first (`need`), so the clamp is defense in depth
-/// rather than format semantics.
-fn le_f64(bytes: &[u8], pos: usize) -> f64 {
-    let mut b = [0u8; 8];
-    if let Some(src) = bytes.get(pos..pos + 8) {
-        b.copy_from_slice(src);
-    }
-    f64::from_le_bytes(b)
 }
 
 #[cfg(test)]

@@ -18,11 +18,9 @@
 #                                    at smoke scale
 #
 # Clippy carries the per-file invariants (workspace lints in Cargo.toml,
-# crate-root denies, clippy.toml); arc-lint carries the decode cone. It
-# fails on any violation beyond lint-baseline.txt and on stale baseline
-# entries; regenerate with scripts/lint_baseline.sh after paying
-# debt down. The hostile sweep (DESIGN.md §11) fails on any decode panic,
-# hang, or over-budget allocation.
+# crate-root denies, clippy.toml); arc-lint carries the decode cone and
+# fails on any finding in it. The hostile sweep (DESIGN.md §11) fails on
+# any decode panic, hang, or over-budget allocation.
 #
 # Wall-clock throughput gates are in neither mode (too noisy for shared
 # machines): `arcbench/run.sh --pairs N OTHER_CHECKOUT` is run by hand
@@ -89,18 +87,19 @@ if (( full )); then
     echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -p arc-pressio -- --ignored"
     cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -p arc-pressio -- --ignored
 
-    echo "==> fault studies: fig01-fig05, sec63_resiliency, ablations at --quick (stdout discarded)"
-    # Nothing else runs these binaries; a non-zero exit from any fails the gate.
+    # Nothing else runs the figure binaries; a non-zero exit from any fails
+    # the gate. A scratch ARC_CACHE_DIR keeps any ARC context they build with
+    # the default cache path out of ~/.cache.
     cargo build --release -q -p arc-bench
+    cache_dir=$(mktemp -d)
+
+    echo "==> fault studies: fig01-fig05, sec63_resiliency, ablations at --quick (stdout discarded)"
     for bin in fig01_single_flip fig02_status_dist fig03_incorrect_by_location fig04_cr_sweep \
         fig05_integrity sec63_resiliency ablations; do
-        ./target/release/"$bin" --quick >/dev/null
+        ARC_CACHE_DIR="$cache_dir" ./target/release/"$bin" --quick >/dev/null
     done
 
     echo "==> figure binaries: fig06, fig08-fig12, sec64_failure_model, tab01_engine_api at --quick"
-    # Nothing else runs these either. A scratch ARC_CACHE_DIR keeps any ARC
-    # context they build with the default cache path out of ~/.cache.
-    cache_dir=$(mktemp -d)
     for bin in fig06_training_cost fig08_encode_scaling fig09_decode_scaling \
         fig10_decode_with_errors fig11_constraints_any_ecc fig12_constraints_single_ecc \
         sec64_failure_model tab01_engine_api; do
