@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use arc_faultsim::hostile::{builtin_targets, mutations, run_case, HostileConfig};
+use arc_faultsim::hostile::{builtin_targets, mutations, run_case, DecodeFn, HostileConfig};
 use arc_faultsim::ReturnStatus;
 
 struct CountingAlloc;
@@ -70,6 +70,31 @@ static A: CountingAlloc = CountingAlloc;
 /// length field (up to 2^31 and beyond) would demand.
 const ALLOC_BUDGET: usize = 256 << 20;
 
+/// One case of the sweep: how it returned, how long it took, what it
+/// allocated, and the violation of the totality contract it makes, if any.
+struct Checked {
+    status: ReturnStatus,
+    elapsed: Duration,
+    allocated: usize,
+    violation: Option<String>,
+}
+
+/// Run case `id` (`buf` through `decode`) and count the bytes it allocates.
+/// A panic, a hang or an output past budget is a violation, and so is a
+/// clean rejection or completion that allocated more than
+/// [`ALLOC_BUDGET`] on the way.
+fn check_case(id: &str, decode: &DecodeFn, buf: &[u8], cfg: &HostileConfig) -> Checked {
+    let bytes0 = BYTES.load(Ordering::SeqCst);
+    let (status, detail, elapsed) = run_case(decode, buf, cfg);
+    let allocated = BYTES.load(Ordering::SeqCst).saturating_sub(bytes0);
+    let violation = match status {
+        ReturnStatus::CompressorException | ReturnStatus::Completed => (allocated > ALLOC_BUDGET)
+            .then(|| format!("{id}: allocated {allocated} bytes (budget {ALLOC_BUDGET})")),
+        _ => Some(format!("{id}: {}: {detail}", status.label())),
+    };
+    Checked { status, elapsed, allocated, violation }
+}
+
 fn main() {
     // Panicking cases are expected to be *caught and classified* by the
     // harness; silence the default hook so a failure sweep stays readable.
@@ -88,25 +113,17 @@ fn main() {
     for target in &targets {
         for stream in &target.streams {
             for (case, buf) in mutations(stream, &cfg) {
-                let bytes0 = BYTES.load(Ordering::SeqCst);
-                let (status, detail, elapsed) = run_case(&target.decode, &buf, &cfg);
-                let allocated = BYTES.load(Ordering::SeqCst).saturating_sub(bytes0);
-                cases += 1;
-                worst = worst.max(elapsed);
-                worst_alloc = worst_alloc.max(allocated);
                 let id = format!("{}/{}/{}", target.name, stream.name, case);
-                match status {
+                let checked = check_case(&id, &target.decode, &buf, &cfg);
+                cases += 1;
+                worst = worst.max(checked.elapsed);
+                worst_alloc = worst_alloc.max(checked.allocated);
+                match checked.status {
                     ReturnStatus::CompressorException => rejected += 1,
                     ReturnStatus::Completed => completed += 1,
-                    _ => {
-                        failures.push(format!("{id}: {}: {detail}", status.label()));
-                        continue;
-                    }
+                    _ => {}
                 }
-                if allocated > ALLOC_BUDGET {
-                    failures
-                        .push(format!("{id}: allocated {allocated} bytes (budget {ALLOC_BUDGET})"));
-                }
+                failures.extend(checked.violation);
             }
         }
     }
@@ -128,5 +145,41 @@ fn main() {
             eprintln!("FAIL {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+
+    /// A decoder that reserves the length its input's 4-byte header claims,
+    /// capped at `clamp`, then rejects the input.
+    fn reserving(clamp: usize) -> DecodeFn {
+        Arc::new(move |bytes: &[u8], _budget: u64| {
+            let claimed = bytes.first_chunk().map_or(0, |b| u32::from_le_bytes(*b) as usize);
+            let buf: Vec<u8> = Vec::with_capacity(claimed.min(clamp));
+            Err(format!("rejected after reserving {} bytes", buf.capacity()))
+        })
+    }
+
+    /// The backstop for allocation sizes on the decode path: a decoder that
+    /// trusts a hostile 512 MiB header length is a violation even though it
+    /// rejects the input, and the same decoder with a clamp is not.
+    #[test]
+    fn an_unclamped_header_length_is_an_allocation_violation() {
+        let cfg = HostileConfig::default();
+        let hostile = (512u32 << 20).to_le_bytes();
+
+        let unclamped = check_case("unclamped", &reserving(usize::MAX), &hostile, &cfg);
+        assert_eq!(unclamped.status, ReturnStatus::CompressorException);
+        assert!(unclamped.allocated > ALLOC_BUDGET);
+        let violation = unclamped.violation.expect("an over-budget reservation is a violation");
+        assert!(violation.starts_with("unclamped: allocated"), "{violation}");
+
+        let clamped = check_case("clamped", &reserving(1 << 20), &hostile, &cfg);
+        assert_eq!(clamped.status, ReturnStatus::CompressorException);
+        assert!(clamped.violation.is_none(), "{:?}", clamped.violation);
     }
 }

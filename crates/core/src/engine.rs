@@ -38,7 +38,6 @@ pub fn arc_engine_encode(
 /// budget; [`arc_ecc::parallel::ANY_THREADS`] uses every core.
 /// Extension-tagged containers need
 /// [`crate::extension::decode_with_registry`].
-// arc-lint: decode-root
 pub fn arc_engine_decode(
     bytes: &[u8],
     threads: usize,
@@ -95,7 +94,6 @@ pub fn arc_parity_encode(
 }
 
 /// `arc_parity_decode()`.
-// arc-lint: decode-root
 pub fn arc_parity_decode(
     bytes: &[u8],
     threads: usize,
@@ -110,7 +108,6 @@ pub fn arc_hamming_encode(data: &[u8], wide: bool, threads: usize) -> Result<Vec
 }
 
 /// `arc_hamming_decode()`.
-// arc-lint: decode-root
 pub fn arc_hamming_decode(
     bytes: &[u8],
     threads: usize,
@@ -124,7 +121,6 @@ pub fn arc_secded_encode(data: &[u8], wide: bool, threads: usize) -> Result<Vec<
 }
 
 /// `arc_secded_decode()`.
-// arc-lint: decode-root
 pub fn arc_secded_decode(
     bytes: &[u8],
     threads: usize,
@@ -143,7 +139,6 @@ pub fn arc_reed_solomon_encode(
 }
 
 /// `arc_reed_solomon_decode()`.
-// arc-lint: decode-root
 pub fn arc_reed_solomon_decode(
     bytes: &[u8],
     threads: usize,

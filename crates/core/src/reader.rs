@@ -174,7 +174,6 @@ impl<'a> ArcReader<'a> {
     /// (64 MiB of decoded shards). `threads` accepts
     /// [`arc_ecc::parallel::ANY_THREADS`] (0) for "all available cores";
     /// parallelism applies within each decoded shard's chunks.
-    // arc-lint: decode-root
     pub fn open(bytes: &'a [u8], threads: usize) -> Result<ArcReader<'a>, ArcError> {
         Self::with_cache_capacity(bytes, threads, DEFAULT_CACHE_CAPACITY)
     }
@@ -184,7 +183,6 @@ impl<'a> ArcReader<'a> {
     /// [`crate::extension::encode_sharded_with_scheme`] (or a
     /// registry-backed [`crate::stream::StreamEncoder`]) serve
     /// `decode_range` exactly like built-ins.
-    // arc-lint: decode-root
     pub fn open_with_registry(
         bytes: &'a [u8],
         threads: usize,
@@ -248,7 +246,6 @@ impl<'a> ArcReader<'a> {
     /// Touches only the shards covering the range; each is served from the
     /// LRU cache or ECC-decoded + CRC-verified on the spot. The empty
     /// range is valid anywhere in `0..=data_len`.
-    // arc-lint: decode-root
     pub fn decode_range(
         &mut self,
         offset: usize,
@@ -263,7 +260,7 @@ impl<'a> ArcReader<'a> {
                 self.data_len()
             )));
         }
-        // arc-lint: bounded(len is the caller's request, validated against the container extent above)
+        // Bounded: len is the caller's request, validated against the container extent above.
         let mut out = Vec::with_capacity(len);
         let mut report = RangeReport::default();
         if len == 0 {

@@ -18,6 +18,7 @@
 //!   chunk pass so requests below the per-scheme bytes-per-thread floor
 //!   still fill all workers in aggregate.
 
+use arc_ecc::bits::{chunked, copy_prefix};
 use arc_ecc::crc::crc32;
 use arc_ecc::parallel::{par_map, resolve_threads};
 use arc_ecc::{EccConfig, ParallelCodec};
@@ -44,12 +45,14 @@ impl StreamSink for Vec<u8> {
             .checked_add(bytes.len())
             .ok_or_else(|| ArcError::InvalidRequest("sink offset overflows".into()))?;
         if self.len() < end {
-            // arc-lint: bounded(encoder-side sink; grows only to the extent the encoder writes)
+            // Bounded: encoder-side sink: grows only to the extent the encoder writes.
             self.resize(end, 0);
         }
         let dst = self.get_mut(offset..end);
-        dst.ok_or_else(|| ArcError::InvalidRequest("sink range unwritable".into()))?
-            .copy_from_slice(bytes);
+        copy_prefix(
+            dst.ok_or_else(|| ArcError::InvalidRequest("sink range unwritable".into()))?,
+            bytes,
+        );
         Ok(())
     }
 }
@@ -192,13 +195,14 @@ impl<S: StreamSink> StreamEncoder<S> {
                 // Parked shards come first in stream order, so they share
                 // the group and the caller's slice only tops it up.
                 let n = (bytes.len() / self.shard_size).min(self.workers - self.parked.len());
-                let (whole, rest) = bytes.split_at(n * self.shard_size);
+                let (whole, rest) =
+                    bytes.split_at_checked(n * self.shard_size).unwrap_or((bytes, &[]));
                 self.encode_group(whole)?;
                 bytes = rest;
                 continue;
             }
             let room = self.shard_size - self.staging.len();
-            let (head, rest) = bytes.split_at(room.min(bytes.len()));
+            let (head, rest) = bytes.split_at_checked(room).unwrap_or((bytes, &[]));
             self.staging.extend_from_slice(head);
             bytes = rest;
             if self.staging.len() < self.shard_size {
@@ -207,7 +211,7 @@ impl<S: StreamSink> StreamEncoder<S> {
             if self.parked.len() + 1 == self.workers {
                 self.encode_group(&[])?;
             } else {
-                // arc-lint: bounded(encoder-side staging; one shard of the caller's chosen size)
+                // Bounded: encoder-side staging: one shard of the caller's chosen size.
                 let next = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(self.shard_size));
                 self.parked.push(std::mem::replace(&mut self.staging, next));
             }
@@ -227,10 +231,10 @@ impl<S: StreamSink> StreamEncoder<S> {
             .iter()
             .chain(staged)
             .map(Vec::as_slice)
-            .chain(whole.chunks(self.shard_size));
+            .chain(chunked(whole, self.shard_size));
         let members = sources.clone().count();
         if self.outs.len() < members {
-            // arc-lint: bounded(a group never exceeds `workers` shards)
+            // Bounded: a group never exceeds `workers` shards.
             self.outs.resize_with(members, Vec::new);
         }
         // Assign every shard its payload offset up front: the offsets are
@@ -247,7 +251,7 @@ impl<S: StreamSink> StreamEncoder<S> {
                 .checked_add(encoded_len)
                 .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
             self.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc: 0 });
-            // arc-lint: bounded(encoded_len computed by the codec from the caller's shard, not decoded input)
+            // Bounded: encoded_len computed by the codec from the caller's shard, not decoded input.
             out.resize(encoded_len, 0);
         }
         let codec = &self.codec;
@@ -301,7 +305,7 @@ impl<S: StreamSink> StreamEncoder<S> {
         for copy in 0..3 {
             self.sink.write_at(istart + copy * index.len(), &index)?;
         }
-        // arc-lint: bounded(hlen is the header length for metadata this encoder built itself)
+        // Bounded: hlen is the header length for metadata this encoder built itself.
         let mut header = vec![0u8; hlen];
         container::write_header(&meta, &mut header)?;
         self.sink.write_at(0, &header)?;
@@ -354,7 +358,7 @@ pub fn encode_batch(
     let mut pairs: Vec<(&[u8], &mut [u8])> = requests
         .iter()
         .zip(&mut frames)
-        .map(|(data, (out, hlen))| (*data, &mut out[*hlen..]))
+        .map(|(data, (out, hlen))| (*data, out.get_mut(*hlen..).unwrap_or_default()))
         .collect();
     codec.encode_many_into(&mut pairs);
     Ok(frames.into_iter().map(|(out, _)| out).collect())

@@ -19,10 +19,11 @@
 //! located bits, and re-verifies the syndromes before declaring success —
 //! miscorrection is reported as [`EccError::Uncorrectable`], never silent.
 
+use crate::bits::{chunked, chunked_mut, ByteTable};
 use crate::codec::{
     multi_correct_rate_per_mb, Capability, CorrectionReport, EccError, EccScheme, MB,
 };
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Field size exponent: GF(2^13).
 const GF_BITS: usize = 13;
@@ -43,12 +44,12 @@ struct Gf13 {
 fn tables() -> &'static Gf13 {
     static TABLES: OnceLock<Gf13> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut exp = vec![0u16; 2 * GF_ORD];
+        let mut powers = Vec::with_capacity(GF_ORD);
         let mut log = vec![0u16; GF_ORD + 1];
         // x is reduced below 2^13 each step, so x << 1 fits a u16.
         let mut x = 1u16;
-        for (i, slot) in (0u16..).zip(exp.iter_mut().take(GF_ORD)) {
-            *slot = x;
+        for i in (0u16..).take(GF_ORD) {
+            powers.push(x);
             if let Some(l) = log.get_mut(usize::from(x)) {
                 *l = i;
             }
@@ -57,10 +58,24 @@ fn tables() -> &'static Gf13 {
                 x ^= GF_POLY;
             }
         }
-        let (first, doubled) = exp.split_at_mut(GF_ORD);
-        doubled.copy_from_slice(first);
+        let exp = powers.iter().chain(&powers).copied().collect();
         Gf13 { exp, log }
     })
+}
+
+impl Gf13 {
+    /// α^e; every exponent the field forms is below 2·8191, the table's
+    /// length, and one past it reads as zero.
+    #[inline]
+    fn exp(&self, e: usize) -> u16 {
+        self.exp.get(e).copied().unwrap_or(0)
+    }
+
+    /// log_α(a), in 0..8191 for every u16 below 2^13.
+    #[inline]
+    fn log(&self, a: u16) -> usize {
+        self.log.get(usize::from(a)).map_or(0, |&l| usize::from(l))
+    }
 }
 
 #[inline]
@@ -68,23 +83,20 @@ fn gf_mul(gf: &Gf13, a: u16, b: u16) -> u16 {
     if a == 0 || b == 0 {
         return 0;
     }
-    // arc-lint: bounded(log values are < 8191 so the sum is < 2·8191 = exp len)
-    gf.exp[gf.log[a as usize] as usize + gf.log[b as usize] as usize]
+    gf.exp(gf.log(a) + gf.log(b))
 }
 
 #[inline]
 fn gf_inv(gf: &Gf13, a: u16) -> u16 {
     // Caller guarantees a != 0 (Berlekamp–Massey divides only by a nonzero
     // previous discrepancy).
-    // arc-lint: bounded(8191 - log a is in 1..=8191 which is < exp len)
-    gf.exp[GF_ORD - gf.log[a as usize] as usize]
+    gf.exp(GF_ORD - gf.log(a))
 }
 
 /// α^e for e in 0..8191.
 #[inline]
 fn gf_pow_alpha(gf: &Gf13, e: usize) -> u16 {
-    // arc-lint: bounded(e is reduced mod 8191 before the lookup)
-    gf.exp[e % GF_ORD]
+    gf.exp(e % GF_ORD)
 }
 
 /// Shortened binary BCH(8191, 8191 − 13t, t) over 1000-byte blocks.
@@ -96,13 +108,20 @@ pub struct Bch {
     /// Parity bytes per block: ⌈13t/8⌉.
     pbytes: usize,
     /// CRC-style byte step table: `tbl[v] = (v·x^deg) mod gen`.
-    enc_tbl: Vec<u64>,
-    /// Per-syndrome α^j (j = 1..=2t).
-    syn_alpha: Vec<u16>,
-    /// Per-syndrome byte step (α^j)^8.
-    syn_step: Vec<u16>,
-    /// Per-syndrome byte evaluation table: entry v = Σ bit_m(v)·(α^j)^(7−m).
-    syn_tbl: Vec<Vec<u16>>,
+    enc_tbl: Arc<ByteTable<u64>>,
+    /// The 2t syndromes' evaluators, S_1 first.
+    syn: Arc<[Syndrome]>,
+}
+
+/// How one power-sum syndrome S_j is evaluated a byte at a time.
+#[derive(Debug)]
+struct Syndrome {
+    /// α^j.
+    alpha: u16,
+    /// The byte step (α^j)^8.
+    step: u16,
+    /// Byte evaluation table: entry v = Σ bit_m(v)·(α^j)^(7−m).
+    tbl: ByteTable<u16>,
 }
 
 /// Multiply two binary polynomials held as bit vectors (carry-less).
@@ -136,12 +155,10 @@ fn minimal_poly(gf: &Gf13, i: usize) -> Result<u64, EccError> {
     let mut poly: Vec<u16> = vec![1];
     for &j in &coset {
         let root = gf_pow_alpha(gf, j);
-        let mut next = vec![0u16; poly.len() + 1];
-        for (k, &c) in poly.iter().enumerate() {
-            next[k + 1] ^= c;
-            next[k] ^= gf_mul(gf, c, root);
-        }
-        poly = next;
+        // (x + root)·poly: poly shifted up one degree, plus root·poly.
+        let shifted = std::iter::once(0).chain(poly.iter().copied());
+        let scaled = poly.iter().map(|&c| gf_mul(gf, c, root)).chain(std::iter::once(0));
+        poly = shifted.zip(scaled).map(|(a, b)| a ^ b).collect();
     }
     // A minimal polynomial over GF(2) must have 0/1 coefficients.
     let mut bits = 0u64;
@@ -188,39 +205,34 @@ impl Bch {
         let pbytes = deg.div_ceil(8);
 
         // enc_tbl[v] = (v(x)·x^deg) mod g(x).
-        let mut enc_tbl = vec![0u64; 256];
-        for (v, slot) in enc_tbl.iter_mut().enumerate() {
-            let mut r = (v as u64) << deg;
+        let enc_tbl = Arc::new(ByteTable::from_fn(|v| {
+            let mut r = u64::from(v) << deg;
             for bit in (deg..deg + 8).rev() {
                 if r & (1 << bit) != 0 {
                     r ^= gen << (bit - deg);
                 }
             }
-            *slot = r;
-        }
+            r
+        }));
 
-        let mut syn_alpha = Vec::with_capacity(2 * t);
-        let mut syn_step = Vec::with_capacity(2 * t);
-        let mut syn_tbl = Vec::with_capacity(2 * t);
-        for j in 1..=2 * t {
-            let a = gf_pow_alpha(gf, j);
-            syn_alpha.push(a);
-            syn_step.push(gf_pow_alpha(gf, 8 * j));
-            let mut tbl = vec![0u16; 256];
-            for (v, slot) in tbl.iter_mut().enumerate() {
-                let mut s = 0u16;
-                for m in 0..8 {
-                    s = gf_mul(gf, s, a);
-                    if v & (0x80 >> m) != 0 {
-                        s ^= 1;
+        let syn = (1..=2 * t)
+            .map(|j| {
+                let alpha = gf_pow_alpha(gf, j);
+                let tbl = ByteTable::from_fn(|v| {
+                    let mut s = 0u16;
+                    for m in 0..8 {
+                        s = gf_mul(gf, s, alpha);
+                        if v & (0x80 >> m) != 0 {
+                            s ^= 1;
+                        }
                     }
-                }
-                *slot = s;
-            }
-            syn_tbl.push(tbl);
-        }
+                    s
+                });
+                Syndrome { alpha, step: gf_pow_alpha(gf, 8 * j), tbl }
+            })
+            .collect();
 
-        Ok(Bch { t, deg, pbytes, enc_tbl, syn_alpha, syn_step, syn_tbl })
+        Ok(Bch { t, deg, pbytes, enc_tbl, syn })
     }
 
     /// Parity remainder for one data block: `(m(x)·x^deg) mod g(x)`.
@@ -228,27 +240,23 @@ impl Bch {
         let mask = (1u64 << self.deg) - 1;
         let mut rem = 0u64;
         for &byte in block {
-            let top = ((rem >> (self.deg - 8)) & 0xFF) as usize ^ byte as usize;
-            // arc-lint: bounded(top is an 8-bit value; enc_tbl has 256 entries)
-            rem = ((rem << 8) & mask) ^ self.enc_tbl[top];
+            let [top, ..] = (rem >> (self.deg - 8)).to_le_bytes();
+            rem = ((rem << 8) & mask) ^ self.enc_tbl.of(top ^ byte);
         }
         rem
     }
 
     /// Power-sum syndromes S_1..S_2t of `block ‖ rem` (the full codeword).
     fn syndromes(&self, gf: &Gf13, block: &[u8], rem: u64) -> Vec<u16> {
-        // arc-lint: bounded(Bch::new caps t at 4, so this allocates ≤ 8 slots)
+        // Bounded: Bch::new caps t at 4, so this allocates ≤ 8 slots.
         let mut out = Vec::with_capacity(2 * self.t);
-        for j in 0..2 * self.t {
-            // arc-lint: bounded(syn_* vectors all have exactly 2t entries)
-            let (step, alpha, tbl) = (self.syn_step[j], self.syn_alpha[j], &self.syn_tbl[j]);
+        for syn in self.syn.iter() {
             let mut s = 0u16;
             for &byte in block {
-                // arc-lint: bounded(byte indexes a 256-entry table)
-                s = gf_mul(gf, s, step) ^ tbl[byte as usize];
+                s = gf_mul(gf, s, syn.step) ^ syn.tbl.of(byte);
             }
             for q in (0..self.deg).rev() {
-                s = gf_mul(gf, s, alpha) ^ ((rem >> q) & 1) as u16;
+                s = gf_mul(gf, s, syn.alpha) ^ ((rem >> q) & 1) as u16;
             }
             out.push(s);
         }
@@ -265,9 +273,11 @@ impl Bch {
         let mut b = 1u16;
         for n in 0..2 * self.t {
             let mut d = *s.get(n)?;
-            for i in 1..=l.min(sigma.len().saturating_sub(1)) {
-                // arc-lint: bounded(i ≤ n keeps both lookups in range)
-                d ^= gf_mul(gf, sigma[i], s[n - i]);
+            // Σ σ_i·S_{n−i} for i in 1..=l: σ from its second coefficient
+            // against the syndromes before S_n, newest first.
+            let earlier = s.get(..n).unwrap_or_default().iter().rev();
+            for (&si, &sn) in sigma.iter().skip(1).take(l).zip(earlier) {
+                d ^= gf_mul(gf, si, sn);
             }
             if d == 0 {
                 m += 1;
@@ -278,9 +288,8 @@ impl Bch {
                 if sigma.len() < prev.len() + m {
                     sigma.resize(prev.len() + m, 0);
                 }
-                for (i, &c) in prev.iter().enumerate() {
-                    // arc-lint: bounded(sigma was just resized to fit i + m)
-                    sigma[i + m] ^= gf_mul(gf, coef, c);
+                for (sig, &c) in sigma.iter_mut().skip(m).zip(prev) {
+                    *sig ^= gf_mul(gf, coef, c);
                 }
             };
             if 2 * l <= n {
@@ -306,7 +315,7 @@ impl Bch {
     /// count does not match deg σ (uncorrectable).
     fn chien(&self, gf: &Gf13, sigma: &[u16], total_bits: usize) -> Option<Vec<usize>> {
         let expect = sigma.len().saturating_sub(1);
-        // arc-lint: bounded(deg σ ≤ t ≤ 4 — berlekamp_massey caps sigma.len())
+        // Bounded: deg σ ≤ t ≤ 4: berlekamp_massey caps sigma.len().
         let mut roots = Vec::with_capacity(expect);
         for e in 0..total_bits.min(GF_ORD) {
             let x_inv = gf_pow_alpha(gf, GF_ORD - e % GF_ORD);
@@ -394,9 +403,7 @@ impl EccScheme for Bch {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
-        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
-        for (block, slot) in data.chunks(BCH_BLOCK).zip(parity.chunks_mut(self.pbytes)) {
+        for (block, slot) in chunked(data, BCH_BLOCK).zip(chunked_mut(parity, self.pbytes)) {
             let rem = self.encode_block(block);
             self.pack_rem(rem, slot);
         }
@@ -414,7 +421,7 @@ impl EccScheme for Bch {
             });
         }
         let mut report = CorrectionReport::default();
-        for (block, slot) in data.chunks_mut(BCH_BLOCK).zip(parity.chunks_mut(self.pbytes)) {
+        for (block, slot) in chunked_mut(data, BCH_BLOCK).zip(chunked_mut(parity, self.pbytes)) {
             report.blocks_checked += 1;
             let rem = self.unpack_rem(slot);
             let (fixed_rem, fixed) = self.correct_block(block, rem)?;

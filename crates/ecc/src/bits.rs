@@ -1,13 +1,19 @@
-//! Bit-level helpers shared by the ECC codecs and the fault injector.
+//! Bit- and slice-level helpers shared by the ECC codecs, the container
+//! and the fault injector.
 //!
-//! All helpers address bits within a byte slice using a single linear bit
-//! index. Bit `i` lives in byte `i / 8`; within a byte, bit 0 is the least
-//! significant bit. This matches how the fault-injection study in the paper
-//! indexes "bit 400,005 of the compressed data".
+//! The bit helpers address bits within a byte slice using a single linear
+//! bit index. Bit `i` lives in byte `i / 8`; within a byte, bit 0 is the
+//! least significant bit. This matches how the fault-injection study in the
+//! paper indexes "bit 400,005 of the compressed data".
+//!
+//! The slice helpers ([`chunked`], [`chunked_mut`], [`copy_prefix`]) are the
+//! forms of `chunks`, `chunks_mut` and `copy_from_slice` that cannot panic:
+//! the library crates deny those (DESIGN.md §10).
 
 /// A table indexed by a byte: [`ByteTable::of`] is its only read, and a
 /// `u8` index cannot leave it. The CRC slice tables and the GF(2^8) log,
 /// multiply-row and GFNI tables all have this shape.
+#[derive(Debug)]
 pub(crate) struct ByteTable<T>(pub(crate) [T; 256]);
 
 impl<T> ByteTable<T> {
@@ -20,16 +26,10 @@ impl<T> ByteTable<T> {
 
     /// Entry `b`.
     #[inline(always)]
+    #[expect(clippy::indexing_slicing, reason = "a u8 index into a 256-entry table")]
     pub(crate) fn of(&self, b: u8) -> &T {
-        // arc-lint: bounded(a u8 index into a 256-entry table)
         &self.0[usize::from(b)]
     }
-}
-
-/// Total number of bits in a byte slice.
-#[inline]
-pub(crate) fn bit_len(bytes: &[u8]) -> u64 {
-    bytes.len() as u64 * 8
 }
 
 /// Read bit `idx` of `bytes`; a bit past the end reads as zero.
@@ -50,13 +50,46 @@ pub(crate) fn set_bit(bytes: &mut [u8], idx: u64, value: bool) {
     }
 }
 
-/// Flip bit `idx` of `bytes` (the soft-error model used throughout).
-///
-/// # Panics
-/// Panics if `idx` is out of range.
+/// Flip bit `idx` of `bytes` (the soft-error model used throughout); a bit
+/// past the end is left alone.
 #[inline]
 pub fn flip_bit(bytes: &mut [u8], idx: u64) {
-    bytes[(idx / 8) as usize] ^= 1u8 << (idx % 8);
+    if let Some(b) = bytes.get_mut((idx / 8) as usize) {
+        *b ^= 1u8 << (idx % 8);
+    }
+}
+
+/// `data` in runs of `n` elements, the last one possibly shorter, and no
+/// run at all for `n = 0`: `slice::chunks` without its panic.
+#[inline]
+pub fn chunked<T>(data: &[T], n: usize) -> impl Iterator<Item = &[T]> + Clone {
+    let mut rest = if n == 0 { &[][..] } else { data };
+    std::iter::from_fn(move || {
+        let (head, tail) = rest.split_at_checked(n.min(rest.len()))?;
+        rest = tail;
+        (!head.is_empty()).then_some(head)
+    })
+}
+
+/// [`chunked`] over a mutable slice: `slice::chunks_mut` without its panic.
+#[inline]
+pub fn chunked_mut<T>(data: &mut [T], n: usize) -> impl Iterator<Item = &mut [T]> {
+    let mut rest = if n == 0 { &mut [][..] } else { data };
+    std::iter::from_fn(move || {
+        let taken = std::mem::take(&mut rest);
+        let (head, tail) = taken.split_at_mut_checked(n.min(taken.len()))?;
+        rest = tail;
+        (!head.is_empty()).then_some(head)
+    })
+}
+
+/// Copy `src` into the front of `dst`, as far as the shorter of the two
+/// reaches: `copy_from_slice` without its panic on unequal lengths.
+#[inline]
+pub fn copy_prefix<T: Copy>(dst: &mut [T], src: &[T]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = *s;
+    }
 }
 
 /// A fixed-destination bit packer that stores whole 64-bit words.
@@ -83,15 +116,12 @@ impl<'a> PackedBitWriter<'a> {
         PackedBitWriter { out, acc: 0, nbits: 0 }
     }
 
-    /// Append the low `n` bits of `value`, least-significant bit first.
-    ///
-    /// # Panics
-    /// Panics (in debug) if `n > 64` or `value` has bits above `n`. Bits
-    /// that overflow `out` are not stored.
+    /// Append the low `n ≤ 64` bits of `value`, least-significant bit
+    /// first; `value` has no bits above `n`. Bits that overflow `out` are
+    /// not stored.
     #[inline]
     pub(crate) fn push(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 64);
-        debug_assert!(n == 64 || value < (1u64 << n));
+        let n = n.min(64);
         self.acc |= (value as u128) << self.nbits;
         self.nbits += n;
         if self.nbits >= 64 {
@@ -124,15 +154,11 @@ impl<'a> PackedBitWriter<'a> {
 
 /// Read the `n`-bit group starting at bit `idx` of `bytes` (LSB first) with
 /// a single zero-padded word load — the decode-side counterpart of
-/// [`PackedBitWriter`]. `n` must be ≤ 57 so the group fits one 8-byte
-/// window at any bit offset.
-///
-/// # Panics
-/// Panics (in debug) if `n > 57` or the group extends past the slice.
+/// [`PackedBitWriter`]. `n` is at most 57 so the group fits one 8-byte
+/// window at any bit offset; bits past the slice read as zero.
 #[inline]
 pub(crate) fn read_bits_at(bytes: &[u8], idx: u64, n: u32) -> u64 {
-    debug_assert!(n <= 57);
-    debug_assert!(idx + n as u64 <= bit_len(bytes));
+    let n = n.min(57);
     (word_at(bytes, (idx / 8) as usize) >> (idx % 8)) & ((1u64 << n) - 1)
 }
 

@@ -132,6 +132,8 @@ pub trait EccScheme: Send + Sync {
     ///
     /// `parity` must be exactly `parity_len(data.len())` bytes and may hold
     /// arbitrary garbage on entry — implementations overwrite every byte.
+    /// On any other length an implementation may leave some or all of
+    /// `parity` unwritten; it never panics.
     /// This is the hot path of the zero-copy pipeline: [`crate::ParallelCodec`]
     /// carves one pre-allocated container into disjoint chunk regions and
     /// calls this method from its workers, so the built-in implementations
@@ -180,7 +182,7 @@ pub trait EccScheme: Send + Sync {
                 ),
             });
         }
-        let (data, parity) = encoded.split_at_mut(data_len);
+        let (data, parity) = encoded.split_at_mut_checked(data_len).unwrap_or_default();
         self.verify_and_correct(data, parity)
     }
 
@@ -217,10 +219,10 @@ pub trait EccScheme: Send + Sync {
 
     /// Convenience: full encode producing `data ‖ parity` in one allocation.
     fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; data.len() + self.parity_len(data.len())];
-        let (d, p) = out.split_at_mut(data.len());
-        d.copy_from_slice(data);
-        self.encode_parity_into(data, p);
+        let mut out = Vec::with_capacity(data.len() + self.parity_len(data.len()));
+        out.extend_from_slice(data);
+        out.resize(data.len() + self.parity_len(data.len()), 0);
+        self.encode_parity_into(data, out.get_mut(data.len()..).unwrap_or_default());
         out
     }
 

@@ -86,6 +86,10 @@ fn byte_shift(len: usize) -> u32 {
 /// block into the state at once (Intel's "slicing-by-8" generalized).
 static TABLES: [ByteTable<u32>; 16] = slice_tables();
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated: every index is below its table's length, and one that was not would fail the build"
+)]
 const fn slice_tables() -> [ByteTable<u32>; 16] {
     let mut t = [[0u32; 256]; 16];
     let mut b = 0u32;

@@ -34,8 +34,8 @@ impl Tables {
     /// minus another.
     #[inline]
     fn exp(&self, e: usize) -> u8 {
-        // arc-lint: bounded(masked into the 512-entry table)
-        self.exp[e & 511]
+        // The mask keeps `e` in the table, so the `get` never misses.
+        self.exp.get(e & 511).copied().unwrap_or(0)
     }
 
     /// log_α(x) for `x ≠ 0`, in 0..255.
@@ -109,29 +109,23 @@ impl Gf {
         Gf(t.exp(t.log(self.0) + t.log(rhs.0)))
     }
 
-    /// Field division.
+    /// Field division; a zero divisor yields zero.
     ///
-    /// # Panics
-    /// Panics if `rhs` is zero.
+    /// Every divisor in the crate is non-zero: α powers, Cauchy `x_j ^ y_i`
+    /// over disjoint sets, non-zero pivots, trimmed leading coefficients,
+    /// and in decode Berlekamp–Massey's `b` (only ever set to a non-zero
+    /// discrepancy) and a Forney denominator checked first. The zero case is
+    /// defined rather than a panic so that no input can abort a decode.
     #[inline]
     pub fn div(self, rhs: Gf) -> Gf {
-        // Every divisor in the crate is non-zero: α powers, Cauchy
-        // `x_j ^ y_i` over disjoint sets, non-zero pivots, trimmed leading
-        // coefficients, and in decode Berlekamp–Massey's `b` (only ever set
-        // to a non-zero discrepancy) and a Forney denominator checked first.
-        // arc-lint: allow(decode-no-panic-transitive, every divisor is non-zero, see above)
-        assert!(rhs.0 != 0, "division by zero in GF(2^8)");
-        if self.0 == 0 {
+        if self.0 == 0 || rhs.0 == 0 {
             return Gf::ZERO;
         }
         let t = tables();
         Gf(t.exp(t.log(self.0) + GROUP_ORDER - t.log(rhs.0)))
     }
 
-    /// Multiplicative inverse.
-    ///
-    /// # Panics
-    /// Panics if `self` is zero.
+    /// Multiplicative inverse; zero for zero.
     #[inline]
     pub fn inv(self) -> Gf {
         Gf::ONE.div(self)
@@ -307,9 +301,21 @@ fn simd_level() -> SimdLevel {
     })
 }
 
+/// `dst` and `src` cut to their common length, so a kernel pairs byte `i`
+/// of one with byte `i` of the other and leaves the rest of `dst` alone.
+#[inline]
+fn paired<'a>(dst: &'a mut [u8], src: &'a [u8]) -> (&'a mut [u8], &'a [u8]) {
+    let n = dst.len().min(src.len());
+    match (dst.get_mut(..n), src.get(..n)) {
+        (Some(dst), Some(src)) => (dst, src),
+        _ => (&mut [], &[]),
+    }
+}
+
 /// `dst[i] ^= src[i]` — the c = 1 case, folded over u64 lanes.
 #[inline]
 fn xor_slice(dst: &mut [u8], src: &[u8]) {
+    let (dst, src) = paired(dst, src);
     let (d8, d_tail) = dst.as_chunks_mut::<8>();
     let (s8, s_tail) = src.as_chunks::<8>();
     for (d, s) in d8.iter_mut().zip(s8) {
@@ -325,6 +331,7 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
 /// tail is branch-free too.
 #[inline]
 fn mul_acc_words(dst: &mut [u8], src: &[u8], row: &ByteTable<u8>) {
+    let (dst, src) = paired(dst, src);
     let (d8, d_tail) = dst.as_chunks_mut::<8>();
     let (s8, s_tail) = src.as_chunks::<8>();
     for (d, s) in d8.iter_mut().zip(s8) {
@@ -341,69 +348,72 @@ mod x86 {
     //! PSHUFB split-nibble kernels. Each 16/32-byte lane is multiplied by a
     //! constant with two byte shuffles of the coefficient's 16-entry nibble
     //! tables — the classic Jerasure/ISA-L technique.
+    //!
+    //! Every kernel walks `dst` and `src` as zipped `[u8; L]` lanes of their
+    //! common prefix, so each vector load or store covers one borrowed lane:
+    //! no pointer offset is computed, and unequal lengths cannot reach
+    //! memory outside either slice.
 
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    use super::{gfni_matrices, mul_acc_words, mul_tables, row_table, Gf};
+    use super::{gfni_matrices, mul_acc_words, mul_tables, paired, row_table, Gf};
 
     /// # Safety
     /// Caller must ensure GFNI + AVX-512F/BW are available.
     #[target_feature(enable = "gfni,avx512f,avx512bw")]
     pub(super) unsafe fn mul_acc_gfni512(dst: &mut [u8], src: &[u8], c: Gf) {
+        let (dst, src) = paired(dst, src);
         let mat = *gfni_matrices().of(c.0);
-        // SAFETY: unaligned loads/stores stay within `dst`/`src` because the
-        // loop bound n is their length rounded down to a whole 64-byte lane.
+        let (d_lanes, d_tail) = dst.as_chunks_mut::<64>();
+        let (s_lanes, s_tail) = src.as_chunks::<64>();
+        // SAFETY: each load and store covers exactly one 64-byte lane
+        // borrowed from `dst` or `src`.
         unsafe {
             let m = _mm512_set1_epi64(mat as i64);
-            let n = dst.len() & !63;
-            let mut i = 0;
-            while i < n {
-                let s = _mm512_loadu_si512(src.as_ptr().add(i) as *const __m512i);
-                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, m);
-                let d = _mm512_loadu_si512(dst.as_ptr().add(i) as *const __m512i);
-                _mm512_storeu_si512(
-                    dst.as_mut_ptr().add(i) as *mut __m512i,
-                    _mm512_xor_si512(d, prod),
-                );
-                i += 64;
+            for (d, s) in d_lanes.iter_mut().zip(s_lanes) {
+                let sv = _mm512_loadu_si512(s.as_ptr() as *const __m512i);
+                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(sv, m);
+                let dv = _mm512_loadu_si512(d.as_ptr() as *const __m512i);
+                _mm512_storeu_si512(d.as_mut_ptr() as *mut __m512i, _mm512_xor_si512(dv, prod));
             }
-            mul_acc_words(&mut dst[n..], &src[n..], row_table(c));
         }
+        mul_acc_words(d_tail, s_tail, row_table(c));
     }
 
     /// # Safety
     /// Caller must ensure GFNI + AVX2 are available.
     #[target_feature(enable = "gfni,avx2")]
     pub(super) unsafe fn mul_acc_gfni256(dst: &mut [u8], src: &[u8], c: Gf) {
+        let (dst, src) = paired(dst, src);
         let mat = *gfni_matrices().of(c.0);
-        // SAFETY: unaligned loads/stores stay within `dst`/`src` because the
-        // loop bound n is their length rounded down to a whole 32-byte lane.
+        let (d_lanes, d_tail) = dst.as_chunks_mut::<32>();
+        let (s_lanes, s_tail) = src.as_chunks::<32>();
+        // SAFETY: each load and store covers exactly one 32-byte lane
+        // borrowed from `dst` or `src`.
         unsafe {
             let m = _mm256_set1_epi64x(mat as i64);
-            let n = dst.len() & !31;
-            let mut i = 0;
-            while i < n {
-                let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-                let prod = _mm256_gf2p8affine_epi64_epi8::<0>(s, m);
-                let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-                _mm256_storeu_si256(
-                    dst.as_mut_ptr().add(i) as *mut __m256i,
-                    _mm256_xor_si256(d, prod),
-                );
-                i += 32;
+            for (d, s) in d_lanes.iter_mut().zip(s_lanes) {
+                let sv = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
+                let prod = _mm256_gf2p8affine_epi64_epi8::<0>(sv, m);
+                let dv = _mm256_loadu_si256(d.as_ptr() as *const __m256i);
+                _mm256_storeu_si256(d.as_mut_ptr() as *mut __m256i, _mm256_xor_si256(dv, prod));
             }
-            mul_acc_words(&mut dst[n..], &src[n..], row_table(c));
         }
+        mul_acc_words(d_tail, s_tail, row_table(c));
     }
 
     /// # Safety
     /// Caller must ensure AVX2 is available.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn mul_acc_avx2(dst: &mut [u8], src: &[u8], c: Gf) {
+        let (dst, src) = paired(dst, src);
         let t = mul_tables();
+        let (d_lanes, d_tail) = dst.as_chunks_mut::<32>();
+        let (s_lanes, s_tail) = src.as_chunks::<32>();
         // SAFETY: the 16-byte nibble tables are loaded unaligned and
-        // broadcast to both 128-bit lanes.
+        // broadcast to both 128-bit lanes; each other load and store covers
+        // exactly one 32-byte lane borrowed from `dst` or `src`.
         unsafe {
             let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(
                 t.lo.of(c.0).as_ptr() as *const __m128i
@@ -412,55 +422,50 @@ mod x86 {
                 t.hi.of(c.0).as_ptr() as *const __m128i
             ));
             let mask = _mm256_set1_epi8(0x0F);
-            let n = dst.len() & !31;
-            let mut i = 0;
-            while i < n {
-                let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-                let sl = _mm256_and_si256(s, mask);
-                let sh = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
+            for (d, s) in d_lanes.iter_mut().zip(s_lanes) {
+                let sv = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
+                let sl = _mm256_and_si256(sv, mask);
+                let sh = _mm256_and_si256(_mm256_srli_epi64(sv, 4), mask);
                 let prod =
                     _mm256_xor_si256(_mm256_shuffle_epi8(lo, sl), _mm256_shuffle_epi8(hi, sh));
-                let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-                _mm256_storeu_si256(
-                    dst.as_mut_ptr().add(i) as *mut __m256i,
-                    _mm256_xor_si256(d, prod),
-                );
-                i += 32;
+                let dv = _mm256_loadu_si256(d.as_ptr() as *const __m256i);
+                _mm256_storeu_si256(d.as_mut_ptr() as *mut __m256i, _mm256_xor_si256(dv, prod));
             }
-            mul_acc_words(&mut dst[n..], &src[n..], row_table(c));
         }
+        mul_acc_words(d_tail, s_tail, row_table(c));
     }
 
     /// # Safety
     /// Caller must ensure SSSE3 is available.
     #[target_feature(enable = "ssse3")]
     pub(super) unsafe fn mul_acc_ssse3(dst: &mut [u8], src: &[u8], c: Gf) {
+        let (dst, src) = paired(dst, src);
         let t = mul_tables();
-        // SAFETY: unaligned loads/stores stay within `dst`/`src` because the
-        // loop bound n is their length rounded down to a whole 16-byte lane.
+        let (d_lanes, d_tail) = dst.as_chunks_mut::<16>();
+        let (s_lanes, s_tail) = src.as_chunks::<16>();
+        // SAFETY: the nibble tables are 16-byte arrays, and each other load
+        // and store covers exactly one 16-byte lane borrowed from `dst` or
+        // `src`.
         unsafe {
             let lo = _mm_loadu_si128(t.lo.of(c.0).as_ptr() as *const __m128i);
             let hi = _mm_loadu_si128(t.hi.of(c.0).as_ptr() as *const __m128i);
             let mask = _mm_set1_epi8(0x0F);
-            let n = dst.len() & !15;
-            let mut i = 0;
-            while i < n {
-                let s = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-                let sl = _mm_and_si128(s, mask);
-                let sh = _mm_and_si128(_mm_srli_epi64(s, 4), mask);
+            for (d, s) in d_lanes.iter_mut().zip(s_lanes) {
+                let sv = _mm_loadu_si128(s.as_ptr() as *const __m128i);
+                let sl = _mm_and_si128(sv, mask);
+                let sh = _mm_and_si128(_mm_srli_epi64(sv, 4), mask);
                 let prod = _mm_xor_si128(_mm_shuffle_epi8(lo, sl), _mm_shuffle_epi8(hi, sh));
-                let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-                _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, _mm_xor_si128(d, prod));
-                i += 16;
+                let dv = _mm_loadu_si128(d.as_ptr() as *const __m128i);
+                _mm_storeu_si128(d.as_mut_ptr() as *mut __m128i, _mm_xor_si128(dv, prod));
             }
-            mul_acc_words(&mut dst[n..], &src[n..], row_table(c));
         }
+        mul_acc_words(d_tail, s_tail, row_table(c));
     }
 }
 
 /// Multiply a slice of symbols by a scalar in place: one row-table lookup
 /// per byte. Its one caller normalises the t ≤ m pivot rows of an erasure
-/// solve, next to t·(k − 1) [`mul_acc_slice`] calls over the same devices,
+/// solve, next to t·(k − 1) `mul_acc_slice` calls over the same devices,
 /// so it has no SIMD kernels of its own.
 pub fn scale_slice(dst: &mut [u8], c: Gf) {
     let row = row_table(c);
@@ -469,11 +474,11 @@ pub fn scale_slice(dst: &mut [u8], c: Gf) {
     }
 }
 
-/// `dst[i] ^= c * src[i]` for all i — the core kernel of the device-oriented
-/// Reed-Solomon encoder. `dst` and `src` must have equal length.
+/// `dst[i] ^= c * src[i]` for every `i` both slices hold — the core kernel
+/// of the device-oriented Reed-Solomon encoder. Callers pass equal lengths;
+/// on unequal ones the bytes of `dst` past `src` are left as they are.
 #[inline]
-pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: Gf) {
-    debug_assert_eq!(dst.len(), src.len());
+pub(crate) fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: Gf) {
     if c == Gf::ZERO {
         return;
     }
@@ -550,7 +555,7 @@ impl Poly {
     /// Polynomial addition.
     pub(crate) fn add(&self, rhs: &Poly) -> Poly {
         let n = self.coeffs.len().max(rhs.coeffs.len());
-        // arc-lint: bounded(RS polynomials over GF(256) have degree <= 255)
+        // Bounded: RS polynomials over GF(256) have degree <= 255.
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             out.push(self.coeff(i).add(rhs.coeff(i)));
@@ -585,7 +590,7 @@ impl Poly {
         if self.is_zero() {
             return Poly::zero();
         }
-        // arc-lint: bounded(RS shift distance is bounded by the codeword degree <= 255)
+        // Bounded: RS shift distance is bounded by the codeword degree <= 255.
         let mut out = vec![Gf::ZERO; k];
         out.extend_from_slice(&self.coeffs);
         Poly::from_coeffs(out)
@@ -606,17 +611,15 @@ impl Poly {
         Poly::from_coeffs(odd.map(|(i, &c)| if i % 2 == 1 { c } else { Gf::ZERO }).collect())
     }
 
-    /// Remainder of `self` divided by `rhs`.
-    ///
-    /// # Panics
-    /// Panics if `rhs` is zero.
+    /// Remainder of `self` divided by `rhs`; a zero `rhs` (the one caller
+    /// divides by x^nsym, never zero) leaves `self` whole.
     pub(crate) fn rem(&self, rhs: &Poly) -> Poly {
-        // arc-lint: allow(decode-no-panic-transitive, the one caller divides by x^nsym, which is never zero)
-        assert!(!rhs.is_zero(), "polynomial division by zero");
         let mut r = self.clone();
         r.trim();
-        let d = rhs.coeffs.len() - 1;
-        let lead_inv = rhs.coeffs.last().map_or(Gf::ZERO, |c| c.inv());
+        let Some((d, lead)) = rhs.coeffs.iter().enumerate().rfind(|(_, c)| c.0 != 0) else {
+            return r;
+        };
+        let lead_inv = lead.inv();
         while !r.is_zero() && r.coeffs.len() > d {
             let shift = r.coeffs.len() - 1 - d;
             let Some(&lead) = r.coeffs.last() else { break };
@@ -807,34 +810,90 @@ mod tests {
         assert_matches_naive("dispatched", mul_acc_slice);
     }
 
+    /// A `dst ^= c·src` kernel.
+    type Kernel = fn(&mut [u8], &[u8], Gf);
+
+    /// Every kernel this CPU runs, by name: the portable word kernel and
+    /// each x86 level whose features `detected` finds.
+    fn detected_kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> =
+            vec![("words", |d, s, c| mul_acc_words(d, s, row_table(c)))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let levels: [(SimdLevel, &'static str, Kernel); 4] = [
+                // SAFETY: kept below only where `detected` found this
+                // level's features on this CPU.
+                (SimdLevel::Gfni512, "gfni512", |d, s, c| unsafe { x86::mul_acc_gfni512(d, s, c) }),
+                // SAFETY: as above.
+                (SimdLevel::Gfni256, "gfni256", |d, s, c| unsafe { x86::mul_acc_gfni256(d, s, c) }),
+                // SAFETY: as above.
+                (SimdLevel::Avx2, "avx2", |d, s, c| unsafe { x86::mul_acc_avx2(d, s, c) }),
+                // SAFETY: as above.
+                (SimdLevel::Ssse3, "ssse3", |d, s, c| unsafe { x86::mul_acc_ssse3(d, s, c) }),
+            ];
+            kernels.extend(
+                levels.into_iter().filter(|(level, ..)| level.detected()).map(|(_, n, k)| (n, k)),
+            );
+        }
+        kernels
+    }
+
     /// Every level's kernel called directly, not only the one this host
     /// dispatches to; levels the CPU lacks are skipped.
     #[test]
     fn every_simd_level_matches_naive() {
-        assert_matches_naive("words", |d, s, c| mul_acc_words(d, s, row_table(c)));
-        #[cfg(target_arch = "x86_64")]
-        for (level, name) in [
-            (SimdLevel::Gfni512, "gfni512"),
-            (SimdLevel::Gfni256, "gfni256"),
-            (SimdLevel::Avx2, "avx2"),
-            (SimdLevel::Ssse3, "ssse3"),
-        ] {
-            if !level.detected() {
-                continue;
-            }
-            assert_matches_naive(name, |d, s, c| {
-                // SAFETY: `detected` found every feature this level's kernel
-                // needs on this CPU just above.
-                unsafe {
-                    match level {
-                        SimdLevel::Gfni512 => x86::mul_acc_gfni512(d, s, c),
-                        SimdLevel::Gfni256 => x86::mul_acc_gfni256(d, s, c),
-                        SimdLevel::Avx2 => x86::mul_acc_avx2(d, s, c),
-                        SimdLevel::Ssse3 => x86::mul_acc_ssse3(d, s, c),
-                        SimdLevel::None => mul_acc_words(d, s, row_table(c)),
+        for (name, kernel) in detected_kernels() {
+            assert_matches_naive(name, kernel);
+        }
+    }
+
+    /// `dst` and `src` of unequal lengths, each side longer in turn: every
+    /// kernel, and the dispatcher at c = 0, 1 and a general coefficient,
+    /// pairs the common prefix and leaves the rest of `dst` as it was. The
+    /// exact-size heap buffers let AddressSanitizer see a read past `src`.
+    #[test]
+    fn unequal_lengths_pair_the_common_prefix_at_every_level() {
+        let dispatched: Kernel = mul_acc_slice;
+        let mut kernels = detected_kernels();
+        kernels.push(("dispatched", dispatched));
+        for (name, kernel) in kernels {
+            for dst_len in KERNEL_LENS {
+                for src_len in KERNEL_LENS.into_iter().filter(|&n| n != dst_len) {
+                    for c in [Gf::ZERO, Gf::ONE, Gf(0x1D)] {
+                        let src: Vec<u8> =
+                            (0..src_len).map(|i| (i as u8).wrapping_mul(37)).collect();
+                        let mut dst: Vec<u8> =
+                            (0..dst_len).map(|i| (i as u8).wrapping_mul(91) ^ 0xA5).collect();
+                        let mut expect = dst.clone();
+                        for (e, &s) in expect.iter_mut().zip(&src) {
+                            *e ^= Gf(s).mul(c).0;
+                        }
+                        kernel(&mut dst, &src, c);
+                        assert_eq!(dst, expect, "{name} dst={dst_len} src={src_len} c={c:?}");
                     }
                 }
-            });
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn mul_acc_kernel_matches_scalar_field(
+            c: u8,
+            src in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            seed: u8,
+        ) {
+            let c = Gf(c);
+            let mut dst: Vec<u8> =
+                (0..src.len()).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect();
+            let mut reference = dst.clone();
+            for (d, &s) in reference.iter_mut().zip(&src) {
+                *d ^= c.mul(Gf(s)).0;
+            }
+            mul_acc_slice(&mut dst, &src, c);
+            proptest::prop_assert_eq!(dst, reference);
         }
     }
 

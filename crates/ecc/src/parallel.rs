@@ -24,6 +24,7 @@
 //! On the read side [`ParallelCodec::decode_in_place`] verifies and repairs
 //! the payload where it lies; a clean decode copies nothing.
 
+use crate::bits::{chunked, chunked_mut, copy_prefix};
 use crate::codec::{CorrectionReport, EccError, EccScheme};
 use crate::config::EccConfig;
 use crate::crc::crc32_combine;
@@ -69,14 +70,14 @@ where
     }
     let run_len = items.len().div_ceil(workers);
     let mut results: Vec<Option<R>> = Vec::new();
-    // arc-lint: bounded(one slot per item of a slice already held in memory)
+    // Bounded: one slot per item of a slice already held in memory.
     results.resize_with(items.len(), || None);
     let fill = |(run, slots): (&mut [T], &mut [Option<R>])| {
         for (item, slot) in run.iter_mut().zip(slots) {
             *slot = Some(f(item));
         }
     };
-    let mut runs = items.chunks_mut(run_len).zip(results.chunks_mut(run_len));
+    let mut runs = chunked_mut(items, run_len).zip(chunked_mut(&mut results, run_len));
     let first = runs.next();
     std::thread::scope(|s| {
         for r in runs {
@@ -170,10 +171,11 @@ impl<S: EccScheme> ParallelCodec<S> {
         encoded: &'a mut [u8],
         data_len: usize,
     ) -> impl Iterator<Item = (&'a mut [u8], &'a mut [u8])> {
-        let (data, mut parity_rest) = encoded.split_at_mut(data_len);
-        data.chunks_mut(self.chunk_size).map(move |chunk| {
-            let (parity, rest) =
-                std::mem::take(&mut parity_rest).split_at_mut(self.config.parity_len(chunk.len()));
+        let (data, mut parity_rest) = encoded.split_at_mut_checked(data_len).unwrap_or_default();
+        chunked_mut(data, self.chunk_size).map(move |chunk| {
+            let rest = std::mem::take(&mut parity_rest);
+            let plen = self.config.parity_len(chunk.len()).min(rest.len());
+            let (parity, rest) = rest.split_at_mut_checked(plen).unwrap_or_default();
             parity_rest = rest;
             (chunk, parity)
         })
@@ -196,7 +198,8 @@ impl<S: EccScheme> ParallelCodec<S> {
 
     /// Scatter-write `data ‖ parity regions` into `out`, which must be
     /// exactly [`ParallelCodec::encoded_len`] bytes. `out` may hold
-    /// arbitrary garbage; every byte is overwritten.
+    /// arbitrary garbage; every byte is overwritten. An `out` of any other
+    /// length is left as it is.
     ///
     /// On the sequential path (1 effective worker) this performs no heap
     /// allocation; otherwise workers write their disjoint regions
@@ -211,14 +214,14 @@ impl<S: EccScheme> ParallelCodec<S> {
     /// floor still fill every worker together.
     pub fn encode_many_into(&self, pairs: &mut [(&[u8], &mut [u8])]) {
         let total: usize = pairs.iter().map(|(data, _)| data.len()).sum();
-        let jobs = pairs.iter_mut().flat_map(|(data, out)| {
-            let expected = self.encoded_len(data.len());
-            // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes out with encoded_len, as encode_into requires)
-            assert_eq!(out.len(), expected, "encode_into: output buffer size mismatch");
-            data.chunks(self.chunk_size).zip(self.carve(out, data.len()))
-        });
+        let jobs = pairs
+            .iter_mut()
+            .filter(|(data, out)| out.len() == self.encoded_len(data.len()))
+            .flat_map(|(data, out)| {
+                chunked(data, self.chunk_size).zip(self.carve(out, data.len()))
+            });
         let encode_chunk = |src: &[u8], dst: &mut [u8], parity: &mut [u8]| {
-            dst.copy_from_slice(src);
+            copy_prefix(dst, src);
             self.config.encode_parity_into(src, parity);
         };
         let workers = self.effective_workers(total);
@@ -472,12 +475,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "output buffer size mismatch")]
-    fn encode_into_rejects_wrong_buffer_size() {
+    fn encode_into_leaves_a_wrong_sized_buffer_alone() {
         let codec = ParallelCodec::new(EccConfig::hamming(false), 1).unwrap();
         let data = sample(100);
-        let mut out = vec![0u8; codec.encoded_len(data.len()) - 1];
-        codec.encode_into(&data, &mut out);
+        for len in [codec.encoded_len(data.len()) - 1, codec.encoded_len(data.len()) + 1] {
+            let mut out = vec![0xA5u8; len];
+            codec.encode_into(&data, &mut out);
+            assert!(out.iter().all(|&b| b == 0xA5), "len={len}");
+        }
     }
 
     #[test]

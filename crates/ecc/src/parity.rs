@@ -7,7 +7,7 @@
 //! throughput budgets when the user only asks for detection (§6.3 closes with
 //! exactly this trade-off).
 
-use crate::bits::{word_at, PackedBitWriter};
+use crate::bits::{chunked, word_at, PackedBitWriter};
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 
 /// Even-parity scheme configuration.
@@ -36,17 +36,9 @@ impl Parity {
     #[inline]
     fn block_parity(block: &[u8]) -> bool {
         // Fold over u64 lanes, then one popcount of the folded word.
-        let mut chunks = block.chunks_exact(8);
-        let mut acc = 0u64;
-        for c in &mut chunks {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(c);
-            acc ^= u64::from_le_bytes(w);
-        }
-        let mut tail = 0u8;
-        for &b in chunks.remainder() {
-            tail ^= b;
-        }
+        let (words, rest) = block.as_chunks::<8>();
+        let acc = words.iter().fold(0u64, |acc, w| acc ^ u64::from_le_bytes(*w));
+        let tail = rest.iter().fold(0u8, |tail, &b| tail ^ b);
         ((acc.count_ones() ^ tail.count_ones()) & 1) == 1
     }
 }
@@ -65,12 +57,10 @@ impl EccScheme for Parity {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
-        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         // One bit per block, accumulated and flushed as whole words; the
         // writer covers every parity byte so no fill(0) pass is needed.
         let mut w = PackedBitWriter::new(parity);
-        for block in data.chunks(self.bytes_per_parity_bit) {
+        for block in chunked(data, self.bytes_per_parity_bit) {
             w.push(Self::block_parity(block) as u64, 1);
         }
         w.finish();
@@ -92,7 +82,7 @@ impl EccScheme for Parity {
         let blocks = self.blocks(data.len());
         let mut bad_count = 0u64;
         let mut first_bad = usize::MAX;
-        let mut chunks = data.chunks(self.bytes_per_parity_bit);
+        let mut chunks = chunked(data, self.bytes_per_parity_bit);
         let mut base = 0usize;
         while base < blocks {
             let in_word = (blocks - base).min(64);

@@ -11,6 +11,7 @@
 //! a strict majority of replicas agree — including long bursts confined to
 //! a minority of replicas — at 100·(copies−1)% storage overhead.
 
+use crate::bits::{chunked, chunked_mut, copy_prefix};
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 use crate::crc::crc32;
 
@@ -54,18 +55,15 @@ impl EccScheme for Replication {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
-        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         let n = data.len();
-        let (replicas, crc_table) = parity.split_at_mut((self.copies - 1) * n);
-        if n > 0 {
-            for replica in replicas.chunks_exact_mut(n) {
-                replica.copy_from_slice(data);
-            }
+        let (replicas, crc_table) =
+            parity.split_at_mut_checked((self.copies - 1) * n).unwrap_or_default();
+        for replica in chunked_mut(replicas, n) {
+            copy_prefix(replica, data);
         }
         let crc = crc32(data).to_le_bytes();
-        for slot in crc_table.chunks_exact_mut(4) {
-            slot.copy_from_slice(&crc);
+        for slot in crc_table.as_chunks_mut::<4>().0 {
+            *slot = crc;
         }
     }
 
@@ -84,11 +82,10 @@ impl EccScheme for Replication {
                 ),
             });
         }
-        let (replicas, crc_table) = parity.split_at_mut((self.copies - 1) * n);
+        // The length check above makes this split exact.
+        let (replicas, crc_table) =
+            parity.split_at_mut_checked((self.copies - 1) * n).unwrap_or_default();
         let crc_table = crc_table.as_chunks_mut::<4>().0;
-        // The replicas, `n` bytes each. `chunks_exact(0)` panics, and an
-        // empty buffer's replicas are empty, so it walks them one byte wide.
-        let width = n.max(1);
         // Majority-vote the stored CRC.
         let crcs: Vec<u32> = crc_table.iter().map(|c| u32::from_le_bytes(*c)).collect();
         let voted_crc = majority(&crcs);
@@ -101,8 +98,9 @@ impl EccScheme for Replication {
                 return Ok(report);
             }
             // Any intact replica restores the data directly.
-            if let Some(rep) = replicas.chunks_exact(width).find(|rep| crc32(rep) == vc) {
-                data.copy_from_slice(rep);
+            let intact = chunked(replicas, n).find(|rep| crc32(rep) == vc);
+            if let Some(rep) = intact {
+                copy_prefix(data, rep);
                 report.corrected_devices += 1;
                 repair_side_data(data, replicas, crc_table, vc, &mut report);
                 return Ok(report);
@@ -117,8 +115,8 @@ impl EccScheme for Replication {
         }
         let mut corrected_bytes = 0u64;
         // One cursor per replica, advanced in step with the primary's bytes.
-        let mut cursors: Vec<_> = replicas.chunks_exact(width).map(|rep| rep.iter()).collect();
-        // arc-lint: bounded(copies is a small config constant validated at construction)
+        let mut cursors: Vec<_> = chunked(replicas, n).map(|rep| rep.iter()).collect();
+        // Bounded: copies is a small config constant validated at construction.
         let mut counts: Vec<(u8, usize)> = Vec::with_capacity(self.copies);
         for (i, byte) in data.iter_mut().enumerate() {
             counts.clear();
@@ -183,10 +181,9 @@ fn repair_side_data(
     voted_crc: u32,
     report: &mut CorrectionReport,
 ) {
-    // One byte wide for an empty buffer, as in `verify_and_correct`.
-    for rep in replicas.chunks_exact_mut(data.len().max(1)) {
+    for rep in chunked_mut(replicas, data.len()) {
         if rep != data {
-            rep.copy_from_slice(data);
+            copy_prefix(rep, data);
             report.corrected_devices += 1;
         }
     }

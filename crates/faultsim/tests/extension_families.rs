@@ -107,7 +107,8 @@ const DATA_LEN: usize = 2 * LANES * CODEWORD_DATA; // lanes split into whole cod
 /// The bare code: the same RS(255,223) codewords over contiguous messages,
 /// `data ‖ parity` with each message's parity in message order.
 fn bare_encode(rs: &RsCodeword, data: &[u8]) -> Vec<u8> {
-    let parity = data.chunks(CODEWORD_DATA).flat_map(|msg| rs.encode(msg).split_off(msg.len()));
+    let parity =
+        data.chunks(CODEWORD_DATA).flat_map(|msg| rs.encode(msg).unwrap().split_off(msg.len()));
     data.iter().copied().chain(parity).collect()
 }
 

@@ -27,13 +27,11 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Append the low `n` bits of `value`, most-significant bit first.
-    ///
-    /// # Panics
-    /// Panics if `n > 64`.
+    /// Append the low `n` bits of `value`, most-significant bit first; `n`
+    /// is at most 64, and a wider field writes its low 64 bits.
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
-        assert!(n <= 64, "write_bits supports at most 64 bits");
+        let n = n.min(64);
         let value = if n == 64 { value } else { value & ((1u64 << n) - 1) };
         let room = 64 - self.pending;
         if n < room {
@@ -103,13 +101,11 @@ impl<'a> BitReader<'a> {
 
     /// The next `n` bits, MSB-first in the low bits of the result, without
     /// moving the cursor. Bits past the end of the stream read as zero.
-    ///
-    /// # Panics
-    /// Panics if `n > 64`.
+    /// `n` is at most 64 (every caller's widths are clamped to it), and a
+    /// wider field reads 64 bits.
     #[inline]
     pub fn peek_bits(&self, n: u32) -> u64 {
-        // arc-lint: allow(decode-no-panic-transitive, every caller passes n <= 64: ZFP's field widths and width() clamp to 64, Huffman's max_len <= MAX_CODE_LEN, zstd-like's bucket.min(31))
-        assert!(n <= 64, "peek_bits supports at most 64 bits");
+        let n = n.min(64);
         if n == 0 {
             return 0;
         }

@@ -22,22 +22,27 @@ pub struct HuffmanCode {
     codes: Vec<u64>,
 }
 
+/// `lengths[sym] = len`, for a symbol the table holds.
+fn set_length(lengths: &mut [u8], sym: usize, len: u8) {
+    if let Some(l) = lengths.get_mut(sym) {
+        *l = len;
+    }
+}
+
 impl HuffmanCode {
     /// Build an optimal prefix code from symbol frequencies.
     ///
     /// Symbols with zero frequency get no code. If only one distinct symbol
     /// occurs it receives a 1-bit code so the stream stays decodable.
     pub fn from_frequencies(freqs: &[u64]) -> Result<HuffmanCode, LosslessError> {
-        let n = freqs.len();
-        let mut lengths = vec![0u8; n];
-        let used: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-        match used.len() {
-            0 => return HuffmanCode::from_lengths(lengths),
-            1 => {
-                lengths[used[0]] = 1;
-                return HuffmanCode::from_lengths(lengths);
+        let mut lengths = vec![0u8; freqs.len()];
+        let used: Vec<(usize, u64)> =
+            freqs.iter().copied().enumerate().filter(|&(_, f)| f > 0).collect();
+        if used.len() < 2 {
+            for &(sym, _) in &used {
+                set_length(&mut lengths, sym, 1);
             }
-            _ => {}
+            return HuffmanCode::from_lengths(lengths);
         }
         // Heap-merge Huffman tree; nodes: (weight, tiebreak, id).
         #[derive(PartialEq, Eq)]
@@ -61,16 +66,19 @@ impl HuffmanCode {
         let mut heap = std::collections::BinaryHeap::with_capacity(used.len());
         // parent[id] for tree nodes; leaves are ids 0..used.len().
         let mut parent: Vec<usize> = vec![usize::MAX; used.len()];
-        for (order, &sym) in used.iter().enumerate() {
-            heap.push(Node { weight: freqs[sym], order, id: order });
+        for (order, &(_, weight)) in used.iter().enumerate() {
+            heap.push(Node { weight, order, id: order });
         }
         let mut next_order = used.len();
         while heap.len() > 1 {
             let (Some(a), Some(b)) = (heap.pop(), heap.pop()) else { break };
             let id = parent.len();
             parent.push(usize::MAX);
-            parent[a.id] = id;
-            parent[b.id] = id;
+            for child in [a.id, b.id] {
+                if let Some(p) = parent.get_mut(child) {
+                    *p = id;
+                }
+            }
             heap.push(Node { weight: a.weight.saturating_add(b.weight), order: next_order, id });
             next_order += 1;
         }
@@ -78,17 +86,18 @@ impl HuffmanCode {
             return Err(LosslessError::malformed("huffman merge heap drained"));
         };
         let root = root_node.id;
-        for (leaf, &sym) in used.iter().enumerate() {
+        for (leaf, &(sym, _)) in used.iter().enumerate() {
             let mut depth = 0u32;
             let mut node = leaf;
             while node != root {
-                node = parent[node];
+                // Every node below the root has its parent set by the merge.
+                node = parent.get(node).copied().unwrap_or(root);
                 depth += 1;
             }
             if depth > MAX_CODE_LEN {
                 return Err(LosslessError::malformed("huffman code length overflow"));
             }
-            lengths[sym] = depth as u8;
+            set_length(&mut lengths, sym, depth as u8);
         }
         HuffmanCode::from_lengths(lengths)
     }
@@ -156,15 +165,16 @@ impl HuffmanCode {
     /// have to fail.
     pub fn balanced(freqs: &[u64]) -> Result<HuffmanCode, LosslessError> {
         let mut lengths = vec![0u8; freqs.len()];
-        let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+        let used: Vec<usize> =
+            freqs.iter().enumerate().filter(|&(_, &f)| f > 0).map(|(i, _)| i).collect();
         match used.len() {
             0 => {}
-            1 => lengths[used[0]] = 1,
+            1 => used.iter().for_each(|&sym| set_length(&mut lengths, sym, 1)),
             n => {
                 let l = usize::BITS - (n - 1).leading_zeros();
                 let short = (1usize << l) - n;
                 for (i, &sym) in used.iter().enumerate() {
-                    lengths[sym] = if i < short { (l - 1) as u8 } else { l as u8 };
+                    set_length(&mut lengths, sym, if i < short { (l - 1) as u8 } else { l as u8 });
                 }
             }
         }
@@ -190,28 +200,26 @@ impl HuffmanCode {
         self.lengths.get(symbol as usize).copied().unwrap_or(0)
     }
 
-    /// Write `symbol`'s codeword to `out`.
-    ///
-    /// # Panics
-    /// Panics (debug) if the symbol has no code; encoding a symbol that was
-    /// absent from the frequency table is a programming error.
+    /// Write `symbol`'s codeword to `out`. A symbol absent from the
+    /// frequency table has no code and writes nothing.
     #[inline]
     pub fn encode_symbol(&self, symbol: u32, out: &mut BitWriter) {
-        let l = self.lengths[symbol as usize];
-        debug_assert!(l > 0, "symbol {symbol} has no code");
-        out.write_bits(self.codes[symbol as usize], l as u32);
+        let s = symbol as usize;
+        if let (Some(&l), Some(&code)) = (self.lengths.get(s), self.codes.get(s)) {
+            out.write_bits(code, l as u32);
+        }
     }
 
     /// Serialize the table (alphabet size + sparse nonzero lengths).
     pub fn serialize(&self, out: &mut Vec<u8>) {
         write_varint(out, self.lengths.len() as u64);
-        let nonzero: Vec<usize> =
-            (0..self.lengths.len()).filter(|&i| self.lengths[i] > 0).collect();
+        let nonzero: Vec<(usize, u8)> =
+            self.lengths.iter().copied().enumerate().filter(|&(_, l)| l > 0).collect();
         write_varint(out, nonzero.len() as u64);
         let mut prev = 0u64;
-        for &i in &nonzero {
+        for &(i, l) in &nonzero {
             write_varint(out, i as u64 - prev);
-            out.push(self.lengths[i]);
+            out.push(l);
             prev = i as u64;
         }
     }
@@ -226,7 +234,7 @@ impl HuffmanCode {
         if count > alphabet {
             return Err(LosslessError::malformed("more coded symbols than alphabet"));
         }
-        // arc-lint: bounded(alphabet <= 1 << 24 checked above)
+        // Bounded: alphabet <= 1 << 24 checked above.
         let mut lengths = vec![0u8; alphabet as usize];
         let mut sym = 0u64;
         for i in 0..count {
@@ -258,9 +266,9 @@ impl HuffmanCode {
         let mut symbols_by_len: Vec<u32> =
             (0..self.lengths.len() as u32).filter(|&s| self.length_of(s) > 0).collect();
         symbols_by_len.sort_by_key(|&s| (self.length_of(s), s));
-        // arc-lint: bounded(max_len <= MAX_CODE_LEN enforced by from_lengths)
+        // Bounded: max_len <= MAX_CODE_LEN enforced by from_lengths.
         let mut rows = vec![LengthRow::default(); (max_len + 1) as usize];
-        // arc-lint: bounded(primary_bits <= PRIMARY_BITS = 11, so at most 2048 entries)
+        // Bounded: primary_bits <= PRIMARY_BITS = 11, so at most 2048 entries.
         let mut primary = vec![PrimaryEntry::default(); 1usize << primary_bits];
         // Symbols arrive in canonical order, so the codes of one length are
         // consecutive and the first code seen under a primary index is the

@@ -24,6 +24,14 @@
     clippy::todo,
     clippy::unimplemented
 )]
+// Decode returns the exact bytes or a typed error, never a panic
+// (DESIGN.md §10.1): library code has no unchecked index or slice, no std
+// method that panics on its argument (clippy.toml's `disallowed-methods`)
+// and no `assert!` family. Tests may use all three.
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::disallowed_methods, clippy::disallowed_macros)
+)]
 
 pub mod bitio;
 pub mod error;

@@ -62,20 +62,16 @@ const NIL: u32 = u32::MAX;
 /// time.
 #[inline]
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    let word = |s: &[u8]| {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(s);
-        u64::from_le_bytes(w)
-    };
+    let ((a8, a_tail), (b8, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
     let mut len = 0;
-    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-        let diff = word(x) ^ word(y);
+    for (x, y) in a8.iter().zip(b8) {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
         if diff != 0 {
             return len + (diff.trailing_zeros() / 8) as usize;
         }
         len += 8;
     }
-    len + a[len..].iter().zip(&b[len..]).take_while(|(x, y)| x == y).count()
+    len + a_tail.iter().zip(b_tail).take_while(|(x, y)| x == y).count()
 }
 
 /// One position as the match finder sees it: its chain-head hash and the
@@ -103,9 +99,8 @@ impl Matcher<'_> {
     /// remain, where no match starts and nothing is inserted.
     #[inline]
     fn hash(&self, i: usize) -> Option<usize> {
-        let mut four = [0u8; MIN_MATCH];
-        four.copy_from_slice(self.data.get(i..i + MIN_MATCH)?);
-        Some((u32::from_le_bytes(four).wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1))
+        let four = self.data.get(i..)?.first_chunk::<MIN_MATCH>()?;
+        Some((u32::from_le_bytes(*four).wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1))
     }
 
     /// Hash position `i` once and search the first `max_chain` links of its
@@ -113,17 +108,17 @@ impl Matcher<'_> {
     fn probe(&self, i: usize) -> Option<Probe> {
         let hash = self.hash(i)?;
         let max_len = (self.data.len() - i).min(MAX_MATCH);
-        let here = &self.data[i..i + max_len];
+        let here = self.data.get(i..i + max_len)?;
         let (mut best_len, mut best_dist) = (MIN_MATCH - 1, 0usize);
-        let mut cand = self.head[hash];
+        let mut cand = self.head.get(hash).copied().unwrap_or(NIL);
         for _ in 0..self.cfg.max_chain {
             let dist = (i as u32).wrapping_sub(cand) as usize;
             if dist == 0 || dist > WINDOW.min(i) {
                 break;
             }
-            let there = &self.data[i - dist..i - dist + max_len];
+            let Some(there) = self.data.get(i - dist..i - dist + max_len) else { break };
             // Quick reject on the byte past the current best.
-            if best_dist == 0 || there[best_len] == here[best_len] {
+            if best_dist == 0 || there.get(best_len) == here.get(best_len) {
                 let len = common_prefix(there, here);
                 if len > best_len {
                     (best_len, best_dist) = (len, dist);
@@ -132,15 +127,16 @@ impl Matcher<'_> {
                     }
                 }
             }
-            cand = self.prev[(i - dist) % RING];
+            cand = self.prev.get((i - dist) % RING).copied().unwrap_or(NIL);
         }
         Some(Probe { hash, len: if best_dist > 0 { best_len } else { 0 }, dist: best_dist })
     }
 
     #[inline]
     fn link(&mut self, i: usize, hash: usize) {
-        self.prev[i % RING] = self.head[hash];
-        self.head[hash] = i as u32;
+        if let (Some(prev), Some(head)) = (self.prev.get_mut(i % RING), self.head.get_mut(hash)) {
+            *prev = std::mem::replace(head, i as u32);
+        }
     }
 }
 
@@ -190,7 +186,8 @@ pub(crate) fn for_each_token(data: &[u8], cfg: &Lz77Config, mut emit: impl FnMut
                     here = next;
                 } else {
                     let end = (i + skip).min(data.len());
-                    data[i..end].iter().for_each(|&b| emit(Token::Literal(b)));
+                    let run_bytes = data.get(i..end).unwrap_or_default();
+                    run_bytes.iter().for_each(|&b| emit(Token::Literal(b)));
                     run += end - i;
                     i = end;
                     here = m.probe(i);
@@ -228,8 +225,8 @@ pub fn reconstruct(tokens: &[Token]) -> Result<Vec<u8>, LosslessError> {
                 }
                 let start = out.len() - dist;
                 // Overlapping copies are legal (RLE idiom): copy byte-wise.
-                for j in 0..len {
-                    let b = out[start + j];
+                for j in start..start + len {
+                    let Some(&b) = out.get(j) else { break };
                     out.push(b);
                 }
             }

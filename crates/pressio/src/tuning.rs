@@ -21,6 +21,8 @@ pub struct TunedBound {
 /// closest to `target_ratio`. `lo`/`hi` bracket the parameter in its natural
 /// units (e.g. 1e-9..1e4 for absolute bounds, 20..110 for PSNR).
 ///
+/// `lo`, `hi` and `target_ratio` are positive, with `lo < hi`.
+///
 /// Returns the best parameter seen; never fails, but the achieved ratio can
 /// be far from the target when the bracket cannot reach it (e.g. ZFP-Rate's
 /// ratio is pinned at 32/rate).
@@ -32,7 +34,6 @@ pub fn tune_for_ratio(
     hi: f64,
     iterations: usize,
 ) -> TunedBound {
-    assert!(lo > 0.0 && hi > lo && target_ratio > 0.0);
     let ratio_of = |param: f64| -> f64 {
         let c = spec.with_param(param).build();
         match c.compress(ds) {

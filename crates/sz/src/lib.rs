@@ -40,6 +40,14 @@
     clippy::todo,
     clippy::unimplemented
 )]
+// Decode returns the exact bytes or a typed error, never a panic
+// (DESIGN.md §10.1): library code has no unchecked index or slice, no std
+// method that panics on its argument (clippy.toml's `disallowed-methods`)
+// and no `assert!` family. Tests may use all three.
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::disallowed_methods, clippy::disallowed_macros)
+)]
 
 pub mod error;
 pub mod modes;
@@ -169,6 +177,14 @@ struct ElementEncoder<'a> {
     sign_mask: Vec<u8>,
 }
 
+/// Set bit `idx` of a per-element mask; the mask holds one bit per element.
+#[inline]
+fn set_mask_bit(mask: &mut [u8], idx: usize) {
+    if let Some(byte) = mask.get_mut(idx / 8) {
+        *byte |= 1 << (idx % 8);
+    }
+}
+
 impl<'a> ElementEncoder<'a> {
     fn new(data: &'a [f32], plan: &BoundPlan, rel_eps: f64, quant_bins: usize) -> Self {
         let mask_len = if plan.log_domain { data.len().div_ceil(8) } else { 0 };
@@ -187,16 +203,16 @@ impl<'a> ElementEncoder<'a> {
     /// `ln_x` is `ln|x|`, read only in the log domain.
     #[inline(always)]
     fn encode_element<const LOG: bool>(&mut self, idx: usize, pred: f64, ln_x: f64) -> f64 {
-        let x = self.data[idx];
+        let x = self.data.get(idx).copied().unwrap_or(0.0);
         // Transformed-domain target value. A zero in the log domain is
         // masked: it costs a zero-quantum code and reconstructs to `pred`.
         let masked_zero = LOG && x == 0.0;
         let v = if masked_zero {
-            self.zero_mask[idx / 8] |= 1 << (idx % 8);
+            set_mask_bit(&mut self.zero_mask, idx);
             pred
         } else if LOG {
             if x < 0.0 {
-                self.sign_mask[idx / 8] |= 1 << (idx % 8);
+                set_mask_bit(&mut self.sign_mask, idx);
             }
             ln_x
         } else {
@@ -240,9 +256,11 @@ impl<'a> ElementEncoder<'a> {
             let base = seg.start;
             if log_domain {
                 logs.clear();
-                logs.extend(self.data[seg.clone()].iter().map(|x| (x.abs() as f64).ln()));
+                let seg_data = self.data.get(seg.clone()).unwrap_or_default();
+                logs.extend(seg_data.iter().map(|x| (x.abs() as f64).ln()));
                 predictor.walk_segment(&mut recon, seg, |idx, pred| {
-                    self.encode_element::<true>(idx, pred, logs[idx - base])
+                    let ln_x = logs.get(idx - base).copied().unwrap_or(0.0);
+                    self.encode_element::<true>(idx, pred, ln_x)
                 });
             } else {
                 predictor.walk_segment(&mut recon, seg, |idx, pred| {
@@ -408,7 +426,7 @@ impl ElementDecoder<'_> {
     /// Run the loop over the whole grid. Returns the reconstruction the
     /// values were predicted from, which nothing after the loop reads.
     fn run(&mut self, predictor: &Predictor, log_domain: bool) -> Vec<f64> {
-        // arc-lint: bounded(out.len() = n, the caller's buffer, checked at header parse)
+        // Bounded: out.len() = n, the caller's buffer, checked at header parse.
         let mut recon = vec![0.0f64; self.out.len()];
         for seg in predictor.segments() {
             if log_domain {
@@ -429,10 +447,9 @@ pub fn decompress(bytes: &[u8]) -> Result<SzDecoded, SzError> {
 }
 
 /// Decompress with explicit resource limits.
-// arc-lint: decode-root
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzDecoded, SzError> {
     let n = element_budget(&Header::read(bytes, &mut 0)?, limits)?;
-    // arc-lint: bounded(n <= limits.max_elements checked by element_budget)
+    // Bounded: n <= limits.max_elements checked by element_budget.
     let mut data = vec![0.0f32; n];
     let dims = decompress_into(bytes, &mut data)?;
     Ok(SzDecoded { data, dims })
@@ -452,7 +469,6 @@ fn element_budget(header: &Header, limits: &DecodeLimits) -> Result<usize, SzErr
 /// that owns a larger field decodes each slab straight into its rows.
 /// `out`'s length is the work budget. On `Err`, `out` holds no meaningful
 /// values.
-// arc-lint: decode-root
 pub fn decompress_into(bytes: &[u8], out: &mut [f32]) -> Result<Vec<usize>, SzError> {
     let mut pos = 0usize;
     let header = Header::read(bytes, &mut pos)?;
@@ -494,7 +510,7 @@ pub fn decompress_into(bytes: &[u8], out: &mut [f32]) -> Result<Vec<usize>, SzEr
     bpos = code_end;
     let mid = (header.quant_bins / 2) as i64;
     let zero_quantum_code = (mid + 1) as u32;
-    // arc-lint: bounded(n = out.len(), the caller's buffer, checked at header parse)
+    // Bounded: n = out.len(), the caller's buffer, checked at header parse.
     codes.resize(n, zero_quantum_code);
     let n_literals = read_varint(&body, &mut bpos)? as usize;
     // There is one literal per unpredictable element at most; a corrupt
@@ -515,19 +531,15 @@ pub fn decompress_into(bytes: &[u8], out: &mut [f32]) -> Result<Vec<usize>, SzEr
     let lit_section = body
         .get(bpos..lit_end)
         .ok_or_else(|| SzError::Malformed("literal section out of range".into()))?;
-    let mut literals = Vec::with_capacity(n_literals.min(1 << 22));
-    for chunk in lit_section.chunks_exact(4) {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(chunk);
-        literals.push(f32::from_le_bytes(b));
-    }
+    let literals: Vec<f32> =
+        lit_section.as_chunks::<4>().0.iter().map(|b| f32::from_le_bytes(*b)).collect();
     bpos = lit_end;
     let (zero_mask, sign_mask) = if header.log_domain {
         let mask_len = n.div_ceil(8);
         let masks = body.get(bpos..).and_then(|rest| rest.get(..2 * mask_len));
         masks
+            .and_then(|m| m.split_at_checked(mask_len))
             .ok_or_else(|| SzError::Malformed("mask sections truncated".into()))?
-            .split_at(mask_len)
     } else {
         Default::default()
     };

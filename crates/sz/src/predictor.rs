@@ -265,7 +265,7 @@ impl Predictor {
                 *slot = step(idx, pred);
             }
         }
-        let (done, rest) = recon.split_at_mut(first);
+        let Some((done, rest)) = recon.split_at_mut_checked(first) else { return };
         let len = seg.end - first;
         let (Some(cur), Some(&(mut left))) = (rest.get_mut(..len), done.last()) else { return };
         // For each element of `cur`, the pair (before, at) of its neighbours
@@ -325,12 +325,14 @@ pub fn select_predictor(data: &[f32], shape: &GridShape) -> PredictorKind {
     let l2 = Predictor::new(PredictorKind::Lorenzo2, shape.clone());
     let step = (n / 4096).max(1);
     let (mut r1, mut r2) = (0.0f64, 0.0f64);
-    for idx in (8..n).step_by(step) {
-        let x = data[idx] as f64;
+    for (idx, &x) in data.iter().enumerate().skip(8).step_by(step) {
+        let x = x as f64;
         if !x.is_finite() {
             continue;
         }
-        let at = |back: usize| data[idx - back] as f64;
+        let at = |back: usize| {
+            idx.checked_sub(back).and_then(|i| data.get(i)).map_or(0.0, |&v| v as f64)
+        };
         r1 += (x - l1.stencil(idx, at)).abs();
         r2 += (x - l2.stencil(idx, at)).abs();
     }

@@ -105,7 +105,7 @@ impl Header {
             return Err(SzError::Malformed(format!("unsupported dimensionality {ndims}")));
         }
         *pos = bytes.len() - rest.len();
-        // arc-lint: bounded(ndims in 1..=3 checked above)
+        // Bounded: ndims in 1..=3 checked above.
         let mut dims = Vec::with_capacity(ndims);
         let mut product: u64 = 1;
         for _ in 0..ndims {

@@ -101,8 +101,6 @@ impl Grid {
     /// Gather block `b` from `data` into `block` (length 4^d), replicating
     /// edge samples for out-of-range positions.
     pub fn gather(&self, data: &[f32], b: usize, block: &mut [f32]) {
-        debug_assert_eq!(data.len(), self.len());
-        debug_assert_eq!(block.len(), self.block_len());
         let mut rows = block.as_chunks_mut::<BLOCK_EDGE>().0.iter_mut();
         let width = self.width(b);
         // Two walks, so that the common full-width one copies each row
@@ -127,7 +125,6 @@ impl Grid {
 
     /// Scatter decoded block `b` back into `data`, skipping padded samples.
     pub fn scatter(&self, data: &mut [f32], b: usize, block: &[f32]) {
-        debug_assert_eq!(data.len(), self.len());
         let mut rows = block.as_chunks::<BLOCK_EDGE>().0.iter();
         let width = self.width(b);
         self.walk(b, |start, inside| {

@@ -45,7 +45,6 @@ pub fn from_negabinary(u: u64) -> i64 {
 /// i.e. the frexp exponent of `max_abs`.
 #[inline]
 pub fn exponent_of(max_abs: f64) -> i32 {
-    debug_assert!(max_abs > 0.0 && max_abs.is_finite());
     ((max_abs.to_bits() >> 52) & 0x7FF) as i32 - 1022
 }
 
@@ -92,8 +91,7 @@ pub fn from_fixed_point(q: &[i64], emax: i32, out: &mut [f32]) {
 /// selects each `2J`-bit group's low `J` bits.
 #[inline(always)]
 fn swap_blocks<const J: usize>(a: &mut [u64; 64], mask: u64) {
-    for band in a.chunks_exact_mut(2 * J) {
-        let (lo, hi) = band.split_at_mut(J);
+    for [lo, hi] in a.as_chunks_mut::<J>().0.as_chunks_mut::<2>().0 {
         for (x, y) in lo.iter_mut().zip(hi) {
             let t = ((*x >> J) ^ *y) & mask;
             *y ^= t;
@@ -137,7 +135,6 @@ fn shift_out(x: u64, by: u64) -> u64 {
 /// in bit `i`; a 1-D or 2-D block fills the low rows and leaves the rest
 /// zero.
 pub fn encode_planes(coeffs: &[u64], kmax: u32, kmin: u32, budget: u64, w: &mut BitWriter) -> u64 {
-    debug_assert!(coeffs.len() <= MAX_BLOCK_LEN);
     let size = coeffs.len() as u64;
     let mut planes = [0u64; MAX_BLOCK_LEN];
     for (p, &c) in planes.iter_mut().zip(coeffs) {
@@ -319,18 +316,21 @@ pub(crate) fn forward_into(
     nb: &mut [u64; MAX_BLOCK_LEN],
 ) -> u32 {
     let mut q = [0i64; MAX_BLOCK_LEN];
-    let n = block.len().min(MAX_BLOCK_LEN);
-    to_fixed_point(block, emax, &mut q[..n]);
-    fwd_transform(&mut q[..n]);
+    let q_n = q.get_mut(..block.len().min(MAX_BLOCK_LEN)).unwrap_or_default();
+    to_fixed_point(block, emax, q_n);
+    fwd_transform(q_n);
     let mut all = 0u64;
     for (slot, &src) in nb.iter_mut().zip(sequency_order(d)) {
-        let v = to_negabinary(q[src]);
+        let v = to_negabinary(q.get(src).copied().unwrap_or(0));
         *slot = v;
         all |= v;
     }
-    let kmax = if all == 0 { 0 } else { 63 - all.leading_zeros() };
-    debug_assert!(kmax <= K_TOP, "kmax {kmax} exceeds K_TOP");
-    kmax
+    // The block-floating-point scaling keeps kmax ≤ K_TOP.
+    if all == 0 {
+        0
+    } else {
+        63 - all.leading_zeros()
+    }
 }
 
 /// Run the forward pipeline on a padded float block: fixed point →
@@ -338,7 +338,7 @@ pub(crate) fn forward_into(
 pub fn forward_block(block: &[f32], emax: i32, d: usize) -> BlockCoefficients {
     let mut nb = [0u64; MAX_BLOCK_LEN];
     let kmax = forward_into(block, emax, d, &mut nb);
-    BlockCoefficients { nb: nb[..block.len().min(MAX_BLOCK_LEN)].to_vec(), kmax }
+    BlockCoefficients { nb: nb.iter().copied().take(block.len()).collect(), kmax }
 }
 
 /// Run the inverse pipeline: negabinary (sequency order) → transform⁻¹ →

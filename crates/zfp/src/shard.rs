@@ -63,7 +63,7 @@ impl StreamInfo {
             return Err(ZfpError::Malformed(format!("unsupported dimensionality {ndims}")));
         }
         let mut pos = 15usize;
-        // arc-lint: bounded(ndims <= 3 checked above)
+        // Bounded: ndims <= 3 checked above.
         let mut dims = Vec::with_capacity(ndims);
         let mut product: u64 = 1;
         for _ in 0..ndims {

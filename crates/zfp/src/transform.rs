@@ -63,18 +63,27 @@ pub fn inv_lift([mut x, mut y, mut z, mut w]: [i64; 4]) -> [i64; 4] {
 /// so a 1-D block has none at strides 4 and 16 and a 2-D block none at 16.
 #[inline(always)]
 fn lift_axis<const S: usize>(block: &mut [i64], mut lift: impl FnMut(&mut [i64; 4])) {
-    for group in block.chunks_exact_mut(4 * S) {
-        let [x, y, z, w] = group.as_chunks_mut::<S>().0 else { continue };
-        // Four vectors per inner loop: LLVM vectorizes a 16-wide one into
-        // code slower than the scalar lifts on baseline x86-64.
-        let fours = x.chunks_mut(4).zip(y.chunks_mut(4)).zip(z.chunks_mut(4)).zip(w.chunks_mut(4));
-        for (((x, y), z), w) in fours {
-            for (((x, y), z), w) in x.iter_mut().zip(y).zip(z).zip(w) {
-                let mut v = [*x, *y, *z, *w];
-                lift(&mut v);
-                [*x, *y, *z, *w] = v;
-            }
+    let mut lift_rows = |x: &mut [i64], y: &mut [i64], z: &mut [i64], w: &mut [i64]| {
+        for (((x, y), z), w) in x.iter_mut().zip(y).zip(z).zip(w) {
+            let mut v = [*x, *y, *z, *w];
+            lift(&mut v);
+            [*x, *y, *z, *w] = v;
         }
+    };
+    for [x, y, z, w] in block.as_chunks_mut::<S>().0.as_chunks_mut::<4>().0 {
+        // Four vectors per inner loop, then the fewer than four left: LLVM
+        // vectorizes a 16-wide one into code slower than the scalar lifts
+        // on baseline x86-64.
+        let ((x4, x), (y4, y), (z4, z), (w4, w)) = (
+            x.as_chunks_mut::<4>(),
+            y.as_chunks_mut::<4>(),
+            z.as_chunks_mut::<4>(),
+            w.as_chunks_mut::<4>(),
+        );
+        for (((x, y), z), w) in x4.iter_mut().zip(y4).zip(z4).zip(w4) {
+            lift_rows(x, y, z, w);
+        }
+        lift_rows(x, y, z, w);
     }
 }
 
@@ -106,6 +115,10 @@ const fn sequency(mut i: usize) -> usize {
 }
 
 /// The `N = 4^d` coefficient indices sorted by `(sequency, index)`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated: slot < N, and an index out of range would fail the build"
+)]
 const fn sequency_table<const N: usize>() -> [usize; N] {
     let mut order = [0usize; N];
     let mut slot = 0;
