@@ -21,20 +21,29 @@
 //! keeps that exposure proportionally small.
 //!
 //! The layout is also what makes it fast: symbol `r` of every lane sits in
-//! one contiguous `depth`-byte row, so the lanes' LFSRs advance together,
-//! one slice multiply per generator tap per row
-//! (`RsCodeword::parity_rows_into`), with no lane ever copied out.
+//! one contiguous `depth`-byte row, so the lanes' LFSRs advance together
+//! (`RsCodeword::parity_rows_into`), with no lane ever copied out. Message
+//! groups are independent too, so row `r` of a batch of groups is gathered
+//! into one feedback row of up to 1 KiB, and each generator tap costs one
+//! slice multiply per batch row rather than one per group row.
 
 use std::ops::Range;
 
-use crate::bits::{chunked, copy_prefix};
+use crate::bits::{chunked, chunked_mut, copy_prefix};
 use crate::codec::{
     multi_correct_rate_per_mb, Capability, CorrectionReport, EccError, EccScheme, MB,
 };
-use crate::rscode::{RsCodeword, MAX_CODEWORD, STRIP};
+use crate::rscode::{RsCodeword, BATCH, MAX_CODEWORD};
 
 /// Maximum interleave depth (byte lanes per buffer).
 pub(crate) const MAX_INTERLEAVE_DEPTH: usize = 4096;
+
+/// Lanes per strip: one 512-bit vector of each row.
+const STRIP: usize = 64;
+
+/// Bytes of lane-kernel register state on the stack: `nsym` rows of
+/// `BATCH` at the stock nsym 32. A larger `nsym` takes narrower rows.
+const STATE: usize = 32 * BATCH;
 
 /// Codeword RS over round-robin byte lanes: `255 − nsym`-byte messages,
 /// `nsym` parity bytes each, ⌊nsym/2⌋ unknown-location byte corrections
@@ -90,41 +99,62 @@ impl Interleaved {
     }
 
     /// Compute the parity of every codeword in `data` and hand it to
-    /// `visit(lane, message, parity)`.
+    /// `visit(lane, message, parity)`, strip by strip and batch by batch
+    /// rather than in lane order.
     ///
     /// A message group in which every lane holds the same number of symbols
     /// (all of them when `data` is whole rows, otherwise all but the last)
     /// goes through the kernel across lanes, a strip of `STRIP` lanes at a
-    /// time. In the last group of a ragged region the lanes differ by one
-    /// symbol, so each is gathered and goes through the kernel alone.
+    /// time. The full groups of a strip go in batches of `per`: row `r` of
+    /// each group in the batch is one `w`-byte run of the kernel's feedback
+    /// row. A short last group of whole rows goes alone. In the last group
+    /// of a ragged region the lanes differ by one symbol, so each is
+    /// gathered and goes through the kernel alone.
     fn for_each_parity(&self, data: &[u8], mut visit: impl FnMut(usize, usize, &[u8])) {
-        let (rs, depth, nsym) = (&self.rs, self.depth, self.nsym());
-        let group = self.message_len() * depth;
+        let (rs, depth, nsym, message) = (&self.rs, self.depth, self.nsym(), self.message_len());
+        let group = message * depth;
         let ragged = if data.len().is_multiple_of(depth) { 0 } else { data.len() % group };
         let (uniform, tail) = data.split_at_checked(data.len() - ragged).unwrap_or_default();
+        let (full, short) = (uniform.len() / group, uniform.len() % group / depth);
 
-        let mut state = [0u8; STRIP * MAX_CODEWORD];
+        let mut state = [0u8; STATE];
         let mut parity = [0u8; MAX_CODEWORD];
         let parity = parity.get_mut(..nsym).unwrap_or_default();
-        for (m, rows) in chunked(uniform, group).enumerate() {
-            for first in (0..depth).step_by(STRIP) {
-                let w = STRIP.min(depth - first);
-                let state = state.get_mut(..nsym * w).unwrap_or_default();
-                let strip = chunked(rows, depth).filter_map(|row| row.get(first..first + w));
-                rs.parity_rows_into(strip, w, state);
-                for lane in 0..w {
-                    // Column `lane` of the state rows is that lane's parity.
-                    for (p, s) in parity.iter_mut().zip(state.iter().skip(lane).step_by(w)) {
-                        *p = *s;
+        for first in (0..depth).step_by(STRIP) {
+            let w = STRIP.min(depth - first);
+            // Groups per batch; at least one, as `step_by(0)` panics.
+            let per = (BATCH / w).min(STATE / (nsym * w)).max(1);
+            // (first group, groups, rows) of each batch.
+            let batches = (0..full)
+                .step_by(per)
+                .map(|m| (m, per.min(full - m), message))
+                .chain((short > 0).then_some((full, 1, short)));
+            for (m0, count, rows) in batches {
+                let width = count * w;
+                let state = state.get_mut(..nsym * width).unwrap_or_default();
+                let groups = uniform.get(m0 * group..).unwrap_or_default();
+                rs.parity_rows_into(rows, width, state, |r, feedback| {
+                    for (run, g) in chunked_mut(feedback, w).zip(chunked(groups, group)) {
+                        copy_prefix(run, g.get(r * depth + first..).unwrap_or_default());
                     }
-                    visit(first + lane, m, parity);
+                });
+                for (g, m) in (m0..m0 + count).enumerate() {
+                    for lane in 0..w {
+                        // Column `g·w + lane` of the state rows is that
+                        // codeword's parity.
+                        let column = state.iter().skip(g * w + lane).step_by(width);
+                        for (p, s) in parity.iter_mut().zip(column) {
+                            *p = *s;
+                        }
+                        visit(first + lane, m, parity);
+                    }
                 }
             }
         }
         let mut msg = [0u8; MAX_CODEWORD];
         for j in 0..depth.min(tail.len()) {
             rs.parity_into(gather(tail.iter().skip(j).step_by(depth), &mut msg), parity);
-            visit(j, uniform.len() / group, parity);
+            visit(j, full, parity);
         }
     }
 }
@@ -221,8 +251,9 @@ impl EccScheme for Interleaved {
     }
 
     fn min_bytes_per_thread(&self) -> usize {
-        // One LFSR step per message byte is well below the bit-oriented
-        // schemes' rate, so a worker pays for itself on a small job.
+        // 32 multiply-accumulates per data byte at the stock nsym, batched
+        // into 1 KiB slices: device RS's work at device RS's rate, so device
+        // RS's floor.
         1 << 20
     }
 }
@@ -354,7 +385,19 @@ mod tests {
     #[test]
     fn lane_kernel_matches_the_gather_oracle_at_the_edges() {
         let mut rng = Rng(0x1A4E_0001);
+        // Full groups per batch at (32, 64); nsym 250 and depth 130's last
+        // strip (200, 2) get other counts: 2 and 81.
+        let per = BATCH / 64;
+        assert_eq!(per, STATE / (32 * 64));
         for (nsym, depth, len) in [
+            (32, 64, 64 * 223 * (per - 1)), // one batch short of full
+            (32, 64, 64 * 223 * per),       // exactly one batch
+            (32, 64, 64 * 223 * (per + 1)), // a batch of one group after it
+            (32, 64, 64 * 223 * (2 * per + 1)),
+            (32, 64, 64 * 223 * (per + 2) + 17), // ragged after several batches
+            (200, 130, 130 * 55 * 5),            // batches of 2, 2, 1 and one of 5
+            (250, 64, 64 * 5 * 7 + 64 * 3),      // batches of 2, then a short group
+            (250, 64, 64 * 5 * 7 + 11),          // ... then a ragged tail
             (32, 64, 0),
             (32, 64, 1),                 // one lane, one symbol
             (32, 64, 63),                // len < depth

@@ -13,8 +13,8 @@
 //! Encoding and the clean half of decoding are one kernel, the systematic
 //! LFSR that divides by g(x), driven by `gf256::mul_acc_slice` in
 //! two orientations: along one codeword (`RsCodeword::parity_into`, the
-//! register is the slice) and across up to 64 interleaved codewords at
-//! once (`RsCodeword::parity_rows_into`, a row of symbols is the slice).
+//! register is the slice) and across up to `BATCH` interleaved codewords
+//! at once (`RsCodeword::parity_rows_into`, a row of symbols is the slice).
 //! A received codeword is clean exactly when its recomputed parity equals
 //! its stored parity; only one that disagrees becomes a `gf256::Poly` and meets
 //! the decoder above.
@@ -28,9 +28,11 @@ use crate::gf256::{mul_acc_slice, Gf, Poly};
 /// Maximum codeword length in GF(2^8).
 pub const MAX_CODEWORD: usize = 255;
 
-/// Widest row the across-lanes orientation of the kernel takes: one
-/// 512-bit vector, and `nsym` of them stay on the stack.
-pub(crate) const STRIP: usize = 64;
+/// Widest row the across-lanes orientation of the kernel takes: 1 KiB, 16
+/// 512-bit vectors per `mul_acc_slice` call. Picked by a sweep of 64 B to
+/// 4 KiB (DESIGN.md §19): narrower rows pay the per-call overhead again,
+/// and wider ones push the `nsym` register rows out of L1.
+pub(crate) const BATCH: usize = 1024;
 
 /// Per-`nsym` LFSR taps: the coefficients of g(x) = ∏_{i<nsym} (x − α^i),
 /// highest degree first, without the monic lead. Immutable once built, so
@@ -92,32 +94,34 @@ impl RsCodeword {
         }
     }
 
-    /// The kernel across `w ≤ STRIP` independent codewords at once: row `r`
-    /// of `rows` holds symbol `r` of all `w` messages, and `state`
-    /// (`nsym · w` bytes, overwritten) ends as their parities, row `i`
+    /// The kernel across `width ≤ BATCH` independent codewords at once:
+    /// `load(r, feedback)` writes symbol `r` of all `width` messages into
+    /// `feedback` (`width` bytes), for every `r < rows`, and `state`
+    /// (`nsym · width` bytes, overwritten) ends as their parities, row `i`
     /// holding parity symbol `i` of each. The register rows form a ring —
-    /// advancing the head replaces shifting `nsym · w` bytes per row.
-    pub(crate) fn parity_rows_into<'a>(
+    /// advancing the head replaces shifting `nsym · width` bytes per row.
+    pub(crate) fn parity_rows_into(
         &self,
-        rows: impl Iterator<Item = &'a [u8]>,
-        w: usize,
+        rows: usize,
+        width: usize,
         state: &mut [u8],
+        mut load: impl FnMut(usize, &mut [u8]),
     ) {
-        // Interleaved, the one caller, passes w = STRIP.min(lanes left) >= 1
-        // and a state slice split at nsym * w; any other shape leaves the
+        // Interleaved, the one caller, passes 1 <= width <= BATCH and a
+        // state slice split at nsym * width; any other shape leaves the
         // state zeroed or partial.
         state.fill(0);
-        let mut feedback = [0u8; STRIP];
-        let Some(feedback) = feedback.get_mut(..w).filter(|_| w > 0) else { return };
+        let mut feedback = [0u8; BATCH];
+        let Some(feedback) = feedback.get_mut(..width).filter(|_| width > 0) else { return };
         let mut head = 0;
-        for row in rows {
-            let Some((back, front)) = state.split_at_mut_checked(head * w) else { return };
-            let Some((lead, front)) = front.split_at_mut_checked(w) else { return };
-            for ((f, l), r) in feedback.iter_mut().zip(lead.iter_mut()).zip(row) {
-                *f = *l ^ *r;
-                *l = 0;
+        for r in 0..rows {
+            let Some((back, front)) = state.split_at_mut_checked(head * width) else { return };
+            let Some((lead, front)) = front.split_at_mut_checked(width) else { return };
+            load(r, feedback);
+            for (f, l) in feedback.iter_mut().zip(lead.iter_mut()) {
+                *f ^= std::mem::take(l);
             }
-            let ring = chunked_mut(front, w).chain(chunked_mut(back, w));
+            let ring = chunked_mut(front, width).chain(chunked_mut(back, width));
             for (reg, &tap) in ring.chain(std::iter::once(lead)).zip(self.taps) {
                 mul_acc_slice(reg, feedback, Gf(tap));
             }
@@ -125,7 +129,7 @@ impl RsCodeword {
         }
         // Rotate the ring so the row at `head` comes first: reversing both
         // sides of the split and then the whole is a left rotation.
-        if let Some((ahead, behind)) = state.split_at_mut_checked(head * w) {
+        if let Some((ahead, behind)) = state.split_at_mut_checked(head * width) {
             ahead.reverse();
             behind.reverse();
             state.reverse();
@@ -401,11 +405,15 @@ mod tests {
     #[test]
     fn rows_kernel_is_the_codeword_kernel_in_every_column() {
         let mut rng = Rng(0x5EED_0003);
-        for (nsym, w, rows) in [(2, 1, 1), (32, 64, 223), (16, 37, 5), (250, 3, 5), (8, 64, 0)] {
+        for (nsym, w, rows) in
+            [(2, 1, 1), (32, 64, 223), (16, 37, 5), (250, 3, 5), (8, 64, 0), (32, BATCH, 223)]
+        {
             let rs = RsCodeword::new(nsym).unwrap();
             let data = rng.bytes(rows * w);
             let mut state = vec![0xEEu8; nsym * w];
-            rs.parity_rows_into(data.chunks_exact(w), w, &mut state);
+            rs.parity_rows_into(rows, w, &mut state, |r, feedback| {
+                feedback.copy_from_slice(&data[r * w..(r + 1) * w]);
+            });
             for col in 0..w {
                 let msg: Vec<u8> = data.iter().skip(col).step_by(w).copied().collect();
                 let column: Vec<u8> = state.iter().skip(col).step_by(w).copied().collect();

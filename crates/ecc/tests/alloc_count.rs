@@ -2,7 +2,8 @@
 //! contract: sequential `ParallelCodec::encode` makes exactly one heap
 //! allocation (the returned container) and a clean sequential
 //! `decode_in_place` makes none for the bit-oriented schemes and for the two
-//! stock extension families (`ileave-rs`, `bch`).
+//! stock extension families (`ileave-rs`, `bch`), `ileave-rs` also over a
+//! chunk of many batches of message groups.
 //!
 //! Everything lives in one `#[test]` so no sibling test can allocate
 //! concurrently, and the counters only advance on the measuring thread
@@ -155,6 +156,19 @@ fn sequential_pipeline_allocation_contract() {
             assert_eq!(allocs, 0, "{name}: clean in-place decode must not allocate");
             assert_eq!(&encoded[..data.len()], data);
         }
+
+        // One 1 MiB + 1 byte chunk: 73 full message groups, so several
+        // batches of groups through the lane kernel, then a ragged tail.
+        let data: Vec<u8> = (0..(1 << 20) + 1).map(|i| ((i * 29) ^ (i >> 7)) as u8).collect();
+        let scheme: Arc<dyn EccScheme> = Arc::new(Interleaved::new(32, 64).unwrap());
+        let codec = ParallelCodec::with_chunk_size(scheme, 1, data.len()).unwrap();
+        let mut encoded = codec.encode(&data);
+        let ((), allocs, _) = counted(|| {
+            let report = codec.decode_in_place(&mut encoded, data.len()).unwrap();
+            assert!(report.is_clean());
+        });
+        assert_eq!(allocs, 0, "ileave-rs: clean in-place decode across batches must not allocate");
+        assert_eq!(&encoded[..data.len()], &data[..]);
     }
 
     // RS's verify path keeps small per-chunk device lists; in-place decode

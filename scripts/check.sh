@@ -7,7 +7,8 @@
 #                                    workspace tests
 #        scripts/check.sh --full   the fast gate, then everything slower:
 #                                    the golden suites in release, arc-ecc's
-#                                    tests and the golden suites under
+#                                    tests, the golden suites and the
+#                                    hostile-input sweep under
 #                                    AddressSanitizer (nightly), the
 #                                    #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
@@ -74,16 +75,19 @@ if (( full )); then
     cargo test --release -q -p arc-core --test golden_container
     cargo test --release -q -p arc-ecc --test golden_codewords
 
-    echo "==> AddressSanitizer: arc-ecc's tests, then the golden suites (nightly)"
+    echo "==> AddressSanitizer: arc-ecc's tests, the golden suites, then the hostile sweep (nightly)"
     # arc-ecc's SIMD kernels (GF multiply-accumulate, CLMUL CRC) are the
     # libraries' only `unsafe`; ASan checks that no test input makes them
-    # touch memory outside their slices. Doctests do not link under ASan,
-    # hence `--lib --tests`.
+    # touch memory outside their slices, and the hostile sweep feeds them
+    # corrupt containers (its `ext-ileave-rs` target drives the batched lane
+    # kernel). Doctests do not link under ASan, hence `--lib --tests`.
     if cargo +nightly --version >/dev/null 2>&1; then
         asan=(cargo +nightly test -q --target x86_64-unknown-linux-gnu)
         RUSTFLAGS=-Zsanitizer=address "${asan[@]}" -p arc-ecc --lib --tests
         RUSTFLAGS=-Zsanitizer=address "${asan[@]}" "${goldens[@]}"
         RUSTFLAGS=-Zsanitizer=address "${asan[@]}" -p arc-core --test golden_container
+        RUSTFLAGS=-Zsanitizer=address cargo +nightly run --release -q \
+            --target x86_64-unknown-linux-gnu -p arc-bench --bin hostile_corpus
     else
         echo "    skipped: no nightly toolchain (rustup toolchain install nightly)"
     fi
