@@ -15,9 +15,10 @@
 //! of α¹…α^2t); decoding repeats that division and compares remainders,
 //! and only for a block whose remainder disagrees computes the 2t power-sum
 //! syndromes with a byte-sliced Horner scan, runs Berlekamp–Massey for the
-//! error locator, Chien-searches the shortened coordinate range, flips the
-//! located bits, and re-verifies the syndromes before declaring success —
-//! miscorrection is reported as [`EccError::Uncorrectable`], never silent.
+//! error locator, Chien-searches the shortened coordinate range and flips the
+//! located bits, all in registers sized by t ≤ 4, then compares remainders
+//! again before declaring success — miscorrection is reported as
+//! [`EccError::Uncorrectable`], never silent.
 
 use crate::bits::{chunked, chunked_mut, ByteTable};
 use crate::codec::{
@@ -33,6 +34,8 @@ const GF_ORD: usize = (1 << GF_BITS) - 1; // 8191
 const GF_POLY: u16 = 0x201B;
 /// Data bytes per BCH block (8000 bits + 13t parity ≤ 8191 total).
 pub(crate) const BCH_BLOCK: usize = 1000;
+/// Largest `t`: the decoder's registers are sized by it.
+const MAX_T: usize = 4;
 
 struct Gf13 {
     /// α^i for i in 0..2·8191 (doubled so `exp[log a + log b]` needs no mod).
@@ -180,7 +183,7 @@ impl Bch {
     /// Create a `t`-error-correcting code, `t` in 1..=4 (13t parity bits
     /// per 1000-byte block).
     pub fn new(t: usize) -> Result<Bch, EccError> {
-        if !(1..=4).contains(&t) {
+        if !(1..=MAX_T).contains(&t) {
             return Err(EccError::InvalidConfig(format!("bch: t must be in 1..=4, got {t}")));
         }
         let gf = tables();
@@ -246,77 +249,61 @@ impl Bch {
         rem
     }
 
-    /// Power-sum syndromes S_1..S_2t of `block ‖ rem` (the full codeword).
-    fn syndromes(&self, gf: &Gf13, block: &[u8], rem: u64) -> Vec<u16> {
-        // Bounded: Bch::new caps t at 4, so this allocates ≤ 8 slots.
-        let mut out = Vec::with_capacity(2 * self.t);
-        for syn in self.syn.iter() {
-            let mut s = 0u16;
+    /// Power-sum syndromes S_1..S_2t of `block ‖ rem` (the full codeword);
+    /// the slots past 2t stay zero.
+    fn syndromes(&self, gf: &Gf13, block: &[u8], rem: u64) -> [u16; 2 * MAX_T] {
+        let mut out = [0u16; 2 * MAX_T];
+        for (s, syn) in out.iter_mut().zip(self.syn.iter()) {
             for &byte in block {
-                s = gf_mul(gf, s, syn.step) ^ syn.tbl.of(byte);
+                *s = gf_mul(gf, *s, syn.step) ^ syn.tbl.of(byte);
             }
             for q in (0..self.deg).rev() {
-                s = gf_mul(gf, s, syn.alpha) ^ ((rem >> q) & 1) as u16;
+                *s = gf_mul(gf, *s, syn.alpha) ^ ((rem >> q) & 1) as u16;
             }
-            out.push(s);
         }
         out
     }
 
-    /// Berlekamp–Massey: error-locator polynomial from the syndromes.
-    /// Returns `None` when the locator degree exceeds `t`.
-    fn error_locator(&self, gf: &Gf13, s: &[u16]) -> Option<Vec<u16>> {
-        let mut sigma: Vec<u16> = vec![1];
-        let mut prev: Vec<u16> = vec![1];
-        let mut l = 0usize;
-        let mut m = 1usize;
-        let mut b = 1u16;
+    /// Berlekamp–Massey: the error locator σ from the syndromes, lowest
+    /// degree first, and its degree; `None` when l, the register length,
+    /// exceeds `t` or is not deg σ. deg σ ≤ l ≤ 2t throughout.
+    fn error_locator(&self, gf: &Gf13, s: &[u16]) -> Option<([u16; 2 * MAX_T + 1], usize)> {
+        let mut sigma = [0u16; 2 * MAX_T + 1];
+        sigma[0] = 1;
+        let (mut prev, mut l, mut m, mut b) = (sigma, 0, 1, 1u16);
         for n in 0..2 * self.t {
-            let mut d = *s.get(n)?;
-            // Σ σ_i·S_{n−i} for i in 1..=l: σ from its second coefficient
-            // against the syndromes before S_n, newest first.
-            let earlier = s.get(..n).unwrap_or_default().iter().rev();
-            for (&si, &sn) in sigma.iter().skip(1).take(l).zip(earlier) {
-                d ^= gf_mul(gf, si, sn);
-            }
-            if d == 0 {
-                m += 1;
-                continue;
-            }
-            let coef = gf_mul(gf, d, gf_inv(gf, b));
-            let update = |sigma: &mut Vec<u16>, prev: &[u16], m: usize| {
-                if sigma.len() < prev.len() + m {
-                    sigma.resize(prev.len() + m, 0);
+            // The discrepancy: coefficient n of S·σ, S_1 the constant term.
+            let down = s.get(..=n).unwrap_or_default().iter().rev();
+            let d = sigma.iter().zip(down).fold(0, |d, (&c, &sn)| d ^ gf_mul(gf, c, sn));
+            if d != 0 {
+                let (coef, lengthen) = (gf_mul(gf, d, gf_inv(gf, b)), 2 * l <= n);
+                // σ += coef·x^m·prev from the top down, so that prev can take
+                // the old σ in the same pass: prev[k − m] is read before it is set.
+                for k in (0..sigma.len()).rev() {
+                    let below = k.checked_sub(m).and_then(|j| prev.get(j));
+                    let below = below.map_or(0, |&p| gf_mul(gf, coef, p));
+                    if let (Some(sig), Some(p)) = (sigma.get_mut(k), prev.get_mut(k)) {
+                        if lengthen {
+                            *p = *sig;
+                        }
+                        *sig ^= below;
+                    }
                 }
-                for (sig, &c) in sigma.iter_mut().skip(m).zip(prev) {
-                    *sig ^= gf_mul(gf, coef, c);
+                if lengthen {
+                    (l, b, m) = (n + 1 - l, d, 0);
                 }
-            };
-            if 2 * l <= n {
-                let keep = sigma.clone();
-                update(&mut sigma, &prev, m);
-                l = n + 1 - l;
-                prev = keep;
-                b = d;
-                m = 1;
-            } else {
-                update(&mut sigma, &prev, m);
-                m += 1;
             }
+            m += 1;
         }
-        while sigma.last() == Some(&0) {
-            sigma.pop();
-        }
-        (l <= self.t && sigma.len() == l + 1).then_some(sigma)
+        let degree = sigma.iter().rposition(|&c| c != 0).unwrap_or(0);
+        (l <= self.t && degree == l).then_some((sigma, degree))
     }
 
-    /// Chien search over the shortened coordinate range: returns the
-    /// coefficient degrees where σ(α^{-e}) = 0, or `None` when the root
-    /// count does not match deg σ (uncorrectable).
-    fn chien(&self, gf: &Gf13, sigma: &[u16], total_bits: usize) -> Option<Vec<usize>> {
-        let expect = sigma.len().saturating_sub(1);
-        // Bounded: deg σ ≤ t ≤ 4: berlekamp_massey caps sigma.len().
-        let mut roots = Vec::with_capacity(expect);
+    /// Chien search over the shortened coordinate range: the coefficient
+    /// degrees e where σ(α^{-e}) = 0, and how many there are. A non-zero σ
+    /// of degree ≤ t has at most t roots, so every one fits.
+    fn chien(&self, gf: &Gf13, sigma: &[u16], total_bits: usize) -> ([usize; MAX_T], usize) {
+        let (mut roots, mut found) = ([0; MAX_T], 0);
         for e in 0..total_bits.min(GF_ORD) {
             let x_inv = gf_pow_alpha(gf, GF_ORD - e % GF_ORD);
             let mut val = 0u16;
@@ -324,13 +311,13 @@ impl Bch {
                 val = gf_mul(gf, val, x_inv) ^ c;
             }
             if val == 0 {
-                roots.push(e);
-                if roots.len() > expect {
-                    return None;
+                if let Some(root) = roots.get_mut(found) {
+                    *root = e;
                 }
+                found += 1;
             }
         }
-        (roots.len() == expect).then_some(roots)
+        (roots, found)
     }
 
     /// Verify and correct one block in place. `rem` is the unpacked parity
@@ -338,22 +325,24 @@ impl Bch {
     fn correct_block(&self, block: &mut [u8], rem: u64) -> Result<(u64, u64), EccError> {
         // g is the lcm of the minimal polynomials of α¹…α²ᵗ, so the stored
         // remainder equals the recomputed one ⇔ g | c(x) ⇔ S₁…S₂ₜ are all
-        // zero: clean is one pass of the encode division.
+        // zero: clean is one pass of the encode division, before a repair
+        // and after it.
         if self.encode_block(block) == rem {
             return Ok((rem, 0));
         }
         let gf = tables();
         let s = self.syndromes(gf, block, rem);
         let uncorrectable = |detail: String| EccError::Uncorrectable { scheme: "bch", detail };
-        let sigma = self
+        let (sigma, degree) = self
             .error_locator(gf, &s)
             .ok_or_else(|| uncorrectable(format!("more than t = {} bit errors", self.t)))?;
         let total_bits = 8 * block.len() + self.deg;
-        let roots = self
-            .chien(gf, &sigma, total_bits)
-            .ok_or_else(|| uncorrectable("error locator has roots outside the block".into()))?;
+        let (roots, found) = self.chien(gf, sigma.get(..=degree).unwrap_or_default(), total_bits);
+        if found != degree {
+            return Err(uncorrectable("error locator has roots outside the block".into()));
+        }
         let mut rem = rem;
-        for &e in &roots {
+        for &e in roots.iter().take(found) {
             // Coefficient degree e ↔ bit index k from the block start.
             let k = total_bits - 1 - e;
             if let Some(byte) = block.get_mut(k / 8) {
@@ -364,11 +353,10 @@ impl Bch {
                 rem ^= 1 << q;
             }
         }
-        // Paranoia: a repaired codeword must have all-zero syndromes.
-        if self.syndromes(gf, block, rem).iter().any(|&x| x != 0) {
+        if self.encode_block(block) != rem {
             return Err(uncorrectable("correction did not re-verify".into()));
         }
-        Ok((rem, roots.len() as u64))
+        Ok((rem, found as u64))
     }
 
     fn pack_rem(&self, rem: u64, slot: &mut [u8]) {

@@ -112,10 +112,11 @@ impl Gf {
     /// Field division; a zero divisor yields zero.
     ///
     /// Every divisor in the crate is non-zero: α powers, Cauchy `x_j ^ y_i`
-    /// over disjoint sets, non-zero pivots, trimmed leading coefficients,
-    /// and in decode Berlekamp–Massey's `b` (only ever set to a non-zero
-    /// discrepancy) and a Forney denominator checked first. The zero case is
-    /// defined rather than a panic so that no input can abort a decode.
+    /// over disjoint sets, non-zero pivots, and in decode Berlekamp–Massey's
+    /// `b` (only ever set to a non-zero discrepancy) and a Forney denominator
+    /// Λ′ at a simple root of Λ (the search counts deg Λ roots first). The
+    /// zero case is defined rather than a panic so that no input can abort a
+    /// decode.
     #[inline]
     pub fn div(self, rhs: Gf) -> Gf {
         if self.0 == 0 || rhs.0 == 0 {
@@ -501,10 +502,10 @@ pub(crate) fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: Gf) {
     mul_acc_words(dst, src, row_table(c));
 }
 
-/// Polynomials over GF(2^8), stored lowest-degree coefficient first.
-///
-/// Used by the Reed-Solomon codeword encoder/decoder (generator polynomial,
-/// syndromes, error locator, etc.).
+/// Polynomials over GF(2^8) on the heap, stored lowest-degree coefficient
+/// first: the arithmetic of `rscode::oracle`, the codeword decoder that the
+/// one on stack registers is tested against. No library code uses them.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Poly {
     /// Coefficients, index = degree. Highest coefficient is non-zero unless
@@ -512,6 +513,7 @@ pub(crate) struct Poly {
     pub coeffs: Vec<Gf>,
 }
 
+#[cfg(test)]
 impl Poly {
     /// The zero polynomial.
     pub(crate) fn zero() -> Poly {

@@ -274,8 +274,8 @@ mod tests {
 
     /// What this module did before the lane kernel, on the `Poly` oracle:
     /// gather every lane, cut it into messages, take the polynomial
-    /// remainder for parity and all-zero syndromes for "clean", and hand
-    /// anything else to the Berlekamp–Massey decoder.
+    /// remainder for parity, and hand every codeword to the `Poly`
+    /// decoder, whose clean test is all-zero syndromes.
     fn oracle_encode(nsym: usize, depth: usize, data: &[u8]) -> Vec<u8> {
         let mut parity = Vec::new();
         for j in 0..depth {
@@ -293,7 +293,6 @@ mod tests {
         data: &mut [u8],
         parity: &mut [u8],
     ) -> Result<CorrectionReport, EccError> {
-        let rs = RsCodeword::new(nsym).unwrap();
         let mut report = CorrectionReport::default();
         let mut slots = parity.chunks_exact_mut(nsym);
         for j in 0..depth {
@@ -301,14 +300,11 @@ mod tests {
             for msg in lane.chunks_mut(255 - nsym) {
                 let slot = slots.next().unwrap();
                 report.blocks_checked += 1;
-                let cw = [&msg[..], &slot[..]].concat();
-                if oracle::is_clean(nsym, &cw) {
-                    continue;
-                }
-                let (fixed_msg, fixed) = rs.decode(&cw)?;
-                msg.copy_from_slice(&fixed_msg);
-                slot.copy_from_slice(&oracle::parity(nsym, msg));
-                report.corrected_bits += fixed as u64;
+                let mut cw = [&msg[..], &slot[..]].concat();
+                report.corrected_bits += oracle::decode(nsym, &mut cw)? as u64;
+                let (fixed_msg, fixed_slot) = cw.split_at(msg.len());
+                msg.copy_from_slice(fixed_msg);
+                slot.copy_from_slice(fixed_slot);
             }
             for (dst, src) in data.iter_mut().skip(j).step_by(depth).zip(&lane) {
                 *dst = *src;
@@ -564,6 +560,28 @@ mod tests {
             *b = !*b;
         }
         assert_eq!(s.decode(&enc, data.len()).unwrap().0, data);
+    }
+
+    /// The burst half of `capability`, at every start: a `depth·t`-byte
+    /// burst anywhere in the data region decodes to the original bytes,
+    /// with one correction per changed byte.
+    #[test]
+    fn every_depth_times_t_burst_in_the_data_region_is_repaired() {
+        let (nsym, depth) = (4, 8);
+        let s = Interleaved::new(nsym, depth).unwrap();
+        let burst = depth * nsym / 2;
+        // Two whole message groups, then a ragged tail of one row and 5 bytes.
+        let data = sample(2 * depth * (255 - nsym) + depth + 5);
+        let enc = s.encode(&data);
+        for start in 0..=data.len() - burst {
+            let mut bad = enc.clone();
+            for b in &mut bad[start..start + burst] {
+                *b ^= 0xFF;
+            }
+            let (out, report) = s.decode(&bad, data.len()).unwrap();
+            assert!(out == data, "burst at {start}");
+            assert_eq!(report.corrected_bits, burst as u64, "burst at {start}");
+        }
     }
 
     #[test]

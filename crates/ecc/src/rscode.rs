@@ -16,14 +16,15 @@
 //! register is the slice) and across up to `BATCH` interleaved codewords
 //! at once (`RsCodeword::parity_rows_into`, a row of symbols is the slice).
 //! A received codeword is clean exactly when its recomputed parity equals
-//! its stored parity; only one that disagrees becomes a `gf256::Poly` and meets
-//! the decoder above.
+//! its stored parity. Only one that disagrees meets the decoder above, which
+//! runs in one pass over fixed registers of at most 255 symbols on the stack
+//! and accepts its repair by that same compare.
 
 use std::sync::OnceLock;
 
 use crate::bits::{chunked_mut, copy_prefix};
 use crate::codec::EccError;
-use crate::gf256::{mul_acc_slice, Gf, Poly};
+use crate::gf256::{mul_acc_slice, Gf};
 
 /// Maximum codeword length in GF(2^8).
 pub const MAX_CODEWORD: usize = 255;
@@ -57,11 +58,16 @@ impl RsCodeword {
             )));
         };
         let taps = cell.get_or_init(|| {
-            let mut g = Poly::constant(Gf::ONE);
-            for i in 0..nsym {
-                g = g.mul(&Poly::from_coeffs(vec![Gf::alpha_pow(i), Gf::ONE]));
+            // g(x) highest degree first: multiplying it by (x − α^i) adds
+            // α^i times the coefficient above to each coefficient.
+            let mut g: Vec<u8> = std::iter::once(1).chain(std::iter::repeat_n(0, nsym)).collect();
+            for root in (0..nsym).map(Gf::alpha_pow) {
+                let mut above = Gf::ZERO;
+                for c in &mut g {
+                    (*c, above) = (Gf(*c).add(root.mul(above)).0, Gf(*c));
+                }
             }
-            (0..nsym).rev().map(|i| g.coeff(i).0).collect()
+            g.into_iter().skip(1).collect()
         });
         Ok(RsCodeword { nsym, taps })
     }
@@ -138,9 +144,11 @@ impl RsCodeword {
 
     /// The clean test is the encode kernel plus a compare: c(x) mod g(x) is
     /// rem(msg·x^nsym) + parity, and g's roots α^0..α^(nsym−1) are distinct,
-    /// so recomputed parity equal to `parity` ⇔ g | c ⇔ every syndrome
-    /// c(α^i) is zero.
-    pub(crate) fn is_clean(&self, msg: &[u8], parity: &[u8]) -> bool {
+    /// so recomputed parity equal to the stored `nsym` symbols ⇔ g | c ⇔
+    /// every syndrome c(α^i) is zero.
+    fn is_clean(&self, codeword: &[u8]) -> bool {
+        let split = codeword.len().saturating_sub(self.nsym);
+        let (msg, parity) = codeword.split_at_checked(split).unwrap_or_default();
         let mut recomputed = [0u8; MAX_CODEWORD];
         let recomputed = recomputed.get_mut(..self.nsym).unwrap_or_default();
         self.parity_into(msg, recomputed);
@@ -164,14 +172,6 @@ impl RsCodeword {
         out.resize(msg.len() + self.nsym, 0);
         self.parity_into(msg, out.get_mut(msg.len()..).unwrap_or_default());
         Ok(out)
-    }
-
-    fn codeword_poly(codeword: &[u8]) -> Poly {
-        Poly::from_coeffs(codeword.iter().rev().map(|&b| Gf(b)).collect())
-    }
-
-    fn syndromes(&self, cw: &Poly) -> Vec<Gf> {
-        (0..self.nsym).map(|i| cw.eval(Gf::alpha_pow(i))).collect()
     }
 
     /// Decode a received codeword, correcting up to ⌊nsym/2⌋ unknown errors.
@@ -208,114 +208,118 @@ impl RsCodeword {
     }
 
     /// Verify one received codeword and repair up to ⌊nsym/2⌋ unknown
-    /// errors in place. Returns the symbols repaired; on an error the
-    /// codeword may be partly rewritten.
+    /// errors in place, on stack registers: syndromes, Berlekamp–Massey,
+    /// Chien search and Forney, then the clean test again. Returns the
+    /// symbols repaired; on an error the codeword may be partly rewritten.
     fn correct_in_place(&self, codeword: &mut [u8]) -> Result<usize, EccError> {
-        let n = codeword.len();
-        if n <= self.nsym || n > MAX_CODEWORD {
+        let (n, nsym) = (codeword.len(), self.nsym);
+        if n <= nsym || n > MAX_CODEWORD {
             return Err(self.bad_length(n));
         }
-        let (msg, parity) = codeword.split_at_checked(n - self.nsym).unwrap_or_default();
-        if self.is_clean(msg, parity) {
+        if self.is_clean(codeword) {
             return Ok(0);
         }
-        let synd_poly = Poly::from_coeffs(self.syndromes(&Self::codeword_poly(codeword)));
-        let locator = self.berlekamp_massey(&synd_poly)?;
-        let positions = self.chien_search(&locator, n)?;
-        if positions.len() != locator.degree() {
-            return Err(EccError::Uncorrectable {
-                scheme: "rs-codeword",
-                detail: "error locator roots do not match its degree".into(),
-            });
+        let uncorrectable =
+            |detail: String| EccError::Uncorrectable { scheme: "rs-codeword", detail };
+        // S_i = c(α^i), the first byte the highest-degree coefficient.
+        let mut synd = [Gf::ZERO; MAX_CODEWORD];
+        let synd = synd.get_mut(..nsym).unwrap_or_default();
+        for (i, s) in synd.iter_mut().enumerate() {
+            *s = horner(codeword.iter().map(|&c| Gf(c)), Gf::alpha_pow(i));
         }
-        // Error evaluator Ω(x) = S(x)·Λ(x) mod x^nsym, then Forney.
-        let x_nsym = Poly::constant(Gf::ONE).shift(self.nsym);
-        let omega = synd_poly.mul(&locator).rem(&x_nsym);
-        let loc_deriv = locator.derivative();
-        for &pos in &positions {
-            let j = n - 1 - pos;
-            let xj = Gf::alpha_pow(j);
-            let xj_inv = xj.inv();
-            let denom = loc_deriv.eval(xj_inv);
-            if denom == Gf::ZERO {
-                return Err(EccError::Uncorrectable {
-                    scheme: "rs-codeword",
-                    detail: "Forney denominator vanished".into(),
-                });
-            }
-            let magnitude = xj.mul(omega.eval(xj_inv)).div(denom);
-            if let Some(symbol) = codeword.get_mut(pos) {
-                *symbol ^= magnitude.0;
-            }
-        }
-        // Paranoia: re-verify the repaired codeword.
-        let recheck = self.syndromes(&Self::codeword_poly(codeword));
-        if recheck.iter().any(|s| *s != Gf::ZERO) {
-            return Err(EccError::Uncorrectable {
-                scheme: "rs-codeword",
-                detail: "syndromes non-zero after correction (too many errors)".into(),
-            });
-        }
-        Ok(positions.len())
-    }
+        // Coefficient k of S·Λ: Berlekamp–Massey's discrepancy at step k,
+        // and Forney's evaluator Ω = S·Λ mod x^nsym below it.
+        let product = |sigma: &[Gf], k: usize| {
+            let down = synd.get(..=k).unwrap_or_default().iter().rev();
+            sigma.iter().zip(down).fold(Gf::ZERO, |acc, (&c, &s)| acc.add(c.mul(s)))
+        };
 
-    /// Berlekamp–Massey on the syndromes, bounded so that 2·errors ≤ nsym.
-    fn berlekamp_massey(&self, synd: &Poly) -> Result<Poly, EccError> {
-        let mut sigma = Poly::constant(Gf::ONE);
-        let mut prev = Poly::constant(Gf::ONE);
-        let mut l = 0usize;
-        let mut m = 1usize;
-        let mut b = Gf::ONE;
-        for i in 0..self.nsym {
-            let mut delta = synd.coeff(i);
-            for j in 1..=l {
-                delta = delta.add(sigma.coeff(j).mul(synd.coeff(i - j)));
+        // Berlekamp–Massey on the locator Λ and B, Λ as it was before the
+        // last length change, lowest degree first; deg Λ ≤ l ≤ nsym < 255.
+        let mut sigma = [Gf::ZERO; MAX_CODEWORD];
+        sigma[0] = Gf::ONE;
+        let (mut prev, mut l, mut m, mut b) = (sigma, 0, 1, Gf::ONE);
+        for i in 0..nsym {
+            let delta = product(&sigma, i);
+            if delta != Gf::ZERO {
+                let (coef, lengthen) = (delta.div(b), 2 * l <= i);
+                // Λ += coef·x^m·B from the top down, so that B can take the
+                // old Λ in the same pass: B[k − m] is read before it is set.
+                for k in (0..=nsym).rev() {
+                    let below = k.checked_sub(m).and_then(|j| prev.get(j));
+                    let below = below.map_or(Gf::ZERO, |&p| coef.mul(p));
+                    if let (Some(s), Some(p)) = (sigma.get_mut(k), prev.get_mut(k)) {
+                        if lengthen {
+                            *p = *s;
+                        }
+                        *s = s.add(below);
+                    }
+                }
+                if lengthen {
+                    (l, b, m) = (i + 1 - l, delta, 0);
+                }
             }
-            if delta == Gf::ZERO {
-                m += 1;
-            } else if 2 * l <= i {
-                let temp = sigma.clone();
-                let coef = delta.div(b);
-                sigma = sigma.add(&prev.scale(coef).shift(m));
-                prev = temp;
-                l = i + 1 - l;
-                b = delta;
-                m = 1;
-            } else {
-                let coef = delta.div(b);
-                sigma = sigma.add(&prev.scale(coef).shift(m));
-                m += 1;
-            }
+            m += 1;
         }
-        if 2 * l > self.nsym {
-            return Err(EccError::Uncorrectable {
-                scheme: "rs-codeword",
-                detail: format!("{l} errors exceed correction bound {}", self.nsym / 2),
-            });
+        if 2 * l > nsym {
+            return Err(uncorrectable(format!("{l} errors exceed correction bound {}", nsym / 2)));
         }
-        Ok(sigma)
-    }
+        let degree = sigma.iter().rposition(|&c| c != Gf::ZERO).unwrap_or(0);
+        let sigma = sigma.get(..=degree).unwrap_or_default();
+        let mut omega = [Gf::ZERO; MAX_CODEWORD];
+        for (k, o) in omega.iter_mut().take(nsym).enumerate() {
+            *o = product(sigma, k);
+        }
 
-    /// Find codeword positions whose α-powers are roots of the locator.
-    fn chien_search(&self, locator: &Poly, n: usize) -> Result<Vec<usize>, EccError> {
-        let mut positions = Vec::new();
-        for j in 0..n {
-            if locator.eval(Gf::alpha_pow(j).inv()) == Gf::ZERO {
-                positions.push(n - 1 - j);
+        // Chien search: position n − 1 − j is in error when Λ(α^−j) = 0, and
+        // Forney gives the error, X_j·Ω(X_j⁻¹) / Λ′(X_j⁻¹) with X_j = α^j. In
+        // characteristic 2, Λ′(x) = Σ Λ_(2k+1)·x^(2k). The errors wait in
+        // `error` until the roots are known to be deg Λ many: then every
+        // root is simple, and no denominator vanishes.
+        let (mut error, mut found) = ([0u8; MAX_CODEWORD], 0);
+        for (j, e) in error.iter_mut().take(n).rev().enumerate() {
+            let (x, x_inv) = (Gf::alpha_pow(j), Gf::alpha_pow(j).inv());
+            if horner(sigma.iter().rev().copied(), x_inv) == Gf::ZERO {
+                let odd = sigma.iter().skip(1).step_by(2).rev().copied();
+                let omega = horner(omega.iter().take(nsym).rev().copied(), x_inv);
+                *e = x.mul(omega).div(horner(odd, x_inv.mul(x_inv))).0;
+                found += 1;
             }
         }
-        Ok(positions)
+        if found != degree {
+            return Err(uncorrectable("error locator roots do not match its degree".into()));
+        }
+        for (c, e) in codeword.iter_mut().zip(error) {
+            *c ^= e;
+        }
+        if !self.is_clean(codeword) {
+            return Err(uncorrectable(
+                "syndromes non-zero after correction (too many errors)".into(),
+            ));
+        }
+        Ok(found)
     }
 }
 
-/// The `Poly` path the kernel replaced, kept as what it is compared against.
+/// Σ c_k·x^k by Horner's rule, the coefficients highest degree first.
+fn horner(coeffs: impl Iterator<Item = Gf>, x: Gf) -> Gf {
+    coeffs.fold(Gf::ZERO, |acc, c| acc.mul(x).add(c))
+}
+
+/// The `Poly` decoder the register one replaced, kept as what it is
+/// compared against, with the parity and clean test of its day.
 #[cfg(test)]
 #[allow(clippy::cast_possible_truncation, reason = "test data")]
 pub(crate) mod oracle {
+    use crate::codec::EccError;
     use crate::gf256::{Gf, Poly};
 
     fn codeword_poly(codeword: &[u8]) -> Poly {
         Poly::from_coeffs(codeword.iter().rev().map(|&b| Gf(b)).collect())
+    }
+
+    fn syndromes(nsym: usize, cw: &Poly) -> Vec<Gf> {
+        (0..nsym).map(|i| cw.eval(Gf::alpha_pow(i))).collect()
     }
 
     /// Parity of `msg`: the coefficients of msg·x^nsym mod ∏ (x − α^i).
@@ -330,8 +334,76 @@ pub(crate) mod oracle {
 
     /// The clean test: every one of the `nsym` syndromes is zero.
     pub(crate) fn is_clean(nsym: usize, codeword: &[u8]) -> bool {
-        let cw = codeword_poly(codeword);
-        (0..nsym).all(|i| cw.eval(Gf::alpha_pow(i)) == Gf::ZERO)
+        syndromes(nsym, &codeword_poly(codeword)).iter().all(|&s| s == Gf::ZERO)
+    }
+
+    fn uncorrectable(detail: String) -> EccError {
+        EccError::Uncorrectable { scheme: "rs-codeword", detail }
+    }
+
+    /// Repair up to ⌊nsym/2⌋ unknown errors in `codeword` in place and
+    /// return how many were repaired (`RsCodeword::correct_in_place`'s
+    /// contract, on a codeword of valid length).
+    pub(crate) fn decode(nsym: usize, codeword: &mut [u8]) -> Result<usize, EccError> {
+        if is_clean(nsym, codeword) {
+            return Ok(0);
+        }
+        let n = codeword.len();
+        let synd_poly = Poly::from_coeffs(syndromes(nsym, &codeword_poly(codeword)));
+        let locator = berlekamp_massey(nsym, &synd_poly)?;
+        let positions: Vec<usize> = (0..n)
+            .filter(|&j| locator.eval(Gf::alpha_pow(j).inv()) == Gf::ZERO)
+            .map(|j| n - 1 - j)
+            .collect();
+        if positions.len() != locator.degree() {
+            return Err(uncorrectable("error locator roots do not match its degree".into()));
+        }
+        // Error evaluator Ω(x) = S(x)·Λ(x) mod x^nsym, then Forney.
+        let x_nsym = Poly::constant(Gf::ONE).shift(nsym);
+        let omega = synd_poly.mul(&locator).rem(&x_nsym);
+        let loc_deriv = locator.derivative();
+        for &pos in &positions {
+            let xj = Gf::alpha_pow(n - 1 - pos);
+            let denom = loc_deriv.eval(xj.inv());
+            if denom == Gf::ZERO {
+                return Err(uncorrectable("Forney denominator vanished".into()));
+            }
+            codeword[pos] ^= xj.mul(omega.eval(xj.inv())).div(denom).0;
+        }
+        if !is_clean(nsym, codeword) {
+            return Err(uncorrectable(
+                "syndromes non-zero after correction (too many errors)".into(),
+            ));
+        }
+        Ok(positions.len())
+    }
+
+    /// Berlekamp–Massey on the syndromes, bounded so that 2·errors ≤ nsym.
+    fn berlekamp_massey(nsym: usize, synd: &Poly) -> Result<Poly, EccError> {
+        let mut sigma = Poly::constant(Gf::ONE);
+        let mut prev = Poly::constant(Gf::ONE);
+        let (mut l, mut m, mut b) = (0usize, 1usize, Gf::ONE);
+        for i in 0..nsym {
+            let mut delta = synd.coeff(i);
+            for j in 1..=l {
+                delta = delta.add(sigma.coeff(j).mul(synd.coeff(i - j)));
+            }
+            if delta == Gf::ZERO {
+                m += 1;
+            } else if 2 * l <= i {
+                let temp = sigma.clone();
+                sigma = sigma.add(&prev.scale(delta.div(b)).shift(m));
+                prev = temp;
+                (l, b, m) = (i + 1 - l, delta, 1);
+            } else {
+                sigma = sigma.add(&prev.scale(delta.div(b)).shift(m));
+                m += 1;
+            }
+        }
+        if 2 * l > nsym {
+            return Err(uncorrectable(format!("{l} errors exceed correction bound {}", nsym / 2)));
+        }
+        Ok(sigma)
     }
 
     /// Deterministic test bytes and choices.
@@ -399,6 +471,63 @@ mod tests {
                 let by_remainder = rs.decode(&cw) == Ok((msg.clone(), 0));
                 assert_eq!(by_remainder, oracle::is_clean(nsym, &cw), "nsym={nsym}");
             }
+        }
+    }
+
+    /// Damage `errors` distinct symbols of a fresh `n`-byte codeword and
+    /// decode it on the registers and with the `Poly` oracle: the same
+    /// `Result`, and every `Ok` a codeword one repair per changed symbol
+    /// away, the sent one when `errors` is within ⌊nsym/2⌋.
+    fn differential_case(rng: &mut Rng, nsym: usize, n: usize, errors: usize) {
+        let rs = RsCodeword::new(nsym).unwrap();
+        let sent = rs.encode(&rng.bytes(n - nsym)).unwrap();
+        let mut received = sent.clone();
+        let mut hit = Vec::new();
+        while hit.len() < errors.min(n) {
+            let at = rng.range(0, n - 1);
+            if !hit.contains(&at) {
+                hit.push(at);
+                received[at] ^= rng.range(1, 255) as u8;
+            }
+        }
+        let what = format!("nsym={nsym} n={n} errors={errors}");
+        let (mut got, mut want) = (received.clone(), received.clone());
+        let result = rs.correct_in_place(&mut got);
+        assert_eq!(result, oracle::decode(nsym, &mut want), "{what}");
+        match result {
+            Ok(fixed) => {
+                assert!(got == want, "{what}: repaired bytes");
+                assert!(oracle::is_clean(nsym, &got), "{what}: Ok on a non-codeword");
+                let changed = got.iter().zip(&received).filter(|(a, b)| a != b).count();
+                assert_eq!(fixed, changed, "{what}: repair count");
+                assert!(errors > nsym / 2 || got == sent, "{what}: within capability");
+            }
+            Err(_) => assert!(errors > nsym / 2, "{what}: within capability"),
+        }
+    }
+
+    #[test]
+    fn register_decoder_matches_the_poly_oracle() {
+        let mut rng = Rng(0x5EED_0004);
+        for nsym in [2usize, 7, 16, 32, 250] {
+            for n in nsym + 1..=MAX_CODEWORD {
+                for errors in 0..=nsym / 2 + 3 {
+                    differential_case(&mut rng, nsym, n, errors);
+                }
+            }
+        }
+    }
+
+    /// `scripts/check.sh --full` runs this.
+    #[test]
+    #[ignore = "deep differential: 10^5 codewords, run with --release"]
+    fn register_decoder_matches_the_poly_oracle_deep() {
+        let mut rng = Rng(0x5EED_0005);
+        for _ in 0..100_000 {
+            let nsym = rng.range(1, MAX_CODEWORD - 1);
+            let n = rng.range(nsym + 1, MAX_CODEWORD);
+            let errors = rng.range(0, nsym / 2 + 3);
+            differential_case(&mut rng, nsym, n, errors);
         }
     }
 

@@ -3,7 +3,9 @@
 //! allocation (the returned container) and a clean sequential
 //! `decode_in_place` makes none for the bit-oriented schemes and for the two
 //! stock extension families (`ileave-rs`, `bch`), `ileave-rs` also over a
-//! chunk of many batches of message groups.
+//! chunk of many batches of message groups. Repair on the algebraic decoders
+//! runs on stack registers: a codeword-RS decode at full capability makes
+//! only the message it returns, and BCH repair in place makes nothing.
 //!
 //! Everything lives in one `#[test]` so no sibling test can allocate
 //! concurrently, and the counters only advance on the measuring thread
@@ -16,7 +18,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec};
+use arc_ecc::{Bch, EccConfig, EccScheme, Interleaved, ParallelCodec, RsCodeword};
 
 struct CountingAlloc;
 
@@ -131,8 +133,7 @@ fn sequential_pipeline_allocation_contract() {
 
     {
         // The codeword families: the LFSR registers and the strip of lane
-        // state live on the stack, and no `Poly` is built unless a codeword's
-        // remainder disagrees. 199 999 bytes leave `ileave-rs` a ragged last
+        // state live on the stack. 199 999 bytes leave `ileave-rs` a ragged last
         // chunk, so the one-lane-at-a-time tail is under the count too.
         let data = &data[..199_999];
         let families: [(&str, Arc<dyn EccScheme>); 2] = [
@@ -169,6 +170,37 @@ fn sequential_pipeline_allocation_contract() {
         });
         assert_eq!(allocs, 0, "ileave-rs: clean in-place decode across batches must not allocate");
         assert_eq!(&encoded[..data.len()], &data[..]);
+    }
+
+    {
+        // Repair at full capability. A 255-byte nsym-32 codeword with 16
+        // symbols wrong: the returned message is the one allocation.
+        let rs = RsCodeword::new(32).unwrap();
+        let msg = &data[..223];
+        let mut received = rs.encode(msg).unwrap();
+        rs.decode(&received).unwrap();
+        for i in 0..16 {
+            received[i * 15 + 2] ^= 0x5A;
+        }
+        let ((out, fixed), allocs, bytes) = counted(|| rs.decode(&received).unwrap());
+        assert_eq!((&out[..], fixed), (msg, 16));
+        assert_eq!((allocs, bytes), (1, 223), "rs codeword: a repair allocates only the message");
+
+        // BCH with t flips in every 1000-byte block, the ragged last one too.
+        let t = 4;
+        let bch = Bch::new(t).unwrap();
+        let data = &data[..199_999];
+        let mut encoded = bch.encode(data);
+        for block in 0..data.len().div_ceil(1000) {
+            for k in 0..t {
+                encoded[block * 1000 + 211 * k] ^= 1 << k;
+            }
+        }
+        let (report, allocs, _) =
+            counted(|| bch.verify_and_correct_in_place(&mut encoded, data.len()).unwrap());
+        assert_eq!(report.corrected_bits, 200 * t as u64);
+        assert_eq!(allocs, 0, "bch: repair in place must not allocate");
+        assert_eq!(&encoded[..data.len()], data);
     }
 
     // RS's verify path keeps small per-chunk device lists; in-place decode

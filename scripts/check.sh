@@ -12,7 +12,8 @@
 #                                    AddressSanitizer (nightly), the
 #                                    #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
-#                                    codeword-RS lane kernel, BCH remainder,
+#                                    codeword-RS lane kernel and decoder,
+#                                    BCH remainder,
 #                                    ZFP rounding and transpose, slab frames
 #                                    at arcbench's field sizes),
 #                                    the seven fault-study binaries and
