@@ -191,6 +191,70 @@ fn bch_repairs_match_golden_reports() {
     check("GOLDEN_BCH_REPAIRS", &GOLDEN_BCH_REPAIRS, &actual);
 }
 
+/// Damaged buffers per `t` in [`bch_damage_matches_golden_outcomes`].
+const BCH_DAMAGE_CASES: usize = 10_000;
+
+/// Per `t`: FNV-1a over every case's outcome (the report and repaired bytes
+/// of an `Ok`, the text of an error), then how many cases decoded `Ok`,
+/// how many erred, and how many `Ok`s are not the encoding — miscorrections
+/// of damage beyond `t` flips in some block.
+#[rustfmt::skip]
+const GOLDEN_BCH_DAMAGE: [(usize, u64, usize, usize, usize); 4] = [
+    (0x1, 0xbcb556c02b99b8bf, 0x1eb1, 0x85f, 0x12c2),
+    (0x2, 0xfbd47db7ee5ab8ae, 0x1892, 0xe7e, 0x58a),
+    (0x3, 0x682a57ca5c3fc0a1, 0x1988, 0xd88, 0x118),
+    (0x4, 0xc77ad85cb16ee987, 0x1b68, 0xba8, 0x31),
+];
+
+/// BCH's decoder has no oracle in the tree, so what it makes of damage is
+/// pinned here: 1..=t+3 bit flips anywhere in a 1..=2 100-byte buffer, its
+/// parity included, so that some blocks stay within `t` and some do not.
+#[test]
+fn bch_damage_matches_golden_outcomes() {
+    let actual: Vec<(usize, u64, usize, usize, usize)> = (1..=4usize)
+        .map(|t| {
+            let b = Bch::new(t).unwrap();
+            let mut x = 0x2545_F491_4F6C_DD1Du64 ^ t as u64;
+            let mut below = |n: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % n as u64) as usize
+            };
+            let (mut transcript, mut ok, mut err, mut wrong) = (Vec::new(), 0, 0, 0);
+            for case in 0..BCH_DAMAGE_CASES {
+                let n = 1 + below(2100);
+                let clean = b.encode(&input(n, (t * BCH_DAMAGE_CASES + case) as u64));
+                let mut bad = clean.clone();
+                for _ in 0..1 + below(t + 3) {
+                    let bit = below(8 * bad.len());
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                }
+                let mut seen = Vec::new();
+                match b.verify_and_correct_in_place(&mut bad, n) {
+                    Ok(r) => {
+                        ok += 1;
+                        wrong += usize::from(bad != clean);
+                        seen.extend(
+                            [r.corrected_bits, r.corrected_devices, r.blocks_checked]
+                                .iter()
+                                .flat_map(|v| v.to_le_bytes()),
+                        );
+                        seen.extend_from_slice(&bad);
+                    }
+                    Err(e) => {
+                        err += 1;
+                        seen.extend_from_slice(e.to_string().as_bytes());
+                    }
+                }
+                transcript.extend_from_slice(&fnv1a(&seen).to_le_bytes());
+            }
+            (t, fnv1a(&transcript), ok, err, wrong)
+        })
+        .collect();
+    check("GOLDEN_BCH_DAMAGE", &GOLDEN_BCH_DAMAGE, &actual);
+}
+
 // ---- The built-in families: Hamming, SEC-DED and device Reed-Solomon ----
 
 /// Hamming(12,8), Hamming(71,64), SEC-DED(13,8), SEC-DED(72,64).
