@@ -142,17 +142,26 @@ impl RsCodeword {
         }
     }
 
-    /// The clean test is the encode kernel plus a compare: c(x) mod g(x) is
-    /// rem(msg·x^nsym) + parity, and g's roots α^0..α^(nsym−1) are distinct,
-    /// so recomputed parity equal to the stored `nsym` symbols ⇔ g | c ⇔
-    /// every syndrome c(α^i) is zero.
-    fn is_clean(&self, codeword: &[u8]) -> bool {
+    /// c(x) mod g(x) for a received codeword c, highest degree first, in the
+    /// first `nsym` symbols: rem(msg·x^nsym) + parity, the recomputed parity
+    /// plus the stored one.
+    fn remainder(&self, codeword: &[u8]) -> [u8; MAX_CODEWORD] {
         let split = codeword.len().saturating_sub(self.nsym);
         let (msg, parity) = codeword.split_at_checked(split).unwrap_or_default();
-        let mut recomputed = [0u8; MAX_CODEWORD];
-        let recomputed = recomputed.get_mut(..self.nsym).unwrap_or_default();
+        let mut rem = [0u8; MAX_CODEWORD];
+        let recomputed = rem.get_mut(..self.nsym).unwrap_or_default();
         self.parity_into(msg, recomputed);
-        recomputed == parity
+        for (r, p) in recomputed.iter_mut().zip(parity) {
+            *r ^= p;
+        }
+        rem
+    }
+
+    /// The clean test is the encode kernel plus a compare: g's roots
+    /// α^0..α^(nsym−1) are distinct, so a zero remainder ⇔ g | c ⇔ every
+    /// syndrome c(α^i) is zero.
+    fn is_clean(&self, codeword: &[u8]) -> bool {
+        self.remainder(codeword).iter().all(|&r| r == 0)
     }
 
     /// Encode `msg`, returning `msg ‖ parity` (`msg.len() + nsym` bytes).
@@ -208,24 +217,28 @@ impl RsCodeword {
     }
 
     /// Verify one received codeword and repair up to ⌊nsym/2⌋ unknown
-    /// errors in place, on stack registers: syndromes, Berlekamp–Massey,
-    /// Chien search and Forney, then the clean test again. Returns the
-    /// symbols repaired; on an error the codeword may be partly rewritten.
+    /// errors in place, on stack registers: syndromes from the remainder
+    /// the clean test computes, Berlekamp–Massey, Chien search and Forney,
+    /// then the clean test again. Returns the symbols repaired; on an error
+    /// the codeword may be partly rewritten.
     fn correct_in_place(&self, codeword: &mut [u8]) -> Result<usize, EccError> {
         let (n, nsym) = (codeword.len(), self.nsym);
         if n <= nsym || n > MAX_CODEWORD {
             return Err(self.bad_length(n));
         }
-        if self.is_clean(codeword) {
+        let rem = self.remainder(codeword);
+        let rem = rem.get(..nsym).unwrap_or_default();
+        if rem.iter().all(|&r| r == 0) {
             return Ok(0);
         }
         let uncorrectable =
             |detail: String| EccError::Uncorrectable { scheme: "rs-codeword", detail };
-        // S_i = c(α^i), the first byte the highest-degree coefficient.
+        // S_i = c(α^i) = r(α^i) for the remainder r = c mod g, since
+        // g(α^i) = 0: nsym symbols to evaluate, not the whole codeword.
         let mut synd = [Gf::ZERO; MAX_CODEWORD];
         let synd = synd.get_mut(..nsym).unwrap_or_default();
         for (i, s) in synd.iter_mut().enumerate() {
-            *s = horner(codeword.iter().map(|&c| Gf(c)), Gf::alpha_pow(i));
+            *s = horner(rem.iter().map(|&r| Gf(r)), Gf::alpha_pow(i));
         }
         // Coefficient k of S·Λ: Berlekamp–Massey's discrepancy at step k,
         // and Forney's evaluator Ω = S·Λ mod x^nsym below it.
