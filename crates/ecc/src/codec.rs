@@ -211,8 +211,8 @@ pub trait EccScheme: Send + Sync {
     /// `data_len / min_bytes_per_thread()` (never below 1), so small buffers
     /// run in-line instead of *losing* throughput to thread startup — the
     /// measured regression this floor exists to prevent (DESIGN.md §13).
-    /// The default suits the fast detect-dominant schemes (parity, Hamming,
-    /// SEC-DED, >1 GB/s class); heavier schemes override it downward.
+    /// The default suits the fast table-driven schemes (parity, Hamming,
+    /// SEC-DED, BCH, >1 GB/s class); heavier schemes override it downward.
     fn min_bytes_per_thread(&self) -> usize {
         4 << 20
     }

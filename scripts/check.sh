@@ -13,7 +13,8 @@
 #                                    #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
 #                                    codeword-RS lane kernel and decoder,
-#                                    BCH remainder,
+#                                    BCH remainder test and its sliced
+#                                    division against bit-serial division,
 #                                    ZFP rounding and transpose, slab frames
 #                                    at arcbench's field sizes),
 #                                    the seven fault-study binaries and
