@@ -720,9 +720,13 @@ mod tests {
         assert_eq!(run(cmd), 0);
         assert_eq!(std::fs::read(&recovered).unwrap(), payload);
 
-        // Verify and inspect also succeed.
+        // Verify and inspect also succeed; `protect` wrote the v2 container,
+        // whose index the payload strike left clean.
         assert_eq!(run(parse(&["verify".into(), container.display().to_string()]).unwrap()), 0);
         assert_eq!(run(parse(&["inspect".into(), container.display().to_string()]).unwrap()), 0);
+        let text = render_inspect(&arc_core::container::unpack(&stored).unwrap());
+        assert!(text.starts_with("format:        v2 (sharded)\n"), "{text}");
+        assert!(text.ends_with("index health:  copy 1 of 3, clean\n"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

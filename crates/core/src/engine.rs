@@ -48,19 +48,18 @@ pub fn arc_engine_decode(
 /// Encode into a v2 **sharded** container: each `shard_size`-byte slice of
 /// `data` is independently ECC'd and independently decodable, enabling
 /// [`crate::reader::ArcReader`] to serve a byte range at per-shard cost.
-/// `arc_engine_encode` keeps producing monolithic v1 containers; both
-/// decode through the same entry points.
+/// `arc_encode` writes this container at 4 MiB shards, the Table 1
+/// functions monolithic v1; both decode through the same entry points.
 ///
-/// A wrapper over the v2 writer: one push through a
-/// [`crate::stream::StreamEncoder`] into an exactly-sized `Vec`, with as
-/// many threads per shard group as `threads` resolves to.
+/// A wrapper over the v2 writer: [`crate::stream::StreamEncoder`] into an
+/// exactly-sized `Vec`, each shard group one chunk pass on `threads`.
 pub fn arc_engine_encode_sharded(
     data: &[u8],
     config: EccConfig,
     threads: usize,
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    stream::encode_oneshot(data, builtin_scheme(config), threads, shard_size)
+    Ok(stream::encode_oneshot(data, builtin_scheme(config), threads, shard_size)?.0)
 }
 
 fn decode_expecting(

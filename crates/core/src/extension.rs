@@ -187,8 +187,8 @@ pub fn encode_with_scheme(
 /// Encode `data` with the registered scheme `name` into a v2 **sharded**
 /// container tagged `x:<name>` — the random-access layout that
 /// [`crate::reader::ArcReader`] serves `decode_range` from. A wrapper over
-/// the v2 writer: one push through a [`crate::stream::StreamEncoder`] into
-/// an exactly-sized `Vec`.
+/// the v2 writer, [`crate::stream::StreamEncoder`], writing into an
+/// exactly-sized `Vec`.
 pub fn encode_sharded_with_scheme(
     data: &[u8],
     registry: &ExtensionRegistry,
@@ -197,7 +197,7 @@ pub fn encode_sharded_with_scheme(
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
     let scheme = registry.named_scheme(name)?;
-    stream::encode_oneshot(data, scheme, threads, shard_size)
+    Ok(stream::encode_oneshot(data, scheme, threads, shard_size)?.0)
 }
 
 /// Decode any ARC container, resolving extension ids against `registry`

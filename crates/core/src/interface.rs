@@ -4,8 +4,8 @@
 //! [`ArcContext::init`] is `arc_init()`: it loads the cached training
 //! table, measures any missing configuration × thread points, and leaves
 //! the context ready to encode any `&[u8]`. [`ArcContext::encode`] is
-//! `arc_encode()` with the three optional constraints;
-//! [`ArcContext::decode`] is `arc_decode()`, returning the repaired bytes
+//! `arc_encode()` with the three optional constraints, writing a v2
+//! container; [`ArcContext::decode`] is `arc_decode()`, returning the repaired bytes
 //! or raising when damage exceeds the chosen code's ability.
 //! [`ArcContext::close`] is `arc_close()`, persisting refreshed throughput
 //! estimates. Dropping the context saves too, so forgetting `close` costs
@@ -16,13 +16,14 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use arc_ecc::bits::copy_prefix;
 use arc_ecc::codec::CorrectionReport;
-use arc_ecc::{EccConfig, ParallelCodec};
+use arc_ecc::EccConfig;
 
 use crate::constraints::EncodeRequest;
-use crate::container::{self, Shards};
+use crate::container::{self, Shards, DEFAULT_SHARD_SIZE};
 use crate::error::ArcError;
 use crate::extension::{builtin_scheme, ExtensionRegistry};
 use crate::optimizer::{joint_optimizer, Selection};
+use crate::stream;
 use crate::training::{train, TrainingOptions, TrainingStats, TrainingTable};
 
 /// Pass as `max_threads` (or any `threads` argument) to let ARC use every
@@ -183,10 +184,9 @@ impl ArcContext {
     /// (§5.2: "the user can ignore these suggestions"); `threads` is capped
     /// at the context's `max_threads`, which [`ANY_THREADS`] (0) selects.
     ///
-    /// The container comes from the v1 writer's single allocation
-    /// (`container::mono_frame`); the ECC pass into it is timed on its
-    /// own so the throughput fed back into the training table measures what
-    /// training itself measures.
+    /// The container is [`crate::arc_engine_encode_sharded`]'s at 4 MiB
+    /// shards; its ECC passes are timed on their own so the throughput fed
+    /// back into the training table measures what training itself measures.
     pub fn encode_with(
         &self,
         data: &[u8],
@@ -194,17 +194,13 @@ impl ArcContext {
         threads: usize,
     ) -> Result<Vec<u8>, ArcError> {
         let threads = self.capped(threads);
-        let (scheme_id, scheme) = builtin_scheme(config);
-        let codec = ParallelCodec::new(scheme, threads)?;
-        let (mut out, hlen) = container::mono_frame(data, &codec, &scheme_id)?;
-        let t0 = std::time::Instant::now();
-        codec.encode_into(data, out.get_mut(hlen..).unwrap_or_default());
-        let seconds = t0.elapsed().as_secs_f64();
+        let (out, seconds) =
+            stream::encode_oneshot(data, builtin_scheme(config), threads, DEFAULT_SHARD_SIZE)?;
         // Fold the observed throughput back into the table so estimates
         // stay current (§5.1: arc_close "update[s] all cached
         // configurations with up-to-date versions gathered during normal
-        // ARC operations"). Skip degenerate timings.
-        if seconds > 1e-4 && !data.is_empty() {
+        // ARC operations"). Skip degenerate timings; an empty input has none.
+        if seconds > 1e-4 {
             let mbs = data.len() as f64 / 1e6 / seconds;
             let dec = self.table().get(&config, threads).map(|m| m.decode_mb_s);
             if let Some(dec) = dec {
@@ -414,6 +410,45 @@ mod tests {
         let (encoded, _) = ctx.encode(&[], &EncodeRequest::default()).unwrap();
         let (decoded, _) = ctx.decode(&encoded).unwrap();
         assert!(decoded.is_empty());
+    }
+
+    #[test]
+    fn encode_with_is_the_one_shot_v2_writer() {
+        let ctx = ArcContext::init(test_options("one-writer")).unwrap();
+        let shard = 4 << 20;
+        for config in [EccConfig::secded(true), EccConfig::rs(32, 8).unwrap()] {
+            for len in [0, 100_000, 2 * shard + 12_345] {
+                let data = payload(len);
+                for threads in [1, 2] {
+                    let sharded =
+                        crate::engine::arc_engine_encode_sharded(&data, config, threads, shard)
+                            .unwrap();
+                    let got = ctx.encode_with(&data, config, threads).unwrap();
+                    assert!(got == sharded, "{config} len={len} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_output_serves_range_reads() {
+        let ctx = ArcContext::init(test_options("range")).unwrap();
+        let data = payload((4 << 20) + 100_000);
+        let (encoded, _) = ctx.encode(&data, &EncodeRequest::default()).unwrap();
+        let mut reader = crate::reader::ArcReader::open(&encoded, 1).unwrap();
+        assert_eq!(reader.shard_count(), 2);
+        let (range, _) = reader.decode_range((4 << 20) - 10, 50).unwrap();
+        assert_eq!(range, data[(4 << 20) - 10..(4 << 20) + 40]);
+    }
+
+    #[test]
+    fn encode_with_feeds_back_one_sample() {
+        let ctx = ArcContext::init(test_options("feedback")).unwrap();
+        let config = EccConfig::secded(true);
+        let samples = || ctx.table().get(&config, 2).unwrap().samples;
+        let before = samples();
+        ctx.encode_with(&payload(4 << 20), config, 2).unwrap();
+        assert_eq!(samples(), before + 1);
     }
 
     #[test]

@@ -6,21 +6,21 @@
 //! container, through the one-shot decoders or `ArcReader`.
 //!
 //! * [`StreamEncoder`] — **the v2 writer**: accepts data in arbitrary-size
-//!   pushes, encodes full shards in groups of up to `threads` through
-//!   [`par_map`] (a group is encoded and written before the next one
-//!   starts, so peak memory is O(threads × shard) regardless of input
-//!   size), and emits v2 container bytes to a [`StreamSink`]. Shard
-//!   payloads are per-shard [`ParallelCodec::encode_into`] regions. The
-//!   one-shot sharded encoders are one push through this encoder into an
+//!   pushes, encodes full shards in groups of up to `threads`, each group
+//!   one [`ParallelCodec::encode_many_into`] chunk pass (so peak memory is
+//!   O(threads × shard) regardless of input size), and emits v2 container
+//!   bytes to a [`StreamSink`]. `arc_encode` and the one-shot sharded
+//!   encoders are its groups cut straight from the input into an
 //!   exactly-sized `Vec` (`encode_oneshot`), so no second writer exists to
 //!   keep in step.
 //! * [`encode_batch`] — coalesces many small independent requests into one
 //!   chunk pass so requests below the per-scheme bytes-per-thread floor
 //!   still fill all workers in aggregate.
 
+use std::time::Instant;
+
 use arc_ecc::bits::{chunked, copy_prefix};
 use arc_ecc::crc::crc32;
-use arc_ecc::parallel::{par_map, resolve_threads};
 use arc_ecc::{EccConfig, ParallelCodec};
 
 use crate::container::{self, Codec, ContainerMeta, ShardEntry, ShardingMeta, DEFAULT_SHARD_SIZE};
@@ -60,7 +60,7 @@ impl StreamSink for Vec<u8> {
 /// Tuning knobs for [`StreamEncoder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamOptions {
-    /// Threads for shard ECC (`0` = all available cores, as
+    /// Shards per group and workers for its ECC pass (`0` = all cores, as
     /// [`arc_ecc::ANY_THREADS`]; `1` = encode inline on the pushing
     /// thread, nothing spawned). Peak buffering is O(`threads` × shard).
     pub threads: usize,
@@ -83,8 +83,8 @@ pub struct StreamEncodeStats {
     pub container_len: usize,
     /// Shards emitted.
     pub shards: usize,
-    /// Threads shard groups were encoded on (always ≥ 1; `0` has been
-    /// resolved, as [`ParallelCodec::threads`]).
+    /// Thread count the shard groups were encoded at (always ≥ 1; `0` has
+    /// been resolved, as [`ParallelCodec::threads`]).
     pub workers: usize,
 }
 
@@ -107,17 +107,16 @@ pub struct StreamEncodeStats {
 pub struct StreamEncoder<S: StreamSink> {
     sink: S,
     scheme_id: String,
-    /// Sequential codec: shard geometry, and the per-shard encode each
-    /// group member runs (parallelism is across the group's shards).
+    /// The codec at the resolved thread count: a group holds up to
+    /// `codec.threads()` shards, encoded as one chunk pass.
     codec: Codec,
     shard_size: usize,
-    workers: usize,
     hlen: usize,
     /// The shard being filled from pushes smaller than a shard.
     staging: Vec<u8>,
-    /// Full staged shards waiting for their group (always < `workers`: the
-    /// shard that completes a group is encoded from `staging` itself), and
-    /// cleared buffers to stage into next.
+    /// Full staged shards waiting for their group (always fewer than a
+    /// group: the shard that completes one is encoded from `staging`
+    /// itself), and cleared buffers to stage into next.
     parked: Vec<Vec<u8>>,
     spare: Vec<Vec<u8>>,
     /// One encoded-shard buffer per group member, reused across groups.
@@ -125,6 +124,8 @@ pub struct StreamEncoder<S: StreamSink> {
     data_len: usize,
     payload_pos: usize,
     entries: Vec<ShardEntry>,
+    /// Seconds in the groups' ECC passes alone: `arc_encode`'s feedback.
+    ecc_seconds: f64,
 }
 
 impl<S: StreamSink> StreamEncoder<S> {
@@ -152,7 +153,7 @@ impl<S: StreamSink> StreamEncoder<S> {
         if opts.shard_size == 0 {
             return Err(ArcError::InvalidRequest("shard size must be >= 1".into()));
         }
-        let codec = ParallelCodec::new(scheme, 1)?;
+        let codec = ParallelCodec::new(scheme, opts.threads)?;
         // The header length is a pure function of the scheme id and the
         // sharded flag, so the payload region can start before any length
         // field is known; `finish` back-patches the real header at 0.
@@ -169,15 +170,15 @@ impl<S: StreamSink> StreamEncoder<S> {
             scheme_id,
             codec,
             shard_size: opts.shard_size,
-            workers: resolve_threads(opts.threads),
             hlen: container::header_len(&meta),
-            staging: Vec::with_capacity(opts.shard_size),
+            staging: Vec::new(),
             parked: Vec::new(),
             spare: Vec::new(),
             outs: Vec::new(),
             data_len: 0,
             payload_pos: 0,
             entries: Vec::new(),
+            ecc_seconds: 0.0,
         })
     }
 
@@ -194,7 +195,8 @@ impl<S: StreamSink> StreamEncoder<S> {
             if self.staging.is_empty() && bytes.len() >= self.shard_size {
                 // Parked shards come first in stream order, so they share
                 // the group and the caller's slice only tops it up.
-                let n = (bytes.len() / self.shard_size).min(self.workers - self.parked.len());
+                let n =
+                    (bytes.len() / self.shard_size).min(self.codec.threads() - self.parked.len());
                 let (whole, rest) =
                     bytes.split_at_checked(n * self.shard_size).unwrap_or((bytes, &[]));
                 self.encode_group(whole)?;
@@ -203,12 +205,14 @@ impl<S: StreamSink> StreamEncoder<S> {
             }
             let room = self.shard_size - self.staging.len();
             let (head, rest) = bytes.split_at_checked(room).unwrap_or((bytes, &[]));
+            // Bounded: one shard of the caller's size, reserved when first staged.
+            self.staging.reserve_exact(room);
             self.staging.extend_from_slice(head);
             bytes = rest;
             if self.staging.len() < self.shard_size {
                 continue;
             }
-            if self.parked.len() + 1 == self.workers {
+            if self.parked.len() + 1 == self.codec.threads() {
                 self.encode_group(&[])?;
             } else {
                 // Bounded: encoder-side staging: one shard of the caller's chosen size.
@@ -220,9 +224,9 @@ impl<S: StreamSink> StreamEncoder<S> {
     }
 
     /// Encode one group — the parked shards, the staged shard if there is
-    /// one, then the shards of `whole` — on up to `workers` threads, then
-    /// write the group to the sink in stream order. At most `workers`
-    /// shards per call.
+    /// one, then the shards of `whole` — as one chunk pass on up to
+    /// `codec.threads()` workers, then write the group to the sink in
+    /// stream order. At most `codec.threads()` shards per call.
     fn encode_group(&mut self, whole: &[u8]) -> Result<(), ArcError> {
         let first = self.entries.len();
         let staged = Some(&self.staging).filter(|shard| !shard.is_empty());
@@ -234,7 +238,7 @@ impl<S: StreamSink> StreamEncoder<S> {
             .chain(chunked(whole, self.shard_size));
         let members = sources.clone().count();
         if self.outs.len() < members {
-            // Bounded: a group never exceeds `workers` shards.
+            // Bounded: a group never exceeds `codec.threads()` shards.
             self.outs.resize_with(members, Vec::new);
         }
         // Assign every shard its payload offset up front: the offsets are
@@ -254,21 +258,15 @@ impl<S: StreamSink> StreamEncoder<S> {
             // Bounded: encoded_len computed by the codec from the caller's shard, not decoded input.
             out.resize(encoded_len, 0);
         }
-        let codec = &self.codec;
+        let mut pairs: Vec<(&[u8], &mut [u8])> =
+            sources.zip(self.outs.iter_mut().map(Vec::as_mut_slice)).collect();
+        let t0 = Instant::now();
+        self.codec.encode_many_into(&mut pairs);
+        self.ecc_seconds += t0.elapsed().as_secs_f64();
         // Under device RS the shard's CRC is the combine of the device CRCs
         // the encode just wrote; other schemes' shards are hashed here.
-        let encode_shard = |shard: &[u8], out: &mut [u8], entry: &mut ShardEntry| {
-            codec.encode_into(shard, out);
-            entry.crc = codec.data_crc(out, shard.len()).unwrap_or_else(|| crc32(shard));
-        };
-        let jobs = sources.zip(&mut self.outs).zip(self.entries.iter_mut().skip(first));
-        if self.workers > 1 {
-            let mut jobs: Vec<_> = jobs.collect();
-            par_map(self.workers, &mut jobs, |((shard, out), entry)| {
-                encode_shard(shard, out, entry)
-            });
-        } else {
-            jobs.for_each(|((shard, out), entry)| encode_shard(shard, out, entry));
+        for ((shard, out), entry) in pairs.iter().zip(self.entries.iter_mut().skip(first)) {
+            entry.crc = self.codec.data_crc(out, shard.len()).unwrap_or_else(|| crc32(shard));
         }
         for (out, entry) in self.outs.iter().zip(self.entries.iter().skip(first)) {
             self.sink.write_at(self.hlen + entry.offset, out)?;
@@ -313,28 +311,34 @@ impl<S: StreamSink> StreamEncoder<S> {
             data_len: self.data_len,
             container_len: istart + 3 * index.len(),
             shards: self.entries.len(),
-            workers: self.workers,
+            workers: self.codec.threads(),
         };
         Ok((self.sink, stats))
     }
 }
 
-/// One-shot v2 encode, the body of every `encode_sharded*` entry point:
-/// the whole input pushed once through a [`StreamEncoder`] whose sink is a
-/// `Vec` reserved to the container's exact length.
+/// One-shot v2 encode, the body of `arc_encode` and every `encode_sharded*`
+/// entry point: a [`StreamEncoder`] whose sink is a `Vec` reserved to the
+/// container's exact length, handed its groups straight from `data`.
+/// Returns the container and the seconds its ECC passes took.
 pub(crate) fn encode_oneshot(
     data: &[u8],
     scheme: Resolved,
     threads: usize,
     shard_size: usize,
-) -> Result<Vec<u8>, ArcError> {
+) -> Result<(Vec<u8>, f64), ArcError> {
     let opts = StreamOptions { threads, shard_size };
     let mut enc = StreamEncoder::with_scheme(Vec::new(), scheme, opts)?;
     let index_len = container::index_encoded_len(data.len().div_ceil(shard_size))?;
     let payload_len = enc.codec.sharded_encoded_len(data.len(), shard_size);
     enc.sink.reserve_exact(enc.hlen + payload_len + 3 * index_len);
-    enc.push(data)?;
-    Ok(enc.finish()?.0)
+    // Nothing is staged: the tail shard ends the last group, not `finish`.
+    enc.data_len = data.len();
+    for group in chunked(data, enc.codec.threads().saturating_mul(shard_size)) {
+        enc.encode_group(group)?;
+    }
+    let seconds = enc.ecc_seconds;
+    Ok((enc.finish()?.0, seconds))
 }
 
 /// Encode many independent requests as one flat chunk pass.

@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use arc_core::container::unpack;
 use arc_core::engine::{arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded};
+use arc_core::{ArcContext, ArcOptions, TrainingOptions};
 use arc_ecc::EccConfig;
 
 struct CountingAlloc;
@@ -119,24 +120,46 @@ fn engine_container_path_allocation_bounds() {
     );
 
     // The one-shot v2 wrapper is one push through the streaming encoder
-    // into an exactly-sized sink: the container, the encoder's staging and
-    // output buffers ((threads + 1) encoded shards covers both at one
-    // thread), the index, header scratch. A sink that grew would allocate
-    // twice that.
+    // into an exactly-sized sink.
     let shard_size = 256 << 10;
     drop(arc_engine_encode_sharded(&data[..4096], cfg, 1, shard_size).unwrap());
     let (sharded, _, bytes) =
         counted(|| arc_engine_encode_sharded(&data, cfg, 1, shard_size).unwrap());
+    assert_one_shot_v2_bound(&sharded, bytes);
+    assert_eq!(arc_engine_decode(&sharded, 1).unwrap().0, data);
+
+    // `arc_encode` is the same one-shot v2 encode, at the default shard size;
+    // its throughput feedback into the training table is a constant.
+    let ctx = ArcContext::init(ArcOptions {
+        max_threads: 1,
+        cache_path: None,
+        training: TrainingOptions {
+            sample_bytes: 32 << 10,
+            rs_sample_bytes: 16 << 10,
+            space: vec![cfg],
+        },
+    })
+    .unwrap();
+    drop(ctx.encode_with(&data[..4096], cfg, 1).unwrap());
+    let (protected, _, bytes) = counted(|| ctx.encode_with(&data, cfg, 1).unwrap());
+    assert_one_shot_v2_bound(&protected, bytes);
+    assert_eq!(arc_engine_decode(&protected, 1).unwrap().0, data);
+}
+
+/// A one-shot v2 encode at one thread allocates the container, the
+/// encoder's staging and output buffers ((threads + 1) encoded shards
+/// covers both), the index and header scratch. A sink that grew would
+/// allocate twice that.
+fn assert_one_shot_v2_bound(container: &Vec<u8>, bytes: usize) {
     let (encoded_shard, index_len) = {
-        let u = unpack(&sharded).unwrap();
+        let u = unpack(container).unwrap();
         (u.index.unwrap().entries[0].encoded_len, u.meta.sharding.unwrap().index_len)
     };
     let threads = 1;
     assert!(
-        bytes < sharded.len() + (threads + 1) * encoded_shard + index_len + 8192,
+        bytes < container.len() + (threads + 1) * encoded_shard + index_len + 8192,
         "one-shot v2 encode allocated {bytes} bytes for a {} byte container",
-        sharded.len()
+        container.len()
     );
-    assert_eq!(sharded.capacity(), sharded.len(), "sink was not reserved to the exact length");
-    assert_eq!(arc_engine_decode(&sharded, 1).unwrap().0, data);
+    assert_eq!(container.capacity(), container.len(), "sink was not reserved to the exact length");
 }

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use arc_core::stream::{StreamEncoder, StreamOptions};
-use arc_core::{arc_engine_decode, arc_engine_encode, encode_batch};
+use arc_core::{arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded, encode_batch};
 use arc_ecc::EccConfig;
 
 fn arb_config() -> impl Strategy<Value = EccConfig> {
@@ -59,8 +59,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The container is a function of the input alone: any partition of
-    /// the input into pushes and any thread count give the single-push
-    /// inline bytes, which decode to the input.
+    /// the input into pushes, any thread count and the one-shot encode,
+    /// which stages nothing, give the single-push inline bytes, which
+    /// decode to the input.
     #[test]
     fn stream_encode_is_independent_of_partition_and_threads(
         config in arb_config(),
@@ -79,6 +80,8 @@ proptest! {
         prop_assert_eq!(stats.data_len, data_len);
         prop_assert_eq!(stats.container_len, reference.len());
         prop_assert_eq!(stats.shards, data_len.div_ceil(shard_size));
+        let oneshot = arc_engine_encode_sharded(&data, config, threads, shard_size).unwrap();
+        prop_assert_eq!(&oneshot, &reference);
 
         let (decoded, report) = arc_engine_decode(&reference, 1).unwrap();
         prop_assert_eq!(&decoded, &data);

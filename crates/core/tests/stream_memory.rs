@@ -136,7 +136,9 @@ fn output_is_deterministic_across_threads() {
 /// Peak allocation during a streaming encode of a 64 MiB input is bounded
 /// by the group geometry — a small multiple of (threads × encoded shard) —
 /// and nowhere near the input (or container) size the one-shot path
-/// needs. This is the bounded-memory contract of DESIGN.md §14.
+/// needs. This is the bounded-memory contract of DESIGN.md §14. At two
+/// threads each group of two shards is one chunk pass on two workers, so
+/// the bound holds with the chunk workers running.
 #[test]
 fn peak_memory_is_threads_by_shard_not_input_sized() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());

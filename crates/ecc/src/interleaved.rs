@@ -205,11 +205,14 @@ impl EccScheme for Interleaved {
             });
         }
         // Recomputed parity equals stored parity exactly when the codeword
-        // is clean (`RsCodeword::is_clean`); the others are suspects.
-        let mut suspects = Vec::new();
+        // is clean (`RsCodeword::is_clean`); the others are suspects, and
+        // their difference is the remainder the repair starts from.
+        let (mut suspects, mut rems) = (Vec::new(), Vec::new());
         self.for_each_parity(data, |j, m, computed| {
-            if parity.get(self.slot(data.len(), j, m)) != Some(computed) {
-                suspects.push((j, m));
+            let stored = parity.get(self.slot(data.len(), j, m)).unwrap_or_default();
+            if stored != computed {
+                suspects.push((j, m, rems.len()));
+                rems.extend(computed.iter().zip(stored).map(|(c, s)| c ^ s));
             }
         });
         // Lane by lane, so the first codeword beyond repair names the error.
@@ -217,17 +220,18 @@ impl EccScheme for Interleaved {
         let blocks_checked = self.codewords(data.len(), self.depth) as u64;
         let mut report = CorrectionReport { blocks_checked, ..Default::default() };
         let mut msg = [0u8; MAX_CODEWORD];
-        for (j, m) in suspects {
+        for (j, m, at) in suspects {
             let first = m * self.message_len() * self.depth + j;
             let lane = data.iter().skip(first).step_by(self.depth).take(self.message_len());
             let slot = parity.get_mut(self.slot(data.len(), j, m));
+            let rem = rems.get(at..at + self.nsym()).unwrap_or_default();
             let (msg, Some(slot)) = (gather(lane, &mut msg), slot) else {
                 continue;
             };
             // Symbol-granular repairs are tallied as corrected_bits (one per
             // repaired byte), mirroring the container header's
             // symbols-corrected accounting.
-            report.corrected_bits += self.rs.repair(msg, slot)? as u64;
+            report.corrected_bits += self.rs.repair(msg, slot, rem)? as u64;
             for (dst, src) in data.iter_mut().skip(first).step_by(self.depth).zip(msg.iter()) {
                 *dst = *src;
             }

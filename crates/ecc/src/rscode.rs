@@ -191,7 +191,8 @@ impl RsCodeword {
             return Err(self.bad_length(n));
         };
         copy_prefix(codeword, received);
-        let fixed = self.correct_in_place(codeword)?;
+        let rem = self.remainder(codeword);
+        let fixed = self.correct_in_place(codeword, rem.get(..self.nsym).unwrap_or_default())?;
         Ok((codeword.get(..n - self.nsym).unwrap_or_default().to_vec(), fixed))
     }
 
@@ -201,15 +202,22 @@ impl RsCodeword {
         }
     }
 
-    /// Verify `msg ‖ parity` held in two places and repair both in place;
+    /// Repair `msg ‖ parity`, held in two places, in place, given its
+    /// remainder `rem` (`nsym` symbols: the parity recomputed from `msg`
+    /// XOR the stored `parity`, as a scan that just compared them has it);
     /// on an error neither is touched. Returns the symbols repaired.
-    pub(crate) fn repair(&self, msg: &mut [u8], parity: &mut [u8]) -> Result<usize, EccError> {
+    pub(crate) fn repair(
+        &self,
+        msg: &mut [u8],
+        parity: &mut [u8],
+        rem: &[u8],
+    ) -> Result<usize, EccError> {
         let (n, mut buf) = (msg.len() + parity.len(), [0u8; MAX_CODEWORD]);
         let Some(codeword) = buf.get_mut(..n) else { return Err(self.bad_length(n)) };
         for (c, b) in codeword.iter_mut().zip(msg.iter().chain(parity.iter())) {
             *c = *b;
         }
-        let fixed = self.correct_in_place(codeword)?;
+        let fixed = self.correct_in_place(codeword, rem)?;
         for (b, c) in msg.iter_mut().chain(parity.iter_mut()).zip(codeword.iter()) {
             *b = *c;
         }
@@ -217,17 +225,16 @@ impl RsCodeword {
     }
 
     /// Verify one received codeword and repair up to ⌊nsym/2⌋ unknown
-    /// errors in place, on stack registers: syndromes from the remainder
-    /// the clean test computes, Berlekamp–Massey, Chien search and Forney,
-    /// then the clean test again. Returns the symbols repaired; on an error
-    /// the codeword may be partly rewritten.
-    fn correct_in_place(&self, codeword: &mut [u8]) -> Result<usize, EccError> {
+    /// errors in place, on stack registers: syndromes from its remainder
+    /// `rem` (`nsym` symbols, the recomputed parity XOR the stored one, which
+    /// every caller already holds), Berlekamp–Massey, Chien search and
+    /// Forney, then the clean test again. Returns the symbols repaired; on
+    /// an error the codeword may be partly rewritten.
+    fn correct_in_place(&self, codeword: &mut [u8], rem: &[u8]) -> Result<usize, EccError> {
         let (n, nsym) = (codeword.len(), self.nsym);
-        if n <= nsym || n > MAX_CODEWORD {
+        if n <= nsym || n > MAX_CODEWORD || rem.len() != nsym {
             return Err(self.bad_length(n));
         }
-        let rem = self.remainder(codeword);
-        let rem = rem.get(..nsym).unwrap_or_default();
         if rem.iter().all(|&r| r == 0) {
             return Ok(0);
         }
@@ -505,7 +512,8 @@ mod tests {
         }
         let what = format!("nsym={nsym} n={n} errors={errors}");
         let (mut got, mut want) = (received.clone(), received.clone());
-        let result = rs.correct_in_place(&mut got);
+        let rem = rs.remainder(&got);
+        let result = rs.correct_in_place(&mut got, &rem[..nsym]);
         assert_eq!(result, oracle::decode(nsym, &mut want), "{what}");
         match result {
             Ok(fixed) => {
@@ -572,13 +580,16 @@ mod tests {
         let (mut m, mut p) = (msg.clone(), cw[40..].to_vec());
         m[3] ^= 0x40;
         p[7] ^= 0x01;
-        assert_eq!(rs.repair(&mut m, &mut p), Ok(2));
+        let rem = |m: &[u8], p: &[u8]| rs.remainder(&[m, p].concat())[..8].to_vec();
+        let r = rem(&m, &p);
+        assert_eq!(rs.repair(&mut m, &mut p, &r), Ok(2));
         assert_eq!((&m[..], &p[..]), (&msg[..], &cw[40..]));
         for b in &mut m[..5] {
             *b ^= 0xFF;
         }
         let before = (m.clone(), p.clone());
-        assert!(rs.repair(&mut m, &mut p).is_err());
+        let r = rem(&m, &p);
+        assert!(rs.repair(&mut m, &mut p, &r).is_err());
         assert_eq!((m, p), before);
     }
 

@@ -9,7 +9,8 @@
 #                                    the golden suites in release, arc-ecc's
 #                                    tests, the golden suites and the
 #                                    hostile-input sweep under
-#                                    AddressSanitizer (nightly), the
+#                                    AddressSanitizer (nightly) and with
+#                                    overflow checks on, the
 #                                    #[ignore]d deep differentials (bit
 #                                    path, LZ match finder, SZ element loops,
 #                                    codeword-RS lane kernel and decoder,
@@ -93,6 +94,13 @@ if (( full )); then
     else
         echo "    skipped: no nightly toolchain (rustup toolchain install nightly)"
     fi
+
+    echo "==> hostile-input sweep with overflow checks (RUSTFLAGS=-C overflow-checks=on)"
+    # A release build wraps integer overflow silently; this one panics on it,
+    # and the sweep counts a panic as a violation. Its own target dir keeps
+    # the flag from invalidating the main release build.
+    RUSTFLAGS="-C overflow-checks=on" cargo run --release -q --target-dir target/overflow-checks \
+        -p arc-bench --bin hostile_corpus
 
     echo "==> deep differentials: cargo test --release -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -p arc-pressio -- --ignored"
     cargo test --release -q -p arc-lossless -p arc-zfp -p arc-sz -p arc-ecc -p arc-pressio -- --ignored
