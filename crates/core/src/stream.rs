@@ -7,19 +7,20 @@
 //!
 //! * [`StreamEncoder`] — **the v2 writer**: accepts data in arbitrary-size
 //!   pushes, encodes full shards in groups of up to `threads`, each group
-//!   one [`ParallelCodec::encode_many_into`] chunk pass (so peak memory is
-//!   O(threads × shard) regardless of input size), and emits v2 container
-//!   bytes to a [`StreamSink`]. `arc_encode` and the one-shot sharded
-//!   encoders are its groups cut straight from the input into an
-//!   exactly-sized `Vec` (`encode_oneshot`), so no second writer exists to
-//!   keep in step.
+//!   one [`ParallelCodec::encode_many_into`] chunk pass into one buffer laid
+//!   out as the container lays it out, and hands that buffer to a
+//!   [`StreamSink`] in one write. Its two buffers, one group of input and
+//!   one of output, keep peak memory at O(threads × shard) regardless of
+//!   input size. `arc_encode` and the one-shot sharded encoders are its
+//!   groups cut straight from the input into an exactly-sized `Vec`
+//!   (`encode_oneshot`), so no second writer exists to keep in step.
 //! * [`encode_batch`] — coalesces many small independent requests into one
 //!   chunk pass so requests below the per-scheme bytes-per-thread floor
 //!   still fill all workers in aggregate.
 
 use std::time::Instant;
 
-use arc_ecc::bits::{chunked, copy_prefix};
+use arc_ecc::bits::{chunked, chunked_mut, copy_prefix};
 use arc_ecc::crc::crc32;
 use arc_ecc::{EccConfig, ParallelCodec};
 
@@ -29,30 +30,34 @@ use crate::extension::{builtin_scheme, ExtensionRegistry, Resolved};
 
 /// Positional byte sink for streaming encode output.
 ///
-/// The encoder emits shard payloads group by group and back-patches the
-/// header (whose length fields are only known at [`StreamEncoder::finish`])
-/// at offset 0, so the sink must support positional writes rather than
-/// append-only ones. Offsets are contiguous in aggregate: every byte of
-/// `0..container_len` is written exactly once.
+/// The encoder emits shard payloads one write per group and back-patches
+/// the header (whose length fields are only known at
+/// [`StreamEncoder::finish`]) at offset 0, so the sink must support
+/// positional writes rather than append-only ones. Offsets are contiguous
+/// in aggregate: every byte of `0..container_len` is written exactly once.
 pub trait StreamSink {
     /// Write `bytes` at absolute `offset`, growing the sink if needed.
     fn write_at(&mut self, offset: usize, bytes: &[u8]) -> Result<(), ArcError>;
 }
 
+/// Overwrites the part of a write inside the current length (the header
+/// back-patch) and appends the rest; only a gap before `offset` is
+/// zero-filled, never the bytes about to be written.
 impl StreamSink for Vec<u8> {
     fn write_at(&mut self, offset: usize, bytes: &[u8]) -> Result<(), ArcError> {
-        let end = offset
+        offset
             .checked_add(bytes.len())
             .ok_or_else(|| ArcError::InvalidRequest("sink offset overflows".into()))?;
-        if self.len() < end {
-            // Bounded: encoder-side sink: grows only to the extent the encoder writes.
-            self.resize(end, 0);
+        let inside = self.len().saturating_sub(offset).min(bytes.len());
+        let (head, tail) = bytes.split_at_checked(inside).unwrap_or((bytes, &[]));
+        if let Some(dst) = self.get_mut(offset..offset + inside) {
+            copy_prefix(dst, head);
         }
-        let dst = self.get_mut(offset..end);
-        copy_prefix(
-            dst.ok_or_else(|| ArcError::InvalidRequest("sink range unwritable".into()))?,
-            bytes,
-        );
+        if !tail.is_empty() {
+            // Bounded: encoder-side sink: grows only to the extent the encoder writes.
+            self.resize(self.len().max(offset), 0);
+            self.extend_from_slice(tail);
+        }
         Ok(())
     }
 }
@@ -112,15 +117,13 @@ pub struct StreamEncoder<S: StreamSink> {
     codec: Codec,
     shard_size: usize,
     hlen: usize,
-    /// The shard being filled from pushes smaller than a shard.
-    staging: Vec<u8>,
-    /// Full staged shards waiting for their group (always fewer than a
-    /// group: the shard that completes one is encoded from `staging`
-    /// itself), and cleared buffers to stage into next.
-    parked: Vec<Vec<u8>>,
-    spare: Vec<Vec<u8>>,
-    /// One encoded-shard buffer per group member, reused across groups.
-    outs: Vec<Vec<u8>>,
+    /// The next group's input: whole staged shards, then at most one
+    /// partial shard. It never holds a whole group: the shard that
+    /// completes one is encoded at once.
+    pending: Vec<u8>,
+    /// The group's encoded shards back to back, as the container lays them
+    /// out; reused from group to group.
+    encoded: Vec<u8>,
     data_len: usize,
     payload_pos: usize,
     entries: Vec<ShardEntry>,
@@ -171,10 +174,8 @@ impl<S: StreamSink> StreamEncoder<S> {
             codec,
             shard_size: opts.shard_size,
             hlen: container::header_len(&meta),
-            staging: Vec::new(),
-            parked: Vec::new(),
-            spare: Vec::new(),
-            outs: Vec::new(),
+            pending: Vec::new(),
+            encoded: Vec::new(),
             data_len: 0,
             payload_pos: 0,
             entries: Vec::new(),
@@ -186,64 +187,51 @@ impl<S: StreamSink> StreamEncoder<S> {
     /// push completed has been encoded and handed to the sink.
     ///
     /// Full shards that are entirely contained in `bytes` take a
-    /// zero-copy fast path: with no partial shard staged, they are encoded
-    /// straight from the caller's buffer, so large pushes skip the staging
-    /// memcpy entirely. Output bytes are identical either way.
+    /// zero-copy fast path: when `pending` holds only whole shards, they
+    /// top its group up straight from the caller's buffer, so large pushes
+    /// skip the staging memcpy entirely. Output bytes are identical either
+    /// way.
     pub fn push(&mut self, mut bytes: &[u8]) -> Result<(), ArcError> {
         self.data_len += bytes.len();
+        let threads = self.codec.threads();
         while !bytes.is_empty() {
-            if self.staging.is_empty() && bytes.len() >= self.shard_size {
-                // Parked shards come first in stream order, so they share
+            let (staged, partial) =
+                (self.pending.len() / self.shard_size, self.pending.len() % self.shard_size);
+            if partial == 0 && bytes.len() >= self.shard_size {
+                // Staged shards come first in stream order, so they share
                 // the group and the caller's slice only tops it up.
-                let n =
-                    (bytes.len() / self.shard_size).min(self.codec.threads() - self.parked.len());
+                let n = (bytes.len() / self.shard_size).min(threads - staged);
                 let (whole, rest) =
                     bytes.split_at_checked(n * self.shard_size).unwrap_or((bytes, &[]));
                 self.encode_group(whole)?;
                 bytes = rest;
                 continue;
             }
-            let room = self.shard_size - self.staging.len();
+            let room = self.shard_size - partial;
             let (head, rest) = bytes.split_at_checked(room).unwrap_or((bytes, &[]));
-            // Bounded: one shard of the caller's size, reserved when first staged.
-            self.staging.reserve_exact(room);
-            self.staging.extend_from_slice(head);
+            // Bounded: grows one shard of the caller's size at a time, up to
+            // `threads` shards: the shard that completes a group encodes it.
+            self.pending.reserve_exact(room);
+            self.pending.extend_from_slice(head);
             bytes = rest;
-            if self.staging.len() < self.shard_size {
-                continue;
-            }
-            if self.parked.len() + 1 == self.codec.threads() {
+            if self.pending.len() / self.shard_size == threads {
                 self.encode_group(&[])?;
-            } else {
-                // Bounded: encoder-side staging: one shard of the caller's chosen size.
-                let next = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(self.shard_size));
-                self.parked.push(std::mem::replace(&mut self.staging, next));
             }
         }
         Ok(())
     }
 
-    /// Encode one group — the parked shards, the staged shard if there is
-    /// one, then the shards of `whole` — as one chunk pass on up to
-    /// `codec.threads()` workers, then write the group to the sink in
-    /// stream order. At most `codec.threads()` shards per call.
+    /// Encode one group — the shards in `pending`, then the shards of
+    /// `whole` — as one chunk pass on up to `codec.threads()` workers into
+    /// `encoded`, then hand the group to the sink in one write. At most
+    /// `codec.threads()` shards per call.
     fn encode_group(&mut self, whole: &[u8]) -> Result<(), ArcError> {
-        let first = self.entries.len();
-        let staged = Some(&self.staging).filter(|shard| !shard.is_empty());
-        let sources = self
-            .parked
-            .iter()
-            .chain(staged)
-            .map(Vec::as_slice)
-            .chain(chunked(whole, self.shard_size));
-        let members = sources.clone().count();
-        if self.outs.len() < members {
-            // Bounded: a group never exceeds `codec.threads()` shards.
-            self.outs.resize_with(members, Vec::new);
-        }
+        let (first, start) = (self.entries.len(), self.payload_pos);
+        let sources =
+            chunked(&self.pending, self.shard_size).chain(chunked(whole, self.shard_size));
         // Assign every shard its payload offset up front: the offsets are
         // what make the container independent of how the input was grouped.
-        for (shard, out) in sources.clone().zip(&mut self.outs) {
+        for shard in sources.clone() {
             let (decoded_len, encoded_len) = (shard.len(), self.codec.encoded_len(shard.len()));
             if encoded_len > u32::MAX as usize || decoded_len > u32::MAX as usize {
                 return Err(ArcError::InvalidRequest(format!(
@@ -255,11 +243,14 @@ impl<S: StreamSink> StreamEncoder<S> {
                 .checked_add(encoded_len)
                 .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
             self.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc: 0 });
-            // Bounded: encoded_len computed by the codec from the caller's shard, not decoded input.
-            out.resize(encoded_len, 0);
         }
-        let mut pairs: Vec<(&[u8], &mut [u8])> =
-            sources.zip(self.outs.iter_mut().map(Vec::as_mut_slice)).collect();
+        // Bounded: at most `codec.threads()` shards, each encoded length
+        // computed by the codec from the caller's shard, not decoded input.
+        self.encoded.resize(self.payload_pos - start, 0);
+        // Every shard but a group's last is whole, so the encoded shards
+        // are cut at the whole-shard encoded length.
+        let dsts = chunked_mut(&mut self.encoded, self.codec.encoded_len(self.shard_size));
+        let mut pairs: Vec<(&[u8], &mut [u8])> = sources.zip(dsts).collect();
         let t0 = Instant::now();
         self.codec.encode_many_into(&mut pairs);
         self.ecc_seconds += t0.elapsed().as_secs_f64();
@@ -268,12 +259,8 @@ impl<S: StreamSink> StreamEncoder<S> {
         for ((shard, out), entry) in pairs.iter().zip(self.entries.iter_mut().skip(first)) {
             entry.crc = self.codec.data_crc(out, shard.len()).unwrap_or_else(|| crc32(shard));
         }
-        for (out, entry) in self.outs.iter().zip(self.entries.iter().skip(first)) {
-            self.sink.write_at(self.hlen + entry.offset, out)?;
-        }
-        self.staging.clear();
-        self.parked.iter_mut().for_each(Vec::clear);
-        self.spare.append(&mut self.parked);
+        self.sink.write_at(self.hlen + start, &self.encoded)?;
+        self.pending.clear();
         Ok(())
     }
 
@@ -380,5 +367,27 @@ mod tests {
         assert_eq!(stats.shards, 0);
         assert_eq!(stats.container_len, got.len());
         assert!(crate::engine::arc_engine_decode(&got, 1).unwrap().0.is_empty());
+    }
+
+    #[test]
+    fn vec_sink_appends_overwrites_and_zero_fills_only_a_gap() {
+        let mut sink = Vec::new();
+        // An append at the end.
+        sink.write_at(0, b"abcd").unwrap();
+        sink.write_at(4, b"ef").unwrap();
+        assert_eq!(sink, b"abcdef");
+        // An overwrite inside the buffer, as the header back-patch, and one
+        // that straddles the end.
+        sink.write_at(1, b"XY").unwrap();
+        assert_eq!(sink, b"aXYdef");
+        sink.write_at(5, b"ZZZ").unwrap();
+        assert_eq!(sink, b"aXYdeZZZ");
+        // A write past the end: the gap reads as zeros.
+        sink.write_at(10, b"gh").unwrap();
+        assert_eq!(sink, b"aXYdeZZZ\0\0gh");
+        // An overflowing offset is refused and changes nothing.
+        let err = sink.write_at(usize::MAX, b"i").unwrap_err();
+        assert!(matches!(err, ArcError::InvalidRequest(_)), "{err:?}");
+        assert_eq!(sink.len(), 12);
     }
 }

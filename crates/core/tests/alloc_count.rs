@@ -1,6 +1,7 @@
 //! Engine-level allocation accounting: the container encode path allocates
-//! one full-size buffer plus a small constant (header scratch), and the
-//! borrowing decode one payload-sized copy.
+//! one full-size buffer plus a small constant (header scratch), the
+//! borrowing decode one payload-sized copy, and the streaming encoder's
+//! staging grows a shard at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -8,6 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use arc_core::container::unpack;
 use arc_core::engine::{arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded};
+use arc_core::stream::{StreamEncoder, StreamOptions};
 use arc_core::{ArcContext, ArcOptions, TrainingOptions};
 use arc_ecc::EccConfig;
 
@@ -146,10 +148,34 @@ fn engine_container_path_allocation_bounds() {
     assert_eq!(arc_engine_decode(&protected, 1).unwrap().0, data);
 }
 
+/// A stream at four threads that is pushed less than one shard stages it
+/// in one shard's allocation, not a whole group's (`threads × shard`).
+#[test]
+fn staging_grows_a_shard_at_a_time() {
+    let shard_size = 256 << 10;
+    let data: Vec<u8> = (0..shard_size - 1).map(|i| (i * 7 + (i >> 9)) as u8).collect();
+    let opts = StreamOptions { threads: 4, shard_size };
+    let mut enc = StreamEncoder::new(Vec::new(), EccConfig::secded(true), opts).unwrap();
+    let ((), allocs, bytes) = counted(|| {
+        for piece in data.chunks(40_000) {
+            enc.push(piece).unwrap();
+        }
+    });
+    assert!(
+        bytes <= shard_size,
+        "pushing {} bytes allocated {bytes} bytes in {allocs} allocations: more than one \
+         {shard_size}-byte shard of staging",
+        data.len()
+    );
+    let (container, stats) = enc.finish().unwrap();
+    assert_eq!((stats.shards, stats.workers), (1, 4));
+    assert_eq!(arc_engine_decode(&container, 1).unwrap().0, data);
+}
+
 /// A one-shot v2 encode at one thread allocates the container, the
-/// encoder's staging and output buffers ((threads + 1) encoded shards
-/// covers both), the index and header scratch. A sink that grew would
-/// allocate twice that.
+/// encoder's encoded-group buffer (`threads` encoded shards, within the
+/// (threads + 1) allowed), the index and header scratch. A sink that grew
+/// would allocate twice that.
 fn assert_one_shot_v2_bound(container: &Vec<u8>, bytes: usize) {
     let (encoded_shard, index_len) = {
         let u = unpack(container).unwrap();

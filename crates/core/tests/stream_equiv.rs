@@ -131,12 +131,12 @@ fn every_builtin_scheme_streams_identically() {
     }
 }
 
-/// The one ordering hazard of group-of-`threads` encoding: shards parked
-/// in staging buffers precede, in stream order, whole shards that a later
-/// push offers straight from the caller's slice. Two half-shard pushes park
-/// one staged shard (threads = 3, so the group is not yet full); the next
-/// slice holds 2½ shards and must top that group up *behind* the parked
-/// shard, not overtake it.
+/// The one ordering hazard of group-of-`threads` encoding: whole shards
+/// staged in the pending buffer precede, in stream order, whole shards that
+/// a later push offers straight from the caller's slice. Two half-shard
+/// pushes stage one whole shard (threads = 3, so the group is not yet
+/// full); the next slice holds 2½ shards and must top that group up
+/// *behind* the staged shard, not overtake it.
 #[test]
 fn parked_shards_are_flushed_before_whole_shards_from_a_later_push() {
     // Not a divisor of `payload`'s 2048-byte period: every shard differs.

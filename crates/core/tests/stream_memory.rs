@@ -165,12 +165,13 @@ fn peak_memory_is_threads_by_shard_not_input_sized() {
     let workers = stats.workers;
     assert_eq!(workers, 2);
 
-    // Budget: staging + (one group + spares) × (plaintext + encoded) shard
-    // buffers, plus slack for the index/entries/job lists. For 2 threads,
-    // shard=4 MiB, SEC-DED(64) encoded ≈ 4.5 MiB this is ~40 MiB vs the
-    // 64 MiB input and ~72 MiB container.
+    // Budget: the encoder's two buffers, one group of plaintext shards
+    // staged and one group of encoded shards, plus slack for the
+    // index/entries/job lists. For 2 threads, shard=4 MiB, SEC-DED(64)
+    // encoded = 4.5 MiB this is 18 MiB vs the 64 MiB input and ~72 MiB
+    // container.
     let encoded_shard = shard_size + shard_size / 8;
-    let budget = shard_size + (workers + 2) * (shard_size + encoded_shard) + (1 << 20);
+    let budget = workers * (shard_size + encoded_shard) + (1 << 20);
     assert!(
         peak <= budget,
         "peak live bytes {peak} exceed group budget {budget} (threads={workers}, shard={shard_size})"

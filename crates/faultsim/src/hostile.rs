@@ -446,8 +446,7 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
         name: "sz".to_string(),
         streams: sz_streams,
         decode: Arc::new(|b, budget| {
-            let limits = arc_sz::DecodeLimits { max_elements: (budget / 4).max(1) };
-            arc_sz::decompress_with_limits(b, &limits)
+            arc_sz::decompress_with_limits(b, (budget / 4).max(1))
                 .map(|d| d.data.len() as u64 * 4)
                 .map_err(|e| e.to_string())
         }),
@@ -472,8 +471,7 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
         name: "zfp".to_string(),
         streams: zfp_streams,
         decode: Arc::new(|b, budget| {
-            let limits = arc_zfp::DecodeLimits { max_elements: (budget / 4).max(1) };
-            arc_zfp::decompress_with_limits(b, &limits)
+            arc_zfp::decompress_with_limits(b, (budget / 4).max(1))
                 .map(|d| d.data.len() as u64 * 4)
                 .map_err(|e| e.to_string())
         }),

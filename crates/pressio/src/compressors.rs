@@ -257,13 +257,11 @@ pub fn decompress(bytes: &[u8], max_elements: u64) -> Result<DecodedDataset, Pre
     }
     let (data, dims) = match Codec::of(bytes)? {
         Codec::Sz => {
-            let out =
-                arc_sz::decompress_with_limits(bytes, &arc_sz::DecodeLimits { max_elements })?;
+            let out = arc_sz::decompress_with_limits(bytes, max_elements)?;
             (out.data, out.dims)
         }
         Codec::Zfp => {
-            let limits = arc_zfp::DecodeLimits { max_elements };
-            let out = arc_zfp::decompress_with_limits(bytes, &limits)?;
+            let out = arc_zfp::decompress_with_limits(bytes, max_elements)?;
             (out.data, out.dims)
         }
     };

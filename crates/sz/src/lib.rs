@@ -89,22 +89,6 @@ impl Default for SzConfig {
     }
 }
 
-/// Decode-side resource limits. The element budget is the Timeout guard: a
-/// corrupted dimension field that demands implausible work must surface as
-/// [`SzError::WorkBudgetExceeded`] rather than grinding "near infinitely"
-/// (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeLimits {
-    /// Maximum output elements the caller will accept.
-    pub max_elements: u64,
-}
-
-impl Default for DecodeLimits {
-    fn default() -> Self {
-        DecodeLimits { max_elements: 1 << 31 }
-    }
-}
-
 /// A decompressed dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SzDecoded {
@@ -441,25 +425,28 @@ impl ElementDecoder<'_> {
     }
 }
 
-/// Decompress with default limits.
+/// Decompress with the default budget of 2³¹ elements.
 pub fn decompress(bytes: &[u8]) -> Result<SzDecoded, SzError> {
-    decompress_with_limits(bytes, &DecodeLimits::default())
+    decompress_with_limits(bytes, 1 << 31)
 }
 
-/// Decompress with explicit resource limits.
-pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<SzDecoded, SzError> {
-    let n = element_budget(&Header::read(bytes, &mut 0)?, limits)?;
-    // Bounded: n <= limits.max_elements checked by element_budget.
+/// Decompress, accepting at most `max_elements` output elements. The
+/// element budget is the Timeout guard: a corrupted dimension field that
+/// demands implausible work must surface as [`SzError::WorkBudgetExceeded`]
+/// rather than grinding "near infinitely" (§4.2).
+pub fn decompress_with_limits(bytes: &[u8], max_elements: u64) -> Result<SzDecoded, SzError> {
+    let n = element_budget(&Header::read(bytes, &mut 0)?, max_elements)?;
+    // Bounded: n <= max_elements checked by element_budget.
     let mut data = vec![0.0f32; n];
     let dims = decompress_into(bytes, &mut data)?;
     Ok(SzDecoded { data, dims })
 }
 
-/// The header's element count, if it is within `limits`.
-fn element_budget(header: &Header, limits: &DecodeLimits) -> Result<usize, SzError> {
+/// The header's element count, if it is at most `max_elements`.
+fn element_budget(header: &Header, max_elements: u64) -> Result<usize, SzError> {
     let n = header.element_count();
-    if n > limits.max_elements {
-        return Err(SzError::WorkBudgetExceeded { demanded: n, budget: limits.max_elements });
+    if n > max_elements {
+        return Err(SzError::WorkBudgetExceeded { demanded: n, budget: max_elements });
     }
     usize::try_from(n).map_err(|_| SzError::Malformed(format!("{n} elements overflow usize")))
 }
@@ -472,7 +459,7 @@ fn element_budget(header: &Header, limits: &DecodeLimits) -> Result<usize, SzErr
 pub fn decompress_into(bytes: &[u8], out: &mut [f32]) -> Result<Vec<usize>, SzError> {
     let mut pos = 0usize;
     let header = Header::read(bytes, &mut pos)?;
-    let n = element_budget(&header, &DecodeLimits { max_elements: out.len() as u64 })?;
+    let n = element_budget(&header, out.len() as u64)?;
     if out.len() != n {
         return Err(SzError::Malformed(format!("stream holds {n} elements, output {}", out.len())));
     }
@@ -724,8 +711,7 @@ mod tests {
         let data = smooth_2d(32, 32);
         let cfg = SzConfig { bound: ErrorBound::Abs(0.01), ..Default::default() };
         let c = compress(&data, &[32, 32], &cfg).unwrap();
-        let limits = DecodeLimits { max_elements: 100 };
-        match decompress_with_limits(&c, &limits) {
+        match decompress_with_limits(&c, 100) {
             Err(SzError::WorkBudgetExceeded { demanded, budget }) => {
                 assert_eq!(demanded, 1024);
                 assert_eq!(budget, 100);
@@ -742,7 +728,7 @@ mod tests {
         for i in (0..c.len()).step_by(7) {
             let mut bad = c.clone();
             bad[i] ^= 1 << (i % 8);
-            let _ = decompress_with_limits(&bad, &DecodeLimits { max_elements: 1 << 22 });
+            let _ = decompress_with_limits(&bad, 1 << 22);
         }
     }
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use arc_sz::{compress, decompress, decompress_with_limits, DecodeLimits, ErrorBound, SzConfig};
+use arc_sz::{compress, decompress, decompress_with_limits, ErrorBound, SzConfig};
 
 fn arb_grid() -> impl Strategy<Value = (Vec<usize>, Vec<f32>)> {
     (1usize..=3).prop_flat_map(|d| proptest::collection::vec(1usize..24, d)).prop_flat_map(|dims| {
@@ -72,13 +72,12 @@ proptest! {
             let p = idx.index(packed.len());
             packed[p] ^= xor;
         }
-        let limits = DecodeLimits { max_elements: 1 << 20 };
-        let _ = decompress_with_limits(&packed, &limits);
+        let _ = decompress_with_limits(&packed, 1 << 20);
     }
 
     #[test]
     fn decoder_never_panics_on_garbage(noise in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decompress_with_limits(&noise, &DecodeLimits { max_elements: 1 << 16 });
+        let _ = decompress_with_limits(&noise, 1 << 16);
     }
 
     #[test]

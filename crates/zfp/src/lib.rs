@@ -107,19 +107,6 @@ impl ZfpMode {
     }
 }
 
-/// Decode-side resource limits (Timeout guard, as in `arc-sz`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeLimits {
-    /// Maximum output elements accepted.
-    pub max_elements: u64,
-}
-
-impl Default for DecodeLimits {
-    fn default() -> Self {
-        DecodeLimits { max_elements: 1 << 31 }
-    }
-}
-
 /// A decompressed dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZfpDecoded {
@@ -299,16 +286,17 @@ fn encode_one_block(
     }
 }
 
-/// Decompress with default limits.
+/// Decompress with the default budget of 2³¹ elements.
 pub fn decompress(bytes: &[u8]) -> Result<ZfpDecoded, ZfpError> {
-    decompress_with_limits(bytes, &DecodeLimits::default())
+    decompress_with_limits(bytes, 1 << 31)
 }
 
-/// Decompress with explicit limits.
-pub fn decompress_with_limits(bytes: &[u8], limits: &DecodeLimits) -> Result<ZfpDecoded, ZfpError> {
-    let info = shard::StreamInfo::read(bytes, limits.max_elements)?;
+/// Decompress, accepting at most `max_elements` output elements (the
+/// Timeout guard, as in `arc-sz`).
+pub fn decompress_with_limits(bytes: &[u8], max_elements: u64) -> Result<ZfpDecoded, ZfpError> {
+    let info = shard::StreamInfo::read(bytes, max_elements)?;
     let grid = Grid::new(&info.dims).ok_or_else(|| ZfpError::Malformed("invalid dims".into()))?;
-    // Bounded: StreamInfo::read checked the element count against limits.max_elements.
+    // Bounded: StreamInfo::read checked the element count against max_elements.
     let mut data = vec![0.0f32; grid.len()];
     let dims = decompress_into(bytes, &mut data)?;
     Ok(ZfpDecoded { data, dims })
@@ -581,7 +569,7 @@ mod tests {
             for i in (0..c.len()).step_by(5) {
                 let mut bad = c.clone();
                 bad[i] ^= 1 << (i % 8);
-                let _ = decompress_with_limits(&bad, &DecodeLimits { max_elements: 1 << 20 });
+                let _ = decompress_with_limits(&bad, 1 << 20);
             }
         }
     }
@@ -599,7 +587,7 @@ mod tests {
     fn decode_budget_triggers_timeout_class() {
         let data = smooth(&[32, 32]);
         let c = compress(&data, &[32, 32], ZfpMode::FixedAccuracy(0.01)).unwrap();
-        match decompress_with_limits(&c, &DecodeLimits { max_elements: 10 }) {
+        match decompress_with_limits(&c, 10) {
             Err(ZfpError::WorkBudgetExceeded { demanded: 1024, budget: 10 }) => {}
             other => panic!("expected timeout class, got {other:?}"),
         }

@@ -6,7 +6,9 @@
 #                                    warnings, tier-1 build + tests,
 #                                    workspace tests
 #        scripts/check.sh --full   the fast gate, then everything slower:
-#                                    the golden suites in release, arc-ecc's
+#                                    the golden suites and arc-core's
+#                                    stream writer contracts (memory,
+#                                    bytes, allocations) in release, arc-ecc's
 #                                    tests, the golden suites and the
 #                                    hostile-input sweep under
 #                                    AddressSanitizer (nightly) and with
@@ -70,12 +72,14 @@ cargo test --workspace -q
 
 if (( full )); then
     echo "==> golden suites in release: tests/golden_*.rs, golden_container, golden_codewords"
-    # The fast gate runs them in the debug profile; a golden value that
-    # depends on the build profile must fail here.
+    echo "    and the v2 writer's contracts: stream_memory, stream_equiv, alloc_count"
+    # The fast gate runs them in the debug profile; a golden value, a peak
+    # or an allocation count that depends on the build profile must fail here.
     goldens=()
     for f in tests/golden_*.rs; do goldens+=(--test "$(basename "$f" .rs)"); done
     cargo test --release -q "${goldens[@]}"
-    cargo test --release -q -p arc-core --test golden_container
+    cargo test --release -q -p arc-core --test golden_container --test stream_memory \
+        --test stream_equiv --test alloc_count
     cargo test --release -q -p arc-ecc --test golden_codewords
 
     echo "==> AddressSanitizer: arc-ecc's tests, the golden suites, then the hostile sweep (nightly)"
