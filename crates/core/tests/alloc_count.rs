@@ -1,22 +1,19 @@
 //! Engine-level allocation accounting: the container encode path allocates
 //! one full-size buffer plus a small constant (header scratch), the
-//! borrowing decode one payload-sized copy, and the streaming encoder's
-//! staging grows a shard at a time.
+//! borrowing decode one payload-sized copy, the streaming encoder's
+//! staging grows a shard at a time, and range reads of clean shards copy
+//! none of them out to keep.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use arc_core::container::unpack;
 use arc_core::engine::{arc_engine_decode, arc_engine_encode, arc_engine_encode_sharded};
 use arc_core::stream::{StreamEncoder, StreamOptions};
-use arc_core::{ArcContext, ArcOptions, TrainingOptions};
+use arc_core::{ArcContext, ArcOptions, ArcReader, TrainingOptions};
 use arc_ecc::EccConfig;
 
 struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// True on the test thread while a `counted` closure runs — the libtest
@@ -25,6 +22,9 @@ thread_local! {
     /// paths under measurement here are sequential (1 thread), so scoping
     /// the count to this thread loses nothing.
     static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations and bytes counted on this thread: per thread, so tests
+    /// measuring at the same time do not count each other's allocations.
+    static COUNTS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
 /// Count one allocation of `size` bytes, if this thread is measuring.
@@ -32,8 +32,10 @@ thread_local! {
 fn note(size: usize) {
     let _ = MEASURING.try_with(|m| {
         if m.get() {
-            ALLOCS.fetch_add(1, Ordering::SeqCst);
-            BYTES.fetch_add(size, Ordering::SeqCst);
+            let _ = COUNTS.try_with(|c| {
+                let (allocs, bytes) = c.get();
+                c.set((allocs + 1, bytes + size));
+            });
         }
     });
 }
@@ -80,12 +82,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static A: CountingAlloc = CountingAlloc;
 
 fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
-    let allocs0 = ALLOCS.load(Ordering::SeqCst);
-    let bytes0 = BYTES.load(Ordering::SeqCst);
+    let (allocs0, bytes0) = COUNTS.with(Cell::get);
     MEASURING.with(|m| m.set(true));
     let r = f();
     MEASURING.with(|m| m.set(false));
-    (r, ALLOCS.load(Ordering::SeqCst) - allocs0, BYTES.load(Ordering::SeqCst) - bytes0)
+    let (allocs, bytes) = COUNTS.with(Cell::get);
+    (r, allocs - allocs0, bytes - bytes0)
 }
 
 #[test]
@@ -170,6 +172,33 @@ fn staging_grows_a_shard_at_a_time() {
     let (container, stats) = enc.finish().unwrap();
     assert_eq!((stats.shards, stats.workers), (1, 4));
     assert_eq!(arc_engine_decode(&container, 1).unwrap().0, data);
+}
+
+/// Reading every shard of a clean 8-shard container once, through a cache
+/// that holds all eight, allocates the outputs and one encoded shard of
+/// scratch (plus the cache's small bookkeeping): a shard that verified
+/// clean is served from the container and cached without a copy.
+#[test]
+fn clean_range_reads_keep_no_shard_copies() {
+    let shard_size = 64 << 10;
+    let data: Vec<u8> = (0..8 * shard_size).map(|i| ((i * 131) ^ (i >> 7)) as u8).collect();
+    let container =
+        arc_engine_encode_sharded(&data, EccConfig::secded(true), 1, shard_size).unwrap();
+    let encoded_shard = unpack(&container).unwrap().index.unwrap().entries[0].encoded_len;
+    let mut reader = ArcReader::with_cache_capacity(&container, 1, data.len()).unwrap();
+    let (outs, allocs, bytes) = counted(|| {
+        (0..8)
+            .map(|i| reader.decode_range(i * shard_size, shard_size).unwrap().0)
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(outs.concat(), data);
+    assert!(
+        bytes <= data.len() + encoded_shard + 4096,
+        "reading 8 clean {shard_size}-byte shards allocated {bytes} bytes in {allocs} \
+         allocations: more than the outputs and one {encoded_shard}-byte encoded shard"
+    );
+    let stats = reader.cache_stats();
+    assert_eq!((stats.misses, stats.resident_bytes), (8, data.len()));
 }
 
 /// A one-shot v2 encode at one thread allocates the container, the

@@ -215,18 +215,29 @@ fn row_table(c: Gf) -> &'static ByteTable<u8> {
     mul_tables().row.of(c.0)
 }
 
-/// The 8×8 GF(2) matrix of "multiply by `c`", row-major: bit `b` of
-/// `rows[r]` is `M[r][b]`, i.e. bit `r` of the product `c·2^b`.
+/// The columns of the 8×8 GF(2) matrix of "multiply by `c`": the products
+/// `c·2^b`.
 ///
 /// Multiplication by a constant is linear over GF(2): writing an input byte
 /// as bits `x = Σ_b x_b·2^b`, the product is `c·x = Σ_b x_b·(c·2^b)`, so the
 /// eight products `c·2^b` are the columns of a bit matrix `M_c` with
-/// `c·x = M_c·x`. For any byte `x`: bit `r` of `c·x` equals
-/// `parity(rows[r] & x)`.
+/// `c·x = M_c·x`.
+fn mul_columns(c: Gf) -> [u8; 8] {
+    std::array::from_fn(|b| c.mul(Gf(1 << b)).0)
+}
+
+/// `M_c` row-major ([`rows_of`] its [`mul_columns`]): for any byte `x`,
+/// bit `r` of `c·x` equals `parity(rows[r] & x)`.
+#[cfg(test)]
 fn mul_matrix(c: Gf) -> [u8; 8] {
+    rows_of(mul_columns(c))
+}
+
+/// The rows of the 8×8 GF(2) matrix whose column `b` is `cols[b]`: bit `b`
+/// of `rows[r]` is bit `r` of `cols[b]`.
+fn rows_of(cols: [u8; 8]) -> [u8; 8] {
     let mut rows = [0u8; 8];
-    for b in 0..8u32 {
-        let col = c.mul(Gf(1 << b)).0;
+    for (b, col) in cols.into_iter().enumerate() {
         for (r, row) in rows.iter_mut().enumerate() {
             *row |= ((col >> r) & 1) << b;
         }
@@ -234,15 +245,21 @@ fn mul_matrix(c: Gf) -> [u8; 8] {
     rows
 }
 
-/// The qword operand `GF2P8AFFINEQB` expects for "multiply by `c`".
+/// The qword operand `GF2P8AFFINEQB` expects for the GF(2)-linear byte map
+/// that sends bit `b` to `cols[b]`.
 ///
 /// The instruction computes output bit `r` of each byte as
 /// `parity(qword_byte[7 - r] & input_byte)`, so the matrix rows are packed
 /// most-significant-row-first into the little-endian qword.
-fn gfni_matrix(c: Gf) -> u64 {
-    let mut bytes = mul_matrix(c);
+pub(crate) fn affine_operand(cols: [u8; 8]) -> u64 {
+    let mut bytes = rows_of(cols);
     bytes.reverse();
     u64::from_le_bytes(bytes)
+}
+
+/// The [`affine_operand`] of "multiply by `c`".
+fn gfni_matrix(c: Gf) -> u64 {
+    affine_operand(mul_columns(c))
 }
 
 /// All 256 GFNI matrix operands, indexed by coefficient value.
@@ -254,16 +271,19 @@ fn gfni_matrices() -> &'static ByteTable<u64> {
     MATRICES.get_or_init(|| ByteTable::from_fn(|c| gfni_matrix(Gf(c))))
 }
 
-/// Which SIMD kernel the slice operations dispatch to, resolved once from
-/// the CPU's feature flags — the only kernel selection in the crate.
+/// Which SIMD kernel the slice operations and the eight-byte SEC codes
+/// (`hamming`) dispatch to, resolved once from the CPU's feature flags —
+/// the only kernel selection in the crate besides CRC's.
 ///
 /// The two GFNI tiers use `GF2P8AFFINEQB`, which applies the coefficient's
 /// 8×8 bit matrix ([`gfni_matrix`]) to every byte of a vector in a single
 /// instruction — one op per 64/32 bytes versus the four shuffle/xor ops of
-/// the PSHUFB split-nibble kernel.
+/// the PSHUFB split-nibble kernel. `Gfni512` also requires AVX-512 VBMI,
+/// for the SEC kernel's byte transpose (`VPERMB`); every CPU with GFNI and
+/// AVX-512 has it.
 #[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-enum SimdLevel {
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SimdLevel {
     Gfni512,
     Gfni256,
     Avx2,
@@ -273,14 +293,15 @@ enum SimdLevel {
 
 #[cfg(target_arch = "x86_64")]
 impl SimdLevel {
-    /// Whether this CPU has every feature the level's kernel needs.
-    fn detected(self) -> bool {
+    /// Whether this CPU has every feature the level's kernels need.
+    pub(crate) fn detected(self) -> bool {
         let gfni = is_x86_feature_detected!("gfni");
         match self {
             SimdLevel::Gfni512 => {
                 gfni && is_x86_feature_detected!("avx512f")
                     && is_x86_feature_detected!("avx512bw")
                     && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512vbmi")
             }
             SimdLevel::Gfni256 => gfni && is_x86_feature_detected!("avx2"),
             SimdLevel::Avx2 => is_x86_feature_detected!("avx2"),
@@ -292,7 +313,7 @@ impl SimdLevel {
 
 /// The widest level this CPU runs.
 #[cfg(target_arch = "x86_64")]
-fn simd_level() -> SimdLevel {
+pub(crate) fn simd_level() -> SimdLevel {
     static LEVEL: std::sync::OnceLock<SimdLevel> = std::sync::OnceLock::new();
     *LEVEL.get_or_init(|| {
         [SimdLevel::Gfni512, SimdLevel::Gfni256, SimdLevel::Avx2, SimdLevel::Ssse3]
