@@ -6,9 +6,10 @@
 #                                    warnings, tier-1 build + tests,
 #                                    workspace tests
 #        scripts/check.sh --full   the fast gate, then everything slower:
-#                                    the golden suites and arc-core's
+#                                    the golden suites, arc-core's
 #                                    stream writer contracts (memory,
-#                                    bytes, allocations) in release, arc-ecc's
+#                                    bytes, allocations) and its range-read
+#                                    acceptance test in release, arc-ecc's
 #                                    tests, the golden suites and the
 #                                    hostile-input sweep under
 #                                    AddressSanitizer (nightly) and with
@@ -18,6 +19,8 @@
 #                                    codeword-RS lane kernel and decoder,
 #                                    BCH remainder test and its sliced
 #                                    division against bit-serial division,
+#                                    SEC lane kernels against the table
+#                                    kernel,
 #                                    ZFP rounding and transpose, slab frames
 #                                    at arcbench's field sizes),
 #                                    the seven fault-study binaries and
@@ -72,21 +75,22 @@ cargo test --workspace -q
 
 if (( full )); then
     echo "==> golden suites in release: tests/golden_*.rs, golden_container, golden_codewords"
-    echo "    and the v2 writer's contracts: stream_memory, stream_equiv, alloc_count"
+    echo "    the v2 writer's contracts: stream_memory, stream_equiv, alloc_count; range_decode"
     # The fast gate runs them in the debug profile; a golden value, a peak
     # or an allocation count that depends on the build profile must fail here.
     goldens=()
     for f in tests/golden_*.rs; do goldens+=(--test "$(basename "$f" .rs)"); done
     cargo test --release -q "${goldens[@]}"
     cargo test --release -q -p arc-core --test golden_container --test stream_memory \
-        --test stream_equiv --test alloc_count
+        --test stream_equiv --test alloc_count --test range_decode
     cargo test --release -q -p arc-ecc --test golden_codewords
 
     echo "==> AddressSanitizer: arc-ecc's tests, the golden suites, then the hostile sweep (nightly)"
-    # arc-ecc's SIMD kernels (GF multiply-accumulate, CLMUL CRC) are the
-    # libraries' only `unsafe`; ASan checks that no test input makes them
-    # touch memory outside their slices, and the hostile sweep feeds them
-    # corrupt containers (its `ext-ileave-rs` target drives the batched lane
+    # arc-ecc's SIMD kernels (GF multiply-accumulate, CLMUL CRC, the SEC
+    # lane kernel's VPERMB + GF2P8AFFINEQB) are the libraries' only
+    # `unsafe`; ASan checks that no test input makes them touch memory
+    # outside their slices, and the hostile sweep feeds them corrupt
+    # containers (its `ext-ileave-rs` target drives the batched lane
     # kernel). Doctests do not link under ASan, hence `--lib --tests`.
     if cargo +nightly --version >/dev/null 2>&1; then
         asan=(cargo +nightly test -q --target x86_64-unknown-linux-gnu)
